@@ -23,6 +23,10 @@ from .ops import OpKind, OpSpec
 
 Params = Mapping[str, Any]
 
+LAYOUT_CAP = 64
+"""Compiled layouts (one per combination of foreach-parameter lengths)
+a :class:`StoredProcedure` keeps before it starts over."""
+
 
 class _CtxView(Mapping[str, Any]):
     """Read-only view of a ctx dict that rewrites template op names to
@@ -71,40 +75,73 @@ class Placement:
         return f"Placement({self.table}:{marker}{self.key!r})"
 
 
-class OpInstance:
-    """A concrete operation of one transaction."""
+class OpShape:
+    """What is fixed about one op instance once the procedure and the
+    lengths of its foreach parameters are known: compiled once per
+    layout by :meth:`StoredProcedure.layout`, shared by every
+    transaction's :class:`OpInstance` of that slot."""
 
-    __slots__ = ("spec", "proc", "name", "item", "index", "_alias")
+    __slots__ = ("spec", "index", "name", "alias", "deps", "pk_sources",
+                 "target", "record_spec", "pk_children")
 
     def __init__(self, spec: OpSpec, proc: "StoredProcedure",
-                 item: Any = None, index: int | None = None):
+                 index: int | None):
         self.spec = spec
-        self.proc = proc
-        self.item = item
         self.index = index
         self.name = spec.name if index is None else f"{spec.name}[{index}]"
-        self._alias = proc._alias_map(spec, index)
+        alias = self.alias = proc._alias_map(spec, index)
+        self.pk_sources = tuple(alias.get(d, d) for d in spec.pk_sources())
+        self.deps = tuple(alias.get(d, d) for d in dict.fromkeys(
+            spec.pk_sources() + spec.all_value_deps()))
+        self.target = alias.get(spec.target, spec.target)
+        # the spec whose key identifies the record this op touches
+        if spec.kind is OpKind.CHECK:
+            self.record_spec = None
+        elif spec.kind in (OpKind.UPDATE, OpKind.DELETE):
+            self.record_spec = proc.op(spec.target)
+        else:
+            self.record_spec = spec
+        self.pk_children: tuple[str, ...] = ()  # set once the layout is whole
+
+
+class OpInstance:
+    """A concrete operation of one transaction: a compiled
+    :class:`OpShape` bound to its foreach ``item``."""
+
+    __slots__ = ("spec", "name", "item", "_alias", "_shape")
+
+    def __init__(self, shape: OpShape, item: Any = None):
+        self.spec = shape.spec
+        self.name = shape.name
+        self.item = item
+        self._alias = shape.alias
+        self._shape = shape
+
+    @property
+    def index(self) -> int | None:
+        return self._shape.index
 
     # -- identity / dependencies ------------------------------------------
 
-    def dep_instance_names(self) -> list[str]:
+    def dep_instance_names(self) -> tuple[str, ...]:
         """Instance names of all deps (pk + value) of this instance."""
-        deps = set(self.spec.pk_sources()) | set(self.spec.all_value_deps())
-        return [self._alias.get(d, d) for d in deps]
+        return self._shape.deps
 
-    def pk_source_instances(self) -> list[str]:
-        return [self._alias.get(d, d) for d in self.spec.pk_sources()]
+    def pk_source_instances(self) -> tuple[str, ...]:
+        return self._shape.pk_sources
+
+    def pk_child_instances(self) -> tuple[str, ...]:
+        """Instances whose keys derive from this one's value."""
+        return self._shape.pk_children
 
     def target_instance(self) -> str | None:
-        if self.spec.target is None:
-            return None
-        return self._alias.get(self.spec.target, self.spec.target)
+        return self._shape.target
 
     # -- placement (pre-execution knowledge) -------------------------------
 
     def placement(self, params: Params) -> Placement | None:
         """Best pre-execution knowledge of this op's record location."""
-        spec = self._record_spec()
+        spec = self._shape.record_spec
         if spec is None:  # CHECK: touches no record
             return None
         assert spec.table is not None and spec.key is not None
@@ -126,7 +163,7 @@ class OpInstance:
 
     def concrete_key(self, params: Params, ctx: Mapping[str, Any]) -> Any:
         """Resolve the actual primary key (requires pk-deps bound)."""
-        spec = self._record_spec()
+        spec = self._shape.record_spec
         if spec is None:
             raise TypeError(f"{self.name} does not access a record")
         if isinstance(spec.key, ParamKey):
@@ -152,14 +189,6 @@ class OpInstance:
         return bool(self.spec.predicate(params, _CtxView(ctx, self._alias),
                                         self.item))
 
-    def _record_spec(self) -> OpSpec | None:
-        """The spec whose key identifies the record this op touches."""
-        if self.spec.kind is OpKind.CHECK:
-            return None
-        if self.spec.kind in (OpKind.UPDATE, OpKind.DELETE):
-            return self.proc.op(self.spec.target)
-        return self.spec
-
     def __repr__(self) -> str:
         return f"OpInstance({self.name}:{self.spec.kind.value})"
 
@@ -174,6 +203,11 @@ class StoredProcedure:
         self.ops = list(ops)
         self._by_name: dict[str, OpSpec] = {}
         self._validate()
+        self._foreach = tuple(dict.fromkeys(
+            op.foreach for op in self.ops if op.foreach is not None))
+        self._layouts: dict[tuple[int, ...], tuple[OpShape, ...]] = {}
+        """Compiled shapes per tuple of foreach-parameter lengths; the
+        templates never change after construction, so none goes stale."""
 
     def op(self, name: str) -> OpSpec:
         return self._by_name[name]
@@ -184,16 +218,33 @@ class StoredProcedure:
     # -- instantiation -------------------------------------------------------
 
     def instantiate(self, params: Params) -> list[OpInstance]:
-        """Expand templates into concrete per-transaction op instances."""
-        instances: list[OpInstance] = []
-        for spec in self.ops:
-            if spec.foreach is None:
-                instances.append(OpInstance(spec, self))
-            else:
-                items = params[spec.foreach]
-                for i, item in enumerate(items):
-                    instances.append(OpInstance(spec, self, item, i))
-        return instances
+        """Expand templates into concrete per-transaction op instances:
+        bind each shape of the compiled layout to its foreach item."""
+        return [OpInstance(shape) if shape.index is None else
+                OpInstance(shape, params[shape.spec.foreach][shape.index])
+                for shape in self.layout(params)]
+
+    def layout(self, params: Params) -> tuple[OpShape, ...]:
+        """The procedure's static shape for these foreach lengths
+        (names, alias maps, dependency tuples), compiled on first use."""
+        sizes = tuple([len(params[name]) for name in self._foreach])
+        shapes = self._layouts.get(sizes)
+        if shapes is None:
+            count = dict(zip(self._foreach, sizes))
+            shapes = tuple(
+                OpShape(spec, self, index) for spec in self.ops
+                for index in ((None,) if spec.foreach is None
+                              else range(count[spec.foreach])))
+            children: dict[str, list[str]] = {}
+            for shape in shapes:
+                for parent in shape.pk_sources:
+                    children.setdefault(parent, []).append(shape.name)
+            for shape in shapes:
+                shape.pk_children = tuple(children.get(shape.name, ()))
+            if len(self._layouts) >= LAYOUT_CAP:
+                self._layouts.clear()
+            self._layouts[sizes] = shapes
+        return shapes
 
     def _alias_map(self, spec: OpSpec, index: int | None) -> dict[str, str]:
         """Template-name -> instance-name map for one foreach index."""

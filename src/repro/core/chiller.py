@@ -330,8 +330,11 @@ class ChillerExecutor(BaseExecutor):
                                  writes=shipped,
                                  coordinator=req.coordinator)
         engine = self.db.cluster.engine(server_id)
+        payload = (RPC_REPLICATE, message)
+        # one walk per message, not per replica it is fanned out to
+        nbytes = self.db.cluster.network.config.message_bytes(payload)
         for rserver in self.db.replicas.replica_servers(server_id):
-            engine.post(rserver, (RPC_REPLICATE, message))
+            engine.post(rserver, payload, nbytes)
 
     # -- replica and ack handlers --------------------------------------------
 

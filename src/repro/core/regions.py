@@ -21,7 +21,7 @@ could not be locked after the inner region committed unilaterally.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -57,9 +57,13 @@ class RegionPlanner:
 
     def plan(self, instances: list[OpInstance],
              params: Mapping[str, Any]) -> RegionPlan:
+        """Split one transaction's full instantiation
+        (``proc.instantiate(params)``) into regions.  Names, dependency
+        tuples and pk-children come compiled with the instances; only
+        placements and hotness are evaluated here."""
         placements = self._placements(instances, params)
-        children = _pk_children(instances)
-        by_name = {inst.name: inst for inst in instances}
+        children = {inst.name: inst.pk_child_instances()
+                    for inst in instances}
 
         hot_reads: list[tuple[OpInstance, int]] = []
         blocked = 0
@@ -108,8 +112,7 @@ class RegionPlanner:
             and inst.name not in inner_names}
         for inst in instances:
             if inst.spec.kind is OpKind.CHECK:
-                deps = set(inst.dep_instance_names())
-                if deps <= outer_bindings:
+                if outer_bindings.issuperset(inst.dep_instance_names()):
                     outer.append(inst)
                 else:
                     inner.append(inst)
@@ -121,7 +124,7 @@ class RegionPlanner:
         hot_on_host = {inst.name for inst, pid in hot_reads
                        if pid == inner_host}
         inner = self._reorder_hot_last(inner, hot_on_host, children)
-        self._assert_no_inner_to_outer_pk_edge(inner, outer, by_name)
+        self._assert_no_inner_to_outer_pk_edge(inner, outer)
         return RegionPlan(two_region=True, inner_host=inner_host,
                           inner=inner, outer=outer,
                           hot_inner_records=votes[inner_host],
@@ -129,7 +132,7 @@ class RegionPlanner:
 
     @staticmethod
     def _reorder_hot_last(inner: list[OpInstance], hot_names: set[str],
-                          children: Mapping[str, list[str]],
+                          children: Mapping[str, tuple[str, ...]],
                           ) -> list[OpInstance]:
         """The paper's idea (1): postpone the hot records' lock
         acquisition to the very end of the inner region.
@@ -178,7 +181,7 @@ class RegionPlanner:
         return out
 
     def _subtree_on(self, name: str, pid: int,
-                    children: Mapping[str, list[str]],
+                    children: Mapping[str, tuple[str, ...]],
                     placements: Mapping[str, tuple],
                     ) -> bool:
         """All pk-descendants of ``name`` provably live on ``pid``."""
@@ -192,7 +195,7 @@ class RegionPlanner:
         return True
 
     @staticmethod
-    def _assert_no_inner_to_outer_pk_edge(inner, outer, by_name) -> None:
+    def _assert_no_inner_to_outer_pk_edge(inner, outer) -> None:
         inner_names = {inst.name for inst in inner}
         for inst in outer:
             for parent in inst.pk_source_instances():
@@ -200,11 +203,3 @@ class RegionPlanner:
                     raise RuntimeError(
                         f"illegal region split: outer op {inst.name!r} "
                         f"pk-depends on inner op {parent!r}")
-
-
-def _pk_children(instances: list[OpInstance]) -> dict[str, list[str]]:
-    children: dict[str, list[str]] = defaultdict(list)
-    for inst in instances:
-        for parent in inst.pk_source_instances():
-            children[parent].append(inst.name)
-    return children

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
+from .._util import HashMemo
 from ..storage import PartitionStore, TableSpec
 from .common_types import ReplicaWrite
 
@@ -22,7 +23,8 @@ class ReplicaManager:
 
     def __init__(self, n_servers: int, n_replicas: int,
                  tables: Iterable[TableSpec],
-                 now_fn: Callable[[], float] | None = None):
+                 now_fn: Callable[[], float] | None = None,
+                 hasher: HashMemo | None = None):
         if n_replicas < 0:
             raise ValueError("n_replicas must be >= 0")
         if n_replicas >= n_servers:
@@ -37,7 +39,7 @@ class ReplicaManager:
         for partition in range(n_servers):
             for server in self.replica_servers(partition):
                 self._stores[(server, partition)] = PartitionStore(
-                    partition, table_list, now_fn=now_fn)
+                    partition, table_list, now_fn=now_fn, hasher=hasher)
         self.applied_counts: dict[tuple[int, int], int] = {
             key: 0 for key in self._stores}
 

@@ -62,8 +62,7 @@ from .cluster import Server
 from .codec import (WIRE_PICKLE_PROTOCOL, OpDescriptor, WireOneWay,
                     WireVerbReply, WireVerbs, decode_op)
 from .effects import Coroutine, OneWay
-from .network import (MESSAGE_NOMINAL_BYTES, VERB_NOMINAL_BYTES,
-                      NetworkConfig, NetworkStats, approx_payload_bytes)
+from .network import VERB_NOMINAL_BYTES, NetworkConfig, NetworkStats
 from .runtime import EffectRuntimeBase
 
 _LENGTH_BYTES = 8
@@ -548,12 +547,10 @@ class AsyncioEffectRuntime(EffectRuntimeBase):
 
     # -- messages ---------------------------------------------------------
 
-    def send_payload(self, target: int, payload: Any,
-                     kind: str, size_of: Any) -> None:
-        if self.network.config.account_payload_bytes:
-            nbytes = approx_payload_bytes(size_of)
-        else:
-            nbytes = MESSAGE_NOMINAL_BYTES
+    def send_payload(self, target: int, payload: Any, kind: str,
+                     size_of: Any, nbytes: int | None = None) -> None:
+        if nbytes is None:
+            nbytes = self.network.config.message_bytes(size_of)
         self.network.stats.record_message(kind, nbytes,
                                           remote=target != self.server_id,
                                           server=self.server_id)
@@ -609,8 +606,9 @@ class AioEngine:
               on_done: Callable[[Any], None] | None = None) -> None:
         self._cluster._spawn(self.runtime, gen, on_done)
 
-    def post(self, target: int, payload: Any) -> None:
-        self.runtime.post(target, payload)
+    def post(self, target: int, payload: Any,
+             nbytes: int | None = None) -> None:
+        self.runtime.post(target, payload, nbytes)
 
 
 class AioCluster:

@@ -63,6 +63,7 @@ class Engine:
         """Start driving a coroutine; ``on_done`` receives its return."""
         self.runtime.spawn(gen, on_done)
 
-    def post(self, target: int, payload: Any) -> None:
+    def post(self, target: int, payload: Any,
+             nbytes: int | None = None) -> None:
         """Fire-and-forget message to ``target`` (no reply awaited)."""
-        self.runtime.post(target, payload)
+        self.runtime.post(target, payload, nbytes)

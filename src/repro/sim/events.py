@@ -26,9 +26,6 @@ class EventHandle:
         """Prevent the event from firing (safe to call more than once)."""
         self.cancelled = True
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """A minimal, deterministic discrete-event loop.
@@ -43,7 +40,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[EventHandle] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
+        """Heap of ``(time, seq, handle)``: ``seq`` is unique, so heapq
+        orders entries by comparing floats and ints, never handles."""
         self._seq = 0
         self._events_fired = 0
         self.probe: Callable[[float], Any] | None = None
@@ -70,17 +69,17 @@ class Simulator:
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         handle = EventHandle(time, self._seq, fn)
+        heapq.heappush(self._queue, (time, self._seq, handle))
         self._seq += 1
-        heapq.heappush(self._queue, handle)
         return handle
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if queue is empty."""
         while self._queue:
-            handle = heapq.heappop(self._queue)
+            time, _seq, handle = heapq.heappop(self._queue)
             if handle.cancelled:
                 continue
-            self.now = handle.time
+            self.now = time
             self._events_fired += 1
             handle.fn()
             if self.probe is not None:
@@ -90,25 +89,28 @@ class Simulator:
 
     def run(self, max_events: int | None = None) -> None:
         """Run until the queue drains (or ``max_events`` events fired)."""
-        remaining = max_events
-        while self.step():
-            if remaining is not None:
-                remaining -= 1
-                if remaining <= 0:
-                    return
+        if max_events is None:
+            while self.step():
+                pass
+            return
+        if max_events < 0:
+            raise ValueError(f"negative event budget {max_events}")
+        for _ in range(max_events):
+            if not self.step():
+                return
 
     def run_until(self, time: float) -> None:
         """Run all events with a timestamp ``<= time``; advance now to it."""
         while self._queue:
-            head = self._queue[0]
+            head_time, _seq, head = self._queue[0]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if head.time > time:
+            if head_time > time:
                 break
             self.step()
         self.now = max(self.now, time)
 
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) events still in the queue."""
-        return sum(1 for h in self._queue if not h.cancelled)
+        return sum(1 for _time, _seq, h in self._queue if not h.cancelled)

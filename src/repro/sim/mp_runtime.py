@@ -54,8 +54,7 @@ from .codec import (PEER_DOWN, CodecError, FrameCodec, WireOneWay, WireRpc,
                     WireRpcReply, WireVerbReply, WireVerbs, decode_op,
                     encode_op)
 from .effects import Coroutine, OneWay
-from .network import (MESSAGE_NOMINAL_BYTES, NetworkConfig,
-                      approx_payload_bytes)
+from .network import NetworkConfig
 from .runtime import EffectRuntimeBase, _payload_kind, _RpcRequest
 from .shm_transport import (DEFAULT_RING_BYTES, ShmWorkerTransport,
                             cleanup_rings_by_name, create_inbound_rings,
@@ -224,17 +223,12 @@ class MpServerRuntime(EffectRuntimeBase):
 
     # -- messages ----------------------------------------------------------
 
-    def _payload_nbytes(self, size_of: Any) -> int:
-        if self.network.config.account_payload_bytes:
-            return approx_payload_bytes(size_of)
-        return MESSAGE_NOMINAL_BYTES
-
     def send_rpc(self, effect, cont: Callable[[Any], None]) -> None:
         target = effect.target
         kind = _payload_kind(effect.payload, "rpc")
         if self._cluster.owns(target):
             self.network.stats.record_message(
-                kind, self._payload_nbytes(effect.payload),
+                kind, self.network.config.message_bytes(effect.payload),
                 remote=target != self.server_id, server=self.server_id)
             self._cluster.deliver_local(
                 target, self.server_id,
@@ -255,12 +249,15 @@ class MpServerRuntime(EffectRuntimeBase):
         self.network.stats.record_message(kind, sent, remote=True,
                                           server=self.server_id)
 
-    def post(self, target: int, payload: Any) -> None:
+    def post(self, target: int, payload: Any,
+             nbytes: int | None = None) -> None:
         kind = _payload_kind(payload, "one_way")
         if self._cluster.owns(target):
+            if nbytes is None:
+                nbytes = self.network.config.message_bytes(payload)
             self.network.stats.record_message(
-                kind, self._payload_nbytes(payload),
-                remote=target != self.server_id, server=self.server_id)
+                kind, nbytes, remote=target != self.server_id,
+                server=self.server_id)
             self._cluster.deliver_local(target, self.server_id,
                                         OneWay(payload))
             return
@@ -272,14 +269,16 @@ class MpServerRuntime(EffectRuntimeBase):
         self.network.stats.record_message(kind, sent, remote=True,
                                           server=self.server_id)
 
-    def send_payload(self, target: int, payload: Any,
-                     kind: str, size_of: Any) -> None:
+    def send_payload(self, target: int, payload: Any, kind: str,
+                     size_of: Any, nbytes: int | None = None) -> None:
         # Only in-process plumbing wrappers (RPC request/reply objects
         # carrying live continuations) reach this hook; cross-worker
         # traffic goes through the wire forms above.
+        if nbytes is None:
+            nbytes = self.network.config.message_bytes(size_of)
         self.network.stats.record_message(
-            kind, self._payload_nbytes(size_of),
-            remote=target != self.server_id, server=self.server_id)
+            kind, nbytes, remote=target != self.server_id,
+            server=self.server_id)
         if not self._cluster.owns(target):
             raise CodecError(
                 f"in-process payload {payload!r} addressed to foreign "
@@ -381,8 +380,9 @@ class MpEngine:
               on_done: Callable[[Any], None] | None = None) -> None:
         self._cluster._spawn(self.runtime, gen, on_done)
 
-    def post(self, target: int, payload: Any) -> None:
-        self.runtime.post(target, payload)
+    def post(self, target: int, payload: Any,
+             nbytes: int | None = None) -> None:
+        self.runtime.post(target, payload, nbytes)
 
 
 # -- worker-side cluster ------------------------------------------------------

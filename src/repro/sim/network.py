@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
 from .events import Simulator
@@ -83,8 +84,34 @@ def phase_of_kind(kind: str) -> str:
     return PHASE_OF_KIND.get(kind, "other")
 
 
-def approx_payload_bytes(obj: Any, _depth: int = 0,
-                         _seen: set[int] | None = None) -> int:
+_LEN, _DICT, _ITEMS, _OPAQUE = "len", "dict", "items", "opaque"
+
+_SHAPE_OF: dict[type, Any] = {}
+"""How the payload walk sizes instances of each class it has met: an
+int is a scalar's nominal size, a tuple names a dataclass's fields,
+the rest is one of the four codes above.  Classified once per class."""
+
+
+def _shape_of(cls: type) -> Any:
+    if cls is type(None) or cls is bool:
+        shape: Any = 1
+    elif issubclass(cls, (int, float)):
+        shape = 8
+    elif issubclass(cls, (str, bytes)):
+        shape = _LEN
+    elif issubclass(cls, dict):
+        shape = _DICT
+    elif issubclass(cls, (list, tuple, set, frozenset)):
+        shape = _ITEMS
+    elif dataclasses.is_dataclass(cls):
+        shape = tuple(f.name for f in dataclasses.fields(cls))
+    else:
+        shape = _OPAQUE
+    _SHAPE_OF[cls] = shape
+    return shape
+
+
+def approx_payload_bytes(obj: Any) -> int:
     """Rough serialized size of an application payload, in bytes.
 
     This is accounting, not serialization: containers and dataclasses
@@ -95,35 +122,42 @@ def approx_payload_bytes(obj: Any, _depth: int = 0,
     shared sub-structures are charged as back-references) — and
     depth-capped at :data:`PAYLOAD_WALK_MAX_DEPTH`.
     """
-    if obj is None or isinstance(obj, bool):
-        return 1
-    if isinstance(obj, (int, float)):
-        return 8
-    if isinstance(obj, (str, bytes)):
+    return _walk(obj, 0, set())
+
+
+def _walk(obj: Any, depth: int, seen: set[int]) -> int:
+    shape = _SHAPE_OF.get(obj.__class__)
+    if shape is None:
+        shape = _shape_of(obj.__class__)
+    if shape.__class__ is int:
+        return shape
+    if shape is _LEN:
         return len(obj)
-    if _depth >= PAYLOAD_WALK_MAX_DEPTH:
+    if depth >= PAYLOAD_WALK_MAX_DEPTH:
         return MESSAGE_NOMINAL_BYTES
-    if isinstance(obj, (dict, list, tuple, set, frozenset)):
-        walk_items = True
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        walk_items = False
-    else:
+    if shape is _OPAQUE:
         return 64
-    if _seen is None:
-        _seen = set()
-    if id(obj) in _seen:
+    if id(obj) in seen:
         return _BACK_REFERENCE_BYTES
-    _seen.add(id(obj))
-    child = _depth + 1
-    if not walk_items:
-        return 8 + sum(
-            approx_payload_bytes(getattr(obj, f.name), child, _seen)
-            for f in dataclasses.fields(obj))
-    if isinstance(obj, dict):
-        return 8 + sum(approx_payload_bytes(k, child, _seen)
-                       + approx_payload_bytes(v, child, _seen)
-                       for k, v in obj.items())
-    return 8 + sum(approx_payload_bytes(item, child, _seen) for item in obj)
+    seen.add(id(obj))
+    if shape is _ITEMS:
+        children = obj
+    elif shape is _DICT:
+        children = chain.from_iterable(obj.items())
+    else:
+        children = [getattr(obj, name) for name in shape]
+    depth += 1
+    total = 8
+    shapes = _SHAPE_OF
+    for child in children:
+        shape = shapes.get(child.__class__)
+        if shape.__class__ is int:      # leaves sized without a call
+            total += shape
+        elif shape is _LEN:
+            total += len(child)
+        else:
+            total += _walk(child, depth, seen)
+    return total
 
 
 @dataclass(frozen=True)
@@ -153,11 +187,10 @@ class NetworkConfig:
     completion)."""
 
     account_payload_bytes: bool = True
-    """Walk message payloads to estimate their wire size per kind.  The
-    walk runs on the Python hot path (one per message); turn it off for
-    throughput-of-the-simulator benchmarks — messages are then charged a
-    flat nominal size and ``bytes_by_kind`` becomes a message count
-    proxy rather than a byte estimate."""
+    """Walk message payloads to estimate their wire size per kind (one
+    type-dispatched walk per message, however many recipients it has).
+    Off, messages are charged a flat nominal size and ``bytes_by_kind``
+    becomes a message count proxy rather than a byte estimate."""
 
     bandwidth_gbps: float | None = None
     """Optional link bandwidth, in Gbit/s.  When set, every *remote*
@@ -169,6 +202,13 @@ class NetworkConfig:
     seed-calibrated latency-only model bit-for-bit.  Local deliveries
     never pay it (no wire), and it is a property of the *simulated*
     network — the aio/mp backends measure real serialization instead."""
+
+    def message_bytes(self, body: Any) -> int:
+        """Accounted size of a message body: its payload walk, or the
+        flat nominal size with accounting off."""
+        if self.account_payload_bytes:
+            return approx_payload_bytes(body)
+        return MESSAGE_NOMINAL_BYTES
 
     def serialization_us(self, nbytes: int) -> float:
         """Wire-serialization time of ``nbytes`` at ``bandwidth_gbps``.
@@ -454,11 +494,8 @@ class Network:
         if dst not in self._handlers:
             raise KeyError(f"server {dst} has no registered message handler")
         if nbytes is None:
-            if self.config.account_payload_bytes:
-                nbytes = approx_payload_bytes(
-                    payload if size_of is _UNSET else size_of)
-            else:
-                nbytes = MESSAGE_NOMINAL_BYTES
+            nbytes = self.config.message_bytes(
+                payload if size_of is _UNSET else size_of)
         self.stats.record_message(kind, nbytes, remote=src != dst,
                                   server=src)
         delay = (self.config.local_access_us if src == dst

@@ -270,11 +270,16 @@ class EffectRuntimeBase:
                           kind=_payload_kind(effect.payload, "rpc"),
                           size_of=effect.payload)
 
-    def post(self, target: int, payload: Any) -> None:
-        """Fire-and-forget message to ``target`` (no reply awaited)."""
+    def post(self, target: int, payload: Any,
+             nbytes: int | None = None) -> None:
+        """Fire-and-forget message to ``target`` (no reply awaited).
+
+        A sender fanning one payload out to several targets sizes it
+        once and passes ``nbytes`` with every post.
+        """
         self.send_payload(target, OneWay(payload),
                           kind=_payload_kind(payload, "one_way"),
-                          size_of=payload)
+                          size_of=payload, nbytes=nbytes)
 
     def on_message(self, src: int, payload: Any) -> None:
         """Delivery entry point for this server (any transport)."""
@@ -326,11 +331,12 @@ class EffectRuntimeBase:
                          kinds: list[tuple[str, int | None]]) -> None:
         raise NotImplementedError
 
-    def send_payload(self, target: int, payload: Any,
-                     kind: str, size_of: Any) -> None:
+    def send_payload(self, target: int, payload: Any, kind: str,
+                     size_of: Any, nbytes: int | None = None) -> None:
         """Deliver ``payload`` to ``target``'s :meth:`on_message` (FIFO
         per (src, dst) channel); ``size_of`` is the application-level
-        body used for byte accounting."""
+        body used for byte accounting unless the sender already sized
+        it (``nbytes``)."""
         raise NotImplementedError
 
 
@@ -403,10 +409,10 @@ class EffectRuntime(EffectRuntimeBase):
         self.network.one_sided_batch(self.server_id, target, ops, cont,
                                      kinds=kinds)
 
-    def send_payload(self, target: int, payload: Any,
-                     kind: str, size_of: Any) -> None:
+    def send_payload(self, target: int, payload: Any, kind: str,
+                     size_of: Any, nbytes: int | None = None) -> None:
         self.network.send(self.server_id, target, payload,
-                          kind=kind, nbytes=None, size_of=size_of)
+                          kind=kind, nbytes=nbytes, size_of=size_of)
 
 
 class _RpcRequest:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from .._util import stable_hash
+from .._util import HashMemo, stable_hash
 from .locks import LockWord
 from .record import Key, Record
 
@@ -37,7 +37,7 @@ class BucketStore:
     """All buckets of one table within one partition."""
 
     def __init__(self, table: str, n_buckets: int = 1024,
-                 bucket_capacity: int = 8):
+                 bucket_capacity: int = 8, hasher: HashMemo | None = None):
         if n_buckets <= 0:
             raise ValueError("need at least one bucket")
         if bucket_capacity <= 0:
@@ -45,6 +45,7 @@ class BucketStore:
         self.table = table
         self.bucket_capacity = bucket_capacity
         self._buckets = [Bucket() for _ in range(n_buckets)]
+        self._hash = HashMemo() if hasher is None else hasher
 
     def __len__(self) -> int:
         return sum(len(b.records)
@@ -52,7 +53,7 @@ class BucketStore:
 
     def head_bucket(self, key: Key) -> Bucket:
         """The head bucket (and lock word) responsible for ``key``."""
-        return self._buckets[stable_hash(key) % len(self._buckets)]
+        return self._buckets[self._hash(key) % len(self._buckets)]
 
     def lock_for(self, key: Key) -> LockWord:
         return self.head_bucket(key).lock
@@ -65,8 +66,12 @@ class BucketStore:
         return None
 
     def put(self, record: Record) -> None:
-        """Insert or overwrite ``record`` (loader path)."""
-        head = self.head_bucket(record.key)
+        """Insert or overwrite ``record`` (loader path).
+
+        A bulk load addresses every key once, so it hashes past the
+        memo instead of filling it with keys the run may never touch.
+        """
+        head = self._buckets[stable_hash(record.key) % len(self._buckets)]
         for bucket in head.chain():
             if record.key in bucket.records:
                 bucket.records[record.key] = record

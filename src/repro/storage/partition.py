@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
+from .._util import HashMemo
 from .bucket import BucketStore
 from .locks import LockMode, LockWord
 from .record import Key, Record
@@ -77,8 +78,12 @@ class PartitionStore:
     def __init__(self, partition_id: int,
                  tables: Iterable[TableSpec],
                  now_fn: Callable[[], float] | None = None,
-                 track_spans: bool = False):
+                 track_spans: bool = False,
+                 hasher: HashMemo | None = None):
         self.partition_id = partition_id
+        # one key-hash memo for all tables (the database passes its own,
+        # shared with every other store: a key hashes the same anywhere)
+        self._hasher = HashMemo() if hasher is None else hasher
         self._tables: dict[str, BucketStore] = {}
         for spec in tables:
             self.create_table(spec)
@@ -93,7 +98,7 @@ class PartitionStore:
         if spec.name in self._tables:
             raise ValueError(f"table {spec.name!r} already exists")
         self._tables[spec.name] = BucketStore(
-            spec.name, spec.n_buckets, spec.bucket_capacity)
+            spec.name, spec.n_buckets, spec.bucket_capacity, self._hasher)
 
     def table(self, name: str) -> BucketStore:
         store = self._tables.get(name)

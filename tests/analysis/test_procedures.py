@@ -172,3 +172,101 @@ def test_lock_modes():
     instances = {i.name: i for i in proc.instantiate(params)}
     assert instances["f"].lock_mode() == LockMode.EXCLUSIVE
     assert instances["t"].lock_mode() == LockMode.SHARED
+
+
+# -- compiled layouts against the per-transaction analysis they replaced ----
+
+
+def _fresh_alias_map(proc, spec, index):
+    """``StoredProcedure._alias_map`` as it was when every instance
+    rebuilt it: the oracle for the compiled shapes."""
+    if index is None:
+        return {}
+    alias = {}
+    for dep in set(spec.pk_sources()) | set(spec.all_value_deps()):
+        dep_spec = proc._by_name.get(dep)
+        if dep_spec is not None and dep_spec.foreach == spec.foreach:
+            alias[dep] = f"{dep}[{index}]"
+    return alias
+
+
+def _fresh_instances(proc, params):
+    """(name, spec, item, index, alias, deps, pk sources, target) per
+    instance, and the pk-children map, derived from the templates the
+    way ``instantiate`` / ``RegionPlanner`` used to on every call."""
+    rows, children = [], {}
+    for spec in proc.ops:
+        slots = ([(None, None)] if spec.foreach is None
+                 else [(i, item)
+                       for i, item in enumerate(params[spec.foreach])])
+        for index, item in slots:
+            alias = _fresh_alias_map(proc, spec, index)
+            name = spec.name if index is None else f"{spec.name}[{index}]"
+            deps = {alias.get(d, d) for d in
+                    set(spec.pk_sources()) | set(spec.all_value_deps())}
+            pk_sources = [alias.get(d, d) for d in spec.pk_sources()]
+            target = (None if spec.target is None
+                      else alias.get(spec.target, spec.target))
+            rows.append((name, spec, item, index, alias, deps, pk_sources,
+                         target))
+            for parent in pk_sources:
+                children.setdefault(parent, []).append(name)
+    return rows, children
+
+
+def _workloads():
+    from repro.workloads.bank import BankWorkload
+    from repro.workloads.instacart import InstacartWorkload
+    from repro.workloads.tpcc import TpccScale, TpccWorkload
+    from repro.workloads.ycsb import YcsbWorkload
+    return [TpccWorkload(TpccScale(n_warehouses=2), n_partitions=2),
+            YcsbWorkload(n_keys=200, reads_per_txn=3, writes_per_txn=2),
+            BankWorkload(n_accounts=50, audit_fraction=0.3),
+            InstacartWorkload(n_products=200, n_customers=50)]
+
+
+@pytest.mark.parametrize("workload", _workloads(),
+                         ids=lambda w: type(w).__name__)
+def test_compiled_layouts_match_fresh_analysis(workload):
+    import random
+    procs = {proc.name: proc for proc in workload.procedures()}
+    rng = random.Random(5)
+    seen = set()
+    for i in range(300):
+        request = workload.next_request(i % 2, rng)
+        proc = procs[request.proc]
+        seen.add(proc.name)
+        rows, children = _fresh_instances(proc, request.params)
+        for _ in range(2):      # compiled, then answered from the cache
+            instances = proc.instantiate(request.params)
+            assert len(instances) == len(rows)
+            for inst, row in zip(instances, rows):
+                name, spec, item, index, alias, deps, pk_sources, target = row
+                assert (inst.name, inst.spec, inst.index) == (name, spec,
+                                                              index)
+                assert inst.item is item or inst.item == item
+                assert inst._alias == alias
+                assert set(inst.dep_instance_names()) == deps
+                assert (len(inst.dep_instance_names()) == len(deps))
+                assert list(inst.pk_source_instances()) == pk_sources
+                assert inst.target_instance() == target
+                assert (list(inst.pk_child_instances())
+                        == children.get(name, []))
+    assert seen == set(procs)   # every registered procedure was driven
+
+
+def test_layouts_are_compiled_once_per_shape_and_bounded():
+    from repro.analysis.procedures import LAYOUT_CAP
+    proc = StoredProcedure("p", ("keys",), [
+        read("r", "t", key=param_key(lambda p, k: k), for_update=True,
+             foreach="keys"),
+        update("u", target="r", set_fn=lambda p, c, i: {}, foreach="keys"),
+    ])
+    first = proc.instantiate({"keys": [1, 2]})
+    again = proc.instantiate({"keys": [8, 9]})
+    assert [a._shape is b._shape for a, b in zip(first, again)] == [True] * 4
+    assert [inst.item for inst in again] == [8, 9, 8, 9]
+    assert again[2].target_instance() == "r[0]"
+    for n in range(3 * LAYOUT_CAP):
+        assert len(proc.instantiate({"keys": list(range(n))})) == 2 * n
+        assert len(proc._layouts) <= LAYOUT_CAP

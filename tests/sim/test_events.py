@@ -139,3 +139,41 @@ def test_run_max_events():
         sim.schedule(float(i + 1), lambda i=i: fired.append(i))
     sim.run(max_events=2)
     assert fired == [0, 1]
+
+
+def test_run_with_zero_budget_fires_nothing():
+    """Regression: the budget used to be checked after the first step,
+    so ``max_events=0`` fired one event."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(1))
+    sim.run(max_events=0)
+    assert fired == [] and sim.now == 0.0 and sim.pending() == 1
+    sim.run(max_events=1)
+    assert fired == [1]
+
+
+def test_run_rejects_negative_budget():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(ValueError, match="negative"):
+        sim.run(max_events=-1)
+    assert sim.pending() == 1
+
+
+def test_heap_orders_by_time_then_seq_without_comparing_handles():
+    """Handles define no ordering, so a heap that ever compared two of
+    them would raise; same-instant events still fire in scheduling
+    order and cancelled ones are skipped."""
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(5.0, lambda i=i: fired.append(i))
+               for i in range(6)]
+    sim.schedule(1.0, lambda: fired.append("early"))
+    handles[2].cancel()
+    with pytest.raises(TypeError):
+        handles[0] < handles[1]
+    assert sim.pending() == 6
+    sim.run()
+    assert fired == ["early", 0, 1, 3, 4, 5]
+    assert sim.events_fired == 6

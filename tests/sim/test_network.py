@@ -1,5 +1,7 @@
 """Unit tests for the RDMA-flavoured network model."""
 
+import typing
+
 import pytest
 
 from repro.sim import Network, NetworkConfig, Simulator
@@ -414,3 +416,142 @@ def test_merge_from_folds_per_server_books():
     a.merge_from(b)
     assert a.bytes_by_server_kind == {1: {"lock_read": 42},
                                       2: {"commit": 7}}
+
+
+# -- the type-dispatched walk against the walk it replaced ------------------
+
+
+def _reference_payload_bytes(obj, _depth=0, _seen=None):
+    """``approx_payload_bytes`` as it was before the type-dispatched
+    rewrite (an isinstance ladder re-run on every node); kept here as
+    the oracle the rewrite must match byte for byte."""
+    import dataclasses
+
+    from repro.sim.network import (MESSAGE_NOMINAL_BYTES,
+                                   PAYLOAD_WALK_MAX_DEPTH)
+    if obj is None or isinstance(obj, bool):
+        return 1
+    if isinstance(obj, (int, float)):
+        return 8
+    if isinstance(obj, (str, bytes)):
+        return len(obj)
+    if _depth >= PAYLOAD_WALK_MAX_DEPTH:
+        return MESSAGE_NOMINAL_BYTES
+    if isinstance(obj, (dict, list, tuple, set, frozenset)):
+        walk_items = True
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        walk_items = False
+    else:
+        return 64
+    if _seen is None:
+        _seen = set()
+    if id(obj) in _seen:
+        return 8
+    _seen.add(id(obj))
+    child = _depth + 1
+    if not walk_items:
+        return 8 + sum(
+            _reference_payload_bytes(getattr(obj, f.name), child, _seen)
+            for f in dataclasses.fields(obj))
+    if isinstance(obj, dict):
+        return 8 + sum(_reference_payload_bytes(k, child, _seen)
+                       + _reference_payload_bytes(v, child, _seen)
+                       for k, v in obj.items())
+    return 8 + sum(_reference_payload_bytes(item, child, _seen)
+                   for item in obj)
+
+
+def _random_payloads(seed, count):
+    """Seeded nested payloads over everything the walk distinguishes."""
+    import collections
+    import dataclasses
+    import enum
+    import random
+
+    from repro.replication import ReplicaWrite
+    from repro.sim.network import PAYLOAD_WALK_MAX_DEPTH
+
+    class Verb(enum.IntEnum):
+        READ = 1
+        WRITE = 2
+
+    Point = collections.namedtuple("Point", "x y")
+
+    @dataclasses.dataclass
+    class Body:
+        txn: int
+        writes: object
+        note: str = "n"
+        kinds: typing.ClassVar[int] = 3     # not a field: never walked
+
+    @dataclasses.dataclass(frozen=True)
+    class Empty:
+        pass
+
+    class Counted(dict):                    # subclass of a container
+        pass
+
+    class Handle:                           # opaque
+        pass
+
+    rng = random.Random(seed)
+    pool = []                               # shared sub-structures
+
+    def scalar():
+        return rng.choice([
+            None, True, False, rng.randrange(-5, 10**12), rng.random(),
+            "s" * rng.randrange(12), b"b" * rng.randrange(12),
+            Verb.WRITE, Handle(), len, Body, Empty()])
+
+    def hashable(depth):
+        if depth <= 0 or rng.random() < 0.5:
+            return rng.choice([rng.randrange(100), "k%d" % rng.randrange(9),
+                               True, None, Verb.READ, 2.5])
+        return tuple(hashable(depth - 1) for _ in range(rng.randrange(3)))
+
+    def node(depth):
+        roll = rng.random()
+        if depth <= 0 or roll < 0.25:
+            return scalar()
+        if pool and roll < 0.35:
+            return rng.choice(pool)
+        n = rng.randrange(4)
+        kids = [node(depth - 1) for _ in range(n)]
+        made = rng.choice([
+            lambda: kids, lambda: tuple(kids),
+            lambda: {hashable(2): kid for kid in kids},
+            lambda: Counted((i, kid) for i, kid in enumerate(kids)),
+            lambda: {hashable(2) for _ in kids},
+            lambda: frozenset(hashable(2) for _ in kids),
+            lambda: Body(rng.randrange(99), kids),
+            lambda: Point(kids, node(depth - 1)),
+            lambda: ReplicaWrite("update", "t", hashable(2),
+                                 {"f%d" % i: kid
+                                  for i, kid in enumerate(kids)}),
+        ])()
+        if rng.random() < 0.3:
+            pool.append(made)
+        return made
+
+    for i in range(count):
+        payload = node(rng.randrange(1, 7))
+        if i % 10 == 0:                     # a cycle through a list
+            ring = [payload]
+            ring.append({"back": ring})
+            payload = ring
+        if i % 25 == 0:                     # deeper than the walk goes
+            for _ in range(PAYLOAD_WALK_MAX_DEPTH + rng.randrange(6)):
+                payload = rng.choice([[payload, 7], (payload,),
+                                      {"d": payload}, Body(1, payload)])
+        yield payload
+
+
+def test_payload_walk_matches_the_walk_it_replaced():
+    from repro.sim import approx_payload_bytes
+    sizes = set()
+    for payload in _random_payloads(seed=20260927, count=2500):
+        want = _reference_payload_bytes(payload)
+        assert approx_payload_bytes(payload) == want
+        assert approx_payload_bytes(payload) == want  # classes now cached
+        sizes.add(want)
+    assert len(sizes) > 300     # the generator really varies

@@ -92,3 +92,55 @@ def test_store_behaves_like_dict(mapping, n_buckets, capacity):
     assert sorted(store.keys()) == sorted(mapping)
     for key, value in mapping.items():
         assert store.get(key).fields["v"] == value
+
+
+# -- the key-hash memo behind head_bucket ------------------------------------
+
+
+def head_index(store, key):
+    return store._buckets.index(store.head_bucket(key))
+
+
+def test_memoised_head_bucket_keeps_equal_but_distinct_keys_apart():
+    """1, True and 1.0 are one dict key; their buckets (and so the lock
+    words they share) must still be the ones stable_hash assigns."""
+    from repro._util import stable_hash
+    store = BucketStore("t", n_buckets=64)
+    for key in (1, True, (1,), (True,)):
+        for _ in range(2):      # second round answers from the memo
+            assert head_index(store, key) == stable_hash(key) % 64
+    assert head_index(store, 1) != head_index(store, True)
+    assert head_index(store, (1,)) != head_index(store, (True,))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            store.head_bucket(1.0)
+
+
+def test_memo_is_bounded_and_the_loader_does_not_fill_it():
+    from repro._util import HASH_MEMO_CAP
+    store = BucketStore("t", n_buckets=256)
+    for key in range(10 * HASH_MEMO_CAP):
+        store.put(Record(key, {"v": key}))
+    assert len(store._hash) == 0
+    for key in range(10 * HASH_MEMO_CAP):
+        assert store.get(key).fields["v"] == key
+        assert len(store._hash) <= HASH_MEMO_CAP
+    assert len(store) == 10 * HASH_MEMO_CAP
+
+
+def test_partition_tables_and_database_stores_share_one_memo():
+    """A key hashes the same wherever it is addressed, so one memo
+    serves every table, primary and replica of a database."""
+    from repro.analysis import ProcedureRegistry
+    from repro.partitioning import HashScheme
+    from repro.sim import Cluster
+    from repro.storage import Catalog, TableSpec
+    from repro.txn import Database
+    db = Database(Cluster(2), Catalog(2, HashScheme(2)),
+                  [TableSpec("a", n_buckets=8), TableSpec("b", n_buckets=8)],
+                  ProcedureRegistry(), n_replicas=1)
+    stores = [db.store(0), db.store(1),
+              db.replicas.store_on(1, 0), db.replicas.store_on(0, 1)]
+    memos = {id(store.table(name)._hash)
+             for store in stores for name in ("a", "b")}
+    assert len(memos) == 1
