@@ -9,12 +9,8 @@ from __future__ import annotations
 
 import random
 import zlib
-from marshal import dumps as _marshal
 
 _MASK64 = (1 << 64) - 1
-
-HASH_MEMO_CAP = 4096
-"""Entries a :class:`HashMemo` holds before it starts over."""
 
 
 def _splitmix64(x: int) -> int:
@@ -41,40 +37,6 @@ def stable_hash(obj: object) -> int:
             acc = _splitmix64(acc ^ stable_hash(item))
         return acc
     raise TypeError(f"stable_hash does not support {type(obj).__name__}")
-
-
-class HashMemo:
-    """A bounded memo of :func:`stable_hash`: a key is hashed once,
-    however many stores and operations address it afterwards.
-
-    Entries are keyed by the key's marshalled bytes, not by the key:
-    ``1``, ``True`` and ``1.0`` are equal as dict keys, yet the first
-    two hash differently and the third is rejected.  Keys marshal cannot
-    encode (instances of subclasses) are hashed on every call.  A hash
-    is a pure function of the key, so no entry goes stale; a full memo
-    is emptied.
-    """
-
-    __slots__ = ("_hashes",)
-
-    def __init__(self) -> None:
-        self._hashes: dict[bytes, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._hashes)
-
-    def __call__(self, key: object) -> int:
-        try:
-            token = _marshal(key, 2)    # version 2: no reference table
-        except ValueError:
-            return stable_hash(key)
-        hashed = self._hashes.get(token)
-        if hashed is None:
-            hashed = stable_hash(key)
-            if len(self._hashes) >= HASH_MEMO_CAP:
-                self._hashes.clear()
-            self._hashes[token] = hashed
-        return hashed
 
 
 def make_rng(seed: int, *salt: object) -> random.Random:

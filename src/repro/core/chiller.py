@@ -253,8 +253,7 @@ class ChillerExecutor(BaseExecutor):
 
         def acquire(table: str, key: Any, mode) -> bool:
             if bypass:
-                lock = store.table(table).lock_for(key)
-                return lock.is_free() or lock.held_by(owner) is not None
+                return not store.locked_by_other(table, key, owner)
             return store.try_lock(table, key, mode, owner)
 
         for inst in instances:

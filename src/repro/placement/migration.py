@@ -312,11 +312,19 @@ def lease_controller_loop(db, telemetry: dict[int, AccessTelemetry],
     respawn) and a surviving candidate acquires, counted as a
     controller failover in the recovery stats.  While the lease server
     is unreachable the epoch is skipped and bidding retries.
+
+    Only the cell's first host knows the cell starts vacant, so it bids
+    first and leads first, as ``controller_home`` does on the
+    single-process backends.  Every other candidate — a peer, or a
+    respawn whose predecessor took the cell with it — may be looking at
+    a lease it cannot see, and sits out one TTL before its first bid.
     """
     from ..sim.codec import PEER_DOWN
     lease_server = spec.controller_home
     me = cluster.worker_id
     last_known = None  # most recent holder any reply disclosed
+    if cluster.generation or not cluster.owns(lease_server):
+        yield Sleep(spec.lease_ttl_us)
     now_fn = lambda: db.cluster.sim.now  # noqa: E731 - tiny closure
     while now_fn() < horizon_us:
         yield Sleep(spec.epoch_us)

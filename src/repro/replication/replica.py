@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from .._util import HashMemo
 from ..storage import PartitionStore, TableSpec
 from .common_types import ReplicaWrite
 
@@ -23,8 +22,7 @@ class ReplicaManager:
 
     def __init__(self, n_servers: int, n_replicas: int,
                  tables: Iterable[TableSpec],
-                 now_fn: Callable[[], float] | None = None,
-                 hasher: HashMemo | None = None):
+                 now_fn: Callable[[], float] | None = None):
         if n_replicas < 0:
             raise ValueError("n_replicas must be >= 0")
         if n_replicas >= n_servers:
@@ -39,7 +37,7 @@ class ReplicaManager:
         for partition in range(n_servers):
             for server in self.replica_servers(partition):
                 self._stores[(server, partition)] = PartitionStore(
-                    partition, table_list, now_fn=now_fn, hasher=hasher)
+                    partition, table_list, now_fn=now_fn)
         self.applied_counts: dict[tuple[int, int], int] = {
             key: 0 for key in self._stores}
 
@@ -69,17 +67,6 @@ class ReplicaManager:
         """Apply a committed write-set to one replica, in order."""
         store = self._stores[(server, partition)]
         for write in writes:
-            if write.kind == "update":
-                applied = store.write(write.table, write.key, write.values)
-                if not applied:
-                    # replica missed the insert this update refers to;
-                    # treat as upsert so replicas converge
-                    store.insert(write.table, write.key, write.values)
-            elif write.kind == "insert":
-                if not store.insert(write.table, write.key, write.values):
-                    store.write(write.table, write.key, write.values)
-            elif write.kind == "delete":
-                store.delete(write.table, write.key)
-            else:
-                raise ValueError(f"unknown replica write kind {write.kind!r}")
+            # upsert-tolerant, so a replica that missed an insert converges
+            store.redo(write.kind, write.table, write.key, write.values)
         self.applied_counts[(server, partition)] += 1

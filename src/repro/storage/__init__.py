@@ -1,6 +1,6 @@
-"""NAM-DB-style storage: records, lock-embedding buckets, partitions."""
+"""NAM-DB-style storage: records, per-bucket lock words, partitions."""
 
-from .bucket import Bucket, BucketStore
+from .bucket import BucketStore
 from .catalog import Catalog, PlacementScheme
 from .locks import LockMode, LockWord
 from .partition import ContentionSpanTracker, PartitionStore, TableSpec
@@ -9,7 +9,6 @@ from .wal import (RecoveryStats, WalSpec, WriteAheadLog, as_wal_spec,
                   replay_wal, wal_path)
 
 __all__ = [
-    "Bucket",
     "BucketStore",
     "Catalog",
     "ContentionSpanTracker",

@@ -1,17 +1,18 @@
-"""A partition: per-table bucket stores plus lock bookkeeping.
+"""A partition: per-table record indexes plus lock bookkeeping.
 
 ``PartitionStore`` exposes exactly the operations that execution engines
 ship to (possibly remote) partitions — lock/unlock via the bucket's
 embedded lock word, record read/write/insert/delete — and records
 *contention spans* (time from lock acquisition to release) so experiments
-can report how long hot records stay locked.
+can report how long hot records stay locked.  Only the lock operations
+hash a key (to find its bucket); record operations are one probe of the
+table's record dict.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from .._util import HashMemo
 from .bucket import BucketStore
 from .locks import LockMode, LockWord
 from .record import Key, Record
@@ -20,13 +21,11 @@ from .record import Key, Record
 class TableSpec:
     """Configuration for creating one table inside every partition."""
 
-    __slots__ = ("name", "n_buckets", "bucket_capacity")
+    __slots__ = ("name", "n_buckets")
 
-    def __init__(self, name: str, n_buckets: int = 1024,
-                 bucket_capacity: int = 8):
+    def __init__(self, name: str, n_buckets: int = 1024):
         self.name = name
         self.n_buckets = n_buckets
-        self.bucket_capacity = bucket_capacity
 
 
 class ContentionSpanTracker:
@@ -78,18 +77,15 @@ class PartitionStore:
     def __init__(self, partition_id: int,
                  tables: Iterable[TableSpec],
                  now_fn: Callable[[], float] | None = None,
-                 track_spans: bool = False,
-                 hasher: HashMemo | None = None):
+                 track_spans: bool = False):
         self.partition_id = partition_id
-        # one key-hash memo for all tables (the database passes its own,
-        # shared with every other store: a key hashes the same anywhere)
-        self._hasher = HashMemo() if hasher is None else hasher
         self._tables: dict[str, BucketStore] = {}
         for spec in tables:
             self.create_table(spec)
         self._now = now_fn or (lambda: 0.0)
         self.spans = ContentionSpanTracker() if track_spans else None
-        # owner -> list of (table, key, lock_word, acquire_time)
+        # owner -> list of (table, key, lock_word, acquire_time); the
+        # time is read only for the span tracker, and is 0.0 without one
         self._held: dict[object, list[tuple[str, Key, LockWord, float]]] = {}
 
     # -- schema ---------------------------------------------------------
@@ -97,8 +93,7 @@ class PartitionStore:
     def create_table(self, spec: TableSpec) -> None:
         if spec.name in self._tables:
             raise ValueError(f"table {spec.name!r} already exists")
-        self._tables[spec.name] = BucketStore(
-            spec.name, spec.n_buckets, spec.bucket_capacity, self._hasher)
+        self._tables[spec.name] = BucketStore(spec.name, spec.n_buckets)
 
     def table(self, name: str) -> BucketStore:
         store = self._tables.get(name)
@@ -114,14 +109,14 @@ class PartitionStore:
 
     def load(self, table: str, key: Key, fields: dict[str, Any]) -> None:
         """Bulk-load one record (no locking; used before the run starts)."""
-        self.table(table).put(Record(key, dict(fields)))
+        self._tables[table].put(Record(key, dict(fields)))
 
     # -- lock operations (shipped as one-sided verbs) ---------------------
 
     def try_lock(self, table: str, key: Key, mode: LockMode,
                  owner: object) -> bool:
         """NO_WAIT acquire on the bucket lock guarding ``key``."""
-        lock = self.table(table).lock_for(key)
+        lock = self._tables[table].lock_for(key)
         already = lock.held_by(owner) is not None
         acquired = lock.try_acquire(mode, owner)
         if self.spans is not None:
@@ -130,11 +125,12 @@ class PartitionStore:
             return False
         if not already:
             self._held.setdefault(owner, []).append(
-                (table, key, lock, self._now()))
+                (table, key, lock,
+                 0.0 if self.spans is None else self._now()))
         return True
 
     def unlock(self, table: str, key: Key, owner: object) -> None:
-        lock = self.table(table).lock_for(key)
+        lock = self._tables[table].lock_for(key)
         lock.release(owner)
         entries = self._held.get(owner, [])
         for i, (tbl, k, word, acquired) in enumerate(entries):
@@ -179,24 +175,35 @@ class PartitionStore:
         return len(self._held.get(owner, []))
 
     def is_locked(self, table: str, key: Key) -> bool:
-        return not self.table(table).lock_for(key).is_free()
+        lock = self._tables[table].lock_if_any(key)
+        return lock is not None and not lock.is_free()
+
+    def locked_by_other(self, table: str, key: Key, owner: object) -> bool:
+        """Does anyone but ``owner`` hold the bucket lock guarding ``key``?
+
+        A query: like :meth:`is_locked` it takes nothing and makes no
+        lock word.
+        """
+        lock = self._tables[table].lock_if_any(key)
+        return (lock is not None and not lock.is_free()
+                and lock.held_by(owner) is None)
 
     # -- record operations (shipped as one-sided verbs) --------------------
 
     def read(self, table: str, key: Key) -> tuple[dict[str, Any], int] | None:
         """Return (fields copy, version), or None if the key is absent."""
-        record = self.table(table).get(key)
+        record = self._tables[table].records.get(key)
         if record is None:
             return None
         return record.snapshot(), record.version
 
     def version_of(self, table: str, key: Key) -> int | None:
-        record = self.table(table).get(key)
+        record = self._tables[table].records.get(key)
         return None if record is None else record.version
 
     def write(self, table: str, key: Key, updates: dict[str, Any]) -> bool:
         """Apply ``updates`` in place; returns False if key is absent."""
-        record = self.table(table).get(key)
+        record = self._tables[table].records.get(key)
         if record is None:
             return False
         record.apply(updates)
@@ -204,10 +211,28 @@ class PartitionStore:
 
     def insert(self, table: str, key: Key, fields: dict[str, Any]) -> bool:
         """Insert a new record; False if it already exists."""
-        return self.table(table).insert(Record(key, dict(fields)))
+        return self._tables[table].insert(Record(key, dict(fields)))
 
     def delete(self, table: str, key: Key) -> bool:
-        return self.table(table).delete(key)
+        return self._tables[table].delete(key)
+
+    def redo(self, kind: str, table: str, key: Key,
+             values: dict[str, Any] | None) -> None:
+        """Apply one committed write to a store that may already have
+        seen it, or missed the write before it (replicas, WAL replay):
+        an update of an absent record inserts it, an insert of a present
+        one overwrites it, so re-applying any prefix converges.
+        """
+        if kind == "update":
+            if not self.write(table, key, values):
+                self.insert(table, key, values)
+        elif kind == "insert":
+            if not self.insert(table, key, values):
+                self.write(table, key, values)
+        elif kind == "delete":
+            self.delete(table, key)
+        else:
+            raise ValueError(f"unknown write kind {kind!r}")
 
     def __repr__(self) -> str:
         sizes = {name: len(store) for name, store in self._tables.items()}

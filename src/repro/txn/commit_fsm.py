@@ -154,25 +154,6 @@ def apply_wire_writes(store, writes) -> list:
     return versions
 
 
-def redo_wire_writes(store, writes) -> None:
-    """Re-apply logged writes during recovery.
-
-    Tolerant where :func:`apply_wire_writes` can assume live-path
-    invariants: an update whose record vanished re-inserts it, an
-    insert that already landed overwrites — redo must be idempotent
-    against a store that already saw any prefix of these writes.
-    """
-    for kind, table, key, values in writes:
-        if kind == "update":
-            if not store.write(table, key, values):
-                store.insert(table, key, values)
-        elif kind == "insert":
-            if not store.insert(table, key, values):
-                store.write(table, key, values)
-        else:
-            store.delete(table, key)
-
-
 def wire_writes(buffered) -> tuple:
     """Wire form of a partition's buffered writes."""
     return tuple((w.kind.value, w.table, w.key, w.values) for w in buffered)
@@ -447,7 +428,9 @@ def _replay_server(db, sid: int, records: list[tuple],
             entry = prepared.get(txn_id)
             if committed and entry is not None:
                 role, _peer, payload = entry
-                redo_wire_writes(store, _server_writes(sid, role, payload))
+                # redo, not apply: the store may have seen any prefix
+                for write in _server_writes(sid, role, payload):
+                    store.redo(*write)
                 stats.txns_redone += 1
     in_doubt: list[PreparedEntry] = []
     for txn_id, (role, peer, payload) in prepared.items():

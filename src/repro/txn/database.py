@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from .._util import HashMemo
 from ..analysis import ProcedureRegistry
 from ..obs.tracer import NOOP_TRACER
 from ..replication import ReplicaManager
@@ -55,17 +54,14 @@ class Database:
         When set, the load path prunes foreign-partition records the
         worker would never touch — see :meth:`load`."""
         now_fn = lambda: cluster.sim.now  # noqa: E731 - tiny closure
-        hasher = HashMemo()     # one memo for primaries and replicas
         for server in cluster.servers:
             server.storage = PartitionStore(server.id, self.tables,
                                             now_fn=now_fn,
-                                            track_spans=track_spans,
-                                            hasher=hasher)
+                                            track_spans=track_spans)
         self.replicas: ReplicaManager | None = None
         if n_replicas > 0:
             self.replicas = ReplicaManager(len(cluster), n_replicas,
-                                           self.tables, now_fn=now_fn,
-                                           hasher=hasher)
+                                           self.tables, now_fn=now_fn)
         self.recovery = RecoveryStats()
         self.commit_table = CommitTable()
         self.wal_spec = as_wal_spec(wal)

@@ -158,7 +158,6 @@ def _do_validate_read(ctx: DispatchContext, d: OpDescriptor) -> str:
     txn_id, expected_version = d.args
     if store.version_of(d.table, d.key) != expected_version:
         return "stale"
-    lock = store.table(d.table).lock_for(d.key)
-    if not lock.is_free() and lock.held_by(txn_id) is None:
+    if store.locked_by_other(d.table, d.key, txn_id):
         return "locked"  # a concurrent validator owns it
     return "ok"

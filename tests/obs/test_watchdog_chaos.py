@@ -8,6 +8,13 @@ events — a ``stall`` (the victim's server goes silent) and a
 ``leader_flap`` (the victim held the placement lease; a survivor
 acquires it) — within the rule window.
 
+The flap needs the victim to lead when it dies and the survivor to win
+the cell its replacement recreates.  Neither is left to a start-up
+race: the cell's first host bids first and everyone else (the survivor
+at start, the replacement after the respawn) sits out one lease TTL,
+which the run sets to 200 ms, far above the few ms by which two
+workers' starts differ.
+
 Real processes, real SIGKILL, reusing the chaos harness of
 ``tests/sim/test_mp_recovery.py``.
 """
@@ -18,6 +25,7 @@ import pytest
 
 from repro.bench import RunConfig
 from repro.bench.setups import make_ycsb_run
+from repro.placement import PlacementSpec
 from repro.workloads.ycsb import YcsbWorkload
 
 INTERVAL_US = 100_000.0  # 100ms wall per sample on the mp backend
@@ -37,7 +45,7 @@ def chaos_config(tmp_path) -> RunConfig:
         wal="group", wal_dir=str(tmp_path),
         mp_recovery=True, mp_max_restarts=1,
         mp_chaos_kill_worker=VICTIM, mp_chaos_kill_after_s=1.2,
-        placement="adaptive",
+        placement=PlacementSpec(kind="adaptive", lease_ttl_us=200_000.0),
         metrics_interval=INTERVAL_US)
 
 

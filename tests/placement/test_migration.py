@@ -184,7 +184,8 @@ def test_static_runs_never_classify_misses_as_migrated():
 def test_lease_failover_is_counted_when_holder_stops_renewing():
     """Deterministic leader-election handover on the simulator.
 
-    Candidate 0 wins the lease and renews every epoch until its (short)
+    Candidate 0 hosts the lease cell, so it bids first (candidate 1
+    sits out one TTL) and renews every epoch until its (short)
     horizon passes — the sim's stand-in for a dead worker's renewals
     stopping.  Once the TTL lapses, candidate 1's next bid is granted,
     and because earlier "held" replies disclosed who the leader was,
@@ -206,7 +207,8 @@ def test_lease_failover_is_counted_when_holder_stops_renewing():
         migrator = MigrationExecutor(db, 0, spec, stats)
         return lease_controller_loop(
             db, {}, spec, PlacementController(spec), migrator, stats,
-            horizon_us, SimpleNamespace(worker_id=worker_id))
+            horizon_us, SimpleNamespace(worker_id=worker_id, generation=0,
+                                        owns=lambda s: s == worker_id))
 
     cluster = db.cluster
     cluster.engine(0).spawn(candidate(0, horizon_us=5_000.0))

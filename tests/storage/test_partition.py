@@ -121,3 +121,57 @@ def test_version_of():
     store.write("acct", 1, {"balance": 6})
     assert store.version_of("acct", 1) == 1
     assert store.version_of("acct", 99) is None
+
+
+def test_lock_queries_never_make_a_lock_word():
+    store, _ = make_store()
+    store.load("acct", 1, {})
+    assert not store.is_locked("acct", 1)
+    assert not store.locked_by_other("acct", 1, "t1")
+    assert store.table("acct").lock_words() == 0
+    assert store.try_lock("acct", 1, LockMode.SHARED, "t1")
+    assert store.table("acct").lock_words() == 1
+    assert store.is_locked("acct", 1)
+    assert not store.locked_by_other("acct", 1, "t1")   # mine
+    assert store.locked_by_other("acct", 1, "t2")
+    store.release_all("t1")
+    assert not store.locked_by_other("acct", 1, "t2")   # free again
+    assert store.table("acct").lock_words() == 1        # the word is kept
+
+
+def test_clock_is_read_only_for_the_span_tracker():
+    reads = []
+
+    def now_fn():
+        reads.append(1)
+        return 0.0
+
+    plain = PartitionStore(0, [TableSpec("acct")], now_fn=now_fn)
+    plain.try_lock("acct", 1, LockMode.EXCLUSIVE, "t1")
+    plain.try_lock("acct", 2, LockMode.EXCLUSIVE, "t1")
+    plain.unlock("acct", 2, "t1")
+    plain.release_all("t1")
+    assert not reads
+    tracked = PartitionStore(0, [TableSpec("acct")], now_fn=now_fn,
+                             track_spans=True)
+    tracked.try_lock("acct", 1, LockMode.EXCLUSIVE, "t1")
+    tracked.release_all("t1")
+    assert len(reads) == 2
+
+
+def test_redo_converges_whatever_the_store_already_saw():
+    """Replicas and WAL replay re-apply writes to a store that may have
+    seen any prefix of them: update falls back to insert, insert to
+    write, delete of a missing record is a no-op."""
+    store, _ = make_store()
+    store.redo("update", "acct", 1, {"balance": 5})     # missed the insert
+    assert store.read("acct", 1) == ({"balance": 5}, 0)
+    store.redo("insert", "acct", 1, {"balance": 7})     # already landed
+    assert store.read("acct", 1) == ({"balance": 7}, 1)
+    store.redo("update", "acct", 1, {"balance": 8})
+    assert store.read("acct", 1) == ({"balance": 8}, 2)
+    store.redo("delete", "acct", 1, None)
+    store.redo("delete", "acct", 1, None)
+    assert store.read("acct", 1) is None
+    with pytest.raises(ValueError):
+        store.redo("upsert", "acct", 1, {})

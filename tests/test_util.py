@@ -66,55 +66,3 @@ def test_make_rng_streams_independent(seed, salt):
 
 def test_make_rng_reproducible():
     assert make_rng(7, "x").random() == make_rng(7, "x").random()
-
-
-# -- HashMemo: a memo of stable_hash must not be a dict keyed by the key ----
-
-
-def test_hash_memo_agrees_with_stable_hash_on_equal_but_distinct_keys():
-    """``1 == True == 1.0`` and ``(1,) == (True,)`` as dict keys, but
-    stable_hash tells the first two apart and rejects the float."""
-    import pytest
-
-    from repro._util import HashMemo
-    memo = HashMemo()
-    assert stable_hash(1) != stable_hash(True)
-    for key in (1, True, (1,), (True,), ((1,), "a"), ((True,), "a"),
-                "a", b"a", 0, False):
-        assert memo(key) == stable_hash(key)     # fills the memo
-        assert memo(key) == stable_hash(key)     # answers from it
-    for key in (1.0, (1.0,), [1]):
-        with pytest.raises(TypeError):
-            memo(key)
-    assert len(memo) == 10
-
-
-@given(st.lists(keys, max_size=40))
-def test_hash_memo_is_transparent(sample):
-    from repro._util import HashMemo
-    memo = HashMemo()
-    for key in sample + sample:
-        assert memo(key) == stable_hash(key)
-
-
-def test_hash_memo_hashes_unmarshallable_keys_every_time():
-    import enum
-
-    from repro._util import HashMemo
-
-    class Colour(enum.IntEnum):
-        RED = 1
-
-    memo = HashMemo()
-    assert memo(Colour.RED) == stable_hash(1)
-    assert memo((Colour.RED, 2)) == stable_hash((1, 2))
-    assert len(memo) == 0
-
-
-def test_hash_memo_stays_within_its_cap():
-    from repro._util import HASH_MEMO_CAP, HashMemo
-    memo = HashMemo()
-    for key in range(10 * HASH_MEMO_CAP):
-        assert memo((key, "k")) == stable_hash((key, "k"))
-        assert len(memo) <= HASH_MEMO_CAP
-    assert len(memo) > 0
