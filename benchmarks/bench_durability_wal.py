@@ -1,8 +1,8 @@
-"""Durability-cost benchmark: the WAL grid on the mp fast path.
+"""Durability-cost benchmark: the WAL grid on the mp backend.
 
-One cell per WAL mode over the same multi-key YCSB workload as
-``bench_wire_path.py`` (shm rings + packed frames, real worker
-processes):
+One cell per WAL mode over the multi-key YCSB workload of the
+yardstick's ``ycsb_mp_tcp`` cell (real worker processes, packed frames
+over TCP):
 
 * ``off``   — the baseline; the commit FSM runs but logs nothing.
 * ``fsync`` — every append forces a disk sync: the paper-strict
@@ -14,8 +14,8 @@ processes):
 
 The perf-tracked cell checks the headline claim: group-commit
 durability costs at most 25% of wal-off throughput on the mp backend.
-Wall-clock comparability caveats are the same as bench_wire_path.py —
-single-core containers are noisy and the quick horizon under-amortises
+Wall-clock comparability caveats apply: compare cells only within one
+run of the grid; single-core containers are noisy and the quick horizon under-amortises
 the per-worker WAL file setup, so the cell runs the full horizon,
 asserts a conservative in-test floor (group at least 0.6x of wal-off)
 and *records* the measured ratio; set ``REPRO_WAL_TARGET=0.75`` on
@@ -45,7 +45,6 @@ def wal_cell_config(wal: str, wal_dir: str | None,
     return RunConfig(n_partitions=2, concurrent_per_engine=4,
                      horizon_us=150_000.0 if quick else 400_000.0,
                      warmup_us=0.0, seed=11, n_replicas=1, backend="mp",
-                     mp_transport="shm", mp_codec="packed",
                      wal=wal, wal_dir=wal_dir,
                      mp_run_timeout_s=180.0)
 
@@ -75,7 +74,7 @@ def grid_rows(quick: bool = False) -> list[dict]:
 
 
 def print_rows(rows: list[dict]) -> None:
-    print("\n== durability cost: WAL mode grid (mp, shm+packed) ==")
+    print("\n== durability cost: WAL mode grid (mp) ==")
     print(f"{'wal':>6} {'commits':>8} {'events/s':>10} "
           f"{'appends':>8} {'fsyncs':>7}")
     for row in rows:
@@ -92,7 +91,7 @@ def print_rows(rows: list[dict]) -> None:
 # -- pytest-benchmark cell (perf-tracked in BENCH_BASELINE.json) --------------
 
 def test_group_commit_wal_cell(benchmark):
-    """Group-commit durability on the mp fast path, with wal-off as its
+    """Group-commit durability on the mp backend, with wal-off as its
     in-test baseline: the WAL must actually write (appends + batched
     fsyncs observed) without collapsing throughput.  Runs the full
     horizon so the per-worker WAL setup cost is amortised."""

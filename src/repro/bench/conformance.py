@@ -18,14 +18,15 @@ validate, and replica_apply verbs plus RPC-free and replicated paths.
 
 Everything here is module-level and picklable so the multiprocess
 backend's spawned workers can rebuild it by reference; the tier-1 suite
-(`tests/sim/test_mp_runtime.py`) asserts sim == aio == mp, and CI's
-`mp-backend-smoke` job runs it on every push.
+(`tests/sim/test_mp_runtime.py`) asserts sim == aio == mp at 1, 2 and N
+workers, and CI's `backend-smoke` job runs it on every push.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 from ..analysis import ProcedureRegistry
 from ..core import HotRecordTable
@@ -35,6 +36,7 @@ from ..placement import (MigrationExecutor, PlacementSpec, PlacementStats,
 from ..sched import SchedAction, Scheduler
 from ..sim import OneSided
 from ..sim.codec import OpDescriptor
+from ..sim.supervisor import MpRunSpec, run_mp_workers
 from ..storage import Catalog
 from ..txn import Database, OccExecutor, TwoPLExecutor
 from ..txn.common import TxnRequest, seed_txn_ids
@@ -51,16 +53,17 @@ cross-process — verbs."""
 
 
 def conformance_config(backend: str, n_partitions: int = 2,
-                       mp_transport: str = "tcp",
-                       mp_codec: str = "packed") -> RunConfig:
+                       mp_codec: str = "packed",
+                       mp_workers: int | None = None) -> RunConfig:
     """The shared run shape.  ``horizon_us`` is irrelevant (the driver
     executes a fixed request list, not horizon-bounded load) but bounds
-    the mp hang guard.  ``mp_transport`` / ``mp_codec`` select the mp
-    wire path — decisions must not depend on how frames travel."""
+    the mp hang guard.  ``mp_codec`` / ``mp_workers`` select the mp
+    frame encoding and topology — decisions must not depend on how
+    frames are encoded or who owns which server."""
     return RunConfig(n_partitions=n_partitions, backend=backend,
                      n_replicas=1, horizon_us=30_000.0,
                      mp_run_timeout_s=120.0, seed=13,
-                     mp_transport=mp_transport, mp_codec=mp_codec)
+                     mp_codec=mp_codec, mp_workers=mp_workers)
 
 
 @dataclass
@@ -140,12 +143,13 @@ def decision_program(run: ConformanceRun, decisions: list):
     return decisions
 
 
-def conformance_driver(run: ConformanceRun, cluster, worker_id: int):
-    """mp worker driver: worker 0 drives the program, others serve."""
+def program_driver(program, run: ConformanceRun, cluster, worker_id: int):
+    """mp worker driver: the worker owning ``DRIVER_HOME`` drives
+    ``program(run, decisions)``, the others only serve."""
     seed_txn_ids(worker_id)
     decisions: list = []
     if cluster.owns(DRIVER_HOME):
-        cluster.engine(DRIVER_HOME).spawn(decision_program(run, decisions))
+        cluster.engine(DRIVER_HOME).spawn(program(run, decisions))
 
     def finalize() -> dict:
         return {"decisions": decisions}
@@ -153,27 +157,34 @@ def conformance_driver(run: ConformanceRun, cluster, worker_id: int):
     return finalize
 
 
-def run_conformance(backend: str, executor: str = "2pl",
-                    mp_transport: str = "tcp",
-                    mp_codec: str = "packed") -> list[tuple]:
-    """Execute the shared program on ``backend``; return its decisions."""
-    config = conformance_config(backend, mp_transport=mp_transport,
-                                mp_codec=mp_codec)
-    if backend == "mp":
-        from ..sim import MpRunSpec, run_mp_workers
-        spec = MpRunSpec(builder=build_conformance_run,
-                         args=(config,), kwargs={"executor": executor},
-                         driver=conformance_driver)
+def _decisions_on(config: RunConfig, builder, executor: str,
+                  program) -> list[tuple]:
+    """Build with ``builder`` on ``config.backend`` and run
+    ``program(run, decisions)`` (module-level, so mp workers can
+    rebuild it by reference) from ``DRIVER_HOME``."""
+    if config.backend == "mp":
+        spec = MpRunSpec(builder=builder, args=(config,),
+                         kwargs={"executor": executor},
+                         driver=partial(program_driver, program))
         payloads = run_mp_workers(spec, config)
         decisions = [p["decisions"] for p in payloads if p["decisions"]]
         assert len(decisions) == 1, "exactly one worker drives the program"
         return decisions[0]
-    run = build_conformance_run(config, executor)
+    run = builder(config, executor)
     decisions: list = []
-    run.database.cluster.engine(DRIVER_HOME).spawn(
-        decision_program(run, decisions))
+    run.database.cluster.engine(DRIVER_HOME).spawn(program(run, decisions))
     run.database.cluster.run()
     return decisions
+
+
+def run_conformance(backend: str, executor: str = "2pl",
+                    mp_codec: str = "packed",
+                    mp_workers: int | None = None) -> list[tuple]:
+    """Execute the shared program on ``backend``; return its decisions."""
+    config = conformance_config(backend, mp_codec=mp_codec,
+                                mp_workers=mp_workers)
+    return _decisions_on(config, build_conformance_run, executor,
+                         decision_program)
 
 
 # -- scheduler conformance ----------------------------------------------------
@@ -225,18 +236,21 @@ def ycsb_conformance_requests() -> list[TxnRequest]:
     return reqs
 
 
-def scheduled_decision_program(run: ConformanceRun,
-                               scheduler: Scheduler | None,
-                               decisions: list,
-                               requests: list[TxnRequest]):
-    """Execute ``requests`` in sequence, mediated by ``scheduler``.
+def scheduled_decision_program(run: ConformanceRun, decisions: list):
+    """Execute the hot-key requests in sequence, mediated by the
+    driver engine's scheduler per ``run.config`` (``config.scheduler``
+    being the sentinel ``"raw"`` is the historical unscheduled loop).
 
-    ``scheduler=None`` is the historical raw loop.  Mirrors the
-    harness's dispatch exactly: admit → (wait) → execute → on_outcome;
-    shed requests record a typed decision instead of an Outcome.
+    Mirrors the harness's dispatch exactly: admit → (wait) → execute →
+    on_outcome; shed requests record a typed decision instead of an
+    Outcome.
     """
+    scheduler: Scheduler | None = None
+    if run.config.scheduler != "raw":
+        scheduler = make_schedulers(run.executor, run.config,
+                                    [DRIVER_HOME])[DRIVER_HOME]
     cluster = run.database.cluster
-    for request in requests:
+    for request in ycsb_conformance_requests():
         if scheduler is not None:
             decision = scheduler.admit(request, cluster.sim.now)
             while decision.action is SchedAction.DEFER:
@@ -256,30 +270,6 @@ def scheduled_decision_program(run: ConformanceRun,
     return decisions
 
 
-def _engine_scheduler(run: ConformanceRun) -> Scheduler | None:
-    """The driver engine's scheduler per ``run.config`` (None: raw loop,
-    signalled by ``config.scheduler`` being the sentinel ``"raw"``)."""
-    if run.config.scheduler == "raw":
-        return None
-    return make_schedulers(run.executor, run.config,
-                           [DRIVER_HOME])[DRIVER_HOME]
-
-
-def ycsb_conformance_driver(run: ConformanceRun, cluster, worker_id: int):
-    """mp worker driver for the scheduled YCSB program."""
-    seed_txn_ids(worker_id)
-    decisions: list = []
-    if cluster.owns(DRIVER_HOME):
-        cluster.engine(DRIVER_HOME).spawn(scheduled_decision_program(
-            run, _engine_scheduler(run), decisions,
-            ycsb_conformance_requests()))
-
-    def finalize() -> dict:
-        return {"decisions": decisions}
-
-    return finalize
-
-
 def run_ycsb_conformance(backend: str, executor: str = "2pl",
                          scheduler: str | None = "fifo") -> list[tuple]:
     """The scheduled hot-key program's decisions on ``backend``.
@@ -290,22 +280,8 @@ def run_ycsb_conformance(backend: str, executor: str = "2pl",
     config = dataclasses.replace(
         conformance_config(backend),
         scheduler=scheduler if scheduler else "raw")
-    if backend == "mp":
-        from ..sim import MpRunSpec, run_mp_workers
-        spec = MpRunSpec(builder=build_ycsb_conformance_run,
-                         args=(config,), kwargs={"executor": executor},
-                         driver=ycsb_conformance_driver)
-        payloads = run_mp_workers(spec, config)
-        decisions = [p["decisions"] for p in payloads if p["decisions"]]
-        assert len(decisions) == 1, "exactly one worker drives the program"
-        return decisions[0]
-    run = build_ycsb_conformance_run(config, executor)
-    decisions: list = []
-    run.database.cluster.engine(DRIVER_HOME).spawn(
-        scheduled_decision_program(run, _engine_scheduler(run), decisions,
-                                   ycsb_conformance_requests()))
-    run.database.cluster.run()
-    return decisions
+    return _decisions_on(config, build_ycsb_conformance_run, executor,
+                         scheduled_decision_program)
 
 
 # -- migration conformance ----------------------------------------------------
@@ -401,37 +377,10 @@ def migration_decision_program(run: ConformanceRun, decisions: list):
     return decisions
 
 
-def migration_conformance_driver(run: ConformanceRun, cluster,
-                                 worker_id: int):
-    """mp worker driver: worker 0 drives, every worker serves flips."""
-    seed_txn_ids(worker_id)
-    decisions: list = []
-    if cluster.owns(DRIVER_HOME):
-        cluster.engine(DRIVER_HOME).spawn(
-            migration_decision_program(run, decisions))
-
-    def finalize() -> dict:
-        return {"decisions": decisions}
-
-    return finalize
-
-
 def run_migration_conformance(backend: str,
                               executor: str = "2pl") -> list[tuple]:
-    """The migration program's decisions on ``backend``."""
-    config = conformance_config(backend)
-    if backend == "mp":
-        from ..sim import MpRunSpec, run_mp_workers
-        spec = MpRunSpec(builder=build_migration_conformance_run,
-                         args=(config,), kwargs={"executor": executor},
-                         driver=migration_conformance_driver)
-        payloads = run_mp_workers(spec, config)
-        decisions = [p["decisions"] for p in payloads if p["decisions"]]
-        assert len(decisions) == 1, "exactly one worker drives the program"
-        return decisions[0]
-    run = build_migration_conformance_run(config, executor)
-    decisions: list = []
-    run.database.cluster.engine(DRIVER_HOME).spawn(
-        migration_decision_program(run, decisions))
-    run.database.cluster.run()
-    return decisions
+    """The migration program's decisions on ``backend`` (on mp every
+    worker serves the placement flips)."""
+    return _decisions_on(conformance_config(backend),
+                         build_migration_conformance_run, executor,
+                         migration_decision_program)

@@ -12,8 +12,6 @@ Run from the command line::
     python -m repro.bench.experiments fig9a --quick --backend aio
     python -m repro.bench.experiments fig9a --quick --backend mp
     python -m repro.bench.experiments fig9a --quick --backend mp --workers 2
-    python -m repro.bench.experiments fig9a --quick --backend mp \\
-        --mp-transport shm --mp-codec packed
     python -m repro.bench.experiments fig9a --scheduler conflict
     python -m repro.bench.experiments fig9a --quick --profile /tmp/prof
     python -m repro.bench.experiments fig9a --quick --backend mp --wal group
@@ -39,11 +37,8 @@ replays their WAL instead of failing the run; ``--chaos-kill W``
 SIGKILLs worker W ``--chaos-after S`` seconds into the run (implies
 ``--mp-recovery``), and ``--max-restarts N`` bounds respawns.
 
-``--mp-transport tcp|shm`` moves mp worker frames over localhost TCP or
-shared-memory rings; ``--mp-codec packed|pickle`` selects struct-packed
-hot-verb frames or whole-frame pickles (see ARCHITECTURE.md, "The wire
-path").  ``--profile DIR`` dumps cProfile stats: ``parent.prof`` always,
-plus ``worker-N.prof`` per mp worker process.
+``--profile DIR`` dumps cProfile stats: ``parent.prof`` always, plus
+``worker-N.prof`` per mp worker process.
 
 ``--scheduler fifo|conflict`` selects the cross-transaction scheduling
 policy (:mod:`repro.sched`); unset and ``fifo`` reproduce the
@@ -75,10 +70,11 @@ lease flaps, and restart storms (``perf_summary()['timeline']`` /
 last run's timeline as CSV, ``--watch`` prints a sparkline dashboard
 after each run, and ``--watchdog-abort`` lets a fatal rule abort a
 wedged run early.
-``--backend aio`` drives the same sweep through the asyncio runtime
-(real event loop, wall-clock time) instead of the simulator;
-``--backend mp`` through the multiprocess runtime (one OS process per
-server, ``--workers N`` packs servers onto fewer processes).  See
+``--backend aio`` drives the same sweep through the wall-clock runtime
+(real event loop, wall-clock time, one in-process worker owning every
+server) instead of the simulator; ``--backend mp`` through the same
+runtime with one OS process per server and codec frames over TCP
+between them (``--workers N`` packs servers onto fewer processes).  See
 EXPERIMENTS.md for how to read those numbers — they measure what this
 machine actually sustains, not the modeled RDMA cluster.
 
@@ -97,7 +93,6 @@ from ..workloads.instacart import InstacartWorkload
 from ..workloads.tpcc import TpccScale, TpccWorkload
 from ..placement import PLACEMENTS
 from ..sched import SCHEDULERS
-from ..sim.mp_runtime import MP_CODECS, MP_TRANSPORTS
 from ..storage.wal import WAL_MODES
 from ..traffic import ADMISSIONS, ARRIVAL_PROCESSES, ArrivalSpec
 from .harness import BACKENDS, RunConfig, install_summary_json
@@ -117,8 +112,6 @@ def instacart_config(n_partitions: int, quick: bool = False,
                      mp_workers: int | None = None,
                      scheduler: str | None = None,
                      placement: str | None = None,
-                     mp_transport: str = "tcp",
-                     mp_codec: str = "packed",
                      profile_dir: str | None = None,
                      durability: dict | None = None,
                      traffic: dict | None = None,
@@ -135,7 +128,6 @@ def instacart_config(n_partitions: int, quick: bool = False,
                      doorbell_batching=doorbell_batching,
                      backend=backend, mp_workers=mp_workers,
                      scheduler=scheduler, placement=placement,
-                     mp_transport=mp_transport, mp_codec=mp_codec,
                      mp_profile_dir=profile_dir,
                      **(durability or {}), **(traffic or {}),
                      **(tracing or {}), **(observability or {}))
@@ -151,8 +143,6 @@ def instacart_sweep(partitions: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
                     mp_workers: int | None = None,
                     scheduler: str | None = None,
                     placement: str | None = None,
-                    mp_transport: str = "tcp",
-                    mp_codec: str = "packed",
                     profile_dir: str | None = None,
                     durability: dict | None = None,
                     traffic: dict | None = None,
@@ -178,9 +168,8 @@ def instacart_sweep(partitions: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
                 setup, layout,
                 instacart_config(k, quick, seed, doorbell_batching,
                                  backend, mp_workers, scheduler,
-                                 placement, mp_transport, mp_codec,
-                                 profile_dir, durability, traffic,
-                                 tracing, observability))
+                                 placement, profile_dir, durability,
+                                 traffic, tracing, observability))
             result = run.run()
             metrics = result.metrics
             row[f"{name}_throughput"] = result.throughput
@@ -241,8 +230,6 @@ def tpcc_config(n_partitions: int, concurrent: int, quick: bool = False,
                 mp_workers: int | None = None,
                 scheduler: str | None = None,
                 placement: str | None = None,
-                mp_transport: str = "tcp",
-                mp_codec: str = "packed",
                 profile_dir: str | None = None,
                 durability: dict | None = None,
                 traffic: dict | None = None,
@@ -256,7 +243,6 @@ def tpcc_config(n_partitions: int, concurrent: int, quick: bool = False,
                      doorbell_batching=doorbell_batching,
                      backend=backend, mp_workers=mp_workers,
                      scheduler=scheduler, placement=placement,
-                     mp_transport=mp_transport, mp_codec=mp_codec,
                      mp_profile_dir=profile_dir,
                      **(durability or {}), **(traffic or {}),
                      **(tracing or {}), **(observability or {}))
@@ -269,8 +255,6 @@ def fig9_rows(concurrency: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
               mp_workers: int | None = None,
               scheduler: str | None = None,
               placement: str | None = None,
-              mp_transport: str = "tcp",
-              mp_codec: str = "packed",
               profile_dir: str | None = None,
               durability: dict | None = None,
               traffic: dict | None = None,
@@ -284,9 +268,9 @@ def fig9_rows(concurrency: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
             run = make_tpcc_run(
                 name, tpcc_config(n_partitions, concurrent, quick, seed,
                                   doorbell_batching, backend, mp_workers,
-                                  scheduler, placement, mp_transport,
-                                  mp_codec, profile_dir, durability,
-                                  traffic, tracing, observability))
+                                  scheduler, placement, profile_dir,
+                                  durability, traffic, tracing,
+                                  observability))
             result = run.run()
             metrics = result.metrics
             row[f"{name}_throughput"] = result.throughput
@@ -340,8 +324,6 @@ def fig10_rows(percents: Sequence[int] = (0, 20, 40, 60, 80, 100),
                mp_workers: int | None = None,
                scheduler: str | None = None,
                placement: str | None = None,
-               mp_transport: str = "tcp",
-               mp_codec: str = "packed",
                profile_dir: str | None = None,
                durability: dict | None = None,
                traffic: dict | None = None,
@@ -360,9 +342,9 @@ def fig10_rows(percents: Sequence[int] = (0, 20, 40, 60, 80, 100),
             run = make_tpcc_run(
                 name, tpcc_config(n_partitions, concurrent, quick, seed,
                                   doorbell_batching, backend, mp_workers,
-                                  scheduler, placement, mp_transport,
-                                  mp_codec, profile_dir, durability,
-                                  traffic, tracing, observability),
+                                  scheduler, placement, profile_dir,
+                                  durability, traffic, tracing,
+                                  observability),
                 workload=workload)
             result = run.run()
             row[f"{name}_{concurrent}_throughput"] = result.throughput
@@ -528,10 +510,6 @@ def main(argv: Iterable[str] | None = None) -> None:
     workers, args = _parse_workers(args)
     scheduler, args = _parse_option(args, "scheduler", SCHEDULERS)
     placement, args = _parse_option(args, "placement", PLACEMENTS)
-    mp_transport, args = _parse_option(args, "mp-transport", MP_TRANSPORTS)
-    mp_transport = mp_transport or "tcp"
-    mp_codec, args = _parse_option(args, "mp-codec", MP_CODECS)
-    mp_codec = mp_codec or "packed"
     profile_dir, args = _parse_option(args, "profile")
     wal, args = _parse_option(args, "wal", WAL_MODES)
     chaos_kill, args = _parse_option(args, "chaos-kill")
@@ -642,8 +620,6 @@ def main(argv: Iterable[str] | None = None) -> None:
     if placement:
         print(f"(placement: {placement} — access telemetry drives "
               f"periodic re-partitioning with live record migration)")
-    if backend == "mp" and (mp_transport != "tcp" or mp_codec != "packed"):
-        print(f"(mp wire path: transport={mp_transport} codec={mp_codec})")
     if durability:
         knobs = " ".join(f"{k}={v}" for k, v in sorted(durability.items()))
         print(f"(durability: {knobs} — commit decisions go through the "
@@ -685,8 +661,6 @@ def main(argv: Iterable[str] | None = None) -> None:
                                    doorbell_batching=doorbell,
                                    backend=backend, mp_workers=workers,
                                    scheduler=scheduler, placement=placement,
-                                   mp_transport=mp_transport,
-                                   mp_codec=mp_codec,
                                    profile_dir=profile_dir,
                                    durability=durability or None,
                                    traffic=traffic or None,
@@ -707,7 +681,6 @@ def main(argv: Iterable[str] | None = None) -> None:
                              doorbell_batching=doorbell, backend=backend,
                              mp_workers=workers, scheduler=scheduler,
                              placement=placement,
-                             mp_transport=mp_transport, mp_codec=mp_codec,
                              profile_dir=profile_dir,
                              durability=durability or None,
                              traffic=traffic or None,
@@ -726,8 +699,6 @@ def main(argv: Iterable[str] | None = None) -> None:
                                    backend=backend, mp_workers=workers,
                                    scheduler=scheduler,
                                    placement=placement,
-                                   mp_transport=mp_transport,
-                                   mp_codec=mp_codec,
                                    profile_dir=profile_dir,
                                    durability=durability or None,
                                    traffic=traffic or None,

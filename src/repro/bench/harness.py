@@ -19,7 +19,6 @@ import random
 import sys
 import tempfile
 import time
-import uuid
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
@@ -31,9 +30,10 @@ from ..placement import (AccessTelemetry, MigrationExecutor,
                          as_placement_spec, controller_loop,
                          install_flip_handler, lease_controller_loop)
 from ..sched import SchedAction, Scheduler, SchedulerSpec, as_spec
-from ..sim import (AioCluster, Cluster, MpRunSpec, NetworkConfig, Sleep,
-                   effective_mp_workers, run_mp_workers)
-from ..sim import mp_runtime
+from ..sim import Cluster, NetworkConfig, Sleep, WorkerCluster
+from ..sim.supervisor import (MpRunSpec, cluster_for_config,
+                              current_worker_cluster, effective_mp_workers,
+                              run_mp_workers)
 from ..storage import Catalog, WalSpec, as_wal_spec
 from ..txn import (BaseExecutor, Database, ExecConfig, HistoryRecorder,
                    recover_database, recovery_program)
@@ -42,10 +42,10 @@ from .metrics import APP_ABORTS, Metrics
 
 BACKENDS = ("sim", "aio", "mp")
 """Execution backends a run can select: the discrete-event simulator
-(deterministic, simulated microseconds), the asyncio runtime (real
-event loop, wall-clock microseconds), or the multiprocess runtime (one
-OS process per server over a real wire codec, wall-clock
-microseconds)."""
+(deterministic, simulated microseconds), or the wall-clock runtime on
+a real event loop — as one in-process worker that owns every server
+(``aio``) or as one OS process per worker with codec frames between
+them (``mp``)."""
 
 
 @dataclass
@@ -87,13 +87,10 @@ class RunConfig:
 
     backend: str = "sim"
     """Execution backend: ``"sim"`` (discrete-event simulator, the
-    seed-calibrated default) or ``"aio"`` (asyncio event loop over a
-    real transport; throughput figures are then wall-clock)."""
-
-    aio_transport: str = "loopback"
-    """Transport for the aio backend: ``"loopback"`` (in-loop, hermetic)
-    or ``"tcp"`` (real localhost sockets).  Ignored on the sim
-    backend."""
+    seed-calibrated default), ``"aio"`` (the wall-clock runtime as one
+    in-process worker: every server-to-server hop is a ``call_soon``)
+    or ``"mp"`` (the same runtime, one worker per OS process, codec
+    frames between them); aio/mp throughput figures are wall-clock."""
 
     aio_run_timeout_s: float | None = None
     """Hang guard for the aio backend's run-to-quiescence loop.  None
@@ -114,24 +111,19 @@ class RunConfig:
     headroom."""
 
     mp_transport: str = "tcp"
-    """Carrier for cross-worker frames on the mp backend: ``"tcp"``
-    (localhost sockets, one connection per ordered worker pair) or
-    ``"shm"`` (lock-free shared-memory rings polled without kernel
-    involvement — the fast wire path; see
-    :mod:`repro.sim.shm_transport`).  Ignored on other backends."""
+    """Carrier for cross-worker frames on the mp backend.  Vestigial:
+    ``"tcp"`` (localhost sockets, one connection per ordered worker
+    pair, :mod:`repro.sim.transport`) is the only carrier and anything
+    else is a ``ValueError``; the field survives only because the
+    benchmark adapter passes it."""
 
     mp_codec: str = "packed"
     """Frame encoding for the mp backend: ``"packed"`` (fixed-format
     struct frames for the hot verbs, pickle for everything else) or
-    ``"pickle"`` (every frame pickled — the pre-fast-path behavior,
-    kept as an escape hatch and as the byte-accounting baseline).
+    ``"pickle"`` (every frame pickled — a debug escape hatch and the
+    byte-accounting baseline: 258 vs 103 bytes per four-verb chain).
     Commit/abort decisions are codec-independent (asserted by the
     conformance suite)."""
-
-    mp_shm_ring_bytes: int | None = None
-    """Data capacity of each shm ring (``mp_transport="shm"`` only).
-    None uses the default (1 MiB per ordered worker pair); raise it if
-    a run legitimately ships frames larger than the ring."""
 
     mp_profile_dir: str | None = None
     """When set, every mp worker cProfiles its serve loop and dumps
@@ -162,12 +154,6 @@ class RunConfig:
     mp_max_restarts: int = 1
     """Total worker restarts the parent will perform per run before
     treating a death as fatal (``mp_recovery`` only)."""
-
-    mp_run_id: str | None = None
-    """Stable id naming this run's shared-memory rings
-    (``repro-<run_id>-...``).  None lets the parent assign one per run;
-    deterministic names let a respawned worker reclaim and recreate its
-    predecessor's rings, and let tests assert nothing leaked."""
 
     mp_chaos_kill_worker: int | None = None
     """Chaos knob: SIGKILL this worker id mid-run (recovery tests)."""
@@ -590,14 +576,13 @@ def make_cluster(config: RunConfig):
         timeout = config.aio_run_timeout_s
         if timeout is None:
             timeout = config.horizon_us / 1e6 + 120.0
-        return AioCluster(config.n_partitions, config.network_config(),
-                          transport=config.aio_transport,
-                          run_timeout_s=timeout)
+        return WorkerCluster(config.n_partitions, config.network_config(),
+                             run_timeout_s=timeout)
     if config.backend == "mp":
         # inside a worker process this is that worker's live cluster;
         # in the parent it is an inert template for inspection
-        return mp_runtime.cluster_for_config(config.n_partitions,
-                                             config.network_config())
+        return cluster_for_config(config.n_partitions,
+                                  config.network_config())
     raise ValueError(f"unknown backend {config.backend!r} "
                      f"(expected one of {BACKENDS})")
 
@@ -641,7 +626,7 @@ def run_benchmark(workload, executor: BaseExecutor,
     """
     db = executor.db
     cluster = db.cluster
-    if config.backend == "mp" and mp_runtime.current_worker_cluster() is None:
+    if config.backend == "mp" and current_worker_cluster() is None:
         if mp_spec is None:
             raise ValueError(
                 "backend='mp' runs re-create their database inside worker "
@@ -752,7 +737,7 @@ def _spawn_load(workload, executor: BaseExecutor, config: RunConfig,
     placement_stats: PlacementStats | None = None
     telemetry: dict[int, AccessTelemetry] | None = None
     if placement.adaptive:
-        if (getattr(cluster, "owns", None) is None
+        if (config.backend != "mp"
                 and placement.controller_home not in homes):
             # only mp workers legitimately drive a homes subset (the
             # controller then lives in the worker owning its engine);
@@ -848,7 +833,7 @@ def _spawn_load(workload, executor: BaseExecutor, config: RunConfig,
             for slot in range(config.concurrent_per_engine):
                 cluster.engine(home).spawn(worker(home, slot))
     if placement.adaptive:
-        if getattr(cluster, "owns", None) is None:
+        if config.backend != "mp":
             # single process: pin the loop to the controller engine —
             # keeps the sim backend's event stream (and every figure)
             # bit-identical to the pre-election behavior
@@ -916,7 +901,7 @@ def mp_benchmark_driver(run_obj, cluster, worker_id: int):
             placement=wiring.placement_stats,
             events_fired=lambda: cluster.sim.events_fired,
             gen=getattr(cluster, "generation", 0))
-        cluster.metrics_interval_s = config.metrics_interval / 1e6
+        cluster.tick_interval_s = config.metrics_interval / 1e6
 
     def finalize() -> dict:
         metrics.wall_seconds = cluster.sim.now / 1e6
@@ -947,10 +932,6 @@ def run_mp_benchmark(spec: MpRunSpec, config: RunConfig,
     if spec.driver is None:
         spec = dataclasses.replace(spec, driver=mp_benchmark_driver)
     assign_wal_dir(config)
-    if config.mp_run_id is None:
-        # recorded into the shared config (it rides in spec.args too)
-        # so workers and the parent derive the same shm ring names
-        config.mp_run_id = uuid.uuid4().hex[:12]
     obs = None
     on_sample = on_tick = tick_s = None
     if config.metrics_interval:

@@ -31,7 +31,7 @@ from ..workloads.instacart import InstacartWorkload
 from ..workloads.tpcc import (REPLICATED_TABLES, TpccScale, TpccWorkload,
                               tpcc_routing)
 from ..workloads.ycsb import YcsbWorkload
-from ..sim import MpRunSpec, current_worker_cluster
+from ..sim.supervisor import MpRunSpec, current_worker_cluster
 from .harness import (RunConfig, RunResult, assign_wal_dir, make_cluster,
                       mp_benchmark_driver, run_benchmark, run_mp_benchmark)
 

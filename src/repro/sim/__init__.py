@@ -6,13 +6,14 @@ The layering inside: :mod:`~repro.sim.effects` defines *what* a
 transaction coroutine may yield, :mod:`~repro.sim.runtime` defines *how*
 those effects are scheduled (the :class:`EffectRuntime` seam alternate
 backends plug into), and :mod:`~repro.sim.coroutines` wraps one runtime
-per server as an :class:`Engine`.  See DESIGN.md ("Substitutions") for
-the latency calibration rationale.
+per server as an :class:`Engine`.  The wall-clock backends are one
+runtime + cluster (:mod:`~repro.sim.wallclock`) run in-process (aio) or
+per worker process under :mod:`~repro.sim.supervisor` (mp), over the
+framed-TCP channel in :mod:`~repro.sim.transport`.
+See DESIGN.md ("Substitutions") for the latency calibration rationale.
 """
 
-from .aio_runtime import (AioCluster, AioEngine, AioNetwork, AioTransport,
-                          AsyncioEffectRuntime, LoopbackTransport,
-                          TcpTransport)
+from .aio_runtime import AioNetwork
 from .cluster import Cluster, Server
 from .codec import (CodecError, DispatchContext, FrameCodec, OpDescriptor,
                     decode_op, encode_op, op_handler, register_wire_atom)
@@ -21,21 +22,18 @@ from .cpu import Core
 from .effects import (All, Await, BatchedOneSided, Compute, Coroutine,
                       Effect, OneSided, OneWay, Rpc, Signal, Sleep)
 from .events import EventHandle, Simulator
-from .mp_runtime import (MpRunError, MpRunSpec, MpTemplateCluster,
-                         MpWorkerCluster, current_worker_cluster,
-                         effective_mp_workers, run_mp_workers)
 from .network import (Network, NetworkConfig, NetworkStats,
                       approx_payload_bytes, phase_of_kind)
 from .runtime import EffectRuntime, EffectRuntimeBase
-from .shm_transport import RingFrameError, ShmWorkerTransport, SpscRing
+from .supervisor import (MpRunError, MpRunSpec, MpTemplateCluster,
+                         current_worker_cluster, effective_mp_workers,
+                         run_mp_workers)
+from .transport import MAX_FRAME_BYTES, TcpTransport
+from .wallclock import WallClockEngine, WallClockRuntime, WorkerCluster
 
 __all__ = [
-    "AioCluster",
-    "AioEngine",
     "AioNetwork",
-    "AioTransport",
     "All",
-    "AsyncioEffectRuntime",
     "Await",
     "BatchedOneSided",
     "Cluster",
@@ -50,26 +48,25 @@ __all__ = [
     "Engine",
     "EventHandle",
     "FrameCodec",
-    "LoopbackTransport",
+    "MAX_FRAME_BYTES",
     "MpRunError",
     "MpRunSpec",
     "MpTemplateCluster",
-    "MpWorkerCluster",
     "Network",
     "NetworkConfig",
     "NetworkStats",
     "OneSided",
     "OneWay",
     "OpDescriptor",
-    "RingFrameError",
     "Rpc",
     "Server",
-    "ShmWorkerTransport",
     "Signal",
     "Simulator",
     "Sleep",
-    "SpscRing",
     "TcpTransport",
+    "WallClockEngine",
+    "WallClockRuntime",
+    "WorkerCluster",
     "approx_payload_bytes",
     "current_worker_cluster",
     "decode_op",

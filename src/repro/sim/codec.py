@@ -35,11 +35,11 @@ from typing import Any, Callable, Sequence, Tuple
 
 
 WIRE_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-"""Pinned pickle protocol for every wire frame (codec ``dumps``, the
-aio TCP framing, and the mp transport all use it).  Explicit pinning
-keeps the hot path off pickle's compatibility default (protocol 4 era
-framing) and makes the wire format an asserted property instead of an
-interpreter accident — see the ROADMAP mp-wire-path note."""
+"""Pinned pickle protocol for every pickled wire frame (codec ``dumps``
+and the :class:`FrameCodec` fallback).  Explicit pinning keeps the hot
+path off pickle's compatibility default (protocol 4 era framing) and
+makes the wire format an asserted property instead of an interpreter
+accident."""
 
 
 class CodecError(TypeError):

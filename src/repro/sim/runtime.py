@@ -16,9 +16,10 @@ a real transport.  Backends implement the small ``_do_*`` /
   :class:`~repro.sim.network.Network`.  The per-server
   :class:`~repro.sim.coroutines.Engine` is a thin facade over one
   instance.
-* :class:`~repro.sim.aio_runtime.AsyncioEffectRuntime` interprets the
-  same vocabulary over an asyncio event loop and real (or loopback)
-  transports — wall-clock time instead of simulated microseconds.
+* :class:`~repro.sim.wallclock.WallClockRuntime` interprets the same
+  vocabulary over an asyncio event loop — wall-clock time instead of
+  simulated microseconds, in-process (aio) or one worker per OS process
+  (mp).
 
 **Doorbell batching.**  Real RDMA NICs let a sender post a chain of work
 requests with a single doorbell; the NIC processes them back-to-back and

@@ -1,0 +1,544 @@
+"""Multiprocess supervisor: every worker is a real OS process.
+
+The in-process ``aio`` backend runs all servers as one worker of one
+process, so its wall-clock numbers understate what truly parallel
+coordinators do to each other.  Here the same
+:class:`~repro.sim.wallclock.WorkerCluster` runs once per worker
+process, and everything that crosses a worker boundary crosses a
+process boundary as a codec frame — there is no escrow: a payload that
+cannot serialize raises a :class:`~repro.sim.codec.CodecError` naming
+the offending effect.
+
+**Topology.**  ``run_mp_workers(spec, config)`` (the parent) spawns one
+worker per server by default (``config.mp_workers`` caps the process
+count; servers are assigned round-robin).  Every worker deterministically
+rebuilds the database from the spec's *builder* — a picklable
+module-level factory — so all workers hold identical initial data; the
+copy of partition ``p`` on ``p``'s owning worker is the authoritative
+one, and every access to ``p`` routes there.
+
+**Lifecycle.**  Workers exchange listener ports through the parent, drive their share of the load, report
+``done`` with their metrics payload at local quiescence, and keep
+*serving* remote requests until the parent — having heard from every
+worker — broadcasts ``stop``.  Teardown is unconditional: on success,
+failure, or timeout the parent joins every worker, escalating to
+``terminate``/``kill`` so an aborted run can never leak processes.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import multiprocessing
+import threading
+import time
+import traceback
+from dataclasses import dataclass, field
+from typing import Any, Callable
+
+from .aio_runtime import AioClock, AioNetwork
+from .cluster import Server
+from .codec import FrameCodec
+from .network import NetworkConfig
+from .transport import TcpTransport, bind_listener
+from .wallclock import WorkerCluster
+
+MP_TRANSPORTS = ("tcp",)
+MP_CODECS = ("packed", "pickle")
+"""What ``RunConfig.mp_transport`` / ``mp_codec`` accept.  One carrier:
+the shared-memory ring lost its measurement (EXPERIMENTS.md, "tcp vs
+shm"); pickle stays as the codec's debug escape hatch."""
+
+_STOP_GRACE_S = 5.0
+"""How long a stopping worker keeps serving stragglers after ``stop``."""
+
+class MpRunError(RuntimeError):
+    """A multiprocess run failed (worker error, death, or timeout)."""
+
+
+@dataclass
+class MpRunSpec:
+    """How each worker process recreates its share of a run.
+
+    ``builder`` must be a *module-level* (picklable-by-reference)
+    factory: ``builder(*args, **kwargs)`` builds the cluster via the
+    harness's ``make_cluster`` (which, inside a worker, hands back that
+    worker's live cluster) and returns a run object exposing
+    ``workload`` / ``executor`` / ``config``.  ``driver(run_obj,
+    cluster, worker_id)`` spawns that worker's tasks and returns a
+    ``finalize() -> payload`` callable evaluated at local quiescence;
+    the picklable payloads are what ``run_mp_workers`` returns to the
+    parent.  Drivers are responsible for namespacing transaction ids
+    (``repro.txn.common.seed_txn_ids``) before driving load.
+    """
+
+    builder: Callable[..., Any]
+    args: tuple = ()
+    kwargs: dict = field(default_factory=dict)
+    driver: Callable[[Any, WorkerCluster, int], Callable[[], Any]] = None
+
+
+def effective_mp_workers(config: Any) -> int:
+    """Worker-process count for ``config`` (duck-typed RunConfig)."""
+    n = config.n_partitions
+    requested = config.mp_workers
+    if requested is None:
+        return n
+    if requested < 1:
+        raise ValueError(f"mp_workers must be >= 1, got {requested}")
+    return min(requested, n)
+
+
+# -- worker process entry -----------------------------------------------------
+
+_ACTIVE_CLUSTER: WorkerCluster | None = None
+
+
+def current_worker_cluster() -> WorkerCluster | None:
+    """The live cluster while a spec builder runs inside a worker."""
+    return _ACTIVE_CLUSTER
+
+
+def cluster_for_config(n_partitions: int,
+                       config: NetworkConfig | None) -> Any:
+    """What ``make_cluster(backend="mp")`` returns.
+
+    Inside a worker: that worker's live cluster (exactly once per
+    build).  In the parent: an inert template so databases and
+    executors can be constructed for inspection — driving the run
+    happens through :func:`run_mp_workers`.
+    """
+    active = _ACTIVE_CLUSTER
+    if active is not None:
+        return active._claim(n_partitions)
+    return MpTemplateCluster(n_partitions, config)
+
+
+class _TemplateEngine:
+    """Accepts wiring (RPC handlers) but refuses to execute."""
+
+    def __init__(self, server_id: int):
+        self.server_id = server_id
+        self.active_tasks = 0
+        self.rpc_handler = None
+
+    def set_rpc_handler(self, handler) -> None:
+        self.rpc_handler = handler
+
+    def spawn(self, gen, on_done=None) -> None:
+        raise RuntimeError(
+            "this database was built against the parent-side template of "
+            "a multiprocess run; drive it through run_mp_benchmark / "
+            "TpccRun.run(), which re-creates it inside worker processes")
+
+    post = spawn
+
+
+class MpTemplateCluster:
+    """Parent-side stand-in: carries the shape, never runs."""
+
+    def __init__(self, n_servers: int, config: NetworkConfig | None = None):
+        if n_servers <= 0:
+            raise ValueError("cluster needs at least one server")
+        self.clock = AioClock()
+        self.sim = self.clock
+        self.network = AioNetwork(config)
+        self.servers = [Server(i, _TemplateEngine(i))
+                        for i in range(n_servers)]
+
+    def __len__(self) -> int:
+        return len(self.servers)
+
+    def server(self, server_id: int) -> Server:
+        return self.servers[server_id]
+
+    def engine(self, server_id: int) -> _TemplateEngine:
+        return self.servers[server_id].engine
+
+    def run(self, max_events: int | None = None) -> None:
+        raise RuntimeError(
+            "an mp-backend cluster in the parent process is a template; "
+            "drive the run through run_mp_benchmark / TpccRun.run()")
+
+
+def _worker_entry(conn, spec: MpRunSpec, config: Any, worker_id: int,
+                  n_workers: int, generation: int = 0,
+                  resume_at_us: float = 0.0) -> None:
+    """Spawned process main: build, serve, report, exit."""
+    try:
+        _worker_body(conn, spec, config, worker_id, n_workers,
+                     generation, resume_at_us)
+    except BaseException:  # noqa: BLE001 - report, never hang the parent
+        try:
+            conn.send(("error", worker_id, traceback.format_exc()))
+        except Exception:
+            pass
+    finally:
+        try:
+            conn.close()
+        except Exception:
+            pass
+
+
+def _worker_body(conn, spec: MpRunSpec, config: Any, worker_id: int,
+                 n_workers: int, generation: int = 0,
+                 resume_at_us: float = 0.0) -> None:
+    global _ACTIVE_CLUSTER
+    listener = bind_listener()
+    try:
+        conn.send(("port", worker_id, listener.getsockname()[1]))
+        msg = conn.recv()
+        if not msg or msg[0] != "ports":
+            listener.close()
+            return  # parent aborted before the run started
+    except BaseException:
+        listener.close()
+        raise
+    ports: dict[int, int] = msg[1]
+
+    cluster = WorkerCluster(config.n_partitions, config.network_config(),
+                            worker_id=worker_id, n_workers=n_workers,
+                            generation=generation)
+    cluster.recovery_enabled = config.mp_recovery
+    cluster.resume_at_us = resume_at_us
+    _ACTIVE_CLUSTER = cluster
+    try:
+        run_obj = spec.builder(*spec.args, **spec.kwargs)
+    finally:
+        _ACTIVE_CLUSTER = None
+    if not cluster._claimed:
+        raise RuntimeError(
+            f"spec builder {spec.builder!r} never built a cluster via "
+            f"make_cluster (is its config backend set to 'mp'?)")
+    finalize = spec.driver(run_obj, cluster, worker_id)
+
+    # the codec's table registry comes from this worker's own build —
+    # identical on every worker, so no negotiation bytes are needed
+    codec = FrameCodec(cluster.wire_tables,
+                       packed=config.mp_codec == "packed")
+    transport = TcpTransport(cluster, listener, ports, codec)
+
+    profile_dir = config.mp_profile_dir
+    profiler = None
+    if profile_dir:
+        import cProfile
+        profiler = cProfile.Profile()
+        profiler.enable()
+    try:
+        asyncio.run(_serve_worker(cluster, conn, transport, finalize,
+                                  worker_id))
+    finally:
+        if profiler is not None:
+            import os
+            profiler.disable()
+            profiler.dump_stats(os.path.join(profile_dir,
+                                             f"worker-{worker_id}.prof"))
+
+
+async def _serve_worker(cluster: WorkerCluster, conn,
+                        transport: TcpTransport, finalize: Callable[[], Any],
+                        worker_id: int) -> None:
+    loop = asyncio.get_running_loop()
+    stop = asyncio.Event()
+
+    def on_parent_message() -> None:
+        try:
+            while conn.poll():
+                msg = conn.recv()
+                if not msg:
+                    continue
+                if msg[0] == "stop":
+                    stop.set()
+                elif msg[0] == "peer_down":
+                    # (peer_down, worker, dead_generation)
+                    cluster.fail_peer(msg[1], msg[2])
+                elif msg[0] == "rewire":
+                    # (rewire, worker, port, dead_generation)
+                    cluster.rewire_peer(msg[1], msg[2], msg[3])
+        except (EOFError, OSError):
+            stop.set()  # parent died: shut down rather than linger
+
+    sampler = cluster.metrics_sampler
+
+    def ship_samples(rows) -> None:
+        if rows:
+            conn.send(("metrics_sample", worker_id, rows))
+
+    if sampler is not None:
+        # rows ship live on the cluster's tick, so the parent's merged
+        # timeline survives this worker being killed
+        cluster.on_tick = lambda: ship_samples(
+            sampler.tick(cluster.clock.now))
+    loop.add_reader(conn.fileno(), on_parent_message)
+    try:
+        async with cluster.serving(transport):
+            await cluster._drain()
+            if cluster._error is not None:
+                raise cluster._error
+            # fold the transport's ground-truth frame bytes into the
+            # stats snapshot the finalize payload ships to the parent
+            cluster.network.stats.wire_bytes_sent += \
+                transport.wire_bytes_sent
+            cluster.on_tick = None
+            if sampler is not None:
+                # final partial interval, flushed in pipe order before
+                # the done payload so the parent's timeline is complete
+                # when the quiescence merge runs
+                ship_samples(sampler.flush(cluster.clock.now))
+            conn.send(("done", worker_id, finalize()))
+            # keep serving foreign requests until every worker reported
+            # done and the parent broadcast the stop
+            await stop.wait()
+            deadline = loop.time() + _STOP_GRACE_S
+            while (loop.time() < deadline
+                   and not (cluster._active == 0 and transport.idle())):
+                await asyncio.sleep(0.01)
+    finally:
+        loop.remove_reader(conn.fileno())
+
+
+# -- parent-side controller ---------------------------------------------------
+
+
+def _spawn_worker(ctx, spec: MpRunSpec, config: Any, worker_id: int,
+                  n_workers: int, generation: int,
+                  resume_at_us: float) -> tuple:
+    parent_conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(
+        target=_worker_entry,
+        args=(child_conn, spec, config, worker_id, n_workers,
+              generation, resume_at_us),
+        daemon=True, name=f"mp-worker-{worker_id}.g{generation}")
+    proc.start()
+    child_conn.close()
+    return proc, parent_conn
+
+
+def run_mp_workers(spec: MpRunSpec, config: Any, *,
+                   on_sample: Callable[[int, list], None] | None = None,
+                   on_tick: Callable[[], None] | None = None,
+                   tick_s: float | None = None) -> list[Any]:
+    """Spawn the workers, run the spec, return per-worker payloads.
+
+    ``config`` is the bench layer's ``RunConfig``: the controller reads
+    its ``mp_*`` fields, ``n_partitions`` and ``horizon_us`` and
+    forwards the whole object to every worker's builder.  Teardown is unconditional — whatever
+    happens, every worker process is joined (terminated, then killed if
+    necessary) before this returns or raises.
+
+    ``on_sample(worker_id, rows)`` receives each ``metrics_sample``
+    message a worker ships (timeline rows, when the run has the
+    metrics timeline on); ``on_tick`` is invoked about every
+    ``tick_s`` seconds of wall clock between waits (the health
+    watchdog evaluates here).  An exception from either aborts the
+    run like a worker error would.
+
+    With ``mp_recovery`` on, a worker that dies mid-run (crash or
+    SIGKILL — ``mp_chaos_kill_worker`` injects one deliberately) is
+    restarted up to ``mp_max_restarts`` times: the controller joins the
+    corpse, announces ``peer_down`` to the survivors, respawns
+    generation+1 resuming at the fleet's elapsed time, and rewires
+    everyone once the replacement advertises its port.
+    """
+    if spec.driver is None:
+        raise ValueError("MpRunSpec.driver is required")
+    if config.mp_transport not in MP_TRANSPORTS:
+        raise ValueError(f"unknown mp_transport {config.mp_transport!r} "
+                         f"(expected one of {MP_TRANSPORTS})")
+    if config.mp_codec not in MP_CODECS:
+        raise ValueError(f"unknown mp_codec {config.mp_codec!r} "
+                         f"(expected one of {MP_CODECS})")
+    n_workers = effective_mp_workers(config)
+    timeout = config.mp_run_timeout_s
+    if timeout is None:
+        timeout = config.horizon_us / 1e6 + 60.0
+    restarts_left = config.mp_max_restarts if config.mp_recovery else 0
+    ctx = multiprocessing.get_context("spawn")
+    workers: dict[int, tuple] = {}       # worker_id -> live (proc, conn)
+    all_workers: list[tuple] = []        # every incarnation, for teardown
+    ports: dict[int, int] = {}
+    generations = {w: 0 for w in range(n_workers)}
+    chaos_timer = None
+    try:
+        for worker_id in range(n_workers):
+            workers[worker_id] = _spawn_worker(ctx, spec, config,
+                                               worker_id, n_workers, 0, 0.0)
+        all_workers.extend(workers.values())
+        deadline = time.monotonic() + timeout
+        # handshake: a death here is fatal even with recovery on — no
+        # run state exists yet worth saving
+        ports.update(_collect(workers, set(workers), "port", deadline))
+        for _proc, parent in workers.values():
+            parent.send(("ports", dict(ports)))
+        run_start = time.monotonic()
+
+        victim = config.mp_chaos_kill_worker
+        if victim is not None:
+            chaos_timer = threading.Timer(config.mp_chaos_kill_after_s,
+                                          workers[victim][0].kill)
+            chaos_timer.daemon = True
+            chaos_timer.start()
+
+        results: dict[int, Any] = {}
+        pending = set(workers)
+        next_tick = (time.monotonic() + tick_s) if tick_s else None
+        while pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise MpRunError(
+                    f"timed out waiting for {len(pending)} worker(s) to "
+                    f"report 'done' (raise RunConfig.mp_run_timeout_s if "
+                    f"the run is legitimately long)")
+            wait_s = remaining
+            if next_tick is not None:
+                wait_s = min(wait_s,
+                             max(0.0, next_tick - time.monotonic()))
+            by_conn = {workers[w][1]: w for w in pending}
+            ready = multiprocessing.connection.wait(list(by_conn),
+                                                    timeout=wait_s)
+            for conn in ready:
+                w = by_conn[conn]
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    if restarts_left <= 0:
+                        proc = workers[w][0]
+                        raise MpRunError(
+                            f"worker {proc.name} died before reporting "
+                            f"'done' (exit code {proc.exitcode})") from None
+                    restarts_left -= 1
+                    all_workers.append(_restart_worker(
+                        ctx, spec, config, w, n_workers, workers,
+                        ports, generations, run_start, deadline))
+                    continue
+                if msg[0] == "error":
+                    raise MpRunError(f"worker {msg[1]} failed:\n{msg[2]}")
+                if msg[0] == "metrics_sample":
+                    if on_sample is not None:
+                        on_sample(msg[1], msg[2])
+                    continue
+                if msg[0] != "done":
+                    raise MpRunError(f"protocol error: expected 'done', "
+                                     f"worker sent {msg[0]!r}")
+                results[w] = msg[2]
+                pending.discard(w)
+            # evaluate only after draining the ready connections: a
+            # blocking restart leaves minutes of queued samples in the
+            # survivors' pipes, and ticking before reading them would
+            # misread that backlog as silence
+            if next_tick is not None and time.monotonic() >= next_tick:
+                if on_tick is not None:
+                    on_tick()
+                next_tick = time.monotonic() + tick_s
+
+        for _proc, parent in workers.values():
+            try:
+                parent.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        join_deadline = time.monotonic() + _STOP_GRACE_S + 5.0
+        for proc, _parent in workers.values():
+            proc.join(timeout=max(0.1, join_deadline - time.monotonic()))
+        return [results[w] for w in range(n_workers)]
+    finally:
+        if chaos_timer is not None:
+            chaos_timer.cancel()
+        _teardown(all_workers)
+
+
+def _restart_worker(ctx, spec: MpRunSpec, config: Any, worker_id: int,
+                    n_workers: int, workers: dict[int, tuple],
+                    ports: dict[int, int], generations: dict[int, int],
+                    run_start: float,
+                    deadline: float) -> tuple:
+    """Replace a dead worker in a running fleet; returns the new
+    (proc, conn) pair (also installed into ``workers``)."""
+    dead_proc, dead_conn = workers[worker_id]
+    dead_gen = generations[worker_id]
+    dead_proc.join(timeout=5.0)
+    if dead_proc.is_alive():
+        dead_proc.kill()
+        dead_proc.join(timeout=5.0)
+    try:
+        dead_conn.close()
+    except Exception:
+        pass
+    # survivors must stop waiting on the dead generation (and reap its
+    # locks) before the replacement starts issuing new-generation txns
+    for sw, (_proc, sconn) in workers.items():
+        if sw != worker_id:
+            try:
+                sconn.send(("peer_down", worker_id, dead_gen))
+            except (BrokenPipeError, OSError):
+                pass
+    generations[worker_id] = dead_gen + 1
+    resume_at_us = (time.monotonic() - run_start) * 1e6
+    replacement = _spawn_worker(ctx, spec, config, worker_id, n_workers,
+                                dead_gen + 1, resume_at_us)
+    workers[worker_id] = replacement
+    # private handshake: the newcomer rebuilds (workload population can
+    # take a while), advertises, and gets the current fleet map
+    port = _collect(workers, {worker_id}, "port", deadline)[worker_id]
+    ports[worker_id] = port
+    replacement[1].send(("ports", dict(ports)))
+    for sw, (_proc, sconn) in workers.items():
+        if sw != worker_id:
+            try:
+                sconn.send(("rewire", worker_id, port, dead_gen))
+            except (BrokenPipeError, OSError):
+                pass
+    return replacement
+
+
+def _collect(workers: dict[int, tuple], worker_ids: set[int], tag: str,
+             deadline: float) -> dict[int, Any]:
+    """Gather one ``(tag, worker_id, value)`` message from each of
+    ``worker_ids``, surfacing worker errors, deaths, and timeouts as
+    MpRunError."""
+    by_conn = {workers[w][1]: w for w in worker_ids}
+    pending = set(by_conn)
+    out: dict[int, Any] = {}
+    while pending:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise MpRunError(
+                f"timed out waiting for {len(pending)} worker(s) to "
+                f"report {tag!r} (raise RunConfig.mp_run_timeout_s if the "
+                f"run is legitimately long)")
+        ready = multiprocessing.connection.wait(pending,
+                                                timeout=remaining)
+        for conn in ready:
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                proc = workers[by_conn[conn]][0]
+                raise MpRunError(
+                    f"worker {proc.name} died before reporting {tag!r} "
+                    f"(exit code {proc.exitcode})") from None
+            if msg[0] == "error":
+                raise MpRunError(
+                    f"worker {msg[1]} failed:\n{msg[2]}")
+            if msg[0] != tag:
+                raise MpRunError(f"protocol error: expected {tag!r}, "
+                                 f"worker sent {msg[0]!r}")
+            out[msg[1]] = msg[2]
+            pending.discard(conn)
+    return out
+
+
+def _teardown(workers: list[tuple]) -> None:
+    """Join every worker incarnation, escalating so none can leak."""
+    for proc, _parent in workers:
+        if proc.is_alive():
+            proc.terminate()
+    for proc, _parent in workers:
+        if proc.is_alive():
+            proc.join(timeout=5.0)
+    for proc, _parent in workers:
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=5.0)
+    for _proc, parent in workers:
+        try:
+            parent.close()
+        except Exception:
+            pass

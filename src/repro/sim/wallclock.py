@@ -1,0 +1,651 @@
+"""The wall-clock world: one runtime, one engine facade, one cluster.
+
+Where :class:`~repro.sim.runtime.EffectRuntime` interprets effects
+against a discrete-event clock, :class:`WallClockRuntime` interprets
+the identical vocabulary (``Compute``, ``OneSided``,
+``BatchedOneSided``, ``Rpc``, ``All``, ``Await``, ``Sleep``) on an
+asyncio event loop in wall-clock time.  A :class:`WorkerCluster` quacks
+like :class:`~repro.sim.cluster.Cluster` — same ``servers`` /
+``engine()`` / ``network.stats`` / ``sim.now`` surface — so
+:class:`~repro.txn.database.Database`, every executor and the harness
+run unchanged on it.
+
+A cluster is one *worker's* view of the N servers.  Servers the worker
+**owns** (``server_id % n_workers == worker_id``) are reached in-process
+through ``loop.call_soon``; **foreign** servers are reached as codec
+frames over the worker's transport (:mod:`repro.sim.transport`): op
+descriptors for verbs, token-routed envelopes for RPCs and one-way
+messages.  Nothing else distinguishes the two wall-clock backends:
+
+* ``backend="aio"`` is this cluster with one worker that owns every
+  server, no transport, and :meth:`WorkerCluster.run` driving the loop
+  in the calling process;
+* ``backend="mp"`` is the same classes with each worker in its own OS
+  process under :mod:`repro.sim.supervisor`, which hands every worker a
+  transport and drives :meth:`WorkerCluster.serving` itself.
+
+This module imports neither sockets nor processes (linted by
+``tests/sim/test_layering.py``).
+
+**Determinism caveat.**  Runs are wall-clock and scheduling-dependent.
+Commit/abort *decisions* of contention-free programs are identical on
+sim, aio and mp at every worker count (the conformance suite asserts
+this); counts under contention are not bit-reproducible.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import contextlib
+from typing import Any, Callable
+
+from ..obs.tracer import VERB_PHASES
+from .aio_runtime import AioClock, AioNetwork
+from .cluster import Server
+from .codec import (PEER_DOWN, CodecError, WireOneWay, WireRpc, WireRpcReply,
+                    WireVerbReply, WireVerbs, decode_op, encode_op)
+from .effects import Coroutine, OneWay
+from .network import NetworkConfig
+from .runtime import EffectRuntimeBase, _payload_kind, _RpcRequest
+
+
+class WallClockRuntime(EffectRuntimeBase):
+    """Interprets the effect vocabulary for one server of one worker.
+
+    ``Compute`` yields the loop (cost is *recorded*, not slept — the
+    wall-clock backends measure what the hardware does instead of
+    modelling it); ``Sleep`` maps to ``call_later``; verbs and messages
+    to owned servers run in a later loop turn, everything else is
+    encoded through the wire codec and crosses the transport to the
+    owning worker.  Effect *semantics* — fan-in, batching grouping, RPC
+    plumbing — come from :class:`~repro.sim.runtime.EffectRuntimeBase`.
+    """
+
+    __slots__ = ("_cluster", "network", "cpu_us", "_verb_pending",
+                 "_rpc_pending", "_next_token")
+
+    def __init__(self, cluster: "WorkerCluster", server_id: int):
+        super().__init__(server_id)
+        self._cluster = cluster
+        self.network = cluster.network
+        self.cpu_us = 0.0
+        """Accumulated Compute cost (recorded, not slept)."""
+        self._verb_pending: dict[int, tuple[Callable, bool, int, int]] = {}
+        """token -> (cont, batched, dst_worker, n_ops)"""
+        self._rpc_pending: dict[int, tuple[Callable[[Any], None], int]] = {}
+        """token -> (cont, dst_worker)"""
+        self._next_token = 0
+
+    # -- base-class hooks --------------------------------------------------
+
+    def _task_started(self) -> None:
+        self._cluster._task_started()
+
+    def _task_finished(self) -> None:
+        self._cluster._task_finished()
+
+    def perform(self, effect, cont) -> None:
+        self._cluster.clock.events_fired += 1
+        super().perform(effect, cont)
+
+    def _batching_enabled(self) -> bool:
+        return self.network.config.doorbell_batching
+
+    def _defer(self, fn: Callable[[], None]) -> None:
+        self._cluster.loop.call_soon(fn)
+
+    def _do_compute(self, cost: float,
+                    cont: Callable[[Any], None]) -> None:
+        self.cpu_us += cost
+        self._cluster.loop.call_soon(cont, None)
+
+    def _do_sleep(self, delay: float,
+                  cont: Callable[[Any], None]) -> None:
+        if delay <= 0.0:
+            self._cluster.loop.call_soon(cont, None)
+            return
+        self._cluster.loop.call_later(delay * 1e-6, cont, None)
+
+    # -- verbs -------------------------------------------------------------
+
+    def _one_sided(self, target: int, op: Callable[[], Any],
+                   cont: Callable[[Any], None],
+                   kind: str, nbytes: int | None) -> None:
+        # Cross-worker verbs are accounted at their *actual* encoded
+        # frame size (the codec knows better than any estimate); verbs
+        # staying inside this worker keep the model's nominal sizes, as
+        # no frame ever exists for them.
+        if self._cluster.owns(target):
+            self.network.stats.record_one_sided(
+                kind, nbytes, remote=target != self.server_id,
+                server=self.server_id)
+            self._cluster.loop.call_soon(lambda: cont(op()))
+            return
+        sent = self._send_verbs(
+            target, (op,), cont, batched=False,
+            effect=f"OneSided(kind={kind!r}) to server {target}")
+        self.network.stats.record_one_sided(kind, sent, remote=True,
+                                            server=self.server_id)
+
+    def _one_sided_batch(self, target, ops, cont, kinds) -> None:
+        if self._cluster.owns(target):
+            self.network.stats.record_batch(kinds, server=self.server_id)
+            self._cluster.loop.call_soon(
+                lambda: cont([op() for op in ops]))
+            return
+        kind = kinds[0][0] if kinds else "one_sided"
+        sent = self._send_verbs(
+            target, tuple(ops), cont, batched=True,
+            effect=(f"BatchedOneSided(kind={kind!r}, {len(ops)} verbs) "
+                    f"to server {target}"))
+        # one frame carried the whole chain: split its real size across
+        # the verbs so per-kind byte books still sum to wire bytes
+        per = sent // len(ops)
+        first = sent - per * (len(ops) - 1)
+        self.network.stats.record_batch(
+            [(k, first if i == 0 else per)
+             for i, (k, _nb) in enumerate(kinds)],
+            server=self.server_id)
+
+    def _send_verbs(self, target: int, ops: tuple, cont: Callable,
+                    batched: bool, effect: str) -> int:
+        dst_worker = self._cluster.owner_of(target)
+        if self._cluster.peer_is_down(dst_worker):
+            # fail fast instead of queueing for a dead process: the
+            # caller sees a peer_down status and aborts (retryably)
+            result = [PEER_DOWN] * len(ops) if batched else PEER_DOWN
+            self._cluster.loop.call_soon(cont, result)
+            return 0
+        specs = tuple(encode_op(op, effect) for op in ops)
+        token = self._next_token
+        self._next_token += 1
+        self._verb_pending[token] = (cont, batched, dst_worker, len(ops))
+        return self._cluster.transport.send(
+            self.server_id, target,
+            WireVerbs(token, specs, batched, self.current_trace),
+            what=effect)
+
+    # -- messages ----------------------------------------------------------
+
+    def send_rpc(self, effect, cont: Callable[[Any], None]) -> None:
+        target = effect.target
+        kind = _payload_kind(effect.payload, "rpc")
+        if self._cluster.owns(target):
+            self.network.stats.record_message(
+                kind, self.network.config.message_bytes(effect.payload),
+                remote=target != self.server_id, server=self.server_id)
+            self._cluster.deliver_local(
+                target, self.server_id,
+                _RpcRequest(self.server_id, effect.payload, cont,
+                            self.current_trace))
+            return
+        dst_worker = self._cluster.owner_of(target)
+        if self._cluster.peer_is_down(dst_worker):
+            self._cluster.loop.call_soon(cont, PEER_DOWN)
+            return
+        token = self._next_token
+        self._next_token += 1
+        self._rpc_pending[token] = (cont, dst_worker)
+        sent = self._cluster.transport.send(
+            self.server_id, target,
+            WireRpc(token, effect.payload, self.current_trace),
+            what=effect.describe())
+        self.network.stats.record_message(kind, sent, remote=True,
+                                          server=self.server_id)
+
+    def post(self, target: int, payload: Any,
+             nbytes: int | None = None) -> None:
+        kind = _payload_kind(payload, "one_way")
+        if self._cluster.owns(target):
+            if nbytes is None:
+                nbytes = self.network.config.message_bytes(payload)
+            self.network.stats.record_message(
+                kind, nbytes, remote=target != self.server_id,
+                server=self.server_id)
+            self._cluster.deliver_local(target, self.server_id,
+                                        OneWay(payload))
+            return
+        if self._cluster.peer_is_down(self._cluster.owner_of(target)):
+            return  # one-way to a dead worker: dropped, like the wire would
+        sent = self._cluster.transport.send(
+            self.server_id, target, WireOneWay(payload),
+            what=f"one-way message (kind={kind!r}) to server {target}")
+        self.network.stats.record_message(kind, sent, remote=True,
+                                          server=self.server_id)
+
+    def send_payload(self, target: int, payload: Any, kind: str,
+                     size_of: Any, nbytes: int | None = None) -> None:
+        # Only in-process plumbing wrappers (RPC request/reply objects
+        # carrying live continuations) reach this hook; cross-worker
+        # traffic goes through the wire forms above.
+        if nbytes is None:
+            nbytes = self.network.config.message_bytes(size_of)
+        self.network.stats.record_message(
+            kind, nbytes, remote=target != self.server_id,
+            server=self.server_id)
+        if not self._cluster.owns(target):
+            raise CodecError(
+                f"in-process payload {payload!r} addressed to foreign "
+                f"server {target}; this is a runtime routing bug")
+        self._cluster.deliver_local(target, self.server_id, payload)
+
+    # -- wire delivery -----------------------------------------------------
+
+    def on_transport(self, src: int, wire: Any) -> None:
+        """Handle one decoded wire envelope addressed to this server."""
+        if isinstance(wire, WireVerbs):
+            traced = wire.trace and self.tracer.enabled
+            t0 = self._cluster.sim.now if traced else 0.0
+            values = []
+            for spec in wire.specs:
+                op = decode_op(spec).bind(self.dispatch_context)
+                values.append(op())
+            if traced:
+                # server-side half of the trace tree: which participant
+                # executed the verbs, attributed by verb kind
+                self.tracer.span(wire.trace, 0, 0, self.server_id,
+                                 VERB_PHASES.get(wire.specs[0][0], "read"),
+                                 t0, self._cluster.sim.now)
+            if self._cluster.peer_is_down(self._cluster.owner_of(src)):
+                return  # the requester died since asking
+            self._cluster.transport.send(
+                self.server_id, src,
+                WireVerbReply(wire.token, tuple(values), wire.batched),
+                what="a verb reply")
+        elif isinstance(wire, WireVerbReply):
+            entry = self._verb_pending.pop(wire.token, None)
+            if entry is None:
+                return  # reply meant for this worker's dead predecessor
+            cont, batched = entry[0], entry[1]
+            values = list(wire.values)
+            cont(values if batched else values[0])
+        elif isinstance(wire, WireRpc):
+            if self.rpc_handler is None:
+                raise RuntimeError(
+                    f"server {self.server_id} received an RPC but has no "
+                    f"handler installed")
+
+            def reply(value: Any, token: int = wire.token,
+                      requester: int = src) -> None:
+                if self._cluster.peer_is_down(
+                        self._cluster.owner_of(requester)):
+                    return
+                sent = self._cluster.transport.send(
+                    self.server_id, requester, WireRpcReply(token, value),
+                    what="an RPC reply")
+                self.network.stats.record_message(
+                    "rpc_reply", sent, remote=True, server=self.server_id)
+
+            self.spawn(self.rpc_handler(src, wire.payload), on_done=reply,
+                       trace=wire.trace)
+        elif isinstance(wire, WireRpcReply):
+            entry = self._rpc_pending.pop(wire.token, None)
+            if entry is not None:
+                entry[0](wire.value)
+        elif isinstance(wire, WireOneWay):
+            self.on_message(src, OneWay(wire.payload))
+        else:
+            raise TypeError(f"unexpected wire payload {wire!r}")
+
+    def resolve_peer_pendings(self, worker: int) -> None:
+        """Complete every in-flight request addressed to a dead worker
+        with PEER_DOWN, so no coordinator hangs on a reply that will
+        never come (the commit FSM turns the status into a retryable
+        abort)."""
+        for token in [t for t, e in self._verb_pending.items()
+                      if e[2] == worker]:
+            cont, batched, _w, n_ops = self._verb_pending.pop(token)
+            result = [PEER_DOWN] * n_ops if batched else PEER_DOWN
+            self._cluster.loop.call_soon(cont, result)
+        for token in [t for t, e in self._rpc_pending.items()
+                      if e[1] == worker]:
+            cont, _w = self._rpc_pending.pop(token)
+            self._cluster.loop.call_soon(cont, PEER_DOWN)
+
+
+class WallClockEngine:
+    """Per-server facade over one :class:`WallClockRuntime` (same
+    surface as :class:`~repro.sim.coroutines.Engine`: ``spawn``,
+    ``post``, ``set_rpc_handler``, ``active_tasks``), so the database
+    layer wires RPC dispatch identically on every backend."""
+
+    def __init__(self, cluster: "WorkerCluster", server_id: int):
+        self.server_id = server_id
+        self._cluster = cluster
+        self.runtime = WallClockRuntime(cluster, server_id)
+
+    @property
+    def active_tasks(self) -> int:
+        return self.runtime.active_tasks
+
+    def set_rpc_handler(self,
+                        handler: Callable[[int, Any], Coroutine]) -> None:
+        self.runtime.rpc_handler = handler
+
+    def spawn(self, gen: Coroutine,
+              on_done: Callable[[Any], None] | None = None) -> None:
+        self._cluster._spawn(self.runtime, gen, on_done)
+
+    def post(self, target: int, payload: Any,
+             nbytes: int | None = None) -> None:
+        self.runtime.post(target, payload, nbytes)
+
+
+class _NoWire:
+    """Transport of a worker that owns every server: nothing to carry,
+    so always idle (a ``send`` would be a routing bug and is absent)."""
+
+    wire_bytes_sent = 0
+
+    async def start(self, loop: asyncio.AbstractEventLoop) -> None:
+        pass
+
+    async def stop(self) -> None:
+        pass
+
+    def idle(self) -> bool:
+        return True
+
+
+class WorkerCluster:
+    """One worker's view of the N-server cluster.
+
+    Presents the full ``servers`` / ``engine()`` / ``network`` / ``sim``
+    surface so the database layer wires storage and RPC dispatch for
+    every server — but only the servers this worker *owns* execute
+    anything; its local copies of foreign partitions are never touched
+    after loading.  Spawns before the loop is up are buffered and
+    released by :meth:`serving`.
+    """
+
+    def __init__(self, n_servers: int, config: NetworkConfig | None = None,
+                 *, worker_id: int = 0, n_workers: int = 1,
+                 generation: int = 0, run_timeout_s: float | None = 120.0):
+        if not 0 <= worker_id < n_workers <= n_servers:
+            raise ValueError(f"bad worker topology: worker {worker_id} of "
+                             f"{n_workers} over {n_servers} servers")
+        self.n_workers = n_workers
+        self.worker_id = worker_id
+        self.generation = generation
+        """Restart count of this worker slot: 0 for an original spawn,
+        incremented each time the supervisor respawns it after a death."""
+        self.clock = AioClock()
+        self.sim = self.clock  # Database/harness read .sim.now
+        self.network = AioNetwork(config)
+        self.transport: Any = _NoWire()
+        self.run_timeout_s = run_timeout_s
+        """Hang guard of the in-process :meth:`run` (the supervisor
+        bounds mp runs from the parent instead)."""
+        self.on_tick: Callable[[], Any] | None = None
+        """Observer called every ``tick_interval_s`` of wall clock while
+        the loop runs (the metrics timeline samples here).  An exception
+        from it is fatal to the run, so a health-watchdog abort
+        propagates out of :meth:`run`."""
+        self.tick_interval_s: float | None = None
+        self.metrics_sampler = None
+        """Timeline sampler the mp bench driver installs; the
+        supervisor's worker loop ships its rows to the parent."""
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self._pending_spawns: list[tuple] = []
+        self._active = 0
+        self._idle: asyncio.Event | None = None
+        self._error: BaseException | None = None
+        self._tick_handle: asyncio.TimerHandle | None = None
+        self._claimed = False
+        self.wire_tables: tuple = ()
+        self.recovery_enabled = False
+        self.resume_at_us = 0.0
+        self.peer_down_hooks: list[Callable] = []
+        """Called as ``hook(worker, dead_generation)`` when a peer dies
+        (the database layer reaps the dead generation's locks here)."""
+        self._down_workers: set[int] = set()
+        self.servers = [Server(i, WallClockEngine(self, i))
+                        for i in range(n_servers)]
+
+    def __len__(self) -> int:
+        return len(self.servers)
+
+    def server(self, server_id: int) -> Server:
+        return self.servers[server_id]
+
+    def engine(self, server_id: int) -> WallClockEngine:
+        return self.servers[server_id].engine
+
+    # -- topology ----------------------------------------------------------
+
+    def owns(self, server_id: int) -> bool:
+        return server_id % self.n_workers == self.worker_id
+
+    def owner_of(self, server_id: int) -> int:
+        return server_id % self.n_workers
+
+    def owned_servers(self) -> list[int]:
+        return [s.id for s in self.servers if self.owns(s.id)]
+
+    def txn_namespace(self) -> int:
+        """Txn-id namespace for this worker *generation*.  The modulo
+        identity ``namespace % n_workers == worker_id`` survives
+        restarts (lock owners remain attributable to their worker slot)
+        while ``namespace // n_workers`` is the generation, so a
+        respawn never reuses its predecessor's transaction ids."""
+        return self.worker_id + self.generation * self.n_workers
+
+    def peer_is_down(self, worker: int) -> bool:
+        return worker in self._down_workers
+
+    def fail_peer(self, worker: int, dead_generation: int = 0) -> None:
+        """A peer worker died: stop routing to it, complete in-flight
+        requests with PEER_DOWN, and reap the dead generation's locks.
+        Idempotent — the parent's announcement and a transport-level
+        connection error may both report the same death."""
+        if worker == self.worker_id:
+            return
+        if worker not in self._down_workers:
+            self._down_workers.add(worker)
+            self.transport.fail_peer(worker)
+            for server in self.servers:
+                if self.owns(server.id):
+                    server.engine.runtime.resolve_peer_pendings(worker)
+        # hooks re-run on repeat reports: a transport-level detection
+        # fires with dead_generation=0, the parent's announcement later
+        # supplies the exact generation to reap
+        for hook in self.peer_down_hooks:
+            hook(worker, dead_generation)
+
+    def rewire_peer(self, worker: int, advert: Any,
+                    dead_generation: int = 0) -> None:
+        """The parent respawned a dead peer: reattach its channel and
+        re-reap the dead generation's locks (a straggler frame from the
+        dead generation may have re-taken one after the first reap)."""
+        self._down_workers.discard(worker)
+        self.transport.rewire(worker, advert)
+        for hook in self.peer_down_hooks:
+            hook(worker, dead_generation)
+
+    def register_wire_tables(self, names) -> None:
+        """The packed codec's table registry (called by the database
+        layer during the build, i.e. before the transport exists).
+
+        Every worker rebuilds the database deterministically from the
+        same spec, so every worker derives the *same* ordered name
+        list — that shared derivation is the codec "negotiation"; no
+        bytes are exchanged."""
+        self.wire_tables = tuple(names)
+
+    def _claim(self, n_partitions: int) -> "WorkerCluster":
+        if self._claimed:
+            raise RuntimeError("the spec builder must create exactly one "
+                               "cluster per worker (make_cluster called "
+                               "twice)")
+        if n_partitions != len(self.servers):
+            raise ValueError(f"builder asked for {n_partitions} partitions "
+                             f"but this worker serves {len(self.servers)}")
+        self._claimed = True
+        return self
+
+    # -- task latch & spawning ---------------------------------------------
+
+    def _spawn(self, runtime: WallClockRuntime, gen: Coroutine,
+               on_done: Callable[[Any], None] | None) -> None:
+        if not self.owns(runtime.server_id):
+            raise ValueError(
+                f"worker {self.worker_id} cannot drive tasks for foreign "
+                f"server {runtime.server_id}")
+        if self.loop is None:
+            self._pending_spawns.append((runtime, gen, on_done))
+        else:
+            runtime.spawn(gen, on_done)
+
+    def _task_started(self) -> None:
+        self._active += 1
+        if self._idle is not None:
+            self._idle.clear()
+
+    def _task_finished(self) -> None:
+        self._active -= 1
+        if self._active == 0 and self._idle is not None:
+            self._idle.set()
+
+    # -- delivery & failure -------------------------------------------------
+
+    def deliver_local(self, dst: int, src: int, payload: Any) -> None:
+        runtime = self.engine(dst).runtime
+
+        def arrive() -> None:
+            try:
+                runtime.on_message(src, payload)
+            except BaseException as exc:  # noqa: BLE001 - fatal for the run
+                self._fatal(exc)
+
+        self.loop.call_soon(arrive)
+
+    def _deliver_wire(self, dst: int, src: int, wire: Any) -> None:
+        if not self.owns(dst):
+            self._fatal(RuntimeError(
+                f"worker {self.worker_id} received a frame for foreign "
+                f"server {dst} (routing bug)"))
+            return
+        try:
+            self.engine(dst).runtime.on_transport(src, wire)
+        except BaseException as exc:  # noqa: BLE001 - fatal for the run
+            self._fatal(exc)
+
+    def _fatal(self, exc: BaseException) -> None:
+        if self._error is None:
+            self._error = exc
+        if self._idle is not None:
+            self._idle.set()  # wake _drain so the driver can re-raise
+
+    def _loop_exception(self, loop: asyncio.AbstractEventLoop,
+                        context: dict) -> None:
+        # callback exceptions (a verb op raising at its target, a
+        # Compute/Sleep continuation stepping onto a bug) land here
+        self._fatal(context.get("exception")
+                    or RuntimeError(context.get("message",
+                                                "event loop error")))
+
+    def _tick(self) -> None:
+        if self.on_tick is None:
+            return  # observer detached: stop rescheduling
+        try:
+            self.on_tick()
+        except BaseException as exc:  # noqa: BLE001 - fatal for the run
+            self._fatal(exc)
+            return
+        self._tick_handle = self.loop.call_later(self.tick_interval_s,
+                                                 self._tick)
+
+    # -- driving -----------------------------------------------------------
+
+    @contextlib.asynccontextmanager
+    async def serving(self, transport: Any = None):
+        """Bring the worker up on the running loop — latch, failure
+        routing, transport, clock, tick observer, buffered spawns — and
+        take it down again on the way out.  The one loop set-up both
+        :meth:`run` and the supervisor's worker loop use."""
+        self.loop = loop = asyncio.get_running_loop()
+        self._idle = asyncio.Event()
+        self._error = None
+        # a previous aborted run may have left tasks that can never
+        # finish (their continuations died with that run's loop); the
+        # latch tracks only this run's work
+        self._active = 0
+        loop.set_exception_handler(self._loop_exception)
+        if transport is not None:
+            self.transport = transport
+        try:
+            await self.transport.start(loop)
+            # a respawned generation rejoins the fleet's elapsed
+            # timeline instead of re-admitting a full horizon from zero
+            self.clock.start(self.resume_at_us)
+            if self.on_tick is not None and self.tick_interval_s:
+                self._tick_handle = loop.call_later(self.tick_interval_s,
+                                                    self._tick)
+            pending, self._pending_spawns = self._pending_spawns, []
+            for runtime, gen, on_done in pending:
+                runtime.spawn(gen, on_done)
+            if self._active == 0:
+                self._idle.set()
+            yield
+        finally:
+            if self._tick_handle is not None:
+                self._tick_handle.cancel()
+                self._tick_handle = None
+            await self.transport.stop()
+            self.loop = None
+
+    def run(self, max_events: int | None = None) -> None:
+        """Run the loop in the calling process until all spawned work
+        (and everything it spawned, RPC handlers included) completes.
+
+        ``max_events`` exists for signature compatibility with the
+        simulated cluster and is not supported here.
+        """
+        if max_events is not None:
+            raise ValueError("max_events is a simulator concept; the "
+                             "wall-clock backends run to completion")
+        if self.n_workers != 1:
+            raise RuntimeError("a worker with foreign servers is driven by "
+                               "the supervisor's serve loop, not run(); "
+                               "drive mp runs through run_mp_benchmark / "
+                               "TpccRun.run() in the parent")
+        asyncio.run(self._main())
+
+    async def _main(self) -> None:
+        async with self.serving():
+            if self.run_timeout_s is None:
+                await self._drain()
+            else:
+                await asyncio.wait_for(self._drain(), self.run_timeout_s)
+        if self._error is not None:
+            raise self._error
+
+    async def _drain(self) -> None:
+        """Local quiescence: no active task after settling, transport
+        outbound flushed.
+
+        The latch can transiently read zero while a fire-and-forget
+        message is in a ``call_soon`` hop (its handler task has not
+        spawned yet), so quiescence requires the latch still zero after
+        yielding to pending deliveries.  A recorded fatal error ends
+        the drain immediately; the driver re-raises it.
+        """
+        while True:
+            await self._idle.wait()
+            if self._error is not None:
+                return
+            settled = True
+            for _ in range(4):
+                await asyncio.sleep(0)
+                if self._active or self._error is not None:
+                    settled = False
+                    break
+            if not settled:
+                if self._error is not None:
+                    return
+                continue
+            if not self.transport.idle():
+                await asyncio.sleep(0.001)
+                continue
+            if self._active == 0:
+                return

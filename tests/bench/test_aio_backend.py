@@ -11,7 +11,8 @@ from repro.analysis import ProcedureRegistry
 from repro.bench import RunConfig, build_database, make_cluster, run_benchmark
 from repro.bench.setups import make_tpcc_run
 from repro.partitioning import HashScheme
-from repro.sim import AioCluster, Cluster
+from repro.sim import Cluster
+from repro.sim import WorkerCluster as AioCluster
 from repro.storage import Catalog
 from repro.txn import TwoPLExecutor
 from repro.workloads.ycsb import YcsbWorkload, expected_counter_total

@@ -1,4 +1,4 @@
-"""Shared helpers for the sim/aio runtime test suites."""
+"""Shared helpers for the sim/wall-clock runtime test suites."""
 
 import pytest
 
@@ -7,7 +7,7 @@ import pytest
 def run_program():
     """Spawn one program on server 0, run the cluster, return its result.
 
-    Works on any cluster-like object (`Cluster` or `AioCluster`): both
+    Works on any cluster-like object (`Cluster` or `WorkerCluster`): both
     expose ``engine(i).spawn`` and ``run()``.
     """
     def run(cluster, gen):

@@ -1,77 +1,16 @@
-"""Asyncio-backend specifics: transports, clock, latch, wire accounting.
+"""In-process wall-clock backend specifics: clock, latch, accounting.
 
 Effect *semantics* are covered by the conformance suite
-(`test_conformance.py`); this file tests what is unique to the asyncio
-backend — the TCP wire protocol, the wall clock, run-to-quiescence, and
-the wire/local traffic split.
+(`test_conformance.py`) and the wire by `test_transport.py`; this file
+tests what is unique to running the wall-clock cluster in-process
+(``backend="aio"``: one worker that owns every server) — the wall
+clock, run-to-quiescence, and the wire/local traffic split.
 """
 
 import pytest
 
-from repro.sim import (AioCluster, All, Compute, NetworkConfig, OneSided,
-                      Rpc, Sleep, TcpTransport)
-
-
-# -- TCP transport -----------------------------------------------------------
-
-
-def test_tcp_transport_round_trips_effects(run_program):
-    cluster = AioCluster(3, transport="tcp")
-
-    def handler(src, request):
-        value = yield OneSided(2, lambda: request * 2)
-        return value
-
-    cluster.engine(1).set_rpc_handler(handler)
-
-    def txn():
-        verbs = yield All([OneSided(1, lambda: "a"),
-                           OneSided(2, lambda: "b")])
-        reply = yield Rpc(1, 21)
-        return (verbs, reply)
-
-    assert run_program(cluster, txn()) == (["a", "b"], 42)
-
-
-def test_tcp_transport_sends_real_frames(run_program):
-    cluster = AioCluster(2, transport="tcp")
-
-    def txn():
-        yield OneSided(1, lambda: None, nbytes=400)
-
-    run_program(cluster, txn())
-    transport = cluster.transport
-    assert isinstance(transport, TcpTransport)
-    # request frame + reply frame, both length-prefixed pickles
-    assert transport.frames_sent == 2
-    # the 400-byte accounted payload is padded onto the wire
-    assert transport.wire_bytes_sent > 400
-    assert transport.idle()
-
-
-def test_tcp_messages_fifo_per_channel(run_program):
-    cluster = AioCluster(2, transport="tcp")
-    received = []
-
-    def handler(src, request):
-        received.append(request)
-        return None
-        yield  # pragma: no cover - generator marker
-
-    cluster.engine(1).set_rpc_handler(handler)
-
-    def txn():
-        for i in range(50):
-            cluster.engine(0).post(1, i)
-        yield Sleep(20_000.0)
-
-    run_program(cluster, txn())
-    assert received == list(range(50))
-
-
-def test_unknown_transport_name_rejected():
-    with pytest.raises(ValueError):
-        AioCluster(2, transport="carrier-pigeon")
+from repro.sim import Compute, OneSided, Rpc, Sleep
+from repro.sim import WorkerCluster as AioCluster
 
 
 # -- clock and run loop ------------------------------------------------------
@@ -143,7 +82,7 @@ def test_max_events_is_rejected():
 def test_cluster_is_reusable_after_an_aborted_run(run_program):
     """A run killed by a raising verb op must not poison the next run:
     the task latch and the transport escrow both reset."""
-    cluster = AioCluster(2, transport="tcp", run_timeout_s=10.0)
+    cluster = AioCluster(2, run_timeout_s=10.0)
 
     def bad():
         yield OneSided(1, lambda: 1 / 0)

@@ -270,13 +270,3 @@ def test_wire_pickle_protocol_is_pinned_and_asserted():
     assert frame[1] == WIRE_PICKLE_PROTOCOL
     wire = pickle.loads(frame)
     assert wire.token == 1 and wire.batched is False
-
-
-def test_aio_codec_body_uses_pinned_protocol():
-    from repro.sim.aio_runtime import _codec_body
-    from repro.sim.codec import WIRE_PICKLE_PROTOCOL
-    from repro.sim.effects import OneWay
-
-    body = _codec_body(OneWay(("kind", "payload")))
-    assert body is not None
-    assert body[1] == WIRE_PICKLE_PROTOCOL

@@ -1,18 +1,19 @@
 """Effect-semantics conformance: both runtimes, one meaning.
 
 Every test here runs the same effect program against the simulated
-backend (`Cluster` / `EffectRuntime`) and the asyncio backend
-(`AioCluster` / `AsyncioEffectRuntime` over the loopback transport) and
-asserts identical results and ordering guarantees.  What the backends
-may differ on is *cost* (simulated microseconds vs. wall time); what
-they must never differ on is what an effect returns, the order of an
+backend (`Cluster` / `EffectRuntime`) and the in-process wall-clock
+backend (`WorkerCluster` / `WallClockRuntime`, one worker owning every
+server) and asserts identical results and ordering guarantees.  What
+the backends may differ on is *cost* (simulated microseconds vs. wall
+time); what they must never differ on is what an effect returns, the order of an
 ``All``'s results, per-channel FIFO, or RPC plumbing.
 """
 
 import pytest
 
-from repro.sim import (AioCluster, All, Await, BatchedOneSided, Cluster,
-                       Compute, NetworkConfig, OneSided, Rpc, Signal, Sleep)
+from repro.sim import (All, Await, BatchedOneSided, Cluster, Compute,
+                       NetworkConfig, OneSided, Rpc, Signal, Sleep)
+from repro.sim import WorkerCluster as AioCluster
 
 BATCH_CFG = NetworkConfig(doorbell_batching=True)
 
@@ -22,7 +23,7 @@ def make_cluster(request):
     def make(n=3, config=None):
         if request.param == "sim":
             return Cluster(n, config)
-        return AioCluster(n, config, transport="loopback")
+        return AioCluster(n, config)
     return make
 
 
@@ -327,7 +328,6 @@ def test_composite_program_gives_identical_results_on_both_backends():
         return out[0]
 
     sim_result = build_and_run(Cluster(3, BATCH_CFG))
-    aio_result = build_and_run(AioCluster(3, BATCH_CFG,
-                                          transport="loopback"))
+    aio_result = build_and_run(AioCluster(3, BATCH_CFG))
     assert sim_result == aio_result
     assert sim_result == ((["r1", "l1", [1, 2]]), 11, "sig", [])

@@ -8,6 +8,7 @@ the children re-import them by reference.
 import asyncio
 import dataclasses
 import multiprocessing
+from functools import partial
 
 import pytest
 
@@ -18,10 +19,10 @@ from repro.bench.conformance import (DRIVER_HOME, build_conformance_run,
                                      conformance_requests, decision_program,
                                      run_conformance)
 from repro.bench.setups import make_tpcc_run
-from repro.sim import (MpRunError, MpRunSpec, MpTemplateCluster, OneSided,
-                       Sleep, run_mp_workers)
-from repro.sim.codec import WireVerbs
-from repro.sim.mp_runtime import MpWorkerTransport
+from repro.sim import (All, Await, BatchedOneSided, MpRunError, MpRunSpec,
+                       MpTemplateCluster, OneSided, Rpc, Signal, Sleep,
+                       TcpTransport, run_mp_workers)
+from repro.sim.codec import OpDescriptor, WireVerbs
 from repro.txn.common import seed_txn_ids
 
 
@@ -78,6 +79,140 @@ def test_identical_decisions_on_sim_aio_and_mp(executor):
     assert ("transfer", False, "read_miss") in sim
     assert run_conformance("aio", executor) == sim
     assert run_conformance("mp", executor) == sim
+    assert no_leaked_workers()
+
+
+# -- degenerate topologies ------------------------------------------------------
+#
+# aio *is* the mp runtime with one worker that owns every server.  The
+# same program must therefore give the same results, decisions and
+# local/wire accounting in-process, on one worker process, and on two —
+# only the bytes may differ (nominal sizes in-process, real frame sizes
+# across workers).
+
+TOPOLOGIES = [("aio", None), ("mp", 1), ("mp", 2)]
+SPLIT = ("one_sided_local", "one_sided_remote", "one_sided_batches",
+         "one_sided_batched_verbs", "messages_local", "messages")
+
+
+def build_topology_run(config, executor="2pl"):
+    """The conformance database plus two RPC kinds on every server:
+    ``echo`` (by-value reply) and ``finish`` (fires ``run.finished``)."""
+    run = build_conformance_run(config, executor)
+    run.finished = Signal()
+
+    def echo(server_id, src, body):
+        return (server_id, src, body)
+        yield  # pragma: no cover - generator marker
+
+    def finish(server_id, src, body):
+        if not run.finished.fired:
+            run.finished.fire(None)
+        return None
+        yield  # pragma: no cover - generator marker
+
+    run.database.register_rpc("echo", echo)
+    run.database.register_rpc("finish", finish)
+    return run
+
+
+def effect_program(run, out):
+    """Every message-moving effect, against both servers, by value."""
+    db = run.database
+
+    def read(server, key):
+        return OpDescriptor("plain_read", server, "accounts",
+                            key).bind(db.dispatch_context)
+
+    homes = {key: db.partition_of("accounts", key) for key in range(1, 9)}
+    out.append((yield OneSided(homes[1], read(homes[1], 1),
+                               kind="lock_read")))
+    out.append((yield All([OneSided(homes[k], read(homes[k], k),
+                                    kind="lock_read")
+                           for k in range(2, 7)])))
+    for server in (0, 1):
+        keys = [k for k in homes if homes[k] == server]
+        out.append((yield BatchedOneSided(
+            server, [read(server, k) for k in keys], kind="lock_read")))
+        out.append((yield Rpc(server, ("echo", keys))))
+
+
+def topology_driver(program, run, cluster, worker_id):
+    """Drive ``program`` from DRIVER_HOME's owner; report what it
+    produced and this worker's local/wire split.
+
+    A worker reports at its *local* quiescence, so one that only
+    serves would snapshot its counters before any request reached it.
+    It therefore holds a task open until the driver's last act — a
+    ``finish`` message to every server, FIFO behind everything else —
+    arrives."""
+    seed_txn_ids(worker_id)
+    out: list = []
+
+    def drive():
+        yield from program(run, out)
+        for server in range(len(cluster)):
+            cluster.engine(DRIVER_HOME).post(server, ("finish", None))
+
+    def serve_until_finished():
+        yield Await(run.finished)
+
+    if cluster.owns(DRIVER_HOME):
+        cluster.engine(DRIVER_HOME).spawn(drive())
+    else:
+        cluster.engine(cluster.owned_servers()[0]).spawn(
+            serve_until_finished())
+
+    def finalize() -> dict:
+        stats = cluster.network.stats
+        return {"out": out, "split": [getattr(stats, f) for f in SPLIT]}
+
+    return finalize
+
+
+def run_on_topology(topology, program, executor="2pl"):
+    backend, workers = topology
+    config = dataclasses.replace(conformance_config(backend,
+                                                    mp_workers=workers),
+                                 doorbell_batching=True)
+    if backend == "mp":
+        payloads = run_mp_workers(
+            MpRunSpec(builder=build_topology_run, args=(config,),
+                      kwargs={"executor": executor},
+                      driver=partial(topology_driver, program)), config)
+    else:
+        run = build_topology_run(config, executor)
+        cluster = run.database.cluster
+        finalize = topology_driver(program, run, cluster, 0)
+        cluster.run()
+        payloads = [finalize()]
+    [out] = [p["out"] for p in payloads if p["out"]]
+    split = [sum(column) for column in zip(*(p["split"] for p in payloads))]
+    return out, dict(zip(SPLIT, split))
+
+
+def test_effect_program_is_identical_on_every_topology():
+    results = [run_on_topology(t, effect_program) for t in TOPOLOGIES]
+    out, split = results[0]
+    assert len(out) == 6
+    assert [reply[:2] for reply in (out[3], out[5])] == [(0, 0), (1, 0)]
+    # both halves of the split are exercised, and the chains fused
+    assert split["one_sided_local"] and split["one_sided_remote"]
+    assert split["messages_local"] and split["messages"]
+    assert split["one_sided_batches"]
+    for other in results[1:]:
+        assert other == (out, split)
+    assert no_leaked_workers()
+
+
+@pytest.mark.parametrize("executor", ["2pl", "occ"])
+def test_conformance_program_is_identical_on_every_topology(executor):
+    sim = run_conformance("sim", executor)
+    results = [run_on_topology(t, decision_program, executor)
+               for t in TOPOLOGIES]
+    for decisions, split in results:
+        assert decisions == sim
+        assert split == results[0][1]
     assert no_leaked_workers()
 
 
@@ -172,30 +307,26 @@ def test_hung_worker_is_terminated_not_leaked():
     assert no_leaked_workers()
 
 
-# -- wire path: transport x codec ---------------------------------------------
+# -- wire path: the pickle escape hatch ----------------------------------------
 #
-# The fast wire path (shared-memory rings, struct-packed hot-verb
-# frames) must be invisible to decision logic: the conformance program
-# commits/aborts identically however its frames travel and however they
-# are encoded.
+# Struct-packed hot-verb frames must be invisible to decision logic: the
+# conformance program commits/aborts identically however its frames are
+# encoded.
 
 
 @pytest.mark.parametrize("executor", ["2pl", "occ"])
-@pytest.mark.parametrize("transport,codec", [("shm", "packed"),
-                                             ("shm", "pickle"),
-                                             ("tcp", "pickle")])
-def test_wire_path_conformance(executor, transport, codec):
+def test_pickle_codec_conformance(executor):
     sim = run_conformance("sim", executor)
-    assert run_conformance("mp", executor, mp_transport=transport,
-                           mp_codec=codec) == sim
+    assert run_conformance("mp", executor, mp_codec="pickle") == sim
     assert no_leaked_workers()
 
 
-def test_unknown_mp_transport_fails_loudly():
-    config = mp_config(mp_transport="carrier-pigeon")
+@pytest.mark.parametrize("knob", ["mp_transport", "mp_codec"])
+def test_unknown_wire_knob_fails_before_any_spawn(knob):
+    config = mp_config(**{knob: "carrier-pigeon"})
     spec = MpRunSpec(builder=build_conformance_run, args=(config,),
                      driver=null_driver)
-    with pytest.raises(MpRunError, match="carrier-pigeon"):
+    with pytest.raises(ValueError, match="carrier-pigeon"):
         run_mp_workers(spec, config)
     assert no_leaked_workers()
 
@@ -252,8 +383,7 @@ def test_idle_counts_popped_but_unwritten_frames():
     queue but not yet written to the socket must keep ``idle()`` False —
     quiescence on queue-emptiness alone would let a worker shut down
     with a frame still in this process."""
-    transport = MpWorkerTransport(_StubWorkerCluster(), listener=None,
-                                  ports={})
+    transport = TcpTransport(_StubWorkerCluster(), listener=None, ports={})
     transport._loop = object()  # "started", but no writer task runs
     queue = asyncio.Queue()
     transport._queues[1] = queue

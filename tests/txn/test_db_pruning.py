@@ -12,7 +12,7 @@ skipped, and the test asserts the memory win.
 from repro.analysis import ProcedureRegistry
 from repro.core import HotRecordTable
 from repro.partitioning import HashScheme
-from repro.sim import Cluster, MpWorkerCluster
+from repro.sim import Cluster, WorkerCluster
 from repro.storage import Catalog, TableSpec
 from repro.txn import Database
 
@@ -53,7 +53,7 @@ def replica_records(db) -> int:
 
 
 def test_worker_build_keeps_only_what_it_can_serve():
-    cluster = MpWorkerCluster(N_PARTITIONS, worker_id=0, n_workers=4)
+    cluster = WorkerCluster(N_PARTITIONS, worker_id=0, n_workers=4)
     db = build_db(cluster)
     counts = primary_records(db)
 
@@ -79,11 +79,11 @@ def test_worker_build_keeps_only_what_it_can_serve():
 
 
 def test_pruned_worker_build_is_a_real_memory_win():
-    pruned = build_db(MpWorkerCluster(N_PARTITIONS, worker_id=0,
-                                      n_workers=4))
+    pruned = build_db(WorkerCluster(N_PARTITIONS, worker_id=0,
+                                    n_workers=4))
     # a 1-worker topology owns everything: the historical full build
-    full = build_db(MpWorkerCluster(N_PARTITIONS, worker_id=0,
-                                    n_workers=1))
+    full = build_db(WorkerCluster(N_PARTITIONS, worker_id=0,
+                                  n_workers=1))
     pruned_total = (sum(primary_records(pruned).values())
                     + replica_records(pruned))
     full_total = sum(primary_records(full).values()) + replica_records(full)
