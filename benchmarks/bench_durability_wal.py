@@ -46,7 +46,7 @@ def wal_cell_config(wal: str, wal_dir: str | None,
                      horizon_us=150_000.0 if quick else 400_000.0,
                      warmup_us=0.0, seed=11, n_replicas=1, backend="mp",
                      wal=wal, wal_dir=wal_dir,
-                     mp_run_timeout_s=180.0)
+                     run_timeout_s=180.0)
 
 
 def run_wal_cell(wal: str, quick: bool = False):

@@ -31,19 +31,17 @@ pre-shift rate and the degraded static rate.
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 from repro.analysis import ProcedureRegistry
-from repro.bench import (RunConfig, build_database,
-                         install_summary_json, run_benchmark)
-from repro.bench.harness import mp_benchmark_driver, run_mp_benchmark
+from repro.bench import Run, RunConfig, install_summary_json
+from repro.bench.setups import build_run
 from repro.core import (ChillerPartitionerConfig, HotRecordTable,
                         StatsService, partition_workload,
                         sample_from_request)
 from repro.partitioning import HashScheme
 from repro.placement import PlacementSpec
-from repro.sim import MpRunSpec, current_worker_cluster
 from repro.storage import Catalog
-from repro.txn import TwoPLExecutor
 from repro.workloads.ycsb import DriftingYcsbWorkload
 
 N_PARTITIONS = 4
@@ -93,23 +91,6 @@ def drift_config(quick: bool = False, backend: str = "sim",
                      backend=backend, placement=spec)
 
 
-class _DriftRun:
-    """The run-object contract both in-process and mp paths expect."""
-
-    def __init__(self, workload, database, executor, config, mp_spec=None):
-        self.workload = workload
-        self.database = database
-        self.executor = executor
-        self.config = config
-        self.mp_spec = mp_spec
-
-    def run(self):
-        if self.mp_spec is not None:
-            return run_mp_benchmark(self.mp_spec, self.config,
-                                    database=self.database)
-        return run_benchmark(self.workload, self.executor, self.config)
-
-
 def trained_hot_table(workload: DriftingYcsbWorkload,
                       n_partitions: int) -> HotRecordTable:
     """Train the initial layout offline on the *pre-shift* trace.
@@ -134,8 +115,10 @@ def trained_hot_table(workload: DriftingYcsbWorkload,
     return HotRecordTable(partitioning.record_assignment)
 
 
-def build_drift_run(config: RunConfig, quick: bool = False) -> _DriftRun:
-    """Module-level (mp-picklable) builder for one drift cell.
+def build_drift_run(config: RunConfig, quick: bool = False) -> Run:
+    """Module-level (mp-picklable) builder for one drift cell: mp
+    workers re-run it whole, because the workload's clock must be bound
+    to each process's own cluster.
 
     Both arms build the identical pre-shift-trained layout; only
     ``config.placement`` differs.
@@ -149,14 +132,10 @@ def build_drift_run(config: RunConfig, quick: bool = False) -> _DriftRun:
     hot_table = trained_hot_table(workload, config.n_partitions)
     catalog = Catalog(config.n_partitions,
                       hot_table.live_scheme(HashScheme(config.n_partitions)))
-    db, cluster = build_database(workload, catalog, config)
+    run = build_run(workload, catalog, config,
+                    rebuild=partial(build_drift_run, config, quick))
+    cluster = run.database.cluster
     workload.bind_clock(lambda: cluster.sim.now)
-    executor = TwoPLExecutor(db)
-    run = _DriftRun(workload, db, executor, config)
-    if config.backend == "mp" and current_worker_cluster() is None:
-        run.mp_spec = MpRunSpec(builder=build_drift_run,
-                                args=(config,), kwargs={"quick": quick},
-                                driver=mp_benchmark_driver)
     return run
 
 

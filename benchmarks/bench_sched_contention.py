@@ -27,13 +27,10 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench import (RunConfig, build_database,
-                         install_summary_json, run_benchmark)
-from repro.bench.harness import mp_benchmark_driver, run_mp_benchmark
+from repro.bench import RunConfig, install_summary_json
+from repro.bench.setups import build_run
 from repro.partitioning import HashScheme
-from repro.sim import MpRunSpec, current_worker_cluster
 from repro.storage import Catalog
-from repro.txn import OccExecutor, TwoPLExecutor
 from repro.workloads.ycsb import YcsbWorkload
 
 THETAS = (0.6, 0.9, 1.2)
@@ -50,50 +47,14 @@ def sched_config(quick: bool = False, backend: str = "sim",
                      scheduler=scheduler, backend=backend)
 
 
-class _SchedRun:
-    """The run-object contract both in-process and mp paths expect."""
-
-    def __init__(self, workload, database, executor, config, mp_spec=None):
-        self.workload = workload
-        self.database = database
-        self.executor = executor
-        self.config = config
-        self.mp_spec = mp_spec
-
-    def run(self):
-        if self.mp_spec is not None:
-            return run_mp_benchmark(self.mp_spec, self.config,
-                                    database=self.database)
-        return run_benchmark(self.workload, self.executor, self.config)
-
-
-def build_sched_run(theta: float, executor_name: str,
-                    config: RunConfig) -> _SchedRun:
-    """Module-level (mp-picklable) builder for one sweep cell."""
-    workload = YcsbWorkload(n_keys=1_200, reads_per_txn=4,
-                            writes_per_txn=4, zipf_exponent=theta)
-    db, _cluster = build_database(
-        workload, Catalog(config.n_partitions,
-                          HashScheme(config.n_partitions)), config)
-    if executor_name == "2pl":
-        executor = TwoPLExecutor(db)
-    elif executor_name == "occ":
-        executor = OccExecutor(db)
-    else:
-        raise ValueError(f"unknown executor {executor_name!r}")
-    run = _SchedRun(workload, db, executor, config)
-    if config.backend == "mp" and current_worker_cluster() is None:
-        run.mp_spec = MpRunSpec(builder=build_sched_run,
-                                args=(theta, executor_name, config),
-                                driver=mp_benchmark_driver)
-    return run
-
-
 def run_cell(theta: float, scheduler: str, executor_name: str = "2pl",
              quick: bool = False, backend: str = "sim",
              seed: int = 11):
     config = sched_config(quick, backend, scheduler, seed)
-    return build_sched_run(theta, executor_name, config).run()
+    workload = YcsbWorkload(n_keys=1_200, reads_per_txn=4,
+                            writes_per_txn=4, zipf_exponent=theta)
+    catalog = Catalog(config.n_partitions, HashScheme(config.n_partitions))
+    return build_run(workload, catalog, config, executor_name).run()
 
 
 def sweep_rows(thetas=THETAS, schedulers=SCHEDULERS, executors=EXECUTORS,

@@ -62,7 +62,7 @@ def mp_cell_config(timeline: bool, quick: bool = False) -> RunConfig:
     return RunConfig(n_partitions=2, concurrent_per_engine=4,
                      horizon_us=150_000.0 if quick else 400_000.0,
                      warmup_us=0.0, seed=11, n_replicas=1, backend="mp",
-                     mp_run_timeout_s=180.0,
+                     run_timeout_s=180.0,
                      metrics_interval=50_000.0 if timeline else None)
 
 

@@ -1,20 +1,16 @@
 """Benchmark harness: driver, metrics, and per-figure experiments."""
 
-from .harness import (BACKENDS, RunConfig, RunResult, build_database,
-                      install_summary_json, make_cluster,
-                      mp_benchmark_driver, run_benchmark,
-                      run_mp_benchmark)
+from .harness import (BACKENDS, Run, RunConfig, RunResult,
+                      install_summary_json, make_cluster, run_benchmark)
 from .metrics import Metrics
 
 __all__ = [
     "BACKENDS",
     "Metrics",
+    "Run",
     "RunConfig",
     "RunResult",
-    "build_database",
     "install_summary_json",
     "make_cluster",
-    "mp_benchmark_driver",
     "run_benchmark",
-    "run_mp_benchmark",
 ]

@@ -24,26 +24,22 @@ workers, and CI's `backend-smoke` job runs it on every push.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import partial
 
-from ..analysis import ProcedureRegistry
+from .._util import make_rng
 from ..core import HotRecordTable
 from ..partitioning import HashScheme
 from ..placement import (MigrationExecutor, PlacementSpec, PlacementStats,
                          install_flip_handler)
-from ..sched import SchedAction, Scheduler
 from ..sim import OneSided
 from ..sim.codec import OpDescriptor
-from ..sim.supervisor import MpRunSpec, run_mp_workers
 from ..storage import Catalog
-from ..txn import Database, OccExecutor, TwoPLExecutor
 from ..txn.common import TxnRequest, seed_txn_ids
 from ..workloads.bank import BankWorkload
 from ..workloads.ycsb import YcsbWorkload
-from .harness import (RunConfig, build_database, make_cluster,
-                      make_schedulers)
+from .harness import Load, Run, RunConfig, execute, make_schedulers
+from .metrics import Metrics
+from .setups import build_run
 
 N_ACCOUNTS = 64
 DRIVER_HOME = 0
@@ -52,56 +48,27 @@ the mp backend); remote accounts force cross-server — and on mp,
 cross-process — verbs."""
 
 
-def conformance_config(backend: str, n_partitions: int = 2,
-                       mp_codec: str = "packed",
-                       mp_workers: int | None = None) -> RunConfig:
-    """The shared run shape.  ``horizon_us`` is irrelevant (the driver
-    executes a fixed request list, not horizon-bounded load) but bounds
-    the mp hang guard.  ``mp_codec`` / ``mp_workers`` select the mp
-    frame encoding and topology — decisions must not depend on how
-    frames are encoded or who owns which server."""
-    return RunConfig(n_partitions=n_partitions, backend=backend,
-                     n_replicas=1, horizon_us=30_000.0,
-                     mp_run_timeout_s=120.0, seed=13,
-                     mp_codec=mp_codec, mp_workers=mp_workers)
+def conformance_config(backend: str, **fields) -> RunConfig:
+    """The shared run shape, with ``fields`` laid over it.
+    ``horizon_us`` is irrelevant (the driver executes a fixed request
+    list, not horizon-bounded load) but bounds the mp hang guard.
+    ``mp_codec`` / ``mp_workers`` select the mp frame encoding and
+    topology — decisions must not depend on how frames are encoded or
+    who owns which server."""
+    shape = dict(n_partitions=2, backend=backend, n_replicas=1,
+                 horizon_us=30_000.0, run_timeout_s=120.0, seed=13)
+    return RunConfig(**{**shape, **fields})
 
 
-@dataclass
-class ConformanceRun:
-    """The run-object contract mp drivers expect."""
-
-    workload: BankWorkload
-    database: Database
-    executor: object
-    config: RunConfig
-    executor_name: str
+def _hashed(config: RunConfig) -> Catalog:
+    return Catalog(config.n_partitions, HashScheme(config.n_partitions))
 
 
-def build_conformance_run(config: RunConfig,
-                          executor: str = "2pl") -> ConformanceRun:
-    """Deterministically build the shared bank database + executor.
-
-    Module-level and picklable-by-reference: the mp backend's workers
-    call this to recreate identical state in every process.
-    """
+def build_conformance_run(config: RunConfig, executor: str = "2pl") -> Run:
+    """Deterministically build the shared bank database + executor."""
     workload = BankWorkload(n_accounts=N_ACCOUNTS, initial_balance=100.0,
                             amount=30.0)
-    cluster = make_cluster(config)
-    registry = ProcedureRegistry()
-    for proc in workload.procedures():
-        registry.register(proc)
-    db = Database(cluster, Catalog(config.n_partitions,
-                                   HashScheme(config.n_partitions)),
-                  workload.tables(), registry,
-                  n_replicas=config.n_replicas)
-    workload.populate(db.loader())
-    if executor == "2pl":
-        exec_ = TwoPLExecutor(db)
-    elif executor == "occ":
-        exec_ = OccExecutor(db)
-    else:
-        raise ValueError(f"unknown conformance executor {executor!r}")
-    return ConformanceRun(workload, db, exec_, config, executor)
+    return build_run(workload, _hashed(config), config, executor)
 
 
 def conformance_requests() -> list[TxnRequest]:
@@ -134,7 +101,7 @@ def conformance_requests() -> list[TxnRequest]:
     return reqs
 
 
-def decision_program(run: ConformanceRun, decisions: list):
+def decision_program(run: Run, decisions: list):
     """A coroutine executing the fixed requests strictly in sequence."""
     for request in conformance_requests():
         outcome = yield from run.executor.execute(request)
@@ -143,38 +110,25 @@ def decision_program(run: ConformanceRun, decisions: list):
     return decisions
 
 
-def program_driver(program, run: ConformanceRun, cluster, worker_id: int):
-    """mp worker driver: the worker owning ``DRIVER_HOME`` drives
-    ``program(run, decisions)``, the others only serve."""
-    seed_txn_ids(worker_id)
+def program_driver(program, run: Run, cluster, worker_id: int | None):
+    """Driver for :func:`~repro.bench.harness.execute`: the process
+    owning ``DRIVER_HOME`` drives ``program(run, decisions)``, any
+    other mp worker only serves."""
     decisions: list = []
-    if cluster.owns(DRIVER_HOME):
+    if worker_id is not None:
+        seed_txn_ids(worker_id)
+    if worker_id is None or cluster.owns(DRIVER_HOME):
         cluster.engine(DRIVER_HOME).spawn(program(run, decisions))
-
-    def finalize() -> dict:
-        return {"decisions": decisions}
-
-    return finalize
+    return lambda: {"decisions": decisions}
 
 
-def _decisions_on(config: RunConfig, builder, executor: str,
-                  program) -> list[tuple]:
-    """Build with ``builder`` on ``config.backend`` and run
-    ``program(run, decisions)`` (module-level, so mp workers can
-    rebuild it by reference) from ``DRIVER_HOME``."""
-    if config.backend == "mp":
-        spec = MpRunSpec(builder=builder, args=(config,),
-                         kwargs={"executor": executor},
-                         driver=partial(program_driver, program))
-        payloads = run_mp_workers(spec, config)
-        decisions = [p["decisions"] for p in payloads if p["decisions"]]
-        assert len(decisions) == 1, "exactly one worker drives the program"
-        return decisions[0]
-    run = builder(config, executor)
-    decisions: list = []
-    run.database.cluster.engine(DRIVER_HOME).spawn(program(run, decisions))
-    run.database.cluster.run()
-    return decisions
+def _decisions_on(run: Run, program) -> list[tuple]:
+    """Run ``program(run, decisions)`` (module-level, so mp workers can
+    rebuild it by reference) from ``DRIVER_HOME`` on ``run``'s backend."""
+    payloads = execute(run, partial(program_driver, program))
+    decisions = [p["decisions"] for p in payloads if p["decisions"]]
+    assert len(decisions) == 1, "exactly one process drives the program"
+    return decisions[0]
 
 
 def run_conformance(backend: str, executor: str = "2pl",
@@ -183,7 +137,7 @@ def run_conformance(backend: str, executor: str = "2pl",
     """Execute the shared program on ``backend``; return its decisions."""
     config = conformance_config(backend, mp_codec=mp_codec,
                                 mp_workers=mp_workers)
-    return _decisions_on(config, build_conformance_run, executor,
+    return _decisions_on(build_conformance_run(config, executor),
                          decision_program)
 
 
@@ -204,21 +158,11 @@ YCSB_HOT_KEYS = (0, 1)
 
 
 def build_ycsb_conformance_run(config: RunConfig,
-                               executor: str = "2pl") -> ConformanceRun:
-    """Deterministic hot-key YCSB database + executor (module-level and
-    picklable-by-reference, like :func:`build_conformance_run`)."""
+                               executor: str = "2pl") -> Run:
+    """Deterministic hot-key YCSB database + executor."""
     workload = YcsbWorkload(n_keys=YCSB_N_KEYS, reads_per_txn=2,
                             writes_per_txn=2)
-    db, _cluster = build_database(
-        workload, Catalog(config.n_partitions,
-                          HashScheme(config.n_partitions)), config)
-    if executor == "2pl":
-        exec_ = TwoPLExecutor(db)
-    elif executor == "occ":
-        exec_ = OccExecutor(db)
-    else:
-        raise ValueError(f"unknown conformance executor {executor!r}")
-    return ConformanceRun(workload, db, exec_, config, executor)
+    return build_run(workload, _hashed(config), config, executor)
 
 
 def ycsb_conformance_requests() -> list[TxnRequest]:
@@ -236,37 +180,35 @@ def ycsb_conformance_requests() -> list[TxnRequest]:
     return reqs
 
 
-def scheduled_decision_program(run: ConformanceRun, decisions: list):
-    """Execute the hot-key requests in sequence, mediated by the
-    driver engine's scheduler per ``run.config`` (``config.scheduler``
-    being the sentinel ``"raw"`` is the historical unscheduled loop).
-
-    Mirrors the harness's dispatch exactly: admit → (wait) → execute →
-    on_outcome; shed requests record a typed decision instead of an
-    Outcome.
+def scheduled_decision_program(run: Run, decisions: list):
+    """Execute the hot-key requests in sequence, each through the
+    harness's own request lifecycle with the driver engine's scheduler
+    per ``run.config`` (``config.scheduler`` being the sentinel
+    ``"raw"`` is the historical unscheduled loop: the bare executor).
+    A shed request records a ``"shed"`` decision instead of an outcome.
     """
-    scheduler: Scheduler | None = None
-    if run.config.scheduler != "raw":
-        scheduler = make_schedulers(run.executor, run.config,
-                                    [DRIVER_HOME])[DRIVER_HOME]
+    def record(request, outcome, _now=None):
+        if outcome is None:
+            decisions.append((request.proc, "shed", None))
+        else:
+            decisions.append(
+                (request.proc, outcome.committed,
+                 outcome.reason.value if outcome.reason else None))
+
     cluster = run.database.cluster
+    load = None
+    if run.config.scheduler != "raw":
+        load = Load(run.executor, run.config, cluster, Metrics(),
+                    make_schedulers(run.executor, run.config,
+                                    [DRIVER_HOME]))
+    rng = make_rng(run.config.seed, "conformance")
     for request in ycsb_conformance_requests():
-        if scheduler is not None:
-            decision = scheduler.admit(request, cluster.sim.now)
-            while decision.action is SchedAction.DEFER:
-                yield decision.wait_effect()
-                decision = scheduler.readmit(request, decision,
-                                             cluster.sim.now)
-            if decision.action is SchedAction.SHED:
-                decisions.append((request.proc, "shed",
-                                  decision.reason.value))
-                continue
-        outcome = yield from run.executor.execute(request)
-        if scheduler is not None:
-            scheduler.on_outcome(decision, outcome, cluster.sim.now,
-                                 will_retry=False)
-        decisions.append((request.proc, outcome.committed,
-                          outcome.reason.value if outcome.reason else None))
+        if load is None:
+            record(request, (yield from run.executor.execute(request)))
+        else:
+            yield from load.lifecycle(DRIVER_HOME, request, rng, 0,
+                                      cluster.sim.now, "conformance",
+                                      partial(record, request))
     return decisions
 
 
@@ -277,10 +219,9 @@ def run_ycsb_conformance(backend: str, executor: str = "2pl",
     ``scheduler``: ``"fifo"`` / ``"conflict"`` mediate through that
     scheduler; ``None`` runs the raw (unscheduled) loop.
     """
-    config = dataclasses.replace(
-        conformance_config(backend),
-        scheduler=scheduler if scheduler else "raw")
-    return _decisions_on(config, build_ycsb_conformance_run, executor,
+    config = conformance_config(backend, retry_aborts=False,
+                                scheduler=scheduler or "raw")
+    return _decisions_on(build_ycsb_conformance_run(config, executor),
                          scheduled_decision_program)
 
 
@@ -303,29 +244,24 @@ MIGRATION_HOT_KEY = 3
 
 
 def build_migration_conformance_run(config: RunConfig,
-                                    executor: str = "2pl",
-                                    ) -> ConformanceRun:
+                                    executor: str = "2pl") -> Run:
     """Deterministic YCSB database over a *live* epoch-versioned
-    catalog scheme, with the placement-flip RPC installed (module-level
-    and picklable-by-reference for mp workers)."""
+    catalog scheme, with the placement-flip RPC installed (in every mp
+    worker too: this function is the run's rebuild recipe)."""
     workload = YcsbWorkload(n_keys=YCSB_N_KEYS, reads_per_txn=2,
                             writes_per_txn=2)
     catalog = Catalog(config.n_partitions,
                       HotRecordTable.empty().live_scheme(
                           HashScheme(config.n_partitions)))
-    db, _cluster = build_database(workload, catalog, config)
-    install_flip_handler(db, PlacementSpec(kind="adaptive"),
+    run = build_run(workload, catalog, config, executor,
+                    rebuild=partial(build_migration_conformance_run,
+                                    config, executor))
+    install_flip_handler(run.database, PlacementSpec(kind="adaptive"),
                          PlacementStats(placement="adaptive"))
-    if executor == "2pl":
-        exec_ = TwoPLExecutor(db)
-    elif executor == "occ":
-        exec_ = OccExecutor(db)
-    else:
-        raise ValueError(f"unknown conformance executor {executor!r}")
-    return ConformanceRun(workload, db, exec_, config, executor)
+    return run
 
 
-def migration_decision_program(run: ConformanceRun, decisions: list):
+def migration_decision_program(run: Run, decisions: list):
     """Transactions interleaved with live migrations, in sequence."""
     db = run.database
     stats = PlacementStats(placement="adaptive")
@@ -381,6 +317,7 @@ def run_migration_conformance(backend: str,
                               executor: str = "2pl") -> list[tuple]:
     """The migration program's decisions on ``backend`` (on mp every
     worker serves the placement flips)."""
-    return _decisions_on(conformance_config(backend),
-                         build_migration_conformance_run, executor,
-                         migration_decision_program)
+    return _decisions_on(
+        build_migration_conformance_run(conformance_config(backend),
+                                        executor),
+        migration_decision_program)

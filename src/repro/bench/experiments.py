@@ -6,77 +6,33 @@ Run from the command line::
 
     python -m repro.bench.experiments fig7 fig8 fig9a fig9b fig9c fig10
     python -m repro.bench.experiments lookup cost reorder minweight
-    python -m repro.bench.experiments all        # everything (slow-ish)
-    python -m repro.bench.experiments all --quick
-    python -m repro.bench.experiments fig7 --doorbell   # fused verbs on
-    python -m repro.bench.experiments fig9a --quick --backend aio
-    python -m repro.bench.experiments fig9a --quick --backend mp
+    python -m repro.bench.experiments all --quick   # everything, shrunk
     python -m repro.bench.experiments fig9a --quick --backend mp --workers 2
-    python -m repro.bench.experiments fig9a --scheduler conflict
-    python -m repro.bench.experiments fig9a --quick --profile /tmp/prof
-    python -m repro.bench.experiments fig9a --quick --backend mp --wal group
     python -m repro.bench.experiments fig9a --quick --backend mp \\
-        --wal group --mp-recovery --chaos-kill 1 --chaos-after 0.5
-    python -m repro.bench.experiments fig9a --arrivals poisson \\
-        --offered-load 200000 --deadline-us 4000
+        --wal group --chaos-kill 1 --chaos-after 0.5
     python -m repro.bench.experiments fig9a --arrivals tenants \\
         --offered-load 1200000 --admission deadline
     python -m repro.bench.experiments fig9a --quick --trace \\
-        --trace-out /tmp/fig9a.json --trace-sample 1
-    python -m repro.bench.experiments fig9a --quick --summary-json /tmp/s.json
-    python -m repro.bench.experiments fig9a --quick --metrics-interval 500
+        --trace-out /tmp/fig9a.json --summary-json /tmp/s.json
     python -m repro.bench.experiments fig9a --quick --backend mp \\
         --metrics-interval 50000 --metrics-port 9100 --watch
-    python -m repro.bench.experiments fig9a --quick \\
-        --metrics-interval 500 --metrics-csv /tmp/fig9a.timeline.csv
 
-``--wal off|fsync|group`` selects the per-server write-ahead-log mode
-(commit decisions become durable; see ARCHITECTURE.md, "Durability &
-recovery").  ``--mp-recovery`` respawns SIGKILL'd mp workers and
-replays their WAL instead of failing the run; ``--chaos-kill W``
-SIGKILLs worker W ``--chaos-after S`` seconds into the run (implies
-``--mp-recovery``), and ``--max-restarts N`` bounds respawns.
+Every sweep function takes one ``overrides`` mapping of ``RunConfig``
+field -> value, applied on top of each cell's own configuration; the CLI
+builds that mapping straight from its flags (each option's ``dest`` *is*
+the field it sets), so a flag reaches every cell of every figure and
+ablation.  Unknown flags, abbreviations and figure names exit 2; the
+flag table at the end of this docstring is the parser's own ``--help``.
 
-``--profile DIR`` dumps cProfile stats: ``parent.prof`` always, plus
-``worker-N.prof`` per mp worker process.
-
-``--scheduler fifo|conflict`` selects the cross-transaction scheduling
-policy (:mod:`repro.sched`); unset and ``fifo`` reproduce the
-historical raw dispatch loop bit-for-bit.
-``--arrivals poisson|diurnal|flash|tenants`` switches the sweep to
-open-loop traffic (:mod:`repro.traffic`): requests enter on a seeded
-arrival schedule regardless of completion, and latency is measured
-from the scheduled arrival (coordinated-omission-safe).
-``--offered-load T`` sets the aggregate rate in txns/sec,
-``--deadline-us D`` the SLO deadline, and ``--admission
-none|deadline`` the shedding policy.  Unset, runs stay closed-loop and
-every figure is bit-identical to the historical output.  Open-loop
-throughput figures are NOT comparable to closed-loop ones — see
-EXPERIMENTS.md, "Open-loop traffic".
-``--trace`` records per-phase transaction spans (:mod:`repro.obs`) on
-every run of the sweep; ``--trace-sample N`` traces every Nth
-transaction per engine, and ``--trace-out PATH`` (implies ``--trace``)
-writes the last run's spans as Chrome ``trace_event`` JSON for
-``ui.perfetto.dev``.  ``--summary-json PATH`` collects every run's
-``perf_summary()`` — including the trace/exemplar sections when
-tracing — into one JSON array.
-``--metrics-interval US`` turns on the live metrics timeline
-(:mod:`repro.obs.timeline`): every US microseconds (simulated on sim,
-wall clock on aio/mp) each run samples delta counters per server and
-the health watchdog checks for stalls, queue saturation, SLO burn,
-lease flaps, and restart storms (``perf_summary()['timeline']`` /
-``['health']``).  ``--metrics-port P`` serves live Prometheus text on
-``127.0.0.1:P/metrics`` (aio/mp), ``--metrics-csv PATH`` writes the
-last run's timeline as CSV, ``--watch`` prints a sparkline dashboard
-after each run, and ``--watchdog-abort`` lets a fatal rule abort a
-wedged run early.
-``--backend aio`` drives the same sweep through the wall-clock runtime
-(real event loop, wall-clock time, one in-process worker owning every
-server) instead of the simulator; ``--backend mp`` through the same
-runtime with one OS process per server and codec frames over TCP
-between them (``--workers N`` packs servers onto fewer processes).  See
-EXPERIMENTS.md for how to read those numbers — they measure what this
-machine actually sustains, not the modeled RDMA cluster.
+Unset, every flag leaves the sweep on the simulator, closed-loop, with
+the WAL, tracing and the timeline off — bit-identical to the historical
+output; ``--scheduler fifo`` and ``--placement static`` are too.
+``--metrics-interval`` is simulated µs on sim, wall-clock µs on aio/mp.
+Open-loop throughput is NOT comparable to closed-loop figures
+(EXPERIMENTS.md, "Open-loop traffic"), and aio/mp numbers measure what
+this machine sustains, not the modeled RDMA cluster (EXPERIMENTS.md on
+reading them; ARCHITECTURE.md "Durability & recovery" for the WAL and
+chaos flags).
 
 Absolute throughput differs from the paper (their 8-node InfiniBand
 testbed vs our discrete-event simulator); the *shapes* — orderings,
@@ -86,8 +42,12 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import sys
-from typing import Iterable, Sequence
+import argparse
+import cProfile
+import dataclasses
+import os
+import textwrap
+from typing import Iterable, Mapping, Sequence
 
 from ..workloads.instacart import InstacartWorkload
 from ..workloads.tpcc import TpccScale, TpccWorkload
@@ -95,7 +55,8 @@ from ..placement import PLACEMENTS
 from ..sched import SCHEDULERS
 from ..storage.wal import WAL_MODES
 from ..traffic import ADMISSIONS, ARRIVAL_PROCESSES, ArrivalSpec
-from .harness import BACKENDS, RunConfig, install_summary_json
+from .harness import (BACKENDS, RunConfig, collect_summaries,
+                      summary_json_parser)
 from .setups import (build_instacart_layout, build_instacart_setup,
                      make_instacart_run, make_tpcc_run)
 
@@ -103,34 +64,26 @@ INSTACART_LAYOUTS = ("hashing", "schism", "chiller")
 TPCC_EXECUTORS = ("2pl", "occ", "chiller")
 
 
+Overrides = Mapping[str, object]
+"""``RunConfig`` field -> value, applied on top of a sweep's own cell
+configuration (what the CLI's flags become; see :func:`main`)."""
+
+
 # -- Section 7.2: Instacart (Figs. 7 & 8, lookup size, partitioner cost) ----
 
 def instacart_config(n_partitions: int, quick: bool = False,
                      seed: int = 2,
-                     doorbell_batching: bool = False,
-                     backend: str = "sim",
-                     mp_workers: int | None = None,
-                     scheduler: str | None = None,
-                     placement: str | None = None,
-                     profile_dir: str | None = None,
-                     durability: dict | None = None,
-                     traffic: dict | None = None,
-                     tracing: dict | None = None,
-                     observability: dict | None = None) -> RunConfig:
-    return RunConfig(n_partitions=n_partitions,
-                     concurrent_per_engine=4,
-                     horizon_us=4_000.0 if quick else 12_000.0,
-                     warmup_us=500.0 if quick else 2_000.0,
-                     # open-loop arrivals pin each request to its
-                     # scheduled home; data-affinity routing is a
-                     # closed-loop worker concern (see repro.traffic)
-                     seed=seed, n_replicas=1, route_by_data=not traffic,
-                     doorbell_batching=doorbell_batching,
-                     backend=backend, mp_workers=mp_workers,
-                     scheduler=scheduler, placement=placement,
-                     mp_profile_dir=profile_dir,
-                     **(durability or {}), **(traffic or {}),
-                     **(tracing or {}), **(observability or {}))
+                     overrides: Overrides | None = None) -> RunConfig:
+    overrides = overrides or {}
+    cell = dict(n_partitions=n_partitions, concurrent_per_engine=4,
+                horizon_us=4_000.0 if quick else 12_000.0,
+                warmup_us=500.0 if quick else 2_000.0,
+                seed=seed, n_replicas=1,
+                # open-loop arrivals pin each request to its scheduled
+                # home; data-affinity routing is a closed-loop worker
+                # concern (see repro.traffic)
+                route_by_data=overrides.get("arrivals") is None)
+    return RunConfig(**{**cell, **overrides})
 
 
 def instacart_sweep(partitions: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
@@ -138,16 +91,7 @@ def instacart_sweep(partitions: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
                     seed: int = 2,
                     layouts: Sequence[str] = INSTACART_LAYOUTS,
                     workload_factory=InstacartWorkload,
-                    doorbell_batching: bool = False,
-                    backend: str = "sim",
-                    mp_workers: int | None = None,
-                    scheduler: str | None = None,
-                    placement: str | None = None,
-                    profile_dir: str | None = None,
-                    durability: dict | None = None,
-                    traffic: dict | None = None,
-                    tracing: dict | None = None,
-                    observability: dict | None = None) -> list[dict]:
+                    overrides: Overrides | None = None) -> list[dict]:
     """One row per partition count with every layout's metrics.
 
     Feeds Fig. 7 (throughput), Fig. 8 (distributed ratio), the lookup
@@ -165,11 +109,7 @@ def instacart_sweep(partitions: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
         for name in layouts:
             layout = build_instacart_layout(setup, name, seed=seed)
             run = make_instacart_run(
-                setup, layout,
-                instacart_config(k, quick, seed, doorbell_batching,
-                                 backend, mp_workers, scheduler,
-                                 placement, profile_dir, durability,
-                                 traffic, tracing, observability))
+                setup, layout, instacart_config(k, quick, seed, overrides))
             result = run.run()
             metrics = result.metrics
             row[f"{name}_throughput"] = result.throughput
@@ -225,41 +165,18 @@ def print_cost(rows: list[dict]) -> None:
 
 def tpcc_config(n_partitions: int, concurrent: int, quick: bool = False,
                 seed: int = 3,
-                doorbell_batching: bool = False,
-                backend: str = "sim",
-                mp_workers: int | None = None,
-                scheduler: str | None = None,
-                placement: str | None = None,
-                profile_dir: str | None = None,
-                durability: dict | None = None,
-                traffic: dict | None = None,
-                tracing: dict | None = None,
-                observability: dict | None = None) -> RunConfig:
-    return RunConfig(n_partitions=n_partitions,
-                     concurrent_per_engine=concurrent,
-                     horizon_us=5_000.0 if quick else 15_000.0,
-                     warmup_us=500.0 if quick else 2_000.0,
-                     seed=seed, n_replicas=1,
-                     doorbell_batching=doorbell_batching,
-                     backend=backend, mp_workers=mp_workers,
-                     scheduler=scheduler, placement=placement,
-                     mp_profile_dir=profile_dir,
-                     **(durability or {}), **(traffic or {}),
-                     **(tracing or {}), **(observability or {}))
+                overrides: Overrides | None = None) -> RunConfig:
+    cell = dict(n_partitions=n_partitions, concurrent_per_engine=concurrent,
+                horizon_us=5_000.0 if quick else 15_000.0,
+                warmup_us=500.0 if quick else 2_000.0,
+                seed=seed, n_replicas=1)
+    return RunConfig(**{**cell, **(overrides or {})})
 
 
 def fig9_rows(concurrency: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
               n_partitions: int = 4, quick: bool = False,
-              seed: int = 3, doorbell_batching: bool = False,
-              backend: str = "sim",
-              mp_workers: int | None = None,
-              scheduler: str | None = None,
-              placement: str | None = None,
-              profile_dir: str | None = None,
-              durability: dict | None = None,
-              traffic: dict | None = None,
-              tracing: dict | None = None,
-              observability: dict | None = None) -> list[dict]:
+              seed: int = 3,
+              overrides: Overrides | None = None) -> list[dict]:
     """Throughput + abort rates per executor per concurrency level."""
     rows = []
     for concurrent in concurrency:
@@ -267,10 +184,7 @@ def fig9_rows(concurrency: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
         for name in TPCC_EXECUTORS:
             run = make_tpcc_run(
                 name, tpcc_config(n_partitions, concurrent, quick, seed,
-                                  doorbell_batching, backend, mp_workers,
-                                  scheduler, placement, profile_dir,
-                                  durability, traffic, tracing,
-                                  observability))
+                                  overrides))
             result = run.run()
             metrics = result.metrics
             row[f"{name}_throughput"] = result.throughput
@@ -319,16 +233,8 @@ FIG10_SERIES = (("2pl", 1), ("occ", 1), ("2pl", 5), ("occ", 5),
 
 def fig10_rows(percents: Sequence[int] = (0, 20, 40, 60, 80, 100),
                n_partitions: int = 4, quick: bool = False,
-               seed: int = 5, doorbell_batching: bool = False,
-               backend: str = "sim",
-               mp_workers: int | None = None,
-               scheduler: str | None = None,
-               placement: str | None = None,
-               profile_dir: str | None = None,
-               durability: dict | None = None,
-               traffic: dict | None = None,
-               tracing: dict | None = None,
-               observability: dict | None = None) -> list[dict]:
+               seed: int = 5,
+               overrides: Overrides | None = None) -> list[dict]:
     """Throughput vs fraction of distributed transactions."""
     rows = []
     for percent in percents:
@@ -341,10 +247,7 @@ def fig10_rows(percents: Sequence[int] = (0, 20, 40, 60, 80, 100),
                 new_order_remote_prob=percent / 100.0)
             run = make_tpcc_run(
                 name, tpcc_config(n_partitions, concurrent, quick, seed,
-                                  doorbell_batching, backend, mp_workers,
-                                  scheduler, placement, profile_dir,
-                                  durability, traffic, tracing,
-                                  observability),
+                                  overrides),
                 workload=workload)
             result = run.run()
             row[f"{name}_{concurrent}_throughput"] = result.throughput
@@ -368,10 +271,8 @@ def print_fig10(rows: list[dict]) -> None:
 
 def reorder_ablation_rows(n_partitions: int = 4, n_train: int = 1200,
                           quick: bool = False, seed: int = 2,
-                          doorbell_batching: bool = False,
-                          backend: str = "sim",
-                          mp_workers: int | None = None,
-                          scheduler: str | None = None) -> list[dict]:
+                          overrides: Overrides | None = None,
+                          ) -> list[dict]:
     """Two-region execution without contention-aware partitioning.
 
     The paper's Section 1 claim: "re-ordering operations without
@@ -382,8 +283,6 @@ def reorder_ablation_rows(n_partitions: int = 4, n_train: int = 1200,
     """
     setup = build_instacart_setup(n_partitions, n_train=n_train,
                                   seed=seed)
-    config = instacart_config(n_partitions, quick, seed, doorbell_batching,
-                              backend, mp_workers, scheduler)
     rows = []
     combos = (("hashing", "2pl", "2PL on hashing"),
               ("hashing", "chiller", "two-region on hashing"),
@@ -391,8 +290,10 @@ def reorder_ablation_rows(n_partitions: int = 4, n_train: int = 1200,
               ("chiller", "chiller", "full Chiller"))
     for layout_name, executor_name, label in combos:
         layout = build_instacart_layout(setup, layout_name, seed=seed)
-        run = make_instacart_run(setup, layout, config,
-                                 executor_override=executor_name)
+        run = make_instacart_run(
+            setup, layout,
+            instacart_config(n_partitions, quick, seed, overrides),
+            executor_override=executor_name)
         result = run.run()
         rows.append({
             "label": label,
@@ -419,21 +320,19 @@ def min_weight_ablation_rows(weights: Sequence[float] = (0.0, 0.05, 0.2,
                              n_partitions: int = 4, n_train: int = 1200,
                              quick: bool = False,
                              seed: int = 2,
-                             doorbell_batching: bool = False,
-                             backend: str = "sim",
-                             mp_workers: int | None = None,
-                             scheduler: str | None = None) -> list[dict]:
+                             overrides: Overrides | None = None,
+                             ) -> list[dict]:
     """Section 4.4: a minimum edge weight co-optimizes contention and
     the number of distributed transactions."""
     setup = build_instacart_setup(n_partitions, n_train=n_train,
                                   seed=seed)
-    config = instacart_config(n_partitions, quick, seed, doorbell_batching,
-                              backend, mp_workers, scheduler)
     rows = []
     for weight in weights:
         layout = build_instacart_layout(setup, "chiller", seed=seed,
                                         min_weight=weight)
-        run = make_instacart_run(setup, layout, config)
+        run = make_instacart_run(
+            setup, layout,
+            instacart_config(n_partitions, quick, seed, overrides))
         result = run.run()
         rows.append({
             "min_weight": weight,
@@ -454,154 +353,126 @@ def print_min_weight(rows: list[dict]) -> None:
 
 # -- CLI ---------------------------------------------------------------------
 
-def _parse_option(args: list[str], name: str,
-                  allowed: Sequence[str] | None = None,
-                  ) -> tuple[str | None, list[str]]:
-    """Extract ``--name X`` / ``--name=X``; returns (value, rest).
+FIGURES = ("fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig10",
+           "lookup", "cost", "reorder", "minweight")
 
-    One extraction loop for every CLI knob: missing values and (when
-    ``allowed`` is given) unknown values exit with the same message
-    shape everywhere.
-    """
-    flag = f"--{name}"
-    value: str | None = None
-    rest: list[str] = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == flag:
-            if i + 1 >= len(args):
-                raise SystemExit(
-                    f"{flag} needs a value"
-                    + (f" ({' | '.join(allowed)})" if allowed else ""))
-            value = args[i + 1]
-            i += 2
-            continue
-        if arg.startswith(flag + "="):
-            value = arg.split("=", 1)[1]
-            i += 1
-            continue
-        rest.append(arg)
-        i += 1
-    if value is not None and allowed is not None and value not in allowed:
-        raise SystemExit(f"unknown {name} {value!r} "
-                         f"(expected {' | '.join(allowed)})")
-    return value, rest
+CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+
+DURABILITY_FIELDS = ("mp_chaos_kill_after_s", "mp_chaos_kill_worker",
+                     "mp_max_restarts", "mp_recovery", "wal")
 
 
-def _parse_workers(args: list[str]) -> tuple[int | None, list[str]]:
-    """Extract ``--workers N`` / ``--workers=N`` (mp worker processes)."""
-    value, rest = _parse_option(args, "workers")
-    if value is None:
-        return None, rest
-    try:
-        workers = int(value)
-    except ValueError:
-        raise SystemExit(f"--workers needs an integer, got {value!r}")
-    if workers < 1:
-        raise SystemExit("--workers must be >= 1")
-    return workers, rest
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The experiments CLI.  Every option under "run configuration" has
+    a ``RunConfig`` field name as its ``dest`` (spelled out where the
+    flag's own name is not one) and no default, so the parsed namespace,
+    cut down to those names, *is* the ``overrides`` mapping."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench.experiments", allow_abbrev=False,
+        argument_default=argparse.SUPPRESS,
+        parents=[summary_json_parser()],
+        description="Regenerate the paper's tables and figures.")
+    parser.add_argument(
+        "figures", nargs="*", metavar="FIGURE", choices=FIGURES + ("all",),
+        # a bare name, not a list: argparse checks the default of an
+        # empty nargs="*" positional against ``choices`` as one value
+        default="fig7", help=f"{' | '.join(FIGURES)} | all (default: fig7)")
+    parser.add_argument("--quick", action="store_true", default=False,
+                        help="shrink every sweep (~10x faster)")
+    cfg = parser.add_argument_group(
+        "run configuration (RunConfig overrides for every cell)")
+    cfg.add_argument("--doorbell", dest="doorbell_batching",
+                     action="store_true",
+                     help="fuse same-destination verbs per round")
+    cfg.add_argument("--backend", choices=BACKENDS,
+                     help="sim (default), or wall-clock aio / mp")
+    cfg.add_argument("--workers", dest="mp_workers", type=_positive_int,
+                     metavar="N", help="pack mp servers onto N processes")
+    cfg.add_argument("--scheduler", choices=SCHEDULERS,
+                     help="cross-transaction scheduling policy")
+    cfg.add_argument("--placement", choices=PLACEMENTS,
+                     help="static layout or adaptive re-partitioning")
+    cfg.add_argument("--profile", dest="mp_profile_dir", metavar="DIR",
+                     help="cProfile dumps: parent.prof + worker-N.prof")
+    cfg.add_argument("--wal", choices=WAL_MODES,
+                     help="per-server write-ahead-log mode")
+    cfg.add_argument("--mp-recovery", action="store_true",
+                     help="respawn dead mp workers and replay their WAL")
+    cfg.add_argument("--chaos-kill", dest="mp_chaos_kill_worker", type=int,
+                     metavar="W", help="SIGKILL mp worker W mid-run "
+                     "(implies --mp-recovery)")
+    cfg.add_argument("--chaos-after", dest="mp_chaos_kill_after_s",
+                     type=float, metavar="S",
+                     help="seconds before the chaos kill fires")
+    cfg.add_argument("--max-restarts", dest="mp_max_restarts", type=int,
+                     metavar="N", help="worker respawns allowed per run")
+    cfg.add_argument("--arrivals", choices=ARRIVAL_PROCESSES,
+                     help="open-loop traffic on a seeded arrival schedule")
+    cfg.add_argument("--offered-load", type=float, metavar="TPS",
+                     help="aggregate arrival rate, txns/sec")
+    cfg.add_argument("--deadline-us", type=float, metavar="US",
+                     help="SLO deadline from scheduled arrival")
+    cfg.add_argument("--admission", choices=ADMISSIONS,
+                     help="open-loop shedding policy")
+    cfg.add_argument("--trace", action="store_true",
+                     help="record per-phase transaction spans")
+    cfg.add_argument("--trace-sample", type=int, metavar="N",
+                     help="trace every Nth txn per engine")
+    cfg.add_argument("--trace-out", metavar="PATH",
+                     help="Perfetto JSON of the last run (implies --trace)")
+    cfg.add_argument("--metrics-interval", type=float, metavar="US",
+                     help="live metrics timeline sample period")
+    cfg.add_argument("--metrics-port", type=int, metavar="P",
+                     help="serve Prometheus text (aio/mp)")
+    cfg.add_argument("--metrics-csv", metavar="PATH",
+                     help="CSV of the last run's timeline")
+    cfg.add_argument("--watch", dest="metrics_watch", action="store_true",
+                     help="print a sparkline dashboard after each run")
+    cfg.add_argument("--watchdog-abort", action="store_true",
+                     help="let a fatal health rule abort a wedged run")
+    return parser
 
 
 def main(argv: Iterable[str] | None = None) -> None:
-    args = list(sys.argv[1:] if argv is None else argv)
-    backend, args = _parse_option(args, "backend", BACKENDS)
-    backend = backend or "sim"
-    workers, args = _parse_workers(args)
-    scheduler, args = _parse_option(args, "scheduler", SCHEDULERS)
-    placement, args = _parse_option(args, "placement", PLACEMENTS)
-    profile_dir, args = _parse_option(args, "profile")
-    wal, args = _parse_option(args, "wal", WAL_MODES)
-    chaos_kill, args = _parse_option(args, "chaos-kill")
-    chaos_after, args = _parse_option(args, "chaos-after")
-    max_restarts, args = _parse_option(args, "max-restarts")
-    arrivals, args = _parse_option(args, "arrivals", ARRIVAL_PROCESSES)
-    offered_load, args = _parse_option(args, "offered-load")
-    deadline_us, args = _parse_option(args, "deadline-us")
-    admission, args = _parse_option(args, "admission", ADMISSIONS)
-    trace_out, args = _parse_option(args, "trace-out")
-    trace_sample, args = _parse_option(args, "trace-sample")
-    metrics_interval, args = _parse_option(args, "metrics-interval")
-    metrics_port, args = _parse_option(args, "metrics-port")
-    metrics_csv, args = _parse_option(args, "metrics-csv")
-    args, flush_summaries = install_summary_json(args)
-    quick = "--quick" in args
-    doorbell = "--doorbell" in args
-    mp_recovery = "--mp-recovery" in args
-    trace = "--trace" in args or trace_out is not None
-    watch = "--watch" in args
-    watchdog_abort = "--watchdog-abort" in args
-    args = [a for a in args if not a.startswith("--")]
-    durability: dict = {}
-    if wal:
-        durability["wal"] = wal
-    if mp_recovery or chaos_kill is not None:
-        durability["mp_recovery"] = True
-    try:
-        if chaos_kill is not None:
-            durability["mp_chaos_kill_worker"] = int(chaos_kill)
-        if chaos_after is not None:
-            durability["mp_chaos_kill_after_s"] = float(chaos_after)
-        if max_restarts is not None:
-            durability["mp_max_restarts"] = int(max_restarts)
-    except ValueError as exc:
-        raise SystemExit(f"bad durability knob: {exc}")
-    traffic: dict = {}
+    parser = build_parser()
+    options = vars(parser.parse_intermixed_args(
+        argv if argv is None else list(argv)))
+    quick = options["quick"]
+    admission = options.get("admission")
+    overrides = {name: value for name, value in options.items()
+                 if name in CONFIG_FIELDS}
+    if "mp_chaos_kill_worker" in overrides:
+        overrides["mp_recovery"] = True
+    arrivals = overrides.get("arrivals")
     if arrivals:
-        traffic["arrivals"] = (ArrivalSpec(process=arrivals,
-                                           admission=admission)
-                               if admission else arrivals)
-    elif admission or offered_load or deadline_us:
-        raise SystemExit("--offered-load/--deadline-us/--admission need "
-                         "--arrivals PROCESS")
-    try:
-        if offered_load is not None:
-            traffic["offered_load"] = float(offered_load)
-        if deadline_us is not None:
-            traffic["deadline_us"] = float(deadline_us)
-    except ValueError as exc:
-        raise SystemExit(f"bad traffic knob: {exc}")
-    tracing: dict = {}
-    if trace:
-        tracing["trace"] = True
-        if trace_out is not None:
-            tracing["trace_out"] = trace_out
-        try:
-            if trace_sample is not None:
-                tracing["trace_sample"] = int(trace_sample)
-        except ValueError:
-            raise SystemExit(f"--trace-sample needs an integer, got "
-                             f"{trace_sample!r}")
-    elif trace_sample is not None:
-        raise SystemExit("--trace-sample needs --trace")
-    observability: dict = {}
-    if metrics_interval is not None:
-        try:
-            observability["metrics_interval"] = float(metrics_interval)
-        except ValueError:
-            raise SystemExit(f"--metrics-interval needs a number "
-                             f"(microseconds), got {metrics_interval!r}")
-        if metrics_port is not None:
-            try:
-                observability["metrics_port"] = int(metrics_port)
-            except ValueError:
-                raise SystemExit(f"--metrics-port needs an integer, "
-                                 f"got {metrics_port!r}")
-        if metrics_csv is not None:
-            observability["metrics_csv"] = metrics_csv
-        if watch:
-            observability["metrics_watch"] = True
-        if watchdog_abort:
-            observability["watchdog_abort"] = True
-    elif (metrics_port is not None or metrics_csv is not None
-          or watch or watchdog_abort):
-        raise SystemExit("--metrics-port/--metrics-csv/--watch/"
-                         "--watchdog-abort need --metrics-interval US")
-    wanted = set(args) or {"fig7"}
+        if admission:
+            overrides["arrivals"] = ArrivalSpec(process=arrivals,
+                                                admission=admission)
+    elif admission or {"offered_load", "deadline_us"} & overrides.keys():
+        parser.error("--offered-load/--deadline-us/--admission need "
+                     "--arrivals PROCESS")
+    if "trace_out" in overrides:
+        overrides["trace"] = True
+    if "trace_sample" in overrides and "trace" not in overrides:
+        parser.error("--trace-sample needs --trace")
+    if ("metrics_interval" not in overrides
+            and {"metrics_port", "metrics_csv", "metrics_watch",
+                 "watchdog_abort"} & overrides.keys()):
+        parser.error("--metrics-port/--metrics-csv/--watch/"
+                     "--watchdog-abort need --metrics-interval US")
+    figures = options["figures"]
+    wanted = {figures} if isinstance(figures, str) else set(figures)
     if "all" in wanted:
-        wanted = {"fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig10",
-                  "lookup", "cost", "reorder", "minweight"}
-    if doorbell:
+        wanted = set(FIGURES)
+    backend = overrides.get("backend", "sim")
+    if "doorbell_batching" in overrides:
         print("(doorbell batching ON: same-destination verbs fused per "
               "round)")
     if backend == "aio":
@@ -610,62 +481,68 @@ def main(argv: Iterable[str] | None = None) -> None:
               "numbers are NOT comparable to sim-backend figures)")
     if backend == "mp":
         print("(multiprocess backend: one OS process per server"
-              + (f", packed onto {workers} workers" if workers else "")
+              + (f", packed onto {overrides['mp_workers']} workers"
+                 if "mp_workers" in overrides else "")
               + "; throughput is wall-clock across truly parallel "
               "workers — comparable to aio numbers only, never to sim "
               "figures)")
-    if scheduler:
-        print(f"(scheduler: {scheduler} — every engine mediates its "
-              f"load through repro.sched before executing)")
-    if placement:
-        print(f"(placement: {placement} — access telemetry drives "
-              f"periodic re-partitioning with live record migration)")
-    if durability:
-        knobs = " ".join(f"{k}={v}" for k, v in sorted(durability.items()))
+    if "scheduler" in overrides:
+        print(f"(scheduler: {overrides['scheduler']} — every engine "
+              f"mediates its load through repro.sched before executing)")
+    if "placement" in overrides:
+        print(f"(placement: {overrides['placement']} — access telemetry "
+              f"drives periodic re-partitioning with live record "
+              f"migration)")
+    knobs = " ".join(f"{name}={overrides[name]}"
+                     for name in DURABILITY_FIELDS if name in overrides)
+    if knobs:
         print(f"(durability: {knobs} — commit decisions go through the "
               f"per-server WAL; dead mp workers are respawned and "
               f"replayed when mp_recovery is on)")
-    if traffic:
+    if arrivals:
         print(f"(open-loop traffic: arrivals={arrivals}"
-              + (f" offered_load={traffic['offered_load']:.0f}/s"
-                 if "offered_load" in traffic else "")
-              + (f" deadline={traffic['deadline_us']:.0f}us"
-                 if "deadline_us" in traffic else "")
+              + (f" offered_load={overrides['offered_load']:.0f}/s"
+                 if "offered_load" in overrides else "")
+              + (f" deadline={overrides['deadline_us']:.0f}us"
+                 if "deadline_us" in overrides else "")
               + (f" admission={admission}" if admission else "")
               + " — requests enter on a seeded schedule regardless of "
               "completion; latency is measured from scheduled arrival "
               "and throughput is NOT comparable to closed-loop figures)")
-    if trace:
+    if "trace" in overrides:
         print("(tracing: per-phase spans recorded"
-              + (f", every {tracing['trace_sample']}th txn"
-                 if "trace_sample" in tracing else "")
-              + (f", Perfetto JSON of the last run to {trace_out}"
-                 if trace_out else "")
+              + (f", every {overrides['trace_sample']}th txn"
+                 if "trace_sample" in overrides else "")
+              + (f", Perfetto JSON of the last run to "
+                 f"{overrides['trace_out']}"
+                 if "trace_out" in overrides else "")
               + " — see perf_summary()['trace'] / ['exemplars'])")
-    if observability:
+    if "metrics_interval" in overrides:
         unit = "simulated us" if backend == "sim" else "wall-clock us"
         print(f"(live metrics: timeline sampled every "
-              f"{observability['metrics_interval']:.0f} {unit}"
-              + (f", Prometheus on port {observability['metrics_port']}"
-                 if "metrics_port" in observability else "")
-              + (f", CSV of the last run to {metrics_csv}"
-                 if metrics_csv else "")
-              + (", watchdog aborts wedged runs" if watchdog_abort
-                 else "")
+              f"{overrides['metrics_interval']:.0f} {unit}"
+              + (f", Prometheus on port {overrides['metrics_port']}"
+                 if "metrics_port" in overrides else "")
+              + (f", CSV of the last run to {overrides['metrics_csv']}"
+                 if "metrics_csv" in overrides else "")
+              + (", watchdog aborts wedged runs"
+                 if "watchdog_abort" in overrides else "")
               + " — see perf_summary()['timeline'] / ['health'])")
-
-    def run_wanted() -> None:
+    flush_summaries = collect_summaries(options["summary_json"])
+    # --profile DIR: cProfile the parent (the whole sweep; on the sim
+    # backend that IS the run) and have each mp worker dump its own
+    # worker-N.prof into the same directory (see RunConfig.mp_profile_dir)
+    profile_dir = overrides.get("mp_profile_dir")
+    profiler = None
+    if profile_dir is not None:
+        os.makedirs(profile_dir, exist_ok=True)
+        profiler = cProfile.Profile()
+        profiler.enable()
+    try:
         if wanted & {"fig7", "fig8", "lookup", "cost"}:
             partitions = (2, 4, 8) if quick else (2, 3, 4, 5, 6, 7, 8)
             rows = instacart_sweep(partitions, quick=quick,
-                                   doorbell_batching=doorbell,
-                                   backend=backend, mp_workers=workers,
-                                   scheduler=scheduler, placement=placement,
-                                   profile_dir=profile_dir,
-                                   durability=durability or None,
-                                   traffic=traffic or None,
-                                   tracing=tracing or None,
-                                   observability=observability or None)
+                                   overrides=overrides)
             if "fig7" in wanted:
                 print_fig7(rows)
             if "fig8" in wanted:
@@ -677,15 +554,7 @@ def main(argv: Iterable[str] | None = None) -> None:
         if wanted & {"fig9a", "fig9b", "fig9c"}:
             concurrency = ((1, 2, 4, 8) if quick
                            else (1, 2, 3, 4, 5, 6, 7, 8))
-            rows = fig9_rows(concurrency, quick=quick,
-                             doorbell_batching=doorbell, backend=backend,
-                             mp_workers=workers, scheduler=scheduler,
-                             placement=placement,
-                             profile_dir=profile_dir,
-                             durability=durability or None,
-                             traffic=traffic or None,
-                             tracing=tracing or None,
-                             observability=observability or None)
+            rows = fig9_rows(concurrency, quick=quick, overrides=overrides)
             if "fig9a" in wanted:
                 print_fig9a(rows)
             if "fig9b" in wanted:
@@ -695,51 +564,26 @@ def main(argv: Iterable[str] | None = None) -> None:
         if "fig10" in wanted:
             percents = (0, 50, 100) if quick else (0, 20, 40, 60, 80, 100)
             print_fig10(fig10_rows(percents, quick=quick,
-                                   doorbell_batching=doorbell,
-                                   backend=backend, mp_workers=workers,
-                                   scheduler=scheduler,
-                                   placement=placement,
-                                   profile_dir=profile_dir,
-                                   durability=durability or None,
-                                   traffic=traffic or None,
-                                   tracing=tracing or None,
-                                   observability=observability or None))
+                                   overrides=overrides))
         if "reorder" in wanted:
             print_reorder(reorder_ablation_rows(quick=quick,
-                                                doorbell_batching=doorbell,
-                                                backend=backend,
-                                                mp_workers=workers,
-                                                scheduler=scheduler))
+                                                overrides=overrides))
         if "minweight" in wanted:
             print_min_weight(min_weight_ablation_rows(
-                quick=quick, doorbell_batching=doorbell, backend=backend,
-                mp_workers=workers, scheduler=scheduler))
-
-    if profile_dir is None:
-        try:
-            run_wanted()
-        finally:
-            flush_summaries()
-        return
-    # --profile DIR: cProfile the parent (the whole sweep; on the sim
-    # backend that IS the run) and have each mp worker dump its own
-    # worker-N.prof into the same directory (see RunConfig.mp_profile_dir)
-    import cProfile
-    import os
-    os.makedirs(profile_dir, exist_ok=True)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        run_wanted()
+                quick=quick, overrides=overrides))
     finally:
-        profiler.disable()
-        path = os.path.join(profile_dir, "parent.prof")
-        profiler.dump_stats(path)
-        print(f"(cProfile dumps in {profile_dir}: parent.prof"
-              + (", worker-N.prof per mp worker" if backend == "mp"
-                 else "") + ")")
+        if profiler is not None:
+            profiler.disable()
+            profiler.dump_stats(os.path.join(profile_dir, "parent.prof"))
+            print(f"(cProfile dumps in {profile_dir}: parent.prof"
+                  + (", worker-N.prof per mp worker" if backend == "mp"
+                     else "") + ")")
         flush_summaries()
 
+
+if __doc__:  # absent under -OO
+    __doc__ += ("\nThe command line, as ``--help`` prints it::\n\n"
+                + textwrap.indent(build_parser().format_help(), "    "))
 
 if __name__ == "__main__":
     main()

@@ -14,17 +14,23 @@ serializes known-conflicting requests and sheds hopeless queues.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import json
 import random
 import sys
 import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable
 
 from .._util import make_rng
-from ..analysis import ProcedureRegistry
+from ..obs import (HealthWatchdog, MetricsHttpServer, Timeline,
+                   TimelineSampler, Tracer, WatchdogAbort, exemplar_summary,
+                   render_watch, to_prometheus, write_timeline_csv,
+                   write_trace_json)
 from ..placement import (AccessTelemetry, MigrationExecutor,
                          PlacementController, PlacementSpec, PlacementStats,
                          as_placement_spec, controller_loop,
@@ -32,13 +38,13 @@ from ..placement import (AccessTelemetry, MigrationExecutor,
 from ..sched import SchedAction, Scheduler, SchedulerSpec, as_spec
 from ..sim import Cluster, NetworkConfig, Sleep, WorkerCluster
 from ..sim.supervisor import (MpRunSpec, cluster_for_config,
-                              current_worker_cluster, effective_mp_workers,
-                              run_mp_workers)
-from ..storage import Catalog, WalSpec, as_wal_spec
+                              effective_mp_workers, run_mp_workers)
+from ..storage import WalSpec, as_wal_spec
+from ..traffic import as_arrival_spec, spawn_open_loop
 from ..txn import (BaseExecutor, Database, ExecConfig, HistoryRecorder,
                    recover_database, recovery_program)
 from ..txn.common import seed_txn_ids
-from .metrics import APP_ABORTS, Metrics
+from .metrics import APP_ABORTS, Metrics, OpenLoopStats
 
 BACKENDS = ("sim", "aio", "mp")
 """Execution backends a run can select: the discrete-event simulator
@@ -47,10 +53,21 @@ a real event loop — as one in-process worker that owns every server
 (``aio``) or as one OS process per worker with codec frames between
 them (``mp``)."""
 
+RETRY_BACKOFF_US = 10.0
+"""Upper bound of the randomized client-side backoff before an aborted
+attempt retries (what the scheduler's ``retry_backoff_us`` starts from)."""
+
+MAX_ATTEMPTS = 50
+"""Attempts after which a request that keeps aborting is given up."""
+
 
 @dataclass
 class RunConfig:
-    """One benchmark run's knobs."""
+    """One benchmark run's knobs.
+
+    Flat on purpose: the experiments CLI's option ``dest``s and the
+    sweeps' ``overrides`` mappings are these field names, and the
+    benchmark adapter passes them as flat keywords."""
 
     n_partitions: int = 4
     concurrent_per_engine: int = 1
@@ -63,8 +80,9 @@ class RunConfig:
 
     seed: int = 7
     retry_aborts: bool = True
-    retry_backoff_us: float = 10.0
-    max_attempts: int = 50
+    """Retry a contention abort after a randomised backoff
+    (:data:`RETRY_BACKOFF_US`, at most :data:`MAX_ATTEMPTS` attempts)."""
+
     n_replicas: int = 1
     track_spans: bool = False
     record_history: bool = False
@@ -92,23 +110,19 @@ class RunConfig:
     or ``"mp"`` (the same runtime, one worker per OS process, codec
     frames between them); aio/mp throughput figures are wall-clock."""
 
-    aio_run_timeout_s: float | None = None
-    """Hang guard for the aio backend's run-to-quiescence loop.  None
-    derives a bound from the wall-clock horizon (horizon plus two
-    minutes of drain headroom), so long runs are never killed by the
-    cluster's default cap.  Ignored on the sim backend."""
+    run_timeout_s: float | None = None
+    """Hang guard for the wall-clock backends: how long the aio
+    run-to-quiescence loop may take, and how long the mp parent waits
+    for every worker to report before tearing the fleet down.  None
+    derives a bound from the wall-clock horizon (plus two minutes of
+    drain headroom on aio, one minute of build/drain headroom on mp),
+    so long runs are never killed by a fixed cap.  Ignored on sim."""
 
     mp_workers: int | None = None
     """Worker-process count for the mp backend.  None (default) runs
     one process per server — the paper-faithful topology; smaller
     values pack servers onto workers round-robin (``server %
     workers``).  Ignored on other backends."""
-
-    mp_run_timeout_s: float | None = None
-    """Hang guard for the mp backend: how long the parent waits for
-    every worker to report before tearing the fleet down.  None derives
-    a bound from the wall-clock horizon plus a minute of build/drain
-    headroom."""
 
     mp_transport: str = "tcp"
     """Carrier for cross-worker frames on the mp backend.  Vestigial:
@@ -222,10 +236,8 @@ class RunConfig:
     period in microseconds — simulated µs on the sim backend (pure
     bookkeeping; the event stream stays bit-identical), wall-clock µs
     on aio/mp.  None (default) disables the timeline: no sampler, no
-    watchdog, no per-event probe."""
-
-    metrics_ring: int = 4096
-    """Timeline samples retained per server (oldest dropped, counted)."""
+    watchdog, no per-event probe.  Each server keeps the last
+    :data:`repro.obs.timeline.DEFAULT_RING` samples."""
 
     health_rules: tuple | None = None
     """Watchdog rules (:class:`repro.obs.HealthRule` tuple) evaluated
@@ -255,8 +267,7 @@ class RunConfig:
         None for the closed-loop default.  A string/spec
         :attr:`arrivals` picks up the :attr:`offered_load` and
         :attr:`deadline_us` overrides."""
-        from ..traffic import as_arrival_spec  # lazy: traffic imports
-        spec = as_arrival_spec(self.arrivals)  # bench.metrics
+        spec = as_arrival_spec(self.arrivals)
         if spec is None:
             return None
         overrides = {}
@@ -377,8 +388,7 @@ class RunResult:
             summary["traffic"] = traffic
         trace = self.metrics.trace
         if trace is not None:
-            from ..obs.export import exemplar_summary  # lazy: obs is
-            summary["trace"] = trace.summary()         # optional wiring
+            summary["trace"] = trace.summary()
             exemplars = exemplar_summary(trace)
             if exemplars:
                 summary["exemplars"] = exemplars
@@ -392,10 +402,7 @@ class RunResult:
     def traffic_summary(self) -> dict | None:
         """Fig.-style traffic breakdown: wire bytes by transaction
         phase (lock/validate/replicate/commit/...), cluster-wide and
-        per issuing executor.  None when nothing crossed the wire (or
-        no database rode along to read the counters from)."""
-        if self.database is None:
-            return None
+        per issuing executor.  None when nothing crossed the wire."""
         stats = self.database.cluster.network.stats
         if not stats.bytes_by_kind:
             return None
@@ -424,25 +431,25 @@ def install_summary_json(args: list[str],
     collected per-run ``perf_summary()`` dicts as one JSON array and
     uninstalls the hook.  Without the flag, ``flush`` is a no-op.
     """
-    path: str | None = None
-    rest: list[str] = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == "--summary-json":
-            if i + 1 >= len(args):
-                raise SystemExit("--summary-json needs a path")
-            path = args[i + 1]
-            i += 2
-            continue
-        if arg.startswith("--summary-json="):
-            path = arg.split("=", 1)[1]
-            i += 1
-            continue
-        rest.append(arg)
-        i += 1
+    options, rest = summary_json_parser().parse_known_args(args)
+    return rest, collect_summaries(options.summary_json)
+
+
+def summary_json_parser() -> argparse.ArgumentParser:
+    """The ``--summary-json PATH`` option, as a parent parser a CLI can
+    inherit (``parents=[...]``) so the flag shows up in its ``--help``."""
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    parser.add_argument(
+        "--summary-json", metavar="PATH", default=None,
+        help="write every run's perf_summary() to PATH as one JSON array")
+    return parser
+
+
+def collect_summaries(path: "str | None") -> Callable[[], None]:
+    """Install the :data:`SUMMARY_HOOK` collector for ``path`` and
+    return its ``flush`` (a no-op when ``path`` is None)."""
     if path is None:
-        return rest, lambda: None
+        return lambda: None
     collected: list[dict] = []
 
     def hook(result: RunResult) -> None:
@@ -454,12 +461,11 @@ def install_summary_json(args: list[str],
     def flush() -> None:
         global SUMMARY_HOOK
         SUMMARY_HOOK = None
-        import json
         with open(path, "w") as fh:
             json.dump(collected, fh, indent=1)
         print(f"(wrote {len(collected)} run summaries to {path})")
 
-    return rest, flush
+    return flush
 
 
 def _finish_run(result: RunResult) -> RunResult:
@@ -472,11 +478,9 @@ def _finish_run(result: RunResult) -> RunResult:
               f"tracer ring capacity or sample with trace_sample",
               file=sys.stderr)
     if config.trace and config.trace_out and trace is not None:
-        from ..obs.export import write_trace_json  # lazy: optional
         write_trace_json(trace, config.trace_out)
     timeline = result.metrics.timeline
     if timeline is not None:
-        from ..obs.expose import render_watch, write_timeline_csv
         if config.metrics_csv:
             write_timeline_csv(timeline, config.metrics_csv)
         if config.metrics_watch:
@@ -486,86 +490,55 @@ def _finish_run(result: RunResult) -> RunResult:
     return result
 
 
-@dataclass
-class _TimelineWiring:
-    """Live-run observability state `_install_timeline` hands back."""
+class _LiveTimeline:
+    """The run's one timeline, its health watchdog and (wall-clock
+    backends, when asked) the Prometheus endpoint, in the process that
+    called :meth:`Run.run`: rows reach :meth:`add` from the in-process
+    sampler (sim, aio) or from the workers' ``metrics_sample`` messages
+    (mp), so the timeline survives a worker being killed."""
 
-    timeline: object
-    sampler: object
-    watchdog: object
-    http: object | None = None
-
-
-def _install_timeline(config: RunConfig, cluster, db, metrics: Metrics,
-                      wiring) -> "_TimelineWiring | None":
-    """Attach the metrics timeline sampler + health watchdog to a
-    single-process (sim/aio) run.  Returns None when the timeline is
-    off — nothing is allocated and no hook is installed."""
-    if not config.metrics_interval:
-        return None
-    from ..obs.health import HealthWatchdog
-    from ..obs.timeline import Timeline, TimelineSampler
-    timeline = Timeline(config.metrics_interval,
-                        ring=config.metrics_ring)
-    sampler = TimelineSampler(
-        config.metrics_interval, metrics, wiring.schedulers,
-        network=cluster.network.stats, recovery=db.recovery,
-        placement=wiring.placement_stats,
-        events_fired=lambda: cluster.sim.events_fired)
-    watchdog = HealthWatchdog(rules=config.health_rules,
-                              interval_us=config.metrics_interval,
-                              abort=config.watchdog_abort)
-
-    def tick(now_us: float) -> None:
-        rows = sampler.tick(now_us)
-        if rows:
-            timeline.add_rows(rows)
-            watchdog.ingest(rows)
-            watchdog.evaluate(now_us)
-
-    obs = _TimelineWiring(timeline, sampler, watchdog)
-    if config.backend == "sim":
-        # pure bookkeeping after each fired event: bit-identical
-        cluster.sim.probe = tick
-    else:
-        cluster.on_tick = lambda: tick(cluster.sim.now)
-        cluster.tick_interval_s = config.metrics_interval / 1e6
-        if config.metrics_port is not None:
-            from ..obs.expose import MetricsHttpServer, to_prometheus
-            obs.http = MetricsHttpServer(
+    def __init__(self, config: RunConfig):
+        self.timeline = Timeline(config.metrics_interval)
+        self.watchdog = HealthWatchdog(rules=config.health_rules,
+                                       interval_us=config.metrics_interval,
+                                       abort=config.watchdog_abort)
+        self.http = None
+        if config.metrics_port is not None and config.backend != "sim":
+            self.http = MetricsHttpServer(
                 config.metrics_port,
-                lambda: to_prometheus(timeline, watchdog.events))
-            obs.http.start()
-    return obs
+                lambda: to_prometheus(self.timeline, self.watchdog.events))
+            self.http.start()
 
+    def add(self, rows: list, at_us: float | None = None) -> None:
+        self.timeline.add_rows(rows)
+        self.watchdog.ingest(rows, at_us=at_us)
 
-def _detach_timeline(config: RunConfig, cluster,
-                     obs: "_TimelineWiring") -> None:
-    if config.backend == "sim":
-        cluster.sim.probe = None
-    else:
-        cluster.on_tick = None
-    if obs.http is not None:
-        obs.http.stop()
+    def pump(self, sampler, now_us: float, final: bool = False) -> None:
+        """In-process sampling: one tick (or the closing partial
+        interval) of ``sampler`` into the timeline and the watchdog."""
+        rows = sampler.flush(now_us) if final else sampler.tick(now_us)
+        if rows:
+            self.add(rows)
+            self.watchdog.evaluate(now_us, allow_abort=not final)
 
+    def mp_hooks(self) -> dict:
+        """``run_mp_workers`` keyword arguments feeding this timeline."""
+        t0 = time.monotonic()
 
-def _harvest_timeline(obs: "_TimelineWiring", metrics: Metrics,
-                      now_us: float) -> None:
-    """Flush the final partial interval and hang the merged timeline
-    (health events included) off the run's metrics."""
-    rows = obs.sampler.flush(now_us)
-    if rows:
-        obs.timeline.add_rows(rows)
-        obs.watchdog.ingest(rows)
-        obs.watchdog.evaluate(now_us, allow_abort=False)
-    obs.timeline.health = obs.watchdog.events
-    metrics.timeline = obs.timeline
+        def parent_us() -> float:
+            return (time.monotonic() - t0) * 1e6
 
+        # rows are stamped last-seen with the *parent's* clock: worker
+        # sample timestamps start after the build phase, so comparing
+        # them against the parent clock in evaluate() would read the
+        # whole build time as silence
+        return {"on_sample": lambda _w, rows: self.add(rows, parent_us()),
+                "on_tick": lambda: self.watchdog.evaluate(parent_us()),
+                "tick_s": self.timeline.interval_us / 1e6}
 
-def _watchdog_event(exc: BaseException):
-    """The HealthEvent behind a watchdog abort, or None."""
-    from ..obs.health import WatchdogAbort
-    return exc.event if isinstance(exc, WatchdogAbort) else None
+    def close(self) -> None:
+        if self.http is not None:
+            self.http.stop()
 
 
 def make_cluster(config: RunConfig):
@@ -573,7 +546,7 @@ def make_cluster(config: RunConfig):
     if config.backend == "sim":
         return Cluster(config.n_partitions, config.network_config())
     if config.backend == "aio":
-        timeout = config.aio_run_timeout_s
+        timeout = config.run_timeout_s
         if timeout is None:
             timeout = config.horizon_us / 1e6 + 120.0
         return WorkerCluster(config.n_partitions, config.network_config(),
@@ -591,80 +564,111 @@ def assign_wal_dir(config: RunConfig) -> None:
     """Give a durability-enabled run a WAL directory if it lacks one.
 
     Recorded back into ``config.wal_dir`` on purpose: the same config
-    object rides inside ``MpRunSpec.args``, so every worker process —
-    and every *restarted* worker — opens its logs in the directory the
+    object rides inside the run's ``MpRunSpec``, so every worker process
+    — and every *restarted* worker — opens its logs in the directory the
     first build chose.
     """
     if config.wal_dir is None and as_wal_spec(config.wal).enabled:
         config.wal_dir = tempfile.mkdtemp(prefix="repro-wal-")
 
 
-def build_database(workload, catalog: Catalog, config: RunConfig):
-    """Create the cluster, register procedures, and load the data."""
-    assign_wal_dir(config)
-    cluster = make_cluster(config)
-    registry = ProcedureRegistry()
-    for proc in workload.procedures():
-        registry.register(proc)
-    db = Database(cluster, catalog, workload.tables(), registry,
-                  n_replicas=config.n_replicas,
-                  track_spans=config.track_spans,
-                  wal=config.wal_spec())
-    workload.populate(db.loader())
-    return db, cluster
+@dataclass
+class Run:
+    """One built benchmark cell: what
+    :func:`repro.bench.setups.build_run` returns and every driver
+    receives — here or, rebuilt from :attr:`mp_spec`, in an mp worker."""
+
+    workload: object
+    database: Database
+    executor: BaseExecutor
+    config: RunConfig
+    mp_spec: MpRunSpec | None = None
+    """How mp-backend worker processes rebuild this run (attached by
+    the builder when ``config.backend == "mp"`` in the parent)."""
+
+    def run(self) -> RunResult:
+        """Drive the workload until the horizon and collect the result.
+
+        On mp the parent-side :attr:`database` supplies only the schema
+        and receives the merged traffic counters; its stores are *not*
+        the ones the run mutated — those lived in the workers."""
+        config = self.config
+        live = _LiveTimeline(config) if config.metrics_interval else None
+        try:
+            payloads = execute(self, drive, live)
+        finally:
+            if live is not None:
+                live.close()
+        parts = [payload["metrics"] for payload in payloads]
+        metrics = parts[0] if len(parts) == 1 else Metrics.merged(parts)
+        if live is not None:
+            live.timeline.health = live.watchdog.events
+            metrics.timeline = live.timeline
+        stats = self.database.cluster.network.stats
+        for payload in payloads:
+            # surface traffic measured in other processes where every
+            # backend's consumers read it (an mp template counts nothing)
+            if payload["stats"] is not stats:
+                stats.merge_from(payload["stats"])
+        return _finish_run(RunResult(
+            metrics=metrics, database=self.database, config=config,
+            # on mp the parent's recorder saw nothing
+            history=None if config.backend == "mp" else self.executor.history,
+            end_time=max(payload["end_time"] for payload in payloads)))
 
 
 def run_benchmark(workload, executor: BaseExecutor,
                   config: RunConfig,
                   mp_spec: MpRunSpec | None = None) -> RunResult:
-    """Drive ``workload`` through ``executor`` until the horizon.
+    """Drive ``workload`` through ``executor`` until the horizon: the
+    positional spelling of :meth:`Run.run` for hand-wired databases."""
+    return Run(workload, executor.db, executor, config,
+               mp_spec=mp_spec).run()
 
-    On the mp backend the run executes in worker processes, each
-    rebuilding the database from ``mp_spec`` (the setups layer attaches
-    one to every run it builds); the parent-side ``executor`` supplies
-    only the result schema.
+
+def execute(run: Run, driver, live: "_LiveTimeline | None" = None) -> list:
+    """Run ``driver`` wherever ``run.config.backend`` puts the work.
+
+    ``driver(run, cluster, worker_id)`` spawns its tasks and returns a
+    ``collect() -> payload`` callable evaluated at quiescence: once per
+    mp worker process, against the run each rebuilt (payloads come home
+    in worker order), or once here with ``worker_id=None`` (one payload).
     """
-    db = executor.db
-    cluster = db.cluster
-    if config.backend == "mp" and current_worker_cluster() is None:
-        if mp_spec is None:
+    config = run.config
+    cluster = run.database.cluster
+    if config.backend == "mp":
+        if run.mp_spec is None:
             raise ValueError(
                 "backend='mp' runs re-create their database inside worker "
-                "processes; pass mp_spec=MpRunSpec(builder, ...) with a "
-                "module-level builder, or use the setups layer "
-                "(make_tpcc_run(...).run()) which attaches one")
-        return run_mp_benchmark(mp_spec, config, database=db)
-    metrics = Metrics()
-    homes = list(config.homes if config.homes is not None
-                 else range(config.n_partitions))
-    wiring = _spawn_load(workload, executor, config, cluster, metrics,
-                         homes)
-    obs = _install_timeline(config, cluster, db, metrics, wiring)
-    events_before = cluster.sim.events_fired
-    wall_start = time.perf_counter()
+                "processes: build with setups.build_run, or pass "
+                "mp_spec=MpRunSpec(<module-level builder>, ...)")
+        hooks = live.mp_hooks() if live is not None else {}
+        return run_mp_workers(replace(run.mp_spec, driver=driver), config,
+                              **hooks)
+    collect = driver(run, cluster, None)
+    if live is None:
+        cluster.run()
+        return [collect()]
+    sampler = cluster.metrics_sampler
+    if config.backend == "sim":
+        # pure bookkeeping after each fired event: bit-identical
+        cluster.sim.probe = partial(live.pump, sampler)
+    else:
+        cluster.on_tick = lambda: live.pump(sampler, cluster.sim.now)
     try:
         cluster.run()
-    except Exception as exc:
-        if obs is None or _watchdog_event(exc) is None:
-            raise
+    except WatchdogAbort:
         # the watchdog killed a wedged run: keep the partial metrics,
         # the event itself rides perf_summary()["health"]
+        pass
     finally:
-        if obs is not None:
-            _detach_timeline(config, cluster, obs)
-    metrics.wall_seconds = time.perf_counter() - wall_start
-    metrics.events_processed = cluster.sim.events_fired - events_before
-    metrics.scheduler_stats = {home: sched.stats
-                               for home, sched in wiring.schedulers.items()}
-    metrics.placement_stats = wiring.placement_stats
-    metrics.recovery_stats = db.recovery
-    if config.trace:
-        metrics.trace = db.tracer.harvest()
-    if obs is not None:
-        _harvest_timeline(obs, metrics, cluster.sim.now)
-    return _finish_run(RunResult(metrics=metrics, database=db,
-                                 history=executor.history, config=config,
-                                 end_time=cluster.sim.now))
+        if config.backend == "sim":
+            cluster.sim.probe = None
+        else:
+            cluster.on_tick = None
+    payload = collect()
+    live.pump(sampler, cluster.sim.now, final=True)
+    return [payload]
 
 
 def make_schedulers(executor: BaseExecutor, config: RunConfig,
@@ -685,57 +689,174 @@ def make_schedulers(executor: BaseExecutor, config: RunConfig,
     return {home: spec.build(fingerprint) for home in homes}
 
 
-@dataclass
-class _LoadWiring:
-    """What `_spawn_load` hands back for post-run stats collection."""
+def drive(run: Run, cluster, worker_id: int | None = None):
+    """The driver behind :meth:`Run.run` on every backend: spawn the
+    load for the homes this process owns, install the timeline sampler,
+    return the ``collect()`` that fills :class:`Metrics` at quiescence.
 
+    As one process of an mp fleet (``worker_id`` set) it first
+    namespaces transaction ids — by worker *and* restart generation, so
+    a respawn never reuses its predecessor's ids — and, when it is a
+    restart, replays this worker's WALs.
+    """
+    config = run.config
+    executor = run.executor
+    db = executor.db
+    homes = list(config.homes if config.homes is not None
+                 else range(config.n_partitions))
+    generation = 0
+    if worker_id is not None:
+        generation = cluster.generation
+        seed_txn_ids(cluster.txn_namespace())
+        if generation > 0:
+            in_doubt = recover_database(db)
+            if in_doubt:
+                # chase coordinators for the prepared-but-undecided
+                # txns; unreachable coordinators resolve by presumed abort
+                home = cluster.owned_servers()[0]
+                cluster.engine(home).spawn(recovery_program(db, in_doubt))
+        homes = [home for home in homes if cluster.owns(home)]
+    metrics = Metrics()
+    load = Load(executor, config, cluster, metrics,
+                make_schedulers(executor, config, homes))
+    _spawn_load(run.workload, load, homes)
+    if config.metrics_interval:
+        # pumped by whoever runs this cluster: execute() in process, the
+        # supervisor's serve loop in a worker (rows ship to the parent
+        # live, so the payload below deliberately carries no timeline)
+        cluster.metrics_sampler = TimelineSampler(
+            config.metrics_interval, metrics, load.schedulers,
+            network=cluster.network.stats, recovery=db.recovery,
+            placement=load.placement_stats,
+            events_fired=lambda: cluster.sim.events_fired, gen=generation)
+        if config.backend != "sim":
+            cluster.tick_interval_s = config.metrics_interval / 1e6
+    events_before = cluster.sim.events_fired
+    wall_start = time.perf_counter()
+
+    def collect() -> dict:
+        metrics.wall_seconds = time.perf_counter() - wall_start
+        metrics.events_processed = cluster.sim.events_fired - events_before
+        metrics.scheduler_stats = {
+            home: sched.stats
+            for home, sched in load.schedulers.items()}
+        metrics.placement_stats = load.placement_stats
+        metrics.recovery_stats = db.recovery
+        if config.trace:
+            # mp: rings ride home inside the metrics payload and merge
+            # in the parent exactly like every other per-worker counter
+            metrics.trace = db.tracer.harvest()
+        return {"metrics": metrics, "end_time": cluster.sim.now,
+                "stats": cluster.network.stats}
+
+    return collect
+
+
+@dataclass
+class Load:
+    """One process's load wiring: what every request's lifecycle reads
+    while the run is live and what ``collect()`` harvests afterwards."""
+
+    executor: BaseExecutor
+    config: RunConfig
+    cluster: object
+    metrics: Metrics
     schedulers: dict[int, Scheduler]
     placement_stats: PlacementStats | None = None
     telemetry: dict[int, AccessTelemetry] | None = None
 
+    def lifecycle(self, home: int, request, rng: random.Random, trace: int,
+                  entered_at: float, label: str, settle=None):
+        """One request from admission to its final outcome: the only
+        place a request meets its engine's scheduler, for closed-loop
+        workers, open-loop arrivals and the conformance programs alike.
 
-def _spawn_load(workload, executor: BaseExecutor, config: RunConfig,
-                cluster, metrics: Metrics,
-                homes: Iterable[int]) -> _LoadWiring:
+        ``entered_at`` is when the request entered the system — now for
+        a closed-loop worker, the *scheduled* arrival for an open-loop
+        one, so queue-wait spans and exemplars explain
+        coordinated-omission-safe latency; ``label`` names the exemplar
+        bucket.  ``settle(outcome, now)`` is called once when the
+        request leaves (``outcome`` is None if the scheduler shed it).
+        """
+        executor, config, cluster = self.executor, self.config, self.cluster
+        metrics, telemetry = self.metrics, self.telemetry
+        tracer = executor.db.tracer
+        scheduler = self.schedulers[home]
+        decision = scheduler.admit(request, cluster.sim.now)
+        while decision.action is SchedAction.DEFER:
+            yield decision.wait_effect()
+            decision = scheduler.readmit(request, decision,
+                                         cluster.sim.now)
+        if decision.action is SchedAction.SHED:
+            # typed reason already recorded in the scheduler's stats
+            if trace:
+                tracer.span(trace, 0, 0, home, "shed", entered_at,
+                            cluster.sim.now, "shed")
+            if settle is not None:
+                settle(None, cluster.sim.now)
+            return
+        if trace and cluster.sim.now > entered_at:
+            tracer.span(trace, 0, 0, home, "queue_wait", entered_at,
+                        cluster.sim.now)
+        attempts = 0
+        while True:
+            outcome = yield from executor.execute(request, trace=trace,
+                                                  attempt=attempts)
+            metrics.add(outcome)
+            if telemetry is not None and outcome.committed:
+                telemetry[home].observe(outcome, cluster.sim.now)
+            attempts += 1
+            retryable = (not outcome.committed
+                         and outcome.reason not in APP_ABORTS
+                         and config.retry_aborts
+                         and attempts < MAX_ATTEMPTS
+                         and cluster.sim.now < config.horizon_us)
+            scheduler.on_outcome(decision, outcome, cluster.sim.now,
+                                 will_retry=retryable)
+            if not retryable:
+                break
+            yield Sleep(scheduler.retry_backoff_us(decision, rng,
+                                                   RETRY_BACKOFF_US))
+        now = cluster.sim.now
+        if trace:
+            # top-K slowest traces per label: what perf_summary() uses
+            # to attribute p99/p999 to a dominant phase
+            tracer.exemplar(label, trace, now - entered_at)
+        if settle is not None:
+            settle(outcome, now)
+
+
+def _spawn_load(workload, load: Load, homes: list[int]) -> None:
     """Spawn the worker coroutines that generate load on ``homes`` (a
     subset on mp workers, all engines elsewhere).  With
     ``config.arrivals`` set, open-loop dispatchers replace the
     closed-loop workers: requests enter on a pre-generated arrival
     schedule regardless of completion (see :mod:`repro.traffic`).
-
-    Every request passes through its engine's scheduler before any
-    effect is emitted — admission, class serialization, and shedding
-    happen engine-side, which is why the same logic runs unchanged on
-    all three backends.  Returns the per-engine schedulers (and, on
-    adaptive runs, the placement wiring) so the caller can surface
-    their stats after the run drains.
+    Either way every request runs :meth:`Load.lifecycle`.
 
     With ``config.placement`` adaptive, this is also where the
     placement loop attaches: committed outcomes feed per-engine
     :class:`~repro.placement.AccessTelemetry`, the ``placement_flip``
     RPC is installed on this process's database, and — if this process
     drives the controller's home engine — the observe/plan/migrate
-    controller loop is spawned alongside the load.
+    controller loop is spawned alongside the load (its stats and
+    telemetry land on ``load``).
     """
+    executor, config, cluster = load.executor, load.config, load.cluster
     db = executor.db
-    tracer = None
     if config.trace:
-        from ..obs.tracer import Tracer  # lazy: obs is optional wiring
-        tracer = Tracer(sample_every=config.trace_sample)
-        db.tracer = tracer  # shadows the class-level no-op
-        for server in cluster.servers:
+        db.tracer = Tracer(sample_every=config.trace_sample)
+        for server in cluster.servers:  # shadows the class-level no-op
             runtime = getattr(server.engine, "runtime", None)
             if runtime is not None:
-                runtime.tracer = tracer
-    schedulers = make_schedulers(executor, config, homes)
+                runtime.tracer = db.tracer
+    tracer = db.tracer
     arrivals = config.arrival_spec()
     if arrivals is not None and config.route_by_data:
         raise ValueError("open-loop arrivals and route_by_data cannot "
                          "be combined: the dispatcher issues requests "
                          "on their scheduled home")
     placement = as_placement_spec(config.placement)
-    placement_stats: PlacementStats | None = None
-    telemetry: dict[int, AccessTelemetry] | None = None
     if placement.adaptive:
         if (config.backend != "mp"
                 and placement.controller_home not in homes):
@@ -755,6 +876,7 @@ def _spawn_load(workload, executor: BaseExecutor, config: RunConfig,
                          sample_every=placement.sample_every,
                          max_samples=placement.max_samples)
                      for home in homes}
+        load.placement_stats, load.telemetry = placement_stats, telemetry
     routed_queues: dict[int, deque] = {home: deque() for home in homes}
 
     def next_routed(home: int, rng: random.Random):
@@ -780,54 +902,21 @@ def _spawn_load(workload, executor: BaseExecutor, config: RunConfig,
 
     def worker(home: int, slot: int):
         rng = make_rng(config.seed, "worker", home, slot)
-        scheduler = schedulers[home]
+        label = f"home-{home}"
         while cluster.sim.now < config.horizon_us:
             if config.route_by_data:
                 request = next_routed(home, rng)
             else:
                 request = workload.next_request(home, rng)
-            trace = tracer.new_trace(home) if tracer is not None else 0
-            t_admit = cluster.sim.now
-            decision = scheduler.admit(request, cluster.sim.now)
-            while decision.action is SchedAction.DEFER:
-                yield decision.wait_effect()
-                decision = scheduler.readmit(request, decision,
-                                             cluster.sim.now)
-            if decision.action is SchedAction.SHED:
-                if trace:
-                    tracer.span(trace, 0, 0, home, "shed", t_admit,
-                                cluster.sim.now, "shed")
-                continue  # typed reason already recorded in the stats
-            if trace and cluster.sim.now > t_admit:
-                tracer.span(trace, 0, 0, home, "queue_wait", t_admit,
-                            cluster.sim.now)
-            attempts = 0
-            while True:
-                outcome = yield from executor.execute(request, trace=trace,
-                                                      attempt=attempts)
-                metrics.add(outcome)
-                if telemetry is not None and outcome.committed:
-                    telemetry[home].observe(outcome, cluster.sim.now)
-                attempts += 1
-                retryable = (not outcome.committed
-                             and outcome.reason not in APP_ABORTS
-                             and config.retry_aborts
-                             and attempts < config.max_attempts
-                             and cluster.sim.now < config.horizon_us)
-                scheduler.on_outcome(decision, outcome, cluster.sim.now,
-                                     will_retry=retryable)
-                if not retryable:
-                    break
-                yield Sleep(scheduler.retry_backoff_us(
-                    decision, rng, config.retry_backoff_us))
-            if trace:
-                tracer.exemplar(f"home-{home}", trace,
-                                cluster.sim.now - t_admit)
+            trace = tracer.new_trace(home) if tracer.enabled else 0
+            yield from load.lifecycle(home, request, rng, trace,
+                                      cluster.sim.now, label)
 
     if arrivals is not None:
-        from ..traffic import spawn_open_loop  # lazy: avoids a cycle
-        spawn_open_loop(workload, executor, config, arrivals, cluster,
-                        metrics, homes, schedulers, telemetry)
+        load.metrics.open_loop = OpenLoopStats()
+        spawn_open_loop(workload, config, arrivals, cluster,
+                        load.metrics.open_loop, homes, load.schedulers,
+                        tracer, load.lifecycle)
     else:
         for home in homes:
             for slot in range(config.concurrent_per_engine):
@@ -857,128 +946,3 @@ def _spawn_load(workload, executor: BaseExecutor, config: RunConfig,
                                       PlacementController(placement),
                                       migrator, placement_stats,
                                       config.horizon_us, cluster))
-    return _LoadWiring(schedulers, placement_stats, telemetry)
-
-
-# -- the multiprocess path ----------------------------------------------------
-
-def mp_benchmark_driver(run_obj, cluster, worker_id: int):
-    """Per-worker half of :func:`run_mp_benchmark`.
-
-    Runs inside each worker process: namespaces transaction ids (by
-    worker *and* restart generation, so a respawn never reuses its
-    predecessor's ids), replays this worker's WALs when it is a
-    restart, spawns the benchmark load for the servers this worker
-    owns, and returns the ``finalize`` hook evaluated at local
-    quiescence.
-    """
-    namespace = getattr(cluster, "txn_namespace", None)
-    seed_txn_ids(namespace() if namespace is not None else worker_id)
-    config: RunConfig = run_obj.config
-    if getattr(cluster, "generation", 0) > 0:
-        db = run_obj.executor.db
-        in_doubt = recover_database(db)
-        if in_doubt:
-            # chase coordinators for the prepared-but-undecided txns;
-            # unreachable coordinators resolve by presumed abort
-            home = cluster.owned_servers()[0]
-            cluster.engine(home).spawn(recovery_program(db, in_doubt))
-    metrics = Metrics()
-    homes = [h for h in (config.homes if config.homes is not None
-                         else range(config.n_partitions))
-             if cluster.owns(h)]
-    wiring = _spawn_load(run_obj.workload, run_obj.executor, config,
-                         cluster, metrics, homes)
-    if config.metrics_interval:
-        from ..obs.timeline import TimelineSampler
-        # rows ship to the parent live (metrics_sample messages) so
-        # the merged timeline survives this worker being killed; the
-        # finalize payload deliberately carries no timeline
-        cluster.metrics_sampler = TimelineSampler(
-            config.metrics_interval, metrics, wiring.schedulers,
-            network=cluster.network.stats,
-            recovery=run_obj.executor.db.recovery,
-            placement=wiring.placement_stats,
-            events_fired=lambda: cluster.sim.events_fired,
-            gen=getattr(cluster, "generation", 0))
-        cluster.tick_interval_s = config.metrics_interval / 1e6
-
-    def finalize() -> dict:
-        metrics.wall_seconds = cluster.sim.now / 1e6
-        metrics.events_processed = cluster.sim.events_fired
-        metrics.scheduler_stats = {
-            home: sched.stats
-            for home, sched in wiring.schedulers.items()}
-        metrics.placement_stats = wiring.placement_stats
-        metrics.recovery_stats = run_obj.executor.db.recovery
-        if config.trace:
-            # rings ride home inside the metrics payload and merge in
-            # the parent exactly like every other per-worker counter
-            metrics.trace = run_obj.executor.db.tracer.harvest()
-        return {"metrics": metrics, "end_time": cluster.sim.now,
-                "stats": cluster.network.stats}
-
-    return finalize
-
-
-def run_mp_benchmark(spec: MpRunSpec, config: RunConfig,
-                     database: Database | None = None) -> RunResult:
-    """Run ``spec`` across worker processes and merge their metrics.
-
-    ``database`` (the parent-side template build, if any) rides along
-    in the RunResult for schema inspection; its stores are *not* the
-    ones the run mutated — those lived in the workers.
-    """
-    if spec.driver is None:
-        spec = dataclasses.replace(spec, driver=mp_benchmark_driver)
-    assign_wal_dir(config)
-    obs = None
-    on_sample = on_tick = tick_s = None
-    if config.metrics_interval:
-        from ..obs.health import HealthWatchdog
-        from ..obs.timeline import Timeline
-        timeline = Timeline(config.metrics_interval,
-                            ring=config.metrics_ring)
-        watchdog = HealthWatchdog(rules=config.health_rules,
-                                  interval_us=config.metrics_interval,
-                                  abort=config.watchdog_abort)
-        obs = _TimelineWiring(timeline, None, watchdog)
-        run_t0 = time.monotonic()
-
-        def on_sample(worker_id: int, rows: list) -> None:
-            # stamp last-seen with the *parent's* clock: worker sample
-            # timestamps start after the build phase, so comparing
-            # them against the parent clock in evaluate() would read
-            # the whole build time as silence
-            timeline.add_rows(rows)
-            watchdog.ingest(rows, at_us=(time.monotonic() - run_t0) * 1e6)
-
-        def on_tick() -> None:
-            watchdog.evaluate((time.monotonic() - run_t0) * 1e6)
-
-        tick_s = config.metrics_interval / 1e6
-        if config.metrics_port is not None:
-            from ..obs.expose import MetricsHttpServer, to_prometheus
-            obs.http = MetricsHttpServer(
-                config.metrics_port,
-                lambda: to_prometheus(timeline, watchdog.events))
-            obs.http.start()
-    try:
-        payloads = run_mp_workers(spec, config, on_sample=on_sample,
-                                  on_tick=on_tick, tick_s=tick_s)
-    finally:
-        if obs is not None and obs.http is not None:
-            obs.http.stop()
-    metrics = Metrics.merged([p["metrics"] for p in payloads])
-    if obs is not None:
-        obs.timeline.health = obs.watchdog.events
-        metrics.timeline = obs.timeline
-    if database is not None:
-        # surface the measured traffic where every backend's consumers
-        # read it (the template's own counters are all zero)
-        for payload in payloads:
-            database.cluster.network.stats.merge_from(payload["stats"])
-    return _finish_run(RunResult(metrics=metrics, database=database,
-                                 history=None, config=config,
-                                 end_time=max(p["end_time"]
-                                              for p in payloads)))

@@ -282,7 +282,7 @@ class Metrics:
         Outcome lists concatenate; wall time is the *max* (workers ran
         concurrently); events sum across processes; scheduler stats
         union by engine (each engine's scheduler lived in exactly one
-        worker).
+        worker).  No timeline rides a part (see :attr:`timeline`).
         """
         merged = cls()
         for part in parts:
@@ -308,12 +308,6 @@ class Metrics:
                     from ..obs.tracer import TraceData
                     merged.trace = TraceData()
                 merged.trace.merge_from(part.trace)
-            if part.timeline is not None:
-                if merged.timeline is None:
-                    from ..obs.timeline import Timeline
-                    merged.timeline = Timeline(
-                        part.timeline.interval_us, part.timeline.ring)
-                merged.timeline.merge_from(part.timeline)
         return merged
 
     def scheduler_summary(self) -> SchedulerStats | None:

@@ -1,5 +1,9 @@
 """Experiment setups: wire workloads, layouts, and executors together.
 
+:func:`build_run` is the one place a benchmark database is built and
+an executor picked by name; the factories around it only choose a
+workload, a placement scheme and a hot-record table.
+
 Two families, one per evaluation section of the paper:
 
 * **TPC-C** (Section 7.3/7.4): warehouse partitioning for everyone
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Literal
+from functools import partial
+from typing import Callable, Literal
 
 from ..analysis import ProcedureRegistry
 from ..core import (ChillerExecutor, ChillerPartitionerConfig,
@@ -32,10 +37,55 @@ from ..workloads.tpcc import (REPLICATED_TABLES, TpccScale, TpccWorkload,
                               tpcc_routing)
 from ..workloads.ycsb import YcsbWorkload
 from ..sim.supervisor import MpRunSpec, current_worker_cluster
-from .harness import (RunConfig, RunResult, assign_wal_dir, make_cluster,
-                      mp_benchmark_driver, run_benchmark, run_mp_benchmark)
+from .harness import Run, RunConfig, assign_wal_dir, make_cluster
 
 ExecutorName = Literal["2pl", "occ", "chiller"]
+
+EXECUTORS = {"2pl": TwoPLExecutor, "occ": OccExecutor,
+             "chiller": ChillerExecutor}
+"""Execution models by name; ``chiller`` also takes a hot-record table."""
+
+
+def build_run(workload, catalog: Catalog, config: RunConfig,
+              executor_name: ExecutorName = "2pl",
+              hot_table: HotRecordTable | None = None,
+              rebuild: Callable[[], Run] | None = None) -> Run:
+    """Build ``workload``'s database over ``catalog`` on ``config``'s
+    backend, load it, and put the named executor in front of it.
+
+    Module-level and picklable-by-reference: on the mp backend the
+    parent-side build records itself (same arguments -> same
+    deterministic database) as the recipe each worker process re-runs.
+    A caller that wires more onto the run after this returns (an RPC
+    handler, a workload clock) passes its own module-level ``rebuild``
+    — a picklable zero-argument callable — so workers get that too.
+    """
+    assign_wal_dir(config)
+    cluster = make_cluster(config)
+    registry = ProcedureRegistry()
+    for proc in workload.procedures():
+        registry.register(proc)
+    db = Database(cluster, catalog, workload.tables(), registry,
+                  n_replicas=config.n_replicas,
+                  track_spans=config.track_spans,
+                  wal=config.wal_spec())
+    workload.populate(db.loader())
+    history = HistoryRecorder() if config.record_history else None
+    executor_class = EXECUTORS.get(executor_name)
+    if executor_class is None:
+        raise ValueError(f"unknown executor {executor_name!r} "
+                         f"(expected {' | '.join(EXECUTORS)})")
+    over = (db,)
+    if executor_class is ChillerExecutor:
+        if hot_table is None:
+            raise ValueError("the chiller executor needs a hot_table")
+        over = (db, hot_table)
+    run = Run(workload, db,
+              executor_class(*over, config.exec_config, history), config)
+    if config.backend == "mp" and current_worker_cluster() is None:
+        run.mp_spec = MpRunSpec(rebuild or partial(
+            build_run, workload, catalog, config, executor_name, hot_table))
+    return run
 
 
 # -- TPC-C ------------------------------------------------------------------
@@ -67,112 +117,40 @@ def tpcc_hot_table_from_stats(workload: TpccWorkload, scheme,
                                      scheme.partition_of)
 
 
-@dataclass
-class TpccRun:
-    """Everything needed to execute one TPC-C cell."""
-
-    workload: TpccWorkload
-    database: Database
-    executor: object
-    config: RunConfig
-    hot_table: HotRecordTable | None = None
-    mp_spec: MpRunSpec | None = None
-    """How mp-backend worker processes rebuild this run (attached by the
-    setup factories when ``config.backend == "mp"`` in the parent)."""
-
-    def run(self) -> RunResult:
-        if self.mp_spec is not None:
-            return run_mp_benchmark(self.mp_spec, self.config,
-                                    database=self.database)
-        return run_benchmark(self.workload, self.executor, self.config)
-
-
 def make_tpcc_run(executor_name: ExecutorName,
                   config: RunConfig,
                   workload: TpccWorkload | None = None,
-                  hot_from_stats: bool = False) -> TpccRun:
+                  hot_from_stats: bool = False) -> Run:
     """Build a TPC-C database + executor over warehouse partitioning."""
     workload = workload or TpccWorkload(
         TpccScale(n_warehouses=config.n_partitions),
         n_partitions=config.n_partitions)
-    assign_wal_dir(config)
-    cluster = make_cluster(config)
-    registry = ProcedureRegistry()
-    for proc in workload.procedures():
-        registry.register(proc)
     scheme = ModuloScheme(config.n_partitions, routing=tpcc_routing)
-    catalog = Catalog(config.n_partitions, scheme,
-                      replicated_tables=REPLICATED_TABLES)
-    db = Database(cluster, catalog, workload.tables(), registry,
-                  n_replicas=config.n_replicas,
-                  track_spans=config.track_spans,
-                  wal=config.wal_spec())
-    workload.populate(db.loader())
-    history = HistoryRecorder() if config.record_history else None
     hot_table = None
-    if executor_name == "2pl":
-        executor = TwoPLExecutor(db, config.exec_config, history)
-    elif executor_name == "occ":
-        executor = OccExecutor(db, config.exec_config, history)
-    elif executor_name == "chiller":
-        if hot_from_stats:
-            hot_table = tpcc_hot_table_from_stats(workload, scheme)
-        else:
-            hot_table = tpcc_static_hot_table(workload, scheme)
-        executor = ChillerExecutor(db, hot_table, config.exec_config,
-                                   history)
-    else:
-        raise ValueError(f"unknown executor {executor_name!r}")
-    run = TpccRun(workload, db, executor, config, hot_table)
-    if config.backend == "mp" and current_worker_cluster() is None:
-        # parent-side build: record how each worker process re-creates
-        # this exact cell (same args -> same deterministic database)
-        run.mp_spec = MpRunSpec(
-            builder=make_tpcc_run, args=(executor_name, config),
-            kwargs={"workload": workload, "hot_from_stats": hot_from_stats},
-            driver=mp_benchmark_driver)
-    return run
+    if executor_name == "chiller":
+        hot_table = (tpcc_hot_table_from_stats(workload, scheme)
+                     if hot_from_stats
+                     else tpcc_static_hot_table(workload, scheme))
+    return build_run(workload,
+                     Catalog(config.n_partitions, scheme,
+                             replicated_tables=REPLICATED_TABLES),
+                     config, executor_name, hot_table)
 
 
 def make_ycsb_run(executor_name: ExecutorName,
                   config: RunConfig,
-                  workload: YcsbWorkload | None = None) -> TpccRun:
+                  workload: YcsbWorkload | None = None) -> Run:
     """Build a YCSB key-value cell over modulo partitioning.
 
     The wire-path microbenchmarks use this: YCSB's flat read/write mix
     with ``route_by_data`` off makes nearly every transaction touch
     foreign partitions, so throughput tracks the transport + codec cost
-    more directly than TPC-C's mostly-local mix.  Module-level and
-    picklable-by-reference so mp workers rebuild it by name.
+    more directly than TPC-C's mostly-local mix.
     """
-    workload = workload or YcsbWorkload()
-    assign_wal_dir(config)
-    cluster = make_cluster(config)
-    registry = ProcedureRegistry()
-    for proc in workload.procedures():
-        registry.register(proc)
-    scheme = ModuloScheme(config.n_partitions)
-    catalog = Catalog(config.n_partitions, scheme)
-    db = Database(cluster, catalog, workload.tables(), registry,
-                  n_replicas=config.n_replicas,
-                  track_spans=config.track_spans,
-                  wal=config.wal_spec())
-    workload.populate(db.loader())
-    history = HistoryRecorder() if config.record_history else None
-    if executor_name == "2pl":
-        executor = TwoPLExecutor(db, config.exec_config, history)
-    elif executor_name == "occ":
-        executor = OccExecutor(db, config.exec_config, history)
-    else:
-        raise ValueError(f"unknown YCSB executor {executor_name!r} "
-                         "(expected 2pl | occ)")
-    run = TpccRun(workload, db, executor, config, None)
-    if config.backend == "mp" and current_worker_cluster() is None:
-        run.mp_spec = MpRunSpec(
-            builder=make_ycsb_run, args=(executor_name, config),
-            kwargs={"workload": workload},
-            driver=mp_benchmark_driver)
-    return run
+    return build_run(workload or YcsbWorkload(),
+                     Catalog(config.n_partitions,
+                             ModuloScheme(config.n_partitions)),
+                     config, executor_name)
 
 
 def tpcc_static_hot_table(workload: TpccWorkload,
@@ -278,44 +256,19 @@ def build_instacart_layout(setup: InstacartSetup, name: LayoutName,
 def make_instacart_run(setup: InstacartSetup, layout: InstacartLayout,
                        config: RunConfig,
                        executor_override: ExecutorName | None = None,
-                       ) -> TpccRun:
+                       ) -> Run:
     """Build the runtime database for one trained layout.
 
     ``executor_override`` supports the ablations: e.g. two-region
     execution over a Schism or hash layout ("reorder-only").
     """
-    assign_wal_dir(config)
-    cluster = make_cluster(config)
-    registry = ProcedureRegistry()
-    for proc in setup.workload.procedures():
-        registry.register(proc)
     catalog = Catalog(config.n_partitions, layout.scheme)
-    db = Database(cluster, catalog, setup.workload.tables(), registry,
-                  n_replicas=config.n_replicas,
-                  track_spans=config.track_spans,
-                  wal=config.wal_spec())
-    setup.workload.populate(db.loader())
-    history = HistoryRecorder() if config.record_history else None
     executor_name = executor_override or layout.executor_name
-    if executor_name == "2pl":
-        executor = TwoPLExecutor(db, config.exec_config, history)
-    elif executor_name == "occ":
-        executor = OccExecutor(db, config.exec_config, history)
-    else:
-        hot_table = layout.hot_table
-        if not len(hot_table):
-            # two-region execution over a foreign layout: hot records
-            # from the stats, placements from that layout
-            from ..core.lookup import HotRecordTable as Hot
-            hot_table = Hot.from_stats(
-                setup.likelihoods, 0.02,
-                lambda table, key: catalog.partition_of(table, key))
-        executor = ChillerExecutor(db, hot_table, config.exec_config,
-                                   history)
-    run = TpccRun(setup.workload, db, executor, config, None)
-    if config.backend == "mp" and current_worker_cluster() is None:
-        run.mp_spec = MpRunSpec(
-            builder=make_instacart_run, args=(setup, layout, config),
-            kwargs={"executor_override": executor_override},
-            driver=mp_benchmark_driver)
-    return run
+    hot_table = layout.hot_table
+    if executor_name == "chiller" and not len(hot_table):
+        # two-region execution over a foreign layout: hot records
+        # from the stats, placements from that layout
+        hot_table = HotRecordTable.from_stats(setup.likelihoods, 0.02,
+                                              catalog.partition_of)
+    return build_run(setup.workload, catalog, config, executor_name,
+                     hot_table)

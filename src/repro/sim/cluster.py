@@ -38,6 +38,9 @@ class Cluster:
         self.network = Network(self.sim, config)
         self.servers = [Server(i, Engine(self.sim, self.network, i))
                         for i in range(n_servers)]
+        self.metrics_sampler = None
+        """The run's timeline sampler when the live metrics timeline is
+        on: set by the bench driver, ticked from ``sim.probe``."""
 
     def __len__(self) -> int:
         return len(self.servers)

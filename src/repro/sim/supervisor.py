@@ -127,8 +127,8 @@ class _TemplateEngine:
     def spawn(self, gen, on_done=None) -> None:
         raise RuntimeError(
             "this database was built against the parent-side template of "
-            "a multiprocess run; drive it through run_mp_benchmark / "
-            "TpccRun.run(), which re-creates it inside worker processes")
+            "a multiprocess run; drive it through run_benchmark / "
+            "Run.run(), which re-creates it inside worker processes")
 
     post = spawn
 
@@ -157,7 +157,7 @@ class MpTemplateCluster:
     def run(self, max_events: int | None = None) -> None:
         raise RuntimeError(
             "an mp-backend cluster in the parent process is a template; "
-            "drive the run through run_mp_benchmark / TpccRun.run()")
+            "drive the run through run_benchmark / Run.run()")
 
 
 def _worker_entry(conn, spec: MpRunSpec, config: Any, worker_id: int,
@@ -348,7 +348,7 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
         raise ValueError(f"unknown mp_codec {config.mp_codec!r} "
                          f"(expected one of {MP_CODECS})")
     n_workers = effective_mp_workers(config)
-    timeout = config.mp_run_timeout_s
+    timeout = config.run_timeout_s
     if timeout is None:
         timeout = config.horizon_us / 1e6 + 60.0
     restarts_left = config.mp_max_restarts if config.mp_recovery else 0
@@ -386,7 +386,7 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
             if remaining <= 0:
                 raise MpRunError(
                     f"timed out waiting for {len(pending)} worker(s) to "
-                    f"report 'done' (raise RunConfig.mp_run_timeout_s if "
+                    f"report 'done' (raise RunConfig.run_timeout_s if "
                     f"the run is legitimately long)")
             wait_s = remaining
             if next_tick is not None:
@@ -502,7 +502,7 @@ def _collect(workers: dict[int, tuple], worker_ids: set[int], tag: str,
         if remaining <= 0:
             raise MpRunError(
                 f"timed out waiting for {len(pending)} worker(s) to "
-                f"report {tag!r} (raise RunConfig.mp_run_timeout_s if the "
+                f"report {tag!r} (raise RunConfig.run_timeout_s if the "
                 f"run is legitimately long)")
         ready = multiprocessing.connection.wait(pending,
                                                 timeout=remaining)

@@ -607,8 +607,8 @@ class WorkerCluster:
         if self.n_workers != 1:
             raise RuntimeError("a worker with foreign servers is driven by "
                                "the supervisor's serve loop, not run(); "
-                               "drive mp runs through run_mp_benchmark / "
-                               "TpccRun.run() in the parent")
+                               "drive mp runs through run_benchmark / "
+                               "Run.run() in the parent")
         asyncio.run(self._main())
 
     async def _main(self) -> None:

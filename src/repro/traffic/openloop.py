@@ -10,45 +10,44 @@ rate whether or not the system keeps up, which is what exposes the
 saturation knee.
 
 Latency accounting is coordinated-omission-safe by construction: every
-request task records ``completion − scheduled arrival`` into its
-tenant's :class:`~repro.bench.metrics.LatencyHistogram`, so dispatch
-lag, admission queueing, scheduler deferrals, and retry backoffs all
-land in the percentiles.  Request *content* stays deterministic across
-backends because the dispatcher draws every workload request from a
-per-home RNG in schedule order, before any concurrency fans out.
+request settles ``completion − scheduled arrival`` into its tenant's
+:class:`~repro.bench.metrics.LatencyHistogram`, so dispatch lag,
+admission queueing, scheduler deferrals, and retry backoffs all land in
+the percentiles.  Request *content* stays deterministic across backends
+because the dispatcher draws every workload request from a per-home RNG
+in schedule order, before any concurrency fans out.
 
-The same cross-transaction schedulers (:mod:`repro.sched`) mediate
-execution exactly as in closed-loop mode; ``admission="deadline"``
-additionally puts a :class:`~repro.sched.DeadlineAdmission` front door
-ahead of each engine, shedding unpayable and low-value arrivals before
-they consume capacity.
+This module owns only the schedule walk and the per-tenant settlement.
+What a request *does* once it is in is the harness's one request
+lifecycle, handed in as ``lifecycle``, so the same cross-transaction
+schedulers (:mod:`repro.sched`) mediate execution exactly as in
+closed-loop mode; ``admission="deadline"`` additionally puts a
+:class:`~repro.sched.DeadlineAdmission` front door ahead of each
+engine, shedding unpayable and low-value arrivals before they consume
+capacity.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterable
 
 from .._util import make_rng
-from ..bench.metrics import APP_ABORTS, Metrics, OpenLoopStats
-from ..sched import DeadlineAdmission, SchedAction, Scheduler
+from ..sched import DeadlineAdmission, Scheduler
 from ..sim import Sleep
 from .arrivals import Arrival, ArrivalSpec, schedule_for_home
 
 
-def spawn_open_loop(workload, executor, config, spec: ArrivalSpec,
-                    cluster, metrics: Metrics, homes: Iterable[int],
-                    schedulers: dict[int, Scheduler],
-                    telemetry) -> OpenLoopStats:
+def spawn_open_loop(workload, config, spec: ArrivalSpec, cluster, stats,
+                    homes: Iterable[int], schedulers: dict[int, Scheduler],
+                    tracer, lifecycle) -> None:
     """Spawn one open-loop dispatcher per home engine.
 
-    Installs the run's :class:`OpenLoopStats` into ``metrics`` and
-    returns it.  ``schedulers`` and ``telemetry`` are the same wiring
-    the closed-loop path builds — open-loop runs compose with conflict
-    scheduling and adaptive placement unchanged.
+    ``config`` is the run's ``RunConfig`` (seed, horizon, homes) and
+    ``stats`` its ``OpenLoopStats``; ``schedulers``, ``tracer`` and
+    ``lifecycle(home, request, rng, trace, entered_at, label, settle)``
+    are the same wiring the closed-loop workers use — open-loop runs
+    compose with conflict scheduling and adaptive placement unchanged.
     """
-    stats = OpenLoopStats()
-    metrics.open_loop = stats
     # tenants registered eagerly so a fully-shed tenant still reports
     # its 0% attainment instead of vanishing from the summary
     for tenant in spec.effective_tenants():
@@ -70,20 +69,16 @@ def spawn_open_loop(workload, executor, config, spec: ArrivalSpec,
                 init_gap_us=spec.init_gap_us,
                 gap_ewma_alpha=spec.gap_ewma_alpha)
         cluster.engine(home).spawn(
-            _dispatcher(workload, executor, config, cluster, metrics,
-                        stats, schedule, home, schedulers[home],
-                        admission, telemetry))
-    return stats
+            _dispatcher(workload, config.seed, cluster, stats, schedule,
+                        home, admission, tracer, lifecycle))
 
 
-def _dispatcher(workload, executor, config, cluster, metrics: Metrics,
-                stats: OpenLoopStats, schedule: list[Arrival], home: int,
-                scheduler: Scheduler, admission: DeadlineAdmission | None,
-                telemetry):
+def _dispatcher(workload, seed: int, cluster, stats,
+                schedule: list[Arrival], home: int,
+                admission: DeadlineAdmission | None, tracer, lifecycle):
     """Walk the schedule, admitting or shedding each arrival on time."""
-    rng = make_rng(config.seed, "open-loop", home)
+    rng = make_rng(seed, "open-loop", home)
     engine = cluster.engine(home)
-    tracer = executor.db.tracer
     for index, arrival in enumerate(schedule):
         tenant = stats.tenant(arrival.tenant, arrival.deadline_us)
         tenant.scheduled += 1
@@ -102,69 +97,33 @@ def _dispatcher(workload, executor, config, cluster, metrics: Metrics,
                                 cluster.sim.now, "shed")
                 continue
             admission.on_start()
-        task_rng = make_rng(config.seed, "open-loop-task", home, index)
-        engine.spawn(_request_task(request, arrival, executor, config,
-                                   cluster, metrics, stats, home,
-                                   scheduler, admission, telemetry,
-                                   task_rng, trace))
+        # not awaited: the next arrival enters on time whether or not
+        # this one has finished
+        engine.spawn(lifecycle(
+            home, request, make_rng(seed, "open-loop-task", home, index),
+            trace, arrival.at, arrival.tenant,
+            _settlement(tenant, arrival, admission)))
 
 
-def _request_task(request, arrival: Arrival, executor, config, cluster,
-                  metrics: Metrics, stats: OpenLoopStats, home: int,
-                  scheduler: Scheduler,
-                  admission: DeadlineAdmission | None, telemetry,
-                  rng: random.Random, trace: int = 0):
-    """Execute one admitted arrival to completion; settle its SLO."""
-    tenant = stats.tenants[arrival.tenant]
-    tracer = executor.db.tracer
-    decision = scheduler.admit(request, cluster.sim.now)
-    while decision.action is SchedAction.DEFER:
-        yield decision.wait_effect()
-        decision = scheduler.readmit(request, decision, cluster.sim.now)
-    if decision.action is SchedAction.SHED:
-        tenant.shed += 1
-        if trace:
-            tracer.span(trace, 0, 0, home, "shed", arrival.at,
-                        cluster.sim.now, "shed")
+def _settlement(tenant, arrival: Arrival,
+                admission: DeadlineAdmission | None):
+    """The lifecycle's ``settle`` for one admitted arrival: tenant and
+    SLO accounting measured from the *scheduled* arrival."""
+
+    def settle(outcome, now: float) -> None:
+        if outcome is None:
+            tenant.shed += 1
+        else:
+            latency_us = now - arrival.at
+            tenant.histogram.record(latency_us)
+            if not outcome.committed:
+                tenant.failed += 1
+            else:
+                tenant.committed += 1
+                if (arrival.deadline_us <= 0
+                        or latency_us <= arrival.deadline_us):
+                    tenant.in_slo += 1
         if admission is not None:
-            admission.on_finish(cluster.sim.now)
-        return
-    if trace and cluster.sim.now > arrival.at:
-        # dispatch lag + admission queueing, measured from the
-        # *scheduled* arrival so exemplars explain CO-safe latency
-        tracer.span(trace, 0, 0, home, "queue_wait", arrival.at,
-                    cluster.sim.now)
-    attempts = 0
-    while True:
-        outcome = yield from executor.execute(request, trace=trace,
-                                              attempt=attempts)
-        metrics.add(outcome)
-        if telemetry is not None and outcome.committed:
-            telemetry[home].observe(outcome, cluster.sim.now)
-        attempts += 1
-        retryable = (not outcome.committed
-                     and outcome.reason not in APP_ABORTS
-                     and config.retry_aborts
-                     and attempts < config.max_attempts
-                     and cluster.sim.now < config.horizon_us)
-        scheduler.on_outcome(decision, outcome, cluster.sim.now,
-                             will_retry=retryable)
-        if not retryable:
-            break
-        yield Sleep(scheduler.retry_backoff_us(
-            decision, rng, config.retry_backoff_us))
-    now = cluster.sim.now
-    latency_us = now - arrival.at
-    tenant.histogram.record(latency_us)
-    if trace:
-        # top-K slowest traces per tenant: what perf_summary() uses to
-        # attribute p99/p999 to a dominant phase
-        tracer.exemplar(arrival.tenant, trace, latency_us)
-    if outcome.committed:
-        tenant.committed += 1
-        if arrival.deadline_us <= 0 or latency_us <= arrival.deadline_us:
-            tenant.in_slo += 1
-    else:
-        tenant.failed += 1
-    if admission is not None:
-        admission.on_finish(now)
+            admission.on_finish(now)
+
+    return settle

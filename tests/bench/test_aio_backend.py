@@ -7,14 +7,12 @@ harness/executor/database code path the simulator uses.
 
 import pytest
 
-from repro.analysis import ProcedureRegistry
-from repro.bench import RunConfig, build_database, make_cluster, run_benchmark
-from repro.bench.setups import make_tpcc_run
+from repro.bench import RunConfig, make_cluster
+from repro.bench.setups import build_run, make_tpcc_run
 from repro.partitioning import HashScheme
 from repro.sim import Cluster
 from repro.sim import WorkerCluster as AioCluster
 from repro.storage import Catalog
-from repro.txn import TwoPLExecutor
 from repro.workloads.ycsb import YcsbWorkload, expected_counter_total
 
 
@@ -37,16 +35,16 @@ def test_aio_run_timeout_scales_with_horizon():
     # a long wall-clock horizon must not be killed by a fixed cap
     long_run = make_cluster(aio_config(horizon_us=300_000_000.0))
     assert long_run.run_timeout_s > 300.0
-    pinned = make_cluster(aio_config(aio_run_timeout_s=7.0))
+    pinned = make_cluster(aio_config(run_timeout_s=7.0))
     assert pinned.run_timeout_s == 7.0
 
 
 def test_ycsb_completes_on_aio_backend_with_wall_clock_metrics():
     workload = YcsbWorkload(n_keys=400, reads_per_txn=4, writes_per_txn=2)
     config = aio_config()
-    db, cluster = build_database(
-        workload, Catalog(2, HashScheme(2)), config)
-    result = run_benchmark(workload, TwoPLExecutor(db), config)
+    run = build_run(workload, Catalog(2, HashScheme(2)), config)
+    db = run.database
+    result = run.run()
 
     assert result.metrics.commits > 0
     # no lost updates: every committed write landed exactly once
@@ -69,8 +67,9 @@ def test_ycsb_aio_run_is_repeatable_and_consistent():
     for _ in range(2):
         workload = YcsbWorkload(n_keys=300)
         config = aio_config(horizon_us=10_000.0, warmup_us=0.0)
-        db, _ = build_database(workload, Catalog(2, HashScheme(2)), config)
-        result = run_benchmark(workload, TwoPLExecutor(db), config)
+        run = build_run(workload, Catalog(2, HashScheme(2)), config)
+        db = run.database
+        result = run.run()
         assert result.metrics.commits > 0
         assert (expected_counter_total(db, workload.n_keys)
                 == result.metrics.commits * workload.writes_per_txn)
@@ -79,11 +78,11 @@ def test_ycsb_aio_run_is_repeatable_and_consistent():
 def test_aio_backend_with_doorbell_batching_fuses_rounds():
     workload = YcsbWorkload(n_keys=400, reads_per_txn=6, writes_per_txn=2)
     config = aio_config(doorbell_batching=True)
-    db, cluster = build_database(
-        workload, Catalog(2, HashScheme(2)), config)
-    result = run_benchmark(workload, TwoPLExecutor(db), config)
+    run = build_run(workload, Catalog(2, HashScheme(2)), config)
+    db = run.database
+    result = run.run()
     assert result.metrics.commits > 0
-    assert cluster.network.stats.one_sided_batches > 0
+    assert db.cluster.network.stats.one_sided_batches > 0
     assert (expected_counter_total(db, workload.n_keys)
             == result.metrics.commits * workload.writes_per_txn)
 

@@ -1,18 +1,27 @@
-"""Fixed-seed golden digests of two tiny sim runs.
+"""Fixed-seed golden digests of five tiny sim runs.
 
-The digests were recorded on the commit *before* the compute-once hot
-path (hash memo, type-dispatched payload walk, compiled procedure
-layouts, tuple event heap) landed, so they pin that none of it moves
-the event stream: every commit latency, the modelled bytes per message
-kind, the number of events fired and the order ids TPC-C handed out.
-A change that is meant to alter behaviour re-records them and says why.
+The first two digests were recorded on the commit *before* the
+compute-once hot path (hash memo, type-dispatched payload walk, compiled
+procedure layouts, tuple event heap) landed, so they pin that none of it
+moves the event stream: every commit latency, the modelled bytes per
+message kind, the number of events fired and the order ids TPC-C handed
+out.  The other three were recorded on the commit before the closed- and
+open-loop request lifecycles became one generator, and cover the
+branches the first two miss: DEFER/readmit and SHED from a closed-loop
+worker, data-affinity routing, and multi-tenant open-loop accounting
+with tracing on.  A change that is meant to alter behaviour re-records
+them and says why.
 """
 
 import hashlib
 
 from repro.bench import RunConfig
-from repro.bench.setups import make_tpcc_run, make_ycsb_run
+from repro.bench.setups import (build_instacart_layout,
+                                build_instacart_setup, make_instacart_run,
+                                make_tpcc_run, make_ycsb_run)
+from repro.sched import SchedulerSpec
 from repro.traffic import ArrivalSpec
+from repro.workloads.instacart import InstacartWorkload
 from repro.workloads.ycsb import YcsbWorkload
 
 
@@ -62,7 +71,84 @@ def test_tiny_hot_ycsb_run_is_unchanged():
     assert digest == GOLDEN_YCSB[1]
 
 
+def scheduler_summaries(result) -> list:
+    stats = result.metrics.scheduler_stats
+    return [(home, stats[home].summary()) for home in sorted(stats)]
+
+
+def test_tiny_closed_loop_conflict_run_is_unchanged():
+    """Closed-loop workers deferred, re-admitted and shed by the
+    conflict scheduler (a two-waiter cap on 64 zipf-1.2 keys)."""
+    config = RunConfig(
+        n_partitions=2, concurrent_per_engine=8, horizon_us=2_000.0,
+        warmup_us=200.0, seed=11,
+        scheduler=SchedulerSpec(kind="conflict", max_queue_per_class=2))
+    workload = YcsbWorkload(n_keys=64, reads_per_txn=2, writes_per_txn=2,
+                            zipf_exponent=1.2)
+    seen = {}
+
+    def sched(result):
+        merged = result.metrics.scheduler_summary()
+        seen.update(deferrals=merged.deferrals, sheds=merged.sheds)
+        return scheduler_summaries(result)
+
+    commits, digest = run_digest(make_ycsb_run("2pl", config,
+                                               workload=workload),
+                                 extra=sched)
+    assert seen["deferrals"] > 0 and seen["sheds"] > 0
+    assert commits == GOLDEN_CLOSED_CONFLICT[0]
+    assert digest == GOLDEN_CLOSED_CONFLICT[1]
+
+
+def test_tiny_routed_instacart_run_is_unchanged():
+    """Closed-loop workers dispatching by data affinity."""
+    workload = InstacartWorkload(n_products=300, n_customers=200)
+    setup = build_instacart_setup(3, n_train=300, workload=workload, seed=11)
+    layout = build_instacart_layout(setup, "chiller", seed=11)
+    config = RunConfig(n_partitions=3, concurrent_per_engine=4,
+                       horizon_us=1_500.0, warmup_us=150.0, seed=11,
+                       route_by_data=True)
+    commits, digest = run_digest(make_instacart_run(setup, layout, config))
+    assert commits == GOLDEN_ROUTED_INSTACART[0]
+    assert digest == GOLDEN_ROUTED_INSTACART[1]
+
+
+def test_tiny_traced_tenants_run_is_unchanged():
+    """Open-loop multi-tenant arrivals past the knee with tracing on
+    (the front door sheds, the conflict scheduler sheds admitted
+    arrivals, some commits miss their SLO): the digest also covers
+    tenant/SLO accounting, per-engine scheduler counters and how many
+    spans and exemplars the run harvested."""
+    config = RunConfig(
+        n_partitions=2, horizon_us=3_000.0, warmup_us=300.0, seed=11,
+        scheduler=SchedulerSpec(kind="conflict", max_queue_per_class=2),
+        trace=True,
+        arrivals=ArrivalSpec(process="tenants", offered_load=400_000.0,
+                             deadline_us=400.0, admission="deadline"))
+    workload = YcsbWorkload(n_keys=100, reads_per_txn=3, writes_per_txn=3,
+                            zipf_exponent=0.9)
+
+    def accounting(result):
+        trace = result.metrics.trace
+        return [result.metrics.open_loop.summary(),
+                scheduler_summaries(result), len(trace.spans),
+                sorted((tenant, len(entries))
+                       for tenant, entries in trace.exemplars.items())]
+
+    commits, digest = run_digest(make_ycsb_run("2pl", config,
+                                               workload=workload),
+                                 extra=accounting)
+    assert commits == GOLDEN_TRACED_TENANTS[0]
+    assert digest == GOLDEN_TRACED_TENANTS[1]
+
+
 GOLDEN_TPCC = (
     404, "3413f321244f7ea31169ff6b7dff9dbfa240d071d2c03cb4fc3b31b9f87dc3fa")
 GOLDEN_YCSB = (
     280, "90d7f389026cf9cf117de8458f54813add936f427dc4cebaeaf5b5f5eacc76f9")
+GOLDEN_CLOSED_CONFLICT = (
+    290, "193f7c20f484be71548626929885c029da98e7a8d963b6e87a6877790e31bb62")
+GOLDEN_ROUTED_INSTACART = (
+    267, "69a605eea188c37686624e3c5f92fe3293c5779efbe88c8f8ef8e1d778d863c4")
+GOLDEN_TRACED_TENANTS = (
+    360, "e6431fcc756fa58b3a2588bf16b478136956b245d3786407938685fbf1787d93")

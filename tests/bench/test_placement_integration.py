@@ -3,11 +3,11 @@ adaptive observe->plan->migrate loop end to end on the simulator."""
 
 import dataclasses
 
-from repro.bench import RunConfig, build_database, run_benchmark
+from repro.bench import RunConfig
+from repro.bench.setups import build_run
 from repro.partitioning import HashScheme
 from repro.placement import PlacementSpec
 from repro.storage import Catalog
-from repro.txn import TwoPLExecutor
 from repro.workloads.ycsb import DriftingYcsbWorkload, YcsbWorkload
 
 import pytest
@@ -24,10 +24,10 @@ def small_config(**overrides) -> RunConfig:
 def run_ycsb(config: RunConfig):
     workload = YcsbWorkload(n_keys=400, reads_per_txn=3, writes_per_txn=2,
                             zipf_exponent=0.8)
-    db, _cluster = build_database(
-        workload, Catalog(config.n_partitions,
-                          HashScheme(config.n_partitions)), config)
-    return run_benchmark(workload, TwoPLExecutor(db), config)
+    return build_run(workload,
+                     Catalog(config.n_partitions,
+                             HashScheme(config.n_partitions)),
+                     config).run()
 
 
 def outcome_trace(result):
@@ -58,11 +58,12 @@ def test_adaptive_run_consolidates_drifting_hot_groups():
     workload = DriftingYcsbWorkload(n_groups=24, group_size=6,
                                     reads_per_txn=3, writes_per_txn=2,
                                     zipf_exponent=1.3)
-    db, cluster = build_database(
-        workload, Catalog(config.n_partitions,
-                          HashScheme(config.n_partitions)), config)
-    workload.bind_clock(lambda: cluster.sim.now)
-    result = run_benchmark(workload, TwoPLExecutor(db), config)
+    run = build_run(workload,
+                    Catalog(config.n_partitions,
+                            HashScheme(config.n_partitions)), config)
+    db = run.database
+    workload.bind_clock(lambda: db.cluster.sim.now)
+    result = run.run()
 
     stats = result.metrics.placement_stats
     assert stats is not None and stats.placement == "adaptive"

@@ -9,12 +9,12 @@ runs stay bit-deterministic (same seed ⇒ same SchedulerStats).
 
 import pytest
 
-from repro.bench import RunConfig, build_database, run_benchmark
+from repro.bench import RunConfig
 from repro.bench.conformance import run_ycsb_conformance
+from repro.bench.setups import build_run
 from repro.partitioning import HashScheme
 from repro.sched import SchedulerSpec
 from repro.storage import Catalog
-from repro.txn import TwoPLExecutor
 from repro.workloads.ycsb import YcsbWorkload
 
 
@@ -25,10 +25,10 @@ def run_hot_ycsb(scheduler, seed=11, concurrent=8, horizon=5_000.0,
     config = RunConfig(n_partitions=4, concurrent_per_engine=concurrent,
                        horizon_us=horizon, warmup_us=500.0, seed=seed,
                        n_replicas=1, scheduler=scheduler)
-    db, _cluster = build_database(
-        workload, Catalog(config.n_partitions,
-                          HashScheme(config.n_partitions)), config)
-    return run_benchmark(workload, TwoPLExecutor(db), config)
+    return build_run(workload,
+                     Catalog(config.n_partitions,
+                             HashScheme(config.n_partitions)),
+                     config).run()
 
 
 def outcome_trace(result):

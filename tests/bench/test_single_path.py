@@ -1,0 +1,112 @@
+"""Lint, bench/traffic slice: one way to build, drive and configure a run.
+
+The bench layer once held five database builders, two request
+lifecycles, two run epilogues and a hand-written flag scanner; this
+keeps each of them single.  ``bench/setups.build_run`` is the only
+place a ``Database`` is made and an executor picked by name,
+``harness.Load.lifecycle`` the only place a request meets its scheduler,
+``harness.drive`` / ``Run.run`` the only sampler and the only
+timeline + watchdog + HTTP wiring, and ``traffic`` sits below ``bench``:
+it imports nothing from it, and the harness needs no lazy import to
+reach it.
+"""
+
+import ast
+import dataclasses
+import re
+from pathlib import Path
+
+import repro
+from repro.bench import RunConfig
+
+SRC = Path(repro.__file__).parent
+BENCH_AND_TRAFFIC = sorted((SRC / "bench").glob("*.py")) \
+    + sorted((SRC / "traffic").glob("*.py"))
+
+
+def code_lines() -> list[str]:
+    """Every non-import source line under ``bench/`` and ``traffic/``."""
+    lines = []
+    for path in BENCH_AND_TRAFFIC:
+        tree = ast.parse(path.read_text())
+        imported = {line for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for line in range(node.lineno, node.end_lineno + 1)}
+        lines += [text for number, text
+                  in enumerate(path.read_text().splitlines(), 1)
+                  if number not in imported]
+    return lines
+
+
+def count(piece: str) -> int:
+    return sum(len(re.findall(piece, line)) for line in code_lines())
+
+
+def test_one_database_builder_and_one_executor_table():
+    assert count(r" Database\(") == 1
+    assert count(r"\bTwoPLExecutor\b") <= 1
+
+
+def test_one_request_lifecycle():
+    assert count(r"scheduler\.admit\(") <= 1
+
+
+def test_one_sampler_and_one_timeline_wiring():
+    for piece in (r"\bTimelineSampler\(", r"\bHealthWatchdog\(",
+                  r"\bMetricsHttpServer\("):
+        assert count(piece) <= 1, piece
+
+
+def test_the_hand_written_flag_scanner_stays_gone():
+    assert count(r"def _parse_option\b") == 0
+    assert count(r"def _parse_workers\b") == 0
+
+
+def test_experiments_take_one_overrides_mapping():
+    threaded = {"durability", "traffic", "tracing", "observability"}
+    tree = ast.parse((SRC / "bench" / "experiments.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            names = {arg.arg for arg in (args.posonlyargs + args.args
+                                         + args.kwonlyargs)}
+            assert not threaded & names, getattr(node, "name", "lambda")
+
+
+def test_run_config_does_not_grow():
+    assert len(dataclasses.fields(RunConfig)) <= 41
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Absolute names of the modules ``path`` imports, lazy ones too."""
+    package = path.relative_to(SRC.parent).parts[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = list(package[:len(package) - node.level + 1]
+                         if node.level else ())
+            parts += node.module.split(".") if node.module else []
+            module = ".".join(parts)
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_traffic_sits_below_bench():
+    for path in sorted((SRC / "traffic").glob("*.py")):
+        above = [name for name in imported_modules(path)
+                 if (name + ".").startswith("repro.bench.")]
+        assert not above, f"{path.name}: {above}"
+
+
+def test_harness_reaches_traffic_at_module_level_only():
+    tree = ast.parse((SRC / "bench" / "harness.py").read_text())
+    lazy = [node.lineno
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(scope)
+            if isinstance(node, ast.ImportFrom) and node.level
+            and (node.module or "").split(".")[0] == "traffic"]
+    assert not lazy, lazy

@@ -12,8 +12,7 @@ from functools import partial
 
 import pytest
 
-from repro.bench import RunConfig, make_cluster, run_benchmark, \
-    run_mp_benchmark
+from repro.bench import RunConfig, make_cluster, run_benchmark
 from repro.bench.conformance import (DRIVER_HOME, build_conformance_run,
                                      conformance_config,
                                      conformance_requests, decision_program,
@@ -34,7 +33,7 @@ def no_leaked_workers() -> bool:
 def mp_config(**overrides) -> RunConfig:
     defaults = dict(n_partitions=2, concurrent_per_engine=2,
                     horizon_us=15_000.0, warmup_us=0.0, n_replicas=1,
-                    backend="mp", mp_run_timeout_s=120.0)
+                    backend="mp", run_timeout_s=120.0)
     defaults.update(overrides)
     return RunConfig(**defaults)
 
@@ -240,8 +239,8 @@ def test_tpcc_cell_runs_on_mp_backend():
 
 def test_run_mp_benchmark_merges_worker_metrics():
     config = mp_config(horizon_us=20_000.0)
-    spec = make_tpcc_run("2pl", config).mp_spec
-    result = run_mp_benchmark(spec, config)
+    run = make_tpcc_run("2pl", config)
+    result = run_benchmark(run.workload, run.executor, config, run.mp_spec)
     attempts_per_proc = result.metrics.attempts_by_proc()
     assert sum(attempts_per_proc.values()) == result.metrics.attempts > 0
     assert no_leaked_workers()
@@ -299,7 +298,7 @@ def hanging_driver(run_obj, cluster, worker_id):
 
 
 def test_hung_worker_is_terminated_not_leaked():
-    config = mp_config(mp_run_timeout_s=4.0)
+    config = mp_config(run_timeout_s=4.0)
     spec = MpRunSpec(builder=build_conformance_run, args=(config,),
                      driver=hanging_driver)
     with pytest.raises(MpRunError, match="timed out"):
