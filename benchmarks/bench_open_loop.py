@@ -12,7 +12,7 @@ near the service time; past it they grow without bound — the shape the
 closed-loop figures structurally cannot show.
 
 A second cell rides the ``tenants`` mix past the knee (1.5× the knee
-load) and asserts the point of deadline-aware admission
+load) and shows the point of deadline-aware admission
 (:class:`repro.sched.DeadlineAdmission`): shedding the least valuable
 work first keeps the high-priority tenant's SLO attainment ≥ 90% while
 admit-everything drowns every tenant equally.
@@ -23,17 +23,18 @@ CLI (the EXPERIMENTS.md figure; CI runs ``--quick`` on sim and mp)::
     PYTHONPATH=src python benchmarks/bench_open_loop.py --quick
     PYTHONPATH=src python benchmarks/bench_open_loop.py --quick --backend mp
 
-pytest-benchmark cells (regression-tracked in BENCH_BASELINE.json via
-``check_perf_regression.py``; the ``*_latency_us`` figures gate
-lower-is-better) assert the knee shape and the SLO protection result
-on the deterministic sim backend.
+The knee shape and the SLO protection result are asserted on a
+smaller two-partition cell in ``tests/traffic/test_open_loop.py``; the
+exact percentiles are pinned by the open-loop digests of
+``tests/bench/test_golden_runs.py``.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 
-from repro.bench import RunConfig, install_summary_json
+from repro.bench import BACKENDS, RunConfig
+from repro.bench.harness import collect_summaries, summary_json_parser
 from repro.bench.setups import make_ycsb_run
 from repro.traffic import ArrivalSpec
 
@@ -161,16 +162,21 @@ def print_admission(rows: list[dict]) -> None:
               f"{row['p99_us']:>10.1f}")
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        allow_abbrev=False, parents=[summary_json_parser()],
+        description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="three loads, fifo + static only, 8 ms horizon")
+    parser.add_argument("--backend", choices=BACKENDS, default="sim",
+                        help="sim (default), or wall-clock aio / mp")
+    return parser
+
+
 def main(argv=None) -> None:
-    args = list(sys.argv[1:] if argv is None else argv)
-    args, flush_summaries = install_summary_json(args)
-    quick = "--quick" in args
-    backend = "sim"
-    for i, arg in enumerate(args):
-        if arg == "--backend" and i + 1 < len(args):
-            backend = args[i + 1]
-        elif arg.startswith("--backend="):
-            backend = arg.split("=", 1)[1]
+    options = build_parser().parse_args(argv)
+    quick, backend = options.quick, options.backend
+    flush_summaries = collect_summaries(options.summary_json)
     if backend != "sim":
         print(f"(backend {backend}: wall-clock figures — the schedule "
               f"is identical but service times are this machine's; sim "
@@ -185,82 +191,6 @@ def main(argv=None) -> None:
         print_admission(admission_rows(quick=quick, backend=backend))
     finally:
         flush_summaries()
-
-
-# -- pytest-benchmark cells (perf-tracked in BENCH_BASELINE.json) -------------
-
-def test_open_loop_saturation_knee(benchmark):
-    """The knee cell: below the knee p99 stays within 2x of the
-    low-load p99; past it latency is queueing-dominated (superlinear —
-    orders of magnitude, not a constant factor)."""
-    base = run_cell(100_000.0)
-    below_knee = benchmark.pedantic(run_cell, args=(400_000.0,),
-                                    rounds=1, iterations=1)
-    overload = run_cell(1_200_000.0)
-
-    base_lat = base.metrics.open_loop.overall().summary()
-    below_lat = below_knee.metrics.open_loop.overall().summary()
-    over_lat = overload.metrics.open_loop.overall().summary()
-    assert below_lat["p99_us"] <= 2.0 * base_lat["p99_us"], (
-        f"below the knee p99 must stay near the service time: "
-        f"{below_lat['p99_us']:.1f} vs base {base_lat['p99_us']:.1f}")
-    assert over_lat["p99_us"] > 10.0 * below_lat["p99_us"], (
-        f"past the knee p99 must be queueing-dominated: "
-        f"{over_lat['p99_us']:.1f} vs {below_lat['p99_us']:.1f}")
-    assert over_lat["p50_us"] > base_lat["p99_us"], (
-        "under overload even the median must exceed the unloaded tail "
-        "(coordinated-omission-safe accounting)")
-
-    benchmark.extra_info.update({
-        "open_loop_base_p50_latency_us": base_lat["p50_us"],
-        "open_loop_base_p99_latency_us": base_lat["p99_us"],
-        "open_loop_below_knee_p99_latency_us": below_lat["p99_us"],
-        "open_loop_below_knee_p999_latency_us": below_lat["p999_us"],
-        "open_loop_overload_p50_over_base_p99":
-            round(over_lat["p50_us"] / max(base_lat["p99_us"], 1e-9), 1),
-        **{k: round(v, 3) if isinstance(v, float) else v
-           for k, v in below_knee.perf_summary().items()
-           if not isinstance(v, dict)},
-    })
-
-
-def test_deadline_admission_protects_high_priority(benchmark):
-    """The SLO cell: at 1.5x the knee, deadline/priority-aware
-    admission keeps the gold tenant >= 90% in-SLO; admit-everything
-    drowns gold and standard alike."""
-    unprotected = run_cell(ADMISSION_LOAD, process="tenants",
-                           admission="none")
-    protected = benchmark.pedantic(
-        run_cell, args=(ADMISSION_LOAD,),
-        kwargs={"process": "tenants", "admission": "deadline"},
-        rounds=1, iterations=1)
-
-    drowned = unprotected.metrics.open_loop.summary()["tenants"]
-    shielded = protected.metrics.open_loop.summary()["tenants"]
-    assert shielded["gold"]["slo_attainment"] >= 0.9, (
-        f"deadline admission must hold the gold SLO at 1.5x knee: "
-        f"{shielded['gold']['slo_attainment']:.3f}")
-    assert drowned["gold"]["slo_attainment"] < 0.9, (
-        f"without admission the gold tenant should drown: "
-        f"{drowned['gold']['slo_attainment']:.3f}")
-    assert (shielded["standard"]["shed"]
-            > shielded["gold"]["shed"]), (
-        "shedding must be by value: standard sheds more than gold")
-    sheds = protected.metrics.scheduler_summary().summary()
-    assert "tenant_sheds" in sheds, "typed per-tenant shed reasons"
-
-    benchmark.extra_info.update({
-        "gold_slo_attainment_protected":
-            round(shielded["gold"]["slo_attainment"], 4),
-        "gold_slo_attainment_unprotected":
-            round(drowned["gold"]["slo_attainment"], 4),
-        "standard_slo_attainment_protected":
-            round(shielded["standard"]["slo_attainment"], 4),
-        "gold_admitted_p99_latency_us": shielded["gold"]["p99_us"],
-        **{k: round(v, 3) if isinstance(v, float) else v
-           for k, v in protected.perf_summary().items()
-           if not isinstance(v, dict)},
-    })
 
 
 if __name__ == "__main__":

@@ -22,19 +22,20 @@ CLI (the EXPERIMENTS.md figure; CI runs `--quick` on sim and mp)::
     PYTHONPATH=src python benchmarks/bench_placement_drift.py --quick
     PYTHONPATH=src python benchmarks/bench_placement_drift.py --quick --backend mp
 
-The pytest-benchmark cell (regression-tracked in BENCH_BASELINE.json)
-asserts the headline result: after the shift, adaptive placement
-recovers at least half of the committed-txns/s gap between the
-pre-shift rate and the degraded static rate.
+The headline result — after the shift, adaptive placement recovers at
+least half of the committed-txns/s gap between the pre-shift rate and
+the degraded static rate — is asserted on the ``--quick`` shape in
+``tests/bench/test_placement_integration.py``, which loads this file.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 from functools import partial
 
 from repro.analysis import ProcedureRegistry
-from repro.bench import Run, RunConfig, install_summary_json
+from repro.bench import BACKENDS, Run, RunConfig
+from repro.bench.harness import collect_summaries, summary_json_parser
 from repro.bench.setups import build_run
 from repro.core import (ChillerPartitionerConfig, HotRecordTable,
                         StatsService, partition_workload,
@@ -198,83 +199,27 @@ def print_rows(rows: list[dict]) -> None:
           f"{recovery_fraction(rows):.0%}")
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        allow_abbrev=False, parents=[summary_json_parser()],
+        description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="14 ms horizon instead of 30 ms")
+    parser.add_argument("--backend", choices=BACKENDS, default="sim",
+                        help="sim (default), or wall-clock aio / mp")
+    return parser
+
+
 def main(argv=None) -> None:
-    args = list(sys.argv[1:] if argv is None else argv)
-    args, flush_summaries = install_summary_json(args)
-    quick = "--quick" in args
-    backend = "sim"
-    for i, arg in enumerate(args):
-        if arg == "--backend" and i + 1 < len(args):
-            backend = args[i + 1]
-        elif arg.startswith("--backend="):
-            backend = arg.split("=", 1)[1]
-    if backend != "sim":
-        print(f"(backend {backend}: wall-clock figures — see "
+    options = build_parser().parse_args(argv)
+    flush_summaries = collect_summaries(options.summary_json)
+    if options.backend != "sim":
+        print(f"(backend {options.backend}: wall-clock figures — see "
               f"EXPERIMENTS.md; sim figures are the calibrated ones)")
     try:
-        print_rows(drift_rows(quick=quick, backend=backend))
+        print_rows(drift_rows(quick=options.quick, backend=options.backend))
     finally:
         flush_summaries()
-
-
-# -- pytest-benchmark cells (perf-tracked in BENCH_BASELINE.json) -------------
-
-def test_adaptive_placement_recovers_after_drift(benchmark):
-    """The acceptance cell: after the mid-run hot-set shift, adaptive
-    placement must win back >= 50% of the committed-txns/s gap between
-    the pre-shift rate and the degraded static rate."""
-    static = run_cell("static")
-    adaptive = benchmark.pedantic(run_cell, args=("adaptive",),
-                                  rounds=1, iterations=1)
-
-    placement_stats = adaptive.metrics.placement_stats
-    assert placement_stats is not None
-    assert placement_stats.moves_applied > 0, \
-        "the drifted hot set must trigger migrations"
-    assert static.metrics.placement_stats is None, \
-        "the static arm must not grow a controller"
-
-    rows = []
-    for placement, result in (("static", static), ("adaptive", adaptive)):
-        windows = windowed_throughputs(result)
-        rows.append({"placement": placement,
-                     "pre_throughput": windows["pre"],
-                     "post_throughput": windows["post"]})
-    static_row = rows[0]
-    assert static_row["post_throughput"] < static_row["pre_throughput"], \
-        "the shift must degrade the trained static layout"
-    recovered = recovery_fraction(rows)
-    assert recovered >= 0.5, (
-        f"adaptive placement must recover >= 50% of the drift gap, "
-        f"got {recovered:.0%} "
-        f"(static {static_row['pre_throughput']:.0f} -> "
-        f"{static_row['post_throughput']:.0f}, adaptive post "
-        f"{rows[1]['post_throughput']:.0f} txns/s)")
-
-    benchmark.extra_info.update({
-        "static_pre_throughput": round(static_row["pre_throughput"]),
-        "static_post_throughput": round(static_row["post_throughput"]),
-        "adaptive_post_throughput": round(rows[1]["post_throughput"]),
-        "recovered_fraction": round(recovered, 3),
-        "moves_applied": placement_stats.moves_applied,
-        **{k: round(v, 3) if isinstance(v, float) else v
-           for k, v in adaptive.perf_summary().items()
-           if not isinstance(v, dict)},
-    })
-
-
-def test_static_drift_run_reports_hot_path_health(benchmark):
-    """The static arm doubles as the subsystem's hot-path cell: its
-    event rate is regression-tracked like the other benchmarks."""
-    result = benchmark.pedantic(run_cell, args=("static",),
-                                rounds=1, iterations=1)
-    assert result.wall_seconds > 0.0
-    assert result.metrics.events_per_wall_second() > 0.0
-    assert result.metrics.placement_stats is None
-    benchmark.extra_info.update(
-        {k: round(v, 3) if isinstance(v, float) else v
-         for k, v in result.perf_summary().items()
-         if not isinstance(v, dict)})
 
 
 if __name__ == "__main__":

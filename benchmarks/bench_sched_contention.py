@@ -17,17 +17,18 @@ CLI (the EXPERIMENTS.md figure; CI runs `--quick` on sim and mp)::
     PYTHONPATH=src python benchmarks/bench_sched_contention.py --quick
     PYTHONPATH=src python benchmarks/bench_sched_contention.py --quick --backend mp
 
-pytest-benchmark cells (regression-tracked in BENCH_BASELINE.json via
-``check_perf_regression.py``) assert the headline result: at zipf
-θ ≥ 0.9 under NO_WAIT 2PL, `conflict` commits measurably more
-transactions than `fifo` while wasting less work.
+The headline result — under hot-key skew and NO_WAIT 2PL, `conflict`
+commits more transactions than `fifo` while wasting less work — is
+asserted on a smaller cell (θ = 1.1) in
+``tests/bench/test_sched_integration.py``.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 
-from repro.bench import RunConfig, install_summary_json
+from repro.bench import BACKENDS, RunConfig
+from repro.bench.harness import collect_summaries, summary_json_parser
 from repro.bench.setups import build_run
 from repro.partitioning import HashScheme
 from repro.storage import Catalog
@@ -100,16 +101,21 @@ def print_sweep(rows: list[dict]) -> None:
               f"{row['conflict_sheds']:>6d}")
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        allow_abbrev=False, parents=[summary_json_parser()],
+        description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="θ ∈ {0.9, 1.2}, 2PL only, short horizon")
+    parser.add_argument("--backend", choices=BACKENDS, default="sim",
+                        help="sim (default), or wall-clock aio / mp")
+    return parser
+
+
 def main(argv=None) -> None:
-    args = list(sys.argv[1:] if argv is None else argv)
-    args, flush_summaries = install_summary_json(args)
-    quick = "--quick" in args
-    backend = "sim"
-    for i, arg in enumerate(args):
-        if arg == "--backend" and i + 1 < len(args):
-            backend = args[i + 1]
-        elif arg.startswith("--backend="):
-            backend = arg.split("=", 1)[1]
+    options = build_parser().parse_args(argv)
+    quick, backend = options.quick, options.backend
+    flush_summaries = collect_summaries(options.summary_json)
     if backend != "sim":
         print(f"(backend {backend}: wall-clock figures — see "
               f"EXPERIMENTS.md; sim figures are the calibrated ones)")
@@ -120,54 +126,6 @@ def main(argv=None) -> None:
                                quick=quick, backend=backend))
     finally:
         flush_summaries()
-
-
-# -- pytest-benchmark cells (perf-tracked in BENCH_BASELINE.json) -------------
-
-def test_conflict_scheduler_beats_fifo_on_hot_keys(benchmark):
-    """The acceptance cell: zipf θ=0.9 (and above), NO_WAIT 2PL —
-    conflict-class scheduling must commit more per simulated second
-    than the blind retry loop, with less wasted work."""
-    fifo = run_cell(0.9, "fifo")
-    conflict = benchmark.pedantic(run_cell, args=(0.9, "conflict"),
-                                  rounds=1, iterations=1)
-
-    sched = conflict.metrics.scheduler_summary()
-    assert sched.scheduler == "conflict"
-    assert sched.deferrals > 0, "hot keys should force serialization"
-    assert conflict.throughput > fifo.throughput, (
-        f"conflict scheduling should beat fifo under hot-key skew: "
-        f"{conflict.throughput:.0f} vs {fifo.throughput:.0f} txns/s")
-    assert (conflict.metrics.wasted_attempts()
-            < fifo.metrics.wasted_attempts()), "less work must be wasted"
-
-    benchmark.extra_info.update({
-        "fifo_throughput": round(fifo.throughput),
-        "conflict_throughput": round(conflict.throughput),
-        "fifo_wasted_attempts": fifo.metrics.wasted_attempts(),
-        "conflict_wasted_attempts": conflict.metrics.wasted_attempts(),
-        "conflict_mean_queueing_delay_us": round(
-            sched.mean_queueing_delay_us(), 3),
-        **{f"conflict_{k}": round(v, 3) if isinstance(v, float) else v
-           for k, v in conflict.perf_summary().items()
-           if not isinstance(v, dict)},
-    })
-
-
-def test_fifo_scheduler_run_reports_hot_path_health(benchmark):
-    """The mediated fifo path is the new default dispatch loop; its
-    event rate is the regression-tracked hot-path figure."""
-    result = benchmark.pedantic(run_cell, args=(0.9, "fifo"),
-                                rounds=1, iterations=1)
-    assert result.wall_seconds > 0.0
-    assert result.metrics.events_per_wall_second() > 0.0
-    summary = result.metrics.scheduler_summary()
-    assert summary.scheduler == "fifo"
-    assert summary.deferrals == 0 and summary.sheds == 0
-    benchmark.extra_info.update(
-        {k: round(v, 3) if isinstance(v, float) else v
-         for k, v in result.perf_summary().items()
-         if not isinstance(v, dict)})
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Benchmark harness: driver, metrics, and per-figure experiments."""
 
-from .harness import (BACKENDS, Run, RunConfig, RunResult,
-                      install_summary_json, make_cluster, run_benchmark)
+from .harness import (BACKENDS, Run, RunConfig, RunResult, make_cluster,
+                      run_benchmark)
 from .metrics import Metrics
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "Run",
     "RunConfig",
     "RunResult",
-    "install_summary_json",
     "make_cluster",
     "run_benchmark",
 ]

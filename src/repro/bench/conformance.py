@@ -19,7 +19,7 @@ validate, and replica_apply verbs plus RPC-free and replicated paths.
 Everything here is module-level and picklable so the multiprocess
 backend's spawned workers can rebuild it by reference; the tier-1 suite
 (`tests/sim/test_mp_runtime.py`) asserts sim == aio == mp at 1, 2 and N
-workers, and CI's `backend-smoke` job runs it on every push.
+workers.
 """
 
 from __future__ import annotations

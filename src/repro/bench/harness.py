@@ -355,7 +355,7 @@ class RunResult:
         return self.metrics.commits / self.metrics.wall_seconds
 
     def perf_summary(self) -> dict:
-        """Hot-path health figures for BENCH_*.json / extra_info.
+        """Hot-path health figures, one dict per run (``--summary-json``).
 
         ``end_time_us`` is on the backend's own clock; the ``sim_us``
         alias is only emitted for sim-backend runs so cross-backend
@@ -419,20 +419,6 @@ SUMMARY_HOOK: "Callable[[RunResult], None] | None" = None
 passed through this hook before being returned.  The experiments and
 bench CLIs install a collector here to implement ``--summary-json``
 without threading a sink through every figure function."""
-
-
-def install_summary_json(args: list[str],
-                         ) -> "tuple[list[str], Callable[[], None]]":
-    """CLI helper behind every driver's ``--summary-json PATH`` flag.
-
-    Strips the flag from ``args``, installs a :data:`SUMMARY_HOOK`
-    collector, and returns ``(rest_args, flush)``; ``flush()`` —
-    call it when the sweep ends, ideally in a ``finally`` — writes the
-    collected per-run ``perf_summary()`` dicts as one JSON array and
-    uninstalls the hook.  Without the flag, ``flush`` is a no-op.
-    """
-    options, rest = summary_json_parser().parse_known_args(args)
-    return rest, collect_summaries(options.summary_json)
 
 
 def summary_json_parser() -> argparse.ArgumentParser:

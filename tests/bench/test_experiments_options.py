@@ -2,9 +2,14 @@
 it accepts reaches every cell of every sweep."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import RunConfig, experiments as ex
 from repro.traffic import ArrivalSpec
 
@@ -114,6 +119,22 @@ def test_unknown_or_inconsistent_arguments_exit_2(argv, swept, capsys):
     assert exit_info.value.code == 2
     assert "usage:" in capsys.readouterr().err
     assert not swept, "nothing may run"
+
+
+@pytest.mark.parametrize("argv", [["--no-such-flag"],
+                                  ["--quick", "--backend"]])  # no value
+@pytest.mark.parametrize("script", ["bench_sched_contention.py",
+                                    "bench_placement_drift.py",
+                                    "bench_open_loop.py"])
+def test_figure_scripts_reject_bad_arguments(script, argv):
+    src = Path(repro.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, str(src.parent / "benchmarks" / script), *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "usage:" in done.stderr
+    assert not done.stdout, "nothing may run"
 
 
 def test_flags_interleave_with_figure_names(swept, capsys):

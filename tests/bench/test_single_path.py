@@ -8,7 +8,9 @@ place a ``Database`` is made and an executor picked by name,
 ``harness.drive`` / ``Run.run`` the only sampler and the only
 timeline + watchdog + HTTP wiring, and ``traffic`` sits below ``bench``:
 it imports nothing from it, and the harness needs no lazy import to
-reach it.
+reach it.  And there is one perf system: ``BENCHMARK.json`` +
+``benchmarks/e2e/`` gate and ``benchmarks/pairs.py`` records; the
+baseline file, its checker and their environment gates stay gone.
 """
 
 import ast
@@ -110,3 +112,16 @@ def test_harness_reaches_traffic_at_module_level_only():
             if isinstance(node, ast.ImportFrom) and node.level
             and (node.module or "").split(".")[0] == "traffic"]
     assert not lazy, lazy
+
+
+def test_one_perf_system():
+    root = SRC.parents[1]
+    assert not (root / "BENCH_BASELINE.json").exists()
+    assert not (root / "benchmarks" / "check_perf_regression.py").exists()
+    # nothing the program or a figure script does depends on the
+    # environment, and none feeds a pytest-benchmark side channel
+    for path in sorted(SRC.rglob("*.py")) \
+            + sorted((root / "benchmarks").glob("*.py")):
+        found = re.findall(r"os\.environ|getenv|\bextra_info\b",
+                           path.read_text())
+        assert not found, f"{path}: {found}"

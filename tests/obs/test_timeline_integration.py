@@ -5,9 +5,10 @@ The fast (sim-backend) half of the observability acceptance: samples
 are collected after fired events, harvested into ``metrics.timeline``,
 surfaced in ``perf_summary()["timeline"]`` / ``["health"]``, written
 as CSV — and, the load-bearing guarantee, sampling never moves a
-simulator event.  The mp half (live shipping, merge under worker
-death, overhead bounds) lives in ``tests/obs/test_watchdog_chaos.py``
-and ``benchmarks/bench_timeline_overhead.py``.
+simulator event.  The mp half lives in
+``tests/sim/test_mp_runtime.py::test_tpcc_cell_runs_on_mp_backend``
+(live shipping on a healthy fleet) and
+``tests/obs/test_watchdog_chaos.py`` (merge under worker death).
 """
 
 import pytest

@@ -4,8 +4,9 @@ The fast (sim-backend) half of the observability acceptance: spans are
 collected and harvested into ``metrics.trace``, exemplars attribute
 tail latency to a dominant phase, the Perfetto export file is written,
 and — the load-bearing guarantee — tracing never moves a simulator
-event.  The mp half (cross-process stitching, overhead bounds) lives
-in ``benchmarks/bench_trace_overhead.py``.
+event.  The mp half (cross-process stitching on a traced fleet) is
+``tests/sim/test_mp_runtime.py::test_tpcc_cell_runs_on_mp_backend``;
+the cost of tracing is the yardstick's ``obs.trace_overhead_ratio``.
 """
 
 import json

@@ -18,6 +18,7 @@ from repro.bench.conformance import (DRIVER_HOME, build_conformance_run,
                                      conformance_requests, decision_program,
                                      run_conformance)
 from repro.bench.setups import make_tpcc_run
+from repro.obs.export import critical_path, trace_tree
 from repro.sim import (All, Await, BatchedOneSided, MpRunError, MpRunSpec,
                        MpTemplateCluster, OneSided, Rpc, Signal, Sleep,
                        TcpTransport, run_mp_workers)
@@ -220,8 +221,11 @@ def test_conformance_program_is_identical_on_every_topology(executor):
 
 def test_tpcc_cell_runs_on_mp_backend():
     """The full setups path (Database + replicas + RPC dispatch) on real
-    worker processes, wall-clock metrics merged at the parent."""
-    run = make_tpcc_run("2pl", mp_config(horizon_us=20_000.0))
+    worker processes, wall-clock metrics merged at the parent — with
+    tracing and the live timeline on, the only healthy fleet that ships
+    ``FRAME_VERBS_TRACED`` frames and ``metrics_sample`` rows."""
+    run = make_tpcc_run("2pl", mp_config(horizon_us=20_000.0, trace=True,
+                                         metrics_interval=50_000.0))
     assert run.mp_spec is not None
     result = run.run()
     assert result.metrics.commits > 0
@@ -234,6 +238,18 @@ def test_tpcc_cell_runs_on_mp_backend():
     stats = result.database.cluster.network.stats
     assert stats.total_remote_ops() > 0
     assert stats.total_bytes() > 0
+    # coordinator- and participant-side spans of one transaction stitch
+    # under one trace id across the worker boundary
+    metrics = result.metrics
+    assert any(len(critical_path(spans)["servers"]) > 1
+               for spans in trace_tree(metrics.trace.spans).values())
+    # live shipping lost nothing and double-counted nothing: the merged
+    # timeline lands exactly on the workers' final aggregates
+    timeline = metrics.timeline
+    assert timeline.totals()["commits"] == metrics.commits
+    assert timeline.servers() == sorted(metrics.scheduler_stats)
+    assert timeline.dropped == 0
+    assert not [e.message for e in timeline.health if e.kind == "stall"]
     assert no_leaked_workers()
 
 
@@ -243,6 +259,10 @@ def test_run_mp_benchmark_merges_worker_metrics():
     result = run_benchmark(run.workload, run.executor, config, run.mp_spec)
     attempts_per_proc = result.metrics.attempts_by_proc()
     assert sum(attempts_per_proc.values()) == result.metrics.attempts > 0
+    # what is off stays off in every worker: no trace or timeline state
+    # is allocated, and no WAL record is written
+    assert result.metrics.trace is None and result.metrics.timeline is None
+    assert "recovery" not in result.perf_summary()
     assert no_leaked_workers()
 
 

@@ -82,12 +82,22 @@ def test_latency_measured_from_scheduled_arrival():
         "queueing delay must dominate: a coordinated-omission-unsafe "
         "recorder would report near-service-time latencies here")
 
+    # below the knee (half this cell's capacity) the tail stays near
+    # the service time: nothing queues, so nothing is charged
+    half = run_open_loop(offered_load=200_000.0)
+    half_p99 = half.metrics.open_loop.overall().percentile(0.99)
+    assert half_p99 <= 2.0 * unloaded_p99, (
+        f"below the knee p99 must stay near the unloaded p99: "
+        f"{half_p99:.0f}us vs {unloaded_p99:.0f}us")
+
 
 def test_deadline_admission_sheds_low_priority_first():
     result = run_open_loop(offered_load=800_000.0, process="tenants",
                            admission="deadline")
     tenants = result.metrics.open_loop.tenants
     assert tenants["standard"].shed > tenants["gold"].shed
+    # ...which is what holds the gold SLO at 2x capacity
+    assert tenants["gold"].attainment() >= 0.9
     sheds = result.metrics.scheduler_summary().summary()["tenant_sheds"]
     reasons = {reason for per_tenant in sheds.values()
                for reason in per_tenant}
