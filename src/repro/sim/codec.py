@@ -217,11 +217,13 @@ def dumps(obj: Any, what: str) -> bytes:
 
 @dataclass(frozen=True)
 class WireVerbs:
-    """A chain of one-sided verbs: run at the target, reply with values.
+    """A chain of one-sided verbs: run in order at the target, reply
+    with their values.
 
-    ``batched=True`` marks a fused doorbell chain (the sender's
-    continuation expects the list); a plain verb resumes with the single
-    value.
+    ``batched=True`` marks a chain of more than one verb and is echoed
+    in the reply.  Which values resume which continuation (a lone verb
+    the single value, a fused doorbell group its list) is the sender's
+    book-keeping under ``token``, not the wire's.
     """
 
     token: int

@@ -1,18 +1,20 @@
 """The framed-TCP channel between worker processes.
 
-One send path: ``encode → queue → coalesced write → drain → read →
-decode → dispatch``.  :meth:`TcpTransport.send` encodes a wire envelope
-with the :class:`~repro.sim.codec.FrameCodec` and queues the body on
-the destination worker's channel; one writer task per channel joins
-whatever queued into a single ``write`` + ``drain``; the peer's reader
-task cuts the stream back into frames, decodes each and hands it to its
-cluster's ``_deliver_wire``.
+One send path: ``encode → write on the sender's stack → data_received →
+cut → decode → dispatch``.  :meth:`TcpTransport.send` encodes a wire
+envelope with the :class:`~repro.sim.codec.FrameCodec` and hands
+``len‖body`` to the destination worker's socket before it returns — no
+queue, no task to wake; asyncio's transport buffers whatever the kernel
+does not take at once.  The peer's :class:`_Receiver` cuts the byte
+stream back into frames as it arrives, decodes each and hands it to its
+cluster's ``_deliver_wire`` on the same stack.
 
 A frame on the stream is ``len(body).to_bytes(4, "big") + body`` with
-``0 < len(body) <= MAX_FRAME_BYTES``.  The reader trusts nothing it has
-not checked: a zero or oversized length, or a stream that ends inside a
-frame, is a :class:`~repro.sim.codec.CodecError` naming the peer — a
-prompt failure of the run, never a reader parked on a multi-GiB read.
+``0 < len(body) <= MAX_FRAME_BYTES``.  The receiver trusts nothing it
+has not checked: a zero or oversized length, or a stream that ends
+inside a frame, is a :class:`~repro.sim.codec.CodecError` naming the
+peer — a prompt failure of the run, never a buffer growing toward a
+multi-GiB frame that cannot complete.
 
 What the cluster asks of its transport — the seam a second carrier
 would have to fit: ``start(loop)`` / ``stop()``, ``send(src, dst, wire,
@@ -37,10 +39,6 @@ or one RPC payload — hundreds of bytes, a migrated record batch at
 most — so 16 MiB only ever rejects a corrupt or hostile header."""
 
 
-class _CloseChannel:
-    """Sentinel asking a channel writer task to flush and exit."""
-
-
 def bind_listener() -> socket.socket:
     """A listening localhost socket on an ephemeral port; its port is
     what a worker advertises to its peers."""
@@ -50,15 +48,111 @@ def bind_listener() -> socket.socket:
     return listener
 
 
+class _Sender(asyncio.Protocol):
+    """The dialled end of one worker pair's connection: written to,
+    never read.  Frames sent while the dial is still in progress wait
+    in ``pending`` and leave, in order, when the connection is made."""
+
+    def __init__(self, owner: "TcpTransport", dst_worker: int):
+        self.owner = owner
+        self.dst_worker = dst_worker
+        self.pending: list[bytes] = []
+        self.transport: asyncio.Transport | None = None
+        self.dial: asyncio.Future | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        if self.owner._senders.get(self.dst_worker) is not self:
+            transport.abort()  # torn down while dialling
+            return
+        self.transport = transport
+        if self.pending:
+            transport.write(b"".join(self.pending))
+            self.pending.clear()
+
+    def connection_lost(self, exc: BaseException | None) -> None:
+        self.owner._sender_lost(self, exc or ConnectionResetError(
+            f"worker {self.dst_worker} closed its end of the channel"))
+
+    def dialled(self, dial: asyncio.Future) -> None:
+        if not dial.cancelled() and dial.exception() is not None:
+            self.owner._sender_lost(self, dial.exception())
+
+    def close(self) -> None:
+        """Hang up; frames the kernel has not taken yet are dropped."""
+        self.pending.clear()
+        if self.transport is not None:
+            self.transport.abort()
+        else:
+            self.dial.cancel()
+
+
+class _Receiver(asyncio.Protocol):
+    """The accepted end: cuts the peer's byte stream into frames."""
+
+    def __init__(self, owner: "TcpTransport"):
+        self.owner = owner
+        self.transport: asyncio.Transport | None = None
+        self.peer: Any = None
+        self.buffer = bytearray()  # of a frame whose end has not come
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.peer = transport.get_extra_info("peername")
+        self.owner._receivers.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        decode = self.owner._codec.decode
+        deliver = self.owner._cluster._deliver_wire
+        offset, size = 0, len(buffer)
+        try:
+            while size - offset >= _LENGTH_BYTES:
+                start = offset + _LENGTH_BYTES
+                length = int.from_bytes(buffer[offset:start], "big")
+                if not 0 < length <= MAX_FRAME_BYTES:
+                    raise CodecError(
+                        f"peer {self.peer} sent a frame header claiming "
+                        f"{length} bytes (accepted: 1..{MAX_FRAME_BYTES}); "
+                        f"the stream is corrupt")
+                if start + length > size:
+                    break
+                offset = start + length
+                src, dst, wire = decode(bytes(buffer[start:offset]))
+                deliver(dst, src, wire)
+        except Exception as exc:
+            # nothing after a bad frame can be trusted: drop it all
+            offset = size
+            self.owner._cluster._fatal(exc)
+            self.transport.close()
+        del buffer[:offset]
+
+    def eof_received(self) -> None:
+        # EOF between frames is the peer closing its channel (normal at
+        # shutdown).  EOF *inside* one means it died mid-write: survivable
+        # on recovery runs (peer_down follows), a framing error otherwise.
+        got = len(self.buffer)
+        if got and not self.owner._cluster.recovery_enabled:
+            expected = _LENGTH_BYTES
+            if got >= _LENGTH_BYTES:
+                got -= _LENGTH_BYTES
+                expected = int.from_bytes(self.buffer[:_LENGTH_BYTES], "big")
+            self.owner._cluster._fatal(CodecError(
+                f"stream from peer {self.peer} ended inside a frame: got "
+                f"{got} of {expected} bytes"))
+
+    def connection_lost(self, exc: BaseException | None) -> None:
+        # a reset by a peer that is already gone is not this end's error
+        self.owner._receivers.discard(self)
+
+
 class TcpTransport:
     """Real sockets between worker processes.
 
     One TCP connection per ordered (src_worker, dst_worker) pair,
     dialled when the transport starts.  Per-(src, dst) server channel
-    FIFO follows from one connection + one writer task per worker pair
-    and TCP byte ordering.  Writers coalesce: whatever frames
-    accumulated in a channel queue go out as one ``write`` and one
-    ``drain``, so a burst pays one syscall, not one per frame.
+    FIFO follows from one connection per worker pair, frames written in
+    ``send`` order, and TCP byte ordering.
     """
 
     def __init__(self, cluster: Any, listener: socket.socket,
@@ -69,42 +163,30 @@ class TcpTransport:
         self._codec = codec or FrameCodec()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._queues: dict[int, asyncio.Queue] = {}
-        self._writers: dict[int, asyncio.Task] = {}
-        self._down: set[int] = set()
-        self._channel_in_flight: dict[int, int] = {}
-        self._in_flight = 0
-        """Frames accepted by :meth:`send` whose bytes have not yet been
-        written to their socket.  ``idle()`` must count these: a frame
-        a writer task has *popped* but not yet written would otherwise
-        make the channel queues look empty while the frame is still in
-        this process."""
+        self._senders: dict[int, _Sender] = {}
+        self._receivers: set[_Receiver] = set()
         self.frames_sent = 0
         self.wire_bytes_sent = 0
 
     async def start(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
-        self._server = await asyncio.start_server(self._read_channel,
-                                                  sock=self._listener)
-        # channels to every peer are created up front (each writer task
-        # dials its connection immediately — every peer's acceptor is
-        # already listening before the parent shares the port map), like
-        # an RDMA cluster's queue pairs.  Creation is synchronous: a
-        # fast-starting peer can deliver a verb *while* this worker is
-        # still starting, and the reply must find its channel queue
-        # rather than crash the serve loop.
+        self._server = await loop.create_server(lambda: _Receiver(self),
+                                                sock=self._listener)
+        # every peer is dialled up front (its listener is bound before
+        # the parent shares the port map), like an RDMA cluster's queue
+        # pairs.  Dialling does not block: a fast-starting peer can
+        # deliver a verb *while* this worker is still starting, and the
+        # reply waits in its sender's pending list.
         for dst_worker in self._ports:
             if dst_worker != self._cluster.worker_id:
-                self._ensure_channel(dst_worker)
+                self._dial(dst_worker)
 
-    def _ensure_channel(self, dst_worker: int) -> asyncio.Queue:
-        queue = self._queues.get(dst_worker)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._queues[dst_worker] = queue
-            self._writers[dst_worker] = self._loop.create_task(
-                self._write_channel(dst_worker, queue))
-        return queue
+    def _dial(self, dst_worker: int) -> _Sender:
+        sender = self._senders[dst_worker] = _Sender(self, dst_worker)
+        sender.dial = asyncio.ensure_future(self._loop.create_connection(
+            lambda: sender, _HOST, self._ports[dst_worker]))
+        sender.dial.add_done_callback(sender.dialled)
+        return sender
 
     def send(self, src: int, dst: int, wire: Any, what: str) -> int:
         if self._loop is None:
@@ -117,134 +199,56 @@ class TcpTransport:
         if dst_worker == self._cluster.worker_id:
             raise RuntimeError(f"frame for owned server {dst} reached the "
                                f"transport (routing bug)")
-        if dst_worker in self._down:
-            return _LENGTH_BYTES + len(body)  # dropped: peer is dead
-        self._in_flight += 1
-        self._channel_in_flight[dst_worker] = \
-            self._channel_in_flight.get(dst_worker, 0) + 1
-        self._ensure_channel(dst_worker).put_nowait(body)
-        return _LENGTH_BYTES + len(body)
+        frame = len(body).to_bytes(_LENGTH_BYTES, "big") + body
+        sender = self._senders.get(dst_worker) or self._dial(dst_worker)
+        if sender.transport is None:
+            sender.pending.append(frame)
+        else:
+            sender.transport.write(frame)
+        self.frames_sent += 1
+        self.wire_bytes_sent += len(frame)
+        return len(frame)
 
-    async def _write_channel(self, dst_worker: int,
-                             queue: asyncio.Queue) -> None:
-        writer = None
-        try:
-            _reader, writer = await asyncio.open_connection(
-                _HOST, self._ports[dst_worker])
-            closing = False
-            while not closing:
-                body = await queue.get()
-                if body is _CloseChannel:
-                    break
-                # coalesce whatever else already queued behind it into
-                # one write + one drain
-                bodies = [body]
-                while True:
-                    try:
-                        extra = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if extra is _CloseChannel:
-                        closing = True
-                        break
-                    bodies.append(extra)
-                frame = b"".join(
-                    piece for b in bodies
-                    for piece in (len(b).to_bytes(_LENGTH_BYTES, "big"), b))
-                writer.write(frame)
-                self.frames_sent += len(bodies)
-                self.wire_bytes_sent += len(frame)
-                self._in_flight -= len(bodies)
-                self._channel_in_flight[dst_worker] = \
-                    self._channel_in_flight.get(dst_worker, 0) - len(bodies)
-                await writer.drain()
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            if (isinstance(exc, OSError)
-                    and self._cluster.recovery_enabled):
-                # the peer process died under us: a survivable event on
-                # recovery runs (the parent's announcement follows)
-                self._cluster.fail_peer(dst_worker)
-            else:
-                # a dead writer strands every frame queued behind it;
-                # abort the run instead of letting quiescence wait
-                self._cluster._fatal(exc)
-        finally:
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-    async def _read_channel(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
-        decode = self._codec.decode
-        peer = writer.get_extra_info("peername")
-        try:
-            while True:
-                header = await reader.readexactly(_LENGTH_BYTES)
-                length = int.from_bytes(header, "big")
-                if not 0 < length <= MAX_FRAME_BYTES:
-                    raise CodecError(
-                        f"peer {peer} sent a frame header claiming "
-                        f"{length} bytes (accepted: 1..{MAX_FRAME_BYTES}); "
-                        f"the stream is corrupt")
-                src, dst, wire = decode(await reader.readexactly(length))
-                self._cluster._deliver_wire(dst, src, wire)
-        except asyncio.IncompleteReadError as cut:
-            # EOF between frames is the peer closing its channel (normal
-            # at shutdown).  EOF *inside* one means the peer died
-            # mid-write: survivable on recovery runs (the parent's
-            # peer_down follows), a framing error otherwise.
-            if cut.partial and not self._cluster.recovery_enabled:
-                self._cluster._fatal(CodecError(
-                    f"stream from peer {peer} ended inside a frame: got "
-                    f"{len(cut.partial)} of {cut.expected} bytes"))
-        except ConnectionError:
-            pass  # reset by a peer that is already gone
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
+    def _sender_lost(self, sender: _Sender, exc: BaseException) -> None:
+        if self._senders.get(sender.dst_worker) is not sender:
+            return  # this end hung up first (fail_peer, stop)
+        if isinstance(exc, OSError) and self._cluster.recovery_enabled:
+            # the peer process died under us: a survivable event on
+            # recovery runs (the parent's announcement follows)
+            self._cluster.fail_peer(sender.dst_worker)
+        else:
+            # its frames are gone: abort, or their requesters wait forever
             self._cluster._fatal(exc)
-        finally:
-            writer.close()
 
     def idle(self) -> bool:
-        return self._in_flight == 0 and \
-            all(q.empty() for q in self._queues.values())
+        """No frame waits for its dial and no byte sits in asyncio's
+        write buffer: all that :meth:`send` accepted has left."""
+        return not any(
+            s.pending or (s.transport is not None
+                          and s.transport.get_write_buffer_size())
+            for s in self._senders.values())
 
     def fail_peer(self, dst_worker: int) -> None:
-        """Tear down the channel to a dead worker; queued frames are
-        dropped (they were addressed to a process that no longer
-        exists) and stop counting toward ``idle()``."""
-        self._down.add(dst_worker)
-        task = self._writers.pop(dst_worker, None)
-        if task is not None:
-            task.cancel()
-        queue = self._queues.pop(dst_worker, None)
-        if queue is not None:
-            while not queue.empty():
-                queue.get_nowait()
-        self._in_flight -= self._channel_in_flight.pop(dst_worker, 0)
+        """Tear down the channel to a dead worker; unwritten frames are
+        dropped (their addressee no longer exists) and stop counting
+        toward ``idle()``.  Nothing more is sent until :meth:`rewire`."""
+        sender = self._senders.pop(dst_worker, None)
+        if sender is not None:
+            sender.close()
 
     def rewire(self, dst_worker: int, advert: Any) -> None:
         """A respawned worker advertised a fresh port; dial it lazily
         on the next frame."""
         self._ports[dst_worker] = advert
-        self._down.discard(dst_worker)
 
     async def stop(self) -> None:
-        for queue in self._queues.values():
-            queue.put_nowait(_CloseChannel)
-        if self._writers:
-            await asyncio.gather(*self._writers.values(),
-                                 return_exceptions=True)
+        self._loop = None
+        senders, self._senders = self._senders, {}
+        for sender in senders.values():
+            sender.close()
+        for receiver in list(self._receivers):
+            receiver.transport.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self._queues.clear()
-        self._writers.clear()
-        self._loop = None

@@ -44,9 +44,9 @@ from .aio_runtime import AioClock, AioNetwork
 from .cluster import Server
 from .codec import (PEER_DOWN, CodecError, WireOneWay, WireRpc, WireRpcReply,
                     WireVerbReply, WireVerbs, decode_op, encode_op)
-from .effects import Coroutine, OneWay
+from .effects import All, Coroutine, OneWay
 from .network import NetworkConfig
-from .runtime import EffectRuntimeBase, _payload_kind, _RpcRequest
+from .runtime import EffectRuntimeBase, _payload_kind
 
 
 class WallClockRuntime(EffectRuntimeBase):
@@ -59,10 +59,17 @@ class WallClockRuntime(EffectRuntimeBase):
     encoded through the wire codec and crosses the transport to the
     owning worker.  Effect *semantics* — fan-in, batching grouping, RPC
     plumbing — come from :class:`~repro.sim.runtime.EffectRuntimeBase`.
+
+    The foreign verbs of one ``All`` that share a destination worker
+    travel as a single ``WireVerbs`` chain, sent once the whole ``All``
+    is issued, and each verb's collector resumes from the one reply; a
+    verb outside any ``All`` is a chain of one.  A carrier detail: each
+    verb is still accounted on its own, so ``NetworkStats`` reads the
+    same on every topology.
     """
 
-    __slots__ = ("_cluster", "network", "cpu_us", "_verb_pending",
-                 "_rpc_pending", "_next_token")
+    __slots__ = ("_cluster", "network", "cpu_us", "_pending",
+                 "_next_token", "_round")
 
     def __init__(self, cluster: "WorkerCluster", server_id: int):
         super().__init__(server_id)
@@ -70,11 +77,13 @@ class WallClockRuntime(EffectRuntimeBase):
         self.network = cluster.network
         self.cpu_us = 0.0
         """Accumulated Compute cost (recorded, not slept)."""
-        self._verb_pending: dict[int, tuple[Callable, bool, int, int]] = {}
-        """token -> (cont, batched, dst_worker, n_ops)"""
-        self._rpc_pending: dict[int, tuple[Callable[[Any], None], int]] = {}
-        """token -> (cont, dst_worker)"""
+        self._pending: dict[int, tuple[Callable[[Any], None], int, Any]] = {}
+        """token -> (resume, dst_worker, what to resume with if that
+        worker dies), for every verb chain and RPC awaiting its reply"""
         self._next_token = 0
+        self._round: dict[int, tuple[int, list]] | None = None
+        """While an ``All`` is issued: dst_worker -> (first target, parts)
+        of its chain; a part is one effect's (cont, batched, kinds, specs)"""
 
     # -- base-class hooks --------------------------------------------------
 
@@ -86,7 +95,16 @@ class WallClockRuntime(EffectRuntimeBase):
 
     def perform(self, effect, cont) -> None:
         self._cluster.clock.events_fired += 1
-        super().perform(effect, cont)
+        if effect.__class__ is not All or self._round is not None:
+            super().perform(effect, cont)  # a nested All joins the outer's
+            return
+        chains = self._round = {}
+        try:
+            super().perform(effect, cont)
+        finally:
+            self._round = None
+        for target, parts in chains.values():
+            self._send_verbs(target, parts)
 
     def _batching_enabled(self) -> bool:
         return self.network.config.doorbell_batching
@@ -111,102 +129,107 @@ class WallClockRuntime(EffectRuntimeBase):
     def _one_sided(self, target: int, op: Callable[[], Any],
                    cont: Callable[[Any], None],
                    kind: str, nbytes: int | None) -> None:
-        # Cross-worker verbs are accounted at their *actual* encoded
-        # frame size (the codec knows better than any estimate); verbs
-        # staying inside this worker keep the model's nominal sizes, as
-        # no frame ever exists for them.
+        # Cross-worker verbs are accounted at their *actual* share of
+        # the encoded frame; verbs staying inside this worker keep the
+        # model's nominal sizes, as no frame ever exists for them.
         if self._cluster.owns(target):
             self.network.stats.record_one_sided(
                 kind, nbytes, remote=target != self.server_id,
                 server=self.server_id)
             self._cluster.loop.call_soon(lambda: cont(op()))
             return
-        sent = self._send_verbs(
-            target, (op,), cont, batched=False,
-            effect=f"OneSided(kind={kind!r}) to server {target}")
-        self.network.stats.record_one_sided(kind, sent, remote=True,
-                                            server=self.server_id)
+        self._chain_verbs(target, (op,), cont, False, (kind,))
 
     def _one_sided_batch(self, target, ops, cont, kinds) -> None:
         if self._cluster.owns(target):
             self.network.stats.record_batch(kinds, server=self.server_id)
-            self._cluster.loop.call_soon(
-                lambda: cont([op() for op in ops]))
+            self._cluster.loop.call_soon(lambda: cont([op() for op in ops]))
             return
-        kind = kinds[0][0] if kinds else "one_sided"
-        sent = self._send_verbs(
-            target, tuple(ops), cont, batched=True,
-            effect=(f"BatchedOneSided(kind={kind!r}, {len(ops)} verbs) "
-                    f"to server {target}"))
+        self._chain_verbs(target, ops, cont, True, [k for k, _nb in kinds])
+
+    def _chain_verbs(self, target: int, ops, cont: Callable, batched: bool,
+                     kinds) -> None:
+        """Add one effect's foreign verbs to the chain its ``All`` is
+        building for their worker, or send them as a chain of their own."""
+        effect = (f"{len(ops)} one-sided verb(s) (kind={kinds[0]!r}) "
+                  f"to server {target}")
+        part = (cont, batched, kinds,
+                [encode_op(op, effect) for op in ops])
+        if self._round is None:
+            self._send_verbs(target, [part])
+        else:
+            self._round.setdefault(self._cluster.owner_of(target),
+                                   (target, []))[1].append(part)
+
+    def _send_verbs(self, target: int, parts: list) -> None:
+        specs = tuple(spec for part in parts for spec in part[3])
+
+        def resume(values) -> None:  # to each effect, in issue order
+            at = 0
+            for cont, batched, _kinds, part_specs in parts:
+                end = at + len(part_specs)
+                cont(list(values[at:end]) if batched else values[at])
+                at = end
+
+        token = self._expect_reply(self._cluster.owner_of(target), resume,
+                                   [PEER_DOWN] * len(specs))
+        sent = 0 if token is None else self._cluster.transport.send(
+            self.server_id, target,
+            WireVerbs(token, specs, len(specs) > 1, self.current_trace),
+            what=f"a chain of {len(specs)} verb(s) to server {target}")
         # one frame carried the whole chain: split its real size across
         # the verbs so per-kind byte books still sum to wire bytes
-        per = sent // len(ops)
-        first = sent - per * (len(ops) - 1)
-        self.network.stats.record_batch(
-            [(k, first if i == 0 else per)
-             for i, (k, _nb) in enumerate(kinds)],
-            server=self.server_id)
+        per = sent // len(specs)
+        sizes = iter([sent - per * (len(specs) - 1)]
+                     + [per] * (len(specs) - 1))
+        stats = self.network.stats
+        for _cont, batched, kinds, _specs in parts:
+            if batched:
+                stats.record_batch([(k, next(sizes)) for k in kinds],
+                                   server=self.server_id)
+            else:
+                stats.record_one_sided(kinds[0], next(sizes), remote=True,
+                                       server=self.server_id)
 
-    def _send_verbs(self, target: int, ops: tuple, cont: Callable,
-                    batched: bool, effect: str) -> int:
-        dst_worker = self._cluster.owner_of(target)
+    def _expect_reply(self, dst_worker: int, resume: Callable[[Any], None],
+                      if_down: Any) -> int | None:
+        """The token of a request about to leave for ``dst_worker``.  A
+        dead worker gets none: instead of queueing for it, the caller
+        resumes with a peer_down status and aborts (retryably)."""
         if self._cluster.peer_is_down(dst_worker):
-            # fail fast instead of queueing for a dead process: the
-            # caller sees a peer_down status and aborts (retryably)
-            result = [PEER_DOWN] * len(ops) if batched else PEER_DOWN
-            self._cluster.loop.call_soon(cont, result)
-            return 0
-        specs = tuple(encode_op(op, effect) for op in ops)
+            self._cluster.loop.call_soon(resume, if_down)
+            return None
         token = self._next_token
         self._next_token += 1
-        self._verb_pending[token] = (cont, batched, dst_worker, len(ops))
-        return self._cluster.transport.send(
-            self.server_id, target,
-            WireVerbs(token, specs, batched, self.current_trace),
-            what=effect)
+        self._pending[token] = (resume, dst_worker, if_down)
+        return token
 
     # -- messages ----------------------------------------------------------
 
     def send_rpc(self, effect, cont: Callable[[Any], None]) -> None:
         target = effect.target
-        kind = _payload_kind(effect.payload, "rpc")
         if self._cluster.owns(target):
+            super().send_rpc(effect, cont)
+            return
+        token = self._expect_reply(self._cluster.owner_of(target), cont,
+                                   PEER_DOWN)
+        if token is not None:
+            sent = self._cluster.transport.send(
+                self.server_id, target,
+                WireRpc(token, effect.payload, self.current_trace),
+                what=effect.describe())
             self.network.stats.record_message(
-                kind, self.network.config.message_bytes(effect.payload),
-                remote=target != self.server_id, server=self.server_id)
-            self._cluster.deliver_local(
-                target, self.server_id,
-                _RpcRequest(self.server_id, effect.payload, cont,
-                            self.current_trace))
-            return
-        dst_worker = self._cluster.owner_of(target)
-        if self._cluster.peer_is_down(dst_worker):
-            self._cluster.loop.call_soon(cont, PEER_DOWN)
-            return
-        token = self._next_token
-        self._next_token += 1
-        self._rpc_pending[token] = (cont, dst_worker)
-        sent = self._cluster.transport.send(
-            self.server_id, target,
-            WireRpc(token, effect.payload, self.current_trace),
-            what=effect.describe())
-        self.network.stats.record_message(kind, sent, remote=True,
-                                          server=self.server_id)
+                _payload_kind(effect.payload, "rpc"), sent, remote=True,
+                server=self.server_id)
 
     def post(self, target: int, payload: Any,
              nbytes: int | None = None) -> None:
-        kind = _payload_kind(payload, "one_way")
         if self._cluster.owns(target):
-            if nbytes is None:
-                nbytes = self.network.config.message_bytes(payload)
-            self.network.stats.record_message(
-                kind, nbytes, remote=target != self.server_id,
-                server=self.server_id)
-            self._cluster.deliver_local(target, self.server_id,
-                                        OneWay(payload))
+            super().post(target, payload, nbytes)
             return
         if self._cluster.peer_is_down(self._cluster.owner_of(target)):
             return  # one-way to a dead worker: dropped, like the wire would
+        kind = _payload_kind(payload, "one_way")
         sent = self._cluster.transport.send(
             self.server_id, target, WireOneWay(payload),
             what=f"one-way message (kind={kind!r}) to server {target}")
@@ -252,13 +275,12 @@ class WallClockRuntime(EffectRuntimeBase):
                 self.server_id, src,
                 WireVerbReply(wire.token, tuple(values), wire.batched),
                 what="a verb reply")
-        elif isinstance(wire, WireVerbReply):
-            entry = self._verb_pending.pop(wire.token, None)
-            if entry is None:
-                return  # reply meant for this worker's dead predecessor
-            cont, batched = entry[0], entry[1]
-            values = list(wire.values)
-            cont(values if batched else values[0])
+        elif isinstance(wire, (WireVerbReply, WireRpcReply)):
+            # no entry: a reply meant for this worker's dead predecessor
+            entry = self._pending.pop(wire.token, None)
+            if entry is not None:
+                entry[0](wire.values if isinstance(wire, WireVerbReply)
+                         else wire.value)
         elif isinstance(wire, WireRpc):
             if self.rpc_handler is None:
                 raise RuntimeError(
@@ -278,10 +300,6 @@ class WallClockRuntime(EffectRuntimeBase):
 
             self.spawn(self.rpc_handler(src, wire.payload), on_done=reply,
                        trace=wire.trace)
-        elif isinstance(wire, WireRpcReply):
-            entry = self._rpc_pending.pop(wire.token, None)
-            if entry is not None:
-                entry[0](wire.value)
         elif isinstance(wire, WireOneWay):
             self.on_message(src, OneWay(wire.payload))
         else:
@@ -292,15 +310,10 @@ class WallClockRuntime(EffectRuntimeBase):
         with PEER_DOWN, so no coordinator hangs on a reply that will
         never come (the commit FSM turns the status into a retryable
         abort)."""
-        for token in [t for t, e in self._verb_pending.items()
-                      if e[2] == worker]:
-            cont, batched, _w, n_ops = self._verb_pending.pop(token)
-            result = [PEER_DOWN] * n_ops if batched else PEER_DOWN
-            self._cluster.loop.call_soon(cont, result)
-        for token in [t for t, e in self._rpc_pending.items()
+        for token in [t for t, e in self._pending.items()
                       if e[1] == worker]:
-            cont, _w = self._rpc_pending.pop(token)
-            self._cluster.loop.call_soon(cont, PEER_DOWN)
+            resume, _worker, if_down = self._pending.pop(token)
+            self._cluster.loop.call_soon(resume, if_down)
 
 
 class WallClockEngine:
@@ -334,8 +347,6 @@ class WallClockEngine:
 class _NoWire:
     """Transport of a worker that owns every server: nothing to carry,
     so always idle (a ``send`` would be a routing bug and is absent)."""
-
-    wire_bytes_sent = 0
 
     async def start(self, loop: asyncio.AbstractEventLoop) -> None:
         pass
@@ -509,15 +520,7 @@ class WorkerCluster:
     # -- delivery & failure -------------------------------------------------
 
     def deliver_local(self, dst: int, src: int, payload: Any) -> None:
-        runtime = self.engine(dst).runtime
-
-        def arrive() -> None:
-            try:
-                runtime.on_message(src, payload)
-            except BaseException as exc:  # noqa: BLE001 - fatal for the run
-                self._fatal(exc)
-
-        self.loop.call_soon(arrive)
+        self.loop.call_soon(self.engine(dst).runtime.on_message, src, payload)
 
     def _deliver_wire(self, dst: int, src: int, wire: Any) -> None:
         if not self.owns(dst):
@@ -538,8 +541,8 @@ class WorkerCluster:
 
     def _loop_exception(self, loop: asyncio.AbstractEventLoop,
                         context: dict) -> None:
-        # callback exceptions (a verb op raising at its target, a
-        # Compute/Sleep continuation stepping onto a bug) land here
+        # callback exceptions (an op, message handler or continuation
+        # raising, the tick observer aborting the run) land here
         self._fatal(context.get("exception")
                     or RuntimeError(context.get("message",
                                                 "event loop error")))
@@ -547,11 +550,7 @@ class WorkerCluster:
     def _tick(self) -> None:
         if self.on_tick is None:
             return  # observer detached: stop rescheduling
-        try:
-            self.on_tick()
-        except BaseException as exc:  # noqa: BLE001 - fatal for the run
-            self._fatal(exc)
-            return
+        self.on_tick()  # raising is fatal (and stops the rescheduling)
         self._tick_handle = self.loop.call_later(self.tick_interval_s,
                                                  self._tick)
 
@@ -613,10 +612,7 @@ class WorkerCluster:
 
     async def _main(self) -> None:
         async with self.serving():
-            if self.run_timeout_s is None:
-                await self._drain()
-            else:
-                await asyncio.wait_for(self._drain(), self.run_timeout_s)
+            await asyncio.wait_for(self._drain(), self.run_timeout_s)
         if self._error is not None:
             raise self._error
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -72,9 +73,14 @@ class BufferedWrite:
     values: dict[str, Any] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Outcome:
-    """The result of one transaction attempt."""
+    """The result of one transaction attempt.
+
+    A run holds one per attempt and an mp worker ships them all home
+    at quiescence, so the class is slotted and pickles as a flat
+    argument tuple (no per-instance dict on either side of the pipe).
+    """
 
     txn_id: int
     proc: str
@@ -94,6 +100,9 @@ class Outcome:
     write_set: tuple = ()
     """Records actually written; same gating as :attr:`read_set`."""
 
+    def __reduce__(self) -> tuple:
+        return (Outcome, _outcome_fields(self))
+
     @property
     def latency(self) -> float:
         return self.end - self.start
@@ -105,6 +114,10 @@ class Outcome:
     def __repr__(self) -> str:
         status = "commit" if self.committed else f"abort({self.reason.value})"
         return f"Outcome(t{self.txn_id} {self.proc} {status})"
+
+
+_outcome_fields = operator.attrgetter(*Outcome.__slots__)
+"""Every field of an :class:`Outcome`, in constructor order."""
 
 
 @dataclass

@@ -132,6 +132,9 @@ class BaseExecutor:
         self.db = db
         self.cfg = config or ExecConfig()
         self.history = history
+        self._partition_sets: dict[frozenset, frozenset] = {}
+        """One shared object per distinct ``Outcome.partitions`` value
+        (pickle's memo keeps them shared across the mp pipe)."""
 
     def execute(self, request: TxnRequest) -> Generator:
         """Coroutine executing one transaction; returns an Outcome."""
@@ -537,10 +540,12 @@ class BaseExecutor:
             read_set = tuple({rid: None for rid, _v in state.reads
                               if rid not in write_rids
                               and rid[0] not in replicated})
+        touched = frozenset(state.touched)
         return Outcome(txn_id=state.txn_id, proc=state.request.proc,
                        committed=committed, reason=state.abort_reason,
                        start=state.start, end=self.db.cluster.sim.now,
-                       partitions=frozenset(state.touched),
+                       partitions=self._partition_sets.setdefault(touched,
+                                                                  touched),
                        inner_host=state.inner_host,
                        used_two_region=state.used_two_region,
                        read_set=read_set, write_set=write_set)

@@ -150,3 +150,93 @@ def test_procedure_shapes_are_compiled_not_rederived(counted_run):
     assert compiled <= ALIAS_MAPS_PER_RUN
     # and not one per op instance per transaction
     assert compiled < 5 * result.metrics.commits
+
+
+# -- the wire path, as counts ---------------------------------------------------
+#
+# Wall clock cannot resolve a reintroduced frame per verb on a busy CI
+# box; a count can.  Two workers of one 2-server YCSB cluster share one
+# event loop (and this process), each with its own database build and
+# transport, so every cross-worker verb crosses a real localhost socket.
+
+
+@pytest.fixture(scope="module")
+def counted_wire_run():
+    import asyncio
+
+    import repro.sim.supervisor as supervisor
+    from repro.bench.harness import drive
+    from repro.bench.setups import make_ycsb_run
+    from repro.sim import TcpTransport, WorkerCluster
+    from repro.sim.codec import FrameCodec, WireVerbs
+    from repro.sim.transport import bind_listener
+    from repro.workloads.ycsb import YcsbWorkload
+
+    config = RunConfig(n_partitions=2, concurrent_per_engine=2,
+                       horizon_us=150_000.0, warmup_us=0.0, seed=11,
+                       backend="mp", mp_workers=2)
+    counts = {"request_frames": 0, "foreign_rounds": 0}
+    patch = pytest.MonkeyPatch()
+    workers, collects = [], []
+    try:
+        for worker_id in range(2):
+            cluster = WorkerCluster(2, config.network_config(),
+                                    worker_id=worker_id, n_workers=2)
+            patch.setattr(supervisor, "_ACTIVE_CLUSTER", cluster)
+            run = make_ycsb_run("2pl", config, workload=YcsbWorkload(
+                n_keys=400, reads_per_txn=8, writes_per_txn=2))
+            patch.setattr(supervisor, "_ACTIVE_CLUSTER", None)
+            workers.append(cluster)
+            collects.append(drive(run, cluster, worker_id))
+
+            def counting_round(items, kind="one_sided", sizes=None, *,
+                               cluster=cluster,
+                               network_round=run.executor.network_round):
+                # what the budget is stated in: one (round, foreign
+                # worker) pair per distinct foreign owner in a round
+                counts["foreign_rounds"] += len(
+                    {cluster.owner_of(pid) for pid, _op in items
+                     if not cluster.owns(pid)})
+                return network_round(items, kind, sizes)
+
+            patch.setattr(run.executor, "network_round", counting_round)
+
+        send = TcpTransport.send
+
+        def counting_send(self, src, dst, wire, what):
+            counts["request_frames"] += type(wire) is WireVerbs
+            return send(self, src, dst, wire, what)
+
+        patch.setattr(TcpTransport, "send", counting_send)
+
+        async def main():
+            listeners = [bind_listener() for _ in workers]
+            ports = {w: l.getsockname()[1] for w, l in enumerate(listeners)}
+            a, b = workers
+            async with b.serving(TcpTransport(b, listeners[1], ports,
+                                              FrameCodec(b.wire_tables))), \
+                    a.serving(TcpTransport(a, listeners[0], ports,
+                                           FrameCodec(a.wire_tables))):
+                # each worker keeps serving the other after its own
+                # load has drained
+                await asyncio.gather(a._drain(), b._drain())
+            for cluster in workers:
+                if cluster._error is not None:
+                    raise cluster._error
+
+        asyncio.run(asyncio.wait_for(main(), 60.0))
+    finally:
+        patch.undo()
+    payloads = [collect() for collect in collects]
+    counts["commits"] = sum(p["metrics"].commits for p in payloads)
+    counts["verbs"] = sum(p["stats"].one_sided_remote for p in payloads)
+    return counts
+
+
+def test_one_request_frame_per_round_and_foreign_worker(counted_wire_run):
+    counts = counted_wire_run
+    assert counts["commits"] > 50
+    assert 0 < counts["request_frames"] <= counts["foreign_rounds"]
+    # and the rounds really carry several verbs each: a frame per verb
+    # would put these two counts level
+    assert counts["verbs"] > 1.5 * counts["request_frames"]

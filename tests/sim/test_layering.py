@@ -5,7 +5,7 @@ clean.  The runtime + cluster module (``sim/wallclock.py``) knows no
 sockets and no processes, the transport knows no supervisor, and only
 the three bench modules that launch or describe mp runs reach for the
 supervisor or the transport.  The duplicated pieces the merge removed
-stay single.
+stay single, and the tasks and queues the wire path shed stay gone.
 """
 
 import ast
@@ -91,5 +91,10 @@ def test_the_lint_sees_every_spelling():
 def test_the_merged_pieces_stay_single():
     sources = "\n".join(path.read_text()
                         for path in sorted(SRC.rglob("*.py")))
-    for piece in (r"^class _CloseChannel\b", r"^\s+async def _drain\b"):
-        assert len(re.findall(piece, sources, re.M)) == 1, piece
+    assert len(re.findall(r"^\s+async def _drain\b", sources, re.M)) == 1
+    # the wire path has no task, queue or stream reader between ``send``
+    # and the socket, or between the socket and dispatch
+    transport = (SIM / "transport.py").read_text()
+    for gone in ("asyncio.Queue", "StreamReader", "start_server",
+                 "open_connection", "create_task"):
+        assert gone not in transport, gone

@@ -22,7 +22,8 @@ from repro.obs.export import critical_path, trace_tree
 from repro.sim import (All, Await, BatchedOneSided, MpRunError, MpRunSpec,
                        MpTemplateCluster, OneSided, Rpc, Signal, Sleep,
                        TcpTransport, run_mp_workers)
-from repro.sim.codec import OpDescriptor, WireVerbs
+from repro.sim.codec import OpDescriptor, WireOneWay, WireVerbs
+from repro.sim.transport import bind_listener
 from repro.txn.common import seed_txn_ids
 
 
@@ -398,25 +399,38 @@ class _StubWorkerCluster:
 
 
 def test_idle_counts_popped_but_unwritten_frames():
-    """Regression: a frame the writer task has popped from its channel
-    queue but not yet written to the socket must keep ``idle()`` False —
-    quiescence on queue-emptiness alone would let a worker shut down
-    with a frame still in this process."""
-    transport = TcpTransport(_StubWorkerCluster(), listener=None, ports={})
-    transport._loop = object()  # "started", but no writer task runs
-    queue = asyncio.Queue()
-    transport._queues[1] = queue
-    assert transport.idle()
+    """A frame stays in this process, and keeps ``idle()`` False, until
+    the kernel has taken its last byte: while its dial is in progress,
+    and while it sits in asyncio's write buffer because the peer is not
+    reading — quiescence on anything less would let a worker shut down
+    holding a frame."""
+    async def main():
+        listener = bind_listener()      # accepts in the kernel, reads nothing
+        transport = TcpTransport(_StubWorkerCluster(), listener=None,
+                                 ports={1: listener.getsockname()[1]})
+        transport._loop = asyncio.get_running_loop()  # started, no server
+        assert transport.idle()
 
-    wire = WireVerbs(1, (("release", 1, None, None, (7001,)),), False)
-    sent = transport.send(0, 1, wire, "a test verb")
-    assert sent > 0
-    assert not transport.idle()
+        wire = WireVerbs(1, (("release", 1, None, None, (7001,)),), False)
+        assert transport.send(0, 1, wire, "a test verb") > 0
+        assert not transport.idle(), "the frame waits for its dial"
+        while transport._senders[1].transport is None:
+            await asyncio.sleep(0.001)
+        assert transport.idle()         # a small frame fits the socket buffer
 
-    body = queue.get_nowait()  # the writer pops the frame...
-    assert body and queue.empty()
-    assert not transport.idle(), \
-        "frame is popped but unwritten: the transport must stay busy"
+        big = WireOneWay(b"x" * (8 << 20))   # far more than a socket buffers
+        transport.send(0, 1, big, "a big message")
+        await asyncio.sleep(0.01)
+        assert not transport.idle(), \
+            "bytes the kernel has not taken: the transport must stay busy"
 
-    transport._in_flight -= 1  # ...and finishes writing it
-    assert transport.idle()
+        peer, _address = listener.accept()
+        peer.setblocking(False)
+        loop = asyncio.get_running_loop()
+        while not transport.idle():     # ...until the peer reads them
+            await loop.sock_recv(peer, 1 << 20)
+        peer.close()
+        listener.close()
+        await transport.stop()
+
+    asyncio.run(asyncio.wait_for(main(), 30.0))

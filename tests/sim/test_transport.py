@@ -1,8 +1,9 @@
 """The framed-TCP channel: hostile streams, real frames, FIFO, failure.
 
-Two groups.  The reader tests feed raw bytes through a socket pair into
-``TcpTransport._read_channel`` and require a prompt typed failure for
-every malformed stream — never a reader parked on a read that cannot
+Two groups.  The receiver tests feed raw bytes — through a socket
+pair, or chunk by chunk straight into ``data_received`` — to the
+transport's receiving protocol and require a prompt typed failure for
+every malformed stream, never a buffer waiting for a frame that cannot
 complete.  The channel tests run two single-server workers of one
 2-server cluster on one event loop, each with its own transport, so the
 frames between them cross real localhost sockets without the cost of
@@ -13,23 +14,25 @@ import asyncio
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import (MAX_FRAME_BYTES, CodecError, OneSided, Sleep,
+from repro.sim import (MAX_FRAME_BYTES, All, CodecError, OneSided, Sleep,
                        TcpTransport, WorkerCluster)
 from repro.sim.codec import (OP_HANDLERS, DispatchContext, FrameCodec,
                              OpDescriptor, WireOneWay)
-from repro.sim.transport import bind_listener
+from repro.sim.transport import _Receiver, bind_listener
 
 PROMPT_S = 5.0
 """Every wait below is bounded: a hang is a failure, not a timeout of
 the whole suite."""
 
 
-# -- the reader against hostile byte streams -----------------------------------
+# -- the receiver against hostile byte streams ---------------------------------
 
 
 class _RecordingCluster:
-    """Just enough cluster for the reader: records what it is handed."""
+    """Just enough cluster for the receiver: records what it is handed."""
 
     worker_id = 0
     recovery_enabled = False
@@ -46,19 +49,27 @@ class _RecordingCluster:
 
 
 def read_stream(data: bytes, recovery: bool = False) -> _RecordingCluster:
-    """Feed ``data`` then EOF into one reader task; return what the
-    cluster saw once the reader has returned."""
+    """Feed ``data`` then EOF through a socket into one receiver;
+    return what the cluster saw once the receiver has hung up."""
     cluster = _RecordingCluster()
     cluster.recovery_enabled = recovery
 
     async def main():
+        loop = asyncio.get_running_loop()
+        hung_up = loop.create_future()
+
+        class Receiver(_Receiver):
+            def connection_lost(self, exc):
+                super().connection_lost(exc)
+                hung_up.set_result(None)
+
         ours, theirs = socket.socketpair()
         transport = TcpTransport(cluster, listener=None, ports={})
-        reader, writer = await asyncio.open_connection(sock=ours)
+        await loop.create_connection(lambda: Receiver(transport), sock=ours)
         theirs.sendall(data)
         theirs.close()
-        await asyncio.wait_for(transport._read_channel(reader, writer),
-                               PROMPT_S)
+        await asyncio.wait_for(hung_up, PROMPT_S)
+        assert not transport._receivers
 
     asyncio.run(main())
     return cluster
@@ -112,6 +123,69 @@ def test_truncation_by_a_killed_peer_is_survivable_on_recovery_runs():
     assert not cluster.errors and not cluster.delivered
 
 
+class _NoSocket:
+    """What a receiver asks of its asyncio transport."""
+
+    closed = False
+
+    def get_extra_info(self, name):
+        return ("test-peer", 0)
+
+    def close(self):
+        self.closed = True
+
+
+def chunked(data: bytes, cuts) -> _RecordingCluster:
+    """Hand ``data`` to one receiver's ``data_received`` in the pieces
+    the sorted ``cuts`` make of it, then EOF."""
+    cluster = _RecordingCluster()
+    receiver = _Receiver(TcpTransport(cluster, listener=None, ports={}))
+    receiver.connection_made(_NoSocket())
+    edges = [0, *sorted(cuts), len(data)]
+    for start, end in zip(edges, edges[1:]):
+        if start < end and not receiver.transport.closed:
+            receiver.data_received(data[start:end])
+    if not receiver.transport.closed:
+        receiver.eof_received()
+    return cluster
+
+
+BODIES = [FrameCodec().encode(1, 0, WireOneWay(payload), "a test frame")
+          for payload in ("a", "bb" * 40, 3, None, b"x" * 300)]
+STREAM = b"".join(frame(body) for body in BODIES)
+
+
+def payloads(cluster) -> list:
+    return [wire.payload for _dst, _src, wire in cluster.delivered]
+
+
+def test_every_single_split_point_delivers_the_same_frames():
+    """Including every split inside a 4-byte header."""
+    expected = payloads(chunked(STREAM, []))
+    assert expected == ["a", "bb" * 40, 3, None, b"x" * 300]
+    for cut in range(1, len(STREAM)):
+        cluster = chunked(STREAM, [cut])
+        assert not cluster.errors and payloads(cluster) == expected, cut
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, len(STREAM)), max_size=40))
+def test_any_chunking_of_a_stream_delivers_the_same_frames_in_order(cuts):
+    cluster = chunked(STREAM, cuts)
+    assert not cluster.errors
+    assert payloads(cluster) == ["a", "bb" * 40, 3, None, b"x" * 300]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, len(STREAM) + 8), max_size=12),
+       st.sampled_from([0, MAX_FRAME_BYTES + 1, 0xFFFFFFFF]))
+def test_a_bad_header_fails_the_same_way_however_it_is_chunked(cuts, claimed):
+    cluster = chunked(STREAM + claimed.to_bytes(4, "big") + b"y" * 4, cuts)
+    assert len(cluster.delivered) == len(BODIES)
+    [error] = cluster.errors
+    assert isinstance(error, CodecError) and str(claimed) in str(error)
+
+
 def test_oversized_frame_is_refused_at_the_sender():
     class Owner:
         worker_id = 0
@@ -131,9 +205,10 @@ def test_oversized_frame_is_refused_at_the_sender():
 
 
 def _log_verb(ctx, op):
-    """A verb with an ordered, observable effect at its target."""
+    """A verb with an ordered, observable effect at its target; the key
+    ``"taken"`` answers like a NO_WAIT lock conflict."""
     ctx.store_of(op.partition).append(("verb", op.key))
-    return op.key
+    return ("conflict",) if op.key == "taken" else op.key
 
 
 @pytest.fixture(autouse=True)
@@ -214,6 +289,29 @@ def test_frames_really_cross_a_socket_and_are_counted():
     # the runtime accounted the verb at its actual encoded frame size
     stats = pair.workers[0].network.stats
     assert stats.one_sided_remote == 1
+    assert stats.total_bytes() == request_side.wire_bytes_sent
+
+
+def test_one_all_is_one_frame_per_destination_worker():
+    """k foreign verbs of one ``All`` ride one chain: k results in
+    issue order, a conflict in the middle stopping nothing, and exactly
+    one request frame and one reply frame on the wire — while every
+    verb is still accounted on its own."""
+    pair = Pair()
+    keys = ["a", "b", "taken", "c", "d"]
+    out = []
+
+    def program():
+        out.append((yield All([log_verb(1, key) for key in keys])))
+
+    pair.run(program())
+    assert out == [["a", "b", ("conflict",), "c", "d"]]
+    assert pair.log == [("verb", key) for key in keys]
+    request_side, reply_side = pair.transports
+    assert (request_side.frames_sent, reply_side.frames_sent) == (1, 1)
+    stats = pair.workers[0].network.stats
+    assert stats.one_sided_remote == len(keys)
+    assert stats.one_sided_batches == 0
     assert stats.total_bytes() == request_side.wire_bytes_sent
 
 
