@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable
 
+from .._stats import fold, report
 from .._util import make_rng
 from ..obs import (HealthWatchdog, MetricsHttpServer, Timeline,
                    TimelineSampler, Tracer, WatchdogAbort, exemplar_summary,
@@ -373,16 +374,19 @@ class RunResult:
             summary["sim_us"] = self.end_time
         if self.config.backend == "mp":
             summary["workers"] = effective_mp_workers(self.config)
-        sched = self.metrics.scheduler_summary()
-        if sched is not None:
-            summary["scheduler"] = sched.summary()
-        if self.metrics.placement_stats is not None:
-            summary["placement"] = self.metrics.placement_stats.summary()
-        recovery = self.metrics.recovery_stats
-        if recovery is not None and recovery.any_activity:
-            summary["recovery"] = recovery.summary()
-        if self.metrics.open_loop is not None:
-            summary["open_loop"] = self.metrics.open_loop.summary()
+        metrics = self.metrics
+        recovery = metrics.recovery_stats
+        if recovery is not None and not recovery.any_activity:
+            recovery = None  # a run without a WAL stays quiet
+        for name, stats in (("scheduler", metrics.scheduler_summary()),
+                            ("placement", metrics.placement_stats),
+                            ("recovery", recovery),
+                            ("open_loop", metrics.open_loop)):
+            if stats is not None:
+                # summary() where a class reports derived figures,
+                # else its declared fields as they are
+                summary[name] = (stats.summary() if hasattr(stats, "summary")
+                                 else report(stats))
         traffic = self.traffic_summary()
         if traffic is not None:
             summary["traffic"] = traffic
@@ -595,7 +599,7 @@ class Run:
             # surface traffic measured in other processes where every
             # backend's consumers read it (an mp template counts nothing)
             if payload["stats"] is not stats:
-                stats.merge_from(payload["stats"])
+                fold(stats, payload["stats"])
         return _finish_run(RunResult(
             metrics=metrics, database=self.database, config=config,
             # on mp the parent's recorder saw nothing
@@ -710,10 +714,14 @@ def drive(run: Run, cluster, worker_id: int | None = None):
         # pumped by whoever runs this cluster: execute() in process, the
         # supervisor's serve loop in a worker (rows ship to the parent
         # live, so the payload below deliberately carries no timeline)
+        process = {"recovery": db.recovery, "network": cluster.network.stats}
+        if load.placement_stats is not None:
+            process["placement"] = load.placement_stats
+        open_loop = metrics.open_loop
         cluster.metrics_sampler = TimelineSampler(
-            config.metrics_interval, metrics, load.schedulers,
-            network=cluster.network.stats, recovery=db.recovery,
-            placement=load.placement_stats,
+            config.metrics_interval, metrics.outcomes,
+            {home: sched.stats for home, sched in load.schedulers.items()},
+            process, open_loop.tenants if open_loop is not None else None,
             events_fired=lambda: cluster.sim.events_fired, gen=generation)
         if config.backend != "sim":
             cluster.tick_interval_s = config.metrics_interval / 1e6

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .._stats import folded, report, stat
 from ..placement import PlacementStats
 from ..sched import SchedulerStats
 from ..storage import RecoveryStats
@@ -22,6 +23,7 @@ APP_ABORTS = frozenset({AbortReason.LOGICAL, AbortReason.READ_MISS})
 """Abort reasons decided by the application, not by contention."""
 
 
+@dataclass
 class LatencyHistogram:
     """Log2-bucketed latency histogram with linear sub-buckets.
 
@@ -30,17 +32,16 @@ class LatencyHistogram:
     into ``2**SUBBUCKET_BITS`` equal sub-buckets (the HdrHistogram
     layout), bounding the relative quantile error at ``1 /
     2**(SUBBUCKET_BITS+1)`` (~1.6%) at any magnitude.  Bucket counts
-    simply add, so merging is associative and commutative — mp workers
+    simply add, so folding is associative and commutative — mp workers
     pickle theirs to the parent, which folds them in any order.
     """
 
     SUBBUCKET_BITS = 5
 
-    def __init__(self) -> None:
-        self.counts: dict[int, int] = {}
-        self.n = 0
-        self.total_us = 0.0
-        self.max_us = 0.0
+    counts: dict[int, int] = stat(dict)
+    n: int = 0
+    total_us: float = 0.0
+    max_us: float = stat(0.0, fold="max")
 
     @classmethod
     def _index(cls, value: int) -> int:
@@ -66,20 +67,6 @@ class LatencyHistogram:
         self.total_us += latency_us
         if latency_us > self.max_us:
             self.max_us = latency_us
-
-    def merge_from(self, other: "LatencyHistogram") -> None:
-        for index, count in other.counts.items():
-            self.counts[index] = self.counts.get(index, 0) + count
-        self.n += other.n
-        self.total_us += other.total_us
-        self.max_us = max(self.max_us, other.max_us)
-
-    @classmethod
-    def merged(cls, parts: list["LatencyHistogram"]) -> "LatencyHistogram":
-        total = cls()
-        for part in parts:
-            total.merge_from(part)
-        return total
 
     def mean_us(self) -> float:
         return self.total_us / self.n if self.n else 0.0
@@ -121,47 +108,38 @@ class TenantTraffic:
     would experience it.
     """
 
-    deadline_us: float = 0.0
-    scheduled: int = 0
+    scheduled: int = stat(timeline="scheduled")
     """Arrivals the generator produced for this tenant (the SLO
     denominator — shed and failed requests count against attainment)."""
 
-    shed: int = 0
+    shed: int = stat(timeline="shed")
     """Arrivals dropped before execution (admission or scheduler)."""
 
-    committed: int = 0
-    failed: int = 0
+    committed: int = stat(timeline="committed")
+    failed: int = stat(timeline="failed")
     """Admitted requests that never committed (retries exhausted or the
     run drained first)."""
 
-    in_slo: int = 0
-    """Committed within ``deadline_us`` of the scheduled arrival."""
+    deadline_us: float = stat(0.0, fold="max")
+    in_slo: int = stat(timeline="in_slo", report="slo_attainment")
+    """Committed within ``deadline_us`` of the scheduled arrival
+    (:meth:`OpenLoopStats.summary` reports it as :meth:`attainment`)."""
 
-    histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
+    histogram: LatencyHistogram = stat(LatencyHistogram, report=None)
 
     def attainment(self) -> float:
         """Fraction of *scheduled* arrivals that met their SLO."""
         return self.in_slo / self.scheduled if self.scheduled else 0.0
-
-    def merge_from(self, other: "TenantTraffic") -> None:
-        self.deadline_us = max(self.deadline_us, other.deadline_us)
-        self.scheduled += other.scheduled
-        self.shed += other.shed
-        self.committed += other.committed
-        self.failed += other.failed
-        self.in_slo += other.in_slo
-        self.histogram.merge_from(other.histogram)
 
 
 @dataclass
 class OpenLoopStats:
     """Per-tenant open-loop traffic counters, surfaced via ``Metrics``.
 
-    Mergeable and picklable: each mp worker accumulates its homes'
-    traffic and the parent folds the parts (histogram buckets add,
-    counters sum)."""
+    Picklable: each mp worker accumulates its homes' traffic and the
+    parent folds the parts (histogram buckets add, counters sum)."""
 
-    tenants: dict[str, TenantTraffic] = field(default_factory=dict)
+    tenants: dict[str, TenantTraffic] = stat(dict)
 
     def tenant(self, name: str, deadline_us: float = 0.0) -> TenantTraffic:
         traffic = self.tenants.get(name)
@@ -171,8 +149,8 @@ class OpenLoopStats:
         return traffic
 
     def overall(self) -> LatencyHistogram:
-        return LatencyHistogram.merged(
-            [t.histogram for t in self.tenants.values()])
+        return folded(LatencyHistogram,
+                      [t.histogram for t in self.tenants.values()])
 
     @property
     def scheduled(self) -> int:
@@ -182,65 +160,38 @@ class OpenLoopStats:
     def shed(self) -> int:
         return sum(t.shed for t in self.tenants.values())
 
-    def merge_from(self, other: "OpenLoopStats") -> None:
-        for name, theirs in other.tenants.items():
-            self.tenant(name).merge_from(theirs)
-
-    @classmethod
-    def merged(cls, parts: list["OpenLoopStats"]) -> "OpenLoopStats":
-        total = cls()
-        for part in parts:
-            total.merge_from(part)
-        return total
-
-    def timeline_snapshot(self) -> dict[str, dict[str, float]]:
-        """Cumulative per-tenant counters for the live metrics
-        timeline (diffed into per-interval deltas by the sampler)."""
-        return {name: {"scheduled": t.scheduled, "shed": t.shed,
-                       "committed": t.committed, "failed": t.failed,
-                       "in_slo": t.in_slo}
-                for name, t in self.tenants.items()}
-
     def summary(self) -> dict:
         """Report fields for ``RunResult.perf_summary()['open_loop']``."""
-        report = {
-            "scheduled": self.scheduled,
-            "shed": self.shed,
-            "latency": self.overall().summary(),
-            "tenants": {},
-        }
+        tenants = {}
         for name in sorted(self.tenants):
             tenant = self.tenants[name]
-            report["tenants"][name] = {
-                "scheduled": tenant.scheduled,
-                "shed": tenant.shed,
-                "committed": tenant.committed,
-                "failed": tenant.failed,
-                "deadline_us": tenant.deadline_us,
-                "slo_attainment": round(tenant.attainment(), 4),
-                **{k: v for k, v in tenant.histogram.summary().items()
-                   if k != "count"},
-            }
-        return report
+            row = tenants[name] = report(tenant)
+            row["slo_attainment"] = round(tenant.attainment(), 4)
+            row.update((k, v) for k, v in tenant.histogram.summary().items()
+                       if k != "count")
+        return {"scheduled": self.scheduled, "shed": self.shed,
+                "latency": self.overall().summary(), "tenants": tenants}
 
 
 @dataclass
 class Metrics:
     """Aggregated outcomes of one benchmark run."""
 
-    outcomes: list[Outcome] = field(default_factory=list)
+    outcomes: list[Outcome] = stat(list)
 
-    wall_seconds: float = 0.0
+    wall_seconds: float = stat(0.0, fold="max")
     """Real (not simulated) time the run took; filled by the harness so
-    Python hot-path regressions show up in persisted benchmark results."""
+    Python hot-path regressions show up in persisted benchmark results.
+    Folds as a max: mp workers ran concurrently."""
 
     events_processed: int = 0
     """Simulator events fired during the run; filled by the harness."""
 
-    scheduler_stats: dict[int, SchedulerStats] = field(default_factory=dict)
+    scheduler_stats: dict[int, SchedulerStats] = stat(dict)
     """Per-engine scheduling counters (queue depth, queueing delay,
     deferrals/sheds by typed reason); filled by the harness.  Shed
-    requests never produced an Outcome — this is where they show up."""
+    requests never produced an Outcome — this is where they show up.
+    A book by engine: each engine's scheduler lived in one worker."""
 
     placement_stats: PlacementStats | None = None
     """Adaptive-placement counters (epochs, planned/applied moves,
@@ -262,7 +213,7 @@ class Metrics:
     """Harvested phase spans + tail exemplars
     (:class:`repro.obs.TraceData`); filled by the harness when
     ``RunConfig.trace`` is on, None otherwise.  mp workers each ship
-    theirs and the parent folds them below, like every other stat."""
+    theirs and the parent folds them, like every other stat."""
 
     timeline: "object | None" = None
     """Merged live metrics timeline (:class:`repro.obs.Timeline`, with
@@ -277,44 +228,16 @@ class Metrics:
 
     @classmethod
     def merged(cls, parts: list["Metrics"]) -> "Metrics":
-        """Combine per-worker metrics from a parallel (mp) run.
-
-        Outcome lists concatenate; wall time is the *max* (workers ran
-        concurrently); events sum across processes; scheduler stats
-        union by engine (each engine's scheduler lived in exactly one
-        worker).  No timeline rides a part (see :attr:`timeline`).
-        """
-        merged = cls()
-        for part in parts:
-            merged.outcomes.extend(part.outcomes)
-            merged.wall_seconds = max(merged.wall_seconds,
-                                      part.wall_seconds)
-            merged.events_processed += part.events_processed
-            merged.scheduler_stats.update(part.scheduler_stats)
-            if part.placement_stats is not None:
-                if merged.placement_stats is None:
-                    merged.placement_stats = PlacementStats()
-                merged.placement_stats.merge_from(part.placement_stats)
-            if part.recovery_stats is not None:
-                if merged.recovery_stats is None:
-                    merged.recovery_stats = RecoveryStats()
-                merged.recovery_stats.merge_from(part.recovery_stats)
-            if part.open_loop is not None:
-                if merged.open_loop is None:
-                    merged.open_loop = OpenLoopStats()
-                merged.open_loop.merge_from(part.open_loop)
-            if part.trace is not None:
-                if merged.trace is None:
-                    from ..obs.tracer import TraceData
-                    merged.trace = TraceData()
-                merged.trace.merge_from(part.trace)
-        return merged
+        """Combine per-worker metrics from a parallel (mp) run, each
+        field by its declared rule.  No timeline rides a part (see
+        :attr:`timeline`)."""
+        return folded(cls, parts)
 
     def scheduler_summary(self) -> SchedulerStats | None:
         """All engines' scheduling counters folded into one view."""
         if not self.scheduler_stats:
             return None
-        return SchedulerStats.merged(list(self.scheduler_stats.values()))
+        return folded(SchedulerStats, self.scheduler_stats.values())
 
     @property
     def shed_requests(self) -> int:

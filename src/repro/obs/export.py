@@ -60,12 +60,14 @@ def critical_path(spans) -> dict:
 
 
 def exemplar_summary(trace_data: TraceData) -> dict:
-    """Per-tenant slowest-K traces, each with its phase breakdown."""
+    """Per-tenant slowest-K traces, each with its phase breakdown
+    (folded mp parts hold K candidates per worker: trimmed here)."""
     tree = trace_tree(trace_data.spans)
     out: dict[str, list] = {}
     for tenant, entries in sorted(trace_data.exemplars.items()):
         rows = []
-        for latency_us, trace in entries:
+        slowest = sorted(entries, key=lambda e: -e[0])
+        for latency_us, trace in slowest[:trace_data.exemplar_k]:
             row = {"trace": trace, "latency_us": round(latency_us, 3)}
             row.update(critical_path(tree.get(trace, ())))
             rows.append(row)

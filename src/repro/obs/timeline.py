@@ -37,7 +37,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
+
+from .._stats import counters
 
 DEFAULT_RING = 4096
 """Samples retained per server; at the default intervals this is hours
@@ -73,11 +75,11 @@ class TimelineSample:
 class Timeline:
     """Bounded per-server rings of :class:`TimelineSample` rows.
 
-    Mergeable and picklable like every other stats object: the parent
-    of an mp run folds each worker's shipped rows into one instance,
-    and ``Metrics.merged`` folds timelines like scheduler stats.
-    ``health`` carries the watchdog's typed events so one object rides
-    ``metrics.timeline`` into ``perf_summary()``.
+    One per run, owned by the process that called ``Run.run``: its
+    own sampler's rows, or the rows every mp worker ships live, arrive
+    through :meth:`add_rows` — a timeline never rides a worker's
+    payload.  ``health`` carries the watchdog's typed events so one
+    object rides ``metrics.timeline`` into ``perf_summary()``.
     """
 
     def __init__(self, interval_us: float, ring: int = DEFAULT_RING):
@@ -164,19 +166,6 @@ class Timeline:
                     return row.gauges[name]
         return 0.0
 
-    def merge_from(self, other: "Timeline") -> None:
-        for server in other.servers():
-            self.add_rows(other.rows(server))
-        self.dropped += other.dropped
-        self.health.extend(other.health)
-
-    @classmethod
-    def merged(cls, parts: list["Timeline"]) -> "Timeline":
-        total = cls(parts[0].interval_us if parts else 1.0)
-        for part in parts:
-            total.merge_from(part)
-        return total
-
     def summary(self) -> dict:
         """Report fields for ``RunResult.perf_summary()['timeline']``."""
         totals = self.totals()
@@ -189,7 +178,7 @@ class Timeline:
             "commits": int(totals.get("commits", 0)),
             "aborts": int(totals.get("aborts", 0)),
             "sheds": int(totals.get("sheds", 0)),
-            "max_queue_depth": int(self.gauge_max("queue_depth")),
+            "max_queue_depth": int(self.gauge_max("max_queue_depth")),
         }
 
 
@@ -197,31 +186,34 @@ class TimelineSampler:
     """Snapshots one process's live stats into delta rows.
 
     One instance per process (the whole run on sim/aio, one per worker
-    on mp).  Per-engine counters come from each home's scheduler
-    stats; process-scoped counters — transaction outcomes, WAL,
-    placement, recovery, wire bytes, events — land on the *primary*
-    row (the smallest owned home) so merging rows across processes
-    never double-counts them.  ``tick`` emits one row per home every
-    time the clock crosses an interval boundary; ``flush`` stamps the
-    final partial interval.
+    on mp), reading whatever its stats objects declare for the
+    timeline (:func:`repro._stats.counters`): ``engines`` maps each
+    home to its engine-scoped stats, one row per home; ``process``
+    names the process-scoped stats, which — with the transaction
+    ``outcomes``, the event count and the per-tenant ``tenants`` books
+    — land on the *primary* row (the smallest owned home) so merging
+    rows across processes never double-counts them.  ``tick`` emits
+    one row per home every time the clock crosses an interval
+    boundary; ``flush`` stamps the final partial interval.
     """
 
-    def __init__(self, interval_us: float, metrics, schedulers: dict,
-                 *, network=None, recovery=None, placement=None,
+    def __init__(self, interval_us: float, outcomes: list,
+                 engines: Mapping[int, object],
+                 process: Mapping[str, object] | None = None,
+                 tenants: Mapping[str, object] | None = None, *,
                  events_fired: Callable[[], int] | None = None,
                  gen: int = 0):
         if interval_us <= 0:
             raise ValueError(f"metrics interval must be positive, "
                              f"got {interval_us}")
         self.interval_us = float(interval_us)
-        self.metrics = metrics
-        self.schedulers = schedulers
-        self.network = network
-        self.recovery = recovery
-        self.placement = placement
+        self.outcomes = outcomes
+        self.engines = engines
+        self.process = process or {}
+        self.tenants = tenants or {}
         self.events_fired = events_fired
         self.gen = gen
-        self.primary = min(schedulers) if schedulers else 0
+        self.primary = min(engines) if engines else 0
         self._due = self.interval_us
         self._outcome_idx = 0
         self._events_prev = 0
@@ -246,16 +238,13 @@ class TimelineSampler:
     def sample(self, now_us: float,
                final: bool = False) -> list[TimelineSample]:
         rows = []
-        for home in sorted(self.schedulers):
-            stats = getattr(self.schedulers[home], "stats",
-                            self.schedulers[home])
-            counters = self._delta(("sched", home),
-                                   stats.timeline_snapshot())
+        for home in sorted(self.engines):
+            stats = self.engines[home]
             row = TimelineSample(
                 t_us=now_us, server=home, gen=self.gen,
-                counters=counters,
-                gauges={"queue_depth": float(stats.queue_depth),
-                        "max_queue_depth": float(stats.max_queue_depth)},
+                counters=self._delta(home, stats),
+                gauges={name: float(value) for name, value
+                        in counters(stats, gauges=True).items()},
                 final=final)
             if home == self.primary:
                 self._process_counters(row)
@@ -271,50 +260,37 @@ class TimelineSampler:
 
     # -- delta bookkeeping -------------------------------------------------
 
-    def _delta(self, key, current: dict[str, float]) -> dict[str, float]:
-        prev = self._prev.get(key)
-        self._prev[key] = current
-        if prev is None:
-            return {k: v for k, v in current.items() if v}
+    def _delta(self, scope, stats) -> dict[str, float]:
+        current = counters(stats)
+        prev = self._prev.get(scope, {})
+        self._prev[scope] = current
         return {k: v - prev.get(k, 0) for k, v in current.items()
                 if v != prev.get(k, 0)}
 
     def _process_counters(self, row: TimelineSample) -> None:
-        counters = row.counters
-        outcomes = self.metrics.outcomes
+        tally = row.counters
         commits = aborts = 0
-        for outcome in outcomes[self._outcome_idx:]:
+        for outcome in self.outcomes[self._outcome_idx:]:
             if outcome.committed:
                 commits += 1
             else:
                 aborts += 1
                 reason = getattr(outcome.reason, "value", outcome.reason)
                 key = f"aborts.{reason}"
-                counters[key] = counters.get(key, 0) + 1
-        self._outcome_idx = len(outcomes)
+                tally[key] = tally.get(key, 0) + 1
+        self._outcome_idx = len(self.outcomes)
         if commits:
-            counters["commits"] = commits
+            tally["commits"] = commits
         if aborts:
-            counters["aborts"] = aborts
-        for key, source in (("recovery", self.recovery),
-                            ("placement", self.placement),
-                            ("network", self.network)):
-            if source is not None:
-                counters.update(self._delta(key,
-                                            source.timeline_snapshot()))
+            tally["aborts"] = aborts
+        for name, stats in self.process.items():
+            tally.update(self._delta(name, stats))
         if self.events_fired is not None:
             events = self.events_fired()
             if events != self._events_prev:
-                counters["events"] = events - self._events_prev
+                tally["events"] = events - self._events_prev
                 self._events_prev = events
-        open_loop = getattr(self.metrics, "open_loop", None)
-        if open_loop is not None:
-            prev = self._prev.get("tenants", {})
-            current = open_loop.timeline_snapshot()
-            self._prev["tenants"] = current
-            for tenant, book in current.items():
-                before = prev.get(tenant, {})
-                delta = {k: v - before.get(k, 0) for k, v in book.items()
-                         if v != before.get(k, 0)}
-                if delta:
-                    row.tenants[tenant] = delta
+        for tenant, stats in self.tenants.items():
+            delta = self._delta(("tenant", tenant), stats)
+            if delta:
+                row.tenants[tenant] = delta

@@ -30,7 +30,9 @@ Overhead discipline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .._stats import stat
 
 PHASES = ("lock", "read", "validate", "replicate", "prepare", "commit",
           "release", "queue_wait", "shed", "migrate")
@@ -88,28 +90,20 @@ class SpanRing:
 
 @dataclass
 class TraceData:
-    """Harvested spans + tail exemplars; the mergeable metrics payload.
+    """Harvested spans + tail exemplars; the metrics payload.
 
     mp workers harvest their rings at quiescence and ship a
     ``TraceData`` home inside :class:`~repro.bench.metrics.Metrics`;
-    the parent folds them with :meth:`merge_from` exactly like the
-    other per-worker stats.
+    the parent folds them like the other per-worker stats: spans and
+    each tenant's exemplar candidates concatenate, and
+    :func:`~repro.obs.export.exemplar_summary` keeps the slowest
+    ``exemplar_k`` of them.
     """
 
-    spans: list = field(default_factory=list)
-    exemplars: dict = field(default_factory=dict)
+    spans: list = stat(list)
+    exemplars: dict = stat(dict)
     dropped: int = 0
-    exemplar_k: int = 5
-
-    def merge_from(self, other: "TraceData") -> None:
-        self.spans.extend(other.spans)
-        self.dropped += other.dropped
-        self.exemplar_k = max(self.exemplar_k, other.exemplar_k)
-        for tenant, entries in other.exemplars.items():
-            mine = self.exemplars.setdefault(tenant, [])
-            mine.extend(entries)
-            mine.sort(key=lambda e: -e[0])
-            del mine[self.exemplar_k:]
+    exemplar_k: int = stat(5, fold="max")
 
     def summary(self) -> dict:
         # "dropped_spans" duplicates "dropped" under the name the

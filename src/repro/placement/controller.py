@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._stats import stat
 from ..core.contention import normalize
 from ..core.partitioner import ChillerPartitionerConfig, partition_workload
 from ..storage.record import RecordId
@@ -156,72 +157,29 @@ class MigrationPlan:
 class PlacementStats:
     """Adaptive-placement counters, surfaced through ``Metrics``.
 
-    Picklable and mergeable like ``SchedulerStats``: multiprocess
-    workers ship theirs back to the parent, which folds them.
+    Picklable; multiprocess workers ship theirs back to the parent,
+    which folds them by the rules declared here.
     """
 
-    placement: str = "static"
-    epochs: int = 0
-    plans: int = 0
+    placement: str = stat("static", fold="label")
+    epochs: int = stat(timeline="placement_epochs")
+    plans: int = stat(timeline="placement_plans")
     """Epochs that actually re-ran the partitioner (enough commits)."""
 
     commits_observed: int = 0
     moves_planned: int = 0
-    moves_applied: int = 0
-    moves_conflicted: int = 0
+    moves_applied: int = stat(timeline="moves_applied")
+    moves_conflicted: int = stat(timeline="moves_conflicted")
     """Moves skipped because the record was locked (NO_WAIT: the
     migration never waits on live transactions)."""
 
     moves_missing: int = 0
     """Moves skipped because the record vanished before the lock."""
 
-    flips_applied: int = 0
+    flips_applied: int = stat(timeline="flips_applied")
     """Routing-entry flips applied on this process's servers."""
 
-    last_epoch: int = 0
-
-    def merge_from(self, other: "PlacementStats") -> None:
-        if other.placement != "static":
-            self.placement = other.placement
-        self.epochs += other.epochs
-        self.plans += other.plans
-        self.commits_observed += other.commits_observed
-        self.moves_planned += other.moves_planned
-        self.moves_applied += other.moves_applied
-        self.moves_conflicted += other.moves_conflicted
-        self.moves_missing += other.moves_missing
-        self.flips_applied += other.flips_applied
-        self.last_epoch = max(self.last_epoch, other.last_epoch)
-
-    @classmethod
-    def merged(cls, parts: list["PlacementStats"]) -> "PlacementStats":
-        total = cls()
-        for part in parts:
-            total.merge_from(part)
-        return total
-
-    def timeline_snapshot(self) -> dict[str, float]:
-        """Cumulative counters for the live metrics timeline."""
-        return {"placement_epochs": self.epochs,
-                "placement_plans": self.plans,
-                "moves_applied": self.moves_applied,
-                "moves_conflicted": self.moves_conflicted,
-                "flips_applied": self.flips_applied}
-
-    def summary(self) -> dict:
-        """Flat report fields for ``RunResult.perf_summary()``."""
-        return {
-            "placement": self.placement,
-            "epochs": self.epochs,
-            "plans": self.plans,
-            "commits_observed": self.commits_observed,
-            "moves_planned": self.moves_planned,
-            "moves_applied": self.moves_applied,
-            "moves_conflicted": self.moves_conflicted,
-            "moves_missing": self.moves_missing,
-            "flips_applied": self.flips_applied,
-            "last_epoch": self.last_epoch,
-        }
+    last_epoch: int = stat(fold="max")
 
 
 class PlacementController:

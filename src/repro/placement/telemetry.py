@@ -7,9 +7,8 @@ Where the offline :class:`~repro.core.stats.StatsService` consumes a
 ``record_footprints`` flag is on).  Each engine owns one collector —
 the same engine-local stance as the scheduling layer, which is what
 lets the identical code run on the simulator, the asyncio loop, and
-inside every multiprocess worker.  Collectors are picklable and
-mergeable, so mp workers could ship them to the parent exactly like
-``SchedulerStats``.
+inside every multiprocess worker.  A collector never leaves its
+process: the controller drains the collectors of its own engines.
 
 The controller drains a collector per epoch into a
 :class:`TelemetryWindow` — a frozen snapshot of the window's co-access
@@ -137,23 +136,3 @@ class AccessTelemetry:
         self.commits_observed = 0
         self.window_start_us = now
         return window
-
-    # -- mergeability (mp workers ship collectors like SchedulerStats) ----
-
-    def merge_from(self, other: "AccessTelemetry") -> None:
-        self.commits_observed += other.commits_observed
-        self.commits_total += other.commits_total
-        for rid, count in other.read_counts.items():
-            self.read_counts[rid] = self.read_counts.get(rid, 0) + count
-        for rid, count in other.write_counts.items():
-            self.write_counts[rid] = self.write_counts.get(rid, 0) + count
-        self.samples.extend(other.samples)
-        if len(self.samples) > self.max_samples:
-            del self.samples[:len(self.samples) - self.max_samples]
-
-    @classmethod
-    def merged(cls, parts: list["AccessTelemetry"]) -> "AccessTelemetry":
-        total = cls()
-        for part in parts:
-            total.merge_from(part)
-        return total

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable
 
+from .._stats import report, stat
 from ..sim.effects import Await, Effect, Signal, Sleep
 from ..txn.common import Outcome, TxnRequest
 
@@ -113,40 +114,42 @@ class AdmitDecision:
 class SchedulerStats:
     """Per-engine scheduling counters, surfaced through ``Metrics``.
 
-    Picklable and mergeable: multiprocess workers ship their engines'
-    stats back to the parent, which folds them with
-    :meth:`merge_from` (queue depth merges as a max — the engines ran
-    concurrently, their queues never shared a waiter).
+    Picklable; multiprocess workers ship their engines' stats back to
+    the parent, which folds them by the rules declared here (queue
+    depth folds as a max — the engines ran concurrently, their queues
+    never shared a waiter).
     """
 
-    scheduler: str = "fifo"
-    admitted: int = 0
-    completed: int = 0
-    deferrals: int = 0
-    sheds: int = 0
-    defer_reasons: dict[str, int] = field(default_factory=dict)
-    shed_reasons: dict[str, int] = field(default_factory=dict)
-    tenant_sheds: dict[str, dict[str, int]] = field(default_factory=dict)
-    """Typed shed reasons per traffic tenant (open-loop runs only):
-    ``{tenant: {reason: count}}``.  Empty on closed-loop runs."""
-    queue_depth: int = 0
+    scheduler: str = stat("fifo", fold="label")
+    admitted: int = stat(timeline="admitted")
+    completed: int = stat(timeline="completed", report=None)
+    deferrals: int = stat(timeline="deferrals")
+    sheds: int = stat(timeline="sheds")
+    defer_reasons: dict[str, int] = stat(dict, report=None)
+    shed_reasons: dict[str, int] = stat(dict, report=None)
+    queue_depth: int = stat(fold="max", timeline="queue_depth", report=None)
     """Waiters deferred right now (ends at 0 for a drained run)."""
 
-    max_queue_depth: int = 0
-    queueing_delay_us: float = 0.0
-    """Total time admitted requests spent deferred before running."""
+    max_queue_depth: int = stat(fold="max", timeline="max_queue_depth")
+    queueing_delay_us: float = stat(0.0, report="mean_queueing_delay_us")
+    """Total time admitted requests spent deferred before running
+    (:meth:`summary` divides it into the mean it is reported as)."""
 
-    queued_admissions: int = 0
+    queued_admissions: int = stat(report=None)
     """Admitted requests that were deferred at least once."""
 
-    n_classes: int = 0
+    n_classes: int = stat(report="conflict_classes")
     """Distinct conflict classes this engine observed."""
 
-    max_class_occupancy: int = 0
+    max_class_occupancy: int = stat(fold="max")
     """Peak concurrently-running transactions sharing one class."""
 
     window_widenings: int = 0
     """Times abort feedback widened a class's serialization window."""
+
+    tenant_sheds: dict[str, dict[str, int]] = stat(dict)
+    """Typed shed reasons per traffic tenant (open-loop runs only):
+    ``{tenant: {reason: count}}``.  Empty on closed-loop runs."""
 
     def count_defer(self, reason: SchedReason) -> None:
         self.deferrals += 1
@@ -169,65 +172,18 @@ class SchedulerStats:
             return 0.0
         return self.queueing_delay_us / self.queued_admissions
 
-    def merge_from(self, other: "SchedulerStats") -> None:
-        self.scheduler = other.scheduler
-        self.admitted += other.admitted
-        self.completed += other.completed
-        self.deferrals += other.deferrals
-        self.sheds += other.sheds
-        for book, theirs in ((self.defer_reasons, other.defer_reasons),
-                             (self.shed_reasons, other.shed_reasons)):
-            for reason, count in theirs.items():
-                book[reason] = book.get(reason, 0) + count
-        for tenant, theirs in other.tenant_sheds.items():
-            book = self.tenant_sheds.setdefault(tenant, {})
-            for reason, count in theirs.items():
-                book[reason] = book.get(reason, 0) + count
-        self.queue_depth = max(self.queue_depth, other.queue_depth)
-        self.max_queue_depth = max(self.max_queue_depth,
-                                   other.max_queue_depth)
-        self.queueing_delay_us += other.queueing_delay_us
-        self.queued_admissions += other.queued_admissions
-        self.n_classes += other.n_classes
-        self.max_class_occupancy = max(self.max_class_occupancy,
-                                       other.max_class_occupancy)
-        self.window_widenings += other.window_widenings
-
-    @classmethod
-    def merged(cls, parts: list["SchedulerStats"]) -> "SchedulerStats":
-        total = cls()
-        for part in parts:
-            total.merge_from(part)
-        return total
-
-    def timeline_snapshot(self) -> dict[str, float]:
-        """Cumulative counters for the live metrics timeline
-        (:mod:`repro.obs.timeline` diffs successive snapshots into
-        per-interval deltas; gauges are read directly)."""
-        return {"admitted": self.admitted,
-                "completed": self.completed,
-                "deferrals": self.deferrals,
-                "sheds": self.sheds}
-
     def summary(self) -> dict:
-        """Flat report fields for ``RunResult.perf_summary()``."""
-        report = {
-            "scheduler": self.scheduler,
-            "admitted": self.admitted,
-            "deferrals": self.deferrals,
-            "sheds": self.sheds,
-            "max_queue_depth": self.max_queue_depth,
-            "mean_queueing_delay_us": round(
-                self.mean_queueing_delay_us(), 3),
-            "conflict_classes": self.n_classes,
-            "max_class_occupancy": self.max_class_occupancy,
-            "window_widenings": self.window_widenings,
-        }
-        if self.tenant_sheds:
-            report["tenant_sheds"] = {
-                tenant: dict(book)
-                for tenant, book in sorted(self.tenant_sheds.items())}
-        return report
+        """Report fields for ``RunResult.perf_summary()``: the field
+        dump, the queueing total replaced by its mean, and the tenant
+        books only when there are any."""
+        out = report(self)
+        out["mean_queueing_delay_us"] = round(
+            self.mean_queueing_delay_us(), 3)
+        by_tenant = out.pop("tenant_sheds")
+        if by_tenant:
+            out["tenant_sheds"] = {tenant: dict(book) for tenant, book
+                                   in sorted(by_tenant.items())}
+        return out
 
 
 Fingerprint = Callable[[TxnRequest], tuple[Hashable, ...]]

@@ -28,10 +28,11 @@ consistent with the paper's "at least an order of magnitude" premise.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
+from .._stats import stat
 from .events import Simulator
 
 _UNSET = object()
@@ -251,8 +252,8 @@ class NetworkStats:
     """
 
     one_sided_local: int = 0
-    one_sided_remote: int = 0
-    messages: int = 0
+    one_sided_remote: int = stat(timeline="wire_verbs")
+    messages: int = stat(timeline="wire_messages")
     """Messages delivered across the wire (``src != dst``)."""
 
     messages_local: int = 0
@@ -264,27 +265,26 @@ class NetworkStats:
     one_sided_batched_verbs: int = 0
     """Total verbs carried inside those fused round trips."""
 
-    bytes_by_kind: dict[str, int] = field(default_factory=dict)
+    bytes_by_kind: dict[str, int] = stat(dict, timeline="wire_bytes")
     """Approximate payload bytes that crossed the wire, per kind."""
 
-    local_bytes_by_kind: dict[str, int] = field(default_factory=dict)
+    local_bytes_by_kind: dict[str, int] = stat(dict)
     """Approximate payload bytes of same-server deliveries, per kind."""
 
-    bytes_by_server_kind: dict[int, dict[str, int]] = field(
-        default_factory=dict)
+    bytes_by_server_kind: dict[int, dict[str, int]] = stat(dict)
     """Wire bytes broken down by *issuing* server (execution engine)
     and kind — the per-executor traffic view.  Only populated for
     traffic whose recorder knows its issuer (all three backends pass
     it); kinds here always sum to ``bytes_by_kind``."""
 
-    wire_bytes_sent: int = 0
+    wire_bytes_sent: int = stat(timeline="wire_bytes_sent")
     """Actual encoded frame bytes a real transport pushed onto its
-    carrier (length prefixes included).  Zero on the sim backend — the
-    simulator models sizes rather than encoding frames; on mp runs each
-    worker folds its transport's counter in at quiescence, making this
-    the ground-truth companion to the modeled ``bytes_by_kind`` (which
-    on mp also uses actual frame sizes for cross-worker traffic but
-    keeps nominal estimates for same-process deliveries)."""
+    carrier (length prefixes included), counted where the frame is
+    written.  Zero on the sim backend — the simulator models sizes
+    rather than encoding frames; on mp runs it is the ground-truth
+    companion to the modeled ``bytes_by_kind`` (which on mp also uses
+    actual frame sizes for cross-worker traffic but keeps nominal
+    estimates for same-process deliveries)."""
 
     def add_bytes(self, kind: str, nbytes: int,
                   remote: bool = True, server: int | None = None) -> None:
@@ -329,32 +329,6 @@ class NetworkStats:
             n_verbs += 1
         self.one_sided_batched_verbs += n_verbs
         return total
-
-    def timeline_snapshot(self) -> dict[str, float]:
-        """Cumulative counters for the live metrics timeline."""
-        return {"wire_verbs": self.one_sided_remote,
-                "wire_messages": self.messages,
-                "wire_bytes": sum(self.bytes_by_kind.values()),
-                "wire_bytes_sent": self.wire_bytes_sent}
-
-    def merge_from(self, other: "NetworkStats") -> None:
-        """Fold another process's counters into this one (mp runs merge
-        each worker's stats into the parent-side result)."""
-        self.one_sided_local += other.one_sided_local
-        self.one_sided_remote += other.one_sided_remote
-        self.messages += other.messages
-        self.messages_local += other.messages_local
-        self.one_sided_batches += other.one_sided_batches
-        self.one_sided_batched_verbs += other.one_sided_batched_verbs
-        self.wire_bytes_sent += other.wire_bytes_sent
-        for kind, nbytes in other.bytes_by_kind.items():
-            self.add_bytes(kind, nbytes, remote=True)
-        for kind, nbytes in other.local_bytes_by_kind.items():
-            self.add_bytes(kind, nbytes, remote=False)
-        for server, per in other.bytes_by_server_kind.items():
-            mine = self.bytes_by_server_kind.setdefault(server, {})
-            for kind, nbytes in per.items():
-                mine[kind] = mine.get(kind, 0) + nbytes
 
     def total_remote_ops(self) -> int:
         """Round trips / deliveries that crossed the wire.  A fused

@@ -274,10 +274,6 @@ async def _serve_worker(cluster: WorkerCluster, conn,
             await cluster._drain()
             if cluster._error is not None:
                 raise cluster._error
-            # fold the transport's ground-truth frame bytes into the
-            # stats snapshot the finalize payload ships to the parent
-            cluster.network.stats.wire_bytes_sent += \
-                transport.wire_bytes_sent
             cluster.on_tick = None
             if sampler is not None:
                 # final partial interval, flushed in pipe order before

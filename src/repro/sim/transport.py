@@ -19,7 +19,8 @@ multi-GiB frame that cannot complete.
 What the cluster asks of its transport — the seam a second carrier
 would have to fit: ``start(loop)`` / ``stop()``, ``send(src, dst, wire,
 what) -> frame bytes``, ``idle()``, ``fail_peer(worker)`` /
-``rewire(worker, advert)`` and the ``wire_bytes_sent`` counter.
+``rewire(worker, advert)``; every frame written is counted into the
+cluster's ``network.stats.wire_bytes_sent`` as it leaves.
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ class TcpTransport:
         self._senders: dict[int, _Sender] = {}
         self._receivers: set[_Receiver] = set()
         self.frames_sent = 0
-        self.wire_bytes_sent = 0
 
     async def start(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
@@ -206,7 +206,7 @@ class TcpTransport:
         else:
             sender.transport.write(frame)
         self.frames_sent += 1
-        self.wire_bytes_sent += len(frame)
+        self._cluster.network.stats.wire_bytes_sent += len(frame)
         return len(frame)
 
     def _sender_lost(self, sender: _Sender, exc: BaseException) -> None:

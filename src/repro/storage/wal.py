@@ -44,9 +44,10 @@ because wire writes carry absolute evaluated values.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from struct import Struct
 
+from .._stats import stat
 from ..sim.codec import pack_record, unpack_record
 
 WAL_MODES = ("off", "fsync", "group")
@@ -107,73 +108,32 @@ def as_wal_spec(wal: "WalSpec | str | None") -> WalSpec:
 class RecoveryStats:
     """Durability/recovery counters, surfaced through ``Metrics``.
 
-    Picklable and mergeable like ``PlacementStats``: multiprocess
-    workers ship theirs back to the parent, which folds them.
+    Picklable; multiprocess workers ship theirs back to the parent,
+    which folds them by the rules declared here.
     """
 
-    wal_mode: str = "off"
-    wal_appends: int = 0
-    wal_fsyncs: int = 0
-    wal_bytes: int = 0
-    recoveries: int = 0
+    wal_mode: str = stat("off", fold="label")
+    wal_appends: int = stat(timeline="wal_appends")
+    wal_fsyncs: int = stat(timeline="wal_fsyncs")
+    wal_bytes: int = stat(timeline="wal_bytes")
+    recoveries: int = stat(timeline="recoveries")
     """WAL replays performed (one per restarted process that found
     logs to replay)."""
 
-    txns_redone: int = 0
+    txns_redone: int = stat(timeline="txns_redone")
     """Committed txns whose writes were re-applied from the log."""
 
-    in_doubt_resolved: int = 0
+    in_doubt_resolved: int = stat(timeline="in_doubt_resolved")
     """Prepared-but-undecided txns resolved at recovery (by a
     coordinator query or presumed abort)."""
 
-    controller_failovers: int = 0
+    controller_failovers: int = stat(timeline="controller_failovers")
     """Times the placement-controller lease moved to a new leader."""
-
-    def merge_from(self, other: "RecoveryStats") -> None:
-        if other.wal_mode != "off":
-            self.wal_mode = other.wal_mode
-        self.wal_appends += other.wal_appends
-        self.wal_fsyncs += other.wal_fsyncs
-        self.wal_bytes += other.wal_bytes
-        self.recoveries += other.recoveries
-        self.txns_redone += other.txns_redone
-        self.in_doubt_resolved += other.in_doubt_resolved
-        self.controller_failovers += other.controller_failovers
-
-    @classmethod
-    def merged(cls, parts: list["RecoveryStats"]) -> "RecoveryStats":
-        total = cls()
-        for part in parts:
-            total.merge_from(part)
-        return total
 
     @property
     def any_activity(self) -> bool:
         return (self.wal_appends > 0 or self.recoveries > 0
                 or self.controller_failovers > 0)
-
-    def timeline_snapshot(self) -> dict[str, float]:
-        """Cumulative counters for the live metrics timeline."""
-        return {"wal_appends": self.wal_appends,
-                "wal_fsyncs": self.wal_fsyncs,
-                "wal_bytes": self.wal_bytes,
-                "recoveries": self.recoveries,
-                "txns_redone": self.txns_redone,
-                "in_doubt_resolved": self.in_doubt_resolved,
-                "controller_failovers": self.controller_failovers}
-
-    def summary(self) -> dict:
-        """Flat report fields for ``RunResult.perf_summary()``."""
-        return {
-            "wal_mode": self.wal_mode,
-            "wal_appends": self.wal_appends,
-            "wal_fsyncs": self.wal_fsyncs,
-            "wal_bytes": self.wal_bytes,
-            "recoveries": self.recoveries,
-            "txns_redone": self.txns_redone,
-            "in_doubt_resolved": self.in_doubt_resolved,
-            "controller_failovers": self.controller_failovers,
-        }
 
 
 def wal_path(directory: str, server_id: int) -> str:

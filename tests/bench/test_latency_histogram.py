@@ -1,7 +1,8 @@
 """Unit tests for the log2-bucketed latency histogram.
 
-The two properties the open-loop metrics rest on: merge is associative
-and commutative (mp workers fold parts in arbitrary order), and
+The two properties the open-loop metrics rest on: folding parts in any
+order equals one pass over all the values (mp workers ship parts home;
+the algebra itself is ``tests/test_stats_fold.py``'s property), and
 quantiles stay within the layout's ~1.6% relative error bound at any
 magnitude.
 """
@@ -10,6 +11,7 @@ import math
 import pickle
 import random
 
+from repro._stats import folded
 from repro.bench.metrics import LatencyHistogram, Metrics, OpenLoopStats
 
 
@@ -52,23 +54,11 @@ def test_merge_matches_single_pass():
     values = [int(rng.expovariate(1 / 500.0)) for _ in range(5_000)]
     whole = hist(values)
     parts = [hist(values[i::4]) for i in range(4)]
-    merged = LatencyHistogram.merged(parts)
+    merged = folded(LatencyHistogram, parts)
     assert merged.counts == whole.counts
     assert merged.n == whole.n
     assert merged.max_us == whole.max_us
     assert merged.percentile(0.99) == whole.percentile(0.99)
-
-
-def test_merge_is_associative_and_commutative():
-    rng = random.Random(11)
-    parts = [hist([int(rng.expovariate(1 / 200.0)) for _ in range(500)])
-             for _ in range(3)]
-    a, b, c = parts
-    left = LatencyHistogram.merged([LatencyHistogram.merged([a, b]), c])
-    right = LatencyHistogram.merged([a, LatencyHistogram.merged([b, c])])
-    shuffled = LatencyHistogram.merged([c, a, b])
-    assert left.counts == right.counts == shuffled.counts
-    assert left.n == right.n == shuffled.n
 
 
 def test_empty_histogram_summary():
@@ -96,7 +86,7 @@ def test_open_loop_stats_merge_folds_tenants():
     gold_b.scheduled, gold_b.shed = 2, 2
     b.tenant("standard", deadline_us=4_000.0).scheduled = 7
 
-    merged = OpenLoopStats.merged([a, b])
+    merged = folded(OpenLoopStats, [a, b])
     assert merged.tenants["gold"].scheduled == 7
     assert merged.tenants["gold"].shed == 2
     assert merged.tenants["gold"].in_slo == 3

@@ -11,10 +11,15 @@ it imports nothing from it, and the harness needs no lazy import to
 reach it.  And there is one perf system: ``BENCHMARK.json`` +
 ``benchmarks/e2e/`` gate and ``benchmarks/pairs.py`` records; the
 baseline file, its checker and their environment gates stay gone.
+And one fold: a stats class declares per field how it merges and where
+it shows (``repro/_stats.py``); the hand-written ``merge_from`` /
+``merged`` / ``timeline_snapshot`` per class stay gone, and the timeline
+sampler names no stats class or field.
 """
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -125,3 +130,68 @@ def test_one_perf_system():
         found = re.findall(r"os\.environ|getenv|\bextra_info\b",
                            path.read_text())
         assert not found, f"{path}: {found}"
+
+
+# -- one fold for every stat --------------------------------------------------
+
+HAND_WRITTEN_MERGES = {
+    "bench/metrics.py::Metrics.merged":
+        "the entry point Run.run calls on mp payloads; one line over "
+        "folded(), kept for its docstring on what rides a part",
+    "placement/telemetry.py::TelemetryWindow.merged":
+        "a frozen snapshot with no empty value to fold into: min start, "
+        "max end over one epoch's per-engine windows",
+}
+"""Every ``merge_from`` / ``merged`` / ``timeline_snapshot`` left under
+``src/repro``, with why ``repro._stats.fold`` does not serve it."""
+
+
+def test_stats_merge_by_declaration_not_by_hand():
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(scope, (ast.Module, ast.ClassDef)):
+                continue
+            for node in scope.body:
+                if isinstance(node, ast.FunctionDef) and node.name in (
+                        "merge_from", "merged", "timeline_snapshot"):
+                    found.add(f"{path.relative_to(SRC).as_posix()}::"
+                              f"{getattr(scope, 'name', '')}.{node.name}")
+    assert found == set(HAND_WRITTEN_MERGES)
+
+
+def test_the_timeline_names_no_stats_class_and_no_stats_field():
+    """The sampler reads what its stats objects declare for the
+    timeline; a new counter is a field, not an edit here."""
+    from repro.bench import metrics
+    from repro.obs import TimelineSampler
+    from repro.placement import PlacementStats
+    from repro.sched import SchedulerStats
+    from repro.sim import NetworkStats
+    from repro.storage import RecoveryStats
+    sampled = (SchedulerStats, NetworkStats, RecoveryStats, PlacementStats,
+               metrics.TenantTraffic)
+    classes = {cls.__name__ for cls in sampled} | {
+        "OpenLoopStats", "LatencyHistogram", "Metrics"}
+    fields = {spec.name for cls in sampled
+              for spec in dataclasses.fields(cls)}
+    # Outcome.committed (the per-attempt verdict the sampler tallies)
+    # shares its name with TenantTraffic.committed
+    fields.discard("committed")
+    tree = ast.parse((SRC / "obs" / "timeline.py").read_text())
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not classes & (names | imported)
+    sampler = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "TimelineSampler")
+    touched = {node.attr for node in ast.walk(sampler)
+               if isinstance(node, ast.Attribute)}
+    touched |= {node.value for node in ast.walk(sampler)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and node.value.isidentifier()}
+    assert not fields & touched
+    parameters = set(inspect.signature(TimelineSampler).parameters)
+    assert not {"network", "recovery", "placement", "metrics"} & parameters

@@ -1,7 +1,9 @@
-"""Unit tests for the live metrics timeline: rings, deltas, merge."""
+"""Unit tests for the live metrics timeline: rings, deltas, sampling."""
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
+from repro._stats import stat
 from repro.obs import Timeline, TimelineSample, TimelineSampler
 
 
@@ -61,24 +63,10 @@ def test_totals_and_tenant_totals_sum_all_servers():
     assert tl.tenant_totals() == {"gold": {"scheduled": 5, "in_slo": 4}}
 
 
-def test_merge_preserves_rows_dropped_and_health():
-    a = Timeline(10.0)
-    a.add(row(10.0, server=0, counters={"commits": 1}))
-    a.dropped = 2
-    b = Timeline(10.0)
-    b.add(row(10.0, server=1, counters={"commits": 4}))
-    b.health.append("event")
-    merged = Timeline.merged([a, b])
-    assert merged.servers() == [0, 1]
-    assert merged.totals()["commits"] == 5
-    assert merged.dropped == 2
-    assert merged.health == ["event"]
-
-
 def test_summary_reports_the_headline_numbers():
     tl = Timeline(10.0)
     tl.add(row(10.0, counters={"commits": 7, "aborts": 1, "sheds": 2},
-               gauges={"queue_depth": 9.0}))
+               gauges={"queue_depth": 3.0, "max_queue_depth": 9.0}))
     summary = tl.summary()
     assert summary["samples"] == 1 and summary["servers"] == 1
     assert summary["commits"] == 7 and summary["aborts"] == 1
@@ -87,16 +75,19 @@ def test_summary_reports_the_headline_numbers():
 
 # -- TimelineSampler --------------------------------------------------------
 
-def fake_sched(admitted=0, completed=0, queue_depth=0):
-    stats = SimpleNamespace(
-        queue_depth=queue_depth, max_queue_depth=queue_depth,
-        timeline_snapshot=lambda: {"admitted": admitted,
-                                   "completed": completed})
-    return SimpleNamespace(stats=stats)
+@dataclass
+class EngineStats:
+    """What the sampler reads off an engine: declared, never named."""
+
+    admitted: int = stat(timeline="admitted")
+    completed: int = stat(timeline="completed")
+    queue_depth: int = stat(fold="max", timeline="queue_depth")
+    unsampled: int = 0
 
 
-def fake_metrics(outcomes=()):
-    return SimpleNamespace(outcomes=list(outcomes), open_loop=None)
+@dataclass
+class WireStats:
+    by_kind: dict = stat(dict, timeline="wire_bytes")
 
 
 def outcome(committed=True, reason=None):
@@ -104,7 +95,7 @@ def outcome(committed=True, reason=None):
 
 
 def test_tick_fires_only_on_interval_boundaries():
-    sampler = TimelineSampler(100.0, fake_metrics(), {0: fake_sched()})
+    sampler = TimelineSampler(100.0, [], {0: EngineStats()})
     assert sampler.tick(50.0) == []
     rows = sampler.tick(100.0)
     assert len(rows) == 1 and rows[0].t_us == 100.0
@@ -114,21 +105,23 @@ def test_tick_fires_only_on_interval_boundaries():
 
 
 def test_counters_are_deltas_not_cumulative():
-    sched = fake_sched()
-    sampler = TimelineSampler(100.0, fake_metrics(), {0: sched})
-    sched.stats.timeline_snapshot = lambda: {"completed": 5}
+    stats = EngineStats()
+    sampler = TimelineSampler(100.0, [], {0: stats})
+    stats.completed, stats.unsampled, stats.queue_depth = 5, 9, 2
     first = sampler.tick(100.0)[0]
-    sched.stats.timeline_snapshot = lambda: {"completed": 8}
+    stats.completed, stats.queue_depth = 8, 1
     second = sampler.tick(200.0)[0]
-    assert first.counters["completed"] == 5
-    assert second.counters["completed"] == 3
+    assert first.counters == {"completed": 5}
+    assert second.counters == {"completed": 3}
+    # a gauge is read, not diffed
+    assert first.gauges == {"queue_depth": 2.0}
+    assert second.gauges == {"queue_depth": 1.0}
 
 
 def test_process_counters_ride_only_the_primary_row():
-    metrics = fake_metrics([outcome(), outcome(),
-                            outcome(False, "lock_conflict")])
-    sampler = TimelineSampler(100.0, metrics,
-                              {2: fake_sched(), 5: fake_sched()})
+    outcomes = [outcome(), outcome(), outcome(False, "lock_conflict")]
+    sampler = TimelineSampler(100.0, outcomes,
+                              {2: EngineStats(), 5: EngineStats()})
     rows = sampler.tick(100.0)
     by_server = {r.server: r for r in rows}
     assert sampler.primary == 2
@@ -139,36 +132,47 @@ def test_process_counters_ride_only_the_primary_row():
 
 
 def test_outcome_scan_never_double_counts():
-    metrics = fake_metrics([outcome()])
-    sampler = TimelineSampler(100.0, metrics, {0: fake_sched()})
+    outcomes = [outcome()]
+    sampler = TimelineSampler(100.0, outcomes, {0: EngineStats()})
     assert sampler.tick(100.0)[0].counters["commits"] == 1
-    metrics.outcomes.append(outcome())
+    outcomes.append(outcome())
     assert sampler.tick(200.0)[0].counters["commits"] == 1
 
 
 def test_flush_marks_rows_final():
-    sampler = TimelineSampler(100.0, fake_metrics(), {0: fake_sched()})
+    sampler = TimelineSampler(100.0, [], {0: EngineStats()})
     assert all(not r.final for r in sampler.tick(100.0))
     assert all(r.final for r in sampler.flush(150.0))
 
 
 def test_a_homeless_process_still_emits_a_liveness_row():
-    sampler = TimelineSampler(100.0, fake_metrics([outcome()]), {})
+    sampler = TimelineSampler(100.0, [outcome()], {})
     rows = sampler.tick(100.0)
     assert len(rows) == 1
     assert rows[0].counters["commits"] == 1
 
 
 def test_source_snapshots_flow_through():
-    network = SimpleNamespace(
-        timeline_snapshot=lambda: {"wire_bytes": 640.0})
-    sampler = TimelineSampler(100.0, fake_metrics(), {0: fake_sched()},
-                              network=network,
+    network = WireStats(by_kind={"lock_read": 600, "commit": 40})
+    sampler = TimelineSampler(100.0, [], {0: EngineStats()},
+                              {"network": network},
                               events_fired=lambda: 42)
     first = sampler.tick(100.0)[0]
-    assert first.counters["wire_bytes"] == 640.0
+    assert first.counters["wire_bytes"] == 640
     assert first.counters["events"] == 42
     second = sampler.tick(200.0)[0]
     # unchanged sources contribute no delta keys
     assert "wire_bytes" not in second.counters
     assert "events" not in second.counters
+
+
+def test_tenant_books_are_diffed_per_tenant_as_they_appear():
+    tenants = {"gold": EngineStats(admitted=2)}
+    sampler = TimelineSampler(100.0, [], {0: EngineStats()},
+                              tenants=tenants)
+    assert sampler.tick(100.0)[0].tenants == {"gold": {"admitted": 2}}
+    tenants["gold"].admitted = 5
+    tenants["free"] = EngineStats(completed=1)
+    assert sampler.tick(200.0)[0].tenants == {"gold": {"admitted": 3},
+                                              "free": {"completed": 1}}
+    assert sampler.tick(300.0)[0].tenants == {}

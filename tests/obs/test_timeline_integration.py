@@ -15,12 +15,15 @@ import pytest
 
 from repro.analysis import ProcedureRegistry
 from repro.bench import RunConfig, run_benchmark
+from repro.bench.setups import make_ycsb_run
 from repro.obs import HealthEvent, HealthRule, WatchdogAbort
 from repro.partitioning import HashScheme
 from repro.sim import Cluster
 from repro.storage import Catalog
+from repro.traffic import ArrivalSpec
 from repro.txn import Database, TwoPLExecutor
 from repro.workloads.bank import BankWorkload
+from repro.workloads.ycsb import YcsbWorkload
 
 
 def build(workload, config):
@@ -121,3 +124,21 @@ def test_health_events_survive_into_perf_summary():
     health = result.perf_summary()["health"]
     assert health and health[0]["kind"] == "queue_saturation"
     assert result.metrics.timeline.health
+
+
+def test_timeline_and_scheduler_agree_on_max_queue_depth():
+    """Regression: the timeline summary took the max of the *sampled*
+    ``queue_depth`` gauge (whatever the queue happened to hold at each
+    tick) although every row carries the exact running peak."""
+    config = RunConfig(
+        n_partitions=4, horizon_us=6_000.0, warmup_us=600.0, seed=7,
+        scheduler="conflict", metrics_interval=500.0,
+        arrivals=ArrivalSpec(process="poisson", offered_load=100_000.0,
+                             deadline_us=1_000.0, admission="deadline"))
+    workload = YcsbWorkload(n_keys=1200, reads_per_txn=4, writes_per_txn=4,
+                            zipf_exponent=0.9)
+    summary = make_ycsb_run("2pl", config,
+                            workload=workload).run().perf_summary()
+    peak = summary["scheduler"]["max_queue_depth"]
+    assert peak > 1
+    assert summary["timeline"]["max_queue_depth"] == peak

@@ -2,6 +2,7 @@
 
 import json
 
+from repro._stats import fold
 from repro.obs import (NOOP_TRACER, PHASES, VERB_PHASES, SpanRing,
                        TraceData, Tracer, critical_path, exemplar_summary,
                        to_trace_events, trace_tree, write_trace_json)
@@ -96,7 +97,7 @@ def test_verb_phases_name_known_phases():
     assert set(VERB_PHASES.values()) <= set(PHASES)
 
 
-# -- TraceData merge --------------------------------------------------------
+# -- TraceData fold ---------------------------------------------------------
 
 def test_merge_concatenates_spans_and_truncates_exemplars():
     a = TraceData(spans=[span(1)], dropped=2, exemplar_k=2)
@@ -104,11 +105,14 @@ def test_merge_concatenates_spans_and_truncates_exemplars():
     b = TraceData(spans=[span(2)], dropped=1, exemplar_k=2)
     b.exemplars["gold"] = [(40.0, 3)]
     b.exemplars["free"] = [(9.0, 4)]
-    a.merge_from(b)
+    fold(a, b)
     assert len(a.spans) == 2
     assert a.dropped == 3
-    assert a.exemplars["gold"] == [(50.0, 1), (40.0, 3)]  # 20.0 evicted
-    assert a.exemplars["free"] == [(9.0, 4)]
+    # every part's candidates are kept; the report keeps the slowest K
+    assert a.exemplars["gold"] == [(50.0, 1), (20.0, 2), (40.0, 3)]
+    slowest = exemplar_summary(a)
+    assert [r["trace"] for r in slowest["gold"]] == [1, 3]  # 20.0 evicted
+    assert [r["trace"] for r in slowest["free"]] == [4]
     assert a.summary() == {"spans": 2, "dropped": 3,
                            "dropped_spans": 3, "traces": 2}
 

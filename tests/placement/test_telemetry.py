@@ -1,6 +1,4 @@
-"""AccessTelemetry: observation, windows, merging, picklability."""
-
-import pickle
+"""AccessTelemetry: observation, draining, and merging drained windows."""
 
 from repro.placement import AccessTelemetry, TelemetryWindow
 from repro.txn.common import Outcome
@@ -75,21 +73,6 @@ def test_window_likelihoods_use_the_poisson_model():
     assert 0.0 < likelihoods[W1] < 1.0
     # a read-only record never conflicts with itself
     assert likelihoods[R1] == 0.0
-
-
-def test_merge_and_pickle_round_trip():
-    a = AccessTelemetry()
-    b = AccessTelemetry()
-    a.observe(committed(reads=[R1], writes=[W1]), now=1.0)
-    b.observe(committed(reads=[R2], writes=[W1]), now=2.0)
-    merged = AccessTelemetry.merged([a, b])
-    assert merged.commits_observed == 2
-    assert merged.write_counts == {W1: 2}
-    assert merged.read_counts == {R1: 1, R2: 1}
-
-    wired = pickle.loads(pickle.dumps(merged))
-    assert wired.write_counts == merged.write_counts
-    assert len(wired.samples) == len(merged.samples)
 
 
 def test_merged_windows_combine_counts_and_span():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro._stats import folded
 from repro.sched import (FifoScheduler, SchedAction, SchedulerSpec,
                          SchedulerStats, as_spec)
 from repro.txn.common import TxnRequest
@@ -49,7 +50,7 @@ def test_stats_merge_sums_and_maxes():
                        max_queue_depth=2, queueing_delay_us=5.0,
                        queued_admissions=1, n_classes=2,
                        defer_reasons={"class_cooldown": 1})
-    merged = SchedulerStats.merged([a, b])
+    merged = folded(SchedulerStats, [a, b])
     assert merged.admitted == 4
     assert merged.deferrals == 3
     assert merged.sheds == 1

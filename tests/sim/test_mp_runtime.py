@@ -9,6 +9,7 @@ import asyncio
 import dataclasses
 import multiprocessing
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,8 +21,8 @@ from repro.bench.conformance import (DRIVER_HOME, build_conformance_run,
 from repro.bench.setups import make_tpcc_run
 from repro.obs.export import critical_path, trace_tree
 from repro.sim import (All, Await, BatchedOneSided, MpRunError, MpRunSpec,
-                       MpTemplateCluster, OneSided, Rpc, Signal, Sleep,
-                       TcpTransport, run_mp_workers)
+                       MpTemplateCluster, NetworkStats, OneSided, Rpc,
+                       Signal, Sleep, TcpTransport, run_mp_workers)
 from repro.sim.codec import OpDescriptor, WireOneWay, WireVerbs
 from repro.sim.transport import bind_listener
 from repro.txn.common import seed_txn_ids
@@ -254,6 +255,21 @@ def test_tpcc_cell_runs_on_mp_backend():
     assert no_leaked_workers()
 
 
+def test_mp_timeline_counts_wire_bytes_as_they_leave():
+    """Regression: the transport used to keep its own byte count and
+    fold it into the stats at quiescence, so every live row read zero
+    and the whole run's ``wire_bytes_sent`` landed on the final flush."""
+    result = make_tpcc_run("2pl", mp_config(
+        horizon_us=250_000.0, metrics_interval=50_000.0)).run()
+    rows = result.metrics.timeline.rows()
+    live = [row for row in rows
+            if not row.final and row.counters.get("wire_bytes_sent")]
+    assert len(live) > 1
+    assert sum(row.counters.get("wire_bytes_sent", 0) for row in rows) \
+        == result.database.cluster.network.stats.wire_bytes_sent > 0
+    assert no_leaked_workers()
+
+
 def test_run_mp_benchmark_merges_worker_metrics():
     config = mp_config(horizon_us=20_000.0)
     run = make_tpcc_run("2pl", config)
@@ -393,6 +409,9 @@ class _StubWorkerCluster:
     """Just enough cluster for transport-level unit tests."""
 
     worker_id = 0
+
+    def __init__(self):
+        self.network = SimpleNamespace(stats=NetworkStats())
 
     def owner_of(self, server_id: int) -> int:
         return 1  # everything routes to the (fake) peer worker

@@ -407,13 +407,14 @@ def test_bytes_by_phase_folds_kinds_into_txn_phases():
 
 
 def test_merge_from_folds_per_server_books():
+    from repro._stats import fold
     from repro.sim import NetworkStats
     a = NetworkStats()
     b = NetworkStats()
     a.record_one_sided("lock_read", 32, remote=True, server=1)
     b.record_one_sided("lock_read", 10, remote=True, server=1)
     b.record_one_sided("commit", 7, remote=True, server=2)
-    a.merge_from(b)
+    fold(a, b)
     assert a.bytes_by_server_kind == {1: {"lock_read": 42},
                                       2: {"commit": 7}}
 

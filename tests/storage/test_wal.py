@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._stats import folded, report
 from repro.sim.codec import pack_record, unpack_record
 from repro.storage.wal import (R_DECISION, R_END, R_PREPARE,
                                ROLE_COORDINATOR, ROLE_INNER,
@@ -177,12 +178,12 @@ def test_recovery_stats_merge():
     a = RecoveryStats(wal_mode="group", wal_appends=3, wal_fsyncs=1,
                       wal_bytes=90, recoveries=1, txns_redone=2)
     b = RecoveryStats(in_doubt_resolved=1, controller_failovers=2)
-    total = RecoveryStats.merged([a, b])
+    total = folded(RecoveryStats, [a, b])
     assert total.wal_mode == "group"
     assert total.wal_appends == 3
     assert total.txns_redone == 2
     assert total.in_doubt_resolved == 1
     assert total.controller_failovers == 2
     assert total.any_activity
-    assert total.summary()["recoveries"] == 1
+    assert report(total)["recoveries"] == 1
     assert not RecoveryStats().any_activity
