@@ -35,7 +35,8 @@ from functools import partial
 
 from repro.analysis import ProcedureRegistry
 from repro.bench import BACKENDS, Run, RunConfig
-from repro.bench.harness import collect_summaries, summary_json_parser
+from repro.bench.harness import (collect_summaries, kilo_digits,
+                                 summary_json_parser)
 from repro.bench.setups import build_run
 from repro.core import (ChillerPartitionerConfig, HotRecordTable,
                         StatsService, partition_workload,
@@ -190,10 +191,12 @@ def print_rows(rows: list[dict]) -> None:
           "(K committed txns/s) ==")
     print(f"{'placement':>9} {'pre-shift':>10} {'post-shift':>11} "
           f"{'moves':>6} {'epochs':>7}")
+    digits = kilo_digits(row[f"{when}_throughput"] for row in rows
+                         for when in ("pre", "post"))
     for row in rows:
         print(f"{row['placement']:>9} "
-              f"{row['pre_throughput'] / 1e3:>9.0f}K "
-              f"{row['post_throughput'] / 1e3:>10.0f}K "
+              f"{row['pre_throughput'] / 1e3:>9.{digits}f}K "
+              f"{row['post_throughput'] / 1e3:>10.{digits}f}K "
               f"{row['moves_applied']:>6d} {row['epochs']:>7d}")
     print(f"gap recovered by adaptive placement: "
           f"{recovery_fraction(rows):.0%}")

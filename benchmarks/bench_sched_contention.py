@@ -28,7 +28,8 @@ from __future__ import annotations
 import argparse
 
 from repro.bench import BACKENDS, RunConfig
-from repro.bench.harness import collect_summaries, summary_json_parser
+from repro.bench.harness import (collect_summaries, kilo_digits,
+                                 summary_json_parser)
 from repro.bench.setups import build_run
 from repro.partitioning import HashScheme
 from repro.storage import Catalog
@@ -87,10 +88,12 @@ def print_sweep(rows: list[dict]) -> None:
     print(f"{'theta':>5} {'exec':>5} "
           f"{'fifo':>20} {'conflict':>20} "
           f"{'tput delta':>10} {'queue us':>9} {'sheds':>6}")
+    digits = kilo_digits(row[f"{name}_throughput"] for row in rows
+                         for name in ("fifo", "conflict"))
     for row in rows:
-        fifo = (f"{row['fifo_throughput'] / 1e3:6.0f}K "
+        fifo = (f"{row['fifo_throughput'] / 1e3:6.{digits}f}K "
                 f"{row['fifo_abort_rate']:5.2f} {row['fifo_wasted']:6d}")
-        conf = (f"{row['conflict_throughput'] / 1e3:6.0f}K "
+        conf = (f"{row['conflict_throughput'] / 1e3:6.{digits}f}K "
                 f"{row['conflict_abort_rate']:5.2f} "
                 f"{row['conflict_wasted']:6d}")
         delta = (row["conflict_throughput"] / row["fifo_throughput"] - 1.0

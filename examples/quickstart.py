@@ -24,7 +24,7 @@ HOT_ACCOUNTS = 5
 
 
 def build_database(workload, config, scheme):
-    cluster = Cluster(config.n_partitions, config.network)
+    cluster = Cluster(config.n_partitions, config.network_config())
     registry = ProcedureRegistry()
     for proc in workload.procedures():
         registry.register(proc)

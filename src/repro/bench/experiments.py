@@ -15,7 +15,7 @@ Run from the command line::
     python -m repro.bench.experiments fig9a --quick --trace \\
         --trace-out /tmp/fig9a.json --summary-json /tmp/s.json
     python -m repro.bench.experiments fig9a --quick --backend mp \\
-        --metrics-interval 50000 --metrics-port 9100 --watch
+        --metrics-interval 50000 --metrics-port 9100
 
 Every sweep function takes one ``overrides`` mapping of ``RunConfig``
 field -> value, applied on top of each cell's own configuration; the CLI
@@ -55,7 +55,7 @@ from ..placement import PLACEMENTS
 from ..sched import SCHEDULERS
 from ..storage.wal import WAL_MODES
 from ..traffic import ADMISSIONS, ARRIVAL_PROCESSES, ArrivalSpec
-from .harness import (BACKENDS, RunConfig, collect_summaries,
+from .harness import (BACKENDS, RunConfig, collect_summaries, kilo_digits,
                       summary_json_parser)
 from .setups import (build_instacart_layout, build_instacart_setup,
                      make_instacart_run, make_tpcc_run)
@@ -125,8 +125,10 @@ def instacart_sweep(partitions: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
 def print_fig7(rows: list[dict]) -> None:
     print("\n== Fig. 7: throughput (K txns/sec) vs number of partitions ==")
     print(f"{'parts':>5} " + "".join(f"{n:>12}" for n in INSTACART_LAYOUTS))
+    digits = kilo_digits(row[f"{n}_throughput"] for row in rows
+                         for n in INSTACART_LAYOUTS)
     for row in rows:
-        cells = "".join(f"{row[f'{n}_throughput'] / 1e3:>12.0f}"
+        cells = "".join(f"{row[f'{n}_throughput'] / 1e3:>12.{digits}f}"
                         for n in INSTACART_LAYOUTS)
         print(f"{row['partitions']:>5} {cells}")
 
@@ -200,8 +202,10 @@ def print_fig9a(rows: list[dict]) -> None:
     print("\n== Fig. 9a: TPC-C throughput (K txns/sec) vs concurrent "
           "txns/warehouse ==")
     print(f"{'conc':>4} " + "".join(f"{n:>10}" for n in TPCC_EXECUTORS))
+    digits = kilo_digits(row[f"{n}_throughput"] for row in rows
+                         for n in TPCC_EXECUTORS)
     for row in rows:
-        cells = "".join(f"{row[f'{n}_throughput'] / 1e3:>10.0f}"
+        cells = "".join(f"{row[f'{n}_throughput'] / 1e3:>10.{digits}f}"
                         for n in TPCC_EXECUTORS)
         print(f"{row['concurrent']:>4} {cells}")
 
@@ -260,9 +264,11 @@ def print_fig10(rows: list[dict]) -> None:
           "transactions ==")
     header = "".join(f"{f'{n}({c})':>12}" for n, c in FIG10_SERIES)
     print(f"{'%dist':>5} {header}")
+    digits = kilo_digits(row[f"{n}_{c}_throughput"] for row in rows
+                         for n, c in FIG10_SERIES)
     for row in rows:
         cells = "".join(
-            f"{row[f'{n}_{c}_throughput'] / 1e3:>12.0f}"
+            f"{row[f'{n}_{c}_throughput'] / 1e3:>12.{digits}f}"
             for n, c in FIG10_SERIES)
         print(f"{row['percent']:>5} {cells}")
 
@@ -310,8 +316,9 @@ def print_reorder(rows: list[dict]) -> None:
     print("\n== Ablation: execution model vs partitioning layout ==")
     print(f"{'configuration':<26} {'K txns/s':>9} {'abort':>7} "
           f"{'distrib':>8}")
+    digits = kilo_digits(row["throughput"] for row in rows)
     for row in rows:
-        print(f"{row['label']:<26} {row['throughput'] / 1e3:>9.0f} "
+        print(f"{row['label']:<26} {row['throughput'] / 1e3:>9.{digits}f} "
               f"{row['abort_rate']:>7.2f} {row['distributed']:>8.2f}")
 
 
@@ -346,8 +353,10 @@ def min_weight_ablation_rows(weights: Sequence[float] = (0.0, 0.05, 0.2,
 def print_min_weight(rows: list[dict]) -> None:
     print("\n== Ablation: star-graph minimum edge weight (Section 4.4) ==")
     print(f"{'min_w':>6} {'K txns/s':>9} {'abort':>7} {'distrib':>8}")
+    digits = kilo_digits(row["throughput"] for row in rows)
     for row in rows:
-        print(f"{row['min_weight']:>6.2f} {row['throughput'] / 1e3:>9.0f} "
+        print(f"{row['min_weight']:>6.2f} "
+              f"{row['throughput'] / 1e3:>9.{digits}f} "
               f"{row['abort_rate']:>7.2f} {row['distributed']:>8.2f}")
 
 
@@ -357,10 +366,6 @@ FIGURES = ("fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig10",
            "lookup", "cost", "reorder", "minweight")
 
 CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
-
-DURABILITY_FIELDS = ("mp_chaos_kill_after_s", "mp_chaos_kill_worker",
-                     "mp_max_restarts", "mp_recovery", "wal")
-
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -404,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     cfg.add_argument("--wal", choices=WAL_MODES,
                      help="per-server write-ahead-log mode")
     cfg.add_argument("--mp-recovery", action="store_true",
-                     help="respawn dead mp workers and replay their WAL")
+                     help="respawn dead mp workers and replay their WAL "
+                     "(needs --wal fsync|group)")
     cfg.add_argument("--chaos-kill", dest="mp_chaos_kill_worker", type=int,
                      metavar="W", help="SIGKILL mp worker W mid-run "
                      "(implies --mp-recovery)")
@@ -433,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="serve Prometheus text (aio/mp)")
     cfg.add_argument("--metrics-csv", metavar="PATH",
                      help="CSV of the last run's timeline")
-    cfg.add_argument("--watch", dest="metrics_watch", action="store_true",
-                     help="print a sparkline dashboard after each run")
     cfg.add_argument("--watchdog-abort", action="store_true",
                      help="let a fatal health rule abort a wedged run")
     return parser
@@ -450,6 +454,10 @@ def main(argv: Iterable[str] | None = None) -> None:
                  if name in CONFIG_FIELDS}
     if "mp_chaos_kill_worker" in overrides:
         overrides["mp_recovery"] = True
+    if (overrides.get("mp_recovery")
+            and overrides.get("wal", "off") == "off"):
+        parser.error("--chaos-kill/--mp-recovery respawn a worker over its "
+                     "log: they need --wal fsync|group")
     arrivals = overrides.get("arrivals")
     if arrivals:
         if admission:
@@ -463,71 +471,23 @@ def main(argv: Iterable[str] | None = None) -> None:
     if "trace_sample" in overrides and "trace" not in overrides:
         parser.error("--trace-sample needs --trace")
     if ("metrics_interval" not in overrides
-            and {"metrics_port", "metrics_csv", "metrics_watch",
+            and {"metrics_port", "metrics_csv",
                  "watchdog_abort"} & overrides.keys()):
-        parser.error("--metrics-port/--metrics-csv/--watch/"
-                     "--watchdog-abort need --metrics-interval US")
+        parser.error("--metrics-port/--metrics-csv/--watchdog-abort need "
+                     "--metrics-interval US")
     figures = options["figures"]
     wanted = {figures} if isinstance(figures, str) else set(figures)
     if "all" in wanted:
         wanted = set(FIGURES)
     backend = overrides.get("backend", "sim")
-    if "doorbell_batching" in overrides:
-        print("(doorbell batching ON: same-destination verbs fused per "
-              "round)")
-    if backend == "aio":
-        print("(asyncio backend: throughput is wall-clock — commits per "
-              "real second of event-loop time, not simulated microseconds; "
-              "numbers are NOT comparable to sim-backend figures)")
-    if backend == "mp":
-        print("(multiprocess backend: one OS process per server"
-              + (f", packed onto {overrides['mp_workers']} workers"
-                 if "mp_workers" in overrides else "")
-              + "; throughput is wall-clock across truly parallel "
-              "workers — comparable to aio numbers only, never to sim "
-              "figures)")
-    if "scheduler" in overrides:
-        print(f"(scheduler: {overrides['scheduler']} — every engine "
-              f"mediates its load through repro.sched before executing)")
-    if "placement" in overrides:
-        print(f"(placement: {overrides['placement']} — access telemetry "
-              f"drives periodic re-partitioning with live record "
-              f"migration)")
-    knobs = " ".join(f"{name}={overrides[name]}"
-                     for name in DURABILITY_FIELDS if name in overrides)
-    if knobs:
-        print(f"(durability: {knobs} — commit decisions go through the "
-              f"per-server WAL; dead mp workers are respawned and "
-              f"replayed when mp_recovery is on)")
-    if arrivals:
-        print(f"(open-loop traffic: arrivals={arrivals}"
-              + (f" offered_load={overrides['offered_load']:.0f}/s"
-                 if "offered_load" in overrides else "")
-              + (f" deadline={overrides['deadline_us']:.0f}us"
-                 if "deadline_us" in overrides else "")
-              + (f" admission={admission}" if admission else "")
-              + " — requests enter on a seeded schedule regardless of "
-              "completion; latency is measured from scheduled arrival "
-              "and throughput is NOT comparable to closed-loop figures)")
-    if "trace" in overrides:
-        print("(tracing: per-phase spans recorded"
-              + (f", every {overrides['trace_sample']}th txn"
-                 if "trace_sample" in overrides else "")
-              + (f", Perfetto JSON of the last run to "
-                 f"{overrides['trace_out']}"
-                 if "trace_out" in overrides else "")
-              + " — see perf_summary()['trace'] / ['exemplars'])")
-    if "metrics_interval" in overrides:
-        unit = "simulated us" if backend == "sim" else "wall-clock us"
-        print(f"(live metrics: timeline sampled every "
-              f"{overrides['metrics_interval']:.0f} {unit}"
-              + (f", Prometheus on port {overrides['metrics_port']}"
-                 if "metrics_port" in overrides else "")
-              + (f", CSV of the last run to {overrides['metrics_csv']}"
-                 if "metrics_csv" in overrides else "")
-              + (", watchdog aborts wedged runs"
-                 if "watchdog_abort" in overrides else "")
-              + " — see perf_summary()['timeline'] / ['health'])")
+    if overrides:
+        print("(overrides: " + " ".join(
+            f"{name}={value}" for name, value in sorted(overrides.items()))
+            + ")")
+    if backend != "sim":
+        print(f"({backend} backend: throughput is wall-clock — commits per "
+              f"real second on this machine, not simulated microseconds; "
+              f"numbers are NOT comparable to sim-backend figures)")
     flush_summaries = collect_summaries(options["summary_json"])
     # --profile DIR: cProfile the parent (the whole sweep; on the sim
     # backend that IS the run) and have each mp worker dump its own

@@ -30,9 +30,8 @@ from .._stats import fold, report
 from .._util import make_rng
 from ..obs import (HealthWatchdog, MetricsHttpServer, Timeline,
                    TimelineSampler, Tracer, WatchdogAbort, exemplar_summary,
-                   render_watch, to_prometheus, write_timeline_csv,
-                   write_trace_json)
-from ..placement import (AccessTelemetry, MigrationExecutor,
+                   to_prometheus, write_timeline_csv, write_trace_json)
+from ..placement import (CONTROLLER_HOME, AccessTelemetry, MigrationExecutor,
                          PlacementController, PlacementSpec, PlacementStats,
                          as_placement_spec, controller_loop,
                          install_flip_handler, lease_controller_loop)
@@ -42,8 +41,8 @@ from ..sim.supervisor import (MpRunSpec, cluster_for_config,
                               effective_mp_workers, run_mp_workers)
 from ..storage import WalSpec, as_wal_spec
 from ..traffic import as_arrival_spec, spawn_open_loop
-from ..txn import (BaseExecutor, Database, ExecConfig, HistoryRecorder,
-                   recover_database, recovery_program)
+from ..txn import (BaseExecutor, Database, HistoryRecorder, recover_database,
+                   recovery_program)
 from ..txn.common import seed_txn_ids
 from .metrics import APP_ABORTS, Metrics, OpenLoopStats
 
@@ -87,11 +86,6 @@ class RunConfig:
     n_replicas: int = 1
     track_spans: bool = False
     record_history: bool = False
-    network: NetworkConfig | None = None
-    exec_config: ExecConfig | None = None
-    homes: tuple[int, ...] | None = None
-    """Engines that generate transactions (default: all)."""
-
     route_by_data: bool = False
     """Dispatch each transaction to the partition owning most of its
     data (requires the workload to implement ``route``/``rebind``).
@@ -100,9 +94,7 @@ class RunConfig:
     doorbell_batching: bool = False
     """Fuse same-destination one-sided verbs within a parallel round
     into one doorbell-batched round trip (see
-    :attr:`~repro.sim.NetworkConfig.doorbell_batching`).  Lets the
-    figure sweeps run with batching on/off without hand-building a
-    :class:`~repro.sim.NetworkConfig`."""
+    :attr:`~repro.sim.NetworkConfig.doorbell_batching`)."""
 
     backend: str = "sim"
     """Execution backend: ``"sim"`` (discrete-event simulator, the
@@ -259,10 +251,6 @@ class RunConfig:
     """Write the merged timeline to this path as wide-format CSV at
     the end of the run."""
 
-    metrics_watch: bool = False
-    """Print the terminal sparkline dashboard
-    (:func:`repro.obs.render_watch`) when the run finishes."""
-
     def arrival_spec(self):
         """The effective open-loop arrival process for this run, or
         None for the closed-loop default.  A string/spec
@@ -297,15 +285,8 @@ class RunConfig:
         return spec
 
     def network_config(self) -> NetworkConfig:
-        """The effective network model for this run.
-
-        Starts from :attr:`network` (or defaults) and turns doorbell
-        batching on when either knob requests it.
-        """
-        base = self.network or NetworkConfig()
-        if self.doorbell_batching and not base.doorbell_batching:
-            base = replace(base, doorbell_batching=True)
-        return base
+        """The network model for this run."""
+        return NetworkConfig(doorbell_batching=self.doorbell_batching)
 
 
 @dataclass
@@ -435,6 +416,14 @@ def summary_json_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def kilo_digits(txns_per_s: Iterable[float]) -> int:
+    """Decimals for one table's ``K txns/s`` cells: none once its
+    largest cell reaches 10 K (every simulated figure), two below that
+    (the wall-clock backends run at 0.3-3 K/s, which ``.0f`` prints as
+    a column of 0s and 1s)."""
+    return 0 if max(txns_per_s, default=0.0) >= 10_000.0 else 2
+
+
 def collect_summaries(path: "str | None") -> Callable[[], None]:
     """Install the :data:`SUMMARY_HOOK` collector for ``path`` and
     return its ``flush`` (a no-op when ``path`` is None)."""
@@ -470,11 +459,8 @@ def _finish_run(result: RunResult) -> RunResult:
     if config.trace and config.trace_out and trace is not None:
         write_trace_json(trace, config.trace_out)
     timeline = result.metrics.timeline
-    if timeline is not None:
-        if config.metrics_csv:
-            write_timeline_csv(timeline, config.metrics_csv)
-        if config.metrics_watch:
-            print(render_watch(timeline, timeline.health))
+    if timeline is not None and config.metrics_csv:
+        write_timeline_csv(timeline, config.metrics_csv)
     if SUMMARY_HOOK is not None:
         SUMMARY_HOOK(result)
     return result
@@ -672,9 +658,7 @@ def make_schedulers(executor: BaseExecutor, config: RunConfig,
     spec = as_spec(config.scheduler)
 
     def fingerprint(request):
-        reads, writes = executor.estimate_rw_sets(request)
-        return tuple(writes | reads) if spec.include_reads \
-            else tuple(writes)
+        return tuple(executor.estimate_rw_sets(request)[1])
 
     return {home: spec.build(fingerprint) for home in homes}
 
@@ -692,8 +676,7 @@ def drive(run: Run, cluster, worker_id: int | None = None):
     config = run.config
     executor = run.executor
     db = executor.db
-    homes = list(config.homes if config.homes is not None
-                 else range(config.n_partitions))
+    homes = list(range(config.n_partitions))
     generation = 0
     if worker_id is not None:
         generation = cluster.generation
@@ -841,9 +824,7 @@ def _spawn_load(workload, load: Load, homes: list[int]) -> None:
     if config.trace:
         db.tracer = Tracer(sample_every=config.trace_sample)
         for server in cluster.servers:  # shadows the class-level no-op
-            runtime = getattr(server.engine, "runtime", None)
-            if runtime is not None:
-                runtime.tracer = db.tracer
+            server.engine.tracer = db.tracer
     tracer = db.tracer
     arrivals = config.arrival_spec()
     if arrivals is not None and config.route_by_data:
@@ -852,17 +833,6 @@ def _spawn_load(workload, load: Load, homes: list[int]) -> None:
                          "on their scheduled home")
     placement = as_placement_spec(config.placement)
     if placement.adaptive:
-        if (config.backend != "mp"
-                and placement.controller_home not in homes):
-            # only mp workers legitimately drive a homes subset (the
-            # controller then lives in the worker owning its engine);
-            # a single-process run that excludes it would silently
-            # collect telemetry and never adapt
-            raise ValueError(
-                f"adaptive placement needs its controller engine "
-                f"{placement.controller_home} among the load homes "
-                f"{sorted(homes)}; set PlacementSpec.controller_home "
-                f"to one of them")
         placement_stats = PlacementStats(placement="adaptive")
         install_flip_handler(db, placement, placement_stats)
         executor.record_footprints = True
@@ -917,21 +887,20 @@ def _spawn_load(workload, load: Load, homes: list[int]) -> None:
                 cluster.engine(home).spawn(worker(home, slot))
     if placement.adaptive:
         if config.backend != "mp":
-            # single process: pin the loop to the controller engine —
-            # keeps the sim backend's event stream (and every figure)
+            # single process: pin the loop to CONTROLLER_HOME — keeps
+            # the sim backend's event stream (and every figure)
             # bit-identical to the pre-election behavior
-            if placement.controller_home in homes:
-                migrator = MigrationExecutor(db, placement.controller_home,
-                                             placement, placement_stats)
-                cluster.engine(placement.controller_home).spawn(
-                    controller_loop(db, telemetry, placement,
-                                    PlacementController(placement),
-                                    migrator, placement_stats,
-                                    config.horizon_us))
+            migrator = MigrationExecutor(db, CONTROLLER_HOME, placement,
+                                         placement_stats)
+            cluster.engine(CONTROLLER_HOME).spawn(
+                controller_loop(db, telemetry, placement,
+                                PlacementController(placement),
+                                migrator, placement_stats,
+                                config.horizon_us))
         elif homes:
             # mp: every worker runs a lease-election candidate instead
             # of pinning the controller to whichever worker owns
-            # controller_home — the role survives that worker's death
+            # CONTROLLER_HOME — the role survives that worker's death
             candidate_home = min(homes)
             migrator = MigrationExecutor(db, candidate_home, placement,
                                          placement_stats)

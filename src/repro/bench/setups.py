@@ -81,7 +81,7 @@ def build_run(workload, catalog: Catalog, config: RunConfig,
             raise ValueError("the chiller executor needs a hot_table")
         over = (db, hot_table)
     run = Run(workload, db,
-              executor_class(*over, config.exec_config, history), config)
+              executor_class(*over, history), config)
     if config.backend == "mp" and current_worker_cluster() is None:
         run.mp_spec = MpRunSpec(rebuild or partial(
             build_run, workload, catalog, config, executor_name, hot_table))

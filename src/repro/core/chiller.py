@@ -28,12 +28,13 @@ from typing import Any, Generator, Mapping
 
 from ..analysis import OpInstance, OpKind
 from ..replication import InnerReplicaAck, InnerReplicate, ReplicaWrite
-from ..sim import Await, Compute, OneSided, Rpc, Signal
+from ..sim import Await, Compute, OneSided, Rpc, Signal, approx_payload_bytes
 from ..storage import LockMode
 from ..storage.wal import R_DECISION, R_END, R_PREPARE, ROLE_INNER
-from ..txn import Database, ExecConfig, HistoryRecorder
+from ..txn import Database, HistoryRecorder
 from ..txn.commit_fsm import CommitFsm, apply_wire_writes, crash_point
-from ..txn.common import AbortReason, TxnRequest
+from ..txn.common import (CPU_APPLY_US, CPU_CHECK_US, CPU_LOCAL_OP_US,
+                          CPU_REPLICA_APPLY_US, AbortReason, TxnRequest)
 from ..txn.executor import BaseExecutor, TxnState
 from .lookup import HotRecordTable
 from .regions import RegionPlan, RegionPlanner
@@ -77,10 +78,18 @@ class ChillerExecutor(BaseExecutor):
     name = "chiller"
 
     def __init__(self, db: Database, hot_table: HotRecordTable,
-                 config: ExecConfig | None = None,
-                 history: HistoryRecorder | None = None):
-        super().__init__(db, config, history)
+                 history: HistoryRecorder | None = None,
+                 bypass_inner_locks: bool = False):
+        super().__init__(db, history)
         self.hot_table = hot_table
+        self.bypass_inner_locks = bypass_inner_locks
+        """Section 3.3's optional optimization: skip lock acquisition
+        inside the inner region, relying on the host core's
+        serialization — legal only when no transaction ever touches
+        inner records through an outer region (guaranteeable for
+        TPC-C's warehouse/district rows, not in general; the paper's
+        implementation leaves it off, as we do by default).  Conflicting
+        locks held by outer regions still abort the inner region."""
         self._pending_acks: dict[int, _AckState] = {}
         db.register_rpc(RPC_INNER, self._inner_handler)
         db.register_rpc(RPC_REPLICATE, self._replicate_handler)
@@ -177,7 +186,7 @@ class ChillerExecutor(BaseExecutor):
         return self.finish(state)
 
     def _expected_acks(self, inner_host: int) -> int:
-        if not self.cfg.replicate or self.db.replicas is None:
+        if self.db.replicas is None:
             return 0
         return len(self.db.replicas.replica_servers(inner_host))
 
@@ -198,12 +207,11 @@ class ChillerExecutor(BaseExecutor):
         of conflicting — the paper's "conflicts are most likely handled
         sequentially in the inner region".
         """
-        cfg = self.cfg
         tr = self.db.tracer
         # the inner host's span joins the coordinator's tree via the
         # task trace context (carried by the RPC envelope on every
         # backend), read while this handler task is current
-        trace = (self.db.cluster.engine(server_id).runtime.current_trace
+        trace = (self.db.cluster.engine(server_id).current_trace
                  if tr.enabled else 0)
         t0 = self.db.cluster.sim.now if trace else 0.0
         store = self.db.store(server_id)
@@ -217,9 +225,9 @@ class ChillerExecutor(BaseExecutor):
         n_checks = len(instances) - n_record_ops
         n_writes = sum(1 for inst in instances if inst.spec.is_write())
         # every inner operation is local to this host by construction
-        yield Compute(cfg.cpu_local_op_us * n_record_ops
-                      + cfg.cpu_check_us * n_checks
-                      + cfg.cpu_apply_us * max(1, n_writes))
+        yield Compute(CPU_LOCAL_OP_US * n_record_ops
+                      + CPU_CHECK_US * n_checks
+                      + CPU_APPLY_US * max(1, n_writes))
         result = yield OneSided(
             server_id,
             lambda: self._inner_critical_section(store, instances, req),
@@ -243,7 +251,7 @@ class ChillerExecutor(BaseExecutor):
         """
         ctx: dict[str, Any] = dict(req.ctx)
         owner = ("inner", req.txn_id)
-        bypass = self.cfg.bypass_inner_locks
+        bypass = self.bypass_inner_locks
         reads: list[tuple[tuple[str, Any], int]] = []
         locations: dict[str, tuple[str, Any]] = {}
 
@@ -321,7 +329,7 @@ class ChillerExecutor(BaseExecutor):
     def _replicate_inner(self, server_id: int, req: InnerRequest,
                          writes: list[tuple]) -> None:
         """Fig. 6: fire replication messages and move on immediately."""
-        if not self.cfg.replicate or self.db.replicas is None:
+        if self.db.replicas is None:
             return
         shipped = tuple(ReplicaWrite(kind, table, key, values)
                         for kind, table, key, values in writes)
@@ -331,7 +339,7 @@ class ChillerExecutor(BaseExecutor):
         engine = self.db.cluster.engine(server_id)
         payload = (RPC_REPLICATE, message)
         # one walk per message, not per replica it is fanned out to
-        nbytes = self.db.cluster.network.config.message_bytes(payload)
+        nbytes = approx_payload_bytes(payload)
         for rserver in self.db.replicas.replica_servers(server_id):
             engine.post(rserver, payload, nbytes)
 
@@ -340,8 +348,7 @@ class ChillerExecutor(BaseExecutor):
     def _replicate_handler(self, server_id: int, src: int,
                            body: InnerReplicate) -> Generator:
         """Apply the inner write-set on a replica, ack the coordinator."""
-        yield Compute(self.cfg.cpu_replica_apply_us
-                      * max(1, len(body.writes)))
+        yield Compute(CPU_REPLICA_APPLY_US * max(1, len(body.writes)))
         self.db.replicas.apply(server_id, body.partition, body.writes)
         self.db.cluster.engine(server_id).post(
             body.coordinator,

@@ -1,6 +1,6 @@
-"""Exposition for the live metrics timeline: Prometheus, CSV, sparklines.
+"""Exposition for the live metrics timeline: Prometheus and CSV.
 
-Three renderings of one :class:`~repro.obs.timeline.Timeline`:
+Two renderings of one :class:`~repro.obs.timeline.Timeline`:
 
 * :func:`to_prometheus` — the text exposition format scrapers expect:
   cumulative counters as ``*_total`` with ``server`` (and ``reason`` /
@@ -12,9 +12,6 @@ Three renderings of one :class:`~repro.obs.timeline.Timeline`:
 * :func:`timeline_csv` / :func:`write_timeline_csv` — one wide row per
   sample for pandas/gnuplot post-processing
   (``RunConfig(metrics_csv=...)``).
-* :func:`render_watch` — a compact terminal dashboard of Unicode
-  sparklines (``RunConfig(metrics_watch=True)`` / ``--watch``), the
-  thirty-second answer to "when did this run go bad?".
 
 Everything here is read-only over an already-collected timeline; no
 rendering path touches the run's hot loops.
@@ -29,11 +26,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
-
-SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-WATCH_SERIES = ("commits", "aborts", "completed", "sheds",
-                "queue_depth", "wal_fsyncs", "wire_bytes")
 
 
 def _metric_name(key: str, prefix: str) -> str:
@@ -155,65 +147,6 @@ def write_timeline_csv(timeline, path: str) -> None:
     with open(path, "w") as f:
         f.write(timeline_csv(timeline))
 
-
-# -- terminal sparklines ------------------------------------------------------
-
-def sparkline(values: Iterable[float]) -> str:
-    values = list(values)
-    if not values:
-        return ""
-    top = max(values)
-    if top <= 0:
-        return SPARK_BLOCKS[0] * len(values)
-    scale = len(SPARK_BLOCKS) - 1
-    return "".join(SPARK_BLOCKS[min(scale, int(v / top * scale))]
-                   for v in values)
-
-
-def _binned(timeline, name: str) -> list[float]:
-    """Sum one series across servers into interval-aligned bins."""
-    bins: dict[int, float] = {}
-    for t_us, value in timeline.series(name):
-        index = int(t_us // timeline.interval_us)
-        bins[index] = bins.get(index, 0.0) + value
-    if not bins:
-        return []
-    lo, hi = min(bins), max(bins)
-    return [bins.get(i, 0.0) for i in range(lo, hi + 1)]
-
-
-def render_watch(timeline, health: Iterable = (),
-                 width: int = 60) -> str:
-    """The ``--watch`` dashboard: one sparkline per key series."""
-    lines = [f"timeline: {len(timeline.rows())} samples x "
-             f"{timeline.interval_us:g}us across "
-             f"{len(timeline.servers())} server(s)"
-             + (f", {timeline.dropped} dropped" if timeline.dropped
-                else "")]
-    for name in WATCH_SERIES:
-        values = _binned(timeline, name)
-        if not values or not any(values):
-            continue
-        if len(values) > width:     # downsample by summing runs
-            step = -(-len(values) // width)
-            values = [sum(values[i:i + step])
-                      for i in range(0, len(values), step)]
-        lines.append(f"  {name:>12} |{sparkline(values)}| "
-                     f"peak {max(values):,.0f}")
-    health = list(health)
-    if health:
-        lines.append(f"  health: {len(health)} event(s)")
-        for event in health[:8]:
-            lines.append(f"    [{event.kind}] t={event.t_us:,.0f}us "
-                         f"{event.message}")
-        if len(health) > 8:
-            lines.append(f"    ... and {len(health) - 8} more")
-    else:
-        lines.append("  health: ok")
-    return "\n".join(lines)
-
-
-# -- live HTTP endpoint (aio/mp) ----------------------------------------------
 
 class MetricsHttpServer:
     """Serves ``GET /metrics`` from a provider callable.

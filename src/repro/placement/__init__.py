@@ -26,9 +26,9 @@ static|adaptive`` in the bench harness; ``static`` (the default) keeps
 every path bit-identical to the pre-placement behavior.
 """
 
-from .controller import (PLACEMENTS, MigrationPlan, PlacementController,
-                         PlacementSpec, PlannedMove, PlacementStats,
-                         as_placement_spec)
+from .controller import (CONTROLLER_HOME, PLACEMENTS, MigrationPlan,
+                         PlacementController, PlacementSpec, PlannedMove,
+                         PlacementStats, as_placement_spec)
 from .migration import (MigrationExecutor, controller_loop,
                         ensure_adaptive_scheme, install_flip_handler,
                         lease_controller_loop)
@@ -36,6 +36,7 @@ from .telemetry import AccessTelemetry, TelemetryWindow
 
 __all__ = [
     "AccessTelemetry",
+    "CONTROLLER_HOME",
     "MigrationExecutor",
     "MigrationPlan",
     "PLACEMENTS",

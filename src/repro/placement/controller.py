@@ -14,7 +14,7 @@ window, then turns the cut into *moves*:
 2. **Diff + gain ranking.**  Records whose aligned proposal differs
    from their live placement become move candidates — but only if
    their observed transactions actually *span* partitions today
-   (``min_split_fraction``): a co-located group is never churned just
+   (``MIN_SPLIT_FRACTION``): a co-located group is never churned just
    because a fresh cut would balance it elsewhere.  Candidates are
    scored by ``split co-appearances x (1 + normalized contention
    likelihood)`` — the hot, contended records whose transactions pay
@@ -38,6 +38,26 @@ from .telemetry import TelemetryWindow
 PLACEMENTS = ("static", "adaptive")
 """Placement policies a run can select (``RunConfig.placement``)."""
 
+MIN_SPLIT_FRACTION = 0.5
+"""A record only becomes a move candidate when at least this fraction
+of its sampled transactions span multiple partitions under the
+*current* placement.  This is the anti-churn rule: a fresh min-cut is
+free to re-balance co-located groups, but moving them wins no locality
+— only records whose traffic actually pays for distribution are worth
+a migration."""
+
+CONTROLLER_HOME = 0
+"""Engine that runs the controller loop (single-process backends), or
+that holds the *election lease cell* (mp backend).  Telemetry is
+engine-local (like the schedulers); the controller observes the engines
+of its own worker process and flips routing cluster-wide."""
+
+PLAN_CPU_US = 25.0
+"""Modeled CPU charged to the controller's engine per re-plan."""
+
+FLIP_CPU_US = 0.5
+"""Modeled CPU a server spends applying one routing flip."""
+
 
 @dataclass(frozen=True)
 class PlacementSpec:
@@ -59,14 +79,6 @@ class PlacementSpec:
     min_gain: float = 3.0
     """Minimum move score (split co-appearances x (1 + likelihood));
     filters records observed once or twice — noise, not drift."""
-
-    min_split_fraction: float = 0.5
-    """A record only becomes a move candidate when at least this
-    fraction of its sampled transactions span multiple partitions
-    under the *current* placement.  This is the anti-churn rule: a
-    fresh min-cut is free to re-balance co-located groups, but moving
-    them wins no locality — only records whose traffic actually pays
-    for distribution are worth a migration."""
 
     plan_sample_cap: int = 256
     """Most-recent samples fed into one re-plan.  The re-plan runs on
@@ -90,25 +102,13 @@ class PlacementSpec:
     hot_threshold: float = 0.02
     sample_every: int = 1
     max_samples: int = 512
-    controller_home: int = 0
-    """Engine that runs the controller loop (single-process backends),
-    or that holds the *election lease cell* (mp backend).  Telemetry is
-    engine-local (like the schedulers); the controller observes the
-    engines of its own worker process and flips routing cluster-wide."""
-
     lease_ttl_us: float = 5_000.0
     """Controller-lease time-to-live on the mp backend.  Every worker
     runs a candidate loop; whoever holds the lease (granted by the
-    ``lease_acquire`` verb against ``controller_home``'s server) plans
+    ``lease_acquire`` verb against :data:`CONTROLLER_HOME`'s server) plans
     and migrates that epoch.  A holder that stops renewing — its worker
     process died — loses the lease once the TTL lapses and a surviving
     candidate takes over (a *controller failover*)."""
-
-    plan_cpu_us: float = 25.0
-    """Modeled CPU charged to the controller's engine per re-plan."""
-
-    flip_cpu_us: float = 0.5
-    """Modeled CPU a server spends applying one routing flip."""
 
     seed: int = 101
 
@@ -231,7 +231,7 @@ class PlacementController:
             seen = appearances.get(rid, 0)
             split_count = split.get(rid, 0)
             if (seen == 0
-                    or split_count < spec.min_split_fraction * seen):
+                    or split_count < MIN_SPLIT_FRACTION * seen):
                 continue  # its traffic is already co-located: don't churn
             gain = split_count * (1.0 + normalized.get(rid, 0.0))
             if gain >= spec.min_gain:

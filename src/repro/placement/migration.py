@@ -38,7 +38,8 @@ from ..sim import All, Compute, OneSided, Rpc, Sleep
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from ..txn.common import next_txn_id
-from .controller import (MigrationPlan, PlacementController, PlacementSpec,
+from .controller import (CONTROLLER_HOME, FLIP_CPU_US, PLAN_CPU_US,
+                         MigrationPlan, PlacementController, PlacementSpec,
                          PlacementStats)
 from .telemetry import AccessTelemetry, TelemetryWindow
 
@@ -107,7 +108,7 @@ def install_flip_handler(db, spec: PlacementSpec,
 def _apply_flip(db, spec: PlacementSpec, stats: PlacementStats,
                 body) -> Generator:
     table, key, dst, epoch = body
-    yield Compute(spec.flip_cpu_us)
+    yield Compute(FLIP_CPU_US)
     db.catalog.scheme.apply_move(table, key, dst, epoch)
     stats.flips_applied += 1
     return "ok"
@@ -203,7 +204,7 @@ class MigrationExecutor:
                          epoch: int) -> Generator:
         """Local flip first (new local resolutions see it immediately),
         then broadcast; the move's delete waits for every ack."""
-        yield Compute(self.spec.flip_cpu_us)
+        yield Compute(FLIP_CPU_US)
         self.db.catalog.scheme.apply_move(table, key, dst, epoch)
         self.stats.flips_applied += 1
         others = [server.id for server in self.db.cluster.servers
@@ -252,7 +253,7 @@ def _epoch_plan(db, spec: PlacementSpec, controller: PlacementController,
                 window: TelemetryWindow, horizon_us: float,
                 now_fn) -> Generator:
     """One epoch's plan -> migrate tail (shared by both loops)."""
-    yield Compute(spec.plan_cpu_us)
+    yield Compute(PLAN_CPU_US)
     epoch = db.placement_epoch() + 1
     replicated = db.catalog.replicated_tables
     plan: MigrationPlan = controller.plan(
@@ -304,8 +305,8 @@ def lease_controller_loop(db, telemetry: dict[int, AccessTelemetry],
     """Leader-elected controller candidate (multiprocess backend).
 
     Every worker runs one of these instead of pinning the controller
-    to whichever worker happens to own ``controller_home``: each epoch
-    the candidate bids for the lease cell on ``controller_home``'s
+    to whichever worker happens to own ``CONTROLLER_HOME``: each epoch
+    the candidate bids for the lease cell on ``CONTROLLER_HOME``'s
     server, and only the holder plans and migrates.  When the holder's
     worker dies, its renewals stop — the TTL lapses (or the cell itself
     vanishes with the dead server and is recreated vacant by the
@@ -314,13 +315,13 @@ def lease_controller_loop(db, telemetry: dict[int, AccessTelemetry],
     is unreachable the epoch is skipped and bidding retries.
 
     Only the cell's first host knows the cell starts vacant, so it bids
-    first and leads first, as ``controller_home`` does on the
+    first and leads first, as ``CONTROLLER_HOME`` does on the
     single-process backends.  Every other candidate — a peer, or a
     respawn whose predecessor took the cell with it — may be looking at
     a lease it cannot see, and sits out one TTL before its first bid.
     """
     from ..sim.codec import PEER_DOWN
-    lease_server = spec.controller_home
+    lease_server = CONTROLLER_HOME
     me = cluster.worker_id
     last_known = None  # most recent holder any reply disclosed
     if cluster.generation or not cluster.owns(lease_server):

@@ -291,9 +291,6 @@ class SchedulerSpec:
     window_max_us: float = 400.0
     abort_ewma_alpha: float = 0.25
     abort_spike_threshold: float = 0.5
-    include_reads: bool = False
-    """Fingerprint estimated read records too (serializes readers of a
-    hot class alongside its writers)."""
 
     def build(self, fingerprint: Fingerprint | None = None) -> Scheduler:
         if self.kind == "fifo":

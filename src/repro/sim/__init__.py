@@ -5,19 +5,17 @@ InfiniBand-connected cluster running coroutine-based execution engines.
 The layering inside: :mod:`~repro.sim.effects` defines *what* a
 transaction coroutine may yield, :mod:`~repro.sim.runtime` defines *how*
 those effects are scheduled (the :class:`EffectRuntime` seam alternate
-backends plug into), and :mod:`~repro.sim.coroutines` wraps one runtime
-per server as an :class:`Engine`.  The wall-clock backends are one
+backends plug into); a cluster holds one runtime per server
+(:meth:`Cluster.engine`).  The wall-clock backends are one
 runtime + cluster (:mod:`~repro.sim.wallclock`) run in-process (aio) or
 per worker process under :mod:`~repro.sim.supervisor` (mp), over the
 framed-TCP channel in :mod:`~repro.sim.transport`.
-See DESIGN.md ("Substitutions") for the latency calibration rationale.
+:mod:`~repro.sim.network` states the latency calibration rationale.
 """
 
-from .aio_runtime import AioNetwork
 from .cluster import Cluster, Server
 from .codec import (CodecError, DispatchContext, FrameCodec, OpDescriptor,
                     decode_op, encode_op, op_handler, register_wire_atom)
-from .coroutines import Engine
 from .cpu import Core
 from .effects import (All, Await, BatchedOneSided, Compute, Coroutine,
                       Effect, OneSided, OneWay, Rpc, Signal, Sleep)
@@ -29,10 +27,9 @@ from .supervisor import (MpRunError, MpRunSpec, MpTemplateCluster,
                          current_worker_cluster, effective_mp_workers,
                          run_mp_workers)
 from .transport import MAX_FRAME_BYTES, TcpTransport
-from .wallclock import WallClockEngine, WallClockRuntime, WorkerCluster
+from .wallclock import WallClockRuntime, WorkerCluster
 
 __all__ = [
-    "AioNetwork",
     "All",
     "Await",
     "BatchedOneSided",
@@ -45,7 +42,6 @@ __all__ = [
     "Effect",
     "EffectRuntime",
     "EffectRuntimeBase",
-    "Engine",
     "EventHandle",
     "FrameCodec",
     "MAX_FRAME_BYTES",
@@ -64,7 +60,6 @@ __all__ = [
     "Simulator",
     "Sleep",
     "TcpTransport",
-    "WallClockEngine",
     "WallClockRuntime",
     "WorkerCluster",
     "approx_payload_bytes",

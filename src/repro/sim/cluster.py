@@ -1,4 +1,4 @@
-"""Cluster wiring: N servers, each a (storage slot, execution engine) pair.
+"""Cluster wiring: N servers, each a (storage slot, effect runtime) pair.
 
 The simulation layer stays ignorant of the database layer: ``storage`` is
 an opaque slot that `repro.txn` / `repro.core` fill with a
@@ -9,15 +9,16 @@ from __future__ import annotations
 
 from typing import Any
 
-from .coroutines import Engine
 from .events import Simulator
 from .network import Network, NetworkConfig
+from .runtime import EffectRuntime, EffectRuntimeBase
 
 
 class Server:
-    """One simulated machine: an engine plus whatever storage it hosts."""
+    """One machine: its execution engine (the effect runtime that
+    drives its coroutines) plus whatever storage it hosts."""
 
-    def __init__(self, server_id: int, engine: Engine):
+    def __init__(self, server_id: int, engine: EffectRuntimeBase):
         self.id = server_id
         self.engine = engine
         self.storage: Any = None
@@ -36,7 +37,7 @@ class Cluster:
             raise ValueError("cluster needs at least one server")
         self.sim = sim or Simulator()
         self.network = Network(self.sim, config)
-        self.servers = [Server(i, Engine(self.sim, self.network, i))
+        self.servers = [Server(i, EffectRuntime(self.sim, self.network, i))
                         for i in range(n_servers)]
         self.metrics_sampler = None
         """The run's timeline sampler when the live metrics timeline is
@@ -48,7 +49,7 @@ class Cluster:
     def server(self, server_id: int) -> Server:
         return self.servers[server_id]
 
-    def engine(self, server_id: int) -> Engine:
+    def engine(self, server_id: int) -> EffectRuntime:
         return self.servers[server_id].engine
 
     def run(self, max_events: int | None = None) -> None:

@@ -42,9 +42,7 @@ VERB_NOMINAL_BYTES = 32
 payload) used when the issuer provides no better estimate."""
 
 MESSAGE_NOMINAL_BYTES = 64
-"""Flat per-message estimate used when payload-walk accounting is
-disabled (:attr:`NetworkConfig.account_payload_bytes` off) or a payload
-is too deep to walk."""
+"""Flat estimate charged for a payload too deep to walk."""
 
 PAYLOAD_WALK_MAX_DEPTH = 16
 """Recursion bound for :func:`approx_payload_bytes`.  Anything nested
@@ -187,58 +185,18 @@ class NetworkConfig:
     doorbell-batched chain (the chain shares propagation, doorbell, and
     completion)."""
 
-    account_payload_bytes: bool = True
-    """Walk message payloads to estimate their wire size per kind (one
-    type-dispatched walk per message, however many recipients it has).
-    Off, messages are charged a flat nominal size and ``bytes_by_kind``
-    becomes a message count proxy rather than a byte estimate."""
-
-    bandwidth_gbps: float | None = None
-    """Optional link bandwidth, in Gbit/s.  When set, every *remote*
-    verb and message additionally pays a payload-serialization term —
-    ``bytes × 8 / bandwidth`` — on its outbound leg, charged from the
-    same per-payload byte estimates the traffic accounting uses, so a
-    multi-kilobyte replicate message genuinely costs more wire time
-    than a 32-byte CAS.  ``None`` (the default) keeps the
-    seed-calibrated latency-only model bit-for-bit.  Local deliveries
-    never pay it (no wire), and it is a property of the *simulated*
-    network — the aio/mp backends measure real serialization instead."""
-
-    def message_bytes(self, body: Any) -> int:
-        """Accounted size of a message body: its payload walk, or the
-        flat nominal size with accounting off."""
-        if self.account_payload_bytes:
-            return approx_payload_bytes(body)
-        return MESSAGE_NOMINAL_BYTES
-
-    def serialization_us(self, nbytes: int) -> float:
-        """Wire-serialization time of ``nbytes`` at ``bandwidth_gbps``.
-
-        ``nbytes * 8`` bits over ``bandwidth_gbps * 1e9`` bits/s,
-        expressed in microseconds; 0 with the bandwidth term off.
-        """
-        if self.bandwidth_gbps is None:
-            return 0.0
-        return nbytes * 0.008 / self.bandwidth_gbps
-
-    def one_sided_rtt(self, nbytes: int = VERB_NOMINAL_BYTES) -> float:
+    def one_sided_rtt(self) -> float:
         """Completion time of a remote one-sided verb."""
-        return (2 * self.one_way_us + self.verb_overhead_us
-                + self.serialization_us(nbytes))
+        return 2 * self.one_way_us + self.verb_overhead_us
 
-    def one_sided_batch_rtt(self, n_verbs: int,
-                            total_nbytes: int | None = None) -> float:
+    def one_sided_batch_rtt(self, n_verbs: int) -> float:
         """Completion time of a doorbell-batched chain of ``n_verbs``."""
-        if total_nbytes is None:
-            total_nbytes = n_verbs * VERB_NOMINAL_BYTES
         return (2 * self.one_way_us + self.verb_overhead_us
-                + (n_verbs - 1) * self.batched_verb_us
-                + self.serialization_us(total_nbytes))
+                + (n_verbs - 1) * self.batched_verb_us)
 
-    def message_delay(self, nbytes: int = MESSAGE_NOMINAL_BYTES) -> float:
+    def message_delay(self) -> float:
         """Delivery delay of a one-way message."""
-        return (self.one_way_us + self.rpc_overhead_us
-                + self.serialization_us(nbytes))
+        return self.one_way_us + self.rpc_overhead_us
 
 
 @dataclass
@@ -317,18 +275,13 @@ class NetworkStats:
         self.add_bytes(kind, nbytes, remote=remote, server=server)
 
     def record_batch(self, kinds: Iterable[tuple[str, int | None]],
-                     server: int | None = None) -> int:
-        """Account one fused doorbell chain; returns its total bytes."""
+                     server: int | None = None) -> None:
+        """Account one fused doorbell chain."""
         self.one_sided_batches += 1
-        total = 0
-        n_verbs = 0
         for kind, nbytes in kinds:
-            size = VERB_NOMINAL_BYTES if nbytes is None else nbytes
-            self.add_bytes(kind, size, server=server)
-            total += size
-            n_verbs += 1
-        self.one_sided_batched_verbs += n_verbs
-        return total
+            self.add_bytes(kind, VERB_NOMINAL_BYTES if nbytes is None
+                           else nbytes, server=server)
+            self.one_sided_batched_verbs += 1
 
     def total_remote_ops(self) -> int:
         """Round trips / deliveries that crossed the wire.  A fused
@@ -403,10 +356,8 @@ class Network:
             self._sim.schedule(cfg.local_access_us,
                                lambda: on_complete(op()))
             return
-        size = VERB_NOMINAL_BYTES if nbytes is None else nbytes
         arrive = self._fifo_time(src, dst,
-                                 cfg.one_way_us + cfg.verb_overhead_us
-                                 + cfg.serialization_us(size))
+                                 cfg.one_way_us + cfg.verb_overhead_us)
 
         def _at_target() -> None:
             result = op()
@@ -439,13 +390,12 @@ class Network:
         if len(ops) < 2:
             raise ValueError("a doorbell batch needs at least two verbs")
         cfg = self.config
-        total_bytes = self.stats.record_batch(
+        self.stats.record_batch(
             kinds if kinds is not None
             else (("one_sided", None),) * len(ops), server=src)
         arrive = self._fifo_time(
             src, dst, cfg.one_way_us + cfg.verb_overhead_us
-            + (len(ops) - 1) * cfg.batched_verb_us
-            + cfg.serialization_us(total_bytes))
+            + (len(ops) - 1) * cfg.batched_verb_us)
 
         def _at_target() -> None:
             results = [op() for op in ops]
@@ -468,12 +418,12 @@ class Network:
         if dst not in self._handlers:
             raise KeyError(f"server {dst} has no registered message handler")
         if nbytes is None:
-            nbytes = self.config.message_bytes(
+            nbytes = approx_payload_bytes(
                 payload if size_of is _UNSET else size_of)
         self.stats.record_message(kind, nbytes, remote=src != dst,
                                   server=src)
         delay = (self.config.local_access_us if src == dst
-                 else self.config.message_delay(nbytes))
+                 else self.config.message_delay())
         arrive = self._fifo_time(src, dst, delay)
         handler = self._handlers[dst]
         self._sim.schedule_at(arrive, lambda: handler(src, payload))

@@ -13,9 +13,7 @@ a real transport.  Backends implement the small ``_do_*`` /
 * :class:`EffectRuntime` (this module) interprets effects over the
   discrete-event :class:`~repro.sim.events.Simulator`, a
   :class:`~repro.sim.cpu.Core`, and the RDMA-flavoured
-  :class:`~repro.sim.network.Network`.  The per-server
-  :class:`~repro.sim.coroutines.Engine` is a thin facade over one
-  instance.
+  :class:`~repro.sim.network.Network`.
 * :class:`~repro.sim.wallclock.WallClockRuntime` interprets the same
   vocabulary over an asyncio event loop — wall-clock time instead of
   simulated microseconds, in-process (aio) or one worker per OS process
@@ -96,6 +94,15 @@ class EffectRuntimeBase:
         Re-established from the task on every resume, so continuations
         and RPC handlers inherit the context of the request they serve."""
         self._current_task: _Task | None = None
+
+    def set_rpc_handler(self,
+                        handler: Callable[[int, Any], Coroutine]) -> None:
+        """Install the coroutine factory used to serve incoming RPCs.
+
+        ``handler(src, request)`` must return a coroutine whose return
+        value is the RPC reply.
+        """
+        self.rpc_handler = handler
 
     # -- task scheduling -------------------------------------------------
 
@@ -384,6 +391,7 @@ class EffectRuntime(EffectRuntimeBase):
         self.sim = sim
         self.network = network
         self.core = core or Core(sim)
+        network.register_handler(server_id, self.on_message)
 
     def _batching_enabled(self) -> bool:
         return self.network.config.doorbell_batching

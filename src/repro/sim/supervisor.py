@@ -35,12 +35,12 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .aio_runtime import AioClock, AioNetwork
 from .cluster import Server
 from .codec import FrameCodec
 from .network import NetworkConfig
+from .runtime import EffectRuntimeBase
 from .transport import TcpTransport, bind_listener
-from .wallclock import WorkerCluster
+from .wallclock import AioClock, AioNetwork, WorkerCluster
 
 MP_TRANSPORTS = ("tcp",)
 MP_CODECS = ("packed", "pickle")
@@ -113,18 +113,10 @@ def cluster_for_config(n_partitions: int,
     return MpTemplateCluster(n_partitions, config)
 
 
-class _TemplateEngine:
+class _TemplateEngine(EffectRuntimeBase):
     """Accepts wiring (RPC handlers) but refuses to execute."""
 
-    def __init__(self, server_id: int):
-        self.server_id = server_id
-        self.active_tasks = 0
-        self.rpc_handler = None
-
-    def set_rpc_handler(self, handler) -> None:
-        self.rpc_handler = handler
-
-    def spawn(self, gen, on_done=None) -> None:
+    def spawn(self, gen, on_done=None, trace=0) -> None:
         raise RuntimeError(
             "this database was built against the parent-side template of "
             "a multiprocess run; drive it through run_benchmark / "
@@ -343,6 +335,11 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
     if config.mp_codec not in MP_CODECS:
         raise ValueError(f"unknown mp_codec {config.mp_codec!r} "
                          f"(expected one of {MP_CODECS})")
+    if config.mp_recovery and not config.wal_spec().enabled:
+        raise ValueError(
+            'mp_recovery replays the dead worker\'s log, so it needs a '
+            'durable WAL: wal="fsync"|"group" (with the log off a respawn '
+            'would silently lose that worker\'s committed writes)')
     n_workers = effective_mp_workers(config)
     timeout = config.run_timeout_s
     if timeout is None:

@@ -1,4 +1,4 @@
-"""The wall-clock world: one runtime, one engine facade, one cluster.
+"""The wall-clock world: one runtime, one cluster.
 
 Where :class:`~repro.sim.runtime.EffectRuntime` interprets effects
 against a discrete-event clock, :class:`WallClockRuntime` interprets
@@ -27,7 +27,21 @@ messages.  Nothing else distinguishes the two wall-clock backends:
 This module imports neither sockets nor processes (linted by
 ``tests/sim/test_layering.py``).
 
-**Determinism caveat.**  Runs are wall-clock and scheduling-dependent.
+What the backends guarantee:
+
+========================  =======================  ======================
+property                  sim backend              aio / mp backends
+========================  =======================  ======================
+clock                     simulated microseconds   wall-clock microseconds
+latency                   NetworkConfig constants  whatever the loop/stack
+                                                   actually costs
+(src, dst) FIFO           `_fifo_time` monotonic   loop callback order /
+                                                   one stream per worker
+                                                   pair
+one-sided target CPU      none (NIC model)         target's loop turn
+determinism               bit-exact per seed       scheduling-dependent
+========================  =======================  ======================
+
 Commit/abort *decisions* of contention-free programs are identical on
 sim, aio and mp at every worker count (the conformance suite asserts
 this); counts under contention are not bit-reproducible.
@@ -37,16 +51,53 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import time
 from typing import Any, Callable
 
 from ..obs.tracer import VERB_PHASES
-from .aio_runtime import AioClock, AioNetwork
 from .cluster import Server
 from .codec import (PEER_DOWN, CodecError, WireOneWay, WireRpc, WireRpcReply,
                     WireVerbReply, WireVerbs, decode_op, encode_op)
 from .effects import All, Coroutine, OneWay
-from .network import NetworkConfig
+from .network import NetworkConfig, NetworkStats, approx_payload_bytes
 from .runtime import EffectRuntimeBase, _payload_kind
+
+
+class AioClock:
+    """Wall-clock microseconds since the cluster started running.
+
+    Presents the slice of :class:`~repro.sim.events.Simulator` the
+    database and harness layers read (``now``, ``events_fired``).
+    """
+
+    def __init__(self) -> None:
+        self._t0: float | None = None
+        self.events_fired = 0
+
+    def start(self, offset_us: float = 0.0) -> None:
+        """(Re)zero the clock.  Called at every run start, so a reused
+        cluster admits a full horizon again instead of inheriting the
+        wall time that passed since the previous run.  ``offset_us``
+        starts the clock mid-run: a restarted mp worker resumes at the
+        fleet's elapsed time instead of re-admitting a full horizon."""
+        self._t0 = time.perf_counter() - offset_us / 1e6
+
+    @property
+    def now(self) -> float:
+        if self._t0 is None:
+            return 0.0
+        return (time.perf_counter() - self._t0) * 1e6
+
+
+class AioNetwork:
+    """The :class:`~repro.sim.network.NetworkConfig` knobs the
+    executors read and the :class:`~repro.sim.network.NetworkStats`
+    wire/local counters, kept to the same semantics as the simulated
+    network so backend comparisons read one schema."""
+
+    def __init__(self, config: NetworkConfig | None = None):
+        self.config = config or NetworkConfig()
+        self.stats = NetworkStats()
 
 
 class WallClockRuntime(EffectRuntimeBase):
@@ -86,6 +137,19 @@ class WallClockRuntime(EffectRuntimeBase):
         of its chain; a part is one effect's (cont, batched, kinds, specs)"""
 
     # -- base-class hooks --------------------------------------------------
+
+    def spawn(self, gen: Coroutine,
+              on_done: Callable[[Any], None] | None = None,
+              trace: int = 0) -> None:
+        cluster = self._cluster
+        if not cluster.owns(self.server_id):
+            raise ValueError(
+                f"worker {cluster.worker_id} cannot drive tasks for "
+                f"foreign server {self.server_id}")
+        if cluster.loop is None:  # released by WorkerCluster.serving()
+            cluster._pending_spawns.append((self, gen, on_done))
+        else:
+            super().spawn(gen, on_done, trace)
 
     def _task_started(self) -> None:
         self._cluster._task_started()
@@ -242,7 +306,7 @@ class WallClockRuntime(EffectRuntimeBase):
         # carrying live continuations) reach this hook; cross-worker
         # traffic goes through the wire forms above.
         if nbytes is None:
-            nbytes = self.network.config.message_bytes(size_of)
+            nbytes = approx_payload_bytes(size_of)
         self.network.stats.record_message(
             kind, nbytes, remote=target != self.server_id,
             server=self.server_id)
@@ -316,34 +380,6 @@ class WallClockRuntime(EffectRuntimeBase):
             self._cluster.loop.call_soon(resume, if_down)
 
 
-class WallClockEngine:
-    """Per-server facade over one :class:`WallClockRuntime` (same
-    surface as :class:`~repro.sim.coroutines.Engine`: ``spawn``,
-    ``post``, ``set_rpc_handler``, ``active_tasks``), so the database
-    layer wires RPC dispatch identically on every backend."""
-
-    def __init__(self, cluster: "WorkerCluster", server_id: int):
-        self.server_id = server_id
-        self._cluster = cluster
-        self.runtime = WallClockRuntime(cluster, server_id)
-
-    @property
-    def active_tasks(self) -> int:
-        return self.runtime.active_tasks
-
-    def set_rpc_handler(self,
-                        handler: Callable[[int, Any], Coroutine]) -> None:
-        self.runtime.rpc_handler = handler
-
-    def spawn(self, gen: Coroutine,
-              on_done: Callable[[Any], None] | None = None) -> None:
-        self._cluster._spawn(self.runtime, gen, on_done)
-
-    def post(self, target: int, payload: Any,
-             nbytes: int | None = None) -> None:
-        self.runtime.post(target, payload, nbytes)
-
-
 class _NoWire:
     """Transport of a worker that owns every server: nothing to carry,
     so always idle (a ``send`` would be a routing bug and is absent)."""
@@ -410,7 +446,7 @@ class WorkerCluster:
         """Called as ``hook(worker, dead_generation)`` when a peer dies
         (the database layer reaps the dead generation's locks here)."""
         self._down_workers: set[int] = set()
-        self.servers = [Server(i, WallClockEngine(self, i))
+        self.servers = [Server(i, WallClockRuntime(self, i))
                         for i in range(n_servers)]
 
     def __len__(self) -> int:
@@ -419,7 +455,7 @@ class WorkerCluster:
     def server(self, server_id: int) -> Server:
         return self.servers[server_id]
 
-    def engine(self, server_id: int) -> WallClockEngine:
+    def engine(self, server_id: int) -> WallClockRuntime:
         return self.servers[server_id].engine
 
     # -- topology ----------------------------------------------------------
@@ -456,7 +492,7 @@ class WorkerCluster:
             self.transport.fail_peer(worker)
             for server in self.servers:
                 if self.owns(server.id):
-                    server.engine.runtime.resolve_peer_pendings(worker)
+                    server.engine.resolve_peer_pendings(worker)
         # hooks re-run on repeat reports: a transport-level detection
         # fires with dead_generation=0, the parent's announcement later
         # supplies the exact generation to reap
@@ -496,17 +532,6 @@ class WorkerCluster:
 
     # -- task latch & spawning ---------------------------------------------
 
-    def _spawn(self, runtime: WallClockRuntime, gen: Coroutine,
-               on_done: Callable[[Any], None] | None) -> None:
-        if not self.owns(runtime.server_id):
-            raise ValueError(
-                f"worker {self.worker_id} cannot drive tasks for foreign "
-                f"server {runtime.server_id}")
-        if self.loop is None:
-            self._pending_spawns.append((runtime, gen, on_done))
-        else:
-            runtime.spawn(gen, on_done)
-
     def _task_started(self) -> None:
         self._active += 1
         if self._idle is not None:
@@ -520,7 +545,7 @@ class WorkerCluster:
     # -- delivery & failure -------------------------------------------------
 
     def deliver_local(self, dst: int, src: int, payload: Any) -> None:
-        self.loop.call_soon(self.engine(dst).runtime.on_message, src, payload)
+        self.loop.call_soon(self.engine(dst).on_message, src, payload)
 
     def _deliver_wire(self, dst: int, src: int, wire: Any) -> None:
         if not self.owns(dst):
@@ -529,7 +554,7 @@ class WorkerCluster:
                 f"server {dst} (routing bug)"))
             return
         try:
-            self.engine(dst).runtime.on_transport(src, wire)
+            self.engine(dst).on_transport(src, wire)
         except BaseException as exc:  # noqa: BLE001 - fatal for the run
             self._fatal(exc)
 

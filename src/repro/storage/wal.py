@@ -67,6 +67,12 @@ prepare without a decision means the critical section never committed
 
 _S_LEN = Struct("<I")
 
+APPEND_US = 0.9
+"""Modeled coordinator CPU/device time per WAL append."""
+
+FSYNC_US = 18.0
+"""Modeled device time per fsync (NVMe-class flush)."""
+
 
 @dataclass(frozen=True)
 class WalSpec:
@@ -80,12 +86,6 @@ class WalSpec:
 
     group_size: int = 8
     """Appends per fsync under group commit (forced syncs reset it)."""
-
-    append_us: float = 0.9
-    """Modeled coordinator CPU/device time per WAL append."""
-
-    fsync_us: float = 18.0
-    """Modeled device time per fsync (NVMe-class flush)."""
 
     @property
     def enabled(self) -> bool:
@@ -180,12 +180,12 @@ class WriteAheadLog:
 
     def append_cost_us(self, sync: bool = False) -> float:
         """Modeled time one append charges the coordinator."""
-        cost = self.spec.append_us
+        cost = APPEND_US
         if sync or self.spec.mode == "fsync":
-            cost += self.spec.fsync_us
+            cost += FSYNC_US
         elif self.spec.mode == "group":
             # amortized: each append carries 1/group_size of an fsync
-            cost += self.spec.fsync_us / max(1, self.spec.group_size)
+            cost += FSYNC_US / max(1, self.spec.group_size)
         return cost
 
     def close(self) -> None:

@@ -42,7 +42,7 @@ def spawn_open_loop(workload, config, spec: ArrivalSpec, cluster, stats,
                     tracer, lifecycle) -> None:
     """Spawn one open-loop dispatcher per home engine.
 
-    ``config`` is the run's ``RunConfig`` (seed, horizon, homes) and
+    ``config`` is the run's ``RunConfig`` (seed, horizon) and
     ``stats`` its ``OpenLoopStats``; ``schedulers``, ``tracer`` and
     ``lifecycle(home, request, rng, trace, entered_at, label, settle)``
     are the same wiring the closed-loop workers use — open-loop runs
@@ -53,13 +53,11 @@ def spawn_open_loop(workload, config, spec: ArrivalSpec, cluster, stats,
     for tenant in spec.effective_tenants():
         stats.tenant(tenant.name, tenant.deadline_us)
     max_priority = spec.max_priority()
-    # divisor is the *global* load-generating home count (mp workers
-    # each see only their subset, but must split the offered load the
-    # same way the single-process run does)
-    n_homes = (len(config.homes) if config.homes is not None
-               else config.n_partitions)
     for home in homes:
-        schedule = schedule_for_home(spec, home, n_homes,
+        # the divisor is the *global* home count: mp workers each see
+        # only their subset, but must split the offered load the same
+        # way the single-process run does
+        schedule = schedule_for_home(spec, home, config.n_partitions,
                                      config.seed, config.horizon_us)
         admission = None
         if spec.admission == "deadline":

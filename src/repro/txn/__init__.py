@@ -7,7 +7,7 @@ from .commit_fsm import (CommitFsm, CommitTable, InvalidTransition,
 from .common import (AbortReason, BufferedWrite, CommitLog, Outcome,
                      TxnRequest, WriteKind, next_txn_id)
 from .database import Database
-from .executor import BaseExecutor, ExecConfig, TxnState
+from .executor import BaseExecutor, TxnState
 from .history import HistoryRecorder
 from .occ import OccExecutor
 from .twopl import TwoPLExecutor
@@ -20,7 +20,6 @@ __all__ = [
     "CommitLog",
     "CommitTable",
     "Database",
-    "ExecConfig",
     "HistoryRecorder",
     "InvalidTransition",
     "OccExecutor",

@@ -42,7 +42,7 @@ from ..sim import Compute, OneSided, Sleep
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage.wal import (R_DECISION, R_END, R_PREPARE, ROLE_COORDINATOR,
                            ROLE_INNER, ROLE_PARTICIPANT, replay_wal)
-from .common import AbortReason
+from .common import CPU_APPLY_US, CPU_DISPATCH_US, AbortReason
 
 
 class TxnPhase(enum.Enum):
@@ -206,8 +206,7 @@ class CommitFsm:
                 return False
         t0 = ex.span_start(state)
         yield from ex.replicate(state, writes)
-        if (t0 is not None and writes and ex.cfg.replicate
-                and ex.db.replicas is not None):
+        if t0 is not None and writes and ex.db.replicas is not None:
             ex.emit_span(state, "replicate", t0)
         self._transition(TxnPhase.PREPARED)
         return True
@@ -230,7 +229,7 @@ class CommitFsm:
                                    state.txn_id, home))
                  for pid in remote]
         self._prepared = set(remote)
-        yield Compute(ex.cfg.cpu_dispatch_us
+        yield Compute(CPU_DISPATCH_US
                       + ex.round_cpu((pid for pid, _ in items), home))
         results = yield from ex.network_round(items, kind="prepare")
         for result in results:
@@ -298,7 +297,7 @@ class CommitFsm:
             return
         total = (sum(len(ws) for ws in writes.values()) if committed
                  else 0)
-        yield Compute(ex.cfg.cpu_dispatch_us + ex.cfg.cpu_apply_us * total)
+        yield Compute(CPU_DISPATCH_US + CPU_APPLY_US * total)
         items = []
         for pid in sorted(targets):
             if pid in self._prepared:

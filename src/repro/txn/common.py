@@ -32,6 +32,37 @@ def seed_txn_ids(namespace: int) -> None:
     _txn_counter = itertools.count(namespace * TXN_ID_NAMESPACE_SPAN + 1)
 
 
+# CPU cost per coordinator action, in microseconds: what makes
+# throughput saturate once an engine's core is busy (Fig. 9a's plateau).
+
+CPU_DISPATCH_US = 0.4
+"""Assembling and issuing one batch of network operations."""
+
+CPU_OP_US = 0.25
+"""Coordinator-side logic per *remote* record operation (posting and
+completing an RDMA verb costs real CPU)."""
+
+CPU_LOCAL_OP_US = 0.08
+"""Per-operation cost against the local partition (plain memory access
+path).  The local/remote CPU gap is what makes locality pay off even
+when coroutines hide network latency."""
+
+CPU_BATCHED_OP_US = 0.05
+"""Coordinator-side cost of each verb after the first in a
+doorbell-batched chain: the doorbell write and completion poll are
+amortized over the chain, so only WQE assembly remains."""
+
+CPU_APPLY_US = 0.15
+"""Evaluating and applying one buffered write at commit time."""
+
+CPU_CHECK_US = 0.1
+"""Evaluating one CHECK predicate."""
+
+CPU_REPLICA_APPLY_US = 0.05
+"""A replica applying one shipped record value (a memcpy, cheaper than
+evaluating the write at the coordinator)."""
+
+
 @dataclass(frozen=True)
 class TxnRequest:
     """One transaction to execute: a procedure name plus its parameters."""

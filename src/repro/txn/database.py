@@ -97,11 +97,9 @@ class Database:
         self._rpc_kinds: dict[str, RpcFactory] = {}
         for server in cluster.servers:
             server.engine.set_rpc_handler(self._dispatcher(server.id))
-            runtime = getattr(server.engine, "runtime", None)
-            if runtime is not None:
-                # lets transports re-bind descriptors that arrived over
-                # a real serialization boundary to this database
-                runtime.dispatch_context = self.dispatch_context
+            # lets transports re-bind descriptors that arrived over
+            # a real serialization boundary to this database
+            server.engine.dispatch_context = self.dispatch_context
 
     # -- placement ---------------------------------------------------------
 

@@ -26,60 +26,12 @@ from ..sim.codec import (DispatchContext, OpDescriptor, op_handler,
                          register_wire_atom)
 from ..storage import LockMode
 from .commit_fsm import apply_wire_writes
-from .common import (AbortReason, BufferedWrite, CommitLog, Outcome,
-                     TxnRequest, WriteKind, next_txn_id)
+from .common import (CPU_APPLY_US, CPU_BATCHED_OP_US, CPU_CHECK_US,
+                     CPU_DISPATCH_US, CPU_LOCAL_OP_US, CPU_OP_US, AbortReason,
+                     BufferedWrite, CommitLog, Outcome, TxnRequest, WriteKind,
+                     next_txn_id)
 from .database import Database
 from .history import HistoryRecorder
-
-
-@dataclass(frozen=True)
-class ExecConfig:
-    """CPU cost and behaviour knobs for the execution engines.
-
-    The CPU constants are per-coordinator-action, in microseconds; they
-    are what makes throughput saturate once an engine's core is busy
-    (Fig. 9a's plateau).
-    """
-
-    cpu_dispatch_us: float = 0.4
-    """Assembling and issuing one batch of network operations."""
-
-    cpu_op_us: float = 0.25
-    """Coordinator-side logic per *remote* record operation (posting
-    and completing an RDMA verb costs real CPU)."""
-
-    cpu_local_op_us: float = 0.08
-    """Per-operation cost against the local partition (plain memory
-    access path).  The local/remote CPU gap is what makes locality pay
-    off even when coroutines hide network latency."""
-
-    cpu_batched_op_us: float = 0.05
-    """Coordinator-side cost of each verb after the first in a
-    doorbell-batched chain: the doorbell write and completion poll are
-    amortized over the chain, so only WQE assembly remains.  Only used
-    when the network's ``doorbell_batching`` knob is on."""
-
-    cpu_apply_us: float = 0.15
-    """Evaluating and applying one buffered write at commit time."""
-
-    cpu_check_us: float = 0.1
-    """Evaluating one CHECK predicate."""
-
-    cpu_replica_apply_us: float = 0.05
-    """A replica applying one shipped record value (a memcpy, cheaper
-    than evaluating the write at the coordinator)."""
-
-    replicate: bool = True
-    """Ship write-sets to replicas before commit (paper Section 5)."""
-
-    bypass_inner_locks: bool = False
-    """Section 3.3's optional optimization: skip lock acquisition inside
-    the inner region, relying on the host core's serialization — legal
-    only when no transaction ever touches inner records through an
-    outer region (guaranteeable for TPC-C's warehouse/district rows,
-    not in general; the paper's implementation leaves it off, as we do
-    by default).  Conflicting locks held by outer regions still abort
-    the inner region."""
 
 
 @dataclass
@@ -127,10 +79,9 @@ class BaseExecutor:
     (:mod:`repro.placement`) can observe them.  Off by default: the
     static path ships no footprints."""
 
-    def __init__(self, db: Database, config: ExecConfig | None = None,
+    def __init__(self, db: Database,
                  history: HistoryRecorder | None = None):
         self.db = db
-        self.cfg = config or ExecConfig()
         self.history = history
         self._partition_sets: dict[frozenset, frozenset] = {}
         """One shared object per distinct ``Outcome.partitions`` value
@@ -156,7 +107,7 @@ class BaseExecutor:
         if trace:
             # bind the context to the driving task so RPCs and (on mp)
             # wire frames issued on its behalf carry the trace id
-            self.db.cluster.engine(request.home).runtime.set_trace(trace)
+            self.db.cluster.engine(request.home).set_trace(trace)
         return state
 
     # -- pre-execution read/write-set estimation -----------------------------
@@ -236,17 +187,16 @@ class BaseExecutor:
 
         Unbatched, every remote verb pays full posting+completion cost;
         in a doorbell-batched chain only the destination's first verb
-        does, the rest just append a WQE (``cpu_batched_op_us``).  Local
+        does, the rest just append a WQE (``CPU_BATCHED_OP_US``).  Local
         verbs never batch and always pay ``local_cost`` (default: the
         plain memory-access rate; OCC's read-validation round
         historically charges the remote rate even at home and passes it
         explicitly).
         """
-        cfg = self.cfg
         if local_cost is None:
-            local_cost = cfg.cpu_local_op_us
+            local_cost = CPU_LOCAL_OP_US
         if not self.doorbell_batching:
-            return sum(local_cost if pid == home else cfg.cpu_op_us
+            return sum(local_cost if pid == home else CPU_OP_US
                        for pid in partitions)
         cost = 0.0
         seen: set[int] = set()
@@ -254,10 +204,10 @@ class BaseExecutor:
             if pid == home:
                 cost += local_cost
             elif pid in seen:
-                cost += cfg.cpu_batched_op_us
+                cost += CPU_BATCHED_OP_US
             else:
                 seen.add(pid)
-                cost += cfg.cpu_op_us
+                cost += CPU_OP_US
         return cost
 
     # -- phase spans -------------------------------------------------------
@@ -353,7 +303,7 @@ class BaseExecutor:
                     metas.append((inst, "insert", key, pid))
         if not items:
             return True
-        yield Compute(self.cfg.cpu_dispatch_us
+        yield Compute(CPU_DISPATCH_US
                       + self.round_cpu((pid for pid, _ in items), home))
         results = yield from self.network_round(items, kind="lock_read")
         for (inst, action, key, pid), result in zip(metas, results):
@@ -404,7 +354,7 @@ class BaseExecutor:
         still_pending = []
         for inst in state.pending_checks:
             if all(dep in state.ctx for dep in inst.dep_instance_names()):
-                yield Compute(self.cfg.cpu_check_us)
+                yield Compute(CPU_CHECK_US)
                 if not inst.run_check(state.params, state.ctx):
                     state.abort_reason = AbortReason.LOGICAL
                     return False
@@ -459,24 +409,21 @@ class BaseExecutor:
     def replicate(self, state: TxnState,
                   writes: dict[int, list[BufferedWrite]]) -> Generator:
         """Ship write-sets to every replica of every written partition."""
-        if not self.cfg.replicate or self.db.replicas is None or not writes:
+        if self.db.replicas is None or not writes:
             return
         replicas = self.db.replicas
-        account = self.db.cluster.network.config.account_payload_bytes
         items: list[tuple[int, Callable[[], Any]]] = []
         sizes: list[int] = []
         for pid, partition_writes in writes.items():
             shipped = tuple(_to_replica_write(w) for w in partition_writes)
-            # with accounting off, None lets the network charge its
-            # nominal verb size like every other unestimated verb
-            nbytes = approx_payload_bytes(shipped) if account else None
+            nbytes = approx_payload_bytes(shipped)
             for rserver in replicas.replica_servers(pid):
                 items.append((rserver,
                               _replica_apply_op(self.db, rserver, pid,
                                                 shipped)))
                 sizes.append(nbytes)
         if items:
-            yield Compute(self.cfg.cpu_dispatch_us)
+            yield Compute(CPU_DISPATCH_US)
             yield from self.network_round(items, kind="replicate",
                                           sizes=sizes)
 
@@ -490,8 +437,7 @@ class BaseExecutor:
         if not targets:
             return
         total_writes = sum(len(ws) for ws in writes.values())
-        yield Compute(self.cfg.cpu_dispatch_us
-                      + self.cfg.cpu_apply_us * total_writes)
+        yield Compute(CPU_DISPATCH_US + CPU_APPLY_US * total_writes)
         items = [(pid, _commit_op(self.db, pid,
                                   writes.get(pid, []), state.txn_id))
                  for pid in sorted(targets)]
@@ -513,7 +459,7 @@ class BaseExecutor:
         """Release every lock the transaction holds (its full rollback)."""
         if not state.touched:
             return
-        yield Compute(self.cfg.cpu_dispatch_us)
+        yield Compute(CPU_DISPATCH_US)
         yield from self.network_round(
             [(pid, _release_op(self.db, pid, state.txn_id))
              for pid in sorted(state.touched)],

@@ -15,7 +15,7 @@ validation:
 3. **Install phase**: replicate, apply buffered writes, release.
 
 MaaT's dynamic timestamp ranges shave some aborts off this scheme but
-keep its wasted-work failure mode; see DESIGN.md (Substitutions).
+keep its wasted-work failure mode.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from ..sim import Compute
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from .commit_fsm import CommitFsm
-from .common import AbortReason, TxnRequest, WriteKind
+from .common import (CPU_DISPATCH_US, CPU_LOCAL_OP_US, CPU_OP_US, AbortReason,
+                     TxnRequest, WriteKind)
 from .database import Database
 from .executor import BaseExecutor, TxnState
 
@@ -68,9 +69,7 @@ class OccExecutor(BaseExecutor):
         home = state.request.home
         cost = 0.0
         for pid in partitions:
-            per_op = (self.cfg.cpu_local_op_us if pid == home
-                      else self.cfg.cpu_op_us)
-            cost += per_op
+            cost += CPU_LOCAL_OP_US if pid == home else CPU_OP_US
         return cost
 
     def _validate(self, state: TxnState, writes) -> Generator:
@@ -92,7 +91,7 @@ class OccExecutor(BaseExecutor):
                     state.txn_id, expected,
                     is_insert=write.kind is WriteKind.INSERT)))
         if lock_items:
-            yield Compute(self.cfg.cpu_dispatch_us
+            yield Compute(CPU_DISPATCH_US
                           + self._validation_cpu(state, writes.keys()))
             results = yield from self.network_round(lock_items,
                                                     kind="validate_write")
@@ -111,10 +110,10 @@ class OccExecutor(BaseExecutor):
             check_items.append((pid, _validate_read_op(
                 self.db, pid, table, key, state.txn_id, version)))
         if check_items:
-            yield Compute(self.cfg.cpu_dispatch_us
+            yield Compute(CPU_DISPATCH_US
                           + self.round_cpu((pid for pid, _ in check_items),
                                            home=state.request.home,
-                                           local_cost=self.cfg.cpu_op_us))
+                                           local_cost=CPU_OP_US))
             results = yield from self.network_round(check_items,
                                                     kind="validate_read")
             for result in results:

@@ -4,7 +4,7 @@ The paper feeds real Instacart baskets (3M orders, ~50k products) into
 a TPC-C-NewOrder-like stored procedure: read each purchased product's
 stock row, decrement it, insert an order row.  We cannot ship that
 dataset, so this generator reproduces the distributional properties the
-experiment depends on (see DESIGN.md, Substitutions):
+experiment depends on:
 
 * heavy skew — the top product appears in ~15% of baskets, the second
   in ~8% (bananas and strawberries in the real data), with a smooth

@@ -1,7 +1,7 @@
 """The five TPC-C stored procedures in the operation IR.
 
 Faithful to the spec's data flow where it matters for contention, with
-documented simplifications (see DESIGN.md):
+these simplifications:
 
 * customers are always selected by id (the 60%-by-last-name path needs
   a secondary index that adds nothing to the contention study);

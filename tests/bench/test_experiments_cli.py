@@ -112,14 +112,16 @@ def test_unknown_backend_rejected(stubbed):
 def test_mp_backend_flag_prints_parallel_note(stubbed, capsys):
     ex.main(["fig9a", "--backend", "mp"])
     assert [call[0] for call in stubbed] == ["fig9"]
-    assert "multiprocess backend" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "(overrides: backend=mp)" in out
+    assert "mp backend: throughput is wall-clock" in out
 
 
 def test_workers_flag_both_spellings(stubbed, capsys):
     ex.main(["fig9a", "--backend", "mp", "--workers", "2"])
-    assert "packed onto 2 workers" in capsys.readouterr().out
+    assert "(overrides: backend=mp mp_workers=2)" in capsys.readouterr().out
     ex.main(["fig9a", "--backend=mp", "--workers=3"])
-    assert "packed onto 3 workers" in capsys.readouterr().out
+    assert "(overrides: backend=mp mp_workers=3)" in capsys.readouterr().out
 
 
 def test_workers_flag_rejects_bad_values(stubbed):

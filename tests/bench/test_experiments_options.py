@@ -20,7 +20,7 @@ OVERRIDES = {"wal": "group", "trace": True, "trace_sample": 3,
              "doorbell_batching": True, "backend": "aio", "mp_workers": 2,
              "mp_profile_dir": "/tmp/prof", "mp_recovery": True,
              "mp_chaos_kill_worker": 1, "metrics_interval": 500.0,
-             "metrics_watch": True, "offered_load": 5e4, "deadline_us": 9e3,
+             "offered_load": 5e4, "deadline_us": 9e3,
              "arrivals": ArrivalSpec(process="poisson", admission="deadline")}
 
 SWEEPS = {
@@ -111,7 +111,8 @@ def swept(monkeypatch):
     ["fig9a", "--back", "aio"],                   # prefix: not guessed
     ["fig9a", "--trace-sample", "2"],             # needs --trace
     ["fig9a", "--offered-load", "5"],             # needs --arrivals
-    ["fig9a", "--watch"],                         # needs --metrics-interval
+    ["fig9a", "--watch"],                         # a deleted flag
+    ["fig9a", "--metrics-port", "0"],             # needs --metrics-interval
 ])
 def test_unknown_or_inconsistent_arguments_exit_2(argv, swept, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -135,6 +136,18 @@ def test_figure_scripts_reject_bad_arguments(script, argv):
     assert done.returncode == 2
     assert "usage:" in done.stderr
     assert not done.stdout, "nothing may run"
+
+
+@pytest.mark.parametrize("flag", [["--chaos-kill", "1"], ["--mp-recovery"]])
+@pytest.mark.parametrize("wal", [[], ["--wal", "off"]])
+def test_recovery_without_a_durable_wal_exits_2(flag, wal, swept, capsys):
+    """A respawn over no log would silently lose the dead worker's
+    committed writes."""
+    with pytest.raises(SystemExit) as exit_info:
+        ex.main(["fig9a", "--quick", "--backend", "mp", *flag, *wal])
+    assert exit_info.value.code == 2
+    assert "--wal fsync|group" in capsys.readouterr().err
+    assert not swept, "nothing may run"
 
 
 def test_flags_interleave_with_figure_names(swept, capsys):
@@ -170,7 +183,6 @@ FLAGS = {  # flag -> (value or None for a switch, overrides it must set)
     "--doorbell": (None, {"doorbell_batching": True}),
     "--mp-recovery": (None, {"mp_recovery": True}),
     "--trace": (None, {"trace": True}),
-    "--watch": (None, {"metrics_watch": True}),
     "--watchdog-abort": (None, {"watchdog_abort": True}),
 }
 NEEDS = {"--offered-load": ["--arrivals", "poisson"],
@@ -179,13 +191,14 @@ NEEDS = {"--offered-load": ["--arrivals", "poisson"],
          "--trace-sample": ["--trace"],
          "--metrics-port": ["--metrics-interval", "500"],
          "--metrics-csv": ["--metrics-interval", "500"],
-         "--watch": ["--metrics-interval", "500"],
-         "--watchdog-abort": ["--metrics-interval", "500"]}
+         "--watchdog-abort": ["--metrics-interval", "500"],
+         "--chaos-kill": ["--wal", "group"],
+         "--mp-recovery": ["--wal", "group"]}
 
 
 @pytest.mark.parametrize("flag", sorted(FLAGS))
 def test_all_25_flags_in_both_spellings(flag, swept, tmp_path, capsys):
-    assert len(FLAGS) == 25
+    assert len(FLAGS) == 24  # 25 until PR 24 deleted --watch
     value, expected = FLAGS[flag]
     fill = lambda x: x.replace("{tmp}", str(tmp_path)) \
         if isinstance(x, str) else x

@@ -89,3 +89,23 @@ def test_reorder_and_minweight_printers(capsys):
     out = capsys.readouterr().out
     assert "full Chiller" in out
     assert "0.20" in out
+
+
+def test_throughput_precision_follows_the_table_not_the_backend(capsys):
+    """aio/mp cells run at 0.3-3 K/s, which ``.0f`` printed as 0s and
+    1s; sim tables (hundreds of K) keep their integer cells."""
+    rows = fabricated_fig9_rows()
+    ex.print_fig9a(rows)
+    body = capsys.readouterr().out.split("==\n")[1]
+    assert "100" in body and "400" in body and "." not in body
+    for row in rows:
+        for name in ex.TPCC_EXECUTORS:
+            row[f"{name}_throughput"] = 340.0 * row["concurrent"]
+    ex.print_fig9a(rows)
+    body = capsys.readouterr().out.split("==\n")[1]
+    assert body.count("0.34") == 3 and body.count("1.36") == 3
+    # one cell at 10 K carries the whole table back to integers
+    rows[1]["chiller_throughput"] = 10_000.0
+    ex.print_fig9a(rows)
+    body = capsys.readouterr().out.split("==\n")[1]
+    assert "." not in body and "10" in body

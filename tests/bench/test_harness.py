@@ -66,18 +66,6 @@ def test_different_seeds_differ():
     assert once(1) != once(2) or once(3) != once(4)
 
 
-def test_homes_restricts_generating_engines():
-    workload = BankWorkload(n_accounts=50)
-    config = RunConfig(n_partitions=3, concurrent_per_engine=1,
-                       horizon_us=1_000.0, warmup_us=0.0,
-                       homes=(0,), n_replicas=0)
-    db = build(workload, config)
-    result = run_benchmark(workload, TwoPLExecutor(db), config)
-    assert all(o.proc in ("transfer", "audit")
-               for o in result.metrics.outcomes)
-    assert result.metrics.commits > 0
-
-
 def test_retry_disabled_counts_single_attempts():
     workload = BankWorkload(n_accounts=10, hot_accounts=2,
                             hot_probability=0.9)

@@ -99,13 +99,6 @@ def test_unknown_placement_kind_is_rejected():
         run_ycsb(small_config(placement="sideways"))
 
 
-def test_adaptive_without_its_controller_home_is_rejected():
-    """Excluding the controller's engine from the load homes would
-    silently collect telemetry and never adapt — refuse instead."""
-    with pytest.raises(ValueError, match="controller engine"):
-        run_ycsb(small_config(placement="adaptive", homes=(1,)))
-
-
 def test_placement_spec_rides_through_config_replace():
     spec = PlacementSpec(kind="adaptive", epoch_us=123.0)
     config = dataclasses.replace(small_config(), placement=spec)

@@ -15,6 +15,11 @@ And one fold: a stats class declares per field how it merges and where
 it shows (``repro/_stats.py``); the hand-written ``merge_from`` /
 ``merged`` / ``timeline_snapshot`` per class stay gone, and the timeline
 sampler names no stats class or field.
+And every knob has a consumer: each config field is set by some caller
+outside the module that defines it, each ``RunConfig`` field and each
+CLI flag by one that is not a test, and ARCHITECTURE.md's layer line is
+the real import graph.  ``python tests/bench/test_single_path.py``
+prints the census.
 """
 
 import ast
@@ -23,10 +28,20 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro.bench import RunConfig
+from repro.bench import RunConfig, experiments
+from repro.core import ChillerPartitionerConfig
+from repro.partitioning import SchismConfig
+from repro.placement import PlacementSpec
+from repro.sched import SchedulerSpec
+from repro.sim import NetworkConfig
+from repro.storage import WalSpec
+from repro.traffic import ArrivalSpec, TenantSpec
 
 SRC = Path(repro.__file__).parent
+ROOT = SRC.parents[1]
 BENCH_AND_TRAFFIC = sorted((SRC / "bench").glob("*.py")) \
     + sorted((SRC / "traffic").glob("*.py"))
 
@@ -80,8 +95,110 @@ def test_experiments_take_one_overrides_mapping():
             assert not threaded & names, getattr(node, "name", "lambda")
 
 
+# -- knob census --------------------------------------------------------------
+
+CONFIG_CLASSES = (RunConfig, NetworkConfig, SchedulerSpec, PlacementSpec,
+                  WalSpec, ArrivalSpec, TenantSpec, ChillerPartitionerConfig,
+                  SchismConfig)
+
+TREES = {"src": sorted(SRC.rglob("*.py")),
+         "figures": [SRC / "bench" / "experiments.py",
+                     SRC / "bench" / "conformance.py"],
+         "benchmarks": sorted((ROOT / "benchmarks").rglob("*.py")),
+         "examples": sorted((ROOT / "examples").glob("*.py")),
+         "tests": sorted((ROOT / "tests").rglob("*.py"))}
+"""Where a knob can be set.  ``figures`` (a subset of ``src``) is the
+part of the program that is itself a caller: the paper's sweeps and the
+conformance programs."""
+
+CONSUMERS = ("figures", "benchmarks", "examples", "ci")
+"""Setters that are neither a test nor plumbing that forwards a value."""
+
+NO_CONSUMER_YET = {
+    "health_rules": "test seam: the only way to reach the fatal-rule "
+                    "abort path without wedging a real run",
+}
+"""``RunConfig`` fields and CLI flags only tests set, each with why it
+stays.  Fault-handling knobs are not here: CI's smoke job types them."""
+
+
+def names_set(path: Path) -> list[str]:
+    """Every name ``path`` passes to some call as a keyword or writes
+    as a string key of a dict literal (an ``overrides`` mapping)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.keyword) and node.arg:
+            found.append(node.arg)
+        elif isinstance(node, ast.Dict):
+            found += [key.value for key in node.keys
+                      if isinstance(key, ast.Constant)
+                      and isinstance(key.value, str)]
+    return found
+
+
+def flag_dests() -> dict[str, str]:
+    """``--flag`` -> the name it sets, from the parser itself."""
+    return {option: action.dest
+            for action in experiments.build_parser()._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")}
+
+
+def flags_typed_in_ci() -> list[str]:
+    """Every ``--flag`` a CI command hands the experiments CLI."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    return [flag for line in text.splitlines()
+            if "repro.bench.experiments" in line
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)]
+
+
+def census() -> dict[str, dict[str, int]]:
+    """name -> setters per tree, for every config field and CLI flag.
+    A field's own module does not count: defaults are not callers."""
+    set_in = {tree: {path: names_set(path) for path in paths}
+              for tree, paths in TREES.items()}
+    dests, typed = flag_dests(), flags_typed_in_ci()
+    rows: dict[str, dict[str, int]] = {}
+    for cls in CONFIG_CLASSES:
+        home = Path(inspect.getfile(cls))
+        for spec in dataclasses.fields(cls):
+            row = rows[f"{cls.__name__}.{spec.name}"] = {
+                tree: sum(names.count(spec.name)
+                          for path, names in by_path.items() if path != home)
+                for tree, by_path in set_in.items()}
+            row["ci"] = sum(dests.get(flag) == spec.name for flag in typed) \
+                if cls is RunConfig else 0
+    for flag in dests:
+        rows[flag] = {"ci": typed.count(flag)}
+    return rows
+
+
+def test_every_config_field_is_set_outside_its_own_module():
+    unset = [name for name, row in census().items()
+             if not name.startswith("--") and not sum(row.values())]
+    assert not unset, unset
+
+
+def test_every_run_config_field_and_flag_has_a_consumer_that_is_no_test():
+    consumed = {name: sum(row.get(tree, 0) for tree in CONSUMERS)
+                for name, row in census().items()
+                if name.startswith(("RunConfig.", "--"))}
+    idle = [name for name, count in consumed.items()
+            if not count and name.rpartition(".")[2] not in NO_CONSUMER_YET]
+    assert not idle, idle
+    stale = [name for name in NO_CONSUMER_YET
+             if consumed[f"RunConfig.{name}"]]
+    assert not stale, f"{stale} have a consumer now: take them off the list"
+
+
 def test_run_config_does_not_grow():
-    assert len(dataclasses.fields(RunConfig)) <= 41
+    assert len(dataclasses.fields(RunConfig)) <= 37
+
+
+def test_config_classes_flags_and_the_allow_list_do_not_grow():
+    assert sum(len(dataclasses.fields(cls)) for cls in CONFIG_CLASSES) <= 92
+    assert len(flag_dests()) <= 24
+    assert len(NO_CONSUMER_YET) <= 1
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -108,6 +225,34 @@ def test_traffic_sits_below_bench():
         assert not above, f"{path.name}: {above}"
 
 
+def layer_line() -> list[set[str]]:
+    """ARCHITECTURE.md's layer line, as ranks of package names."""
+    text = (ROOT / "ARCHITECTURE.md").read_text()
+    line = next(line for line in text.splitlines()
+                if "→" in line and line.rstrip().endswith("bench"))
+    return [{name.strip() for name in rank.split("/")}
+            for rank in line.split("→")]
+
+
+PACKAGES = sorted(path.name for path in SRC.iterdir()
+                  if (path / "__init__.py").exists())
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_each_package_imports_only_from_the_layers_before_it(package):
+    ranks = layer_line()
+    own = next((i for i, rank in enumerate(ranks) if package in rank), None)
+    assert own is not None, f"{package} is missing from the layer line"
+    allowed = set().union(*ranks[:own + 1])
+    above = sorted({f"{path.name}: {name}"
+                    for path in sorted((SRC / package).glob("*.py"))
+                    for name in imported_modules(path)
+                    if name.startswith("repro.") and "." in name[6:]
+                    and name.split(".")[1] in PACKAGES
+                    and name.split(".")[1] not in allowed})
+    assert not above, above
+
+
 def test_harness_reaches_traffic_at_module_level_only():
     tree = ast.parse((SRC / "bench" / "harness.py").read_text())
     lazy = [node.lineno
@@ -120,13 +265,12 @@ def test_harness_reaches_traffic_at_module_level_only():
 
 
 def test_one_perf_system():
-    root = SRC.parents[1]
-    assert not (root / "BENCH_BASELINE.json").exists()
-    assert not (root / "benchmarks" / "check_perf_regression.py").exists()
+    assert not (ROOT / "BENCH_BASELINE.json").exists()
+    assert not (ROOT / "benchmarks" / "check_perf_regression.py").exists()
     # nothing the program or a figure script does depends on the
     # environment, and none feeds a pytest-benchmark side channel
     for path in sorted(SRC.rglob("*.py")) \
-            + sorted((root / "benchmarks").glob("*.py")):
+            + sorted((ROOT / "benchmarks").glob("*.py")):
         found = re.findall(r"os\.environ|getenv|\bextra_info\b",
                            path.read_text())
         assert not found, f"{path}: {found}"
@@ -195,3 +339,18 @@ def test_the_timeline_names_no_stats_class_and_no_stats_field():
     assert not fields & touched
     parameters = set(inspect.signature(TimelineSampler).parameters)
     assert not {"network", "recovery", "placement", "metrics"} & parameters
+
+
+if __name__ == "__main__":
+    for cls in CONFIG_CLASSES:
+        print(f"{cls.__name__}: {len(dataclasses.fields(cls))} fields")
+    print("total:", sum(len(dataclasses.fields(cls))
+                        for cls in CONFIG_CLASSES),
+          "settable values;", len(flag_dests()), "CLI flags;",
+          len(NO_CONSUMER_YET), "allow-listed")
+    trees = (*TREES, "ci")
+    print(f"{'knob (setters per tree)':<42}"
+          + "".join(f"{tree:>11}" for tree in trees))
+    for name, row in census().items():
+        print(f"{name:<42}"
+              + "".join(f"{row.get(tree, '-'):>11}" for tree in trees))

@@ -9,7 +9,7 @@ from repro.core import ChillerExecutor, HotRecordTable
 from repro.partitioning import HashScheme
 from repro.sim import Cluster
 from repro.storage import Catalog, LockMode
-from repro.txn import AbortReason, ExecConfig, TxnRequest, Database
+from repro.txn import AbortReason, TxnRequest, Database
 from repro.workloads.flightbooking import (FLIGHT_TABLES,
                                            flight_booking_procedure,
                                            flight_routing, populate)
@@ -25,8 +25,7 @@ def make_flight_db(bypass):
     populate(db.loader())
     hot = HotRecordTable({("flight", 7): scheme.partition_of("flight",
                                                              7)})
-    executor = ChillerExecutor(
-        db, hot, config=ExecConfig(bypass_inner_locks=bypass))
+    executor = ChillerExecutor(db, hot, bypass_inner_locks=bypass)
     return db, cluster, executor
 
 
@@ -67,9 +66,9 @@ def test_bypass_preserves_tpcc_serializability():
     are only ever inner), so the full mix must stay serializable."""
     config = RunConfig(n_partitions=2, concurrent_per_engine=3,
                        horizon_us=4_000.0, warmup_us=0.0, seed=13,
-                       n_replicas=0, record_history=True,
-                       exec_config=ExecConfig(bypass_inner_locks=True))
+                       n_replicas=0, record_history=True)
     run = make_tpcc_run("chiller", config)
+    run.executor.bypass_inner_locks = True
     result = run.run()
     assert result.metrics.commits > 50
     assert result.history.find_cycle() is None

@@ -1,11 +1,10 @@
-"""Unit tests for exposition: Prometheus text, CSV, sparklines, HTTP."""
+"""Unit tests for exposition: Prometheus text, CSV, HTTP."""
 
 import urllib.error
 import urllib.request
 
 from repro.obs import (HealthEvent, MetricsHttpServer, Timeline,
-                       TimelineSample, render_watch, sparkline,
-                       timeline_csv, to_prometheus)
+                       TimelineSample, timeline_csv, to_prometheus)
 
 
 def sample_timeline():
@@ -87,24 +86,6 @@ def test_csv_is_wide_with_stable_sorted_columns():
     # absent columns render as 0, keeping every row the same width
     second = dict(zip(header, lines[2].split(",")))
     assert second["server"] == "1" and second["commits"] == "0"
-
-
-# -- sparklines / --watch ---------------------------------------------------
-
-def test_sparkline_spans_the_block_alphabet():
-    art = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-    assert art[0] == "▁" and art[-1] == "█"
-    assert sparkline([]) == ""
-    assert sparkline([0, 0, 0]) == "▁▁▁"
-    # scaled against the series peak, so a flat series reads full
-    assert sparkline([5, 5, 5]) == "███"
-
-
-def test_render_watch_shows_series_and_health():
-    out = render_watch(sample_timeline(), health=[event()])
-    assert "commits" in out and "queue_depth" in out
-    assert "stall happened" in out
-    assert "peak 5" in out
 
 
 # -- HTTP endpoint ----------------------------------------------------------

@@ -11,6 +11,11 @@ simulator event.  The mp half lives in
 ``tests/obs/test_watchdog_chaos.py`` (merge under worker death).
 """
 
+import socket
+import threading
+import time
+import urllib.request
+
 import pytest
 
 from repro.analysis import ProcedureRegistry
@@ -142,3 +147,44 @@ def test_timeline_and_scheduler_agree_on_max_queue_depth():
     peak = summary["scheduler"]["max_queue_depth"]
     assert peak > 1
     assert summary["timeline"]["max_queue_depth"] == peak
+
+
+def test_prometheus_endpoint_is_live_during_an_aio_run():
+    """The endpoint the harness opens for ``metrics_port``: scraped
+    while the run is still going, closed when it returns."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    url = f"http://127.0.0.1:{port}/metrics"
+    scraped = {}
+    give_up = threading.Event()
+
+    def scrape():
+        while not give_up.is_set():
+            try:
+                with urllib.request.urlopen(url, timeout=1.0) as reply:
+                    text = reply.read().decode()
+            except OSError:  # not listening yet
+                text = ""
+            if "repro_commits_total" in text:
+                scraped.update(at=time.monotonic(), text=text)
+                return
+            time.sleep(0.01)
+
+    scraper = threading.Thread(target=scrape, daemon=True)
+    scraper.start()
+    config = RunConfig(n_partitions=2, concurrent_per_engine=2,
+                       horizon_us=400_000.0, warmup_us=0.0, n_replicas=0,
+                       backend="aio", metrics_interval=20_000.0,
+                       metrics_port=port)
+    result = make_ycsb_run("2pl", config,
+                           workload=YcsbWorkload(n_keys=200)).run()
+    ended = time.monotonic()
+    give_up.set()
+    scraper.join(timeout=5.0)
+    assert not scraper.is_alive()
+    assert result.metrics.commits > 0
+    assert scraped and scraped["at"] < ended
+    assert 'repro_commits_total{server="0"}' in scraped["text"]
+    with pytest.raises(OSError):  # connection refused: the port is closed
+        urllib.request.urlopen(url, timeout=1.0)

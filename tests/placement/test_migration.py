@@ -14,7 +14,8 @@ from repro.bench.conformance import (MIGRATION_HOT_KEY, build_conformance_run,
                                      build_migration_conformance_run,
                                      conformance_config)
 from repro.bench.metrics import APP_ABORTS
-from repro.placement import MigrationExecutor, PlacementSpec, PlacementStats
+from repro.placement import (CONTROLLER_HOME, MigrationExecutor,
+                             PlacementSpec, PlacementStats)
 from repro.sim import Sleep
 from repro.txn.common import AbortReason, TxnRequest
 
@@ -216,5 +217,5 @@ def test_lease_failover_is_counted_when_holder_stops_renewing():
     cluster.run()
 
     assert db.recovery.controller_failovers == 1
-    holder, expires = db.leases[spec.controller_home]
+    holder, expires = db.leases[CONTROLLER_HOME]
     assert holder == 1 and expires > 5_000.0

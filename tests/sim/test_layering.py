@@ -57,9 +57,8 @@ def reaches(path: Path, modules: set[str], source: str | None = None):
 
 
 def test_runtime_and_cluster_know_no_sockets_and_no_processes():
-    banned = {"socket", "multiprocessing", "repro.sim.supervisor"}
+    banned = {"socket", "multiprocessing"} | PROCESS_SIDE
     assert not reaches(SIM / "wallclock.py", banned)
-    assert not reaches(SIM / "aio_runtime.py", banned | PROCESS_SIDE)
 
 
 def test_transport_does_not_know_the_supervisor():

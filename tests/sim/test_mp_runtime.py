@@ -367,6 +367,19 @@ def test_unknown_wire_knob_fails_before_any_spawn(knob):
     assert no_leaked_workers()
 
 
+def test_recovery_without_a_durable_wal_fails_before_any_spawn(monkeypatch):
+    """A worker respawned over no log loses the writes its predecessor
+    committed, and the run used to report success anyway."""
+    from repro.bench.setups import make_ycsb_run
+    from repro.sim import supervisor
+
+    monkeypatch.setattr(supervisor, "_spawn_worker",
+                        lambda *args: pytest.fail("spawned a worker"))
+    run = make_ycsb_run("2pl", mp_config(mp_recovery=True, wal="off"))
+    with pytest.raises(ValueError, match=r'wal="fsync"\|"group"'):
+        run.run()
+
+
 def stats_driver(run_obj, cluster, worker_id):
     """Runs the conformance program and reports measured wire bytes."""
     seed_txn_ids(worker_id)

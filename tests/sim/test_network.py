@@ -126,10 +126,12 @@ def test_send_accounts_bytes_by_kind():
     net.send(0, 1, "abcd", kind="greeting")
     net.send(0, 1, "ef", kind="greeting")
     net.send(0, 1, {"k": 1}, kind="other")
+    net.send(0, 1, "y" * 10_000, kind="sized", nbytes=10)  # sender's size wins
     sim.run()
     assert net.stats.bytes_by_kind["greeting"] == 6
     assert net.stats.bytes_by_kind["other"] == 8 + 1 + 8
-    assert net.stats.total_bytes() == 6 + 17
+    assert net.stats.bytes_by_kind["sized"] == 10
+    assert net.stats.total_bytes() == 6 + 17 + 10
 
 
 def test_one_sided_accounts_nominal_or_explicit_bytes():
@@ -261,91 +263,10 @@ def test_cyclic_payload_send_terminates_and_accounts():
     assert net.stats.bytes_by_kind["cyclic"] > 0
 
 
-def test_payload_walk_can_be_gated_off_the_hot_path():
-    from repro.sim.network import MESSAGE_NOMINAL_BYTES
-
-    sim, net = make_net(account_payload_bytes=False)
-    net.register_handler(1, lambda src, p: None)
-    net.send(0, 1, "x" * 10_000, kind="big")
-    sim.run()
-    # flat nominal charge, no walk of the 10k-char payload
-    assert net.stats.bytes_by_kind["big"] == MESSAGE_NOMINAL_BYTES
-    # explicit sizes still win over the gate
-    net.send(0, 1, "y" * 10_000, kind="sized", nbytes=10_000)
-    sim.run()
-    assert net.stats.bytes_by_kind["sized"] == 10_000
-
-
-# -- bandwidth term (NetworkConfig.bandwidth_gbps) ----------------------------
-
-def test_bandwidth_off_by_default_and_zero_cost():
-    cfg = NetworkConfig()
-    assert cfg.bandwidth_gbps is None
-    assert cfg.serialization_us(1_000_000) == 0.0
-
-
-def test_serialization_us_scales_with_bytes_and_bandwidth():
-    cfg = NetworkConfig(bandwidth_gbps=100.0)
-    # 1250 bytes = 10_000 bits; at 100 Gbit/s that is 0.1 us
-    assert cfg.serialization_us(1250) == pytest.approx(0.1)
-    # half the bandwidth, double the time
-    slow = NetworkConfig(bandwidth_gbps=50.0)
-    assert slow.serialization_us(1250) == pytest.approx(0.2)
-
-
-def test_large_remote_verb_costs_more_than_a_cas():
-    sim, net = make_net(one_way_us=2.0, verb_overhead_us=0.5,
-                        bandwidth_gbps=10.0)
-    done = []
-    net.one_sided(0, 1, lambda: "cas", lambda v: done.append(sim.now),
-                  kind="cas", nbytes=32)
-    sim.run()
-    cas_when = done[0]
-
-    sim2, net2 = make_net(one_way_us=2.0, verb_overhead_us=0.5,
-                          bandwidth_gbps=10.0)
-    done2 = []
-    net2.one_sided(0, 1, lambda: "big", lambda v: done2.append(sim2.now),
-                   kind="replicate", nbytes=8_000)
-    sim2.run()
-    big_when = done2[0]
-    assert big_when > cas_when
-    # the gap is exactly the extra serialization time of the bigger payload
-    cfg = NetworkConfig(bandwidth_gbps=10.0)
-    assert big_when - cas_when == pytest.approx(
-        cfg.serialization_us(8_000) - cfg.serialization_us(32))
-
-
-def test_bandwidth_charges_messages_from_accounted_bytes():
-    sim, net = make_net(one_way_us=1.0, rpc_overhead_us=0.0,
-                        bandwidth_gbps=1.0)
-    received = []
-    net.register_handler(1, lambda src, p: received.append(sim.now))
-    net.send(0, 1, "x" * 1000, kind="bulk")
-    sim.run()
-    nbytes = net.stats.bytes_by_kind["bulk"]
-    cfg = NetworkConfig(bandwidth_gbps=1.0)
-    assert received[0] == pytest.approx(1.0 + cfg.serialization_us(nbytes))
-
-
-def test_bandwidth_charges_batch_chains_for_total_payload():
-    sim, net = make_net(one_way_us=2.0, verb_overhead_us=0.5,
-                        batched_verb_us=0.1, doorbell_batching=True,
-                        bandwidth_gbps=10.0)
-    done = []
-    net.one_sided_batch(0, 1, [lambda: 1, lambda: 2],
-                        lambda vs: done.append(sim.now),
-                        kinds=[("one_sided", 500), ("one_sided", 500)])
-    sim.run()
-    cfg = NetworkConfig(one_way_us=2.0, verb_overhead_us=0.5,
-                        batched_verb_us=0.1, doorbell_batching=True,
-                        bandwidth_gbps=10.0)
-    expected = cfg.one_sided_batch_rtt(2, total_nbytes=1000)
-    assert done[0] == pytest.approx(expected)
-
+# -- the latency-only model: payload size never moves a completion time -------
 
 def test_local_traffic_never_pays_bandwidth():
-    sim, net = make_net(local_access_us=0.5, bandwidth_gbps=0.001)
+    sim, net = make_net(local_access_us=0.5)
     done = []
     net.one_sided(0, 0, lambda: 1, lambda v: done.append(sim.now),
                   nbytes=1_000_000)
@@ -354,13 +275,12 @@ def test_local_traffic_never_pays_bandwidth():
 
 
 def test_bandwidth_none_is_bit_identical_to_seed_model():
-    for kwargs in ({}, {"bandwidth_gbps": None}):
-        sim, net = make_net(one_way_us=1.7, verb_overhead_us=0.3, **kwargs)
-        done = []
-        net.one_sided(0, 1, lambda: 1, lambda v: done.append(sim.now),
-                      nbytes=4096)
-        sim.run()
-        assert done == [pytest.approx(NetworkConfig().one_sided_rtt())]
+    sim, net = make_net(one_way_us=1.7, verb_overhead_us=0.3)
+    done = []
+    net.one_sided(0, 1, lambda: 1, lambda v: done.append(sim.now),
+                  nbytes=4096)
+    sim.run()
+    assert done == [pytest.approx(NetworkConfig().one_sided_rtt())]
 
 
 # -- per-executor traffic breakdown (Fig.-style bytes-by-phase) ---------------

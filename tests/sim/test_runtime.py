@@ -12,18 +12,18 @@ PLAIN_CFG = NetworkConfig(local_access_us=0.1, one_way_us=1.0,
                           verb_overhead_us=0.3, rpc_overhead_us=0.0)
 
 
-# -- the Engine facade delegates to the runtime ------------------------------
+# -- a server's engine is its effect runtime ---------------------------------
 
-def test_engine_is_a_facade_over_effect_runtime():
+def test_cluster_engine_is_the_effect_runtime():
     cluster = Cluster(1, PLAIN_CFG)
     engine = cluster.engine(0)
-    assert isinstance(engine.runtime, EffectRuntime)
-    assert engine.core is engine.runtime.core
-    assert engine.active_tasks == engine.runtime.active_tasks == 0
+    assert isinstance(engine, EffectRuntime)
+    assert engine is cluster.server(0).engine
+    assert engine.active_tasks == 0
 
 
 def test_custom_runtime_can_be_injected():
-    from repro.sim import Engine, Network, Simulator
+    from repro.sim import Network, Simulator
 
     performed = []
 
@@ -34,8 +34,7 @@ def test_custom_runtime_can_be_injected():
 
     sim = Simulator()
     net = Network(sim, PLAIN_CFG)
-    runtime = TracingRuntime(sim, net, 0)
-    engine = Engine(sim, net, 0, runtime=runtime)
+    engine = TracingRuntime(sim, net, 0)
 
     def txn():
         yield Compute(1.0)
@@ -270,7 +269,7 @@ def test_unknown_effect_fails_loudly():
 def test_dispatch_table_respects_send_rpc_overrides():
     """Rpc must dispatch through self.send_rpc so subclass overrides
     (the mp runtime's token-routing send_rpc) keep working."""
-    from repro.sim import Engine, Network, Simulator
+    from repro.sim import Network, Simulator
 
     seen = []
 
@@ -281,8 +280,7 @@ def test_dispatch_table_respects_send_rpc_overrides():
 
     sim = Simulator()
     net = Network(sim, PLAIN_CFG)
-    runtime = RoutedRuntime(sim, net, 0)
-    engine = Engine(sim, net, 0, runtime=runtime)
+    engine = RoutedRuntime(sim, net, 0)
 
     def rpc_handler(src, body):
         return "pong"

@@ -232,7 +232,7 @@ class Pair:
         ctx = DispatchContext(lambda _partition: self.log)
         for cluster in self.workers:
             for server in cluster.servers:
-                server.engine.runtime.dispatch_context = ctx
+                server.engine.dispatch_context = ctx
 
         def handler(src, request):
             self.log.append(("message", request))
@@ -325,7 +325,7 @@ def test_fifo_per_channel_under_interleaved_verbs_and_messages():
     def program():
         for i in range(40):
             engine.post(1, 2 * i)               # fire-and-forget...
-            engine.runtime.perform(             # ...and a verb behind it,
+            engine.perform(             # ...and a verb behind it,
                 log_verb(1, 2 * i + 1),         # neither awaited
                 lambda _value: None)
         yield Sleep(50_000.0)

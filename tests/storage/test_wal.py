@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro._stats import folded, report
 from repro.sim.codec import pack_record, unpack_record
-from repro.storage.wal import (R_DECISION, R_END, R_PREPARE,
-                               ROLE_COORDINATOR, ROLE_INNER,
+from repro.storage.wal import (APPEND_US, FSYNC_US, R_DECISION, R_END,
+                               R_PREPARE, ROLE_COORDINATOR, ROLE_INNER,
                                ROLE_PARTICIPANT, RecoveryStats, WalSpec,
                                WriteAheadLog, as_wal_spec, replay_wal,
                                wal_path)
@@ -154,10 +154,9 @@ def test_fsync_mode_syncs_every_append(tmp_path):
 def test_append_cost_amortizes_group_fsync(tmp_path):
     spec = WalSpec(mode="group", dir=str(tmp_path), group_size=8)
     wal = WriteAheadLog(wal_path(str(tmp_path), 1), spec)
-    assert wal.append_cost_us() == pytest.approx(
-        spec.append_us + spec.fsync_us / 8)
+    assert wal.append_cost_us() == pytest.approx(APPEND_US + FSYNC_US / 8)
     assert wal.append_cost_us(sync=True) == pytest.approx(
-        spec.append_us + spec.fsync_us)
+        APPEND_US + FSYNC_US)
     wal.close()
 
 
