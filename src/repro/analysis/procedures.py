@@ -121,6 +121,12 @@ class OpInstance:
     def index(self) -> int | None:
         return self._shape.index
 
+    @property
+    def shape(self) -> OpShape:
+        """The compiled slot this instance binds; each belongs to one
+        layout of one procedure."""
+        return self._shape
+
     # -- identity / dependencies ------------------------------------------
 
     def dep_instance_names(self) -> tuple[str, ...]:

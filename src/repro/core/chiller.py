@@ -91,15 +91,25 @@ class ChillerExecutor(BaseExecutor):
         implementation leaves it off, as we do by default).  Conflicting
         locks held by outer regions still abort the inner region."""
         self._pending_acks: dict[int, _AckState] = {}
+        self._planners: dict[int, RegionPlanner] = {}
+        self._plan_cache: dict = {}
+        """Region splits by signature, shared by every home's planner
+        (bounded by ``regions.PLAN_CACHE_CAP``)."""
         db.register_rpc(RPC_INNER, self._inner_handler)
         db.register_rpc(RPC_REPLICATE, self._replicate_handler)
         db.register_rpc(RPC_ACK, self._ack_handler)
 
     def make_planner(self, home: int) -> RegionPlanner:
-        return RegionPlanner(
-            self.hot_table,
-            lambda table, key: self.db.partition_of(table, key,
-                                                    reader=home))
+        """The planner of transactions coordinated by ``home`` (which
+        resolves replicated tables to its own partition)."""
+        planner = self._planners.get(home)
+        if planner is None:
+            planner = self._planners[home] = RegionPlanner(
+                self.hot_table,
+                lambda table, key: self.db.partition_of(table, key,
+                                                        reader=home),
+                cache=self._plan_cache)
+        return planner
 
     # -- coordinator ---------------------------------------------------------
 
@@ -151,9 +161,10 @@ class ChillerExecutor(BaseExecutor):
             ctx=dict(state.ctx), coordinator=state.request.home)
         if plan.inner_host == state.request.home:
             # the coordinator is the inner host: run it inline on this
-            # engine (still consuming this core's CPU)
+            # engine (still consuming this core's CPU) over the
+            # instances it already has
             reply = yield from self._inner_body(plan.inner_host,
-                                                inner_request)
+                                                inner_request, plan.inner)
         else:
             reply = yield Rpc(plan.inner_host, (RPC_INNER, inner_request))
 
@@ -194,10 +205,16 @@ class ChillerExecutor(BaseExecutor):
 
     def _inner_handler(self, server_id: int, src: int,
                        body: InnerRequest) -> Generator:
-        return (yield from self._inner_body(server_id, body))
+        proc = self.db.registry.get(body.proc)
+        by_name = {inst.name: inst
+                   for inst in proc.instantiate(body.params)}
+        return (yield from self._inner_body(
+            server_id, body, [by_name[name] for name in body.inner_names]))
 
-    def _inner_body(self, server_id: int, req: InnerRequest) -> Generator:
-        """Execute the inner region locally; commit unilaterally.
+    def _inner_body(self, server_id: int, req: InnerRequest,
+                    instances: list[OpInstance]) -> Generator:
+        """Execute the inner region (``instances``, the ops named by
+        ``req.inner_names``) locally; commit unilaterally.
 
         The inner region runs "from beginning to end with no stall"
         (Section 3.3): one contiguous CPU block for its logic, then one
@@ -215,11 +232,6 @@ class ChillerExecutor(BaseExecutor):
                  if tr.enabled else 0)
         t0 = self.db.cluster.sim.now if trace else 0.0
         store = self.db.store(server_id)
-        proc = self.db.registry.get(req.proc)
-        by_name = {inst.name: inst
-                   for inst in proc.instantiate(req.params)}
-        instances = [by_name[name] for name in req.inner_names]
-
         n_record_ops = sum(1 for inst in instances
                            if inst.spec.kind is not OpKind.CHECK)
         n_checks = len(instances) - n_record_ops

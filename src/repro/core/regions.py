@@ -17,6 +17,10 @@ A hot record h is *admissible* (step 1's rule) iff every operation
 pk-dependent on h has a known placement on h's own partition; a child
 whose key is still unknown, or known to live elsewhere, blocks h — it
 could not be locked after the inner region committed unilaterally.
+
+The split reads nothing of a transaction but its compiled layout, each
+op's partition (or that it is unknown) and which exact READs are hot,
+so :meth:`RegionPlanner.plan` memoises it under exactly that signature.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ from .lookup import HotRecordTable
 
 PlacementFn = Callable[[str, Any], int]
 """(table, key) -> partition id, with replicated tables pre-bound."""
+
+PLAN_CACHE_CAP = 4096
+"""Splits a plan cache keeps before it starts over (the TPC-C cell meets
+about 150 distinct signatures)."""
+
+_Split = tuple[bool, "int | None", tuple[int, ...], tuple[int, ...], int, int]
+"""A cached :class:`RegionPlan`: ops as positions in the instantiation."""
 
 
 @dataclass
@@ -48,19 +59,72 @@ class RegionPlan:
 
 
 class RegionPlanner:
-    """Plans two-region execution for instantiated transactions."""
+    """Plans two-region execution for instantiated transactions.
+
+    ``cache`` maps a signature (:meth:`_signature`) to its split; pass
+    one dict to several planners to share what they learn.  It holds
+    layouts and index tuples, never an instance or a transaction, and
+    needs no invalidation: a placement flip changes the signature.
+    """
 
     def __init__(self, hot_table: HotRecordTable,
-                 placement: PlacementFn):
+                 placement: PlacementFn,
+                 cache: dict[tuple, _Split] | None = None):
         self.hot_table = hot_table
         self.placement = placement
+        self.cache: dict[tuple, _Split] = {} if cache is None else cache
 
     def plan(self, instances: list[OpInstance],
              params: Mapping[str, Any]) -> RegionPlan:
         """Split one transaction's full instantiation
         (``proc.instantiate(params)``) into regions.  Names, dependency
         tuples and pk-children come compiled with the instances; only
-        placements and hotness are evaluated here."""
+        placements and hotness are evaluated here, and the split itself
+        only on the first sight of a signature."""
+        signature = self._signature(instances, params)
+        split = self.cache.get(signature)
+        if split is None:
+            plan = self._split(instances, params)
+            position = {inst.name: i for i, inst in enumerate(instances)}
+            if len(self.cache) >= PLAN_CACHE_CAP:
+                self.cache.clear()
+            self.cache[signature] = (
+                plan.two_region, plan.inner_host,
+                tuple(position[inst.name] for inst in plan.inner),
+                tuple(position[inst.name] for inst in plan.outer),
+                plan.hot_inner_records, plan.blocked_hot_records)
+            return plan
+        two_region, inner_host, inner, outer, hot_inner, blocked = split
+        return RegionPlan(two_region, inner_host,
+                          [instances[i] for i in inner],
+                          [instances[i] for i in outer],
+                          hot_inner, blocked)
+
+    def _signature(self, instances: list[OpInstance],
+                   params: Mapping[str, Any]) -> tuple:
+        """Everything :meth:`_split` reads: the layout (named by its
+        first compiled shape, which belongs to that layout alone), then
+        per op ``None`` when its placement is unknown before execution,
+        else ``2 * partition + hot`` — hot only for an exact READ."""
+        if not instances:
+            return ()
+        is_hot, partition_of = self.hot_table.is_hot, self.placement
+        read = OpKind.READ
+        signature = [instances[0].shape]
+        for inst in instances:
+            placement = inst.placement(params)
+            if placement is None or placement.key is None:
+                signature.append(None)
+                continue
+            table, key = placement.table, placement.key
+            signature.append(2 * partition_of(table, key) + (
+                placement.exact and inst.spec.kind is read
+                and is_hot(table, key)))
+        return tuple(signature)
+
+    def _split(self, instances: list[OpInstance],
+               params: Mapping[str, Any]) -> RegionPlan:
+        """The decision itself, from scratch."""
         placements = self._placements(instances, params)
         children = {inst.name: inst.pk_child_instances()
                     for inst in instances}

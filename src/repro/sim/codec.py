@@ -547,9 +547,24 @@ def pack_record(record: tuple) -> bytes:
 
 
 def unpack_record(body: bytes) -> tuple:
-    """Rebuild a WAL record tuple from :func:`pack_record` bytes."""
+    """Rebuild a WAL record tuple from :func:`pack_record` bytes.
+
+    ``body`` comes off a disk that may hold anything: unless it is
+    exactly one packed tuple, ending at ``len(body)``, this raises
+    :class:`CodecError` and nothing else.
+    """
     global _record_codec
     if _record_codec is None:
         _record_codec = FrameCodec()
-    value, _offset = _record_codec._unpack_value(body, 0)
+    try:
+        value, offset = _record_codec._unpack_value(body, 0)
+    except Exception as exc:  # struct, pickle, utf-8, index, memory...
+        raise CodecError(f"undecodable WAL record of {len(body)} bytes: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    if type(value) is not tuple:
+        raise CodecError(f"WAL record decodes to a "
+                         f"{type(value).__name__}, not a tuple")
+    if offset != len(body):
+        raise CodecError(f"WAL record ends at byte {offset} of "
+                         f"{len(body)}")
     return value

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from struct import Struct
 
 from .._stats import stat
-from ..sim.codec import pack_record, unpack_record
+from ..sim.codec import CodecError, pack_record, unpack_record
 
 WAL_MODES = ("off", "fsync", "group")
 """Durability modes a run can select (``RunConfig.wal``)."""
@@ -199,7 +199,10 @@ def replay_wal(path: str) -> list[tuple]:
     """All decodable records of one log, in append order.
 
     Tolerates a torn tail — a crash mid-append leaves a short or
-    undecodable final record, which simply was not durable yet.
+    undecodable final record, which simply was not durable yet.  Replay
+    stops at the first frame that is not exactly one record: a length
+    corrupted to swallow the next frame ends the log there rather than
+    silently dropping that frame and carrying on.
     """
     records: list[tuple] = []
     try:
@@ -215,7 +218,7 @@ def replay_wal(path: str) -> list[tuple]:
             break  # torn tail
         try:
             record = unpack_record(data[start:start + length])
-        except Exception:
+        except CodecError:
             break  # torn/corrupt tail: nothing after it is trustworthy
         records.append(record)
         offset = start + length

@@ -3,10 +3,12 @@
 On a small fixed-seed TPC-C Chiller sim run: storage hashes a key only
 to find a lock word (never to find a record), makes a lock word only
 for a bucket that gets locked (never at build), a message's payload is
-walked once and a procedure's static shape compiled once.  The budgets
-sit well under what the per-use work costs (81 hash evaluations per
-commit when record ops hashed too, 360 000 bucket objects at build, one
-walk per *recipient*, one ``_alias_map`` per op instance per
+walked once, a procedure's static shape compiled once, a transaction
+instantiated once and its region split planned once per signature.
+The budgets sit well under what the per-use work costs (81 hash
+evaluations per commit when record ops hashed too, 360 000 bucket
+objects at build, one walk per *recipient*, one ``_alias_map`` per op
+instance per transaction, one instantiation per region, one split per
 transaction), so a change that reintroduces it fails here without
 anyone having to read a profile.
 """
@@ -14,20 +16,25 @@ anyone having to read a profile.
 import pytest
 
 import repro._util as util
+import repro.core.chiller as chiller
 import repro.sim.network as network
 import repro.storage.bucket as bucket
 import repro.txn.executor as executor
 from repro.analysis import StoredProcedure
 from repro.bench import RunConfig
 from repro.bench.setups import make_tpcc_run
+from repro.core import RegionPlanner
 
 HASHES_PER_COMMIT = 20
 """Storage hashes once per lock-word lookup and nowhere else: this run
-makes 17.0 ``try_lock`` calls per commit (attempts that abort included;
-``release_all`` needs no lookup).  The 57 record operations per commit
-(reads, version checks, writes, inserts, deletes on primaries and
-replicas) must add none."""
+makes 18.2 ``try_lock`` calls per commit (attempts that abort included;
+``release_all`` needs no lookup).  The record operations (reads,
+version checks, writes, inserts, deletes on primaries and replicas)
+must add none."""
 ALIAS_MAPS_PER_RUN = 1_000
+INSTANTIATIONS_PER_COMMIT = 1.2
+"""This run instantiates 1.015 times per commit; while an inline inner
+region re-instantiated what its own coordinator had, it was 2.03."""
 
 
 def stores_of(db):
@@ -49,15 +56,19 @@ def counted_run():
     """Run the cell once with counters on the pure functions and on
     lock-word construction."""
     config = RunConfig(n_partitions=4, concurrent_per_engine=8,
-                       horizon_us=500.0, warmup_us=50.0, seed=11,
+                       horizon_us=2_000.0, warmup_us=50.0, seed=11,
                        n_replicas=2)
-    counts = {"hashes": 0, "alias_maps": 0, "lock_words": 0}
+    counts = {"hashes": 0, "alias_maps": 0, "lock_words": 0,
+              "instantiations": 0, "plan_misses": 0}
     locked = set()              # (table store, bucket) ever looked up
     walked = []                 # every object whose size was walked
     depth = [0]
     patch = pytest.MonkeyPatch()
     stable_hash, walk = util.stable_hash, network.approx_payload_bytes
     alias_map = StoredProcedure._alias_map
+    instantiate, split = StoredProcedure.instantiate, RegionPlanner._split
+    signature = RegionPlanner._signature
+    signatures = set()          # every distinct one the planners met
     LockWord, lock_for = bucket.LockWord, bucket.BucketStore.lock_for
 
     def counting_lock_word():
@@ -86,6 +97,19 @@ def counted_run():
         counts["alias_maps"] += 1
         return alias_map(self, spec, index)
 
+    def counting_instantiate(self, params):
+        counts["instantiations"] += 1
+        return instantiate(self, params)
+
+    def counting_split(self, instances, params):
+        counts["plan_misses"] += 1
+        return split(self, instances, params)
+
+    def recording_signature(self, instances, params):
+        made = signature(self, instances, params)
+        signatures.add(made)
+        return made
+
     try:
         patch.setattr(bucket, "LockWord", counting_lock_word)
         run = make_tpcc_run("chiller", config)
@@ -96,11 +120,16 @@ def counted_run():
         patch.setattr(bucket, "stable_hash", counting_hash)
         patch.setattr(network, "approx_payload_bytes", counting_walk)
         patch.setattr(executor, "approx_payload_bytes", counting_walk)
+        patch.setattr(chiller, "approx_payload_bytes", counting_walk)
         patch.setattr(StoredProcedure, "_alias_map", counting_alias_map)
+        patch.setattr(StoredProcedure, "instantiate", counting_instantiate)
+        patch.setattr(RegionPlanner, "_split", counting_split)
+        patch.setattr(RegionPlanner, "_signature", recording_signature)
         result = run.run()
     finally:
         patch.undo()
     counts["buckets_locked"] = len(locked)
+    counts["signatures"] = len(signatures)
     return run, result, counts, walked
 
 
@@ -139,6 +168,24 @@ def test_each_message_is_sized_at_most_once(counted_run):
     # replicas is two sends and one walk
     assert 0 < len(walked) < sent + verbs
     assert len(walked) < sent
+
+
+def test_region_plans_are_made_once_per_signature(counted_run):
+    _run, result, counts, _walked = counted_run
+    # a miss plans from scratch; every later plan of the signature is a
+    # cache hit, so a signature never misses twice (the cache is bounded
+    # far above what this run meets, so it is never emptied here)
+    assert 0 < counts["plan_misses"] <= counts["signatures"]
+    assert counts["plan_misses"] < result.metrics.commits / 5
+
+
+def test_a_transaction_is_instantiated_once(counted_run):
+    _run, result, counts, _walked = counted_run
+    # once per attempt by the coordinator; an inline inner region reuses
+    # those instances, only an inner region shipped to another host
+    # instantiates again
+    assert counts["instantiations"] <= (INSTANTIATIONS_PER_COMMIT
+                                        * result.metrics.commits)
 
 
 def test_procedure_shapes_are_compiled_not_rederived(counted_run):

@@ -1,5 +1,6 @@
 """Unit tests for the RDMA-flavoured network model."""
 
+import dataclasses
 import typing
 
 import pytest
@@ -476,3 +477,88 @@ def test_payload_walk_matches_the_walk_it_replaced():
         assert approx_payload_bytes(payload) == want  # classes now cached
         sizes.add(want)
     assert len(sizes) > 300     # the generator really varies
+
+
+# -- shared and cyclic structure, drawn by hypothesis -------------------------
+
+
+@dataclasses.dataclass
+class _Node:
+    key: object
+    kids: object
+    note: str = ""
+
+
+def _payloads():
+    """Nested payloads that share and close cycles over their own
+    containers: every list / dict / dataclass may later receive a
+    reference to any container made before it, itself included."""
+    from hypothesis import strategies as st
+
+    leaves = st.one_of(st.none(), st.booleans(), st.integers(),
+                       st.floats(allow_nan=False), st.text(max_size=6),
+                       st.binary(max_size=6), st.just(()),
+                       st.just(len))
+    keys = st.one_of(st.integers(), st.text(max_size=4),
+                     st.tuples(st.integers(), st.text(max_size=3)))
+    tree = st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(keys, kids, max_size=4),
+            st.builds(_Node, keys, st.lists(kids, max_size=3),
+                      st.text(max_size=4))),
+        max_leaves=40)
+
+    @st.composite
+    def shared(draw):
+        root = draw(tree)
+        made = []
+
+        def collect(obj):
+            if isinstance(obj, (list, dict, _Node)):
+                if any(obj is seen for seen in made):
+                    return
+                made.append(obj)
+            if isinstance(obj, (list, tuple)):
+                children = obj
+            elif isinstance(obj, dict):
+                children = obj.values()
+            elif isinstance(obj, _Node):
+                children = (obj.key, obj.kids)
+            else:
+                return
+            for child in list(children):
+                collect(child)
+        collect(root)
+        for _ in range(draw(st.integers(0, 4))):
+            if not made:
+                break
+            target = draw(st.sampled_from(made))
+            ref = draw(st.sampled_from(made))
+            if isinstance(target, list):
+                target.append(ref)
+            elif isinstance(target, dict):
+                target[draw(keys)] = ref
+            else:
+                target.kids = [target.kids, ref]
+        # deeper than the walk goes: a chain of wrappers above the root
+        for _ in range(draw(st.integers(0, 20))):
+            root = draw(st.sampled_from(
+                [[root], (root, 1), {"d": root}, _Node(0, root)]))
+        return root
+    return shared()
+
+
+def test_walk_matches_the_reference_on_shared_and_cyclic_payloads():
+    from hypothesis import given, settings
+
+    from repro.sim import approx_payload_bytes
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_payloads())
+    def check(payload):
+        assert approx_payload_bytes(payload) == \
+            _reference_payload_bytes(payload)
+    check()

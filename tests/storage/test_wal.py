@@ -8,13 +8,14 @@ policy must match the mode (group commit batches, forced syncs don't).
 """
 
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._stats import folded, report
-from repro.sim.codec import pack_record, unpack_record
+from repro.sim.codec import CodecError, pack_record, unpack_record
 from repro.storage.wal import (APPEND_US, FSYNC_US, R_DECISION, R_END,
                                R_PREPARE, ROLE_COORDINATOR, ROLE_INNER,
                                ROLE_PARTICIPANT, RecoveryStats, WalSpec,
@@ -125,6 +126,85 @@ def test_garbage_tail_is_dropped(tmp_path):
 
 def test_replay_missing_file_is_empty():
     assert replay_wal("/nonexistent/server-0.wal") == []
+
+
+# -- corrupt bytes: a typed error or a clean stop, never a wrong record -------
+
+
+def frames(records):
+    """The log bytes of ``records`` and the offset each frame ends at."""
+    data, ends = b"", []
+    for record in records:
+        body = pack_record(record)
+        data += len(body).to_bytes(4, "little") + body
+        ends.append(len(data))
+    return data, ends
+
+
+def replay_bytes(data):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "server-0.wal")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return replay_wal(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(logged=st.lists(records, min_size=1, max_size=4))
+def test_truncation_at_every_offset_replays_the_whole_record_prefix(logged):
+    data, ends = frames(logged)
+    for offset in range(len(data) + 1):
+        whole = sum(end <= offset for end in ends)
+        assert replay_bytes(data[:offset]) == logged[:whole], offset
+
+
+@pytest.mark.parametrize("victim", range(len(RECORDS) - 1))
+def test_a_length_that_swallows_the_next_frame_stops_replay(victim):
+    data, ends = frames(RECORDS)
+    start = ends[victim - 1] if victim else 0
+    swallowing = ends[victim + 1] - start - 4
+    corrupt = (data[:start] + swallowing.to_bytes(4, "little")
+               + data[start + 4:])
+    assert replay_bytes(corrupt) == RECORDS[:victim]
+
+
+@pytest.mark.parametrize("body", [
+    b"", b"\x00", b"\x02", b"\x03" + bytes(8),         # not a tuple
+    pack_record((R_END, 1)) + b"\x00",                  # trailing bytes
+    b"\x09\x01\x00\x05\xff\x00\x00\x00ab",              # str overruns body
+    b"\x09\x01\x00\x08\x7f",                            # unknown atom
+    b"\x09\x01\x00\x07\x03\x00\x00\x00abc",             # bad pickle blob
+    b"\x09\x01\x00\x05\x02\x00\x00\x00\xff\xfe",        # bad utf-8
+    b"\x09\x02\x00\x03",                                # truncated int
+])
+def test_malformed_record_bodies_raise_codec_error(body):
+    with pytest.raises(CodecError):
+        unpack_record(body)
+
+
+def decodes_or_refuses(body):
+    try:
+        record = unpack_record(body)
+    except CodecError:
+        return
+    assert type(record) is tuple
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.binary(max_size=48))
+def test_arbitrary_bytes_decode_to_a_tuple_or_raise_codec_error(body):
+    decodes_or_refuses(body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=st.sampled_from(RECORDS), data=st.data())
+def test_bit_flipped_records_decode_to_a_tuple_or_raise_codec_error(
+        record, data):
+    body = bytearray(pack_record(record))
+    for _ in range(data.draw(st.integers(1, 3))):
+        bit = data.draw(st.integers(0, 8 * len(body) - 1))
+        body[bit // 8] ^= 1 << (bit % 8)
+    decodes_or_refuses(bytes(body))
 
 
 def test_group_commit_batches_fsyncs(tmp_path):
