@@ -23,21 +23,19 @@ Protocol per transaction (Fig. 3b):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Generator, Mapping
+from typing import Any, Generator, Mapping, NamedTuple
 
 from ..analysis import OpInstance, OpKind
-from ..replication import InnerReplicaAck, InnerReplicate, ReplicaWrite
+from ..replication import InnerReplicaAck, InnerReplicate
 from ..sim import Await, Compute, OneSided, Rpc, Signal, approx_payload_bytes
 from ..storage import LockMode
 from ..storage.wal import R_DECISION, R_END, R_PREPARE, ROLE_INNER
 from ..txn import Database, HistoryRecorder
 from ..txn.commit_fsm import CommitFsm, apply_wire_writes, crash_point
-from ..txn.common import (CPU_APPLY_US, CPU_CHECK_US, CPU_LOCAL_OP_US,
-                          CPU_REPLICA_APPLY_US, AbortReason, TxnRequest)
+from ..txn.common import CPU_REPLICA_APPLY_US, AbortReason, TxnRequest
 from ..txn.executor import BaseExecutor, TxnState
 from .lookup import HotRecordTable
-from .regions import RegionPlan, RegionPlanner
+from .regions import RegionPlan, RegionPlanner, inner_cpu_us
 
 RPC_INNER = "chiller_inner"
 RPC_REPLICATE = "chiller_replicate"
@@ -51,8 +49,7 @@ _ABORT_BY_STATUS = {
 }
 
 
-@dataclass(frozen=True)
-class InnerRequest:
+class InnerRequest(NamedTuple):
     """Coordinator -> inner host: execute and commit these operations."""
 
     txn_id: int
@@ -155,16 +152,15 @@ class ChillerExecutor(BaseExecutor):
         if expected_acks:
             self._pending_acks[state.txn_id] = _AckState(expected_acks)
         inner_request = InnerRequest(
-            txn_id=state.txn_id, proc=state.request.proc,
-            params=state.request.params,
-            inner_names=tuple(inst.name for inst in plan.inner),
-            ctx=dict(state.ctx), coordinator=state.request.home)
+            state.txn_id, state.request.proc, state.request.params,
+            plan.inner_names(), dict(state.ctx), state.request.home)
         if plan.inner_host == state.request.home:
             # the coordinator is the inner host: run it inline on this
             # engine (still consuming this core's CPU) over the
             # instances it already has
-            reply = yield from self._inner_body(plan.inner_host,
-                                                inner_request, plan.inner)
+            reply = yield from self._inner_body(
+                plan.inner_host, inner_request, plan.inner,
+                plan.inner_cpu_us)
         else:
             reply = yield Rpc(plan.inner_host, (RPC_INNER, inner_request))
 
@@ -208,21 +204,24 @@ class ChillerExecutor(BaseExecutor):
         proc = self.db.registry.get(body.proc)
         by_name = {inst.name: inst
                    for inst in proc.instantiate(body.params)}
-        return (yield from self._inner_body(
-            server_id, body, [by_name[name] for name in body.inner_names]))
+        instances = [by_name[name] for name in body.inner_names]
+        return (yield from self._inner_body(server_id, body, instances,
+                                            inner_cpu_us(instances)))
 
     def _inner_body(self, server_id: int, req: InnerRequest,
-                    instances: list[OpInstance]) -> Generator:
+                    instances: list[OpInstance],
+                    cpu_us: float) -> Generator:
         """Execute the inner region (``instances``, the ops named by
         ``req.inner_names``) locally; commit unilaterally.
 
         The inner region runs "from beginning to end with no stall"
-        (Section 3.3): one contiguous CPU block for its logic, then one
-        atomic local critical section that locks, reads, checks,
-        applies, and releases.  Concurrent inner regions on the same
-        partition are therefore serialized by the host's core instead
-        of conflicting — the paper's "conflicts are most likely handled
-        sequentially in the inner region".
+        (Section 3.3): one contiguous CPU block for its logic
+        (``cpu_us``, :func:`~repro.core.regions.inner_cpu_us` of the
+        instances), then one atomic local critical section that locks,
+        reads, checks, applies, and releases.  Concurrent inner regions
+        on the same partition are therefore serialized by the host's
+        core instead of conflicting — the paper's "conflicts are most
+        likely handled sequentially in the inner region".
         """
         tr = self.db.tracer
         # the inner host's span joins the coordinator's tree via the
@@ -232,14 +231,8 @@ class ChillerExecutor(BaseExecutor):
                  if tr.enabled else 0)
         t0 = self.db.cluster.sim.now if trace else 0.0
         store = self.db.store(server_id)
-        n_record_ops = sum(1 for inst in instances
-                           if inst.spec.kind is not OpKind.CHECK)
-        n_checks = len(instances) - n_record_ops
-        n_writes = sum(1 for inst in instances if inst.spec.is_write())
         # every inner operation is local to this host by construction
-        yield Compute(CPU_LOCAL_OP_US * n_record_ops
-                      + CPU_CHECK_US * n_checks
-                      + CPU_APPLY_US * max(1, n_writes))
+        yield Compute(cpu_us)
         result = yield OneSided(
             server_id,
             lambda: self._inner_critical_section(store, instances, req),
@@ -340,14 +333,12 @@ class ChillerExecutor(BaseExecutor):
 
     def _replicate_inner(self, server_id: int, req: InnerRequest,
                          writes: list[tuple]) -> None:
-        """Fig. 6: fire replication messages and move on immediately."""
+        """Fig. 6: fire replication messages and move on immediately,
+        shipping the very writes the host applied."""
         if self.db.replicas is None:
             return
-        shipped = tuple(ReplicaWrite(kind, table, key, values)
-                        for kind, table, key, values in writes)
-        message = InnerReplicate(txn_id=req.txn_id, partition=server_id,
-                                 writes=shipped,
-                                 coordinator=req.coordinator)
+        message = InnerReplicate(req.txn_id, server_id, tuple(writes),
+                                 req.coordinator)
         engine = self.db.cluster.engine(server_id)
         payload = (RPC_REPLICATE, message)
         # one walk per message, not per replica it is fanned out to

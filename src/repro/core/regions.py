@@ -20,7 +20,9 @@ could not be locked after the inner region committed unilaterally.
 
 The split reads nothing of a transaction but its compiled layout, each
 op's partition (or that it is unknown) and which exact READs are hot,
-so :meth:`RegionPlanner.plan` memoises it under exactly that signature.
+so :meth:`RegionPlanner.plan` memoises it under exactly that signature,
+together with the two constants of a split that the inner host needs:
+the inner op names and the inner region's CPU charge.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..analysis import OpInstance, OpKind
+from ..txn.common import CPU_APPLY_US, CPU_CHECK_US, CPU_LOCAL_OP_US
 from .lookup import HotRecordTable
 
 PlacementFn = Callable[[str, Any], int]
@@ -39,8 +42,22 @@ PLAN_CACHE_CAP = 4096
 """Splits a plan cache keeps before it starts over (the TPC-C cell meets
 about 150 distinct signatures)."""
 
-_Split = tuple[bool, "int | None", tuple[int, ...], tuple[int, ...], int, int]
-"""A cached :class:`RegionPlan`: ops as positions in the instantiation."""
+_Split = tuple[bool, "int | None", tuple[int, ...], tuple[int, ...], int, int,
+               tuple[str, ...], float]
+"""A cached :class:`RegionPlan`: ops as positions in the instantiation,
+then the inner names and CPU charge."""
+
+
+def inner_cpu_us(instances: list[OpInstance]) -> float:
+    """CPU the inner host charges to run ``instances`` as one inner
+    region: one contiguous block for every local record op, CHECK and
+    applied write (Section 3.3's "no stall")."""
+    n_record_ops = sum(1 for inst in instances
+                       if inst.spec.kind is not OpKind.CHECK)
+    n_checks = len(instances) - n_record_ops
+    n_writes = sum(1 for inst in instances if inst.spec.is_write())
+    return (CPU_LOCAL_OP_US * n_record_ops + CPU_CHECK_US * n_checks
+            + CPU_APPLY_US * max(1, n_writes))
 
 
 @dataclass
@@ -53,9 +70,13 @@ class RegionPlan:
     outer: list[OpInstance] = field(default_factory=list)
     hot_inner_records: int = 0
     blocked_hot_records: int = 0
+    names: tuple[str, ...] = ()
+    """``inner``'s op names, in order (what the inner request ships)."""
+    inner_cpu_us: float = 0.0
+    """:func:`inner_cpu_us` of ``inner`` (0 for a one-region plan)."""
 
-    def inner_names(self) -> list[str]:
-        return [inst.name for inst in self.inner]
+    def inner_names(self) -> tuple[str, ...]:
+        return self.names
 
 
 class RegionPlanner:
@@ -85,6 +106,9 @@ class RegionPlanner:
         split = self.cache.get(signature)
         if split is None:
             plan = self._split(instances, params)
+            if plan.two_region:
+                plan.names = tuple(inst.name for inst in plan.inner)
+                plan.inner_cpu_us = inner_cpu_us(plan.inner)
             position = {inst.name: i for i, inst in enumerate(instances)}
             if len(self.cache) >= PLAN_CACHE_CAP:
                 self.cache.clear()
@@ -92,13 +116,15 @@ class RegionPlanner:
                 plan.two_region, plan.inner_host,
                 tuple(position[inst.name] for inst in plan.inner),
                 tuple(position[inst.name] for inst in plan.outer),
-                plan.hot_inner_records, plan.blocked_hot_records)
+                plan.hot_inner_records, plan.blocked_hot_records,
+                plan.names, plan.inner_cpu_us)
             return plan
-        two_region, inner_host, inner, outer, hot_inner, blocked = split
+        (two_region, inner_host, inner, outer, hot_inner, blocked, names,
+         cpu_us) = split
         return RegionPlan(two_region, inner_host,
                           [instances[i] for i in inner],
                           [instances[i] for i in outer],
-                          hot_inner, blocked)
+                          hot_inner, blocked, names, cpu_us)
 
     def _signature(self, instances: list[OpInstance],
                    params: Mapping[str, Any]) -> tuple:

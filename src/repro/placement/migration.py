@@ -26,16 +26,17 @@ value crosses a real serialization boundary through the wire codec):
 Because the exclusive lock is held from step 1 through step 4, no
 committed write can land on the source copy after its value was
 shipped — the "never lose a committed write" property the conformance
-suite asserts.
+suite asserts.  A move whose lock or any install verb meets a dead
+worker (a ``PEER_DOWN`` reply) stops before the flip: the source copy
+stays the record's home, unlocked.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from ..replication import ReplicaWrite
 from ..sim import All, Compute, OneSided, Rpc, Sleep
-from ..sim.codec import DispatchContext, OpDescriptor, op_handler
+from ..sim.codec import PEER_DOWN, DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from ..txn.common import next_txn_id
 from .controller import (CONTROLLER_HOME, FLIP_CPU_US, PLAN_CPU_US,
@@ -131,7 +132,7 @@ class MigrationExecutor:
         return OpDescriptor(kind, pid, table, key,
                             args).bind(self.db.dispatch_context)
 
-    def _replica_ships(self, pid: int, write: ReplicaWrite) -> list:
+    def _replica_ships(self, pid: int, write: tuple) -> list:
         if self.db.replicas is None:
             return []
         return [OneSided(rserver,
@@ -172,6 +173,8 @@ class MigrationExecutor:
             src, self._op("lock_read", src, table, key,
                           (LockMode.EXCLUSIVE, txn_id)),
             kind="migrate_lock")
+        if result == PEER_DOWN:
+            return False    # the source's worker is dead: nothing held
         if result[0] == "conflict":
             stats.moves_conflicted += 1
             return False
@@ -179,26 +182,31 @@ class MigrationExecutor:
             # the bucket lock was taken before the miss surfaced —
             # release it, then skip the move (record was deleted)
             stats.moves_missing += 1
-            yield OneSided(src, self._op("release", src, None, None,
-                                         (txn_id,)),
-                           kind="migrate_remove")
+            yield from self._release(src, txn_id)
             return False
         fields = result[1]
         install = [OneSided(dst, self._op("migrate_install", dst, table,
                                           key, (fields,)),
                             kind="migrate_install")]
-        install += self._replica_ships(
-            dst, ReplicaWrite("insert", table, key, fields))
-        yield All(install)
+        install += self._replica_ships(dst, ("insert", table, key, fields))
+        installed = yield All(install)
+        if PEER_DOWN in installed:
+            # a copy that did not land everywhere must not become the
+            # record's home: keep the source authoritative
+            yield from self._release(src, txn_id)
+            return False
         yield from self._flip_everywhere(table, key, dst, epoch)
         remove = [OneSided(src, self._op("migrate_remove", src, table,
                                          key, (txn_id,)),
                            kind="migrate_remove")]
-        remove += self._replica_ships(
-            src, ReplicaWrite("delete", table, key, None))
+        remove += self._replica_ships(src, ("delete", table, key, None))
         yield All(remove)
         stats.moves_applied += 1
         return True
+
+    def _release(self, src: int, txn_id: int) -> Generator:
+        yield OneSided(src, self._op("release", src, None, None, (txn_id,)),
+                       kind="migrate_remove")
 
     def _flip_everywhere(self, table: str, key, dst: int,
                          epoch: int) -> Generator:

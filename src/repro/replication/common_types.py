@@ -1,34 +1,28 @@
-"""Wire-level types shared by the replication protocols."""
+"""Wire-level types shared by the replication protocols.
+
+A replicated write is the ``(kind, table, key, values)`` tuple its
+coordinator evaluated and applied (:mod:`repro.txn.common`).  Messages
+are ``NamedTuple``s: cheap to build, and sized by the payload walk as
+the tuples they are.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ReplicaWrite:
-    """One record mutation shipped to a replica."""
-
-    kind: str               # "update" | "insert" | "delete"
-    table: str
-    key: Any
-    values: dict[str, Any] | None = None
-
-
-@dataclass(frozen=True)
-class InnerReplicate:
+class InnerReplicate(NamedTuple):
     """Inner host -> replica: apply this inner-region write-set, then
     acknowledge directly to the *coordinator* (paper Fig. 6)."""
 
     txn_id: int
     partition: int
-    writes: tuple[ReplicaWrite, ...]
+    writes: tuple
+    """The inner region's ``(kind, table, key, values)`` writes."""
     coordinator: int
 
 
-@dataclass(frozen=True)
-class InnerReplicaAck:
+class InnerReplicaAck(NamedTuple):
     """Replica -> coordinator: inner-region writes are durable here."""
 
     txn_id: int

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable
 
 from ..storage import PartitionStore, TableSpec
-from .common_types import ReplicaWrite
 
 
 class ReplicaManager:
@@ -63,10 +62,11 @@ class ReplicaManager:
                 self._stores[(server, partition)].load(table, key, fields)
 
     def apply(self, server: int, partition: int,
-              writes: Iterable[ReplicaWrite]) -> None:
-        """Apply a committed write-set to one replica, in order."""
+              writes: Iterable[tuple]) -> None:
+        """Apply a committed write-set of ``(kind, table, key, values)``
+        tuples to one replica, in order."""
         store = self._stores[(server, partition)]
-        for write in writes:
+        for kind, table, key, values in writes:
             # upsert-tolerant, so a replica that missed an insert converges
-            store.redo(write.kind, write.table, write.key, write.values)
+            store.redo(kind, table, key, values)
         self.applied_counts[(server, partition)] += 1

@@ -13,10 +13,12 @@ Record shapes (first element is the record type):
 ``(R_PREPARE, txn_id, role, peer, payload)``
     The txn reached PREPARED here.  ``role`` says whose log this is for
     the txn: the coordinator logs its full write-set (``payload`` is a
-    tuple of ``(partition, wire_writes)`` pairs, ``peer`` is the home
+    tuple of ``(partition, writes)`` pairs, ``peer`` is the home
     server); a participant logs only the writes stashed for it
-    (``payload`` is its wire_writes tuple, ``peer`` is the coordinator
-    server that will decide).
+    (``payload`` is its ``writes``, ``peer`` is the coordinator server
+    that will decide).  ``writes`` is a tuple of the
+    ``(kind, table, key, values)`` tuples the coordinator evaluated —
+    the one write shape, logged as it was applied.
 
 ``(R_DECISION, txn_id, committed)``
     The commit/abort decision.  At the coordinator this record *is* the
@@ -38,7 +40,7 @@ the paper's replicated in-memory design targets.
 
 Recovery is redo-only: writes are buffered at the coordinator until the
 decision, so an aborted txn has nothing to undo, and redo is idempotent
-because wire writes carry absolute evaluated values.
+because writes carry absolute evaluated values.
 """
 
 from __future__ import annotations

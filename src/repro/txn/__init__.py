@@ -4,8 +4,8 @@ from .commit_fsm import (CommitFsm, CommitTable, InvalidTransition,
                          PreparedEntry, SimulatedCrash, TxnPhase,
                          recover_database, recovery_program,
                          resolve_in_doubt_local)
-from .common import (AbortReason, BufferedWrite, CommitLog, Outcome,
-                     TxnRequest, WriteKind, next_txn_id)
+from .common import (AbortReason, CommitLog, Outcome, TxnRequest,
+                     next_txn_id)
 from .database import Database
 from .executor import BaseExecutor, TxnState
 from .history import HistoryRecorder
@@ -15,7 +15,6 @@ from .twopl import TwoPLExecutor
 __all__ = [
     "AbortReason",
     "BaseExecutor",
-    "BufferedWrite",
     "CommitFsm",
     "CommitLog",
     "CommitTable",
@@ -30,7 +29,6 @@ __all__ = [
     "TxnPhase",
     "TxnRequest",
     "TxnState",
-    "WriteKind",
     "next_txn_id",
     "recover_database",
     "recovery_program",

@@ -136,8 +136,8 @@ class CommitTable:
 # -- write application ---------------------------------------------------------
 
 def apply_wire_writes(store, writes) -> list:
-    """Apply wire-form writes ``(kind, table, key, values)`` to a store;
-    returns the committed ``((table, key), version)`` pairs."""
+    """Apply ``(kind, table, key, values)`` writes to a store; returns
+    the committed ``((table, key), version)`` pairs."""
     versions: list[tuple[tuple[str, Any], int]] = []
     for kind, table, key, values in writes:
         rid = (table, key)
@@ -152,11 +152,6 @@ def apply_wire_writes(store, writes) -> list:
             store.delete(table, key)
             versions.append((rid, (old or 0) + 1))
     return versions
-
-
-def wire_writes(buffered) -> tuple:
-    """Wire form of a partition's buffered writes."""
-    return tuple((w.kind.value, w.table, w.key, w.values) for w in buffered)
 
 
 # -- the coordinator FSM -------------------------------------------------------
@@ -215,8 +210,7 @@ class CommitFsm:
         ex, state = self.ex, self.state
         home = state.request.home
         crash_point("coord:before_prepare")
-        wire = tuple((pid, wire_writes(writes[pid]))
-                     for pid in sorted(writes))
+        wire = tuple((pid, tuple(writes[pid])) for pid in sorted(writes))
         self.wal.append((R_PREPARE, state.txn_id, ROLE_COORDINATOR,
                          home, wire))
         self._logged_prepare = True
@@ -225,7 +219,7 @@ class CommitFsm:
         remote = [pid for pid in sorted(writes) if pid != home]
         if not remote:
             return True
-        items = [(pid, _prepare_op(ex.db, pid, wire_writes(writes[pid]),
+        items = [(pid, _prepare_op(ex.db, pid, tuple(writes[pid]),
                                    state.txn_id, home))
                  for pid in remote]
         self._prepared = set(remote)

@@ -1,4 +1,10 @@
-"""Shared transaction types: requests, outcomes, buffered writes."""
+"""Shared transaction types: requests and outcomes.
+
+A write is a plain ``(kind, table, key, values)`` tuple from the moment
+it is evaluated (``kind`` is ``"update"``, ``"insert"`` or ``"delete"``;
+``values`` is ``None`` for a delete).  The commit and prepare verbs, the
+WAL and the replicas all receive that same tuple.
+"""
 
 from __future__ import annotations
 
@@ -86,22 +92,6 @@ class AbortReason(enum.Enum):
     PEER_DOWN = "peer_down"        # a participant worker died mid-txn
     # (retryable): the mp runtime short-circuits verbs to dead workers;
     # retries succeed once the parent respawns the worker
-
-
-class WriteKind(enum.Enum):
-    UPDATE = "update"
-    INSERT = "insert"
-    DELETE = "delete"
-
-
-@dataclass
-class BufferedWrite:
-    """A write evaluated at the coordinator, applied at commit time."""
-
-    kind: WriteKind
-    table: str
-    key: Any
-    values: dict[str, Any] | None = None
 
 
 @dataclass(slots=True)

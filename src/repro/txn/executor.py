@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable
 
 from ..analysis import OpInstance, OpKind
-from ..replication import ReplicaWrite
 from ..sim import (All, BatchedOneSided, Compute, OneSided,
                    approx_payload_bytes)
 from ..sim.codec import (DispatchContext, OpDescriptor, op_handler,
@@ -28,8 +27,7 @@ from ..storage import LockMode
 from .commit_fsm import apply_wire_writes
 from .common import (CPU_APPLY_US, CPU_BATCHED_OP_US, CPU_CHECK_US,
                      CPU_DISPATCH_US, CPU_LOCAL_OP_US, CPU_OP_US, AbortReason,
-                     BufferedWrite, CommitLog, Outcome, TxnRequest, WriteKind,
-                     next_txn_id)
+                     CommitLog, Outcome, TxnRequest, next_txn_id)
 from .database import Database
 from .history import HistoryRecorder
 
@@ -367,28 +365,30 @@ class BaseExecutor:
 
     def evaluate_writes(self, state: TxnState,
                         ops: Iterable[OpInstance] | None = None,
-                        ) -> dict[int, list[BufferedWrite]]:
-        """Evaluate write ops against the bound ctx; group by partition."""
+                        ) -> dict[int, list[tuple]]:
+        """Evaluate write ops against the bound ctx; group by partition.
+
+        Each write is the ``(kind, table, key, values)`` tuple that the
+        commit and prepare verbs, the WAL and the replicas all take as
+        it is."""
         if ops is None:
             ops = state.instances
-        by_partition: dict[int, list[BufferedWrite]] = {}
+        by_partition: dict[int, list[tuple]] = {}
         for inst in ops:
             kind = inst.spec.kind
             if kind is OpKind.UPDATE:
                 target = inst.target_instance()
                 table, key, pid = state.locations[target]
-                write = BufferedWrite(WriteKind.UPDATE, table, key,
-                                      inst.run_update(state.params,
-                                                      state.ctx))
+                write = ("update", table, key,
+                         inst.run_update(state.params, state.ctx))
             elif kind is OpKind.INSERT:
                 table, key, pid = self._insert_location(state, inst)
-                write = BufferedWrite(WriteKind.INSERT, table, key,
-                                      inst.run_insert_fields(state.params,
-                                                             state.ctx))
+                write = ("insert", table, key,
+                         inst.run_insert_fields(state.params, state.ctx))
             elif kind is OpKind.DELETE:
                 target = inst.target_instance()
                 table, key, pid = state.locations[target]
-                write = BufferedWrite(WriteKind.DELETE, table, key)
+                write = ("delete", table, key, None)
             else:
                 continue
             by_partition.setdefault(pid, []).append(write)
@@ -407,7 +407,7 @@ class BaseExecutor:
         return table, key, pid
 
     def replicate(self, state: TxnState,
-                  writes: dict[int, list[BufferedWrite]]) -> Generator:
+                  writes: dict[int, list[tuple]]) -> Generator:
         """Ship write-sets to every replica of every written partition."""
         if self.db.replicas is None or not writes:
             return
@@ -415,7 +415,7 @@ class BaseExecutor:
         items: list[tuple[int, Callable[[], Any]]] = []
         sizes: list[int] = []
         for pid, partition_writes in writes.items():
-            shipped = tuple(_to_replica_write(w) for w in partition_writes)
+            shipped = tuple(partition_writes)
             nbytes = approx_payload_bytes(shipped)
             for rserver in replicas.replica_servers(pid):
                 items.append((rserver,
@@ -428,7 +428,7 @@ class BaseExecutor:
                                           sizes=sizes)
 
     def commit_phase(self, state: TxnState,
-                     writes: dict[int, list[BufferedWrite]],
+                     writes: dict[int, list[tuple]],
                      partitions: Iterable[int] | None = None) -> Generator:
         """Apply buffered writes and release all locks, one round."""
         targets = set(partitions if partitions is not None
@@ -445,7 +445,7 @@ class BaseExecutor:
         for versions in results:
             state.write_versions.extend(versions)
 
-    def commit_op(self, pid: int, writes: list[BufferedWrite],
+    def commit_op(self, pid: int, writes: list[tuple],
                   txn_id: int) -> OpDescriptor:
         """One partition's combined apply+release verb (for the commit
         FSM's decision round)."""
@@ -565,11 +565,11 @@ def _do_lock_insert(ctx: DispatchContext, d: OpDescriptor) -> tuple:
     return ("ok",)
 
 
-def _commit_op(db: Database, pid: int, writes: list[BufferedWrite],
+def _commit_op(db: Database, pid: int, writes: list[tuple],
                txn_id: int) -> OpDescriptor:
-    wire = tuple((w.kind.value, w.table, w.key, w.values) for w in writes)
     return OpDescriptor("commit", pid,
-                        args=(wire, txn_id)).bind(db.dispatch_context)
+                        args=(tuple(writes),
+                              txn_id)).bind(db.dispatch_context)
 
 
 @op_handler("commit")
@@ -592,13 +592,8 @@ def _do_release(ctx: DispatchContext, d: OpDescriptor) -> int:
     return ctx.store_of(d.partition).release_all(txn_id)
 
 
-def _to_replica_write(write: BufferedWrite) -> ReplicaWrite:
-    return ReplicaWrite(write.kind.value, write.table, write.key,
-                        write.values)
-
-
 def _replica_apply_op(db: Database, rserver: int, pid: int,
-                      writes: tuple[ReplicaWrite, ...]) -> OpDescriptor:
+                      writes: tuple[tuple, ...]) -> OpDescriptor:
     return OpDescriptor("replica_apply", rserver,
                         args=(pid, writes)).bind(db.dispatch_context)
 

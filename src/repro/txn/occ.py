@@ -27,7 +27,7 @@ from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from .commit_fsm import CommitFsm
 from .common import (CPU_DISPATCH_US, CPU_LOCAL_OP_US, CPU_OP_US, AbortReason,
-                     TxnRequest, WriteKind)
+                     TxnRequest)
 from .database import Database
 from .executor import BaseExecutor, TxnState
 
@@ -82,14 +82,13 @@ class OccExecutor(BaseExecutor):
         written: set[tuple[str, Any]] = set()
         for pid, partition_writes in writes.items():
             state.touched.add(pid)
-            for write in partition_writes:
-                rid = (write.table, write.key)
+            for kind, table, key, _values in partition_writes:
+                rid = (table, key)
                 written.add(rid)
                 expected = read_versions.get(rid)
                 lock_items.append((pid, _validate_write_op(
-                    self.db, pid, write.table, write.key,
-                    state.txn_id, expected,
-                    is_insert=write.kind is WriteKind.INSERT)))
+                    self.db, pid, table, key, state.txn_id, expected,
+                    is_insert=kind == "insert")))
         if lock_items:
             yield Compute(CPU_DISPATCH_US
                           + self._validation_cpu(state, writes.keys()))

@@ -4,19 +4,25 @@ On a small fixed-seed TPC-C Chiller sim run: storage hashes a key only
 to find a lock word (never to find a record), makes a lock word only
 for a bucket that gets locked (never at build), a message's payload is
 walked once, a procedure's static shape compiled once, a transaction
-instantiated once and its region split planned once per signature.
-The budgets sit well under what the per-use work costs (81 hash
-evaluations per commit when record ops hashed too, 360 000 bucket
-objects at build, one walk per *recipient*, one ``_alias_map`` per op
-instance per transaction, one instantiation per region, one split per
-transaction), so a change that reintroduces it fails here without
-anyone having to read a profile.
+instantiated once, its region split planned once per signature and its
+inner region's CPU charge counted once per split, and the Chiller
+messages are built without a frozen dataclass.  The budgets sit well
+under what the per-use work costs (81 hash evaluations per commit when
+record ops hashed too, 360 000 bucket objects at build, one walk per
+*recipient*, one ``_alias_map`` per op instance per transaction, one
+instantiation per region, one split and one charge per transaction,
+four dataclass messages per two-region commit), so a change that
+reintroduces it fails here without anyone having to read a profile.
 """
+
+import dataclasses
+import sys
 
 import pytest
 
 import repro._util as util
 import repro.core.chiller as chiller
+import repro.core.regions as regions
 import repro.sim.network as network
 import repro.storage.bucket as bucket
 import repro.txn.executor as executor
@@ -59,7 +65,8 @@ def counted_run():
                        horizon_us=2_000.0, warmup_us=50.0, seed=11,
                        n_replicas=2)
     counts = {"hashes": 0, "alias_maps": 0, "lock_words": 0,
-              "instantiations": 0, "plan_misses": 0}
+              "instantiations": 0, "plan_misses": 0, "inner_charges": 0,
+              "inner_rpcs": 0, "frozen_builds": 0}
     locked = set()              # (table store, bucket) ever looked up
     walked = []                 # every object whose size was walked
     depth = [0]
@@ -70,6 +77,8 @@ def counted_run():
     signature = RegionPlanner._signature
     signatures = set()          # every distinct one the planners met
     LockWord, lock_for = bucket.LockWord, bucket.BucketStore.lock_for
+    charge = regions.inner_cpu_us
+    inner_handler = chiller.ChillerExecutor._inner_handler
 
     def counting_lock_word():
         counts["lock_words"] += 1
@@ -110,8 +119,25 @@ def counted_run():
         signatures.add(made)
         return made
 
+    def counting_charge(instances):
+        counts["inner_charges"] += 1
+        return charge(instances)
+
+    def counting_inner_handler(self, server_id, src, body):
+        counts["inner_rpcs"] += 1
+        return inner_handler(self, server_id, src, body)
+
+    def counting_init(init):
+        def counted(self, *args, **kwargs):
+            counts["frozen_builds"] += 1
+            init(self, *args, **kwargs)
+        return counted
+
     try:
         patch.setattr(bucket, "LockWord", counting_lock_word)
+        # the executor registers its RPC handler when it is built
+        patch.setattr(chiller.ChillerExecutor, "_inner_handler",
+                      counting_inner_handler)
         run = make_tpcc_run("chiller", config)
         counts["lock_words_at_build"] = counts["lock_words"]
         counts["records_at_build"] = sum(map(len, tables_of(run.database)))
@@ -125,12 +151,26 @@ def counted_run():
         patch.setattr(StoredProcedure, "instantiate", counting_instantiate)
         patch.setattr(RegionPlanner, "_split", counting_split)
         patch.setattr(RegionPlanner, "_signature", recording_signature)
+        patch.setattr(regions, "inner_cpu_us", counting_charge)
+        patch.setattr(chiller, "inner_cpu_us", counting_charge)
+        for cls in frozen_dataclasses("repro.core", "repro.replication"):
+            patch.setattr(cls, "__init__", counting_init(cls.__init__))
         result = run.run()
     finally:
         patch.undo()
     counts["buckets_locked"] = len(locked)
     counts["signatures"] = len(signatures)
     return run, result, counts, walked
+
+
+def frozen_dataclasses(*packages):
+    """Every frozen dataclass defined in a loaded module of ``packages``."""
+    return [cls for name, module in list(sys.modules.items())
+            if name.startswith(packages) and module is not None
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == name
+            and dataclasses.is_dataclass(cls)
+            and cls.__dataclass_params__.frozen]
 
 
 def test_only_lock_lookups_hash(counted_run):
@@ -177,6 +217,27 @@ def test_region_plans_are_made_once_per_signature(counted_run):
     # far above what this run meets, so it is never emptied here)
     assert 0 < counts["plan_misses"] <= counts["signatures"]
     assert counts["plan_misses"] < result.metrics.commits / 5
+
+
+def test_the_inner_charge_is_counted_once_per_split(counted_run):
+    _run, result, counts, _walked = counted_run
+    # a split miss counts its inner region's ops once and the plan cache
+    # keeps the charge; only an inner region served over RPC, which
+    # instantiates its ops again, counts them again (on this cell every
+    # inner host is its transaction's coordinator)
+    assert 0 < counts["inner_charges"] <= (counts["plan_misses"]
+                                           + counts["inner_rpcs"])
+    assert counts["inner_charges"] < result.metrics.commits / 2
+
+
+def test_no_frozen_dataclass_is_built_on_the_message_path(counted_run):
+    _run, result, counts, _walked = counted_run
+    # the inner request (built inline too), the replication message, its
+    # acks and the writes they carry are tuples; the run really sent them
+    by_kind = result.database.cluster.network.stats.bytes_by_kind
+    assert by_kind[chiller.RPC_REPLICATE] > 0
+    assert by_kind[chiller.RPC_ACK] > 0
+    assert counts["frozen_builds"] == 0
 
 
 def test_a_transaction_is_instantiated_once(counted_run):

@@ -96,18 +96,22 @@ def test_nine_tenths_rounds_up():
     assert not pairs.claim_verdict(row, 3)["met"]
 
 
-def fake_runs(factor):
+def fake_runs(factor, anchor=None, anchor_factor=1.0, seen=None):
     """A ``run_once`` that starts no process: the change side reads
-    ``cpu_us_per_commit`` times ``factor``, every other metric equal."""
+    ``cpu_us_per_commit`` times ``factor`` (the ``anchor`` checkout
+    times ``anchor_factor``), every other metric equal.  ``seen`` lists
+    ``(seed, checkout)`` in the order they ran."""
     metrics = [m["name"] for m in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
     def run_once(command, checkout, seconds):
-        value = PARENT[int(command[command.index("--seed") + 1]) - 1]
-        change = checkout == pairs.ROOT
+        seed = int(command[command.index("--seed") + 1])
+        if seen is not None:
+            seen.append((seed, checkout))
+        scale = {pairs.ROOT: factor, anchor: anchor_factor}.get(checkout, 1)
         return {"correct": True, "failed": 0, "metrics": {
-            name: {"value": value * (factor if change and name
-                                     == "cpu_us_per_commit" else 1)}
+            name: {"value": PARENT[seed - 1] * (
+                scale if name == "cpu_us_per_commit" else 1)}
             for name in metrics}}
     return run_once
 
@@ -149,3 +153,106 @@ def test_a_malformed_claim_exits_2_before_any_run(tmp_path, monkeypatch,
                     str(tmp_path / "x.json"),
                     "--workload", "tpcc_chiller_sim", "--claim", claim])
     assert exit_.value.code == 2
+
+
+# -- the anchor arm and the trajectory ----------------------------------------
+
+
+def test_two_arms_alternate_and_three_rotate():
+    assert [pairs.arm_order(seed, False)[0] for seed in (1, 2, 3)] == [
+        "parent", "change", "parent"]
+    orders = [pairs.arm_order(seed, True) for seed in range(1, 7)]
+    assert all(sorted(order) == ["anchor", "change", "parent"]
+               for order in orders)
+    leads = [order[0] for order in orders]
+    assert {arm: leads.count(arm) for arm in leads} == {
+        "parent": 2, "change": 2, "anchor": 2}
+    assert sum(order.index("parent") < order.index("change")
+               for order in orders) == 3
+
+
+def test_main_with_an_anchor_runs_three_arms_and_records_ratios(
+        tmp_path, monkeypatch):
+    anchor = (tmp_path / "anchor").resolve()
+    anchor.mkdir()
+    seen = []
+    monkeypatch.setattr(pairs, "run_once", fake_runs(
+        0.85, anchor=anchor, anchor_factor=1.25, seen=seen))
+    out = tmp_path / "ledger.json"
+    code = pairs.main(["--parent", str(tmp_path), "--out", str(out),
+                       "--pairs", "3", "--workload", "tpcc_chiller_sim",
+                       "--anchor", str(anchor),
+                       "--claim", "tpcc_chiller_sim:cpu_us_per_commit"])
+    assert code == 0
+    # every seed runs all three arms, and each arm leads one seed
+    assert len(seen) == 9
+    assert {checkout for _seed, checkout in seen[0::3]} == {
+        tmp_path.resolve(), pairs.ROOT, anchor}
+    record = json.loads(out.read_text())
+    assert set(record) == {"parent_commit", "anchor_commit", "pairs",
+                           "seconds", "summary", "runs", "claim"}
+    assert {run["side"] for run in record["runs"]} == {
+        "parent", "change", "anchor"}
+    row = next(row for row in record["summary"]
+               if row["metric"] == "cpu_us_per_commit")
+    assert row["anchor_median"] == pytest.approx(1.25 * 100.0)
+    assert row["change_over_anchor"] == pytest.approx(0.85 / 1.25)
+    assert row["parent_over_anchor"] == pytest.approx(1 / 1.25)
+    # the pair verdict is still parent against change alone
+    assert row["pairs_won"] == 3 and row["verdict"] == "ok"
+    assert record["claim"]["pairs_won"] == 3
+
+
+def test_without_an_anchor_rows_carry_no_ratios(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(pairs, "run_once", fake_runs(1.0, seen=seen))
+    out = tmp_path / "ledger.json"
+    assert pairs.main(["--parent", str(tmp_path), "--out", str(out),
+                       "--pairs", "2",
+                       "--workload", "tpcc_chiller_sim"]) == 0
+    assert [seed for seed, _checkout in seen] == [1, 1, 2, 2]
+    assert [checkout == pairs.ROOT for _seed, checkout in seen] == [
+        False, True, True, False]
+    assert not any("anchor_median" in row
+                   for row in json.loads(out.read_text())["summary"])
+
+
+def test_trajectory_runs_nothing_and_prints_every_ledger(
+        tmp_path, monkeypatch, capsys):
+    anchor = (tmp_path / "anchor").resolve()
+    anchor.mkdir()
+    monkeypatch.setattr(pairs, "run_once", fake_runs(0.85, anchor=anchor,
+                                                     anchor_factor=1.25))
+    pairs.main(["--parent", str(tmp_path), "--out",
+                str(tmp_path / "BENCH_PR12.json"), "--pairs", "3",
+                "--workload", "tpcc_chiller_sim", "--anchor", str(anchor),
+                "--claim", "tpcc_chiller_sim:cpu_us_per_commit"])
+    monkeypatch.setattr(pairs, "run_once", fake_runs(1.0))
+    pairs.main(["--parent", str(tmp_path), "--out",
+                str(tmp_path / "BENCH_PR3.json"), "--pairs", "2",
+                "--workload", "ycsb_wal_sim"])
+    capsys.readouterr()
+
+    monkeypatch.setattr(pairs, "run_once", None)
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    assert pairs.main(["--trajectory"]) == 0
+    header, old, new = capsys.readouterr().out.splitlines()
+    assert header.split("\t")[:4] == ["ledger", "workload", "verdicts",
+                                      "claim"]
+    # so few pairs spread wider than the two tightest bounds
+    unresolved = "slo_ok_share unresolved, completed_share unresolved"
+    assert old.split("\t") == ["BENCH_PR3", "ycsb_wal_sim", unresolved,
+                               "-", "-", "-", "-", "-"]
+    assert new.split("\t") == [
+        "BENCH_PR12", "tpcc_chiller_sim", unresolved,
+        "cpu_us_per_commit -15.0% 3/3 met", "0.680", "0.800",
+        "1.000", "1.000"]
+
+
+def test_the_committed_ledgers_read_as_one_trajectory(capsys):
+    assert pairs.main(["--trajectory"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ledgers = sorted(ROOT.glob("BENCH_PR*.json"))
+    assert len(lines) == 1 + sum(
+        len({row["workload"] for row in json.loads(path.read_text())[
+            "summary"]}) for path in ledgers)

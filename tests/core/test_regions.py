@@ -282,8 +282,8 @@ def test_layouts_with_as_many_ops_do_not_share_a_split():
     wide_a, wide_b = {"a": [1, 5], "b": [2]}, {"a": [1], "b": [5, 6, 7]}
     first = planner.plan(proc.instantiate(wide_a), wide_a)
     second = planner.plan(proc.instantiate(wide_b), wide_b)
-    assert first.inner_names() == ["ra[1]", "ua[1]", "ra[0]", "ua[0]"]
-    assert second.inner_names() == ["rb[0]", "rb[2]", "ra[0]", "ua[0]"]
+    assert first.inner_names() == ("ra[1]", "ua[1]", "ra[0]", "ua[0]")
+    assert second.inner_names() == ("rb[0]", "rb[2]", "ra[0]", "ua[0]")
     assert len(planner.cache) == 2
 
 

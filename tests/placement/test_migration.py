@@ -16,7 +16,10 @@ from repro.bench.conformance import (MIGRATION_HOT_KEY, build_conformance_run,
 from repro.bench.metrics import APP_ABORTS
 from repro.placement import (CONTROLLER_HOME, MigrationExecutor,
                              PlacementSpec, PlacementStats)
-from repro.sim import Sleep
+import pytest
+
+from repro.sim import All, OneSided, Sleep
+from repro.sim.codec import PEER_DOWN
 from repro.txn.common import AbortReason, TxnRequest
 
 HOT = MIGRATION_HOT_KEY
@@ -103,6 +106,50 @@ def test_missing_record_is_skipped_without_leaking_its_lock():
     assert not moved
     assert stats.moves_missing == 1
     assert not db.store(pid).is_locked("usertable", 9_999)
+
+
+def drive_by_hand(gen, replies):
+    """Run a migration generator with no runtime: each verb runs against
+    the database, except that a verb of a kind in ``replies`` gets that
+    reply instead (how a dead worker answers); other effects get None."""
+    def perform(effect):
+        if isinstance(effect, All):
+            return [perform(each) for each in effect.effects]
+        if isinstance(effect, OneSided):
+            if effect.kind in replies:
+                return replies[effect.kind]
+            return effect.op()
+        return None
+    reply = None
+    while True:
+        try:
+            effect = gen.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = perform(effect)
+
+
+@pytest.mark.parametrize("dead", [
+    "migrate_lock",         # the source's worker
+    "migrate_install",      # the destination's
+    "replicate",            # a worker hosting a destination replica
+])
+def test_a_move_that_meets_a_dead_worker_keeps_the_source(dead):
+    run = build_sim_run()
+    db = run.database
+    migrator, stats = make_migrator(run)
+    src = db.partition_of("usertable", HOT)
+    before, _v = db.store(src).read("usertable", HOT)
+
+    moved = drive_by_hand(
+        migrator._migrate("usertable", HOT, (src + 1) % db.n_partitions,
+                          epoch=1),
+        {dead: PEER_DOWN})
+    assert moved is False and stats.moves_applied == 0
+    assert db.partition_of("usertable", HOT) == src
+    assert db.placement_epoch() == 0
+    assert db.store(src).read("usertable", HOT)[0] == before
+    assert not db.store(src).is_locked("usertable", HOT)
 
 
 def test_migrated_aborts_are_retryable_and_classified():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.replication import ReplicaManager, ReplicaWrite
+from repro.replication import ReplicaManager
 from repro.storage import TableSpec
 
 TABLES = [TableSpec("t", n_buckets=64)]
@@ -39,18 +39,18 @@ def test_apply_update_insert_delete():
     manager = ReplicaManager(3, 1, TABLES)
     manager.load(0, "t", 1, {"v": 1})
     server = manager.replica_servers(0)[0]
-    manager.apply(server, 0, [ReplicaWrite("update", "t", 1, {"v": 2})])
+    manager.apply(server, 0, [("update", "t", 1, {"v": 2})])
     assert manager.store_on(server, 0).read("t", 1)[0] == {"v": 2}
-    manager.apply(server, 0, [ReplicaWrite("insert", "t", 2, {"v": 9})])
+    manager.apply(server, 0, [("insert", "t", 2, {"v": 9})])
     assert manager.store_on(server, 0).read("t", 2)[0] == {"v": 9}
-    manager.apply(server, 0, [ReplicaWrite("delete", "t", 1)])
+    manager.apply(server, 0, [("delete", "t", 1, None)])
     assert manager.store_on(server, 0).read("t", 1) is None
 
 
 def test_apply_update_upserts_when_insert_missed():
     manager = ReplicaManager(3, 1, TABLES)
     server = manager.replica_servers(0)[0]
-    manager.apply(server, 0, [ReplicaWrite("update", "t", 7, {"v": 3})])
+    manager.apply(server, 0, [("update", "t", 7, {"v": 3})])
     assert manager.store_on(server, 0).read("t", 7)[0] == {"v": 3}
 
 
@@ -58,14 +58,14 @@ def test_apply_unknown_kind_rejected():
     manager = ReplicaManager(3, 1, TABLES)
     server = manager.replica_servers(0)[0]
     with pytest.raises(ValueError):
-        manager.apply(server, 0, [ReplicaWrite("upsert", "t", 1, {})])
+        manager.apply(server, 0, [("upsert", "t", 1, {})])
 
 
 def test_applied_counts_tracked():
     manager = ReplicaManager(3, 1, TABLES)
     server = manager.replica_servers(0)[0]
-    manager.apply(server, 0, [ReplicaWrite("insert", "t", 1, {"v": 1})])
-    manager.apply(server, 0, [ReplicaWrite("update", "t", 1, {"v": 2})])
+    manager.apply(server, 0, [("insert", "t", 1, {"v": 1})])
+    manager.apply(server, 0, [("update", "t", 1, {"v": 2})])
     assert manager.applied_counts[(server, 0)] == 2
 
 
@@ -76,6 +76,5 @@ def test_in_order_application_last_writer_wins():
     manager.load(0, "t", 1, {"v": 0})
     server = manager.replica_servers(0)[0]
     for i in range(1, 50):
-        manager.apply(server, 0, [ReplicaWrite("update", "t", 1,
-                                               {"v": i})])
+        manager.apply(server, 0, [("update", "t", 1, {"v": i})])
     assert manager.store_on(server, 0).read("t", 1)[0] == {"v": 49}

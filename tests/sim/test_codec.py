@@ -18,12 +18,11 @@ from repro.sim.codec import OP_HANDLERS, dumps
 from repro.storage import LockMode
 from repro.txn.executor import (_commit_op, _lock_insert_op, _lock_read_op,
                                 _plain_read_op, _release_op,
-                                _replica_apply_op, _to_replica_write)
+                                _replica_apply_op)
 from repro.placement.migration import _lease_acquire_op
 from repro.txn.commit_fsm import (_decision_op, _prepare_op,
                                   _recover_query_op)
 from repro.txn.occ import _validate_read_op, _validate_write_op
-from repro.txn.common import BufferedWrite, WriteKind
 
 
 @pytest.fixture
@@ -74,10 +73,8 @@ def test_lock_read_insert_commit_release_round_trip(twin_dbs):
                                      LockMode.SHARED, TXN), db_a, db_b)
     assert missing == ("missing",)
 
-    writes = [BufferedWrite(WriteKind.UPDATE, "accounts", KEY,
-                            {"balance": 42.0}),
-              BufferedWrite(WriteKind.INSERT, "accounts", 9000,
-                            {"balance": 1.0})]
+    writes = [("update", "accounts", KEY, {"balance": 42.0}),
+              ("insert", "accounts", 9000, {"balance": 1.0})]
     versions = run_twin(_commit_op(db_a, pid, writes, TXN), db_a, db_b)
     assert (("accounts", KEY), 1) in versions  # load=v0, update -> v1
     assert db_a.store(pid).read("accounts", KEY)[0]["balance"] == 42.0
@@ -122,9 +119,7 @@ def test_replica_apply_round_trip(twin_dbs):
     db_a, db_b = twin_dbs
     pid = db_a.partition_of("accounts", KEY)
     (rserver,) = db_a.replicas.replica_servers(pid)
-    shipped = tuple([_to_replica_write(
-        BufferedWrite(WriteKind.UPDATE, "accounts", KEY,
-                      {"balance": 7.0}))])
+    shipped = (("update", "accounts", KEY, {"balance": 7.0}),)
     run_twin(_replica_apply_op(db_a, rserver, pid, shipped), db_a, db_b)
     for db in (db_a, db_b):
         fields, _v = db.replicas.store_on(rserver, pid).read("accounts",

@@ -390,7 +390,6 @@ def _random_payloads(seed, count):
     import enum
     import random
 
-    from repro.replication import ReplicaWrite
     from repro.sim.network import PAYLOAD_WALK_MAX_DEPTH
 
     class Verb(enum.IntEnum):
@@ -447,9 +446,9 @@ def _random_payloads(seed, count):
             lambda: frozenset(hashable(2) for _ in kids),
             lambda: Body(rng.randrange(99), kids),
             lambda: Point(kids, node(depth - 1)),
-            lambda: ReplicaWrite("update", "t", hashable(2),
-                                 {"f%d" % i: kid
-                                  for i, kid in enumerate(kids)}),
+            lambda: _ReplicaWrite("update", "t", hashable(2),
+                                  {"f%d" % i: kid
+                                   for i, kid in enumerate(kids)}),
         ])()
         if rng.random() < 0.3:
             pool.append(made)
@@ -561,4 +560,130 @@ def test_walk_matches_the_reference_on_shared_and_cyclic_payloads():
     def check(payload):
         assert approx_payload_bytes(payload) == \
             _reference_payload_bytes(payload)
+    check()
+
+
+# -- the one write shape and the tuple messages, against what they replaced ---
+#
+# Test-local copies of the four frozen dataclasses the tuple write and the
+# ``NamedTuple`` messages replaced.  The walk must charge the new shapes
+# exactly what it charged these, or the sim's byte accounting moves.
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReplicaWrite:
+    kind: str
+    table: str
+    key: object
+    values: object = None
+
+
+@dataclasses.dataclass(frozen=True)
+class _InnerReplicate:
+    txn_id: int
+    partition: int
+    writes: tuple
+    coordinator: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _InnerReplicaAck:
+    txn_id: int
+    replica_server: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _InnerRequest:
+    txn_id: int
+    proc: str
+    params: object
+    inner_names: tuple
+    ctx: object
+    coordinator: int
+
+
+WRITE_FIELDS = ("kind", "table", "key", "values")
+"""The one write shape's positions, as the replaced dataclass named them."""
+
+
+def _write_sets():
+    """Write-sets of every kind over int, str and tuple keys, whose
+    ``values`` dicts nest and are shared between writes (and keys too)."""
+    from hypothesis import strategies as st
+
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.floats(allow_nan=False), st.text(max_size=8))
+    names = st.text(min_size=1, max_size=6)
+    flat = st.dictionaries(names, scalars, max_size=4)
+    nested = st.dictionaries(names, st.one_of(scalars, flat), max_size=4)
+    keys = st.one_of(st.integers(), st.text(min_size=1, max_size=6),
+                     st.tuples(st.integers(), st.text(max_size=3)),
+                     st.tuples(st.integers(), st.integers(), st.integers()))
+
+    @st.composite
+    def write_set(draw):
+        pool = draw(st.lists(nested, min_size=1, max_size=4))
+        shared = st.sampled_from(pool)
+        writes = []
+        for _ in range(draw(st.integers(0, 14))):
+            kind = draw(st.sampled_from(["update", "insert", "delete"]))
+            table = draw(st.sampled_from(["warehouse", "district",
+                                          "order_line", "t"]))
+            key = (writes[-1][2] if writes and draw(st.booleans())
+                   else draw(keys))
+            values = None if kind == "delete" else draw(st.one_of(
+                nested, shared, shared.map(lambda d: {"nested": d})))
+            writes.append((kind, table, key, values))
+        return writes, pool
+    return write_set()
+
+
+def _same_message(new_type, old, rpc, **own):
+    """Build ``new_type`` from ``old``'s fields by name (``own`` swaps in
+    the new shapes of some), and check it has exactly those fields, in
+    that order, and costs the same bytes."""
+    from repro.sim import approx_payload_bytes
+
+    fields = tuple(f.name for f in dataclasses.fields(old))
+    new = new_type(**{name: getattr(old, name) for name in fields} | own)
+    assert new._fields == fields
+    assert approx_payload_bytes((rpc, new)) == \
+        approx_payload_bytes((rpc, old))
+
+
+def test_tuple_writes_and_messages_cost_what_the_dataclasses_did():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.core.chiller import (RPC_ACK, RPC_INNER, RPC_REPLICATE,
+                                    InnerRequest)
+    from repro.replication import InnerReplicaAck, InnerReplicate
+    from repro.sim import approx_payload_bytes
+
+    ints = st.integers(0, 2 ** 40)
+    names = st.lists(st.text(min_size=1, max_size=6), min_size=1,
+                     max_size=6).map(tuple)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_write_sets(), txn=ints, server=ints, coordinator=ints,
+           proc=st.text(min_size=1, max_size=10), names=names,
+           params=st.dictionaries(st.text(max_size=4), ints, max_size=4))
+    def check(drawn, txn, server, coordinator, proc, names, params):
+        writes, pool = drawn
+        old_writes = tuple(_ReplicaWrite(**dict(zip(WRITE_FIELDS, write)))
+                           for write in writes)
+        assert [tuple(getattr(old, name) for name in WRITE_FIELDS)
+                for old in old_writes] == writes
+        # the executor's replicate message: the write-set itself
+        assert approx_payload_bytes(tuple(writes)) == \
+            approx_payload_bytes(old_writes)
+        # the inner host's: the same writes inside one message
+        _same_message(InnerReplicate, _InnerReplicate(
+            txn, server, old_writes, coordinator), RPC_REPLICATE,
+            writes=tuple(writes))
+        _same_message(InnerReplicaAck, _InnerReplicaAck(txn, server),
+                      RPC_ACK)
+        ctx = {name: pool[i % len(pool)] for i, name in enumerate(names)}
+        _same_message(InnerRequest, _InnerRequest(
+            txn, proc, params, names, ctx, coordinator), RPC_INNER)
     check()
