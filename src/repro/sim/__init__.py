@@ -19,7 +19,7 @@ from .codec import (CodecError, DispatchContext, FrameCodec, OpDescriptor,
 from .cpu import Core
 from .effects import (All, Await, BatchedOneSided, Compute, Coroutine,
                       Effect, OneSided, OneWay, Rpc, Signal, Sleep)
-from .events import EventHandle, Simulator
+from .events import Simulator
 from .network import (Network, NetworkConfig, NetworkStats,
                       approx_payload_bytes, phase_of_kind)
 from .runtime import EffectRuntime, EffectRuntimeBase
@@ -42,7 +42,6 @@ __all__ = [
     "Effect",
     "EffectRuntime",
     "EffectRuntimeBase",
-    "EventHandle",
     "FrameCodec",
     "MAX_FRAME_BYTES",
     "MpRunError",

@@ -52,6 +52,6 @@ class Cluster:
     def engine(self, server_id: int) -> EffectRuntime:
         return self.servers[server_id].engine
 
-    def run(self, max_events: int | None = None) -> None:
+    def run(self) -> None:
         """Drive the simulation until quiescence."""
-        self.sim.run(max_events)
+        self.sim.run()

@@ -44,8 +44,8 @@ class Core:
         Returns the simulated completion time.  Zero-cost work still queues
         behind in-flight work (it needs the CPU, however briefly).
         """
-        if cost < 0:
-            raise ValueError(f"negative CPU cost {cost}")
+        if not cost >= 0:       # a NaN would poison busy_until for good
+            raise ValueError(f"negative or NaN CPU cost {cost}")
         start = max(self._busy_until, self._sim.now)
         finish = start + cost
         self._busy_until = finish

@@ -146,7 +146,7 @@ class MpTemplateCluster:
     def engine(self, server_id: int) -> _TemplateEngine:
         return self.servers[server_id].engine
 
-    def run(self, max_events: int | None = None) -> None:
+    def run(self) -> None:
         raise RuntimeError(
             "an mp-backend cluster in the parent process is a template; "
             "drive the run through run_benchmark / Run.run()")

@@ -618,16 +618,9 @@ class WorkerCluster:
             await self.transport.stop()
             self.loop = None
 
-    def run(self, max_events: int | None = None) -> None:
+    def run(self) -> None:
         """Run the loop in the calling process until all spawned work
-        (and everything it spawned, RPC handlers included) completes.
-
-        ``max_events`` exists for signature compatibility with the
-        simulated cluster and is not supported here.
-        """
-        if max_events is not None:
-            raise ValueError("max_events is a simulator concept; the "
-                             "wall-clock backends run to completion")
+        (and everything it spawned, RPC handlers included) completes."""
         if self.n_workers != 1:
             raise RuntimeError("a worker with foreign servers is driven by "
                                "the supervisor's serve loop, not run(); "

@@ -5,14 +5,17 @@ to find a lock word (never to find a record), makes a lock word only
 for a bucket that gets locked (never at build), a message's payload is
 walked once, a procedure's static shape compiled once, a transaction
 instantiated once, its region split planned once per signature and its
-inner region's CPU charge counted once per split, and the Chiller
-messages are built without a frozen dataclass.  The budgets sit well
-under what the per-use work costs (81 hash evaluations per commit when
-record ops hashed too, 360 000 bucket objects at build, one walk per
-*recipient*, one ``_alias_map`` per op instance per transaction, one
-instantiation per region, one split and one charge per transaction,
-four dataclass messages per two-region commit), so a change that
-reintroduces it fails here without anyone having to read a profile.
+inner region's CPU charge counted once per split, the Chiller
+messages are built without a frozen dataclass, a lock lookup's mixer
+rounds mostly come from the memo, and an event is its heap tuple and
+nothing else.  The budgets sit well under what the per-use work costs
+(81 hash evaluations per commit when record ops hashed too, 360 000
+bucket objects at build, one walk per *recipient*, one ``_alias_map``
+per op instance per transaction, one instantiation per region, one
+split and one charge per transaction, four dataclass messages per
+two-region commit, 82 mixer rounds computed per commit without the
+memo, one handle object per event), so a change that reintroduces it
+fails here without anyone having to read a profile.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ import pytest
 import repro._util as util
 import repro.core.chiller as chiller
 import repro.core.regions as regions
+import repro.sim.events as events
 import repro.sim.network as network
 import repro.storage.bucket as bucket
 import repro.txn.executor as executor
@@ -37,6 +41,9 @@ makes 18.2 ``try_lock`` calls per commit (attempts that abort included;
 ``release_all`` needs no lookup).  The record operations (reads,
 version checks, writes, inserts, deletes on primaries and replicas)
 must add none."""
+MIXER_ROUNDS_PER_COMMIT = 10
+"""Rounds the memo misses (and so computes) per commit, starting from an
+empty memo: this run computes 8.6 of the 82 its hashes request."""
 ALIAS_MAPS_PER_RUN = 1_000
 INSTANTIATIONS_PER_COMMIT = 1.2
 """This run instantiates 1.015 times per commit; while an inline inner
@@ -66,7 +73,9 @@ def counted_run():
                        n_replicas=2)
     counts = {"hashes": 0, "alias_maps": 0, "lock_words": 0,
               "instantiations": 0, "plan_misses": 0, "inner_charges": 0,
-              "inner_rpcs": 0, "frozen_builds": 0}
+              "inner_rpcs": 0, "frozen_builds": 0, "mixer_rounds": 0,
+              "events": 0}
+    odd_entries = []            # heap entries that are not (time, seq, fn)
     locked = set()              # (table store, bucket) ever looked up
     walked = []                 # every object whose size was walked
     depth = [0]
@@ -79,6 +88,19 @@ def counted_run():
     LockWord, lock_for = bucket.LockWord, bucket.BucketStore.lock_for
     charge = regions.inner_cpu_us
     inner_handler = chiller.ChillerExecutor._inner_handler
+    mixer, heappush = util._splitmix64, events.heappush
+
+    def counting_mixer(x):
+        counts["mixer_rounds"] += 1
+        return mixer(x)
+
+    def checking_heappush(queue, entry):
+        counts["events"] += 1
+        if not (type(entry) is tuple and len(entry) == 3
+                and type(entry[0]) is float and type(entry[1]) is int
+                and callable(entry[2])):
+            odd_entries.append(entry)
+        heappush(queue, entry)
 
     def counting_lock_word():
         counts["lock_words"] += 1
@@ -144,6 +166,9 @@ def counted_run():
         patch.setattr(bucket.BucketStore, "lock_for", counting_lock_for)
         patch.setattr(util, "stable_hash", counting_hash)
         patch.setattr(bucket, "stable_hash", counting_hash)
+        patch.setattr(util, "_splitmix64", counting_mixer)
+        patch.setattr(util, "_mixed", {})     # start cold, whatever ran before
+        patch.setattr(events, "heappush", checking_heappush)
         patch.setattr(network, "approx_payload_bytes", counting_walk)
         patch.setattr(executor, "approx_payload_bytes", counting_walk)
         patch.setattr(chiller, "approx_payload_bytes", counting_walk)
@@ -160,6 +185,7 @@ def counted_run():
         patch.undo()
     counts["buckets_locked"] = len(locked)
     counts["signatures"] = len(signatures)
+    counts["odd_entries"] = odd_entries
     return run, result, counts, walked
 
 
@@ -178,6 +204,20 @@ def test_only_lock_lookups_hash(counted_run):
     commits = result.metrics.commits
     assert commits > 300
     assert 0 < counts["hashes"] <= HASHES_PER_COMMIT * commits
+
+
+def test_the_mixer_memo_computes_few_rounds(counted_run):
+    _run, result, counts, _walked = counted_run
+    commits = result.metrics.commits
+    assert 0 < counts["mixer_rounds"] <= MIXER_ROUNDS_PER_COMMIT * commits
+
+
+def test_an_event_is_its_heap_tuple_and_nothing_else(counted_run):
+    _run, result, counts, _walked = counted_run
+    # every queued entry is (float time, int seq, callable): no handle
+    # or other per-event object rides along
+    assert counts["events"] > 5 * result.metrics.commits
+    assert counts["odd_entries"] == []
 
 
 def test_build_allocates_nothing_per_bucket(counted_run):

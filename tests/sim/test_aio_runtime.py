@@ -74,8 +74,9 @@ def test_run_returns_only_when_spawned_handlers_finish(run_program):
 
 
 def test_max_events_is_rejected():
+    """The wall-clock run takes no event budget: it runs to quiescence."""
     cluster = AioCluster(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         cluster.run(max_events=10)
 
 

@@ -38,8 +38,8 @@ def test_utilization_with_idle_gap():
     sim = Simulator()
     core = Core(sim)
     core.execute(5.0, lambda: None)
+    sim.schedule(10.0, lambda: None)    # the clock idles on to 10
     sim.run()
-    sim.run_until(10.0)
     assert core.utilization() == pytest.approx(0.5)
 
 
@@ -58,3 +58,17 @@ def test_negative_cost_rejected():
     core = Core(sim)
     with pytest.raises(ValueError):
         core.execute(-1.0, lambda: None)
+
+
+def test_nan_cost_rejected_and_core_unpoisoned():
+    """A NaN cost passed ``cost < 0`` and left ``busy_until`` at NaN, so
+    every later piece of work on the core landed at NaN."""
+    sim = Simulator()
+    core = Core(sim)
+    finished = []
+    with pytest.raises(ValueError):
+        core.execute(float("nan"), lambda: None)
+    core.execute(2.0, lambda: finished.append(sim.now))
+    sim.run()
+    assert finished == [2.0]
+    assert core.busy_time == 2.0 and core.busy_until == 2.0

@@ -1,9 +1,11 @@
 """Tests for the EffectRuntime seam and its doorbell-batching path."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim import (All, BatchedOneSided, Cluster, Compute,
-                       EffectRuntime, NetworkConfig, OneSided, Rpc)
+                       EffectRuntime, NetworkConfig, OneSided, Rpc, Sleep)
 
 BATCH_CFG = NetworkConfig(local_access_us=0.1, one_way_us=1.0,
                           verb_overhead_us=0.3, rpc_overhead_us=0.0,
@@ -294,3 +296,39 @@ def test_dispatch_table_respects_send_rpc_overrides():
     engine.spawn(txn())
     sim.run()
     assert seen == [0]
+
+
+# -- a NaN never reaches the clock -------------------------------------------
+
+@pytest.mark.parametrize("effect", [Sleep(float("nan")),
+                                    Compute(float("nan"))],
+                         ids=["sleep", "compute"])
+def test_nan_effect_is_refused_before_it_reaches_the_clock(effect):
+    cluster = Cluster(1, PLAIN_CFG)
+
+    def txn():
+        yield effect
+
+    with pytest.raises(ValueError):
+        cluster.engine(0).spawn(txn())
+    cluster.run()
+    assert cluster.sim.now == 0.0
+    assert cluster.engine(0).core.busy_until == 0.0
+
+
+def test_nan_message_delay_is_refused():
+    cluster = Cluster(2, dataclasses.replace(PLAIN_CFG,
+                                             one_way_us=float("nan")))
+
+    def handler(src, body):
+        return "pong"
+        yield  # pragma: no cover - makes this a generator function
+
+    cluster.engine(1).set_rpc_handler(handler)
+
+    def txn():
+        yield Rpc(1, ("ping", None))
+
+    with pytest.raises(ValueError):
+        cluster.engine(0).spawn(txn())
+    assert cluster.sim.events_fired == 0
