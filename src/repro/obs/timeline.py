@@ -116,13 +116,6 @@ class Timeline:
         rows.sort(key=lambda r: (r.t_us, r.server, r.gen))
         return rows
 
-    def series(self, name: str,
-               server: int | None = None) -> list[tuple[float, float]]:
-        """Per-interval values of one counter delta (or gauge)."""
-        return [(row.t_us, row.counters.get(name,
-                                            row.gauges.get(name, 0.0)))
-                for row in self.rows(server)]
-
     def cumulative(self, name: str,
                    server: int | None = None) -> list[tuple[float, float]]:
         """Running totals of a delta counter — monotonic by

@@ -185,15 +185,6 @@ class NetworkConfig:
     doorbell-batched chain (the chain shares propagation, doorbell, and
     completion)."""
 
-    def one_sided_rtt(self) -> float:
-        """Completion time of a remote one-sided verb."""
-        return 2 * self.one_way_us + self.verb_overhead_us
-
-    def one_sided_batch_rtt(self, n_verbs: int) -> float:
-        """Completion time of a doorbell-batched chain of ``n_verbs``."""
-        return (2 * self.one_way_us + self.verb_overhead_us
-                + (n_verbs - 1) * self.batched_verb_us)
-
     def message_delay(self) -> float:
         """Delivery delay of a one-way message."""
         return self.one_way_us + self.rpc_overhead_us

@@ -18,12 +18,19 @@ class LockMode(enum.Enum):
 
 
 class LockWord:
-    """A shared/exclusive lock with owner tracking and NO_WAIT acquire."""
+    """A shared/exclusive lock with owner tracking and NO_WAIT acquire.
+
+    Shared holders are a tuple of distinct owners, the shared empty tuple
+    when there are none: a word that is only ever taken exclusively
+    carries no container of its own, and an exclusive acquire builds
+    nothing.  Owners are compared by ``in`` (identity, then ``==``), so
+    ``1`` and ``True`` are one owner.
+    """
 
     __slots__ = ("_shared", "_exclusive")
 
     def __init__(self) -> None:
-        self._shared: set[object] = set()
+        self._shared: tuple[object, ...] = ()
         self._exclusive: object | None = None
 
     def try_acquire(self, mode: LockMode, owner: object) -> bool:
@@ -35,17 +42,19 @@ class LockWord:
         if mode is LockMode.SHARED:
             if self._exclusive is not None and self._exclusive != owner:
                 return False
-            self._shared.add(owner)
+            if owner not in self._shared:
+                self._shared += (owner,)
             return True
         if self._exclusive == owner:
             return True
         if self._exclusive is not None:
             return False
-        others = self._shared - {owner}
-        if others:
-            return False
+        shared = self._shared
+        if shared:
+            if len(shared) > 1 or owner not in shared:
+                return False
+            self._shared = ()
         self._exclusive = owner
-        self._shared.discard(owner)
         return True
 
     def release(self, owner: object) -> None:
@@ -54,8 +63,10 @@ class LockWord:
         if self._exclusive == owner:
             self._exclusive = None
             held = True
-        if owner in self._shared:
-            self._shared.discard(owner)
+        shared = self._shared
+        if owner in shared:
+            i = shared.index(owner)
+            self._shared = shared[:i] + shared[i + 1:]
             held = True
         if not held:
             raise KeyError(f"{owner!r} does not hold this lock")

@@ -129,19 +129,6 @@ class PartitionStore:
                  0.0 if self.spans is None else self._now()))
         return True
 
-    def unlock(self, table: str, key: Key, owner: object) -> None:
-        lock = self._tables[table].lock_for(key)
-        lock.release(owner)
-        entries = self._held.get(owner, [])
-        for i, (tbl, k, word, acquired) in enumerate(entries):
-            if word is lock and tbl == table:
-                if self.spans is not None:
-                    self.spans.record(tbl, k, self._now() - acquired)
-                entries.pop(i)
-                break
-        if not entries:
-            self._held.pop(owner, None)
-
     def release_all(self, owner: object) -> int:
         """Release every lock ``owner`` holds here; returns count released."""
         entries = self._held.pop(owner, [])

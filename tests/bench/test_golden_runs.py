@@ -47,17 +47,21 @@ def next_order_ids(result) -> list[int]:
     return ids
 
 
-def test_tiny_tpcc_chiller_run_is_unchanged():
+def tiny_tpcc_chiller_run():
     config = RunConfig(n_partitions=4, concurrent_per_engine=8,
                        horizon_us=500.0, warmup_us=50.0, seed=11,
                        n_replicas=2)
-    commits, digest = run_digest(make_tpcc_run("chiller", config),
+    return make_tpcc_run("chiller", config)
+
+
+def test_tiny_tpcc_chiller_run_is_unchanged():
+    commits, digest = run_digest(tiny_tpcc_chiller_run(),
                                  extra=next_order_ids)
     assert commits == GOLDEN_TPCC[0]
     assert digest == GOLDEN_TPCC[1]
 
 
-def test_tiny_hot_ycsb_run_is_unchanged():
+def tiny_hot_ycsb_run():
     config = RunConfig(
         n_partitions=4, horizon_us=3_000.0, warmup_us=300.0, seed=11,
         scheduler="conflict",
@@ -65,8 +69,11 @@ def test_tiny_hot_ycsb_run_is_unchanged():
                              deadline_us=1_000.0, admission="deadline"))
     workload = YcsbWorkload(n_keys=1200, reads_per_txn=4, writes_per_txn=4,
                             zipf_exponent=0.9)
-    commits, digest = run_digest(make_ycsb_run("2pl", config,
-                                               workload=workload))
+    return make_ycsb_run("2pl", config, workload=workload)
+
+
+def test_tiny_hot_ycsb_run_is_unchanged():
+    commits, digest = run_digest(tiny_hot_ycsb_run())
     assert commits == GOLDEN_YCSB[0]
     assert digest == GOLDEN_YCSB[1]
 
@@ -76,7 +83,7 @@ def scheduler_summaries(result) -> list:
     return [(home, stats[home].summary()) for home in sorted(stats)]
 
 
-def test_tiny_closed_loop_conflict_run_is_unchanged():
+def tiny_closed_conflict_run():
     """Closed-loop workers deferred, re-admitted and shed by the
     conflict scheduler (a two-waiter cap on 64 zipf-1.2 keys)."""
     config = RunConfig(
@@ -85,6 +92,10 @@ def test_tiny_closed_loop_conflict_run_is_unchanged():
         scheduler=SchedulerSpec(kind="conflict", max_queue_per_class=2))
     workload = YcsbWorkload(n_keys=64, reads_per_txn=2, writes_per_txn=2,
                             zipf_exponent=1.2)
+    return make_ycsb_run("2pl", config, workload=workload)
+
+
+def test_tiny_closed_loop_conflict_run_is_unchanged():
     seen = {}
 
     def sched(result):
@@ -92,15 +103,13 @@ def test_tiny_closed_loop_conflict_run_is_unchanged():
         seen.update(deferrals=merged.deferrals, sheds=merged.sheds)
         return scheduler_summaries(result)
 
-    commits, digest = run_digest(make_ycsb_run("2pl", config,
-                                               workload=workload),
-                                 extra=sched)
+    commits, digest = run_digest(tiny_closed_conflict_run(), extra=sched)
     assert seen["deferrals"] > 0 and seen["sheds"] > 0
     assert commits == GOLDEN_CLOSED_CONFLICT[0]
     assert digest == GOLDEN_CLOSED_CONFLICT[1]
 
 
-def test_tiny_routed_instacart_run_is_unchanged():
+def tiny_routed_instacart_run():
     """Closed-loop workers dispatching by data affinity."""
     workload = InstacartWorkload(n_products=300, n_customers=200)
     setup = build_instacart_setup(3, n_train=300, workload=workload, seed=11)
@@ -108,12 +117,16 @@ def test_tiny_routed_instacart_run_is_unchanged():
     config = RunConfig(n_partitions=3, concurrent_per_engine=4,
                        horizon_us=1_500.0, warmup_us=150.0, seed=11,
                        route_by_data=True)
-    commits, digest = run_digest(make_instacart_run(setup, layout, config))
+    return make_instacart_run(setup, layout, config)
+
+
+def test_tiny_routed_instacart_run_is_unchanged():
+    commits, digest = run_digest(tiny_routed_instacart_run())
     assert commits == GOLDEN_ROUTED_INSTACART[0]
     assert digest == GOLDEN_ROUTED_INSTACART[1]
 
 
-def test_tiny_traced_tenants_run_is_unchanged():
+def tiny_traced_tenants_run():
     """Open-loop multi-tenant arrivals past the knee with tracing on
     (the front door sheds, the conflict scheduler sheds admitted
     arrivals, some commits miss their SLO): the digest also covers
@@ -127,7 +140,10 @@ def test_tiny_traced_tenants_run_is_unchanged():
                              deadline_us=400.0, admission="deadline"))
     workload = YcsbWorkload(n_keys=100, reads_per_txn=3, writes_per_txn=3,
                             zipf_exponent=0.9)
+    return make_ycsb_run("2pl", config, workload=workload)
 
+
+def test_tiny_traced_tenants_run_is_unchanged():
     def accounting(result):
         trace = result.metrics.trace
         return [result.metrics.open_loop.summary(),
@@ -135,12 +151,16 @@ def test_tiny_traced_tenants_run_is_unchanged():
                 sorted((tenant, len(entries))
                        for tenant, entries in trace.exemplars.items())]
 
-    commits, digest = run_digest(make_ycsb_run("2pl", config,
-                                               workload=workload),
+    commits, digest = run_digest(tiny_traced_tenants_run(),
                                  extra=accounting)
     assert commits == GOLDEN_TRACED_TENANTS[0]
     assert digest == GOLDEN_TRACED_TENANTS[1]
 
+
+GOLDEN_RUNS = (tiny_tpcc_chiller_run, tiny_hot_ycsb_run,
+               tiny_closed_conflict_run, tiny_routed_instacart_run,
+               tiny_traced_tenants_run)
+"""The five configurations, each a fresh build per call."""
 
 GOLDEN_TPCC = (
     404, "3413f321244f7ea31169ff6b7dff9dbfa240d071d2c03cb4fc3b31b9f87dc3fa")

@@ -7,21 +7,30 @@ walked once, a procedure's static shape compiled once, a transaction
 instantiated once, its region split planned once per signature and its
 inner region's CPU charge counted once per split, the Chiller
 messages are built without a frozen dataclass, a lock lookup's mixer
-rounds mostly come from the memo, and an event is its heap tuple and
-nothing else.  The budgets sit well under what the per-use work costs
-(81 hash evaluations per commit when record ops hashed too, 360 000
-bucket objects at build, one walk per *recipient*, one ``_alias_map``
-per op instance per transaction, one instantiation per region, one
-split and one charge per transaction, four dataclass messages per
-two-region commit, 82 mixer rounds computed per commit without the
-memo, one handle object per event), so a change that reintroduces it
-fails here without anyone having to read a profile.
+rounds mostly come from the memo, an event is its heap tuple and
+nothing else, and a released lock word holds no GC-tracked container.
+The budgets sit well under what the per-use work costs (81 hash
+evaluations per commit when record ops hashed too, 360 000 bucket
+objects at build, one walk per *recipient*, one ``_alias_map`` per op
+instance per transaction, one instantiation per region, one split and
+one charge per transaction, four dataclass messages per two-region
+commit, 82 mixer rounds computed per commit without the memo, one
+handle object per event, one set per lock word), so a change that
+reintroduces it fails here without anyone having to read a profile.
+
+On every sim run shape the benchmark and the golden digests use, no
+collector pass starts inside the event loop, one young pass starts
+after it, and no reference cycle is left behind (174 passes inside the
+loop on one seed-7 repeat of the TPC-C benchmark cell before the pause,
+each freeing nothing).
 """
 
 import dataclasses
+import gc
 import sys
 
 import pytest
+import test_golden_runs as golden
 
 import repro._util as util
 import repro.core.chiller as chiller
@@ -32,8 +41,9 @@ import repro.storage.bucket as bucket
 import repro.txn.executor as executor
 from repro.analysis import StoredProcedure
 from repro.bench import RunConfig
-from repro.bench.setups import make_tpcc_run
+from repro.bench.setups import make_tpcc_run, make_ycsb_run
 from repro.core import RegionPlanner
+from repro.workloads.ycsb import YcsbWorkload
 
 HASHES_PER_COMMIT = 20
 """Storage hashes once per lock-word lookup and nowhere else: this run
@@ -388,3 +398,134 @@ def test_one_request_frame_per_round_and_foreign_worker(counted_wire_run):
     # and the rounds really carry several verbs each: a frame per verb
     # would put these two counts level
     assert counts["verbs"] > 1.5 * counts["request_frames"]
+
+
+def test_a_lock_word_holds_no_container_once_released(counted_run):
+    run, _result, counts, _walked = counted_run
+    # shared holders are a tuple, the untracked empty one when there are
+    # none: a set per word would make it two GC-tracked objects, not one
+    words = [word for table in tables_of(run.database)
+             for word in table._locks.values()]
+    assert len(words) == counts["lock_words"] > 0
+    assert all(word.is_free() for word in words)
+    assert sum(gc.is_tracked(word._shared) for word in words) == 0
+
+
+# -- the collector during a run ---------------------------------------------
+#
+# ``Simulator.run`` pauses the cyclic collector, which is only sound if no
+# event leaves a reference cycle behind.  Each run below is watched from
+# the first allocation of ``Run.run()`` to its return, with every
+# unreachable object kept (``DEBUG_SAVEALL``) instead of freed.
+
+
+def watched(call):
+    """``call()`` from a clean heap with the collector watched; returns
+    ``(value, passes, garbage)``: ``passes`` are ``(where, generation)``
+    of every pass started (``where`` is "loop" inside ``Simulator.run``,
+    "after" once it returned), ``garbage`` every object a full pass
+    right after ``call`` returns finds unreachable (the automatic passes
+    during ``call`` included)."""
+    where, passes = ["before"], []
+    sim_run = events.Simulator.run
+
+    def marked_run(self):
+        where[0] = "loop"
+        try:
+            sim_run(self)
+        finally:
+            where[0] = "after"
+
+    def probe(phase, info):
+        if phase == "start":
+            passes.append((where[0], info["generation"]))
+
+    patch = pytest.MonkeyPatch()
+    debug = gc.get_debug()
+    gc.collect()
+    try:
+        patch.setattr(events.Simulator, "run", marked_run)
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        gc.callbacks.append(probe)
+        try:
+            value = call()
+        finally:
+            gc.callbacks.remove(probe)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        patch.undo()
+    return value, passes, garbage
+
+
+def tiny_wal_run(wal_dir):
+    """The group-commit WAL benchmark cell, shrunk."""
+    config = RunConfig(n_partitions=2, concurrent_per_engine=4,
+                       horizon_us=3_000.0, warmup_us=300.0, seed=11,
+                       wal="group", wal_group_size=8, wal_dir=str(wal_dir))
+    return make_ycsb_run("2pl", config, workload=YcsbWorkload(
+        n_keys=2000, reads_per_txn=8, writes_per_txn=2))
+
+
+TINY_RUNS = {build.__name__: lambda _wal_dir, build=build: build()
+             for build in golden.GOLDEN_RUNS}
+"""The golden configurations (their TPC-C and hot-key runs are those
+benchmark cells, shrunk) and the WAL cell, the one shape they miss."""
+TINY_RUNS["tiny_wal_run"] = tiny_wal_run
+
+
+@pytest.mark.parametrize("name", sorted(TINY_RUNS))
+def test_a_run_leaves_no_cycle_and_pays_one_young_pass(name, tmp_path):
+    run = TINY_RUNS[name](tmp_path)
+    result, passes, garbage = watched(run.run)
+    assert result.metrics.commits > 0
+    assert garbage == []
+    assert [gen for where, gen in passes if where == "loop"] == []
+    assert [gen for where, gen in passes if where == "after"] == [0]
+
+
+def test_the_watch_sees_a_cycle_an_event_leaves():
+    sim = events.Simulator()
+
+    def leave_a_cycle():
+        cycle = []
+        cycle.append(cycle)
+
+    sim.schedule(1.0, leave_a_cycle)
+    _value, _passes, garbage = watched(sim.run)
+    assert len(garbage) == 1 and garbage[0][0] is garbage[0]
+
+
+def test_the_collector_is_paused_for_the_loop_and_restored():
+    seen = []
+    sim = events.Simulator()
+    sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+    assert gc.isenabled()
+    sim.run()
+    assert seen == [False] and gc.isenabled()
+
+
+def test_a_raising_event_restores_the_collector():
+    sim = events.Simulator()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(1.0, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert gc.isenabled()
+
+
+def test_a_caller_that_paused_the_collector_keeps_it_paused():
+    seen = []
+    sim = events.Simulator()
+    sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+    gc.disable()
+    try:
+        sim.run()
+        assert seen == [False] and not gc.isenabled()
+    finally:
+        gc.enable()

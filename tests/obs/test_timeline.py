@@ -35,20 +35,19 @@ def test_rows_interleave_time_ordered():
         [(10.0, 0), (20.0, 0), (20.0, 1)]
 
 
-def test_series_and_cumulative_are_monotone():
+def test_cumulative_is_monotone():
     tl = Timeline(10.0)
     for i, commits in enumerate([3, 0, 5]):
         tl.add(row(10.0 * (i + 1), counters={"commits": commits}))
-    assert tl.series("commits") == [(10.0, 3), (20.0, 0), (30.0, 5)]
+    assert [t for t, _ in tl.cumulative("commits")] == [10.0, 20.0, 30.0]
     cumulative = [v for _, v in tl.cumulative("commits")]
     assert cumulative == [3, 3, 8]
     assert cumulative == sorted(cumulative)
 
 
-def test_series_falls_back_to_gauges():
+def test_gauges_read_max_and_last():
     tl = Timeline(10.0)
     tl.add(row(10.0, gauges={"queue_depth": 4.0}))
-    assert tl.series("queue_depth") == [(10.0, 4.0)]
     assert tl.gauge_max("queue_depth") == 4.0
     assert tl.gauge_last("queue_depth", 0) == 4.0
 

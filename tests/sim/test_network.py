@@ -281,7 +281,8 @@ def test_bandwidth_none_is_bit_identical_to_seed_model():
     net.one_sided(0, 1, lambda: 1, lambda v: done.append(sim.now),
                   nbytes=4096)
     sim.run()
-    assert done == [pytest.approx(NetworkConfig().one_sided_rtt())]
+    # two one-way trips plus the verb overhead, at the default config
+    assert done == [pytest.approx(2 * 1.7 + 0.3)]
 
 
 # -- per-executor traffic breakdown (Fig.-style bytes-by-phase) ---------------

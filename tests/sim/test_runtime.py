@@ -51,7 +51,7 @@ def test_custom_runtime_can_be_injected():
 
 def test_same_destination_round_costs_one_fused_round_trip():
     """The acceptance property: an All of N verbs to one remote server
-    completes in one_sided_batch_rtt(N) and counts as ONE round trip."""
+    completes in one chained round trip and counts as ONE round trip."""
     cluster = Cluster(2, BATCH_CFG)
     out = []
 
@@ -66,7 +66,7 @@ def test_same_destination_round_costs_one_fused_round_trip():
     results, when = out[0]
     assert results == ["a", "b", "c"]
     # 2*one_way + verb_overhead + 2 extra chained verbs, exactly once
-    assert when == pytest.approx(BATCH_CFG.one_sided_batch_rtt(3))
+    assert when == pytest.approx(2 * 1.0 + 0.3 + 2 * 0.1)
     stats = cluster.network.stats
     assert stats.one_sided_batches == 1
     assert stats.one_sided_batched_verbs == 3
@@ -88,7 +88,8 @@ def test_batching_off_keeps_per_verb_round_trips():
     cluster.run()
     results, when = out[0]
     assert results == ["a", "b", "c"]
-    assert when == pytest.approx(PLAIN_CFG.one_sided_rtt(), abs=1e-6)
+    # the verbs overlap: one plain round trip, 2*one_way + verb_overhead
+    assert when == pytest.approx(2 * 1.0 + 0.3, abs=1e-6)
     stats = cluster.network.stats
     assert stats.one_sided_batches == 0
     assert stats.one_sided_remote == 3
@@ -106,7 +107,7 @@ def test_explicit_batched_effect_fuses_when_enabled():
     cluster.run()
     results, when = out[0]
     assert results == [1, 2]
-    assert when == pytest.approx(BATCH_CFG.one_sided_batch_rtt(2))
+    assert when == pytest.approx(2 * 1.0 + 0.3 + 0.1)
     assert cluster.network.stats.one_sided_batches == 1
 
 
@@ -124,7 +125,8 @@ def test_explicit_batched_effect_falls_back_when_disabled():
     cluster.run()
     results, when = out[0]
     assert results == [1, 2]
-    assert when == pytest.approx(PLAIN_CFG.one_sided_rtt(), abs=1e-6)
+    # the verbs overlap: one plain round trip, 2*one_way + verb_overhead
+    assert when == pytest.approx(2 * 1.0 + 0.3, abs=1e-6)
     stats = cluster.network.stats
     assert stats.one_sided_batches == 0
     assert stats.one_sided_remote == 2

@@ -1,7 +1,9 @@
 """Unit and property tests for the NO_WAIT lock word."""
 
+import gc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.storage import LockMode, LockWord
 
@@ -120,3 +122,106 @@ def test_lock_word_safety_invariant(ops):
             assert all(s == exclusives[0] for s in shareds)
         # the lock word agrees with our model
         assert lock.holders() == set(held)
+
+
+class SetLockWord:
+    """The lock word as it was when shared holders were a set: the
+    reference the tuple-holding word must agree with, call for call."""
+
+    def __init__(self):
+        self._shared = set()
+        self._exclusive = None
+
+    def try_acquire(self, mode, owner):
+        if mode is LockMode.SHARED:
+            if self._exclusive is not None and self._exclusive != owner:
+                return False
+            self._shared.add(owner)
+            return True
+        if self._exclusive == owner:
+            return True
+        if self._exclusive is not None:
+            return False
+        if self._shared - {owner}:
+            return False
+        self._exclusive = owner
+        self._shared.discard(owner)
+        return True
+
+    def release(self, owner):
+        held = False
+        if self._exclusive == owner:
+            self._exclusive = None
+            held = True
+        if owner in self._shared:
+            self._shared.discard(owner)
+            held = True
+        if not held:
+            raise KeyError(f"{owner!r} does not hold this lock")
+
+    def held_by(self, owner):
+        if self._exclusive == owner:
+            return LockMode.EXCLUSIVE
+        if owner in self._shared:
+            return LockMode.SHARED
+        return None
+
+    def is_free(self):
+        return self._exclusive is None and not self._shared
+
+    def holders(self):
+        out = set(self._shared)
+        if self._exclusive is not None:
+            out.add(self._exclusive)
+        return out
+
+
+OWNERS = [0, 1, 2, True, False, ("inner", 0), ("inner", 1), ("inner", True)]
+"""Executor owners (ints), inner-region owners, and the ``True == 1``
+pair a set conflates."""
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except KeyError:
+        return KeyError
+
+
+def exact(owners):
+    """A holder set compared by type and value (``{True} == {1}``)."""
+    return sorted((type(owner).__name__, repr(owner)) for owner in owners)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["shared", "exclusive",
+                                           "release"]),
+                          st.sampled_from(OWNERS)),
+                max_size=40))
+def test_tuple_holders_match_the_set_lock_word(ops):
+    lock, reference = LockWord(), SetLockWord()
+    for verb, owner in ops:
+        if verb == "release":
+            got = outcome(lock.release, owner)
+            want = outcome(reference.release, owner)
+        else:
+            mode = LockMode(verb)
+            got = lock.try_acquire(mode, owner)
+            want = reference.try_acquire(mode, owner)
+        assert got == want
+        assert lock.is_free() == reference.is_free()
+        assert exact(lock.holders()) == exact(reference.holders())
+        for probe in OWNERS:
+            assert lock.held_by(probe) == reference.held_by(probe)
+
+
+def test_an_unshared_lock_word_holds_no_tracked_container():
+    lock = LockWord()
+    assert lock.try_acquire(LockMode.EXCLUSIVE, 1)
+    assert lock.try_acquire(LockMode.EXCLUSIVE, 1)
+    lock.release(1)
+    # the word itself is the one GC-tracked object; a set would be two
+    assert not gc.is_tracked(lock._shared)
+    assert lock.try_acquire(LockMode.SHARED, 1)
+    assert lock.try_acquire(LockMode.EXCLUSIVE, 1)      # upgrade
+    assert not gc.is_tracked(lock._shared)

@@ -69,15 +69,6 @@ def test_try_lock_conflict_and_release_all():
     assert store.try_lock("acct", 1, LockMode.SHARED, "t2")
 
 
-def test_unlock_specific_key():
-    store, _ = make_store()
-    store.load("acct", 1, {})
-    store.try_lock("acct", 1, LockMode.EXCLUSIVE, "t1")
-    store.unlock("acct", 1, "t1")
-    assert not store.is_locked("acct", 1)
-    assert store.locks_held("t1") == 0
-
-
 def test_release_all_handles_same_bucket_reentry():
     """Two keys in the same bucket share a lock; release_all must not
     double-release it."""
@@ -98,7 +89,7 @@ def test_span_tracking_measures_lock_duration():
     clock["t"] = 10.0
     store.try_lock("acct", 1, LockMode.EXCLUSIVE, "t1")
     clock["t"] = 25.0
-    store.unlock("acct", 1, "t1")
+    store.release_all("t1")
     assert store.spans.mean_span("acct", 1) == pytest.approx(15.0)
 
 
@@ -149,7 +140,6 @@ def test_clock_is_read_only_for_the_span_tracker():
     plain = PartitionStore(0, [TableSpec("acct")], now_fn=now_fn)
     plain.try_lock("acct", 1, LockMode.EXCLUSIVE, "t1")
     plain.try_lock("acct", 2, LockMode.EXCLUSIVE, "t1")
-    plain.unlock("acct", 2, "t1")
     plain.release_all("t1")
     assert not reads
     tracked = PartitionStore(0, [TableSpec("acct")], now_fn=now_fn,
