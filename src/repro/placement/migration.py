@@ -39,6 +39,7 @@ from ..sim import All, Compute, OneSided, Rpc, Sleep
 from ..sim.codec import PEER_DOWN, DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from ..txn.common import next_txn_id
+from ..txn.executor import _lock_read_op
 from .controller import (CONTROLLER_HOME, FLIP_CPU_US, PLAN_CPU_US,
                          MigrationPlan, PlacementController, PlacementSpec,
                          PlacementStats)
@@ -170,8 +171,8 @@ class MigrationExecutor:
             return False
         txn_id = next_txn_id()
         result = yield OneSided(
-            src, self._op("lock_read", src, table, key,
-                          (LockMode.EXCLUSIVE, txn_id)),
+            src, _lock_read_op(db, src, table, key, LockMode.EXCLUSIVE,
+                               txn_id),
             kind="migrate_lock")
         if result == PEER_DOWN:
             return False    # the source's worker is dead: nothing held

@@ -15,7 +15,7 @@ framed-TCP channel in :mod:`~repro.sim.transport`.
 
 from .cluster import Cluster, Server
 from .codec import (CodecError, DispatchContext, FrameCodec, OpDescriptor,
-                    decode_op, encode_op, op_handler, register_wire_atom)
+                    decode_op, encode_op, op_handler)
 from .cpu import Core
 from .effects import (All, Await, BatchedOneSided, Compute, Coroutine,
                       Effect, OneSided, OneWay, Rpc, Signal, Sleep)
@@ -68,6 +68,5 @@ __all__ = [
     "encode_op",
     "op_handler",
     "phase_of_kind",
-    "register_wire_atom",
     "run_mp_workers",
 ]

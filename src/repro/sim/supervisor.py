@@ -203,10 +203,7 @@ def _worker_body(conn, spec: MpRunSpec, config: Any, worker_id: int,
             f"make_cluster (is its config backend set to 'mp'?)")
     finalize = spec.driver(run_obj, cluster, worker_id)
 
-    # the codec's table registry comes from this worker's own build —
-    # identical on every worker, so no negotiation bytes are needed
-    codec = FrameCodec(cluster.wire_tables,
-                       packed=config.mp_codec == "packed")
+    codec = FrameCodec(packed=config.mp_codec == "packed")
     transport = TcpTransport(cluster, listener, ports, codec)
 
     profile_dir = config.mp_profile_dir

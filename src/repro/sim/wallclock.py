@@ -439,7 +439,6 @@ class WorkerCluster:
         self._error: BaseException | None = None
         self._tick_handle: asyncio.TimerHandle | None = None
         self._claimed = False
-        self.wire_tables: tuple = ()
         self.recovery_enabled = False
         self.resume_at_us = 0.0
         self.peer_down_hooks: list[Callable] = []
@@ -508,16 +507,6 @@ class WorkerCluster:
         self.transport.rewire(worker, advert)
         for hook in self.peer_down_hooks:
             hook(worker, dead_generation)
-
-    def register_wire_tables(self, names) -> None:
-        """The packed codec's table registry (called by the database
-        layer during the build, i.e. before the transport exists).
-
-        Every worker rebuilds the database deterministically from the
-        same spec, so every worker derives the *same* ordered name
-        list — that shared derivation is the codec "negotiation"; no
-        bytes are exchanged."""
-        self.wire_tables = tuple(names)
 
     def _claim(self, n_partitions: int) -> "WorkerCluster":
         if self._claimed:

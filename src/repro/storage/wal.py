@@ -2,11 +2,13 @@
 
 Each server a process owns gets one append-only log file recording the
 coordinator/participant state transitions of the commit FSM
-(:mod:`repro.txn.commit_fsm`).  The format deliberately reuses the wire
-codec's struct machinery: a record is a flat tuple packed by
-:func:`repro.sim.codec.pack_record`, framed by a 4-byte little-endian
-length prefix.  No table interning, no atoms that depend on import
-order — a WAL file is readable by any later process of the same build.
+(:mod:`repro.txn.commit_fsm`).  A record is a tuple of builtin values
+written by :func:`repro.sim.codec.pack_record` — a CRC-32 and the
+tuple in the wire codec's pinned ``marshal`` format — framed by a
+4-byte little-endian length prefix.  A record holding anything marshal
+cannot write (an Enum, a ``NamedTuple``) raises ``CodecError`` at
+:meth:`WriteAheadLog.append`; nothing is pickled.  A WAL file is
+readable by any later process of the same build.
 
 Record shapes (first element is the record type):
 

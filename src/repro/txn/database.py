@@ -89,11 +89,6 @@ class Database:
         hooks = getattr(cluster, "peer_down_hooks", None)
         if hooks is not None:
             hooks.append(self._release_dead_owner_locks)
-        register_tables = getattr(cluster, "register_wire_tables", None)
-        if register_tables is not None:
-            # the packed wire codec interns table names; every worker
-            # derives the same sorted list from its own identical build
-            register_tables(sorted(spec.name for spec in self.tables))
         self._rpc_kinds: dict[str, RpcFactory] = {}
         for server in cluster.servers:
             server.engine.set_rpc_handler(self._dispatcher(server.id))

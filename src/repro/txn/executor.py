@@ -21,8 +21,7 @@ from typing import Any, Callable, Generator, Iterable
 from ..analysis import OpInstance, OpKind
 from ..sim import (All, BatchedOneSided, Compute, OneSided,
                    approx_payload_bytes)
-from ..sim.codec import (DispatchContext, OpDescriptor, op_handler,
-                         register_wire_atom)
+from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from .commit_fsm import apply_wire_writes
 from .common import (CPU_APPLY_US, CPU_BATCHED_OP_US, CPU_CHECK_US,
@@ -508,23 +507,21 @@ class BaseExecutor:
 # server-side dispatch table executing the verb against the target
 # partition's (local copy of the) store.
 
-# lock modes travel on every lock_read; interned as wire atoms they
-# pack to one index byte instead of a pickled enum reference
-register_wire_atom(LockMode.SHARED)
-register_wire_atom(LockMode.EXCLUSIVE)
-
-
 def _lock_read_op(db: Database, pid: int, table: str, key: Any,
                   mode: LockMode, txn_id: int) -> OpDescriptor:
+    """The one builder of ``lock_read`` verbs.  The mode travels as a
+    bool (exclusive or not): the wire carries builtin values only."""
     return OpDescriptor("lock_read", pid, table, key,
-                        (mode, txn_id)).bind(db.dispatch_context)
+                        (mode is LockMode.EXCLUSIVE,
+                         txn_id)).bind(db.dispatch_context)
 
 
 @op_handler("lock_read")
 def _do_lock_read(ctx: DispatchContext, d: OpDescriptor) -> tuple:
     store = ctx.store_of(d.partition)
-    mode, txn_id = d.args
-    if not store.try_lock(d.table, d.key, mode, txn_id):
+    exclusive, txn_id = d.args
+    if not store.try_lock(d.table, d.key, LockMode.EXCLUSIVE if exclusive
+                          else LockMode.SHARED, txn_id):
         return ("conflict",)
     result = store.read(d.table, d.key)
     if result is None:

@@ -326,14 +326,27 @@ def counted_wire_run():
     from repro.bench.harness import drive
     from repro.bench.setups import make_ycsb_run
     from repro.sim import TcpTransport, WorkerCluster
-    from repro.sim.codec import FrameCodec, WireVerbs
+    from repro.sim.codec import (FRAME_PICKLE, FrameCodec, WireVerbReply,
+                                 WireVerbs)
     from repro.sim.transport import bind_listener
     from repro.workloads.ycsb import YcsbWorkload
 
     config = RunConfig(n_partitions=2, concurrent_per_engine=2,
                        horizon_us=150_000.0, warmup_us=0.0, seed=11,
                        backend="mp", mp_workers=2)
-    counts = {"request_frames": 0, "foreign_rounds": 0}
+    counts = {"request_frames": 0, "foreign_rounds": 0, "verb_frames": 0,
+              "verb_frames_pickled": 0, "replica_apply_verbs": 0}
+
+    class CountingCodec(FrameCodec):
+        def encode(self, src, dst, wire, what):
+            body = super().encode(src, dst, wire, what)
+            if type(wire) in (WireVerbs, WireVerbReply):
+                counts["verb_frames"] += 1
+                counts["verb_frames_pickled"] += body[0] == FRAME_PICKLE
+            if type(wire) is WireVerbs:
+                counts["replica_apply_verbs"] += sum(
+                    spec[0] == "replica_apply" for spec in wire.specs)
+            return body
     patch = pytest.MonkeyPatch()
     workers, collects = [], []
     try:
@@ -372,9 +385,9 @@ def counted_wire_run():
             ports = {w: l.getsockname()[1] for w, l in enumerate(listeners)}
             a, b = workers
             async with b.serving(TcpTransport(b, listeners[1], ports,
-                                              FrameCodec(b.wire_tables))), \
+                                              CountingCodec())), \
                     a.serving(TcpTransport(a, listeners[0], ports,
-                                           FrameCodec(a.wire_tables))):
+                                           CountingCodec())):
                 # each worker keeps serving the other after its own
                 # load has drained
                 await asyncio.gather(a._drain(), b._drain())
@@ -398,6 +411,16 @@ def test_one_request_frame_per_round_and_foreign_worker(counted_wire_run):
     # and the rounds really carry several verbs each: a frame per verb
     # would put these two counts level
     assert counts["verbs"] > 1.5 * counts["request_frames"]
+
+
+def test_every_verb_frame_is_packed(counted_wire_run):
+    counts = counted_wire_run
+    # replication ships ``replica_apply`` chains: no verb kind, table or
+    # value on the 2PL path falls back to a whole-frame pickle (a
+    # request and its reply: two verb frames per request)
+    assert counts["replica_apply_verbs"] > 0
+    assert counts["verb_frames"] == 2 * counts["request_frames"] > 0
+    assert counts["verb_frames_pickled"] == 0
 
 
 def test_a_lock_word_holds_no_container_once_released(counted_run):

@@ -7,8 +7,10 @@ be silently dropped rather than poison the replay, and the fsync
 policy must match the mode (group commit batches, forced syncs don't).
 """
 
+import marshal
 import os
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -169,8 +171,11 @@ def test_a_length_that_swallows_the_next_frame_stops_replay(victim):
 
 
 @pytest.mark.parametrize("body", [
-    b"", b"\x00", b"\x02", b"\x03" + bytes(8),         # not a tuple
+    b"", b"\x00", b"\x02", b"\x03" + bytes(8),         # shorter than a CRC
     pack_record((R_END, 1)) + b"\x00",                  # trailing bytes
+    # records in the retired tagged-value format: a log an older build
+    # wrote is refused, never misread
+    b"\x09\x02\x00\x03\x03" + bytes(7) + b"\x03\x01" + bytes(7) + b"\x00",
     b"\x09\x01\x00\x05\xff\x00\x00\x00ab",              # str overruns body
     b"\x09\x01\x00\x08\x7f",                            # unknown atom
     b"\x09\x01\x00\x07\x03\x00\x00\x00abc",             # bad pickle blob
@@ -180,6 +185,30 @@ def test_a_length_that_swallows_the_next_frame_stops_replay(victim):
 def test_malformed_record_bodies_raise_codec_error(body):
     with pytest.raises(CodecError):
         unpack_record(body)
+
+
+def checked(payload: bytes) -> bytes:
+    """``payload`` behind a CRC that matches it."""
+    return zlib.crc32(payload).to_bytes(4, "little") + payload
+
+
+@pytest.mark.parametrize("payload, error", [
+    (marshal.dumps((R_END, 1)) + b"\x00", "ends before its last byte"),
+    (marshal.dumps((R_END, "x" * 300)) + b"N", "ends before its last byte"),
+    (marshal.dumps([R_END, 1]), "not a tuple"),
+    (marshal.dumps((R_END, 1))[:-1], "undecodable"),
+    (b"\x00", "undecodable"),
+])
+def test_checksummed_bodies_still_hold_exactly_one_tuple(payload, error):
+    """Past the checksum, the body must be one marshalled tuple ending
+    at its last byte."""
+    with pytest.raises(CodecError, match=error):
+        unpack_record(checked(payload))
+
+
+def test_a_record_that_is_not_a_tuple_is_refused_at_pack():
+    with pytest.raises(CodecError, match="tuple"):
+        pack_record([R_END, 1])
 
 
 def decodes_or_refuses(body):
