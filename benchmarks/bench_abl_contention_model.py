@@ -24,7 +24,7 @@ def run_and_compare():
                             hot_probability=0.6)
     config = RunConfig(n_partitions=2, concurrent_per_engine=4,
                        horizon_us=8_000.0, warmup_us=0.0, seed=9,
-                       n_replicas=0, track_spans=True)
+                       n_replicas=0)
     cluster = Cluster(config.n_partitions)
     registry = ProcedureRegistry()
     for proc in workload.procedures():

@@ -59,20 +59,6 @@ class DependencyGraph:
     def pk_children(self, name: str) -> list[str]:
         return list(self._pk_children[name])
 
-    def pk_parents(self, name: str) -> list[str]:
-        return list(self._pk_parents[name])
-
-    def pk_descendants(self, name: str) -> set[str]:
-        """All ops transitively pk-dependent on ``name``."""
-        out: set[str] = set()
-        stack = list(self._pk_children[name])
-        while stack:
-            node = stack.pop()
-            if node not in out:
-                out.add(node)
-                stack.extend(self._pk_children[node])
-        return out
-
     def has_pk_children(self, name: str) -> bool:
         return bool(self._pk_children[name])
 
@@ -82,23 +68,6 @@ class DependencyGraph:
             return False
         position = {name: i for i, name in enumerate(order)}
         return all(position[a] < position[b] for a, b in self.pk_edges)
-
-    def reorder_last(self, late: set[str]) -> list[str]:
-        """A legal order placing ``late`` ops (and anything pk-dependent
-        on them) as late as possible — the paper's "postpone hot locks".
-
-        Ops not in the late set keep their original relative order, as do
-        ops within the late set.
-        """
-        forced_late = set(late)
-        for name in late:
-            forced_late |= self.pk_descendants(name)
-        early = [n for n in self.nodes if n not in forced_late]
-        tail = [n for n in self.nodes if n in forced_late]
-        order = early + tail
-        assert self.is_legal_order(order), (
-            "reorder_last produced an illegal order; pk-dep closure bug")
-        return order
 
     def _assert_acyclic(self) -> None:
         indegree = {n: len(self._pk_parents[n]) for n in self.nodes}

@@ -83,10 +83,6 @@ class OpSpec:
             deps.append(self.target)
         return tuple(deps)
 
-    def accesses_record(self) -> bool:
-        """Whether this op touches storage (CHECK does not)."""
-        return self.kind is not OpKind.CHECK
-
     def is_write(self) -> bool:
         return self.kind in (OpKind.UPDATE, OpKind.INSERT, OpKind.DELETE)
 

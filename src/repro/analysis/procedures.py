@@ -118,10 +118,6 @@ class OpInstance:
         self._shape = shape
 
     @property
-    def index(self) -> int | None:
-        return self._shape.index
-
-    @property
     def shape(self) -> OpShape:
         """The compiled slot this instance binds; each belongs to one
         layout of one procedure."""
@@ -324,27 +320,18 @@ class StoredProcedure:
 
 
 class ProcedureRegistry:
-    """Registered procedures with their (cached) dependency graphs."""
+    """Registered procedures, each checked at registration: building its
+    dependency graph rejects pk-dep cycles and unknown op names."""
 
     def __init__(self) -> None:
         self._procs: dict[str, StoredProcedure] = {}
-        self._graphs: dict[str, Any] = {}
 
     def register(self, proc: StoredProcedure) -> None:
         from .dependency import DependencyGraph  # local: avoid cycle
         if proc.name in self._procs:
             raise ValueError(f"procedure {proc.name!r} already registered")
+        DependencyGraph.from_procedure(proc)
         self._procs[proc.name] = proc
-        self._graphs[proc.name] = DependencyGraph.from_procedure(proc)
 
     def get(self, name: str) -> StoredProcedure:
         return self._procs[name]
-
-    def graph(self, name: str) -> Any:
-        return self._graphs[name]
-
-    def names(self) -> list[str]:
-        return list(self._procs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._procs

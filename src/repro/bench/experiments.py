@@ -9,7 +9,7 @@ Run from the command line::
     python -m repro.bench.experiments all --quick   # everything, shrunk
     python -m repro.bench.experiments fig9a --quick --backend mp --workers 2
     python -m repro.bench.experiments fig9a --quick --backend mp \\
-        --wal group --chaos-kill 1 --chaos-after 0.5
+        --wal group --chaos-kill 1 --chaos-after 0
     python -m repro.bench.experiments fig9a --arrivals tenants \\
         --offered-load 1200000 --admission deadline
     python -m repro.bench.experiments fig9a --quick --trace \\

@@ -84,7 +84,6 @@ class RunConfig:
     (:data:`RETRY_BACKOFF_US`, at most :data:`MAX_ATTEMPTS` attempts)."""
 
     n_replicas: int = 1
-    track_spans: bool = False
     record_history: bool = False
     route_by_data: bool = False
     """Dispatch each transaction to the partition owning most of its
@@ -305,22 +304,6 @@ class RunResult:
         window_end = max(self.config.horizon_us,
                          self.config.warmup_us + 1.0)
         return self.metrics.throughput(self.config.warmup_us, window_end)
-
-    @property
-    def abort_rate(self) -> float:
-        return self.metrics.abort_rate()
-
-    @property
-    def wall_seconds(self) -> float:
-        """Real time taken to drive this run.  On the sim backend this
-        is perf health of the Python hot path, not a property of the
-        simulated system; on the aio backend it *is* the run duration."""
-        return self.metrics.wall_seconds
-
-    @property
-    def events_processed(self) -> int:
-        """Simulator events (sim) / effects performed (aio) this run."""
-        return self.metrics.events_processed
 
     @property
     def wall_clock_throughput(self) -> float:

@@ -239,11 +239,6 @@ class Metrics:
             return None
         return folded(SchedulerStats, self.scheduler_stats.values())
 
-    @property
-    def shed_requests(self) -> int:
-        """Requests admission control dropped before execution."""
-        return sum(stats.sheds for stats in self.scheduler_stats.values())
-
     def wasted_attempts(self) -> int:
         """Attempts that aborted on contention — work the system paid
         CPU and network for with nothing to show (application aborts
@@ -271,14 +266,8 @@ class Metrics:
     def aborts(self) -> int:
         return self.attempts - self.commits
 
-    def aborts_by_reason(self) -> Counter:
-        return Counter(o.reason for o in self.outcomes if not o.committed)
-
     def commits_by_proc(self) -> Counter:
         return Counter(o.proc for o in self.outcomes if o.committed)
-
-    def attempts_by_proc(self) -> Counter:
-        return Counter(o.proc for o in self.outcomes)
 
     # -- rates ------------------------------------------------------------
 
@@ -327,10 +316,6 @@ class Metrics:
         return [o.latency for o in self.outcomes
                 if (proc is None or o.proc == proc)
                 and (o.committed or not committed_only)]
-
-    def mean_latency(self, proc: str | None = None) -> float:
-        values = self.latencies(proc)
-        return sum(values) / len(values) if values else 0.0
 
     def percentile_latency(self, q: float, proc: str | None = None) -> float:
         values = sorted(self.latencies(proc))

@@ -67,7 +67,6 @@ def build_run(workload, catalog: Catalog, config: RunConfig,
         registry.register(proc)
     db = Database(cluster, catalog, workload.tables(), registry,
                   n_replicas=config.n_replicas,
-                  track_spans=config.track_spans,
                   wal=config.wal_spec())
     workload.populate(db.loader())
     history = HistoryRecorder() if config.record_history else None
@@ -90,37 +89,9 @@ def build_run(workload, catalog: Catalog, config: RunConfig,
 
 # -- TPC-C ------------------------------------------------------------------
 
-def tpcc_hot_table_from_stats(workload: TpccWorkload, scheme,
-                              n_samples: int = 2000,
-                              threshold: float = 0.05,
-                              seed: int = 17) -> HotRecordTable:
-    """Run the paper's statistics pipeline over a sampled trace.
-
-    The Poisson model flags the warehouse rows (written by every
-    Payment, read by every NewOrder) and the ten district rows per
-    warehouse (incremented by every NewOrder); customers and stock fall
-    below the threshold.
-    """
-    from .._util import make_rng
-    registry = ProcedureRegistry()
-    for proc in workload.procedures():
-        registry.register(proc)
-    stats = StatsService(sample_rate=1.0, lock_window_us=10.0)
-    rng = make_rng(seed, "tpcc-stats")
-    for i in range(n_samples):
-        home = i % workload.n_partitions
-        stats.record(sample_from_request(registry,
-                                         workload.next_request(home, rng)))
-    likelihoods = stats.likelihoods_from_txn_rate(
-        txns_per_second=100_000.0 * workload.n_partitions)
-    return HotRecordTable.from_stats(likelihoods, threshold,
-                                     scheme.partition_of)
-
-
 def make_tpcc_run(executor_name: ExecutorName,
                   config: RunConfig,
-                  workload: TpccWorkload | None = None,
-                  hot_from_stats: bool = False) -> Run:
+                  workload: TpccWorkload | None = None) -> Run:
     """Build a TPC-C database + executor over warehouse partitioning."""
     workload = workload or TpccWorkload(
         TpccScale(n_warehouses=config.n_partitions),
@@ -128,9 +99,7 @@ def make_tpcc_run(executor_name: ExecutorName,
     scheme = ModuloScheme(config.n_partitions, routing=tpcc_routing)
     hot_table = None
     if executor_name == "chiller":
-        hot_table = (tpcc_hot_table_from_stats(workload, scheme)
-                     if hot_from_stats
-                     else tpcc_static_hot_table(workload, scheme))
+        hot_table = tpcc_static_hot_table(workload, scheme)
     return build_run(workload,
                      Catalog(config.n_partitions, scheme,
                              replicated_tables=REPLICATED_TABLES),

@@ -61,12 +61,19 @@ class InnerRequest(NamedTuple):
 
 
 class _AckState:
-    __slots__ = ("signal", "expected", "received")
+    """The replica servers a coordinator still waits to hear from."""
 
-    def __init__(self, expected: int):
+    __slots__ = ("signal", "waiting")
+
+    def __init__(self, waiting: list[int]):
         self.signal = Signal()
-        self.expected = expected
-        self.received = 0
+        self.waiting = set(waiting)
+
+    def settle(self, servers) -> None:
+        if self.waiting:
+            self.waiting.difference_update(servers)
+            if not self.waiting:
+                self.signal.fire()
 
 
 class ChillerExecutor(BaseExecutor):
@@ -95,6 +102,9 @@ class ChillerExecutor(BaseExecutor):
         db.register_rpc(RPC_INNER, self._inner_handler)
         db.register_rpc(RPC_REPLICATE, self._replicate_handler)
         db.register_rpc(RPC_ACK, self._ack_handler)
+        self._peer_is_down = getattr(db.cluster, "peer_is_down", None)
+        if self._peer_is_down is not None:
+            db.cluster.peer_down_hooks.append(self._forget_dead_replicas)
 
     def make_planner(self, home: int) -> RegionPlanner:
         """The planner of transactions coordinated by ``home`` (which
@@ -148,9 +158,9 @@ class ChillerExecutor(BaseExecutor):
             yield from fsm.abort()
             return self.finish(state)
 
-        expected_acks = self._expected_acks(plan.inner_host)
-        if expected_acks:
-            self._pending_acks[state.txn_id] = _AckState(expected_acks)
+        awaited = self._replicas_to_await(plan.inner_host)
+        if awaited:
+            self._pending_acks[state.txn_id] = _AckState(awaited)
         inner_request = InnerRequest(
             state.txn_id, state.request.proc, state.request.params,
             plan.inner_names(), dict(state.ctx), state.request.home)
@@ -175,7 +185,7 @@ class ChillerExecutor(BaseExecutor):
         state.reads.extend(inner_reads)
         state.write_versions.extend(inner_versions)
 
-        if expected_acks:
+        if awaited:
             acks = self._pending_acks[state.txn_id]
             yield Await(acks.signal)
             del self._pending_acks[state.txn_id]
@@ -192,10 +202,28 @@ class ChillerExecutor(BaseExecutor):
         state.touched.add(plan.inner_host)
         return self.finish(state)
 
-    def _expected_acks(self, inner_host: int) -> int:
+    def _replicas_to_await(self, inner_host: int) -> list[int]:
+        """The inner host's replicas whose acks the coordinator waits
+        for: all of them, bar those on a worker known to be dead (its
+        ``post`` is dropped, so no ack would ever come)."""
         if self.db.replicas is None:
-            return 0
-        return len(self.db.replicas.replica_servers(inner_host))
+            return []
+        servers = self.db.replicas.replica_servers(inner_host)
+        if self._peer_is_down is None:
+            return servers
+        owner_of = self.db.cluster.owner_of
+        return [s for s in servers if not self._peer_is_down(owner_of(s))]
+
+    def _forget_dead_replicas(self, worker: int,
+                              _dead_generation: int) -> None:
+        """A peer worker died: its replicas will never ack, so stop
+        waiting for them.  (The hook also runs when the respawned peer
+        is rewired; a live peer's acks are still coming then.)"""
+        if not self._peer_is_down(worker):
+            return
+        owner_of = self.db.cluster.owner_of
+        for acks in list(self._pending_acks.values()):
+            acks.settle([s for s in acks.waiting if owner_of(s) == worker])
 
     # -- inner host ------------------------------------------------------------
 
@@ -362,9 +390,7 @@ class ChillerExecutor(BaseExecutor):
                      body: InnerReplicaAck) -> Generator:
         acks = self._pending_acks.get(body.txn_id)
         if acks is not None:
-            acks.received += 1
-            if acks.received == acks.expected:
-                acks.signal.fire()
+            acks.settle((body.replica_server,))
         return None
         yield  # pragma: no cover - generator marker
 

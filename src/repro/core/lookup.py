@@ -2,7 +2,7 @@
 
 Chiller stores explicit placements only for records whose contention
 likelihood clears a threshold; everything else falls through to an
-orthogonal default partitioner (hash/range), keeping the table tiny —
+orthogonal default partitioner (hash or modulo), keeping the table tiny —
 the paper measures ~10x smaller than Schism's per-record table.  The
 same structure answers the region planner's "is this record hot?" test
 (run-time decision step 1).
@@ -10,13 +10,14 @@ same structure answers the region planner's "is this record hot?" test
 Since the adaptive-placement subsystem (:mod:`repro.placement`) landed,
 the table is also **epoch-versioned**: live record migrations flip an
 entry via :meth:`HotRecordTable.apply_move`, which bumps the table's
-epoch and remembers the move history.  A transaction captures the
-epoch at start; when one of its reads later misses, the executor asks
-:meth:`moved_since` to distinguish "this record never existed"
-(a genuine READ_MISS, an application abort) from "this record moved
-under me" (a retryable MIGRATED abort — the retry re-resolves against
-the current epoch).  Static runs never call :meth:`apply_move`, so the
-epoch stays 0 and every path below behaves exactly as before.
+epoch and remembers each moved record's flip epoch.  A transaction
+captures the epoch at start; when one of its reads later misses, the
+executor asks :meth:`moved_since` to distinguish "this record never
+existed" (a genuine READ_MISS, an application abort) from "this record
+moved under me" (a retryable MIGRATED abort — the retry re-resolves
+against the current epoch).  Static runs never call
+:meth:`apply_move`, so the epoch stays 0 and every path below behaves
+exactly as before.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ class HotRecordTable:
     def __init__(self, entries: Mapping[RecordId, int]):
         self._entries = dict(entries)
         self._epoch = 0
-        # rid -> [(epoch, partition), ...] placement history; only
-        # records that actually migrated carry an entry, so static
-        # tables pay nothing
-        self._history: dict[RecordId, list[tuple[int, int]]] = {}
+        # rid -> epoch of its latest placement flip; only records that
+        # actually migrated carry an entry, so static tables pay nothing
+        self._moved_at: dict[RecordId, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -49,9 +49,6 @@ class HotRecordTable:
 
     def partition(self, table: str, key) -> int | None:
         return self._entries.get((table, key))
-
-    def entries(self) -> dict[RecordId, int]:
-        return dict(self._entries)
 
     def scheme(self, fallback) -> LookupScheme:
         """A catalog placement scheme: hot entries over ``fallback``.
@@ -92,15 +89,8 @@ class HotRecordTable:
         if epoch <= 0:
             raise ValueError("placement epochs start at 1")
         rid = (table, key)
-        history = self._history.get(rid)
-        if history is None:
-            # seed with the pre-migration placement (if the table had
-            # one) so partition_as_of can answer for old epochs
-            history = self._history[rid] = (
-                [(0, self._entries[rid])] if rid in self._entries else [])
-        if not (history and history[-1] == (epoch, partition)):
-            history.append((epoch, partition))
         self._entries[rid] = partition
+        self._moved_at[rid] = epoch
         self._epoch = max(self._epoch, epoch)
 
     def moved_since(self, table: str, key, epoch: int) -> bool:
@@ -110,29 +100,7 @@ class HotRecordTable:
         a transaction that captured ``epoch`` at start and later missed
         the record at its old home should re-resolve, not give up.
         """
-        history = self._history.get((table, key))
-        return bool(history) and history[-1][0] > epoch
-
-    def partition_as_of(self, table: str, key, epoch: int) -> int | None:
-        """The record's explicit placement as of placement ``epoch``.
-
-        ``None`` means the table had no entry at that epoch (the record
-        fell through to the fallback scheme).  Note that live
-        transactions always resolve against the *current* placement —
-        they capture their start epoch only to classify late read
-        misses (:meth:`moved_since`); this historical view exists for
-        debugging and migration audits, and only records that actually
-        migrated carry any history.
-        """
-        rid = (table, key)
-        history = self._history.get(rid)
-        if not history:
-            return self._entries.get(rid)
-        placed: int | None = None
-        for move_epoch, partition in history:
-            if move_epoch <= epoch:
-                placed = partition
-        return placed
+        return self._moved_at.get((table, key), 0) > epoch
 
     @classmethod
     def from_assignment(cls, record_assignment: Mapping[RecordId, int],

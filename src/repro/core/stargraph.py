@@ -38,14 +38,6 @@ class StarGraph:
     samples: list[TxnSample]
     edge_weight_of: dict[RecordId, float]   # the (normalized) Pc used
 
-    @property
-    def n_transactions(self) -> int:
-        return len(self.t_vertex_of)
-
-    @property
-    def n_records(self) -> int:
-        return len(self.r_vertex_of)
-
     def record_assignment(self, assignment: Sequence[int],
                           ) -> dict[RecordId, int]:
         """Record placements implied by a graph partitioning."""

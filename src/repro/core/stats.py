@@ -90,13 +90,6 @@ class StatsService:
         self._read_counts.update(sample.reads)
         self._write_counts.update(sample.writes)
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def access_counts(self, rid: RecordId) -> tuple[int, int]:
-        """(writes, reads) observed for one record."""
-        return self._write_counts[rid], self._read_counts[rid]
-
     def arrival_rates(self, observed_duration_us: float,
                       ) -> dict[RecordId, tuple[float, float]]:
         """Per-record (lambda_w, lambda_r) within one lock window."""

@@ -56,9 +56,6 @@ class WeightedGraph:
     def total_vertex_weight(self) -> float:
         return sum(self.vertex_weights)
 
-    def total_edge_weight(self) -> float:
-        return sum(w for adj in self.adjacency for w in adj.values()) / 2.0
-
     # -- partition evaluation --------------------------------------------------
 
     def edge_cut(self, assignment: Sequence[int]) -> float:

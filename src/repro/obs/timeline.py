@@ -116,17 +116,6 @@ class Timeline:
         rows.sort(key=lambda r: (r.t_us, r.server, r.gen))
         return rows
 
-    def cumulative(self, name: str,
-                   server: int | None = None) -> list[tuple[float, float]]:
-        """Running totals of a delta counter — monotonic by
-        construction (every delta is nonnegative)."""
-        total = 0.0
-        out = []
-        for row in self.rows(server):
-            total += row.counters.get(name, 0.0)
-            out.append((row.t_us, total))
-        return out
-
     def totals(self) -> dict[str, float]:
         """Every counter summed over all retained rows."""
         totals: dict[str, float] = {}

@@ -1,6 +1,6 @@
-"""Placement schemes: hash, range, lookup-table, and Schism baseline."""
+"""Placement schemes: hash, lookup-table, and Schism baseline."""
 
-from .base import (HashScheme, LookupScheme, ModuloScheme, RangeScheme,
+from .base import (HashScheme, LookupScheme, ModuloScheme,
                    first_component_routing, identity_routing)
 from .schism import (SchismConfig, SchismPartitioning,
                      build_coaccess_graph, partition_schism)
@@ -13,7 +13,6 @@ __all__ = [
     "partition_schism",
     "LookupScheme",
     "ModuloScheme",
-    "RangeScheme",
     "first_component_routing",
     "identity_routing",
 ]

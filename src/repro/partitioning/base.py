@@ -1,11 +1,10 @@
 """Placement schemes: how records map to partitions.
 
-Three building blocks:
+Two building blocks:
 
 * :class:`HashScheme` — stateless hashing of a routing key (a table-aware
   projection of the primary key, so composite-keyed rows can co-locate
   with their parent, e.g. TPC-C rows route by warehouse id).
-* :class:`RangeScheme` — contiguous key ranges per partition.
 * :class:`LookupScheme` — an explicit per-record lookup table over a
   fallback scheme.  This is the paper's Section 4.4 structure: Chiller
   stores only *hot* records in the lookup table, while Schism needs an
@@ -76,44 +75,6 @@ class ModuloScheme:
         return routed % self.n_partitions
 
     def lookup_table_size(self) -> int:
-        return 0
-
-
-class RangeScheme:
-    """Range partitioning: per-table sorted boundary lists.
-
-    ``boundaries[table] = [b1, b2, ..., b_{k-1}]`` assigns routing keys
-    ``< b1`` to partition 0, ``[b1, b2)`` to partition 1, and so on.
-    """
-
-    def __init__(self, n_partitions: int,
-                 boundaries: Mapping[str, list[Any]],
-                 routing: RoutingFn = identity_routing):
-        if n_partitions <= 0:
-            raise ValueError("need at least one partition")
-        self.n_partitions = n_partitions
-        self.routing = routing
-        self._boundaries = dict(boundaries)
-        for table, bounds in self._boundaries.items():
-            if len(bounds) != n_partitions - 1:
-                raise ValueError(
-                    f"table {table!r}: {n_partitions} partitions need "
-                    f"{n_partitions - 1} boundaries, got {len(bounds)}")
-            if sorted(bounds) != list(bounds):
-                raise ValueError(f"table {table!r}: boundaries not sorted")
-
-    def partition_of(self, table: str, key: Any) -> int:
-        bounds = self._boundaries.get(table)
-        if bounds is None:
-            raise KeyError(f"no range boundaries for table {table!r}")
-        routed = self.routing(table, key)
-        for i, bound in enumerate(bounds):
-            if routed < bound:
-                return i
-        return self.n_partitions - 1
-
-    def lookup_table_size(self) -> int:
-        # boundaries, not per-record entries: essentially free
         return 0
 
 

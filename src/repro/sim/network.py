@@ -284,9 +284,6 @@ class NetworkStats:
         """Bytes that crossed the wire (local deliveries excluded)."""
         return sum(self.bytes_by_kind.values())
 
-    def total_local_bytes(self) -> int:
-        return sum(self.local_bytes_by_kind.values())
-
     # -- Fig.-style phase breakdowns --------------------------------------
 
     def bytes_by_phase(self) -> dict[str, int]:

@@ -4,7 +4,7 @@ from .bucket import BucketStore
 from .catalog import Catalog, PlacementScheme
 from .locks import LockMode, LockWord
 from .partition import ContentionSpanTracker, PartitionStore, TableSpec
-from .record import Key, Record, RecordId, record_id
+from .record import Key, Record, RecordId
 from .wal import (RecoveryStats, WalSpec, WriteAheadLog, as_wal_spec,
                   replay_wal, wal_path)
 
@@ -24,7 +24,6 @@ __all__ = [
     "WalSpec",
     "WriteAheadLog",
     "as_wal_spec",
-    "record_id",
     "replay_wal",
     "wal_path",
 ]

@@ -16,7 +16,7 @@ tells those two apart and rejects keys it cannot hash (floats).
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
 
 from .._util import stable_hash
 from .locks import LockWord
@@ -79,8 +79,3 @@ class BucketStore:
     def keys(self) -> Iterator[Key]:
         return iter(self.records)
 
-    def scan(self, predicate: Any = None) -> Iterator[Record]:
-        """Iterate all records (optionally filtered); used by loaders/tests."""
-        for record in self.records.values():
-            if predicate is None or predicate(record):
-                yield record

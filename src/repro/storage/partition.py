@@ -158,9 +158,6 @@ class PartitionStore:
         """Owners currently holding at least one lock here."""
         return list(self._held)
 
-    def locks_held(self, owner: object) -> int:
-        return len(self._held.get(owner, []))
-
     def is_locked(self, table: str, key: Key) -> bool:
         lock = self._tables[table].lock_if_any(key)
         return lock is not None and not lock.is_free()

@@ -35,8 +35,3 @@ class Record:
 
     def __repr__(self) -> str:
         return f"Record({self.key!r}, v{self.version})"
-
-
-def record_id(table: str, key: Key) -> RecordId:
-    """Canonical global identifier of a record."""
-    return (table, key)

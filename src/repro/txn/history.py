@@ -33,9 +33,6 @@ class HistoryRecorder:
         if self.enabled:
             self.commits.append(log)
 
-    def __len__(self) -> int:
-        return len(self.commits)
-
     # -- checking -------------------------------------------------------
 
     def precedence_edges(self) -> set[tuple[int, int]]:

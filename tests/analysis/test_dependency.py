@@ -36,7 +36,6 @@ def test_conditional_ops_marked(graph):
 def test_pk_children_and_descendants(graph):
     assert graph.pk_children("f") == ["s_ins"]
     assert graph.pk_children("c") == ["t"]
-    assert graph.pk_descendants("f") == {"s_ins"}
     assert not graph.has_pk_children("t")
 
 
@@ -53,20 +52,6 @@ def test_order_violating_pk_dep_is_illegal(graph):
 
 def test_order_with_missing_ops_is_illegal(graph):
     assert not graph.is_legal_order(["f", "c", "t"])
-
-
-def test_reorder_last_postpones_hot_ops(graph):
-    """Postponing the flight read drags its pk-descendant (the seats
-    insert) along and keeps the order legal."""
-    order = graph.reorder_last({"f"})
-    assert graph.is_legal_order(order)
-    assert order.index("f") > order.index("c")
-    assert order.index("f") > order.index("t")
-    assert order.index("s_ins") > order.index("f")
-
-
-def test_reorder_last_is_stable_for_empty_set(graph):
-    assert graph.reorder_last(set()) == graph.nodes
 
 
 def test_cycle_detection():
@@ -87,12 +72,14 @@ def test_to_dot_contains_styles(graph):
     assert "color=blue" in dot
 
 
-def test_registry_builds_graph_at_registration():
+def test_registry_builds_graph_at_registration(monkeypatch):
+    built = []
+    monkeypatch.setattr(DependencyGraph, "from_procedure",
+                        classmethod(lambda cls, proc: built.append(proc)))
     registry = ProcedureRegistry()
     proc = flight_booking_procedure()
     registry.register(proc)
-    assert "book_flight" in registry
-    assert registry.graph("book_flight").pk_edges == [("c", "t"),
-                                                      ("f", "s_ins")]
+    assert built == [proc]
+    assert registry.get("book_flight") is proc
     with pytest.raises(ValueError):
         registry.register(proc)

@@ -242,8 +242,8 @@ def test_compiled_layouts_match_fresh_analysis(workload):
             assert len(instances) == len(rows)
             for inst, row in zip(instances, rows):
                 name, spec, item, index, alias, deps, pk_sources, target = row
-                assert (inst.name, inst.spec, inst.index) == (name, spec,
-                                                              index)
+                assert (inst.name, inst.spec, inst.shape.index) == (
+                    name, spec, index)
                 assert inst.item is item or inst.item == item
                 assert inst._alias == alias
                 assert set(inst.dep_instance_names()) == deps

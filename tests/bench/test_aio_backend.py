@@ -53,7 +53,7 @@ def test_ycsb_completes_on_aio_backend_with_wall_clock_metrics():
     # the clock is the wall clock: the run took about horizon_us of
     # real time, and wall-clock throughput is the headline number
     assert result.end_time >= config.horizon_us
-    assert result.wall_seconds >= config.horizon_us / 1e6
+    assert result.metrics.wall_seconds >= config.horizon_us / 1e6
     assert result.throughput > 0
     assert result.wall_clock_throughput > 0
     summary = result.perf_summary()

@@ -1,6 +1,7 @@
 """Tests for the benchmark driver."""
 
 from dataclasses import replace
+from statistics import mean
 
 import pytest
 
@@ -83,11 +84,11 @@ def test_run_records_hot_path_health():
                        horizon_us=1_000.0, warmup_us=0.0, n_replicas=0)
     db = build(workload, config)
     result = run_benchmark(workload, TwoPLExecutor(db), config)
-    assert result.wall_seconds > 0.0
-    assert result.events_processed > 0
+    assert result.metrics.wall_seconds > 0.0
+    assert result.metrics.events_processed > 0
     assert result.metrics.events_per_wall_second() > 0.0
     summary = result.perf_summary()
-    assert summary["events_processed"] == result.events_processed
+    assert summary["events_processed"] == result.metrics.events_processed
     assert summary["sim_us"] == result.end_time
 
 
@@ -117,7 +118,8 @@ def test_doorbell_batching_preserves_correctness():
     unbatched = run_benchmark(
         workload, TwoPLExecutor(build(workload, unbatched_config)),
         unbatched_config)
-    assert result.metrics.mean_latency() < unbatched.metrics.mean_latency()
+    assert (mean(result.metrics.latencies())
+            < mean(unbatched.metrics.latencies()))
     assert result.throughput >= unbatched.throughput
 
 

@@ -302,8 +302,8 @@ def test_a_transaction_is_instantiated_once(counted_run):
 def test_procedure_shapes_are_compiled_not_rederived(counted_run):
     run, result, counts, _walked = counted_run
     registry = run.database.registry
-    compiled = sum(len(shapes) for name in registry.names()
-                   for shapes in registry.get(name)._layouts.values())
+    compiled = sum(len(shapes) for proc in registry._procs.values()
+                   for shapes in proc._layouts.values())
     assert counts["alias_maps"] == compiled     # one per compiled shape
     assert compiled <= ALIAS_MAPS_PER_RUN
     # and not one per op instance per transaction

@@ -71,7 +71,7 @@ def test_latency_statistics():
     m = Metrics()
     for i, end in enumerate((10.0, 20.0, 30.0, 40.0)):
         m.add(outcome(i, start=0.0, end=end))
-    assert m.mean_latency() == pytest.approx(25.0)
+    assert m.latencies() == [10.0, 20.0, 30.0, 40.0]
     assert m.percentile_latency(0.5) == pytest.approx(30.0)
     assert m.percentile_latency(0.99) == pytest.approx(40.0)
 
@@ -90,5 +90,5 @@ def test_empty_metrics_are_safe():
     m = Metrics()
     assert m.abort_rate() == 0.0
     assert m.distributed_ratio() == 0.0
-    assert m.mean_latency() == 0.0
+    assert m.percentile_latency(0.5) == 0.0
     assert m.commit_share() == {}

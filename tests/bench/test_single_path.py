@@ -192,11 +192,11 @@ def test_every_run_config_field_and_flag_has_a_consumer_that_is_no_test():
 
 
 def test_run_config_does_not_grow():
-    assert len(dataclasses.fields(RunConfig)) <= 37
+    assert len(dataclasses.fields(RunConfig)) <= 36
 
 
 def test_config_classes_flags_and_the_allow_list_do_not_grow():
-    assert sum(len(dataclasses.fields(cls)) for cls in CONFIG_CLASSES) <= 92
+    assert sum(len(dataclasses.fields(cls)) for cls in CONFIG_CLASSES) <= 91
     assert len(flag_dests()) <= 24
     assert len(NO_CONSUMER_YET) <= 1
 

@@ -57,7 +57,7 @@ def test_empty_table():
     table = HotRecordTable.empty()
     assert len(table) == 0
     assert not table.is_hot("x", 1)
-    assert table.entries() == {}
+    assert len(table) == 0
 
 
 # -- epoch-versioned migration support ----------------------------------------
@@ -69,9 +69,7 @@ def test_apply_move_flips_and_versions_the_entry():
     table.apply_move("stock", 1, 3, epoch=1)
     assert table.partition("stock", 1) == 3
     assert table.current_epoch == 1
-    # history answers for old epochs (in-flight transactions' view)
-    assert table.partition_as_of("stock", 1, 0) == 0
-    assert table.partition_as_of("stock", 1, 1) == 3
+    # the flip's epoch classifies in-flight transactions' read misses
     assert table.moved_since("stock", 1, 0)
     assert not table.moved_since("stock", 1, 1)
 
@@ -81,8 +79,9 @@ def test_apply_move_is_idempotent_per_epoch():
     for _ in range(3):  # broadcast re-delivery on shared catalogs
         table.apply_move("stock", 7, 2, epoch=1)
     assert table.current_epoch == 1
-    assert table.partition_as_of("stock", 7, 0) is None
-    assert table.partition_as_of("stock", 7, 1) == 2
+    assert table.partition("stock", 7) == 2
+    assert table.moved_since("stock", 7, 0)
+    assert not table.moved_since("stock", 7, 1)
 
 
 def test_apply_move_rejects_epoch_zero():

@@ -15,8 +15,8 @@ def samples_simple():
 def test_star_shape_vertex_and_edge_counts():
     """|V| = |T| + |R| and n edges per transaction (not n(n-1)/2)."""
     star = build_star_graph(samples_simple(), {("t", "h"): 0.9})
-    assert star.n_transactions == 2
-    assert star.n_records == 3  # a, b, h
+    assert len(star.t_vertex_of) == 2
+    assert len(star.r_vertex_of) == 3  # a, b, h
     assert star.graph.n_vertices == 5
     assert star.graph.n_edges == 4  # 2 records per txn
     # no record-record edges: records connect only through t-vertices

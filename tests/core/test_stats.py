@@ -52,9 +52,10 @@ def test_stats_aggregation_counts():
     service = StatsService()
     service.record(TxnSample("p", reads=(("t", 1),), writes=(("t", 2),)))
     service.record(TxnSample("p", reads=(("t", 1),), writes=()))
-    assert len(service) == 2
-    assert service.access_counts(("t", 1)) == (0, 2)
-    assert service.access_counts(("t", 2)) == (1, 0)
+    assert len(service.samples) == 2
+    # one lock window observed: the (writes, reads) rates are the counts
+    assert service.arrival_rates(service.lock_window_us) == {
+        ("t", 1): (0.0, 2.0), ("t", 2): (1.0, 0.0)}
 
 
 def test_arrival_rates_scale_with_window_and_sampling():

@@ -14,7 +14,6 @@ def test_add_vertices_and_edges():
     assert g.n_edges == 1
     assert g.neighbors(a) == {b: 1.5}
     assert g.total_vertex_weight() == 5.0
-    assert g.total_edge_weight() == 1.5
 
 
 def test_parallel_edges_accumulate():

@@ -70,7 +70,7 @@ def test_money_conserved_high_contention(executor_cls):
 @pytest.mark.parametrize("executor_cls", [TwoPLExecutor, OccExecutor])
 def test_history_serializable_low_contention(executor_cls):
     result, _, _ = run_bank(executor_cls)
-    assert len(result.history) == result.metrics.commits
+    assert len(result.history.commits) == result.metrics.commits
     assert result.history.find_cycle() is None
 
 

@@ -67,7 +67,7 @@ def test_money_conserved_under_contention():
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_serializable_across_seeds(seed):
     result, _, _, _ = run_chiller_bank(seed=seed)
-    assert len(result.history) == result.metrics.commits
+    assert len(result.history.commits) == result.metrics.commits
     assert result.history.find_cycle() is None
 
 

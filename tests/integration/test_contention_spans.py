@@ -11,16 +11,19 @@ import pytest
 
 from repro.bench import RunConfig
 from repro.bench.setups import make_tpcc_run
+from repro.storage import ContentionSpanTracker
 from repro.workloads.tpcc import DISTRICTS_PER_WAREHOUSE
 
 
 def mean_hot_span(executor_name, seed=3):
     config = RunConfig(n_partitions=2, concurrent_per_engine=2,
                        horizon_us=4_000.0, warmup_us=0.0, seed=seed,
-                       n_replicas=0, track_spans=True)
+                       n_replicas=0)
     run = make_tpcc_run(executor_name, config)
-    run.run()
     db = run.database
+    for server in db.cluster.servers:  # what Database(track_spans=True) sets
+        server.storage.spans = ContentionSpanTracker()
+    run.run()
     spans = []
     for w in range(run.workload.scale.n_warehouses):
         pid = db.partition_of("warehouse", w)

@@ -62,7 +62,7 @@ def test_order_counter_matches_inserted_orders(executor_name):
 @pytest.mark.parametrize("executor_name", EXECUTORS)
 def test_history_serializable(executor_name):
     result, _ = run_mix(executor_name)
-    assert len(result.history) == result.metrics.commits
+    assert len(result.history.commits) == result.metrics.commits
     assert result.history.find_cycle() is None
 
 

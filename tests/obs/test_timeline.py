@@ -35,16 +35,6 @@ def test_rows_interleave_time_ordered():
         [(10.0, 0), (20.0, 0), (20.0, 1)]
 
 
-def test_cumulative_is_monotone():
-    tl = Timeline(10.0)
-    for i, commits in enumerate([3, 0, 5]):
-        tl.add(row(10.0 * (i + 1), counters={"commits": commits}))
-    assert [t for t, _ in tl.cumulative("commits")] == [10.0, 20.0, 30.0]
-    cumulative = [v for _, v in tl.cumulative("commits")]
-    assert cumulative == [3, 3, 8]
-    assert cumulative == sorted(cumulative)
-
-
 def test_gauges_read_max_and_last():
     tl = Timeline(10.0)
     tl.add(row(10.0, gauges={"queue_depth": 4.0}))

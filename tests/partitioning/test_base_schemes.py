@@ -1,9 +1,9 @@
-"""Tests for hash/range/lookup placement schemes."""
+"""Tests for hash/lookup placement schemes."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.partitioning import (HashScheme, LookupScheme, RangeScheme,
+from repro.partitioning import (HashScheme, LookupScheme,
                                 first_component_routing)
 
 
@@ -35,25 +35,6 @@ def test_first_component_routing_colocates_children():
     parent = scheme.partition_of("orders", (3,))
     for line in range(10):
         assert scheme.partition_of("order_line", (3, line)) == parent
-
-
-def test_range_scheme_boundaries():
-    scheme = RangeScheme(3, {"t": [10, 20]})
-    assert scheme.partition_of("t", 0) == 0
-    assert scheme.partition_of("t", 9) == 0
-    assert scheme.partition_of("t", 10) == 1
-    assert scheme.partition_of("t", 19) == 1
-    assert scheme.partition_of("t", 20) == 2
-    assert scheme.partition_of("t", 99) == 2
-
-
-def test_range_scheme_validation():
-    with pytest.raises(ValueError, match="boundaries"):
-        RangeScheme(3, {"t": [10]})
-    with pytest.raises(ValueError, match="not sorted"):
-        RangeScheme(3, {"t": [20, 10]})
-    with pytest.raises(KeyError):
-        RangeScheme(2, {"t": [5]}).partition_of("other", 1)
 
 
 def test_lookup_scheme_overrides_fallback():

@@ -142,4 +142,4 @@ def test_aio_stats_split_local_and_wire(run_program):
     assert stats.messages == 2
     assert stats.total_remote_ops() == 1 + 2
     assert stats.total_bytes() > 0
-    assert stats.total_local_bytes() > 0
+    assert sum(stats.local_bytes_by_kind.values()) > 0

@@ -13,6 +13,7 @@ import multiprocessing
 import pytest
 
 from repro.bench import RunConfig
+from repro.bench.experiments import fig9_rows
 from repro.bench.setups import make_ycsb_run
 from repro.sim import MpRunError
 from repro.workloads.ycsb import YcsbWorkload
@@ -58,6 +59,21 @@ def test_chaos_kill_mid_run_recovers_and_completes(tmp_path):
     assert recovery.wal_appends > 0
     summary = result.perf_summary()
     assert summary["recovery"]["recoveries"] >= 1
+    assert no_leaked_workers()
+
+
+def test_chaos_kill_of_a_replica_host_does_not_wedge_chiller():
+    """fig9a's quick mp cells, one worker SIGKILLed right after the
+    handshake.  Chiller's coordinator waits for its inner host's replica
+    acks; those from a dead worker never come, so it must stop waiting
+    for them (it used to hang, and the run timed out with the survivor
+    never reporting 'done')."""
+    rows = fig9_rows(concurrency=(1,), quick=True, overrides=dict(
+        backend="mp", mp_workers=2, wal="group", mp_recovery=True,
+        mp_max_restarts=1, mp_chaos_kill_worker=1,
+        mp_chaos_kill_after_s=0.0, run_timeout_s=15))
+    assert [row["concurrent"] for row in rows] == [1]
+    assert "chiller_throughput" in rows[0]
     assert no_leaked_workers()
 
 

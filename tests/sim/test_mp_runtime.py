@@ -8,6 +8,7 @@ the children re-import them by reference.
 import asyncio
 import dataclasses
 import multiprocessing
+from collections import Counter
 from functools import partial
 from types import SimpleNamespace
 
@@ -274,7 +275,7 @@ def test_run_mp_benchmark_merges_worker_metrics():
     config = mp_config(horizon_us=20_000.0)
     run = make_tpcc_run("2pl", config)
     result = run_benchmark(run.workload, run.executor, config, run.mp_spec)
-    attempts_per_proc = result.metrics.attempts_by_proc()
+    attempts_per_proc = Counter(o.proc for o in result.metrics.outcomes)
     assert sum(attempts_per_proc.values()) == result.metrics.attempts > 0
     # what is off stays off in every worker: no trace or timeline state
     # is allocated, and no WAL record is written

@@ -72,8 +72,6 @@ def test_keys_and_scan():
     for key in range(5):
         store.put(Record(key, {"v": key}))
     assert sorted(store.keys()) == [0, 1, 2, 3, 4]
-    evens = [r.key for r in store.scan(lambda r: r.key % 2 == 0)]
-    assert sorted(evens) == [0, 2, 4]
 
 
 @given(st.dictionaries(st.integers(0, 10_000), st.integers(), max_size=200),
@@ -205,20 +203,13 @@ class _ReferenceBucketStore:
             bucket = bucket.overflow
         bucket.records[record.key] = record
 
-    def scan(self, predicate=None):
-        for head in self._buckets:
-            for bucket in head.chain():
-                for record in bucket.records.values():
-                    if predicate is None or predicate(record):
-                        yield record
-
 
 _atoms = st.one_of(st.integers(-3, 40), st.text("abc", max_size=2))
 _keys = st.one_of(_atoms, st.tuples(_atoms), st.tuples(_atoms, _atoms))
 _ops = st.one_of(
     st.tuples(st.sampled_from(["put", "insert"]), _keys, st.integers()),
     st.tuples(st.sampled_from(["get", "delete"]), _keys),
-    st.tuples(st.sampled_from(["keys", "scan", "len"])),
+    st.tuples(st.sampled_from(["keys", "len"])),
     st.tuples(st.just("lock"), _keys, st.sampled_from(list(LockMode)),
               st.sampled_from(["t1", "t2", "t3"])),
     st.tuples(st.just("unlock"), _keys, st.sampled_from(["t1", "t2", "t3"])),
@@ -238,10 +229,6 @@ def _apply(store, op):
         return store.delete(args[0])
     if name == "keys":
         return sorted(store.keys(), key=repr)
-    if name == "scan":
-        wanted = lambda record: record.fields["v"] % 2 == 0  # noqa: E731
-        return sorted(((r.key, r.fields) for r in store.scan(wanted)),
-                      key=repr)
     if name == "len":
         return len(store)
     lock = store.lock_for(args[0])

@@ -64,7 +64,6 @@ def test_try_lock_conflict_and_release_all():
     store.load("acct", 1, {"balance": 100})
     assert store.try_lock("acct", 1, LockMode.EXCLUSIVE, "t1")
     assert not store.try_lock("acct", 1, LockMode.SHARED, "t2")
-    assert store.locks_held("t1") == 1
     assert store.release_all("t1") == 1
     assert store.try_lock("acct", 1, LockMode.SHARED, "t2")
 

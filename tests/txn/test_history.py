@@ -89,4 +89,4 @@ def test_three_txn_cycle():
 def test_disabled_recorder_drops_logs():
     history = HistoryRecorder(enabled=False)
     history.record(log(1, writes=[(("t", "a"), 1)]))
-    assert len(history) == 0
+    assert len(history.commits) == 0

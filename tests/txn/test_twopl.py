@@ -92,7 +92,7 @@ def test_lock_conflict_aborts_no_wait():
     assert not outcome.committed
     assert outcome.reason is AbortReason.LOCK_CONFLICT
     # the victim's locks are gone; the intruder's remains
-    assert db.store(pid).locks_held("intruder") == 1
+    assert db.store(pid).release_all("intruder") == 1
 
 
 def test_read_miss_aborts():
@@ -155,7 +155,7 @@ def test_history_recorded_on_commit():
     executor = TwoPLExecutor(db, history=history)
     run_txn(db, cluster, executor,
             TxnRequest("transfer", {"src": 1, "dst": 2, "amount": 1.0}))
-    assert len(history) == 1
+    assert len(history.commits) == 1
     log = history.commits[0]
     assert {rid for rid, _ in log.reads} == {("accounts", 1),
                                              ("accounts", 2)}
