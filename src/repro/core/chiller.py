@@ -8,11 +8,11 @@ Protocol per transaction (Fig. 3b):
    parallel rounds), evaluating outer CHECKs as they become ready.  Any
    failure aborts normally.
 3. **Inner region**: delegate the inner ops to the inner host via one
-   RPC carrying all outer bindings.  The inner host locks, reads,
-   checks, applies, and *commits unilaterally* — its locks are released
-   after a purely local critical section, which is the whole point: the
-   hot records' contention span shrinks from >= 2 network round trips to
-   microseconds.  On success it fires the Fig. 6 replication protocol
+   RPC carrying all outer bindings.  The inner host checks locks, reads,
+   checks, applies, and *commits unilaterally* in one purely local
+   critical section, which is the whole point: the hot records'
+   contention span shrinks from >= 2 network round trips to that one
+   section.  On success it fires the Fig. 6 replication protocol
    (replicas apply in channel order and acknowledge the *coordinator*,
    not the inner host, which has already moved on).
 4. **Outer phase 2**: after the inner reply *and* all inner-replica
@@ -27,7 +27,8 @@ from typing import Any, Generator, Mapping, NamedTuple
 
 from ..analysis import OpInstance, OpKind
 from ..replication import InnerReplicaAck, InnerReplicate
-from ..sim import Await, Compute, OneSided, Rpc, Signal, approx_payload_bytes
+from ..sim import (Await, Compute, OneSided, Rpc, Signal,
+                   approx_payload_bytes, write_set_bytes)
 from ..storage import LockMode
 from ..storage.wal import R_DECISION, R_END, R_PREPARE, ROLE_INNER
 from ..txn import Database, HistoryRecorder
@@ -47,6 +48,15 @@ _ABORT_BY_STATUS = {
     "duplicate": AbortReason.DUPLICATE_KEY,
     "logical": AbortReason.LOGICAL,
 }
+
+_ACK_BYTES = approx_payload_bytes((RPC_ACK, InnerReplicaAck(0, 0)))
+"""Modeled size of an inner replica's ack: two ints, whatever their value."""
+
+_REPLICATE_ENVELOPE_BYTES = (
+    approx_payload_bytes((RPC_REPLICATE, InnerReplicate(0, 0, (), 0)))
+    - approx_payload_bytes(()))
+"""Modeled size of an inner replication message around its write set,
+which sits two levels down (payload tuple, then message)."""
 
 
 class InnerRequest(NamedTuple):
@@ -82,18 +92,9 @@ class ChillerExecutor(BaseExecutor):
     name = "chiller"
 
     def __init__(self, db: Database, hot_table: HotRecordTable,
-                 history: HistoryRecorder | None = None,
-                 bypass_inner_locks: bool = False):
+                 history: HistoryRecorder | None = None):
         super().__init__(db, history)
         self.hot_table = hot_table
-        self.bypass_inner_locks = bypass_inner_locks
-        """Section 3.3's optional optimization: skip lock acquisition
-        inside the inner region, relying on the host core's
-        serialization — legal only when no transaction ever touches
-        inner records through an outer region (guaranteeable for
-        TPC-C's warehouse/district rows, not in general; the paper's
-        implementation leaves it off, as we do by default).  Conflicting
-        locks held by outer regions still abort the inner region."""
         self._pending_acks: dict[int, _AckState] = {}
         self._planners: dict[int, RegionPlanner] = {}
         self._plan_cache: dict = {}
@@ -245,8 +246,8 @@ class ChillerExecutor(BaseExecutor):
         The inner region runs "from beginning to end with no stall"
         (Section 3.3): one contiguous CPU block for its logic
         (``cpu_us``, :func:`~repro.core.regions.inner_cpu_us` of the
-        instances), then one atomic local critical section that locks,
-        reads, checks, applies, and releases.  Concurrent inner regions
+        instances), then one atomic local critical section that checks
+        locks, reads, checks, and applies.  Concurrent inner regions
         on the same partition are therefore serialized by the host's
         core instead of conflicting — the paper's "conflicts are most
         likely handled sequentially in the inner region".
@@ -276,33 +277,29 @@ class ChillerExecutor(BaseExecutor):
 
     def _inner_critical_section(self, store, instances: list[OpInstance],
                                 req: InnerRequest) -> tuple:
-        """Lock, read, check, apply, and release — one atomic event.
+        """Check locks, read, check, and apply — one atomic event.
 
-        With ``bypass_inner_locks`` the section does not *acquire*
-        locks (H-store style); it still refuses to proceed past a lock
-        someone else holds (an outer region owns the record).
+        A lock the section took would be released before any other
+        transaction could see it, so it takes none: it checks each
+        record's lock the way a NO_WAIT acquire would decide
+        (:meth:`~repro.storage.PartitionStore.check_lock`) and aborts
+        past one an outer region holds, leaving nothing to release.
         """
         ctx: dict[str, Any] = dict(req.ctx)
-        owner = ("inner", req.txn_id)
-        bypass = self.bypass_inner_locks
         reads: list[tuple[tuple[str, Any], int]] = []
         locations: dict[str, tuple[str, Any]] = {}
+        granted: set = set()
 
         def fail(status: str) -> tuple:
-            store.release_all(owner)
             return (status, {}, [], [], [])
-
-        def acquire(table: str, key: Any, mode) -> bool:
-            if bypass:
-                return not store.locked_by_other(table, key, owner)
-            return store.try_lock(table, key, mode, owner)
 
         for inst in instances:
             kind = inst.spec.kind
             if kind is OpKind.READ:
                 table = inst.spec.table
                 key = inst.concrete_key(req.params, ctx)
-                if not acquire(table, key, inst.lock_mode()):
+                if not store.check_lock(table, key, inst.lock_mode(),
+                                        granted):
                     return fail("conflict")
                 result = store.read(table, key)
                 if result is None:
@@ -315,7 +312,8 @@ class ChillerExecutor(BaseExecutor):
                 table = inst.spec.table
                 key = inst.concrete_key(req.params, ctx)
                 locations[inst.name] = (table, key)
-                if not acquire(table, key, LockMode.EXCLUSIVE):
+                if not store.check_lock(table, key, LockMode.EXCLUSIVE,
+                                        granted):
                     return fail("conflict")
                 if store.read(table, key) is not None:
                     return fail("duplicate")
@@ -352,7 +350,7 @@ class ChillerExecutor(BaseExecutor):
             wal.append((R_PREPARE, req.txn_id, ROLE_INNER,
                         req.coordinator, tuple(writes)))
             wal.append((R_DECISION, req.txn_id, True), sync=True)
-        versions = _inner_commit_op(store, writes, owner)()
+        versions = apply_wire_writes(store, writes)
         if wal is not None:
             wal.append((R_END, req.txn_id))
         ctx_delta = {name: ctx[name] for name in req.inner_names
@@ -365,12 +363,13 @@ class ChillerExecutor(BaseExecutor):
         shipping the very writes the host applied."""
         if self.db.replicas is None:
             return
-        message = InnerReplicate(req.txn_id, server_id, tuple(writes),
+        shipped = tuple(writes)
+        message = InnerReplicate(req.txn_id, server_id, shipped,
                                  req.coordinator)
         engine = self.db.cluster.engine(server_id)
         payload = (RPC_REPLICATE, message)
-        # one walk per message, not per replica it is fanned out to
-        nbytes = approx_payload_bytes(payload)
+        # sized once per message, not per replica it is fanned out to
+        nbytes = _REPLICATE_ENVELOPE_BYTES + write_set_bytes(shipped, 2)
         for rserver in self.db.replicas.replica_servers(server_id):
             engine.post(rserver, payload, nbytes)
 
@@ -383,7 +382,7 @@ class ChillerExecutor(BaseExecutor):
         self.db.replicas.apply(server_id, body.partition, body.writes)
         self.db.cluster.engine(server_id).post(
             body.coordinator,
-            (RPC_ACK, InnerReplicaAck(body.txn_id, server_id)))
+            (RPC_ACK, InnerReplicaAck(body.txn_id, server_id)), _ACK_BYTES)
         return None
 
     def _ack_handler(self, server_id: int, src: int,
@@ -394,11 +393,3 @@ class ChillerExecutor(BaseExecutor):
         return None
         yield  # pragma: no cover - generator marker
 
-
-def _inner_commit_op(store, writes: list[tuple], owner):
-    """Apply the inner region's writes and release its locks atomically."""
-    def op() -> list:
-        versions = apply_wire_writes(store, writes)
-        store.release_all(owner)
-        return versions
-    return op

@@ -21,7 +21,7 @@ from .effects import (All, Await, BatchedOneSided, Compute, Coroutine,
                       Effect, OneSided, OneWay, Rpc, Signal, Sleep)
 from .events import Simulator
 from .network import (Network, NetworkConfig, NetworkStats,
-                      approx_payload_bytes, phase_of_kind)
+                      approx_payload_bytes, phase_of_kind, write_set_bytes)
 from .runtime import EffectRuntime, EffectRuntimeBase
 from .supervisor import (MpRunError, MpRunSpec, MpTemplateCluster,
                          current_worker_cluster, effective_mp_workers,
@@ -69,4 +69,5 @@ __all__ = [
     "op_handler",
     "phase_of_kind",
     "run_mp_workers",
+    "write_set_bytes",
 ]

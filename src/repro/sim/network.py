@@ -159,6 +159,59 @@ def _walk(obj: Any, depth: int, seen: set[int]) -> int:
     return total
 
 
+def write_set_bytes(writes: tuple, depth: int = 0) -> int:
+    """:func:`approx_payload_bytes` of the write set ``writes``, a tuple
+    of ``(kind, table, key, values)`` writes, as the walk sizes it at
+    ``depth`` inside its message — to the byte.
+
+    The commit path ships one shape, so it is sized inline: a write, its
+    key tuple and its values dict are one loop each here instead of one
+    generic walk apiece.  Anything else (a deeper container, a
+    dataclass, an opaque object, a write set near the depth cap) goes to
+    the walk with the same ``seen`` set, so back-references and the cap
+    come out as the walk's.
+    """
+    if depth + 2 >= PAYLOAD_WALK_MAX_DEPTH:
+        return _walk(writes, depth, set())
+    shapes = _SHAPE_OF
+    seen = {id(writes)}
+    below = depth + 3           # the depth of a field's own children
+    total = 8
+    for write in writes:
+        if write.__class__ is not tuple:
+            total += _walk(write, depth + 1, seen)
+            continue
+        if id(write) in seen:
+            total += _BACK_REFERENCE_BYTES
+            continue
+        seen.add(id(write))
+        total += 8
+        for field in write:
+            shape = shapes.get(field.__class__)
+            if shape.__class__ is int:
+                total += shape
+            elif shape is _LEN:
+                total += len(field)
+            elif shape is _DICT or shape is _ITEMS:
+                if id(field) in seen:
+                    total += _BACK_REFERENCE_BYTES
+                    continue
+                seen.add(id(field))
+                total += 8
+                for item in (chain.from_iterable(field.items())
+                             if shape is _DICT else field):
+                    shape = shapes.get(item.__class__)
+                    if shape.__class__ is int:
+                        total += shape
+                    elif shape is _LEN:
+                        total += len(item)
+                    else:
+                        total += _walk(item, below, seen)
+            else:
+                total += _walk(field, depth + 2, seen)
+    return total
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Latency and overhead constants, in microseconds."""

@@ -53,6 +53,10 @@ class BucketStore:
         """The bucket's lock word if it was ever locked (never makes one)."""
         return self._locks.get(stable_hash(key) % self.n_buckets)
 
+    def bucket_of(self, key: Key) -> int:
+        """The index of ``key``'s bucket (the identity of its lock word)."""
+        return stable_hash(key) % self.n_buckets
+
     def lock_words(self) -> int:
         """Lock words made so far (at most ``n_buckets``)."""
         return len(self._locks)

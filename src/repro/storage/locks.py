@@ -57,6 +57,19 @@ class LockWord:
         self._exclusive = owner
         return True
 
+    def admits(self, mode: LockMode) -> bool:
+        """Would :meth:`try_acquire` in ``mode`` grant an owner that
+        holds nothing here?  A query: it changes nothing.
+
+        It is also the answer for an owner that has only *checked*
+        (never taken) this word, whatever it checked before: the
+        shared->exclusive upgrade a sole holder may make is granted
+        exactly when the word is free of anyone else.
+        """
+        if mode is LockMode.SHARED:
+            return self._exclusive is None
+        return self._exclusive is None and not self._shared
+
     def release(self, owner: object) -> None:
         """Release whatever ``owner`` holds; raises if it holds nothing."""
         held = False

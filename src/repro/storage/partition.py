@@ -2,7 +2,8 @@
 
 ``PartitionStore`` exposes exactly the operations that execution engines
 ship to (possibly remote) partitions — lock/unlock via the bucket's
-embedded lock word, record read/write/insert/delete — and records
+embedded lock word, a lock check that takes nothing (Chiller's inner
+region), record read/write/insert/delete — and records
 *contention spans* (time from lock acquisition to release) so experiments
 can report how long hot records stay locked.  Only the lock operations
 hash a key (to find its bucket); record operations are one probe of the
@@ -128,6 +129,30 @@ class PartitionStore:
                 (table, key, lock,
                  0.0 if self.spans is None else self._now()))
         return True
+
+    def check_lock(self, table: str, key: Key, mode: LockMode,
+                   granted: set) -> bool:
+        """Would :meth:`try_lock` grant ``key``'s bucket lock in ``mode``
+        to an owner that holds nothing here?  A query: it takes nothing
+        and makes no lock word.
+
+        Chiller's inner region runs as one atomic event, so a lock it
+        took would be released before anyone else could see it; it
+        checks instead.  ``granted`` is the caller's set of the buckets
+        its section was granted so far: with a span tracker, every check
+        counts as an attempt and the first grant of a bucket as a
+        zero-length hold, as an acquire and release in one event would.
+        """
+        buckets = self._tables[table]
+        lock = buckets.lock_if_any(key)
+        ok = lock is None or lock.admits(mode)
+        if self.spans is not None:
+            self.spans.record_attempt(table, key, not ok)
+            bucket = (table, buckets.bucket_of(key))
+            if ok and bucket not in granted:
+                granted.add(bucket)
+                self.spans.record(table, key, 0.0)
+        return ok
 
     def release_all(self, owner: object) -> int:
         """Release every lock ``owner`` holds here; returns count released."""

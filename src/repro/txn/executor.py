@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable
 
 from ..analysis import OpInstance, OpKind
-from ..sim import (All, BatchedOneSided, Compute, OneSided,
-                   approx_payload_bytes)
+from ..sim import All, BatchedOneSided, Compute, OneSided, write_set_bytes
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from .commit_fsm import apply_wire_writes
@@ -415,7 +414,7 @@ class BaseExecutor:
         sizes: list[int] = []
         for pid, partition_writes in writes.items():
             shipped = tuple(partition_writes)
-            nbytes = approx_payload_bytes(shipped)
+            nbytes = write_set_bytes(shipped)
             for rserver in replicas.replica_servers(pid):
                 items.append((rserver,
                               _replica_apply_op(self.db, rserver, pid,

@@ -2,21 +2,25 @@
 
 On a small fixed-seed TPC-C Chiller sim run: storage hashes a key only
 to find a lock word (never to find a record), makes a lock word only
-for a bucket that gets locked (never at build), a message's payload is
-walked once, a procedure's static shape compiled once, a transaction
-instantiated once, its region split planned once per signature and its
-inner region's CPU charge counted once per split, the Chiller
-messages are built without a frozen dataclass, a lock lookup's mixer
-rounds mostly come from the memo, an event is its heap tuple and
-nothing else, and a released lock word holds no GC-tracked container.
-The budgets sit well under what the per-use work costs (81 hash
-evaluations per commit when record ops hashed too, 360 000 bucket
-objects at build, one walk per *recipient*, one ``_alias_map`` per op
-instance per transaction, one instantiation per region, one split and
-one charge per transaction, four dataclass messages per two-region
-commit, 82 mixer rounds computed per commit without the memo, one
-handle object per event, one set per lock word), so a change that
-reintroduces it fails here without anyone having to read a profile.
+for a bucket that gets locked (never at build) and none for an inner
+region (which checks locks and takes none), the commit path walks no
+payload (write sets are sized from their shape, an ack is a constant;
+on the hot-key and WAL YCSB shapes too), a procedure's static shape
+compiled once, a transaction instantiated once, its region split
+planned once per signature and its inner region's CPU charge counted
+once per split, the Chiller messages are built without a frozen
+dataclass, a lock lookup's mixer rounds mostly come from the memo, an
+event is its heap tuple and nothing else, and a released lock word
+holds no GC-tracked container.  The budgets sit well under what the
+per-use work costs (81 hash evaluations per commit when record ops
+hashed too, 360 000 bucket objects at build, 3.1 generic payload walks
+per commit (2.8 and 1.5 on the hot-key and WAL shapes), a lock word per
+bucket an inner region checks, one ``_alias_map`` per op instance per
+transaction, one instantiation per region, one split and one charge per
+transaction, four dataclass messages per two-region commit, 82 mixer
+rounds computed per commit without the memo, one handle object per
+event, one set per lock word), so a change that reintroduces it fails
+here without anyone having to read a profile.
 
 On every sim run shape the benchmark and the golden digests use, no
 collector pass starts inside the event loop, one young pass starts
@@ -38,7 +42,6 @@ import repro.core.regions as regions
 import repro.sim.events as events
 import repro.sim.network as network
 import repro.storage.bucket as bucket
-import repro.txn.executor as executor
 from repro.analysis import StoredProcedure
 from repro.bench import RunConfig
 from repro.bench.setups import make_tpcc_run, make_ycsb_run
@@ -47,10 +50,10 @@ from repro.workloads.ycsb import YcsbWorkload
 
 HASHES_PER_COMMIT = 20
 """Storage hashes once per lock-word lookup and nowhere else: this run
-makes 18.2 ``try_lock`` calls per commit (attempts that abort included;
-``release_all`` needs no lookup).  The record operations (reads,
-version checks, writes, inserts, deletes on primaries and replicas)
-must add none."""
+makes 18.2 ``try_lock`` and ``check_lock`` calls per commit (attempts
+that abort included; ``release_all`` needs no lookup).  The record
+operations (reads, version checks, writes, inserts, deletes on
+primaries and replicas) must add none."""
 MIXER_ROUNDS_PER_COMMIT = 10
 """Rounds the memo misses (and so computes) per commit, starting from an
 empty memo: this run computes 8.6 of the 82 its hashes request."""
@@ -84,13 +87,14 @@ def counted_run():
     counts = {"hashes": 0, "alias_maps": 0, "lock_words": 0,
               "instantiations": 0, "plan_misses": 0, "inner_charges": 0,
               "inner_rpcs": 0, "frozen_builds": 0, "mixer_rounds": 0,
-              "events": 0}
+              "events": 0, "walks": 0, "inner_sections": 0,
+              "inner_lock_words": 0}
     odd_entries = []            # heap entries that are not (time, seq, fn)
     locked = set()              # (table store, bucket) ever looked up
-    walked = []                 # every object whose size was walked
     depth = [0]
+    in_inner = [False]
     patch = pytest.MonkeyPatch()
-    stable_hash, walk = util.stable_hash, network.approx_payload_bytes
+    stable_hash = util.stable_hash
     alias_map = StoredProcedure._alias_map
     instantiate, split = StoredProcedure.instantiate, RegionPlanner._split
     signature = RegionPlanner._signature
@@ -98,6 +102,7 @@ def counted_run():
     LockWord, lock_for = bucket.LockWord, bucket.BucketStore.lock_for
     charge = regions.inner_cpu_us
     inner_handler = chiller.ChillerExecutor._inner_handler
+    section = chiller.ChillerExecutor._inner_critical_section
     mixer, heappush = util._splitmix64, events.heappush
 
     def counting_mixer(x):
@@ -114,7 +119,16 @@ def counted_run():
 
     def counting_lock_word():
         counts["lock_words"] += 1
+        counts["inner_lock_words"] += in_inner[0]
         return LockWord()
+
+    def watched_section(self, *args):
+        counts["inner_sections"] += 1
+        in_inner[0] = True
+        try:
+            return section(self, *args)
+        finally:
+            in_inner[0] = False
 
     def counting_lock_for(self, key):
         depth[0] += 1           # the observer's own hash is not counted
@@ -129,10 +143,6 @@ def counted_run():
             return stable_hash(key)
         finally:
             depth[0] -= 1
-
-    def counting_walk(obj):
-        walked.append(obj)
-        return walk(obj)
 
     def counting_alias_map(self, spec, index):
         counts["alias_maps"] += 1
@@ -179,9 +189,9 @@ def counted_run():
         patch.setattr(util, "_splitmix64", counting_mixer)
         patch.setattr(util, "_mixed", {})     # start cold, whatever ran before
         patch.setattr(events, "heappush", checking_heappush)
-        patch.setattr(network, "approx_payload_bytes", counting_walk)
-        patch.setattr(executor, "approx_payload_bytes", counting_walk)
-        patch.setattr(chiller, "approx_payload_bytes", counting_walk)
+        patch.setattr(network, "_walk", counting_walks(counts))
+        patch.setattr(chiller.ChillerExecutor, "_inner_critical_section",
+                      watched_section)
         patch.setattr(StoredProcedure, "_alias_map", counting_alias_map)
         patch.setattr(StoredProcedure, "instantiate", counting_instantiate)
         patch.setattr(RegionPlanner, "_split", counting_split)
@@ -196,7 +206,18 @@ def counted_run():
     counts["buckets_locked"] = len(locked)
     counts["signatures"] = len(signatures)
     counts["odd_entries"] = odd_entries
-    return run, result, counts, walked
+    return run, result, counts
+
+
+def counting_walks(counts):
+    """``network._walk`` counting the walks ``approx_payload_bytes``
+    starts (depth 0), however a caller imported it."""
+    walk = network._walk
+
+    def counted(obj, depth, seen):
+        counts["walks"] += depth == 0
+        return walk(obj, depth, seen)
+    return counted
 
 
 def frozen_dataclasses(*packages):
@@ -210,20 +231,20 @@ def frozen_dataclasses(*packages):
 
 
 def test_only_lock_lookups_hash(counted_run):
-    _run, result, counts, _walked = counted_run
+    _run, result, counts = counted_run
     commits = result.metrics.commits
     assert commits > 300
     assert 0 < counts["hashes"] <= HASHES_PER_COMMIT * commits
 
 
 def test_the_mixer_memo_computes_few_rounds(counted_run):
-    _run, result, counts, _walked = counted_run
+    _run, result, counts = counted_run
     commits = result.metrics.commits
     assert 0 < counts["mixer_rounds"] <= MIXER_ROUNDS_PER_COMMIT * commits
 
 
 def test_an_event_is_its_heap_tuple_and_nothing_else(counted_run):
-    _run, result, counts, _walked = counted_run
+    _run, result, counts = counted_run
     # every queued entry is (float time, int seq, callable): no handle
     # or other per-event object rides along
     assert counts["events"] > 5 * result.metrics.commits
@@ -231,7 +252,7 @@ def test_an_event_is_its_heap_tuple_and_nothing_else(counted_run):
 
 
 def test_build_allocates_nothing_per_bucket(counted_run):
-    run, _result, counts, _walked = counted_run
+    run, _result, counts = counted_run
     assert counts["lock_words_at_build"] == 0
     # a table is its record dict and an (empty) lock table: the build
     # holds one entry per record, however many buckets are declared
@@ -242,26 +263,50 @@ def test_build_allocates_nothing_per_bucket(counted_run):
 
 
 def test_lock_words_exist_only_for_buckets_that_were_locked(counted_run):
-    run, _result, counts, _walked = counted_run
+    run, _result, counts = counted_run
     existing = sum(table.lock_words() for table in tables_of(run.database))
     assert existing == counts["lock_words"]
     assert 0 < existing <= counts["buckets_locked"]
 
 
-def test_each_message_is_sized_at_most_once(counted_run):
-    _run, result, _counts, walked = counted_run
-    assert len({id(obj) for obj in walked}) == len(walked)
+def test_the_commit_path_walks_no_payload(counted_run):
+    _run, result, counts = counted_run
+    # the executor's replicate verbs, the inner host's replication
+    # message and its acks are all sized without the generic walk, and
+    # every inner host is its coordinator here (no inner request RPC):
+    # 3.1 walks per commit while they walked
     stats = result.database.cluster.network.stats
-    sent = stats.messages + stats.messages_local
-    verbs = stats.one_sided_remote + stats.one_sided_local
-    # fewer walks than messages: a replicate message fanned out to two
-    # replicas is two sends and one walk
-    assert 0 < len(walked) < sent + verbs
-    assert len(walked) < sent
+    assert stats.bytes_by_kind["replicate"] > 0
+    assert stats.bytes_by_kind[chiller.RPC_REPLICATE] > 0
+    assert counts["inner_rpcs"] == 0
+    assert counts["walks"] == 0
+
+
+@pytest.mark.parametrize("shape", ["hot", "wal"])
+def test_ycsb_commits_walk_no_payload(shape, tmp_path):
+    """The hot-key and WAL YCSB shapes walked 2.8 and 1.5 times per
+    commit, once per written partition's replicate verbs."""
+    run = (golden.tiny_hot_ycsb_run() if shape == "hot"
+           else tiny_wal_run(tmp_path))
+    counts = {"walks": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_walk", counting_walks(counts))
+        result = run.run()
+    assert result.metrics.commits > 100
+    assert result.database.cluster.network.stats.bytes_by_kind[
+        "replicate"] > 0
+    assert counts["walks"] == 0
+
+
+def test_an_inner_region_makes_no_lock_word(counted_run):
+    _run, result, counts = counted_run
+    # it checks the words outer regions made and makes none itself
+    assert counts["inner_sections"] > result.metrics.commits / 2
+    assert counts["inner_lock_words"] == 0
 
 
 def test_region_plans_are_made_once_per_signature(counted_run):
-    _run, result, counts, _walked = counted_run
+    _run, result, counts = counted_run
     # a miss plans from scratch; every later plan of the signature is a
     # cache hit, so a signature never misses twice (the cache is bounded
     # far above what this run meets, so it is never emptied here)
@@ -270,7 +315,7 @@ def test_region_plans_are_made_once_per_signature(counted_run):
 
 
 def test_the_inner_charge_is_counted_once_per_split(counted_run):
-    _run, result, counts, _walked = counted_run
+    _run, result, counts = counted_run
     # a split miss counts its inner region's ops once and the plan cache
     # keeps the charge; only an inner region served over RPC, which
     # instantiates its ops again, counts them again (on this cell every
@@ -281,7 +326,7 @@ def test_the_inner_charge_is_counted_once_per_split(counted_run):
 
 
 def test_no_frozen_dataclass_is_built_on_the_message_path(counted_run):
-    _run, result, counts, _walked = counted_run
+    _run, result, counts = counted_run
     # the inner request (built inline too), the replication message, its
     # acks and the writes they carry are tuples; the run really sent them
     by_kind = result.database.cluster.network.stats.bytes_by_kind
@@ -291,7 +336,7 @@ def test_no_frozen_dataclass_is_built_on_the_message_path(counted_run):
 
 
 def test_a_transaction_is_instantiated_once(counted_run):
-    _run, result, counts, _walked = counted_run
+    _run, result, counts = counted_run
     # once per attempt by the coordinator; an inline inner region reuses
     # those instances, only an inner region shipped to another host
     # instantiates again
@@ -300,7 +345,7 @@ def test_a_transaction_is_instantiated_once(counted_run):
 
 
 def test_procedure_shapes_are_compiled_not_rederived(counted_run):
-    run, result, counts, _walked = counted_run
+    run, result, counts = counted_run
     registry = run.database.registry
     compiled = sum(len(shapes) for proc in registry._procs.values()
                    for shapes in proc._layouts.values())
@@ -424,7 +469,7 @@ def test_every_verb_frame_is_packed(counted_wire_run):
 
 
 def test_a_lock_word_holds_no_container_once_released(counted_run):
-    run, _result, counts, _walked = counted_run
+    run, _result, counts = counted_run
     # shared holders are a tuple, the untracked empty one when there are
     # none: a set per word would make it two GC-tracked objects, not one
     words = [word for table in tables_of(run.database)

@@ -1,4 +1,6 @@
-"""Tests for the optional Section 3.3 inner-lock bypass."""
+"""Tests for Section 3.3's inner-lock bypass, which is how every inner
+region runs: it checks locks and takes none, since a lock taken inside
+its one atomic event would be released before anyone could see it."""
 
 import pytest
 
@@ -15,7 +17,7 @@ from repro.workloads.flightbooking import (FLIGHT_TABLES,
                                            flight_routing, populate)
 
 
-def make_flight_db(bypass):
+def make_flight_db():
     cluster = Cluster(3)
     registry = ProcedureRegistry()
     registry.register(flight_booking_procedure())
@@ -25,7 +27,7 @@ def make_flight_db(bypass):
     populate(db.loader())
     hot = HotRecordTable({("flight", 7): scheme.partition_of("flight",
                                                              7)})
-    executor = ChillerExecutor(db, hot, bypass_inner_locks=bypass)
+    executor = ChillerExecutor(db, hot)
     return db, cluster, executor
 
 
@@ -41,18 +43,20 @@ def run_booking(db, cluster, executor):
 
 
 def test_bypass_commits_without_taking_inner_locks():
-    db, cluster, executor = make_flight_db(bypass=True)
+    db, cluster, executor = make_flight_db()
     outcome = run_booking(db, cluster, executor)
     assert outcome.committed
     fpid = db.partition_of("flight", 7)
     assert db.store(fpid).read("flight", 7)[0]["seats"] == 199
     assert not db.store(fpid).is_locked("flight", 7)
+    # only the inner region touched the flight: no lock word was made
+    assert db.store(fpid).table("flight").lock_words() == 0
 
 
 def test_bypass_still_respects_foreign_locks():
     """A lock held by someone else (an outer region) must still abort
     the inner region — bypass is not license to trample."""
-    db, cluster, executor = make_flight_db(bypass=True)
+    db, cluster, executor = make_flight_db()
     fpid = db.partition_of("flight", 7)
     db.store(fpid).try_lock("flight", 7, LockMode.EXCLUSIVE, "outer-txn")
     outcome = run_booking(db, cluster, executor)
@@ -62,13 +66,12 @@ def test_bypass_still_respects_foreign_locks():
 
 
 def test_bypass_preserves_tpcc_serializability():
-    """On TPC-C the bypass precondition holds (warehouse/district rows
-    are only ever inner), so the full mix must stay serializable."""
+    """The full TPC-C mix stays serializable with inner regions that
+    take no locks."""
     config = RunConfig(n_partitions=2, concurrent_per_engine=3,
                        horizon_us=4_000.0, warmup_us=0.0, seed=13,
                        n_replicas=0, record_history=True)
     run = make_tpcc_run("chiller", config)
-    run.executor.bypass_inner_locks = True
     result = run.run()
     assert result.metrics.commits > 50
     assert result.history.find_cycle() is None

@@ -687,3 +687,73 @@ def test_tuple_writes_and_messages_cost_what_the_dataclasses_did():
         _same_message(InnerRequest, _InnerRequest(
             txn, proc, params, names, ctx, coordinator), RPC_INNER)
     check()
+
+
+# -- the write-set sizer, against the walk it stands in for -------------------
+
+
+def _odd_write_sets():
+    """``_write_sets`` with some keys and values swapped for anything the
+    walk distinguishes (bools, floats, ``None``, str, bytes, opaque
+    objects, nested and cyclic containers, dataclasses, chains deeper
+    than the walk goes), some writes repeated by reference, and some
+    writes that are not tuples."""
+    from hypothesis import strategies as st
+
+    odd = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                    st.text(max_size=6), st.binary(max_size=6),
+                    st.just(len), st.builds(object), _payloads())
+
+    @st.composite
+    def write_set(draw):
+        writes, _pool = draw(_write_sets())
+        out = []
+        for kind, table, key, values in writes:
+            if draw(st.integers(0, 3)) == 0:
+                key = draw(odd)
+            if draw(st.integers(0, 3)) == 0:
+                values = draw(odd)
+            write = draw(st.sampled_from(
+                [tuple, tuple, tuple, list,
+                 lambda fields: _Node(fields[2], list(fields))]))(
+                (kind, table, key, values))
+            out.append(write)
+            if draw(st.integers(0, 5)) == 0:
+                out.append(out[draw(st.integers(0, len(out) - 1))])
+        return tuple(out)
+    return write_set()
+
+
+def test_the_write_set_sizer_is_the_walk_at_every_depth():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.core.chiller import (_ACK_BYTES, _REPLICATE_ENVELOPE_BYTES,
+                                    RPC_ACK, RPC_REPLICATE)
+    from repro.replication import InnerReplicaAck, InnerReplicate
+    from repro.sim import approx_payload_bytes, write_set_bytes
+    from repro.sim.network import PAYLOAD_WALK_MAX_DEPTH
+
+    ints = st.integers(0, 2 ** 40)
+
+    @settings(max_examples=300, deadline=None)
+    @given(writes=_odd_write_sets(), txn=ints, server=ints,
+           coordinator=ints)
+    def check(writes, txn, server, coordinator):
+        # the executor's call site ships the write set itself ...
+        assert write_set_bytes(writes) == approx_payload_bytes(writes)
+        # ... the inner host's sits two levels down in its message
+        message = (RPC_REPLICATE,
+                   InnerReplicate(txn, server, writes, coordinator))
+        assert (_REPLICATE_ENVELOPE_BYTES + write_set_bytes(writes, 2)
+                == approx_payload_bytes(message))
+        assert _ACK_BYTES == approx_payload_bytes(
+            (RPC_ACK, InnerReplicaAck(txn, server)))
+        # and at every depth, the cap and past it included
+        wrapped = writes
+        for depth in range(1, PAYLOAD_WALK_MAX_DEPTH + 3):
+            wrapped = [wrapped]
+            assert (approx_payload_bytes(wrapped)
+                    == 8 * min(depth, PAYLOAD_WALK_MAX_DEPTH)
+                    + write_set_bytes(writes, depth))
+    check()

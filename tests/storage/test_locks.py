@@ -215,6 +215,22 @@ def test_tuple_holders_match_the_set_lock_word(ops):
             assert lock.held_by(probe) == reference.held_by(probe)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["shared", "exclusive"]),
+                          st.sampled_from(OWNERS)), max_size=6))
+def test_admits_is_try_acquire_by_an_owner_holding_nothing(ops):
+    lock = LockWord()
+    for verb, owner in ops:
+        lock.try_acquire(LockMode(verb), owner)
+    for mode in LockMode:
+        before = exact(lock.holders())
+        probe = SetLockWord()
+        probe._shared, probe._exclusive = (set(lock._shared),
+                                           lock._exclusive)
+        assert lock.admits(mode) == probe.try_acquire(mode, "newcomer")
+        assert exact(lock.holders()) == before
+
+
 def test_an_unshared_lock_word_holds_no_tracked_container():
     lock = LockWord()
     assert lock.try_acquire(LockMode.EXCLUSIVE, 1)

@@ -1,6 +1,7 @@
 """Unit tests for PartitionStore: locks, record ops, span tracking."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage import LockMode, PartitionStore, TableSpec
 
@@ -127,6 +128,62 @@ def test_lock_queries_never_make_a_lock_word():
     store.release_all("t1")
     assert not store.locked_by_other("acct", 1, "t2")   # free again
     assert store.table("acct").lock_words() == 1        # the word is kept
+
+
+def test_check_lock_takes_nothing_and_makes_no_lock_word():
+    store, _ = make_store()
+    granted = set()
+    assert store.check_lock("acct", 1, LockMode.EXCLUSIVE, granted)
+    assert store.table("acct").lock_words() == 0
+    assert store.try_lock("acct", 2, LockMode.SHARED, "t1")
+    assert store.check_lock("acct", 2, LockMode.SHARED, granted)
+    assert not store.check_lock("acct", 2, LockMode.EXCLUSIVE, granted)
+    assert store.owners_holding() == ["t1"]
+    assert granted == set()         # filled only for a span tracker
+
+
+def _lock_steps():
+    return st.tuples(st.integers(0, 7),
+                     st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(foreign=st.lists(st.tuples(st.sampled_from(["t1", "t2"]),
+                                  _lock_steps()), max_size=6),
+       section=st.lists(_lock_steps(), max_size=8))
+def test_a_checked_section_decides_and_counts_as_a_taken_one(foreign,
+                                                             section):
+    """A section of ``check_lock`` calls (stopping at the first refusal)
+    gets the grants and refusals a NO_WAIT owner taking the same locks
+    in one event and then releasing them gets, and leaves the same span
+    tracker totals: a second key in a shared bucket, the
+    shared->exclusive upgrade and foreign shared holders included."""
+    taken, checked = (PartitionStore(0, [TableSpec("acct", n_buckets=4)],
+                                     track_spans=True) for _ in range(2))
+    for store in (taken, checked):
+        for owner, (key, mode) in foreign:
+            store.try_lock("acct", key, mode, owner)
+    words = checked.table("acct").lock_words()
+
+    def decisions(decide):
+        out = []
+        for key, mode in section:
+            out.append(decide(key, mode))
+            if not out[-1]:
+                break
+        return out
+
+    granted = set()
+    want = decisions(lambda key, mode: taken.try_lock("acct", key, mode,
+                                                      "inner"))
+    taken.release_all("inner")
+    got = decisions(lambda key, mode: checked.check_lock("acct", key, mode,
+                                                         granted))
+    assert got == want
+    assert checked.table("acct").lock_words() == words
+    for field in ("attempts", "conflicts", "acquisitions", "total_span"):
+        assert (getattr(checked.spans, field)
+                == getattr(taken.spans, field)), field
 
 
 def test_clock_is_read_only_for_the_span_tracker():
