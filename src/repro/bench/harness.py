@@ -466,7 +466,10 @@ class _LiveTimeline:
             self.http = MetricsHttpServer(
                 config.metrics_port,
                 lambda: to_prometheus(self.timeline, self.watchdog.events))
-            self.http.start()
+            if config.backend == "aio":
+                self.http.listen()  # answered by the run's loop: execute()
+            else:
+                self.http.start()
 
     def add(self, rows: list, at_us: float | None = None) -> None:
         self.timeline.add_rows(rows)
@@ -614,6 +617,7 @@ def execute(run: Run, driver, live: "_LiveTimeline | None" = None) -> list:
         cluster.sim.probe = partial(live.pump, sampler)
     else:
         cluster.on_tick = lambda: live.pump(sampler, cluster.sim.now)
+        cluster.metrics_endpoint = live.http
     try:
         cluster.run()
     except WatchdogAbort:
@@ -625,6 +629,7 @@ def execute(run: Run, driver, live: "_LiveTimeline | None" = None) -> list:
             cluster.sim.probe = None
         else:
             cluster.on_tick = None
+            cluster.metrics_endpoint = None
     payload = collect()
     live.pump(sampler, cluster.sim.now, final=True)
     return [payload]

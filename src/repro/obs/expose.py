@@ -6,26 +6,31 @@ Two renderings of one :class:`~repro.obs.timeline.Timeline`:
   cumulative counters as ``*_total`` with ``server`` (and ``reason`` /
   ``tenant``) labels, gauges as last-seen values.  On the aio/mp
   backends ``RunConfig(metrics_port=...)`` serves it live from a
-  stdlib :class:`MetricsHttpServer` during the run; the sim backend
-  has no wall clock to scrape against, so there it is an end-of-run
-  artifact only.
+  stdlib :class:`MetricsHttpServer` during the run (on aio from the
+  run's own event loop); the sim backend has no wall clock to scrape
+  against, so there it is an end-of-run artifact only.
 * :func:`timeline_csv` / :func:`write_timeline_csv` — one wide row per
   sample for pandas/gnuplot post-processing
   (``RunConfig(metrics_csv=...)``).
 
 Everything here is read-only over an already-collected timeline; no
-rendering path touches the run's hot loops.
+rendering path touches the run's hot loops (an aio scrape costs its
+event loop one render, between two callbacks).
 """
 
 from __future__ import annotations
 
+import asyncio
 import io
 import re
+import socket
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
+_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def _metric_name(key: str, prefix: str) -> str:
@@ -149,11 +154,17 @@ def write_timeline_csv(timeline, path: str) -> None:
 
 
 class MetricsHttpServer:
-    """Serves ``GET /metrics`` from a provider callable.
-
-    Stdlib-only (``http.server``), daemon-threaded, bound to
+    """Serves ``GET /metrics`` from a provider callable, bound to
     localhost.  Port 0 binds an ephemeral port (the scrape tests use
     this); ``url`` reports the bound address.
+
+    Two ways to serve, stdlib-only both: :meth:`start` answers from a
+    daemon thread (the mp parent, which mostly waits on its workers);
+    :meth:`listen` then :meth:`serve` answer from the event loop that
+    drives an aio run.  A thread cannot serve that run: the busy loop
+    releases and retakes the GIL on every iteration, faster than a
+    waiting thread wakes to take it, so the thread runs only once the
+    loop ends.
     """
 
     def __init__(self, port: int, provider: Callable[[], str],
@@ -163,20 +174,23 @@ class MetricsHttpServer:
         self.port = port
         self._httpd = None
         self._thread = None
+        self._socket = None
+        self._server = None
+
+    def reply(self, path: str) -> tuple[int, bytes]:
+        """Status and body of a ``GET`` of ``path``."""
+        if path.rstrip("/") not in ("", "/metrics"):
+            return 404, b"not found\n"
+        return 200, self.provider().encode()
 
     def start(self) -> int:
-        provider = self.provider
+        reply = self.reply
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):
-                if self.path.rstrip("/") not in ("", "/metrics"):
-                    self.send_error(404)
-                    return
-                body = provider().encode()
-                self.send_response(200)
-                self.send_header("Content-Type",
-                                 "text/plain; version=0.0.4; "
-                                 "charset=utf-8")
+                status, body = reply(self.path)
+                self.send_response(status)
+                self.send_header("Content-Type", _CONTENT_TYPE)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
@@ -193,6 +207,37 @@ class MetricsHttpServer:
         self._thread.start()
         return self.port
 
+    def listen(self) -> int:
+        """Bind and listen without answering: connections queue until
+        :meth:`serve` runs on the loop."""
+        self._socket = socket.create_server((self.host, self.port))
+        self.port = self._socket.getsockname()[1]
+        return self.port
+
+    async def serve(self) -> None:
+        """Answer the :meth:`listen` socket from the running event loop
+        until :meth:`stop`."""
+        self._server = await asyncio.start_server(self._answer,
+                                                  sock=self._socket)
+
+    async def _answer(self, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        try:
+            request = (await reader.readline()).split()
+            while (await reader.readline()).strip():
+                pass  # headers: none matters
+            path = request[1].decode("latin-1") if len(request) > 1 else ""
+            status, body = self.reply(path)
+            writer.write(b"HTTP/1.0 %d %s\r\nContent-Type: %s\r\n"
+                         b"Content-Length: %d\r\n\r\n"
+                         % (status, HTTPStatus(status).phrase.encode(),
+                            _CONTENT_TYPE.encode(), len(body)) + body)
+            await writer.drain()
+        except ConnectionError:
+            pass  # the scraper hung up
+        finally:
+            writer.close()
+
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}/metrics"
@@ -205,3 +250,9 @@ class MetricsHttpServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        if self._server is not None:
+            self._server.close()  # closes the listening socket too
+            self._server = None
+        if self._socket is not None:
+            self._socket.close()
+            self._socket = None

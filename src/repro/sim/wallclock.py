@@ -432,6 +432,10 @@ class WorkerCluster:
         self.metrics_sampler = None
         """Timeline sampler the mp bench driver installs; the
         supervisor's worker loop ships its rows to the parent."""
+        self.metrics_endpoint: Any = None
+        """Live metrics endpoint of an aio run
+        (:class:`~repro.obs.MetricsHttpServer`, listening): the loop
+        answers it while it runs and closes it on the way out."""
         self.loop: asyncio.AbstractEventLoop | None = None
         self._pending_spawns: list[tuple] = []
         self._active = 0
@@ -573,9 +577,10 @@ class WorkerCluster:
     @contextlib.asynccontextmanager
     async def serving(self, transport: Any = None):
         """Bring the worker up on the running loop — latch, failure
-        routing, transport, clock, tick observer, buffered spawns — and
-        take it down again on the way out.  The one loop set-up both
-        :meth:`run` and the supervisor's worker loop use."""
+        routing, transport, metrics endpoint, clock, tick observer,
+        buffered spawns — and take it down again on the way out.  The
+        one loop set-up both :meth:`run` and the supervisor's worker
+        loop use."""
         self.loop = loop = asyncio.get_running_loop()
         self._idle = asyncio.Event()
         self._error = None
@@ -588,6 +593,8 @@ class WorkerCluster:
             self.transport = transport
         try:
             await self.transport.start(loop)
+            if self.metrics_endpoint is not None:
+                await self.metrics_endpoint.serve()
             # a respawned generation rejoins the fleet's elapsed
             # timeline instead of re-admitting a full horizon from zero
             self.clock.start(self.resume_at_us)
@@ -604,6 +611,8 @@ class WorkerCluster:
             if self._tick_handle is not None:
                 self._tick_handle.cancel()
                 self._tick_handle = None
+            if self.metrics_endpoint is not None:
+                self.metrics_endpoint.stop()
             await self.transport.stop()
             self.loop = None
 

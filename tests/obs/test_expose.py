@@ -1,5 +1,6 @@
 """Unit tests for exposition: Prometheus text, CSV, HTTP."""
 
+import asyncio
 import urllib.error
 import urllib.request
 
@@ -117,3 +118,40 @@ def test_http_server_404s_other_paths():
             assert err.code == 404
     finally:
         server.stop()
+
+
+def test_loop_served_endpoint_answers_from_the_loop_and_closes():
+    """The aio spelling: :meth:`listen` queues connections, the running
+    loop answers them, :meth:`stop` closes the port."""
+    tl = sample_timeline()
+    server = MetricsHttpServer(0, lambda: to_prometheus(tl))
+    port = server.listen()
+    assert port != 0
+
+    async def get(path: str) -> bytes:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        reply = await reader.read()
+        writer.close()
+        return reply
+
+    async def scrape() -> tuple[bytes, bytes]:
+        await server.serve()
+        try:
+            return await get("/metrics"), await get("/other")
+        finally:
+            server.stop()
+
+    metrics, other = asyncio.run(scrape())
+    head, _, body = metrics.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 200 OK")
+    assert b"Content-Type: text/plain" in head
+    assert f"Content-Length: {len(body)}".encode() in head
+    assert b'repro_commits_total{server="0"} 7' in body
+    assert other.startswith(b"HTTP/1.0 404 Not Found")
+    try:
+        urllib.request.build_opener(urllib.request.ProxyHandler({})).open(
+            server.url, timeout=5)
+        raise AssertionError("expected the port to be closed")
+    except urllib.error.URLError:
+        pass

@@ -11,8 +11,10 @@ simulator event.  The mp half lives in
 ``tests/obs/test_watchdog_chaos.py`` (merge under worker death).
 """
 
+import json
 import socket
-import threading
+import subprocess
+import sys
 import time
 import urllib.request
 
@@ -149,42 +151,59 @@ def test_timeline_and_scheduler_agree_on_max_queue_depth():
     assert summary["timeline"]["max_queue_depth"] == peak
 
 
+_SCRAPER = """
+import json, sys, time, urllib.request
+url = sys.argv[1]
+opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+print("ready", flush=True)
+while True:
+    try:
+        with opener.open(url, timeout=1.0) as reply:
+            text = reply.read().decode()
+    except OSError:  # not listening yet
+        text = ""
+    if "repro_commits_total" in text:
+        print(json.dumps({"at": time.monotonic(), "text": text}))
+        break
+    time.sleep(0.01)
+"""
+
+
 def test_prometheus_endpoint_is_live_during_an_aio_run():
     """The endpoint the harness opens for ``metrics_port``: scraped
-    while the run is still going, closed when it returns."""
+    while the run is still going, closed when it returns.
+
+    The scraper is another process, as a Prometheus server is: a
+    thread of this one would compete with the run's event loop for the
+    GIL, and a busy loop that releases and retakes it on every
+    iteration starves any such thread until the loop ends."""
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     url = f"http://127.0.0.1:{port}/metrics"
-    scraped = {}
-    give_up = threading.Event()
-
-    def scrape():
-        while not give_up.is_set():
-            try:
-                with urllib.request.urlopen(url, timeout=1.0) as reply:
-                    text = reply.read().decode()
-            except OSError:  # not listening yet
-                text = ""
-            if "repro_commits_total" in text:
-                scraped.update(at=time.monotonic(), text=text)
-                return
-            time.sleep(0.01)
-
-    scraper = threading.Thread(target=scrape, daemon=True)
-    scraper.start()
-    config = RunConfig(n_partitions=2, concurrent_per_engine=2,
-                       horizon_us=400_000.0, warmup_us=0.0, n_replicas=0,
-                       backend="aio", metrics_interval=20_000.0,
-                       metrics_port=port)
-    result = make_ycsb_run("2pl", config,
-                           workload=YcsbWorkload(n_keys=200)).run()
-    ended = time.monotonic()
-    give_up.set()
-    scraper.join(timeout=5.0)
-    assert not scraper.is_alive()
+    scraper = subprocess.Popen([sys.executable, "-c", _SCRAPER, url],
+                               stdout=subprocess.PIPE, text=True)
+    try:
+        assert scraper.stdout.readline() == "ready\n"
+        config = RunConfig(n_partitions=2, concurrent_per_engine=2,
+                           horizon_us=400_000.0, warmup_us=0.0,
+                           n_replicas=0, backend="aio",
+                           metrics_interval=20_000.0, metrics_port=port)
+        result = make_ycsb_run("2pl", config,
+                               workload=YcsbWorkload(n_keys=200)).run()
+        ended = time.monotonic()
+        try:  # a scrape made during the run has already been printed
+            out, _ = scraper.communicate(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            out = ""  # still polling a closed port
+    finally:
+        scraper.kill()
+        scraper.wait()
     assert result.metrics.commits > 0
-    assert scraped and scraped["at"] < ended
+    assert out, "no scrape was answered during the run"
+    scraped = json.loads(out)
+    assert scraped["at"] < ended  # one clock: CLOCK_MONOTONIC
     assert 'repro_commits_total{server="0"}' in scraped["text"]
+    opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
     with pytest.raises(OSError):  # connection refused: the port is closed
-        urllib.request.urlopen(url, timeout=1.0)
+        opener.open(url, timeout=1.0)
