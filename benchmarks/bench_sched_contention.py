@@ -4,12 +4,20 @@ The scheduling subsystem's acceptance figure.  A skewed YCSB workload
 (zipf-ranked keys, every transaction read-modify-writes several) is
 driven through NO_WAIT 2PL and OCC with scheduling off (`fifo`, the
 historical raw retry loop bit-for-bit) and on (`conflict`): the
-conflict scheduler fingerprints each request's estimated write set,
-serializes admissions that share a hot record, and sheds hopeless
-queues — so the simulated CPU and network stop burning on doomed lock
-acquisitions.  Reported per cell: committed txns/sec, abort rate,
-wasted attempts (contention aborts — paid for, nothing to show), and
-the scheduler's own counters (queueing delay, deferrals, sheds).
+conflict scheduler fingerprints each request's estimated write set and
+serializes admissions that share a hot record — so the simulated CPU
+and network stop burning on doomed lock acquisitions.  Reported per
+cell: committed txns/sec, abort rate, wasted attempts (contention
+aborts — paid for, nothing to show), and the scheduler's own counters
+(queueing delay, deferrals, sheds).
+
+This closed loop never sheds: with 8 workers per engine a class queue
+holds at most 7 waiters, under the cap of
+``repro.sched.conflict.MAX_QUEUE_PER_CLASS`` (16).  Shedding is an
+open-loop effect past the knee: at 150k arrivals/s the hot open-loop
+cell (``benchmarks/e2e``'s ``ycsb_hot_open_sim``) sheds arrivals both
+as ``class_overload`` and, far more often, as ``deadline_hopeless``
+(EXPERIMENTS.md, "Cooldown ablation").
 
 CLI (the EXPERIMENTS.md figure; CI runs `--quick` on sim and mp)::
 

@@ -24,7 +24,7 @@ HOT_ACCOUNTS = 5
 
 
 def build_database(workload, config, scheme):
-    cluster = Cluster(config.n_partitions, config.network_config())
+    cluster = Cluster(config.n_partitions, config.doorbell_batching)
     registry = ProcedureRegistry()
     for proc in workload.procedures():
         registry.register(proc)

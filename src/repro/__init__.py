@@ -26,7 +26,7 @@ __version__ = "1.0.0"
 
 from .bench import RunConfig, run_benchmark
 from .core import ChillerExecutor, HotRecordTable, partition_workload
-from .sim import Cluster, NetworkConfig
+from .sim import Cluster
 from .storage import Catalog
 from .txn import Database, OccExecutor, TwoPLExecutor, TxnRequest
 
@@ -36,7 +36,6 @@ __all__ = [
     "Cluster",
     "Database",
     "HotRecordTable",
-    "NetworkConfig",
     "OccExecutor",
     "RunConfig",
     "TwoPLExecutor",

@@ -466,6 +466,10 @@ def main(argv: Iterable[str] | None = None) -> None:
     elif admission or {"offered_load", "deadline_us"} & overrides.keys():
         parser.error("--offered-load/--deadline-us/--admission need "
                      "--arrivals PROCESS")
+    try:
+        RunConfig(**overrides).arrival_spec()
+    except ValueError as error:
+        parser.error(str(error))
     if "trace_out" in overrides:
         overrides["trace"] = True
     if "trace_sample" in overrides and "trace" not in overrides:

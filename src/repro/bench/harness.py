@@ -35,8 +35,8 @@ from ..placement import (CONTROLLER_HOME, AccessTelemetry, MigrationExecutor,
                          PlacementController, PlacementSpec, PlacementStats,
                          as_placement_spec, controller_loop,
                          install_flip_handler, lease_controller_loop)
-from ..sched import SchedAction, Scheduler, SchedulerSpec, as_spec
-from ..sim import Cluster, NetworkConfig, Sleep, WorkerCluster
+from ..sched import SchedAction, Scheduler, as_spec
+from ..sim import Cluster, Sleep, WorkerCluster
 from ..sim.supervisor import (MpRunSpec, cluster_for_config,
                               effective_mp_workers, run_mp_workers)
 from ..storage import WalSpec, as_wal_spec
@@ -93,7 +93,7 @@ class RunConfig:
     doorbell_batching: bool = False
     """Fuse same-destination one-sided verbs within a parallel round
     into one doorbell-batched round trip (see
-    :attr:`~repro.sim.NetworkConfig.doorbell_batching`)."""
+    :attr:`~repro.sim.Network.doorbell_batching`)."""
 
     backend: str = "sim"
     """Execution backend: ``"sim"`` (discrete-event simulator, the
@@ -167,13 +167,12 @@ class RunConfig:
     mp_chaos_kill_after_s: float = 0.5
     """Wall-clock delay before the chaos kill fires."""
 
-    scheduler: SchedulerSpec | str | None = None
+    scheduler: str | None = None
     """Cross-transaction scheduling policy: ``None``/``"fifo"`` (admit
     everything immediately — bit-identical to the historical raw retry
-    loop), ``"conflict"`` (serialize conflict classes, see
-    :mod:`repro.sched`), or a full :class:`~repro.sched.SchedulerSpec`.
-    Each engine builds its own scheduler instance from this picklable
-    value, so the knob works unchanged on sim/aio/mp."""
+    loop) or ``"conflict"`` (serialize conflict classes, see
+    :mod:`repro.sched`).  Each engine builds its own scheduler instance
+    from this name, so the knob works unchanged on sim/aio/mp."""
 
     placement: PlacementSpec | str | None = None
     """Data-placement policy: ``None``/``"static"`` (the layout the
@@ -254,7 +253,8 @@ class RunConfig:
         """The effective open-loop arrival process for this run, or
         None for the closed-loop default.  A string/spec
         :attr:`arrivals` picks up the :attr:`offered_load` and
-        :attr:`deadline_us` overrides."""
+        :attr:`deadline_us` overrides; a rate that is not finite and
+        positive is a ``ValueError``."""
         spec = as_arrival_spec(self.arrivals)
         if spec is None:
             return None
@@ -282,10 +282,6 @@ class RunConfig:
         elif spec.dir is None and self.wal_dir is not None:
             spec = dataclasses.replace(spec, dir=self.wal_dir)
         return spec
-
-    def network_config(self) -> NetworkConfig:
-        """The network model for this run."""
-        return NetworkConfig(doorbell_batching=self.doorbell_batching)
 
 
 @dataclass
@@ -506,18 +502,18 @@ class _LiveTimeline:
 def make_cluster(config: RunConfig):
     """Build the cluster for ``config``'s selected backend."""
     if config.backend == "sim":
-        return Cluster(config.n_partitions, config.network_config())
+        return Cluster(config.n_partitions, config.doorbell_batching)
     if config.backend == "aio":
         timeout = config.run_timeout_s
         if timeout is None:
             timeout = config.horizon_us / 1e6 + 120.0
-        return WorkerCluster(config.n_partitions, config.network_config(),
+        return WorkerCluster(config.n_partitions, config.doorbell_batching,
                              run_timeout_s=timeout)
     if config.backend == "mp":
         # inside a worker process this is that worker's live cluster;
         # in the parent it is an inert template for inspection
         return cluster_for_config(config.n_partitions,
-                                  config.network_config())
+                                  config.doorbell_batching)
     raise ValueError(f"unknown backend {config.backend!r} "
                      f"(expected one of {BACKENDS})")
 
@@ -824,10 +820,7 @@ def _spawn_load(workload, load: Load, homes: list[int]) -> None:
         placement_stats = PlacementStats(placement="adaptive")
         install_flip_handler(db, placement, placement_stats)
         executor.record_footprints = True
-        telemetry = {home: AccessTelemetry(
-                         sample_every=placement.sample_every,
-                         max_samples=placement.max_samples)
-                     for home in homes}
+        telemetry = {home: AccessTelemetry() for home in homes}
         load.placement_stats, load.telemetry = placement_stats, telemetry
     routed_queues: dict[int, deque] = {home: deque() for home in homes}
 

@@ -188,7 +188,6 @@ def build_instacart_setup(n_partitions: int,
 def build_instacart_layout(setup: InstacartSetup, name: LayoutName,
                            seed: int = 7,
                            eps: float = 0.15,
-                           hot_threshold: float = 0.02,
                            min_weight: float = 0.0,
                            n_tries: int = 2) -> InstacartLayout:
     """Train one of the three layouts the Fig. 7/8 experiment compares."""
@@ -200,7 +199,7 @@ def build_instacart_layout(setup: InstacartSetup, name: LayoutName,
     if name == "schism":
         start = time.perf_counter()
         result = partition_schism(
-            setup.samples, k, SchismConfig(eps=eps, seed=seed))
+            setup.samples, k, SchismConfig(seed=seed))
         elapsed = time.perf_counter() - start
         return InstacartLayout("schism", result.scheme(fallback),
                                HotRecordTable.empty(),
@@ -211,7 +210,6 @@ def build_instacart_layout(setup: InstacartSetup, name: LayoutName,
         result = partition_workload(
             setup.samples, setup.likelihoods, k,
             ChillerPartitionerConfig(eps=eps, seed=seed,
-                                     hot_threshold=hot_threshold,
                                      min_weight=min_weight))
         elapsed = time.perf_counter() - start
         return InstacartLayout("chiller", result.scheme(fallback),

@@ -20,16 +20,17 @@ from .stargraph import StarGraph, build_star_graph, partition_star_graph
 from .stats import TxnSample
 
 
+HOT_THRESHOLD = 0.02
+"""Normalized likelihood above which a record enters the lookup table
+(everything below falls back to hash/range placement)."""
+
+
 @dataclass(frozen=True)
 class ChillerPartitionerConfig:
     """Knobs of the partitioning pipeline."""
 
     eps: float = 0.10
     """Balance slack: L(p) <= (1 + eps) * mu."""
-
-    hot_threshold: float = 0.05
-    """Normalized likelihood above which a record enters the lookup
-    table (everything below falls back to hash/range placement)."""
 
     load_metric: str = "transactions"
     min_weight: float = 0.0
@@ -79,7 +80,7 @@ def partition_workload(samples: Iterable[TxnSample],
                                       eps=config.eps, seed=config.seed)
     record_assignment = star.record_assignment(assignment)
     normalized = normalize(dict(likelihoods))
-    threshold = 0.0 if config.keep_all_records else config.hot_threshold
+    threshold = 0.0 if config.keep_all_records else HOT_THRESHOLD
     hot_table = HotRecordTable.from_assignment(record_assignment,
                                                normalized, threshold)
     return ChillerPartitioning(

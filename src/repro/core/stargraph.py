@@ -11,8 +11,7 @@ distributed transactions (Section 4.4).
 Vertex weights encode the load-balance metric:
 
 * ``"transactions"`` — t-vertices weigh 1, r-vertices 0;
-* ``"records"``      — r-vertices weigh 1, t-vertices 0;
-* ``"accesses"``     — r-vertices weigh their read+write count.
+* ``"records"``      — r-vertices weigh 1, t-vertices 0.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from ..storage.record import RecordId
 from .contention import normalize
 from .stats import TxnSample
 
-LOAD_METRICS = ("transactions", "records", "accesses")
+LOAD_METRICS = ("transactions", "records")
 
 
 @dataclass
@@ -70,7 +69,6 @@ def build_star_graph(samples: Iterable[TxnSample],
 
     graph = WeightedGraph()
     r_vertex_of: dict[RecordId, int] = {}
-    access_counts: dict[RecordId, int] = {}
     t_vertex_of: list[int] = []
     edge_weight_of: dict[RecordId, float] = {}
 
@@ -85,17 +83,13 @@ def build_star_graph(samples: Iterable[TxnSample],
             if r_vertex is None:
                 r_vertex = graph.add_vertex(0.0)
                 r_vertex_of[rid] = r_vertex
-            access_counts[rid] = access_counts.get(rid, 0) + 1
             weight = max(weights.get(rid, 0.0), min_weight)
             edge_weight_of[rid] = weight
             graph.add_edge(t_vertex, r_vertex, weight)
 
     if load_metric == "records":
-        for rid, vertex in r_vertex_of.items():
+        for vertex in r_vertex_of.values():
             graph.vertex_weights[vertex] = 1.0
-    elif load_metric == "accesses":
-        for rid, vertex in r_vertex_of.items():
-            graph.vertex_weights[vertex] = float(access_counts[rid])
     return StarGraph(graph, t_vertex_of, r_vertex_of, sample_list,
                      edge_weight_of)
 

@@ -27,12 +27,14 @@ from ..storage.record import RecordId
 from .base import LookupScheme
 
 
+EPS = 0.15
+"""Balance slack of Schism's cut: L(p) <= (1 + eps) * mu, with every
+record weighing 1 (Schism balances record counts)."""
+
+
 @dataclass(frozen=True)
 class SchismConfig:
-    eps: float = 0.10
     seed: int = 1
-    load_metric: str = "records"
-    """Schism balances record counts (or access counts)."""
 
 
 @dataclass
@@ -57,27 +59,19 @@ class SchismPartitioning:
 
 
 def build_coaccess_graph(samples: Iterable[TxnSample],
-                         load_metric: str = "records",
                          ) -> tuple[WeightedGraph, dict[RecordId, int]]:
     """The clique-per-transaction workload graph."""
     graph = WeightedGraph()
     vertex_of: dict[RecordId, int] = {}
-    access_counts: dict[RecordId, int] = {}
     for sample in samples:
         records = sample.records()
         for rid in records:
             if rid not in vertex_of:
                 vertex_of[rid] = graph.add_vertex(1.0)
-            access_counts[rid] = access_counts.get(rid, 0) + 1
         for i in range(len(records)):
             for j in range(i + 1, len(records)):
                 graph.add_edge(vertex_of[records[i]],
                                vertex_of[records[j]], 1.0)
-    if load_metric == "accesses":
-        for rid, vertex in vertex_of.items():
-            graph.vertex_weights[vertex] = float(access_counts[rid])
-    elif load_metric != "records":
-        raise ValueError(f"unknown Schism load metric {load_metric!r}")
     return graph, vertex_of
 
 
@@ -87,11 +81,10 @@ def partition_schism(samples: Iterable[TxnSample], n_partitions: int,
     """Run the Schism pipeline: co-access graph -> balanced min-cut."""
     config = config or SchismConfig()
     sample_list = list(samples)
-    graph, vertex_of = build_coaccess_graph(sample_list,
-                                            config.load_metric)
+    graph, vertex_of = build_coaccess_graph(sample_list)
     if graph.n_vertices == 0:
         return SchismPartitioning({}, graph, [], 0)
-    assignment = part_graph(graph, n_partitions, eps=config.eps,
+    assignment = part_graph(graph, n_partitions, eps=EPS,
                             seed=config.seed)
     record_assignment = {rid: assignment[v]
                          for rid, v in vertex_of.items()}

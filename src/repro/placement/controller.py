@@ -58,6 +58,15 @@ PLAN_CPU_US = 25.0
 FLIP_CPU_US = 0.5
 """Modeled CPU a server spends applying one routing flip."""
 
+LOCK_WINDOW_US = 10.0
+"""Lock-hold window the re-plan's contention likelihoods assume."""
+
+PLAN_EPS = 0.15
+"""Balance slack of the re-plan's cut: L(p) <= (1 + eps) * mu."""
+
+PLAN_SEED = 101
+"""Seed of every re-plan's cut (one fixed seed across epochs)."""
+
 
 @dataclass(frozen=True)
 class PlacementSpec:
@@ -97,11 +106,6 @@ class PlacementSpec:
     min_window_commits: int = 16
     """Don't re-plan on windows with fewer observed commits."""
 
-    lock_window_us: float = 10.0
-    eps: float = 0.15
-    hot_threshold: float = 0.02
-    sample_every: int = 1
-    max_samples: int = 512
     lease_ttl_us: float = 5_000.0
     """Controller-lease time-to-live on the mp backend.  Every worker
     runs a candidate loop; whoever holds the lease (granted by the
@@ -109,8 +113,6 @@ class PlacementSpec:
     and migrates that epoch.  A holder that stops renewing — its worker
     process died — loses the lease once the TTL lapses and a surviving
     candidate takes over (a *controller failover*)."""
-
-    seed: int = 101
 
     @property
     def adaptive(self) -> bool:
@@ -206,15 +208,13 @@ class PlacementController:
                                    spec.plan_record_cap)
         if not samples:
             return MigrationPlan(epoch, ())
-        likelihoods = window.likelihoods(spec.lock_window_us)
+        likelihoods = window.likelihoods(LOCK_WINDOW_US)
         # one fixed seed across epochs: a re-observed group keeps
         # landing on the same cut side, so partially-applied plans
         # converge instead of bouncing between equally-balanced cuts
         partitioning = partition_workload(
             samples, likelihoods, n_partitions,
-            ChillerPartitionerConfig(eps=spec.eps,
-                                     hot_threshold=spec.hot_threshold,
-                                     seed=spec.seed))
+            ChillerPartitionerConfig(eps=PLAN_EPS, seed=PLAN_SEED))
         proposal = partitioning.record_assignment
         current = {rid: placement_of(rid[0], rid[1]) for rid in proposal}
         relabel = _align_labels(proposal, current, window, n_partitions)

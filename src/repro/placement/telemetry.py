@@ -24,6 +24,9 @@ from ..core.contention import contention_likelihood
 from ..core.stats import TxnSample
 from ..storage.record import RecordId
 
+MAX_SAMPLES = 512
+"""Co-access samples one engine keeps per window (the most recent)."""
+
 
 @dataclass(frozen=True)
 class TelemetryWindow:
@@ -87,14 +90,11 @@ class TelemetryWindow:
 class AccessTelemetry:
     """One engine's rolling observation of committed footprints.
 
-    ``sample_every`` thins the retained co-access samples (access
-    *counts* still cover every commit); ``max_samples`` bounds the
-    window's memory, keeping the most recent footprints — recency is
-    the point of online re-partitioning.
+    Access *counts* cover every commit; :data:`MAX_SAMPLES` bounds the
+    co-access samples a window keeps, the most recent footprints —
+    recency is the point of online re-partitioning.
     """
 
-    sample_every: int = 1
-    max_samples: int = 512
     samples: list = field(default_factory=list)
     read_counts: dict = field(default_factory=dict)
     write_counts: dict = field(default_factory=dict)
@@ -114,9 +114,7 @@ class AccessTelemetry:
             self.read_counts[rid] = self.read_counts.get(rid, 0) + 1
         for rid in outcome.write_set:
             self.write_counts[rid] = self.write_counts.get(rid, 0) + 1
-        if (self.commits_observed - 1) % self.sample_every:
-            return
-        if len(self.samples) >= self.max_samples:
+        if len(self.samples) >= MAX_SAMPLES:
             del self.samples[0]
         self.samples.append(TxnSample(outcome.proc,
                                       tuple(outcome.read_set),

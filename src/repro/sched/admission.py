@@ -1,65 +1,29 @@
-"""Admission control: backpressure for hot conflict classes.
+"""Open-loop admission control: which arrivals to shed under overload.
 
-Serializing a hot class bounds *wasted work* but not *queue growth*:
-under heavy skew every engine worker can end up parked behind the same
-record, at which point the honest answer is to shed load, not to let
-the queue (and every queued transaction's latency) grow without bound
-— the optimistic-abort argument of Jepsen et al.: when a transaction
-is doomed or unpayable, abort it *early*, before it spends round trips.
-
-The controller owns the two caps the conflict scheduler consults:
-
-* ``class_width`` — concurrent in-flight transactions per class (the
-  serialization degree, enforced by the scheduler's slot accounting).
-* ``max_queue_per_class`` — waiters a class may park before further
-  admissions are **shed** with a typed
-  :class:`~repro.sched.base.SchedReason` recorded in the stats (and
-  thus in ``Metrics``), instead of silently joining a hopeless queue.
-
-Shed requests never execute: the generating worker drops them and
-moves on, which is exactly what an overloaded front door should do.
-
-Open-loop runs add a second, *value-aware* front door:
-:class:`DeadlineAdmission`.  Under open-loop arrivals the queue grows
-whether or not anyone is watching, so once the system saturates, the
-question stops being "how many requests do we shed" and becomes
-"**which** requests do we shed" (Prasaad et al.): drop the work least
-likely to be worth finishing — arrivals whose deadline is already
-unpayable, then the lowest-priority tenants — and keep the remaining
-capacity for the traffic that still can meet its SLO.
+Under open-loop arrivals the queue grows whether or not anyone is
+watching, so once the system saturates, the question stops being "how
+many requests do we shed" and becomes "**which** requests do we shed"
+(Prasaad et al.): drop the work least likely to be worth finishing —
+arrivals whose deadline is already unpayable, then the lowest-priority
+tenants — and keep the remaining capacity for the traffic that still
+can meet its SLO.  :class:`DeadlineAdmission` is that front door; the
+conflict scheduler's own per-class queue cap lives in
+:mod:`repro.sched.conflict`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
+from .base import SchedReason, SchedulerStats
 
-from .base import (AdmitDecision, SchedAction, SchedReason, SchedulerSpec,
-                   SchedulerStats)
+MAX_IN_FLIGHT = 4096
+"""Hard in-flight cap per engine (the last-ditch queue bound)."""
 
+INIT_GAP_US = 100.0
+"""Prior for the completion-gap EWMA before any completion has been
+observed."""
 
-class AdmissionController:
-    """Queue-cap backpressure shared by class-aware schedulers."""
-
-    def __init__(self, spec: SchedulerSpec, stats: SchedulerStats):
-        self.spec = spec
-        self.stats = stats
-
-    def check_queue(self, class_key: Hashable,
-                    queue_len: int) -> AdmitDecision | None:
-        """Shed verdict for one more waiter on ``class_key``, or None.
-
-        ``max_queue_per_class == 0`` disables shedding entirely (defer
-        forever); otherwise a class whose queue is full rejects the
-        admission outright.
-        """
-        cap = self.spec.max_queue_per_class
-        if cap <= 0 or queue_len < cap:
-            return None
-        decision = AdmitDecision(SchedAction.SHED,
-                                 class_keys=(class_key,),
-                                 reason=SchedReason.CLASS_OVERLOAD)
-        self.stats.count_shed(decision.reason)
-        return decision
+GAP_EWMA_ALPHA = 0.2
+"""Weight of the latest completion gap in the drain-rate EWMA."""
 
 
 class DeadlineAdmission:
@@ -78,7 +42,7 @@ class DeadlineAdmission:
 
     Shedding is by value, most-worthless first:
 
-    * ``QUEUE_FULL`` — the hard in-flight cap (``max_in_flight``).
+    * ``QUEUE_FULL`` — the hard in-flight cap (:data:`MAX_IN_FLIGHT`).
     * ``DEADLINE_HOPELESS`` — the predicted wait exceeds the arrival's
       *remaining* deadline budget (scheduled arrival + deadline − now):
       even a top-priority request is shed rather than guaranteed-missed.
@@ -92,15 +56,10 @@ class DeadlineAdmission:
     engine's :class:`~repro.sched.base.SchedulerStats`.
     """
 
-    def __init__(self, stats: SchedulerStats, max_priority: float = 1.0,
-                 max_in_flight: int = 4096,
-                 init_gap_us: float = 100.0,
-                 gap_ewma_alpha: float = 0.2):
+    def __init__(self, stats: SchedulerStats, max_priority: float = 1.0):
         self.stats = stats
         self.max_priority = max(max_priority, 1e-9)
-        self.max_in_flight = max_in_flight
-        self.gap_ewma_us = init_gap_us
-        self.gap_ewma_alpha = gap_ewma_alpha
+        self.gap_ewma_us = INIT_GAP_US
         self.in_flight = 0
         self._last_done_at: float | None = None
 
@@ -118,7 +77,7 @@ class DeadlineAdmission:
         already spent part of its deadline.
         """
         reason = None
-        if 0 < self.max_in_flight <= self.in_flight:
+        if self.in_flight >= MAX_IN_FLIGHT:
             reason = SchedReason.QUEUE_FULL
         else:
             budget = arrival.deadline_us - (now - arrival.at)
@@ -140,6 +99,5 @@ class DeadlineAdmission:
         self.in_flight -= 1
         if self._last_done_at is not None:
             gap = max(0.0, now - self._last_done_at)
-            alpha = self.gap_ewma_alpha
-            self.gap_ewma_us += alpha * (gap - self.gap_ewma_us)
+            self.gap_ewma_us += GAP_EWMA_ALPHA * (gap - self.gap_ewma_us)
         self._last_done_at = now

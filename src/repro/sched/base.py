@@ -24,8 +24,8 @@ backend there is no shared heap to coordinate through, so each engine
 schedules the transactions *it* coordinates (pair with
 ``route_by_data`` to send conflicting requests to the same engine when
 cross-engine serialization matters).  Instances are built per engine
-from a picklable :class:`SchedulerSpec`, which is what crosses into mp
-worker processes inside ``RunConfig``.
+from a :class:`SchedulerSpec`, normalized from the kind name that
+crosses into mp worker processes inside ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -269,28 +269,15 @@ class FifoScheduler(Scheduler):
 
 @dataclass(frozen=True)
 class SchedulerSpec:
-    """Picklable recipe for building one engine's scheduler.
+    """Recipe for building one engine's scheduler.
 
-    This is what ``RunConfig.scheduler`` holds and what multiprocess
-    workers receive; each engine builds its own instance via
-    :meth:`build` (schedulers hold live Signals and queues, so the
-    *instances* never cross a process boundary).
+    :func:`as_spec` makes it from ``RunConfig.scheduler``'s kind name;
+    each engine builds its own instance via :meth:`build` (schedulers
+    hold live Signals and queues, so the *instances* never cross a
+    process boundary).
     """
 
     kind: str = "fifo"
-    class_width: int = 1
-    """Concurrent transactions admitted per conflict class."""
-
-    max_queue_per_class: int = 16
-    """Waiters per class before admission control sheds (0: never)."""
-
-    window_init_us: float = 20.0
-    """First serialization window opened when a class's abort rate
-    spikes; later spikes double it up to ``window_max_us``."""
-
-    window_max_us: float = 400.0
-    abort_ewma_alpha: float = 0.25
-    abort_spike_threshold: float = 0.5
 
     def build(self, fingerprint: Fingerprint | None = None) -> Scheduler:
         if self.kind == "fifo":
@@ -302,19 +289,17 @@ class SchedulerSpec:
                     "conflict scheduling needs a fingerprint function "
                     "(the harness derives one from the executor's "
                     "estimate_rw_sets hook)")
-            return ConflictClassScheduler(fingerprint, self)
+            return ConflictClassScheduler(fingerprint)
         raise ValueError(f"unknown scheduler kind {self.kind!r} "
                          f"(expected one of {SCHEDULERS})")
 
 
-def as_spec(scheduler: "SchedulerSpec | str | None") -> SchedulerSpec:
-    """Normalize ``RunConfig.scheduler`` (None, a kind name, or a full
-    spec) into a :class:`SchedulerSpec`."""
+def as_spec(scheduler: str | None) -> SchedulerSpec:
+    """Normalize ``RunConfig.scheduler`` (None or a kind name) into a
+    :class:`SchedulerSpec`."""
     if scheduler is None:
         return SchedulerSpec(kind="fifo")
-    if isinstance(scheduler, str):
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r} "
-                             f"(expected one of {SCHEDULERS})")
-        return SchedulerSpec(kind=scheduler)
-    return scheduler
+    if scheduler not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {scheduler!r} "
+                         f"(expected one of {SCHEDULERS})")
+    return SchedulerSpec(kind=scheduler)

@@ -20,7 +20,7 @@ from .cpu import Core
 from .effects import (All, Await, BatchedOneSided, Compute, Coroutine,
                       Effect, OneSided, OneWay, Rpc, Signal, Sleep)
 from .events import Simulator
-from .network import (Network, NetworkConfig, NetworkStats,
+from .network import (Network, NetworkStats,
                       approx_payload_bytes, phase_of_kind, write_set_bytes)
 from .runtime import EffectRuntime, EffectRuntimeBase
 from .supervisor import (MpRunError, MpRunSpec, MpTemplateCluster,
@@ -48,7 +48,6 @@ __all__ = [
     "MpRunSpec",
     "MpTemplateCluster",
     "Network",
-    "NetworkConfig",
     "NetworkStats",
     "OneSided",
     "OneWay",

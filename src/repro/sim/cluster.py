@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 from .events import Simulator
-from .network import Network, NetworkConfig
+from .network import Network
 from .runtime import EffectRuntime, EffectRuntimeBase
 
 
@@ -30,13 +30,12 @@ class Server:
 class Cluster:
     """A set of servers sharing one simulator and one network."""
 
-    def __init__(self, n_servers: int,
-                 config: NetworkConfig | None = None,
+    def __init__(self, n_servers: int, doorbell_batching: bool = False,
                  sim: Simulator | None = None):
         if n_servers <= 0:
             raise ValueError("cluster needs at least one server")
         self.sim = sim or Simulator()
-        self.network = Network(self.sim, config)
+        self.network = Network(self.sim, doorbell_batching)
         self.servers = [Server(i, EffectRuntime(self.sim, self.network, i))
                         for i in range(n_servers)]
         self.metrics_sampler = None

@@ -77,7 +77,7 @@ class BatchedOneSided(Effect):
     """Several one-sided verbs against one destination, fused if possible.
 
     Resumes with the list of the verbs' return values, in ``ops`` order.
-    With :attr:`~repro.sim.network.NetworkConfig.doorbell_batching`
+    With :attr:`~repro.sim.network.Network.doorbell_batching`
     enabled the runtime issues remote groups as a single fused round trip
     (``Network.one_sided_batch``); otherwise — and always for local
     targets — each verb is issued individually, reproducing the

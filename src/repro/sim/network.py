@@ -18,11 +18,11 @@ batching**: a sender posts a chain of one-sided verbs to the same
 destination with a single doorbell; the NIC processes them back-to-back
 and raises one completion, so N verbs cost one round trip plus a small
 per-verb NIC serialization term instead of N independent issues.  It is
-only used when :attr:`NetworkConfig.doorbell_batching` is on.
+only used when the run turns ``doorbell_batching`` on.
 
-All latencies are configurable through :class:`NetworkConfig`; the
-defaults put a network round trip at ~27x a local storage access,
-consistent with the paper's "at least an order of magnitude" premise.
+The latencies are the module constants below: a network round trip
+costs ~27x a local storage access, consistent with the paper's "at
+least an order of magnitude" premise.
 """
 
 from __future__ import annotations
@@ -36,6 +36,23 @@ from .._stats import stat
 from .events import Simulator
 
 _UNSET = object()
+
+LOCAL_ACCESS_US = 0.15
+"""A storage operation against the local partition, in microseconds."""
+
+ONE_WAY_US = 1.7
+"""One-way propagation between two servers (InfiniBand EDR class)."""
+
+VERB_OVERHEAD_US = 0.3
+"""NIC processing added to each one-sided verb at the target."""
+
+RPC_OVERHEAD_US = 0.4
+"""Dispatch overhead added when delivering a message to a handler."""
+
+BATCHED_VERB_US = 0.05
+"""NIC serialization cost of each verb after the first in a
+doorbell-batched chain (the chain shares propagation, doorbell, and
+completion)."""
 
 VERB_NOMINAL_BYTES = 32
 """Approximate wire size of one one-sided verb (header + cacheline-ish
@@ -212,37 +229,6 @@ def write_set_bytes(writes: tuple, depth: int = 0) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Latency and overhead constants, in microseconds."""
-
-    local_access_us: float = 0.15
-    """A storage operation against the local partition."""
-
-    one_way_us: float = 1.7
-    """One-way propagation between two servers (InfiniBand EDR class)."""
-
-    verb_overhead_us: float = 0.3
-    """NIC processing added to each one-sided verb at the target."""
-
-    rpc_overhead_us: float = 0.4
-    """Dispatch overhead added when delivering a message to a handler."""
-
-    doorbell_batching: bool = False
-    """Fuse same-destination one-sided verbs issued in one parallel round
-    into a single doorbell-batched round trip.  Off by default: the
-    unbatched model is the seed-calibrated baseline."""
-
-    batched_verb_us: float = 0.05
-    """NIC serialization cost of each verb after the first in a
-    doorbell-batched chain (the chain shares propagation, doorbell, and
-    completion)."""
-
-    def message_delay(self) -> float:
-        """Delivery delay of a one-way message."""
-        return self.one_way_us + self.rpc_overhead_us
-
-
 @dataclass
 class NetworkStats:
     """Counters for traffic accounting (used in experiment reports).
@@ -363,9 +349,12 @@ class NetworkStats:
 class Network:
     """Connects ``n_servers`` simulated servers with FIFO channels."""
 
-    def __init__(self, sim: Simulator, config: NetworkConfig | None = None):
+    def __init__(self, sim: Simulator, doorbell_batching: bool = False):
         self._sim = sim
-        self.config = config or NetworkConfig()
+        self.doorbell_batching = doorbell_batching
+        """Fuse same-destination one-sided verbs issued in one parallel
+        round into a single doorbell-batched round trip.  Off by
+        default: the unbatched model is the seed-calibrated baseline."""
         self.stats = NetworkStats()
         self._handlers: dict[int, Callable[[int, Any], None]] = {}
         self._last_delivery: dict[tuple[int, int], float] = {}
@@ -390,20 +379,17 @@ class Network:
         local access latency.  ``kind``/``nbytes`` feed the per-kind
         traffic accounting.
         """
-        cfg = self.config
         self.stats.record_one_sided(kind, nbytes, remote=src != dst,
                                     server=src)
         if src == dst:
-            self._sim.schedule(cfg.local_access_us,
-                               lambda: on_complete(op()))
+            self._sim.schedule(LOCAL_ACCESS_US, lambda: on_complete(op()))
             return
-        arrive = self._fifo_time(src, dst,
-                                 cfg.one_way_us + cfg.verb_overhead_us)
+        arrive = self._fifo_time(src, dst, ONE_WAY_US + VERB_OVERHEAD_US)
 
         def _at_target() -> None:
             result = op()
             self._sim.schedule_at(
-                self._fifo_time(dst, src, self.config.one_way_us,
+                self._fifo_time(dst, src, ONE_WAY_US,
                                 base=self._sim.now),
                 lambda: on_complete(result))
 
@@ -430,18 +416,17 @@ class Network:
                              "local verbs do not ring a doorbell")
         if len(ops) < 2:
             raise ValueError("a doorbell batch needs at least two verbs")
-        cfg = self.config
         self.stats.record_batch(
             kinds if kinds is not None
             else (("one_sided", None),) * len(ops), server=src)
         arrive = self._fifo_time(
-            src, dst, cfg.one_way_us + cfg.verb_overhead_us
-            + (len(ops) - 1) * cfg.batched_verb_us)
+            src, dst, ONE_WAY_US + VERB_OVERHEAD_US
+            + (len(ops) - 1) * BATCHED_VERB_US)
 
         def _at_target() -> None:
             results = [op() for op in ops]
             self._sim.schedule_at(
-                self._fifo_time(dst, src, self.config.one_way_us,
+                self._fifo_time(dst, src, ONE_WAY_US,
                                 base=self._sim.now),
                 lambda: on_complete(results))
 
@@ -463,8 +448,8 @@ class Network:
                 payload if size_of is _UNSET else size_of)
         self.stats.record_message(kind, nbytes, remote=src != dst,
                                   server=src)
-        delay = (self.config.local_access_us if src == dst
-                 else self.config.message_delay())
+        delay = (LOCAL_ACCESS_US if src == dst
+                 else ONE_WAY_US + RPC_OVERHEAD_US)
         arrive = self._fifo_time(src, dst, delay)
         handler = self._handlers[dst]
         self._sim.schedule_at(arrive, lambda: handler(src, payload))

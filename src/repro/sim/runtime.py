@@ -22,7 +22,7 @@ a real transport.  Backends implement the small ``_do_*`` /
 **Doorbell batching.**  Real RDMA NICs let a sender post a chain of work
 requests with a single doorbell; the NIC processes them back-to-back and
 raises one completion.  With
-:attr:`~repro.sim.network.NetworkConfig.doorbell_batching` enabled, the
+:attr:`~repro.sim.network.Network.doorbell_batching` enabled, the
 runtime groups the one-sided verbs inside an ``All`` by destination
 server and issues one fused round trip per destination; explicit
 :class:`~repro.sim.effects.BatchedOneSided` effects emitted by the
@@ -394,7 +394,7 @@ class EffectRuntime(EffectRuntimeBase):
         network.register_handler(server_id, self.on_message)
 
     def _batching_enabled(self) -> bool:
-        return self.network.config.doorbell_batching
+        return self.network.doorbell_batching
 
     def _defer(self, fn: Callable[[], None]) -> None:
         self.sim.schedule(0.0, fn)

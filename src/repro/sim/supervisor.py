@@ -37,7 +37,6 @@ from typing import Any, Callable
 
 from .cluster import Server
 from .codec import FrameCodec
-from .network import NetworkConfig
 from .runtime import EffectRuntimeBase
 from .transport import TcpTransport, bind_listener
 from .wallclock import AioClock, AioNetwork, WorkerCluster
@@ -98,8 +97,7 @@ def current_worker_cluster() -> WorkerCluster | None:
     return _ACTIVE_CLUSTER
 
 
-def cluster_for_config(n_partitions: int,
-                       config: NetworkConfig | None) -> Any:
+def cluster_for_config(n_partitions: int, doorbell_batching: bool) -> Any:
     """What ``make_cluster(backend="mp")`` returns.
 
     Inside a worker: that worker's live cluster (exactly once per
@@ -110,7 +108,7 @@ def cluster_for_config(n_partitions: int,
     active = _ACTIVE_CLUSTER
     if active is not None:
         return active._claim(n_partitions)
-    return MpTemplateCluster(n_partitions, config)
+    return MpTemplateCluster(n_partitions, doorbell_batching)
 
 
 class _TemplateEngine(EffectRuntimeBase):
@@ -128,12 +126,12 @@ class _TemplateEngine(EffectRuntimeBase):
 class MpTemplateCluster:
     """Parent-side stand-in: carries the shape, never runs."""
 
-    def __init__(self, n_servers: int, config: NetworkConfig | None = None):
+    def __init__(self, n_servers: int, doorbell_batching: bool = False):
         if n_servers <= 0:
             raise ValueError("cluster needs at least one server")
         self.clock = AioClock()
         self.sim = self.clock
-        self.network = AioNetwork(config)
+        self.network = AioNetwork(doorbell_batching)
         self.servers = [Server(i, _TemplateEngine(i))
                         for i in range(n_servers)]
 
@@ -187,7 +185,7 @@ def _worker_body(conn, spec: MpRunSpec, config: Any, worker_id: int,
         raise
     ports: dict[int, int] = msg[1]
 
-    cluster = WorkerCluster(config.n_partitions, config.network_config(),
+    cluster = WorkerCluster(config.n_partitions, config.doorbell_batching,
                             worker_id=worker_id, n_workers=n_workers,
                             generation=generation)
     cluster.recovery_enabled = config.mp_recovery

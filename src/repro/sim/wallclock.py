@@ -33,7 +33,7 @@ What the backends guarantee:
 property                  sim backend              aio / mp backends
 ========================  =======================  ======================
 clock                     simulated microseconds   wall-clock microseconds
-latency                   NetworkConfig constants  whatever the loop/stack
+latency                   `sim.network` constants  whatever the loop/stack
                                                    actually costs
 (src, dst) FIFO           `_fifo_time` monotonic   loop callback order /
                                                    one stream per worker
@@ -59,7 +59,7 @@ from .cluster import Server
 from .codec import (PEER_DOWN, CodecError, WireOneWay, WireRpc, WireRpcReply,
                     WireVerbReply, WireVerbs, decode_op, encode_op)
 from .effects import All, Coroutine, OneWay
-from .network import NetworkConfig, NetworkStats, approx_payload_bytes
+from .network import NetworkStats, approx_payload_bytes
 from .runtime import EffectRuntimeBase, _payload_kind
 
 
@@ -90,13 +90,13 @@ class AioClock:
 
 
 class AioNetwork:
-    """The :class:`~repro.sim.network.NetworkConfig` knobs the
-    executors read and the :class:`~repro.sim.network.NetworkStats`
-    wire/local counters, kept to the same semantics as the simulated
-    network so backend comparisons read one schema."""
+    """The ``doorbell_batching`` switch the executors read and the
+    :class:`~repro.sim.network.NetworkStats` wire/local counters, kept
+    to the same semantics as the simulated network so backend
+    comparisons read one schema."""
 
-    def __init__(self, config: NetworkConfig | None = None):
-        self.config = config or NetworkConfig()
+    def __init__(self, doorbell_batching: bool = False):
+        self.doorbell_batching = doorbell_batching
         self.stats = NetworkStats()
 
 
@@ -171,7 +171,7 @@ class WallClockRuntime(EffectRuntimeBase):
             self._send_verbs(target, parts)
 
     def _batching_enabled(self) -> bool:
-        return self.network.config.doorbell_batching
+        return self.network.doorbell_batching
 
     def _defer(self, fn: Callable[[], None]) -> None:
         self._cluster.loop.call_soon(fn)
@@ -405,7 +405,7 @@ class WorkerCluster:
     released by :meth:`serving`.
     """
 
-    def __init__(self, n_servers: int, config: NetworkConfig | None = None,
+    def __init__(self, n_servers: int, doorbell_batching: bool = False,
                  *, worker_id: int = 0, n_workers: int = 1,
                  generation: int = 0, run_timeout_s: float | None = 120.0):
         if not 0 <= worker_id < n_workers <= n_servers:
@@ -418,7 +418,7 @@ class WorkerCluster:
         incremented each time the supervisor respawns it after a death."""
         self.clock = AioClock()
         self.sim = self.clock  # Database/harness read .sim.now
-        self.network = AioNetwork(config)
+        self.network = AioNetwork(doorbell_batching)
         self.transport: Any = _NoWire()
         self.run_timeout_s = run_timeout_s
         """Hang guard of the in-process :meth:`run` (the supervisor

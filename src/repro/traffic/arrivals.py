@@ -21,13 +21,13 @@ Processes:
 
 * ``poisson`` — memoryless arrivals at a constant mean rate.
 * ``diurnal`` — a sinusoidal day/night curve; ``offered_load`` is the
-  *peak* rate, the trough sits at ``diurnal_trough`` of it.
-* ``flash`` — a flash-crowd step: quiet at ``offered_load /
-  flash_ratio`` until ``flash_at_frac`` of the horizon, then the full
-  rate hits at once.
+  *peak* rate, the trough sits at :data:`DIURNAL_TROUGH` of it.
+* ``flash`` — a flash-crowd step: quiet at ``offered_load /``
+  :data:`FLASH_RATIO` until :data:`FLASH_AT_FRAC` of the horizon, then
+  the full rate hits at once.
 * ``tenants`` — a multi-tenant mix: independent Poisson streams per
-  tenant with per-tenant shares, priorities, and SLO deadlines,
-  merged into one schedule.
+  tenant of :data:`DEFAULT_TENANT_MIX`, with per-tenant shares and
+  priorities, merged into one schedule.
 
 Non-constant rates use Lewis–Shedler thinning: candidates are drawn
 from a homogeneous process at the peak rate and accepted with
@@ -39,7 +39,7 @@ stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .._util import make_rng
@@ -52,13 +52,25 @@ ADMISSIONS = ("none", "deadline")
 deadline and priority (see :class:`repro.sched.DeadlineAdmission`)."""
 
 
-@dataclass(frozen=True)
-class TenantSpec:
+DIURNAL_PERIOD_US = 20_000.0
+"""One day of the ``diurnal`` curve, in the backend's microseconds."""
+
+DIURNAL_TROUGH = 0.25
+"""Trough rate of the ``diurnal`` curve as a fraction of the peak."""
+
+FLASH_AT_FRAC = 0.5
+"""Where in the horizon the ``flash`` step hits (fraction)."""
+
+FLASH_RATIO = 4.0
+"""Peak-to-quiet rate ratio of the ``flash`` step."""
+
+
+class TenantSpec(NamedTuple):
     """One traffic class inside a multi-tenant mix.
 
     Tenants are *traffic* classes, not data classes: they share the
-    workload's key space and differ only in rate share, value
-    (priority), and SLO deadline.
+    workload's key space and differ only in rate share and value
+    (priority); every tenant has the spec's SLO deadline.
     """
 
     name: str
@@ -70,15 +82,11 @@ class TenantSpec:
     """Value of this tenant's work; under overload the deadline-aware
     admission controller sheds lower-priority tenants first."""
 
-    deadline_us: float | None = None
-    """SLO deadline measured from the *scheduled* arrival; None uses
-    the spec-level default."""
-
 
 DEFAULT_TENANT_MIX = (TenantSpec("gold", share=0.2, priority=4.0),
                       TenantSpec("standard", share=0.8, priority=1.0))
-"""The stock two-tier mix the ``tenants`` process uses when the spec
-does not name its own: a small high-value slice over a bulk tier."""
+"""The mix of the ``tenants`` process: a small high-value slice over a
+bulk tier."""
 
 
 class Arrival(NamedTuple):
@@ -116,43 +124,21 @@ class ArrivalSpec:
     ``"deadline"`` sheds arrivals whose predicted wait exceeds their
     deadline budget, lowest-priority first."""
 
-    tenants: tuple[TenantSpec, ...] = ()
-    """Traffic classes; empty means one anonymous tenant (or, for the
-    ``tenants`` process, :data:`DEFAULT_TENANT_MIX`)."""
+    def __post_init__(self) -> None:
+        # a NaN or infinite rate would never reach the horizon
+        if not 0.0 < self.offered_load < math.inf:
+            raise ValueError(f"offered_load must be a finite positive "
+                             f"rate, not {self.offered_load!r}")
 
-    diurnal_period_us: float = 20_000.0
-    diurnal_trough: float = 0.25
-    """Trough rate as a fraction of the peak ``offered_load``."""
-
-    flash_at_frac: float = 0.5
-    """Where in the horizon the flash-crowd step hits (fraction)."""
-
-    flash_ratio: float = 4.0
-    """Peak-to-quiet rate ratio of the flash step."""
-
-    max_in_flight: int = 4096
-    """Hard in-flight cap per engine under deadline admission (the
-    last-ditch queue bound; 0 disables)."""
-
-    init_gap_us: float = 100.0
-    """Prior for the admission controller's completion-gap EWMA before
-    any completion has been observed."""
-
-    gap_ewma_alpha: float = 0.2
-
-    def effective_tenants(self) -> tuple[TenantSpec, ...]:
-        """The tenant set with spec defaults resolved."""
-        tenants = self.tenants
-        if not tenants:
-            tenants = (DEFAULT_TENANT_MIX if self.process == "tenants"
-                       else (TenantSpec("all"),))
-        return tuple(
-            replace(t, deadline_us=(t.deadline_us if t.deadline_us
-                                    is not None else self.deadline_us))
-            for t in tenants)
+    def tenant_mix(self) -> tuple[TenantSpec, ...]:
+        """:data:`DEFAULT_TENANT_MIX` for the ``tenants`` process, one
+        anonymous tenant for the others."""
+        if self.process == "tenants":
+            return DEFAULT_TENANT_MIX
+        return (TenantSpec("all"),)
 
     def max_priority(self) -> float:
-        return max(t.priority for t in self.effective_tenants())
+        return max(t.priority for t in self.tenant_mix())
 
 
 def as_arrival_spec(value: "ArrivalSpec | str | None",
@@ -179,17 +165,15 @@ def _rate_curve(spec: ArrivalSpec,
                 horizon_us: float) -> Callable[[float], float]:
     """Relative rate ``r(t) in (0, 1]`` against the peak offered load."""
     if spec.process == "diurnal":
-        trough = min(max(spec.diurnal_trough, 0.0), 1.0)
-        period = spec.diurnal_period_us
-
         def diurnal(t: float) -> float:
-            phase = 0.5 * (1.0 + math.sin(2.0 * math.pi * t / period))
-            return trough + (1.0 - trough) * phase
+            phase = 0.5 * (1.0 + math.sin(
+                2.0 * math.pi * t / DIURNAL_PERIOD_US))
+            return DIURNAL_TROUGH + (1.0 - DIURNAL_TROUGH) * phase
 
         return diurnal
     if spec.process == "flash":
-        step_at = spec.flash_at_frac * horizon_us
-        quiet = 1.0 / max(spec.flash_ratio, 1.0)
+        step_at = FLASH_AT_FRAC * horizon_us
+        quiet = 1.0 / FLASH_RATIO
         return lambda t: 1.0 if t >= step_at else quiet
     return lambda t: 1.0
 
@@ -207,10 +191,8 @@ def schedule_for_home(spec: ArrivalSpec, home: int, n_homes: int,
     """
     if n_homes <= 0:
         raise ValueError("schedule needs at least one home")
-    if spec.offered_load <= 0.0:
-        raise ValueError("offered_load must be positive")
     rate = _rate_curve(spec, horizon_us)
-    tenants = spec.effective_tenants()
+    tenants = spec.tenant_mix()
     total_share = sum(t.share for t in tenants)
     arrivals: list[Arrival] = []
     for tenant in tenants:
@@ -224,8 +206,7 @@ def schedule_for_home(spec: ArrivalSpec, home: int, n_homes: int,
                 break
             # Lewis-Shedler thinning against the peak rate
             if rng.random() < rate(t):
-                arrivals.append(Arrival(t, tenant.name,
-                                        tenant.deadline_us,
+                arrivals.append(Arrival(t, tenant.name, spec.deadline_us,
                                         tenant.priority))
     arrivals.sort(key=lambda a: (a.at, a.tenant))
     return arrivals

@@ -50,8 +50,8 @@ def spawn_open_loop(workload, config, spec: ArrivalSpec, cluster, stats,
     """
     # tenants registered eagerly so a fully-shed tenant still reports
     # its 0% attainment instead of vanishing from the summary
-    for tenant in spec.effective_tenants():
-        stats.tenant(tenant.name, tenant.deadline_us)
+    for tenant in spec.tenant_mix():
+        stats.tenant(tenant.name, spec.deadline_us)
     max_priority = spec.max_priority()
     for home in homes:
         # the divisor is the *global* home count: mp workers each see
@@ -61,11 +61,8 @@ def spawn_open_loop(workload, config, spec: ArrivalSpec, cluster, stats,
                                      config.seed, config.horizon_us)
         admission = None
         if spec.admission == "deadline":
-            admission = DeadlineAdmission(
-                schedulers[home].stats, max_priority=max_priority,
-                max_in_flight=spec.max_in_flight,
-                init_gap_us=spec.init_gap_us,
-                gap_ewma_alpha=spec.gap_ewma_alpha)
+            admission = DeadlineAdmission(schedulers[home].stats,
+                                          max_priority=max_priority)
         cluster.engine(home).spawn(
             _dispatcher(workload, config.seed, cluster, stats, schedule,
                         home, admission, tracer, lifecycle))

@@ -143,7 +143,7 @@ class BaseExecutor:
 
     @property
     def doorbell_batching(self) -> bool:
-        return self.db.cluster.network.config.doorbell_batching
+        return self.db.cluster.network.doorbell_batching
 
     def network_round(self, items: list[tuple[int, Callable[[], Any]]],
                       kind: str = "one_sided",

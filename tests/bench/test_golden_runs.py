@@ -15,11 +15,13 @@ them and says why.
 
 import hashlib
 
+import pytest
+
 from repro.bench import RunConfig
 from repro.bench.setups import (build_instacart_layout,
                                 build_instacart_setup, make_instacart_run,
                                 make_tpcc_run, make_ycsb_run)
-from repro.sched import SchedulerSpec
+from repro.sched import conflict
 from repro.traffic import ArrivalSpec
 from repro.workloads.instacart import InstacartWorkload
 from repro.workloads.ycsb import YcsbWorkload
@@ -83,19 +85,25 @@ def scheduler_summaries(result) -> list:
     return [(home, stats[home].summary()) for home in sorted(stats)]
 
 
+@pytest.fixture
+def two_waiter_cap(monkeypatch):
+    """Shed past two waiters per conflict class, so tiny runs shed."""
+    monkeypatch.setattr(conflict, "MAX_QUEUE_PER_CLASS", 2)
+
+
 def tiny_closed_conflict_run():
     """Closed-loop workers deferred, re-admitted and shed by the
-    conflict scheduler (a two-waiter cap on 64 zipf-1.2 keys)."""
+    conflict scheduler (run under :func:`two_waiter_cap`, on 64
+    zipf-1.2 keys)."""
     config = RunConfig(
         n_partitions=2, concurrent_per_engine=8, horizon_us=2_000.0,
-        warmup_us=200.0, seed=11,
-        scheduler=SchedulerSpec(kind="conflict", max_queue_per_class=2))
+        warmup_us=200.0, seed=11, scheduler="conflict")
     workload = YcsbWorkload(n_keys=64, reads_per_txn=2, writes_per_txn=2,
                             zipf_exponent=1.2)
     return make_ycsb_run("2pl", config, workload=workload)
 
 
-def test_tiny_closed_loop_conflict_run_is_unchanged():
+def test_tiny_closed_loop_conflict_run_is_unchanged(two_waiter_cap):
     seen = {}
 
     def sched(result):
@@ -131,11 +139,11 @@ def tiny_traced_tenants_run():
     (the front door sheds, the conflict scheduler sheds admitted
     arrivals, some commits miss their SLO): the digest also covers
     tenant/SLO accounting, per-engine scheduler counters and how many
-    spans and exemplars the run harvested."""
+    spans and exemplars the run harvested.  Run under
+    :func:`two_waiter_cap`."""
     config = RunConfig(
         n_partitions=2, horizon_us=3_000.0, warmup_us=300.0, seed=11,
-        scheduler=SchedulerSpec(kind="conflict", max_queue_per_class=2),
-        trace=True,
+        scheduler="conflict", trace=True,
         arrivals=ArrivalSpec(process="tenants", offered_load=400_000.0,
                              deadline_us=400.0, admission="deadline"))
     workload = YcsbWorkload(n_keys=100, reads_per_txn=3, writes_per_txn=3,
@@ -143,7 +151,7 @@ def tiny_traced_tenants_run():
     return make_ycsb_run("2pl", config, workload=workload)
 
 
-def test_tiny_traced_tenants_run_is_unchanged():
+def test_tiny_traced_tenants_run_is_unchanged(two_waiter_cap):
     def accounting(result):
         trace = result.metrics.trace
         return [result.metrics.open_loop.summary(),
@@ -161,6 +169,9 @@ GOLDEN_RUNS = (tiny_tpcc_chiller_run, tiny_hot_ycsb_run,
                tiny_closed_conflict_run, tiny_routed_instacart_run,
                tiny_traced_tenants_run)
 """The five configurations, each a fresh build per call."""
+
+TWO_WAITER_RUNS = (tiny_closed_conflict_run, tiny_traced_tenants_run)
+"""The configurations that run under :func:`two_waiter_cap`."""
 
 GOLDEN_TPCC = (
     404, "3413f321244f7ea31169ff6b7dff9dbfa240d071d2c03cb4fc3b31b9f87dc3fa")

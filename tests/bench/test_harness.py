@@ -16,7 +16,7 @@ from repro.workloads.instacart import InstacartWorkload
 
 
 def build(workload, config):
-    cluster = Cluster(config.n_partitions, config.network_config())
+    cluster = Cluster(config.n_partitions, config.doorbell_batching)
     registry = ProcedureRegistry()
     for proc in workload.procedures():
         registry.register(proc)
@@ -103,8 +103,8 @@ def test_doorbell_batching_preserves_correctness():
     config = RunConfig(n_partitions=2, concurrent_per_engine=2,
                        horizon_us=2_000.0, warmup_us=0.0, n_replicas=0,
                        doorbell_batching=True)
-    assert config.network_config().doorbell_batching
     db = build(workload, config)
+    assert db.cluster.network.doorbell_batching
     result = run_benchmark(workload, TwoPLExecutor(db), config)
     assert result.metrics.commits > 10
     assert (expected_counter_total(db, workload.n_keys)

@@ -39,6 +39,7 @@ import test_golden_runs as golden
 import repro._util as util
 import repro.core.chiller as chiller
 import repro.core.regions as regions
+import repro.sched.conflict as conflict
 import repro.sim.events as events
 import repro.sim.network as network
 import repro.storage.bucket as bucket
@@ -396,7 +397,7 @@ def counted_wire_run():
     workers, collects = [], []
     try:
         for worker_id in range(2):
-            cluster = WorkerCluster(2, config.network_config(),
+            cluster = WorkerCluster(2, config.doorbell_batching,
                                     worker_id=worker_id, n_workers=2)
             patch.setattr(supervisor, "_ACTIVE_CLUSTER", cluster)
             run = make_ycsb_run("2pl", config, workload=YcsbWorkload(
@@ -545,7 +546,10 @@ TINY_RUNS["tiny_wal_run"] = tiny_wal_run
 
 
 @pytest.mark.parametrize("name", sorted(TINY_RUNS))
-def test_a_run_leaves_no_cycle_and_pays_one_young_pass(name, tmp_path):
+def test_a_run_leaves_no_cycle_and_pays_one_young_pass(name, tmp_path,
+                                                       monkeypatch):
+    if name in {build.__name__ for build in golden.TWO_WAITER_RUNS}:
+        monkeypatch.setattr(conflict, "MAX_QUEUE_PER_CLASS", 2)
     run = TINY_RUNS[name](tmp_path)
     result, passes, garbage = watched(run.run)
     assert result.metrics.commits > 0

@@ -13,7 +13,7 @@ from repro.bench import RunConfig
 from repro.bench.conformance import run_ycsb_conformance
 from repro.bench.setups import build_run
 from repro.partitioning import HashScheme
-from repro.sched import SchedulerSpec
+from repro.sched import conflict
 from repro.storage import Catalog
 from repro.workloads.ycsb import YcsbWorkload
 
@@ -72,18 +72,9 @@ def test_conflict_stats_deterministic_per_seed():
             or a.metrics.scheduler_stats != c.metrics.scheduler_stats)
 
 
-def test_full_spec_crosses_run_config():
-    spec = SchedulerSpec(kind="conflict", class_width=2,
-                         max_queue_per_class=4)
-    result = run_hot_ycsb(spec, horizon=2_000.0)
-    summary = result.metrics.scheduler_summary()
-    assert summary.scheduler == "conflict"
-    assert summary.max_class_occupancy <= 2
-
-
-def test_shed_requests_surface_in_metrics():
-    spec = SchedulerSpec(kind="conflict", max_queue_per_class=1)
-    result = run_hot_ycsb(spec, theta=1.3)
+def test_shed_requests_surface_in_metrics(monkeypatch):
+    monkeypatch.setattr(conflict, "MAX_QUEUE_PER_CLASS", 1)
+    result = run_hot_ycsb("conflict", theta=1.3)
     metrics = result.metrics
     sheds = sum(stats.sheds for stats in metrics.scheduler_stats.values())
     if sheds:  # hot enough to overflow a class queue

@@ -36,9 +36,8 @@ from repro.core import ChillerPartitionerConfig
 from repro.partitioning import SchismConfig
 from repro.placement import PlacementSpec
 from repro.sched import SchedulerSpec
-from repro.sim import NetworkConfig
 from repro.storage import WalSpec
-from repro.traffic import ArrivalSpec, TenantSpec
+from repro.traffic import ArrivalSpec
 
 SRC = Path(repro.__file__).parent
 ROOT = SRC.parents[1]
@@ -97,9 +96,8 @@ def test_experiments_take_one_overrides_mapping():
 
 # -- knob census --------------------------------------------------------------
 
-CONFIG_CLASSES = (RunConfig, NetworkConfig, SchedulerSpec, PlacementSpec,
-                  WalSpec, ArrivalSpec, TenantSpec, ChillerPartitionerConfig,
-                  SchismConfig)
+CONFIG_CLASSES = (RunConfig, SchedulerSpec, PlacementSpec, WalSpec,
+                  ArrivalSpec, ChillerPartitionerConfig, SchismConfig)
 
 TREES = {"src": sorted(SRC.rglob("*.py")),
          "figures": [SRC / "bench" / "experiments.py",
@@ -111,20 +109,33 @@ TREES = {"src": sorted(SRC.rglob("*.py")),
 part of the program that is itself a caller: the paper's sweeps and the
 conformance programs."""
 
-CONSUMERS = ("figures", "benchmarks", "examples", "ci")
-"""Setters that are neither a test nor plumbing that forwards a value."""
+CONSUMERS = ("figures", "benchmarks", "examples", "ci", "via")
+"""Setters that are neither a test nor plumbing that forwards a value;
+``via`` counts the plumbing whose value a consumer chose (a ``RunConfig``
+field or a parameter that a consumer sets)."""
 
 NO_CONSUMER_YET = {
-    "health_rules": "test seam: the only way to reach the fatal-rule "
-                    "abort path without wedging a real run",
+    "RunConfig.health_rules":
+        "test seam: the only way to reach the fatal-rule abort path "
+        "without wedging a real run",
+    "ChillerPartitionerConfig.load_metric":
+        '"records" reproduces the paper\'s Fig. 5 worked example '
+        "(tests/core/test_paper_examples.py)",
+    "PlacementSpec.lease_ttl_us":
+        "tests/obs/test_watchdog_chaos.py needs a 200 ms wall-clock lease "
+        "on mp, where a monkeypatch cannot reach the spawned workers",
 }
-"""``RunConfig`` fields and CLI flags only tests set, each with why it
-stays.  Fault-handling knobs are not here: CI's smoke job types them."""
+"""Config fields and CLI flags only tests set, each with why it stays.
+Fault-handling knobs are not here: CI's smoke job types them."""
+
+RUN_FIELDS = {spec.name for spec in dataclasses.fields(RunConfig)}
+SPECS = {cls.__name__ for cls in CONFIG_CLASSES if cls is not RunConfig}
 
 
 def names_set(path: Path) -> list[str]:
     """Every name ``path`` passes to some call as a keyword or writes
-    as a string key of a dict literal (an ``overrides`` mapping)."""
+    as a string key of a dict literal (an ``overrides`` mapping): how a
+    ``RunConfig`` field is set."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.keyword) and node.arg:
@@ -134,6 +145,139 @@ def names_set(path: Path) -> list[str]:
                       if isinstance(key, ast.Constant)
                       and isinstance(key.value, str)]
     return found
+
+
+def own_nodes(scope: ast.AST):
+    """The nodes of ``scope``, not descending into nested defs."""
+    for child in ast.iter_child_nodes(scope):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+            yield child
+            yield from own_nodes(child)
+
+
+def spec_names(annotation: ast.AST | None) -> set[str]:
+    """The spec classes an annotation names (quoted ones too)."""
+    if isinstance(annotation, ast.Constant) \
+            and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval")
+    return {node.id for node in ast.walk(annotation or ast.Pass())
+            if isinstance(node, ast.Name)} & SPECS
+
+
+def callee(call: ast.Call) -> str:
+    func = call.func
+    return getattr(func, "id", None) or getattr(func, "attr", "")
+
+
+def src_defs() -> tuple[dict[str, str], dict[str, list[str]]]:
+    """Over ``src``: function name -> the spec class it returns, and
+    function name -> its parameters (``self`` / ``cls`` dropped)."""
+    returns, params = {}, {}
+    for path in TREES["src"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                made = spec_names(node.returns)
+                if len(made) == 1:
+                    returns[node.name] = made.pop()
+                params.setdefault(node.name, [
+                    arg.arg for arg in node.args.posonlyargs + node.args.args
+                    + node.args.kwonlyargs if arg.arg not in ("self", "cls")])
+    return returns, params
+
+
+def scan(path: Path, returns: dict[str, str], params: dict[str, list[str]]):
+    """``(setters, calls)`` of one file.  A setter is ``(class, field,
+    source)`` for a keyword given to a call that builds that spec class,
+    to a ``replace`` of one, or through a ``**`` mapping passed to one;
+    ``source`` names where a forwarded value comes from (``("run",
+    field)`` for a ``RunConfig`` attribute, ``(function, parameter)``
+    for a parameter of the enclosing def), else None.  A call is
+    ``(function, {parameter: argument})``, for tracing those forwards."""
+    setters, calls = [], []
+    tree = ast.parse(path.read_text())
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)]
+    for scope in scopes:
+        args = scope.args.posonlyargs + scope.args.args \
+            + scope.args.kwonlyargs if scope is not tree else []
+        kinds = {arg.arg: spec_names(arg.annotation) for arg in args}
+        kinds = {name: made.pop() for name, made in kinds.items()
+                 if len(made) == 1}
+        mappings: dict[str, list[tuple[str, ast.AST]]] = {}
+
+        def built(call: ast.Call) -> str | None:
+            """The spec class ``call`` builds: a constructor or a
+            ``replace`` of a spec."""
+            name = callee(call)
+            if name in SPECS:
+                return name
+            if name == "replace" and call.args:
+                return made(call.args[0])
+            return None
+
+        def made(expr: ast.AST) -> str | None:
+            """The spec class ``expr`` evaluates to, if it is known."""
+            if isinstance(expr, ast.Name):
+                return kinds.get(expr.id)
+            if isinstance(expr, ast.BoolOp):
+                return next(filter(None, map(made, expr.values)), None)
+            if isinstance(expr, ast.Call):
+                return built(expr) or returns.get(callee(expr))
+            return None
+
+        def source(expr: ast.AST):
+            if isinstance(expr, ast.Name) and expr.id in {a.arg
+                                                          for a in args}:
+                return (scope.name, expr.id)
+            if isinstance(expr, ast.Attribute) and expr.attr in RUN_FIELDS:
+                return ("run", expr.attr)
+            return None
+
+        def entries(expr: ast.AST) -> list[tuple[str, ast.AST]]:
+            if isinstance(expr, ast.Dict):
+                return [(key.value, value)
+                        for key, value in zip(expr.keys, expr.values)
+                        if isinstance(key, ast.Constant)]
+            if isinstance(expr, ast.Call) and callee(expr) == "dict":
+                return [(kw.arg, kw.value) for kw in expr.keywords
+                        if kw.arg]
+            return mappings.get(getattr(expr, "id", None), [])
+
+        nodes = list(own_nodes(scope))
+        for node in nodes:       # binding pass: spec-typed names, mappings
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    if made(node.value):
+                        kinds[target.id] = made(node.value)
+                    if entries(node.value):
+                        mappings[target.id] = entries(node.value)
+                elif isinstance(target, ast.Subscript) \
+                        and isinstance(target.value, ast.Name) \
+                        and isinstance(target.slice, ast.Constant):
+                    mappings.setdefault(target.value.id, []).append(
+                        (target.slice.value, node.value))
+            elif isinstance(node, ast.Call) and callee(node) == "update" \
+                    and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name):
+                mappings.setdefault(node.func.value.id, []).extend(
+                    (kw.arg, kw.value) for kw in node.keywords if kw.arg)
+        for node in nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            name, cls = callee(node), built(node)
+            if cls is not None:
+                for kw in node.keywords:
+                    for field, value in ([(kw.arg, kw.value)] if kw.arg
+                                         else entries(kw.value)):
+                        setters.append((cls, field, source(value)))
+            names = params.get(name, [])
+            passed = dict(zip(names, node.args))
+            passed.update((kw.arg, kw.value) for kw in node.keywords
+                          if kw.arg)
+            calls.append((name, passed))
+    return setters, calls
 
 
 def flag_dests() -> dict[str, str]:
@@ -152,22 +296,67 @@ def flags_typed_in_ci() -> list[str]:
             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)]
 
 
-def census() -> dict[str, dict[str, int]]:
+def census(trees: dict[str, list[Path]] = TREES,
+           ) -> dict[str, dict[str, int]]:
     """name -> setters per tree, for every config field and CLI flag.
-    A field's own module does not count: defaults are not callers."""
+    A field's own module does not count: defaults are not callers.  A
+    ``RunConfig`` field counts every keyword and overrides key of its
+    name; a spec field only the keywords given to its own class
+    (:func:`scan`), and ``via`` counts the ``src`` ones that forward a
+    value a consumer chose."""
+    returns, params = src_defs()
     set_in = {tree: {path: names_set(path) for path in paths}
-              for tree, paths in TREES.items()}
+              for tree, paths in trees.items()}
+    scanned = {tree: {path: scan(path, returns, params) for path in paths}
+               for tree, paths in trees.items()}
     dests, typed = flag_dests(), flags_typed_in_ci()
     rows: dict[str, dict[str, int]] = {}
-    for cls in CONFIG_CLASSES:
+    for spec in dataclasses.fields(RunConfig):
+        home = Path(inspect.getfile(RunConfig))
+        row = rows[f"RunConfig.{spec.name}"] = {
+            tree: sum(names.count(spec.name)
+                      for path, names in by_path.items() if path != home)
+            for tree, by_path in set_in.items()}
+        row["ci"] = sum(dests.get(flag) == spec.name for flag in typed)
+
+    def consumed(name: str) -> bool:
+        return any(rows[name].get(tree) for tree in CONSUMERS)
+
+    def fed(source) -> bool:
+        """Whether a consumer chose the value ``source`` forwards: a
+        consumer-set ``RunConfig`` field, or a parameter some consumer
+        passes (or ``src`` passes a consumer-set field into)."""
+        if source[0] == "run":
+            return consumed(f"RunConfig.{source[1]}")
+        function, parameter = source
+        for tree, by_path in scanned.items():
+            for _, calls in by_path.values():
+                for name, passed in calls:
+                    if name != function or parameter not in passed:
+                        continue
+                    value = passed[parameter]
+                    if tree in CONSUMERS or (
+                            tree == "src" and isinstance(value, ast.Attribute)
+                            and value.attr in RUN_FIELDS
+                            and consumed(f"RunConfig.{value.attr}")):
+                        return True
+        return False
+
+    for cls in CONFIG_CLASSES[1:]:
         home = Path(inspect.getfile(cls))
         for spec in dataclasses.fields(cls):
+            key = (cls.__name__, spec.name)
             row = rows[f"{cls.__name__}.{spec.name}"] = {
-                tree: sum(names.count(spec.name)
-                          for path, names in by_path.items() if path != home)
-                for tree, by_path in set_in.items()}
-            row["ci"] = sum(dests.get(flag) == spec.name for flag in typed) \
-                if cls is RunConfig else 0
+                tree: sum((made, field) == key
+                          for path, (setters, _) in by_path.items()
+                          if path != home
+                          for made, field, _ in setters)
+                for tree, by_path in scanned.items()}
+            row["ci"] = 0
+            row["via"] = sum(
+                (made, field) == key and source is not None and fed(source)
+                for setters, _ in scanned["src"].values()
+                for made, field, source in setters)
     for flag in dests:
         rows[flag] = {"ci": typed.count(flag)}
     return rows
@@ -179,16 +368,41 @@ def test_every_config_field_is_set_outside_its_own_module():
     assert not unset, unset
 
 
+def idle_knobs(rows: dict[str, dict[str, int]]) -> list[str]:
+    """Fields and flags no consumer sets, the allow-list aside."""
+    return [name for name, row in rows.items()
+            if not any(row.get(tree) for tree in CONSUMERS)
+            and name not in NO_CONSUMER_YET]
+
+
 def test_every_run_config_field_and_flag_has_a_consumer_that_is_no_test():
-    consumed = {name: sum(row.get(tree, 0) for tree in CONSUMERS)
-                for name, row in census().items()
-                if name.startswith(("RunConfig.", "--"))}
-    idle = [name for name, count in consumed.items()
-            if not count and name.rpartition(".")[2] not in NO_CONSUMER_YET]
+    rows = census()
+    idle = [name for name in idle_knobs(rows)
+            if name.startswith(("RunConfig.", "--"))]
     assert not idle, idle
     stale = [name for name in NO_CONSUMER_YET
-             if consumed[f"RunConfig.{name}"]]
+             if any(rows[name].get(tree) for tree in CONSUMERS)]
     assert not stale, f"{stale} have a consumer now: take them off the list"
+
+
+def test_every_spec_field_has_a_consumer_that_is_no_test():
+    """The ``RunConfig`` rule, per spec class: a keyword counts only
+    where it builds that class, so a namesake elsewhere sets nothing."""
+    idle = [name for name in idle_knobs(census())
+            if not name.startswith(("RunConfig.", "--"))]
+    assert not idle, idle
+
+
+def test_a_namesake_keyword_sets_no_spec_field(tmp_path):
+    """``StatsService(lock_window_us=...)`` once kept a
+    ``PlacementSpec`` field alive: a keyword counts only where its own
+    class is built, so a field set only under a colliding name fails."""
+    namesake, own = tmp_path / "namesake.py", tmp_path / "own.py"
+    namesake.write_text("StatsService(min_gain=6.0)\n")
+    own.write_text("PlacementSpec(min_gain=6.0)\n")
+    field = "PlacementSpec.min_gain"
+    assert field in idle_knobs(census({**TREES, "benchmarks": [namesake]}))
+    assert field not in idle_knobs(census({**TREES, "benchmarks": [own]}))
 
 
 def test_run_config_does_not_grow():
@@ -196,9 +410,9 @@ def test_run_config_does_not_grow():
 
 
 def test_config_classes_flags_and_the_allow_list_do_not_grow():
-    assert sum(len(dataclasses.fields(cls)) for cls in CONFIG_CLASSES) <= 91
+    assert sum(len(dataclasses.fields(cls)) for cls in CONFIG_CLASSES) <= 58
     assert len(flag_dests()) <= 24
-    assert len(NO_CONSUMER_YET) <= 1
+    assert len(NO_CONSUMER_YET) <= 3
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -348,7 +562,7 @@ if __name__ == "__main__":
                         for cls in CONFIG_CLASSES),
           "settable values;", len(flag_dests()), "CLI flags;",
           len(NO_CONSUMER_YET), "allow-listed")
-    trees = (*TREES, "ci")
+    trees = (*TREES, "ci", "via")
     print(f"{'knob (setters per tree)':<42}"
           + "".join(f"{tree:>11}" for tree in trees))
     for name, row in census().items():

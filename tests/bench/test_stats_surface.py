@@ -22,7 +22,7 @@ from repro.bench.setups import build_run, make_ycsb_run
 from repro.obs import to_prometheus
 from repro.partitioning import HashScheme
 from repro.placement import PlacementSpec
-from repro.sched import SchedulerSpec
+from repro.sched import conflict
 from repro.storage import Catalog
 from repro.traffic import ArrivalSpec
 from repro.workloads.ycsb import DriftingYcsbWorkload, YcsbWorkload
@@ -32,11 +32,11 @@ GOLDEN = Path(__file__).with_name("stats_surface.json")
 
 def open_loop_traced_run(tmp_path):
     """Multi-tenant arrivals past the knee: sheds at the front door and
-    in the conflict scheduler, SLO misses, spans and exemplars."""
+    in the conflict scheduler (under :data:`TWO_WAITERS`), SLO misses,
+    spans and exemplars."""
     config = RunConfig(
         n_partitions=2, horizon_us=3_000.0, warmup_us=300.0, seed=11,
-        scheduler=SchedulerSpec(kind="conflict", max_queue_per_class=2),
-        trace=True, metrics_interval=500.0,
+        scheduler="conflict", trace=True, metrics_interval=500.0,
         arrivals=ArrivalSpec(process="tenants", offered_load=400_000.0,
                              deadline_us=400.0, admission="deadline"))
     workload = YcsbWorkload(n_keys=100, reads_per_txn=3, writes_per_txn=3,
@@ -68,6 +68,10 @@ def adaptive_placement_run(tmp_path):
     workload.bind_clock(lambda: run.database.cluster.sim.now)
     return run
 
+
+TWO_WAITERS = 2
+"""The conflict scheduler's per-class queue cap in these runs, so a
+tiny run sheds."""
 
 RUNS = {"open_loop_traced": open_loop_traced_run,
         "group_wal": group_wal_run,
@@ -106,7 +110,8 @@ def surface(result) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_stats_surface_is_unchanged(name, tmp_path):
+def test_stats_surface_is_unchanged(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(conflict, "MAX_QUEUE_PER_CLASS", TWO_WAITERS)
     got = surface(RUNS[name](tmp_path).run())
     want = json.loads(GOLDEN.read_text())[name]
     # through JSON so both sides are plain lists / dicts / None
@@ -115,6 +120,7 @@ def test_stats_surface_is_unchanged(name, tmp_path):
 
 if __name__ == "__main__":  # re-record: PYTHONPATH=src python <this file>
     import tempfile
+    conflict.MAX_QUEUE_PER_CLASS = TWO_WAITERS
     recorded = {}
     for name, build in sorted(RUNS.items()):
         with tempfile.TemporaryDirectory() as scratch:

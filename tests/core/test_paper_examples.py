@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (ChillerPartitionerConfig, HotRecordTable,
                         RegionPlanner, TxnSample, partition_workload)
+from repro.core import partitioner
 from repro.workloads.flightbooking import flight_booking_procedure
 
 ACCT = "accounts"
@@ -33,12 +34,17 @@ def fig5_likelihoods():
     }
 
 
+@pytest.fixture(autouse=True)
+def fig5_hot_threshold(monkeypatch):
+    """The example's lookup-table bar: likelihood above 0.1."""
+    monkeypatch.setattr(partitioner, "HOT_THRESHOLD", 0.1)
+
+
 def fig5_config(**overrides):
     """The paper simplifies the example's balance notion to 'split the
     set of records in half' -> the 'records' load metric, with enough
     slack for a 4/3 split of the 7 records."""
-    defaults = dict(eps=0.15, seed=3, hot_threshold=0.1,
-                    load_metric="records")
+    defaults = dict(eps=0.15, seed=3, load_metric="records")
     defaults.update(overrides)
     return ChillerPartitionerConfig(**defaults)
 

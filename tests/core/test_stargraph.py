@@ -63,14 +63,6 @@ def test_load_metric_records():
         assert star.graph.vertex_weights[v] == 1.0
 
 
-def test_load_metric_accesses():
-    star = build_star_graph(samples_simple(), {}, load_metric="accesses")
-    h_vertex = star.r_vertex_of[("t", "h")]
-    a_vertex = star.r_vertex_of[("t", "a")]
-    assert star.graph.vertex_weights[h_vertex] == 2.0
-    assert star.graph.vertex_weights[a_vertex] == 1.0
-
-
 def test_unknown_load_metric_rejected():
     with pytest.raises(ValueError, match="load metric"):
         build_star_graph([], {}, load_metric="bogus")

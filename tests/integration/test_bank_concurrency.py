@@ -27,7 +27,7 @@ def run_bank(executor_cls, hot_accounts=0, hot_probability=0.0,
                        concurrent_per_engine=concurrent,
                        horizon_us=horizon_us, warmup_us=0.0, seed=seed,
                        n_replicas=0)
-    cluster = Cluster(n_partitions, config.network_config())
+    cluster = Cluster(n_partitions, config.doorbell_batching)
     registry = ProcedureRegistry()
     for proc in workload.procedures():
         registry.register(proc)

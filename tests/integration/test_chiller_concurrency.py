@@ -28,7 +28,7 @@ def run_chiller_bank(hot_accounts=4, hot_probability=0.7, n_partitions=3,
                        concurrent_per_engine=concurrent,
                        horizon_us=horizon_us, warmup_us=0.0, seed=seed,
                        n_replicas=n_replicas)
-    cluster = Cluster(n_partitions, config.network_config())
+    cluster = Cluster(n_partitions, config.doorbell_batching)
     registry = ProcedureRegistry()
     for proc in workload.procedures():
         registry.register(proc)
@@ -114,7 +114,7 @@ def test_chiller_beats_2pl_on_hot_abort_rate():
         config = RunConfig(n_partitions=3, concurrent_per_engine=3,
                            horizon_us=4_000.0, warmup_us=0.0, seed=5,
                            n_replicas=0)
-        cluster = Cluster(3, config.network_config())
+        cluster = Cluster(3, config.doorbell_batching)
         registry = Reg()
         for proc in workload.procedures():
             registry.register(proc)

@@ -34,7 +34,7 @@ from repro.workloads.ycsb import YcsbWorkload
 
 
 def build(workload, config):
-    cluster = Cluster(config.n_partitions, config.network_config())
+    cluster = Cluster(config.n_partitions, config.doorbell_batching)
     registry = ProcedureRegistry()
     for proc in workload.procedures():
         registry.register(proc)

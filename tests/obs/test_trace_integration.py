@@ -22,7 +22,7 @@ from repro.workloads.bank import BankWorkload
 
 
 def build(workload, config):
-    cluster = Cluster(config.n_partitions, config.network_config())
+    cluster = Cluster(config.n_partitions, config.doorbell_batching)
     registry = ProcedureRegistry()
     for proc in workload.procedures():
         registry.register(proc)

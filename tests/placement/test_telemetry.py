@@ -1,6 +1,7 @@
 """AccessTelemetry: observation, draining, and merging drained windows."""
 
 from repro.placement import AccessTelemetry, TelemetryWindow
+from repro.placement import telemetry as telemetry_module
 from repro.txn.common import Outcome
 
 
@@ -29,8 +30,9 @@ def test_footprint_free_outcomes_are_ignored():
     assert not telemetry.samples
 
 
-def test_sample_cap_keeps_the_most_recent_footprints():
-    telemetry = AccessTelemetry(max_samples=3)
+def test_sample_cap_keeps_the_most_recent_footprints(monkeypatch):
+    monkeypatch.setattr(telemetry_module, "MAX_SAMPLES", 3)
+    telemetry = AccessTelemetry()
     for i in range(10):
         telemetry.observe(committed(reads=[("t", i)]), now=float(i))
     assert len(telemetry.samples) == 3
@@ -38,15 +40,6 @@ def test_sample_cap_keeps_the_most_recent_footprints():
     assert telemetry.commits_observed == 10
     kept = {sample.reads[0] for sample in telemetry.samples}
     assert kept == {("t", 7), ("t", 8), ("t", 9)}
-
-
-def test_sample_every_thins_samples_not_counts():
-    telemetry = AccessTelemetry(sample_every=3)
-    for i in range(9):
-        telemetry.observe(committed(reads=[R1]), now=float(i))
-    assert telemetry.commits_observed == 9
-    assert telemetry.read_counts[R1] == 9
-    assert len(telemetry.samples) == 3
 
 
 def test_drain_snapshots_and_resets_the_window():

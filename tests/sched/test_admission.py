@@ -1,8 +1,7 @@
 """Admission control: queue caps shed with typed reasons."""
 
-from repro.sched import (AdmissionController, ConflictClassScheduler,
-                         SchedAction, SchedReason, SchedulerSpec,
-                         SchedulerStats)
+from repro.sched import (ConflictClassScheduler, SchedAction, SchedReason,
+                         SchedulerStats, admission, conflict)
 from repro.txn.common import Outcome, TxnRequest
 
 
@@ -14,29 +13,23 @@ def fingerprint(request):
     return request.params["classes"]
 
 
-def test_controller_sheds_at_cap_with_typed_reason():
-    stats = SchedulerStats(scheduler="conflict")
-    ctl = AdmissionController(SchedulerSpec(max_queue_per_class=2), stats)
-    assert ctl.check_queue("hot", 0) is None
-    assert ctl.check_queue("hot", 1) is None
-    decision = ctl.check_queue("hot", 2)
-    assert decision is not None
+def test_controller_sheds_at_cap_with_typed_reason(monkeypatch):
+    monkeypatch.setattr(conflict, "MAX_QUEUE_PER_CLASS", 2)
+    sched = ConflictClassScheduler(fingerprint)
+    assert sched.admit(req("hot"), 0.0).action is SchedAction.RUN
+    for _ in range(2):
+        assert sched.admit(req("hot"), 0.0).action is SchedAction.DEFER
+    decision = sched.admit(req("hot"), 0.0)
     assert decision.action is SchedAction.SHED
     assert decision.reason is SchedReason.CLASS_OVERLOAD
-    assert stats.sheds == 1
-    assert stats.shed_reasons == {"class_overload": 1}
+    assert decision.class_keys == ("hot",)
+    assert sched.stats.sheds == 1
+    assert sched.stats.shed_reasons == {"class_overload": 1}
 
 
-def test_zero_cap_disables_shedding():
-    stats = SchedulerStats()
-    ctl = AdmissionController(SchedulerSpec(max_queue_per_class=0), stats)
-    assert ctl.check_queue("hot", 10_000) is None
-    assert stats.sheds == 0
-
-
-def test_scheduler_sheds_when_class_queue_is_full():
-    spec = SchedulerSpec(kind="conflict", max_queue_per_class=1)
-    sched = ConflictClassScheduler(fingerprint, spec)
+def test_scheduler_sheds_when_class_queue_is_full(monkeypatch):
+    monkeypatch.setattr(conflict, "MAX_QUEUE_PER_CLASS", 1)
+    sched = ConflictClassScheduler(fingerprint)
     holder = sched.admit(req("hot"), 0.0)
     assert holder.action is SchedAction.RUN
     assert sched.admit(req("hot"), 0.0).action is SchedAction.DEFER
@@ -58,12 +51,8 @@ def arrival(at=0.0, deadline_us=1_000.0, priority=1.0, tenant="t"):
                    priority=priority)
 
 
-def deadline_ctl(**kwargs):
-    from repro.sched import DeadlineAdmission
-    defaults = dict(max_priority=4.0, max_in_flight=8,
-                    init_gap_us=100.0)
-    defaults.update(kwargs)
-    return DeadlineAdmission(SchedulerStats(), **defaults)
+def deadline_ctl():
+    return admission.DeadlineAdmission(SchedulerStats(), max_priority=4.0)
 
 
 def test_deadline_admits_when_wait_fits_budget():
@@ -106,16 +95,18 @@ def test_dispatch_lag_counts_against_budget():
     assert verdict is SchedReason.DEADLINE_HOPELESS
 
 
-def test_in_flight_cap_sheds_queue_full():
-    ctl = deadline_ctl(max_in_flight=2)
+def test_in_flight_cap_sheds_queue_full(monkeypatch):
+    monkeypatch.setattr(admission, "MAX_IN_FLIGHT", 2)
+    ctl = deadline_ctl()
     ctl.on_start()
     ctl.on_start()
     verdict = ctl.admit(arrival(priority=4.0), now=0.0)
     assert verdict is SchedReason.QUEUE_FULL
 
 
-def test_completion_gap_ewma_tracks_drain_rate():
-    ctl = deadline_ctl(gap_ewma_alpha=0.5)
+def test_completion_gap_ewma_tracks_drain_rate(monkeypatch):
+    monkeypatch.setattr(admission, "GAP_EWMA_ALPHA", 0.5)
+    ctl = deadline_ctl()
     ctl.on_start()
     ctl.on_finish(now=100.0)   # first completion only seeds the clock
     assert ctl.gap_ewma_us == 100.0

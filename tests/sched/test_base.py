@@ -65,7 +65,7 @@ def test_stats_merge_sums_and_maxes():
 
 def test_stats_and_spec_are_picklable():
     """Both cross the mp process boundary (spec out, stats back)."""
-    spec = SchedulerSpec(kind="conflict", class_width=2)
+    spec = SchedulerSpec(kind="conflict")
     stats = SchedulerStats(scheduler="conflict", admitted=7,
                            defer_reasons={"class_serialized": 3})
     spec2 = pickle.loads(pickle.dumps(spec))
@@ -78,10 +78,10 @@ def test_stats_and_spec_are_picklable():
 def test_as_spec_normalizes_none_name_and_spec():
     assert as_spec(None).kind == "fifo"
     assert as_spec("conflict").kind == "conflict"
-    spec = SchedulerSpec(kind="conflict", class_width=3)
-    assert as_spec(spec) is spec
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        as_spec("lifo")
+    # a name only: a spec is not one
+    for wrong in ("lifo", SchedulerSpec(kind="conflict")):
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            as_spec(wrong)
 
 
 def test_spec_build_fifo_and_conflict():

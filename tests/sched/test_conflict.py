@@ -1,7 +1,9 @@
 """Conflict-class scheduling: serialization, wake-up, abort feedback."""
 
+import pytest
+
 from repro.sched import (ConflictClassScheduler, SchedAction, SchedReason,
-                         SchedulerSpec)
+                         conflict)
 from repro.txn.common import AbortReason, Outcome, TxnRequest
 
 
@@ -13,9 +15,16 @@ def fingerprint(request):
     return request.params["classes"]
 
 
-def make(spec=None):
-    return ConflictClassScheduler(fingerprint,
-                                  spec or SchedulerSpec(kind="conflict"))
+def make():
+    return ConflictClassScheduler(fingerprint)
+
+
+@pytest.fixture
+def spiky(monkeypatch):
+    """Feedback at full alpha: one contention abort spikes the EWMA."""
+    monkeypatch.setattr(conflict, "ABORT_EWMA_ALPHA", 1.0)
+    monkeypatch.setattr(conflict, "ABORT_SPIKE_THRESHOLD", 0.5)
+    return monkeypatch
 
 
 def outcome(committed=True, reason=None):
@@ -76,10 +85,9 @@ def test_retrying_holder_keeps_its_slot():
     assert sched.admit(req("hot"), 2.5).action is SchedAction.RUN
 
 
-def test_abort_spike_widens_window_and_cooldown_defers():
-    spec = SchedulerSpec(kind="conflict", window_init_us=50.0,
-                         abort_ewma_alpha=1.0, abort_spike_threshold=0.5)
-    sched = ConflictClassScheduler(fingerprint, spec)
+def test_abort_spike_widens_window_and_cooldown_defers(spiky):
+    spiky.setattr(conflict, "WINDOW_INIT_US", 50.0)
+    sched = make()
     holder = sched.admit(req("hot"), 0.0)
     # a contention abort at full alpha spikes the ewma instantly
     sched.on_outcome(holder, outcome(False, AbortReason.LOCK_CONFLICT),
@@ -94,10 +102,9 @@ def test_abort_spike_widens_window_and_cooldown_defers():
     assert reopened.action is SchedAction.RUN
 
 
-def test_commits_shrink_the_window_back():
-    spec = SchedulerSpec(kind="conflict", window_init_us=40.0,
-                         abort_ewma_alpha=1.0, abort_spike_threshold=0.5)
-    sched = ConflictClassScheduler(fingerprint, spec)
+def test_commits_shrink_the_window_back(spiky):
+    spiky.setattr(conflict, "WINDOW_INIT_US", 40.0)
+    sched = make()
     holder = sched.admit(req("hot"), 0.0)
     sched.on_outcome(holder, outcome(False, AbortReason.LOCK_CONFLICT),
                      1.0, will_retry=True)
@@ -108,11 +115,10 @@ def test_commits_shrink_the_window_back():
     assert state.window_us == 0.0
 
 
-def test_window_caps_at_max():
-    spec = SchedulerSpec(kind="conflict", window_init_us=30.0,
-                         window_max_us=60.0, abort_ewma_alpha=1.0,
-                         abort_spike_threshold=0.5)
-    sched = ConflictClassScheduler(fingerprint, spec)
+def test_window_caps_at_max(spiky):
+    spiky.setattr(conflict, "WINDOW_INIT_US", 30.0)
+    spiky.setattr(conflict, "WINDOW_MAX_US", 60.0)
+    sched = make()
     holder = sched.admit(req("hot"), 0.0)
     for t in range(4):
         sched.on_outcome(holder,
@@ -122,12 +128,11 @@ def test_window_caps_at_max():
 
 
 def test_stats_track_occupancy_and_depth():
-    spec = SchedulerSpec(kind="conflict", class_width=2)
-    sched = ConflictClassScheduler(fingerprint, spec)
+    sched = make()
+    assert sched.stats.max_class_occupancy == 0
     a = sched.admit(req("hot"), 0.0)
-    b = sched.admit(req("hot"), 0.0)
-    assert a.action is b.action is SchedAction.RUN
-    assert sched.stats.max_class_occupancy == 2
+    assert a.action is SchedAction.RUN
+    assert sched.stats.max_class_occupancy == 1
     deferred = sched.admit(req("hot"), 0.0)
     assert deferred.action is SchedAction.DEFER
     assert sched.stats.queue_depth == 1

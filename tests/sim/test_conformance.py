@@ -12,18 +12,16 @@ time); what they must never differ on is what an effect returns, the order of an
 import pytest
 
 from repro.sim import (All, Await, BatchedOneSided, Cluster, Compute,
-                       NetworkConfig, OneSided, Rpc, Signal, Sleep)
+                       OneSided, Rpc, Signal, Sleep)
 from repro.sim import WorkerCluster as AioCluster
-
-BATCH_CFG = NetworkConfig(doorbell_batching=True)
 
 
 @pytest.fixture(params=["sim", "aio"])
 def make_cluster(request):
-    def make(n=3, config=None):
+    def make(n=3, doorbell_batching=False):
         if request.param == "sim":
-            return Cluster(n, config)
-        return AioCluster(n, config)
+            return Cluster(n, doorbell_batching)
+        return AioCluster(n, doorbell_batching)
     return make
 
 
@@ -115,11 +113,12 @@ def test_nested_all(make_cluster, run_program):
     assert run_program(cluster, txn()) == [[1, 2], 3]
 
 
-@pytest.mark.parametrize("config", [None, BATCH_CFG],
+@pytest.mark.parametrize("doorbell_batching", [False, True],
                          ids=["plain", "doorbell"])
-def test_batched_one_sided_returns_values_in_op_order(make_cluster, config,
+def test_batched_one_sided_returns_values_in_op_order(make_cluster,
+                                                      doorbell_batching,
                                                       run_program):
-    cluster = make_cluster(config=config)
+    cluster = make_cluster(doorbell_batching=doorbell_batching)
 
     def txn():
         remote = yield BatchedOneSided(1, [lambda: "x", lambda: "y",
@@ -133,7 +132,7 @@ def test_batched_one_sided_returns_values_in_op_order(make_cluster, config,
 
 
 def test_doorbell_batching_fuses_on_both_backends(make_cluster, run_program):
-    cluster = make_cluster(config=BATCH_CFG)
+    cluster = make_cluster(doorbell_batching=True)
 
     def txn():
         results = yield All([OneSided(1, lambda i=i: i) for i in range(4)])
@@ -327,7 +326,7 @@ def test_composite_program_gives_identical_results_on_both_backends():
         cluster.run()
         return out[0]
 
-    sim_result = build_and_run(Cluster(3, BATCH_CFG))
-    aio_result = build_and_run(AioCluster(3, BATCH_CFG))
+    sim_result = build_and_run(Cluster(3, doorbell_batching=True))
+    aio_result = build_and_run(AioCluster(3, doorbell_batching=True))
     assert sim_result == aio_result
     assert sim_result == ((["r1", "l1", [1, 2]]), 11, "sig", [])

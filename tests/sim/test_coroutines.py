@@ -2,16 +2,20 @@
 
 import pytest
 
-from repro.sim import (All, Cluster, Compute, NetworkConfig, OneSided, Rpc,
-                       Sleep)
+from repro.sim import (All, Cluster, Compute, OneSided, Rpc, Sleep,
+                       network)
 
 
-CFG = NetworkConfig(local_access_us=0.1, one_way_us=1.0,
-                    verb_overhead_us=0.0, rpc_overhead_us=0.0)
+@pytest.fixture(autouse=True)
+def round_latencies(monkeypatch):
+    """Round network constants, so the timings below add up by hand."""
+    for name, value in (("LOCAL_ACCESS_US", 0.1), ("ONE_WAY_US", 1.0),
+                        ("VERB_OVERHEAD_US", 0.0), ("RPC_OVERHEAD_US", 0.0)):
+        monkeypatch.setattr(network, name, value)
 
 
 def test_compute_consumes_engine_cpu():
-    cluster = Cluster(1, CFG)
+    cluster = Cluster(1)
     results = []
 
     def txn():
@@ -26,7 +30,7 @@ def test_compute_consumes_engine_cpu():
 
 
 def test_two_coroutines_share_one_core_fifo():
-    cluster = Cluster(1, CFG)
+    cluster = Cluster(1)
     done_at = {}
 
     def txn(name):
@@ -42,7 +46,7 @@ def test_two_coroutines_share_one_core_fifo():
 
 def test_network_wait_does_not_hold_cpu():
     """While one txn waits on the network, another can use the core."""
-    cluster = Cluster(2, CFG)
+    cluster = Cluster(2)
     done_at = {}
 
     def remote_reader():
@@ -61,7 +65,7 @@ def test_network_wait_does_not_hold_cpu():
 
 
 def test_one_sided_resumes_with_result():
-    cluster = Cluster(2, CFG)
+    cluster = Cluster(2)
     out = []
 
     def txn():
@@ -74,7 +78,7 @@ def test_one_sided_resumes_with_result():
 
 
 def test_all_runs_effects_concurrently():
-    cluster = Cluster(3, CFG)
+    cluster = Cluster(3)
     out = []
 
     def txn():
@@ -90,7 +94,7 @@ def test_all_runs_effects_concurrently():
 
 
 def test_all_empty_effect_list():
-    cluster = Cluster(1, CFG)
+    cluster = Cluster(1)
     out = []
 
     def txn():
@@ -103,7 +107,7 @@ def test_all_empty_effect_list():
 
 
 def test_rpc_consumes_remote_cpu():
-    cluster = Cluster(2, CFG)
+    cluster = Cluster(2)
     out = []
 
     def handler(src, request):
@@ -127,7 +131,7 @@ def test_rpc_consumes_remote_cpu():
 
 
 def test_rpc_without_handler_raises():
-    cluster = Cluster(2, CFG)
+    cluster = Cluster(2)
 
     def txn():
         yield Rpc(1, "ping")
@@ -138,7 +142,7 @@ def test_rpc_without_handler_raises():
 
 
 def test_sleep_advances_time_without_cpu():
-    cluster = Cluster(1, CFG)
+    cluster = Cluster(1)
     out = []
 
     def txn():
@@ -152,7 +156,7 @@ def test_sleep_advances_time_without_cpu():
 
 
 def test_yield_from_composes_subprocedures():
-    cluster = Cluster(2, CFG)
+    cluster = Cluster(2)
     out = []
 
     def fetch(target):
@@ -170,7 +174,7 @@ def test_yield_from_composes_subprocedures():
 
 
 def test_post_delivers_one_way_message():
-    cluster = Cluster(2, CFG)
+    cluster = Cluster(2)
     seen = []
 
     def handler(src, request):
@@ -186,7 +190,7 @@ def test_post_delivers_one_way_message():
 
 def test_nested_all_effects():
     """An All may contain Alls; results mirror the nesting."""
-    cluster = Cluster(3, CFG)
+    cluster = Cluster(3)
     out = []
 
     def txn():
@@ -205,7 +209,7 @@ def test_nested_all_effects():
 
 
 def test_deeply_nested_all_preserves_structure():
-    cluster = Cluster(2, CFG)
+    cluster = Cluster(2)
     out = []
 
     def txn():
@@ -230,7 +234,7 @@ def test_signal_double_fire_raises():
 def test_await_after_fire_resumes_with_fired_value():
     from repro.sim import Await, Signal
 
-    cluster = Cluster(1, CFG)
+    cluster = Cluster(1)
     signal = Signal()
     signal.fire(123)
     out = []
@@ -245,7 +249,7 @@ def test_await_after_fire_resumes_with_fired_value():
 
 
 def test_active_task_accounting():
-    cluster = Cluster(1, CFG)
+    cluster = Cluster(1)
 
     def txn():
         yield Compute(1.0)

@@ -5,17 +5,22 @@ import typing
 
 import pytest
 
-from repro.sim import Network, NetworkConfig, Simulator
+from repro.sim import Network, Simulator, network
 
 
-def make_net(**overrides):
-    sim = Simulator()
-    cfg = NetworkConfig(**overrides)
-    return sim, Network(sim, cfg)
+@pytest.fixture
+def make_net(monkeypatch):
+    """A fresh network, with the named latency constants patched."""
+    def make(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(network, name, value)
+        sim = Simulator()
+        return sim, Network(sim)
+    return make
 
 
-def test_local_one_sided_pays_only_local_latency():
-    sim, net = make_net(local_access_us=0.5)
+def test_local_one_sided_pays_only_local_latency(make_net):
+    sim, net = make_net(LOCAL_ACCESS_US=0.5)
     done = []
     net.one_sided(0, 0, lambda: 42, lambda v: done.append((v, sim.now)))
     sim.run()
@@ -24,8 +29,8 @@ def test_local_one_sided_pays_only_local_latency():
     assert net.stats.one_sided_remote == 0
 
 
-def test_remote_one_sided_round_trip_latency():
-    sim, net = make_net(one_way_us=2.0, verb_overhead_us=0.5)
+def test_remote_one_sided_round_trip_latency(make_net):
+    sim, net = make_net(ONE_WAY_US=2.0, VERB_OVERHEAD_US=0.5)
     done = []
     net.one_sided(0, 1, lambda: "ok", lambda v: done.append((v, sim.now)))
     sim.run()
@@ -35,15 +40,15 @@ def test_remote_one_sided_round_trip_latency():
     assert net.stats.one_sided_remote == 1
 
 
-def test_one_sided_op_runs_at_target_arrival_time():
-    sim, net = make_net(one_way_us=2.0, verb_overhead_us=0.5)
+def test_one_sided_op_runs_at_target_arrival_time(make_net):
+    sim, net = make_net(ONE_WAY_US=2.0, VERB_OVERHEAD_US=0.5)
     executed_at = []
     net.one_sided(0, 1, lambda: executed_at.append(sim.now), lambda v: None)
     sim.run()
     assert executed_at == [pytest.approx(2.5)]
 
 
-def test_messages_delivered_fifo_per_channel():
+def test_messages_delivered_fifo_per_channel(make_net):
     sim, net = make_net()
     received = []
     net.register_handler(1, lambda src, p: received.append(p))
@@ -53,9 +58,9 @@ def test_messages_delivered_fifo_per_channel():
     assert received == list(range(20))
 
 
-def test_fifo_holds_across_interleaved_sends():
+def test_fifo_holds_across_interleaved_sends(make_net):
     """Messages sent at different times must not overtake each other."""
-    sim, net = make_net(one_way_us=1.0, rpc_overhead_us=0.0)
+    sim, net = make_net(ONE_WAY_US=1.0, RPC_OVERHEAD_US=0.0)
     received = []
     net.register_handler(1, lambda src, p: received.append(p))
     net.send(0, 1, "first")
@@ -64,13 +69,13 @@ def test_fifo_holds_across_interleaved_sends():
     assert received == ["first", "second"]
 
 
-def test_send_to_unregistered_handler_raises():
+def test_send_to_unregistered_handler_raises(make_net):
     sim, net = make_net()
     with pytest.raises(KeyError):
         net.send(0, 7, "hello")
 
 
-def test_stats_count_messages():
+def test_stats_count_messages(make_net):
     sim, net = make_net()
     net.register_handler(1, lambda src, p: None)
     net.send(0, 1, "a")
@@ -80,7 +85,7 @@ def test_stats_count_messages():
     assert net.stats.total_remote_ops() == 2
 
 
-def test_handler_receives_source_id():
+def test_handler_receives_source_id(make_net):
     sim, net = make_net()
     seen = []
     net.register_handler(2, lambda src, p: seen.append(src))
@@ -91,17 +96,17 @@ def test_handler_receives_source_id():
 
 # -- FIFO monotonicity under same-instant sends ------------------------------
 
-def test_fifo_time_strictly_increases_for_same_instant_sends():
+def test_fifo_time_strictly_increases_for_same_instant_sends(make_net):
     """N deliveries requested at the same instant on one channel must get
     strictly increasing timestamps: nothing ever overtakes, and nothing
     ties (ties would leave ordering to the heap's whim)."""
-    sim, net = make_net(one_way_us=1.0, rpc_overhead_us=0.0)
+    sim, net = make_net(ONE_WAY_US=1.0, RPC_OVERHEAD_US=0.0)
     times = [net._fifo_time(0, 1, 1.0) for _ in range(50)]
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
-def test_fifo_channels_are_directional_and_independent():
-    sim, net = make_net(one_way_us=1.0, rpc_overhead_us=0.0)
+def test_fifo_channels_are_directional_and_independent(make_net):
+    sim, net = make_net(ONE_WAY_US=1.0, RPC_OVERHEAD_US=0.0)
     forward = net._fifo_time(0, 1, 1.0)
     backward = net._fifo_time(1, 0, 1.0)
     other = net._fifo_time(0, 2, 1.0)
@@ -110,8 +115,8 @@ def test_fifo_channels_are_directional_and_independent():
     assert net._fifo_time(0, 1, 1.0) > forward
 
 
-def test_same_instant_one_sided_verbs_execute_in_issue_order():
-    sim, net = make_net(one_way_us=1.0, verb_overhead_us=0.0)
+def test_same_instant_one_sided_verbs_execute_in_issue_order(make_net):
+    sim, net = make_net(ONE_WAY_US=1.0, VERB_OVERHEAD_US=0.0)
     executed = []
     for i in range(10):
         net.one_sided(0, 1, lambda i=i: executed.append(i), lambda v: None)
@@ -121,7 +126,7 @@ def test_same_instant_one_sided_verbs_execute_in_issue_order():
 
 # -- per-kind byte accounting -------------------------------------------------
 
-def test_send_accounts_bytes_by_kind():
+def test_send_accounts_bytes_by_kind(make_net):
     sim, net = make_net()
     net.register_handler(1, lambda src, p: None)
     net.send(0, 1, "abcd", kind="greeting")
@@ -135,7 +140,7 @@ def test_send_accounts_bytes_by_kind():
     assert net.stats.total_bytes() == 6 + 17 + 10
 
 
-def test_one_sided_accounts_nominal_or_explicit_bytes():
+def test_one_sided_accounts_nominal_or_explicit_bytes(make_net):
     from repro.sim.network import VERB_NOMINAL_BYTES
 
     sim, net = make_net()
@@ -169,7 +174,7 @@ def test_approx_payload_bytes_walks_structures():
 # -- local vs. wire accounting (regression: local traffic inflated totals) ---
 
 
-def test_local_sends_never_inflate_wire_totals():
+def test_local_sends_never_inflate_wire_totals(make_net):
     """A server talking to itself crosses no wire: the remote counters,
     total_remote_ops, and total_bytes must all stay untouched."""
     sim, net = make_net()
@@ -189,7 +194,7 @@ def test_local_sends_never_inflate_wire_totals():
     assert net.stats.local_bytes_by_kind["message"] == 5
 
 
-def test_mixed_local_and_remote_split_cleanly():
+def test_mixed_local_and_remote_split_cleanly(make_net):
     sim, net = make_net()
     net.register_handler(0, lambda src, p: None)
     net.register_handler(1, lambda src, p: None)
@@ -253,7 +258,7 @@ def test_deeply_nested_payload_gets_flat_fallback():
     assert size == 8 * PAYLOAD_WALK_MAX_DEPTH + MESSAGE_NOMINAL_BYTES
 
 
-def test_cyclic_payload_send_terminates_and_accounts():
+def test_cyclic_payload_send_terminates_and_accounts(make_net):
     sim, net = make_net()
     net.register_handler(1, lambda src, p: None)
     cyclic = {"next": None}
@@ -265,8 +270,8 @@ def test_cyclic_payload_send_terminates_and_accounts():
 
 # -- the latency-only model: payload size never moves a completion time -------
 
-def test_local_traffic_never_pays_bandwidth():
-    sim, net = make_net(local_access_us=0.5)
+def test_local_traffic_never_pays_bandwidth(make_net):
+    sim, net = make_net(LOCAL_ACCESS_US=0.5)
     done = []
     net.one_sided(0, 0, lambda: 1, lambda v: done.append(sim.now),
                   nbytes=1_000_000)
@@ -274,8 +279,8 @@ def test_local_traffic_never_pays_bandwidth():
     assert done == [pytest.approx(0.5)]
 
 
-def test_bandwidth_none_is_bit_identical_to_seed_model():
-    sim, net = make_net(one_way_us=1.7, verb_overhead_us=0.3)
+def test_bandwidth_none_is_bit_identical_to_seed_model(make_net):
+    sim, net = make_net(ONE_WAY_US=1.7, VERB_OVERHEAD_US=0.3)
     done = []
     net.one_sided(0, 1, lambda: 1, lambda v: done.append(sim.now),
                   nbytes=4096)
@@ -287,7 +292,7 @@ def test_bandwidth_none_is_bit_identical_to_seed_model():
 # -- per-executor traffic breakdown (Fig.-style bytes-by-phase) ---------------
 
 
-def test_per_server_books_track_issuing_executor():
+def test_per_server_books_track_issuing_executor(make_net):
     sim, net = make_net()
     net.one_sided(0, 1, lambda: 1, lambda v: None, kind="lock_read",
                   nbytes=32)
@@ -306,7 +311,7 @@ def test_per_server_books_track_issuing_executor():
     assert total == net.stats.bytes_by_kind
 
 
-def test_bytes_by_phase_folds_kinds_into_txn_phases():
+def test_bytes_by_phase_folds_kinds_into_txn_phases(make_net):
     sim, net = make_net()
     net.one_sided(0, 1, lambda: 1, lambda v: None, kind="lock_read",
                   nbytes=32)

@@ -1,23 +1,24 @@
 """Tests for the EffectRuntime seam and its doorbell-batching path."""
 
-import dataclasses
-
 import pytest
 
 from repro.sim import (All, BatchedOneSided, Cluster, Compute,
-                       EffectRuntime, NetworkConfig, OneSided, Rpc, Sleep)
+                       EffectRuntime, OneSided, Rpc, Sleep, network)
 
-BATCH_CFG = NetworkConfig(local_access_us=0.1, one_way_us=1.0,
-                          verb_overhead_us=0.3, rpc_overhead_us=0.0,
-                          doorbell_batching=True, batched_verb_us=0.1)
-PLAIN_CFG = NetworkConfig(local_access_us=0.1, one_way_us=1.0,
-                          verb_overhead_us=0.3, rpc_overhead_us=0.0)
+
+@pytest.fixture(autouse=True)
+def round_latencies(monkeypatch):
+    """Round network constants, so the timings below add up by hand."""
+    for name, value in (("LOCAL_ACCESS_US", 0.1), ("ONE_WAY_US", 1.0),
+                        ("VERB_OVERHEAD_US", 0.3), ("RPC_OVERHEAD_US", 0.0),
+                        ("BATCHED_VERB_US", 0.1)):
+        monkeypatch.setattr(network, name, value)
 
 
 # -- a server's engine is its effect runtime ---------------------------------
 
 def test_cluster_engine_is_the_effect_runtime():
-    cluster = Cluster(1, PLAIN_CFG)
+    cluster = Cluster(1)
     engine = cluster.engine(0)
     assert isinstance(engine, EffectRuntime)
     assert engine is cluster.server(0).engine
@@ -35,7 +36,7 @@ def test_custom_runtime_can_be_injected():
             super().perform(effect, cont)
 
     sim = Simulator()
-    net = Network(sim, PLAIN_CFG)
+    net = Network(sim)
     engine = TracingRuntime(sim, net, 0)
 
     def txn():
@@ -52,7 +53,7 @@ def test_custom_runtime_can_be_injected():
 def test_same_destination_round_costs_one_fused_round_trip():
     """The acceptance property: an All of N verbs to one remote server
     completes in one chained round trip and counts as ONE round trip."""
-    cluster = Cluster(2, BATCH_CFG)
+    cluster = Cluster(2, doorbell_batching=True)
     out = []
 
     def txn():
@@ -75,7 +76,7 @@ def test_same_destination_round_costs_one_fused_round_trip():
 
 
 def test_batching_off_keeps_per_verb_round_trips():
-    cluster = Cluster(2, PLAIN_CFG)
+    cluster = Cluster(2)
     out = []
 
     def txn():
@@ -96,7 +97,7 @@ def test_batching_off_keeps_per_verb_round_trips():
 
 
 def test_explicit_batched_effect_fuses_when_enabled():
-    cluster = Cluster(2, BATCH_CFG)
+    cluster = Cluster(2, doorbell_batching=True)
     out = []
 
     def txn():
@@ -114,7 +115,7 @@ def test_explicit_batched_effect_fuses_when_enabled():
 def test_explicit_batched_effect_falls_back_when_disabled():
     """With the knob off a BatchedOneSided behaves exactly like the flat
     All it replaced — per-verb round trips, same results."""
-    cluster = Cluster(2, PLAIN_CFG)
+    cluster = Cluster(2)
     out = []
 
     def txn():
@@ -135,7 +136,7 @@ def test_explicit_batched_effect_falls_back_when_disabled():
 def test_local_verbs_never_batch():
     """Doorbell batching is a NIC concept; local groups stay plain
     memory accesses even with the knob on."""
-    cluster = Cluster(2, BATCH_CFG)
+    cluster = Cluster(2, doorbell_batching=True)
     out = []
 
     def txn():
@@ -146,14 +147,14 @@ def test_local_verbs_never_batch():
     cluster.run()
     results, when = out[0]
     assert results == ["x", "y"]
-    assert when == pytest.approx(BATCH_CFG.local_access_us)
+    assert when == pytest.approx(network.LOCAL_ACCESS_US)
     stats = cluster.network.stats
     assert stats.one_sided_local == 2
     assert stats.one_sided_batches == 0
 
 
 def test_single_verb_group_is_not_fused():
-    cluster = Cluster(2, BATCH_CFG)
+    cluster = Cluster(2, doorbell_batching=True)
     out = []
 
     def txn():
@@ -171,7 +172,7 @@ def test_single_verb_group_is_not_fused():
 def test_mixed_all_batches_only_same_destination_remotes():
     """Local verbs, lone remotes, and RPCs keep their own paths; only
     the multi-verb remote groups fuse.  Result order is preserved."""
-    cluster = Cluster(3, BATCH_CFG)
+    cluster = Cluster(3, doorbell_batching=True)
     out = []
 
     def handler(src, request):
@@ -201,7 +202,7 @@ def test_mixed_all_batches_only_same_destination_remotes():
 
 
 def test_batch_ops_execute_at_target_arrival_in_chain_order():
-    cluster = Cluster(2, BATCH_CFG)
+    cluster = Cluster(2, doorbell_batching=True)
     executed = []
 
     def txn():
@@ -212,8 +213,8 @@ def test_batch_ops_execute_at_target_arrival_in_chain_order():
 
     cluster.engine(0).spawn(txn())
     cluster.run()
-    arrival = (BATCH_CFG.one_way_us + BATCH_CFG.verb_overhead_us
-               + BATCH_CFG.batched_verb_us)
+    arrival = (network.ONE_WAY_US + network.VERB_OVERHEAD_US
+               + network.BATCHED_VERB_US)
     assert [name for name, _ in executed] == ["a", "b"]
     for _, when in executed:
         assert when == pytest.approx(arrival)
@@ -223,7 +224,7 @@ def test_network_one_sided_batch_rejects_degenerate_chains():
     from repro.sim import Network, Simulator
 
     sim = Simulator()
-    net = Network(sim, BATCH_CFG)
+    net = Network(sim, doorbell_batching=True)
     with pytest.raises(ValueError):
         net.one_sided_batch(0, 0, [lambda: 1, lambda: 2], lambda r: None)
     with pytest.raises(ValueError):
@@ -244,7 +245,7 @@ def test_effect_subclass_dispatches_like_its_base():
     class TracedCompute(Compute):
         pass
 
-    cluster = Cluster(1, PLAIN_CFG)
+    cluster = Cluster(1)
     out = []
 
     def txn():
@@ -260,7 +261,7 @@ def test_effect_subclass_dispatches_like_its_base():
 
 
 def test_unknown_effect_fails_loudly():
-    cluster = Cluster(1, PLAIN_CFG)
+    cluster = Cluster(1)
 
     def txn():
         yield object()
@@ -283,7 +284,7 @@ def test_dispatch_table_respects_send_rpc_overrides():
             super().send_rpc(effect, cont)
 
     sim = Simulator()
-    net = Network(sim, PLAIN_CFG)
+    net = Network(sim)
     engine = RoutedRuntime(sim, net, 0)
 
     def rpc_handler(src, body):
@@ -306,7 +307,7 @@ def test_dispatch_table_respects_send_rpc_overrides():
                                     Compute(float("nan"))],
                          ids=["sleep", "compute"])
 def test_nan_effect_is_refused_before_it_reaches_the_clock(effect):
-    cluster = Cluster(1, PLAIN_CFG)
+    cluster = Cluster(1)
 
     def txn():
         yield effect
@@ -318,9 +319,9 @@ def test_nan_effect_is_refused_before_it_reaches_the_clock(effect):
     assert cluster.engine(0).core.busy_until == 0.0
 
 
-def test_nan_message_delay_is_refused():
-    cluster = Cluster(2, dataclasses.replace(PLAIN_CFG,
-                                             one_way_us=float("nan")))
+def test_nan_message_delay_is_refused(monkeypatch):
+    monkeypatch.setattr(network, "ONE_WAY_US", float("nan"))
+    cluster = Cluster(2)
 
     def handler(src, body):
         return "pong"

@@ -12,8 +12,11 @@ import pickle
 
 import pytest
 
+from repro.bench import RunConfig
+from repro.bench.experiments import main as experiments_main
 from repro.traffic import (ADMISSIONS, ARRIVAL_PROCESSES, ArrivalSpec,
-                           TenantSpec, as_arrival_spec, schedule_for_home)
+                           as_arrival_spec, schedule_for_home)
+from repro.traffic.arrivals import DEFAULT_TENANT_MIX
 
 HORIZON = 100_000.0  # 100ms
 
@@ -68,8 +71,7 @@ def test_poisson_mean_rate():
 
 
 def test_diurnal_curve_modulates_rate():
-    s = spec(process="diurnal", diurnal_period_us=20_000.0,
-             diurnal_trough=0.25)
+    s = spec(process="diurnal")   # period 20 ms, trough 0.25
     sched = schedule_for_home(s, 0, 1, seed=7, horizon_us=40_000.0)
     # sin phase: [0, 10ms) is the high half-period, [10ms, 20ms) low
     high = sum(1 for a in sched if a.at % 20_000.0 < 10_000.0)
@@ -78,7 +80,7 @@ def test_diurnal_curve_modulates_rate():
 
 
 def test_flash_crowd_step():
-    s = spec(process="flash", flash_at_frac=0.5, flash_ratio=4.0)
+    s = spec(process="flash")     # the step at half the horizon
     sched = schedule_for_home(s, 0, 1, seed=7, horizon_us=HORIZON)
     before = sum(1 for a in sched if a.at < HORIZON / 2)
     after = len(sched) - before
@@ -87,25 +89,22 @@ def test_flash_crowd_step():
 
 
 def test_tenant_shares_and_deadline_resolution():
-    s = spec(process="tenants",
-             tenants=(TenantSpec("gold", share=0.2, priority=4.0,
-                                 deadline_us=1_000.0),
-                      TenantSpec("standard", share=0.8)))
+    s = spec(process="tenants")
     sched = schedule_for_home(s, 0, 1, seed=7, horizon_us=HORIZON)
     gold = [a for a in sched if a.tenant == "gold"]
     standard = [a for a in sched if a.tenant == "standard"]
     assert 0.15 < len(gold) / len(standard) < 0.35
-    # per-tenant deadline wins; unset falls back to the spec default
-    assert all(a.deadline_us == 1_000.0 for a in gold)
-    assert all(a.deadline_us == 4_000.0 for a in standard)
+    # every tenant carries the spec's deadline and its own priority
+    assert all(a.deadline_us == 4_000.0 for a in sched)
     assert all(a.priority == 4.0 for a in gold)
+    assert all(a.priority == 1.0 for a in standard)
 
 
 def test_default_tenant_mix_for_tenants_process():
-    names = {t.name for t in spec(process="tenants").effective_tenants()}
-    assert names == {"gold", "standard"}
+    assert spec(process="tenants").tenant_mix() == DEFAULT_TENANT_MIX
+    assert {t.name for t in DEFAULT_TENANT_MIX} == {"gold", "standard"}
     # non-tenant processes run one anonymous tenant
-    assert [t.name for t in spec().effective_tenants()] == ["all"]
+    assert [t.name for t in spec().tenant_mix()] == ["all"]
 
 
 def test_as_arrival_spec_normalizes_and_validates():
@@ -123,8 +122,7 @@ def test_as_arrival_spec_normalizes_and_validates():
 
 
 def test_spec_is_picklable():
-    s = spec(process="tenants",
-             tenants=(TenantSpec("gold", share=0.2, priority=4.0),))
+    s = spec(process="tenants", admission="deadline")
     assert pickle.loads(pickle.dumps(s)) == s
 
 
@@ -133,3 +131,19 @@ def test_invalid_inputs_raise():
         schedule_for_home(spec(offered_load=0.0), 0, 4, 7, HORIZON)
     with pytest.raises(ValueError):
         schedule_for_home(spec(), 0, 0, 7, HORIZON)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+def test_only_a_finite_positive_rate_is_accepted(rate, capsys):
+    """A NaN rate never reaches the horizon and an infinite one draws
+    zero gaps: either would append arrivals forever."""
+    with pytest.raises(ValueError, match="finite positive"):
+        spec(offered_load=rate)
+    with pytest.raises(ValueError, match="finite positive"):
+        RunConfig(arrivals="poisson", offered_load=rate).arrival_spec()
+    # the CLI refuses it before building anything
+    with pytest.raises(SystemExit) as exit_info:
+        experiments_main(["fig9a", "--quick", "--arrivals", "poisson",
+                          "--offered-load", str(rate)])
+    assert exit_info.value.code == 2
+    assert "finite positive" in capsys.readouterr().err
