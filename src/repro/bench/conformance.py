@@ -16,8 +16,8 @@ exercises commits, logical aborts (insufficient funds), and read misses
 the OCC executor — covering the codec's lock/read, commit, release,
 validate, and replica_apply verbs plus RPC-free and replicated paths.
 
-Everything here is module-level and picklable so the multiprocess
-backend's spawned workers can rebuild it by reference; the tier-1 suite
+The multiprocess backend's forked workers rebuild it from the same
+calls; the tier-1 suite
 (`tests/sim/test_mp_runtime.py`) asserts sim == aio == mp at 1, 2 and N
 workers.
 """
@@ -123,8 +123,8 @@ def program_driver(program, run: Run, cluster, worker_id: int | None):
 
 
 def _decisions_on(run: Run, program) -> list[tuple]:
-    """Run ``program(run, decisions)`` (module-level, so mp workers can
-    rebuild it by reference) from ``DRIVER_HOME`` on ``run``'s backend."""
+    """Run ``program(run, decisions)`` from ``DRIVER_HOME`` on
+    ``run``'s backend."""
     payloads = execute(run, partial(program_driver, program))
     decisions = [p["decisions"] for p in payloads if p["decisions"]]
     assert len(decisions) == 1, "exactly one process drives the program"

@@ -462,10 +462,8 @@ class _LiveTimeline:
             self.http = MetricsHttpServer(
                 config.metrics_port,
                 lambda: to_prometheus(self.timeline, self.watchdog.events))
-            if config.backend == "aio":
-                self.http.listen()  # answered by the run's loop: execute()
-            else:
-                self.http.start()
+            # answered by the loop that drives the run: execute()
+            self.http.listen()
 
     def add(self, rows: list, at_us: float | None = None) -> None:
         self.timeline.add_rows(rows)
@@ -492,7 +490,8 @@ class _LiveTimeline:
         # whole build time as silence
         return {"on_sample": lambda _w, rows: self.add(rows, parent_us()),
                 "on_tick": lambda: self.watchdog.evaluate(parent_us()),
-                "tick_s": self.timeline.interval_us / 1e6}
+                "tick_s": self.timeline.interval_us / 1e6,
+                "endpoint": self.http}
 
     def close(self) -> None:
         if self.http is not None:
@@ -597,9 +596,9 @@ def execute(run: Run, driver, live: "_LiveTimeline | None" = None) -> list:
     if config.backend == "mp":
         if run.mp_spec is None:
             raise ValueError(
-                "backend='mp' runs re-create their database inside worker "
-                "processes: build with setups.build_run, or pass "
-                "mp_spec=MpRunSpec(<module-level builder>, ...)")
+                "backend='mp' runs re-create their database inside each "
+                "forked worker process: build with setups.build_run, or "
+                "pass mp_spec=MpRunSpec(<builder>, ...)")
         hooks = live.mp_hooks() if live is not None else {}
         return run_mp_workers(replace(run.mp_spec, driver=driver), config,
                               **hooks)

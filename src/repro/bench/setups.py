@@ -53,12 +53,12 @@ def build_run(workload, catalog: Catalog, config: RunConfig,
     """Build ``workload``'s database over ``catalog`` on ``config``'s
     backend, load it, and put the named executor in front of it.
 
-    Module-level and picklable-by-reference: on the mp backend the
-    parent-side build records itself (same arguments -> same
-    deterministic database) as the recipe each worker process re-runs.
-    A caller that wires more onto the run after this returns (an RPC
-    handler, a workload clock) passes its own module-level ``rebuild``
-    — a picklable zero-argument callable — so workers get that too.
+    On the mp backend the parent-side build records itself (same
+    arguments -> same deterministic database) as the recipe each forked
+    worker process re-runs.  A caller that wires more onto the run after
+    this returns (an RPC handler, a workload clock) passes its own
+    ``rebuild`` — a zero-argument callable the workers inherit — so
+    workers get that too.
     """
     assign_wal_dir(config)
     cluster = make_cluster(config)

@@ -6,16 +6,17 @@ Two renderings of one :class:`~repro.obs.timeline.Timeline`:
   cumulative counters as ``*_total`` with ``server`` (and ``reason`` /
   ``tenant``) labels, gauges as last-seen values.  On the aio/mp
   backends ``RunConfig(metrics_port=...)`` serves it live from a
-  stdlib :class:`MetricsHttpServer` during the run (on aio from the
-  run's own event loop); the sim backend has no wall clock to scrape
-  against, so there it is an end-of-run artifact only.
+  stdlib :class:`MetricsHttpServer` during the run, answered by the
+  loop that drives the run (aio's event loop, the mp supervisor's wait
+  loop); the sim backend has no wall clock to scrape against, so there
+  it is an end-of-run artifact only.
 * :func:`timeline_csv` / :func:`write_timeline_csv` — one wide row per
   sample for pandas/gnuplot post-processing
   (``RunConfig(metrics_csv=...)``).
 
 Everything here is read-only over an already-collected timeline; no
-rendering path touches the run's hot loops (an aio scrape costs its
-event loop one render, between two callbacks).
+rendering path touches the run's hot loops (a scrape costs the loop
+that answers it one render, between two callbacks or two waits).
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ import asyncio
 import io
 import re
 import socket
-import threading
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 _CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+_ANSWER_TIMEOUT_S = 1.0
+"""How long :meth:`MetricsHttpServer.answer` waits on a slow scraper."""
+_LINE_LIMIT = 65536
+"""Longest request or header line read (asyncio's stream default)."""
 
 
 def _metric_name(key: str, prefix: str) -> str:
@@ -158,13 +161,14 @@ class MetricsHttpServer:
     localhost.  Port 0 binds an ephemeral port (the scrape tests use
     this); ``url`` reports the bound address.
 
-    Two ways to serve, stdlib-only both: :meth:`start` answers from a
-    daemon thread (the mp parent, which mostly waits on its workers);
-    :meth:`listen` then :meth:`serve` answer from the event loop that
-    drives an aio run.  A thread cannot serve that run: the busy loop
-    releases and retakes the GIL on every iteration, faster than a
-    waiting thread wakes to take it, so the thread runs only once the
-    loop ends.
+    Stdlib-only, and never a thread of its own: :meth:`listen` binds,
+    then the loop that drives the run answers — aio's event loop through
+    :meth:`serve`, the mp supervisor's wait loop through :meth:`answer`
+    whenever the socket (:meth:`fileno`) is readable.  A thread could
+    serve neither: aio's busy loop releases and retakes the GIL on every
+    iteration, faster than a waiting thread wakes to take it, and a
+    thread alive in the mp parent would be copied, half-held locks and
+    all, into every forked worker.
     """
 
     def __init__(self, port: int, provider: Callable[[], str],
@@ -172,47 +176,55 @@ class MetricsHttpServer:
         self.provider = provider
         self.host = host
         self.port = port
-        self._httpd = None
-        self._thread = None
         self._socket = None
         self._server = None
 
-    def reply(self, path: str) -> tuple[int, bytes]:
-        """Status and body of a ``GET`` of ``path``."""
+    def response(self, request_line: bytes) -> bytes:
+        """The whole HTTP reply to a request whose first line is
+        ``request_line`` (``GET /metrics HTTP/1.1``)."""
+        words = request_line.split()
+        path = words[1].decode("latin-1") if len(words) > 1 else ""
         if path.rstrip("/") not in ("", "/metrics"):
-            return 404, b"not found\n"
-        return 200, self.provider().encode()
-
-    def start(self) -> int:
-        reply = self.reply
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):
-                status, body = reply(self.path)
-                self.send_response(status)
-                self.send_header("Content-Type", _CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        self._httpd = ThreadingHTTPServer((self.host, self.port),
-                                          Handler)
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="metrics-http",
-                                        daemon=True)
-        self._thread.start()
-        return self.port
+            status, body = 404, b"not found\n"
+        else:
+            status, body = 200, self.provider().encode()
+        return (b"HTTP/1.0 %d %s\r\nContent-Type: %s\r\n"
+                b"Content-Length: %d\r\n\r\n"
+                % (status, HTTPStatus(status).phrase.encode(),
+                   _CONTENT_TYPE.encode(), len(body)) + body)
 
     def listen(self) -> int:
         """Bind and listen without answering: connections queue until
-        :meth:`serve` runs on the loop."""
+        :meth:`serve` or :meth:`answer` takes them."""
         self._socket = socket.create_server((self.host, self.port))
+        self._socket.setblocking(False)  # answer() never waits in accept
         self.port = self._socket.getsockname()[1]
         return self.port
+
+    def fileno(self) -> int:
+        """The listening socket's descriptor, readable while a
+        connection waits (``multiprocessing.connection.wait`` takes
+        this object as it is)."""
+        return self._socket.fileno()
+
+    def answer(self) -> None:
+        """Answer one queued connection in the calling thread; a
+        scraper that sends nothing is cut off after
+        ``_ANSWER_TIMEOUT_S``."""
+        try:
+            conn, _addr = self._socket.accept()
+        except BlockingIOError:
+            return  # the scraper gave up between the wait and here
+        with conn:
+            conn.settimeout(_ANSWER_TIMEOUT_S)
+            try:
+                with conn.makefile("rb") as request:
+                    line = request.readline(_LINE_LIMIT)
+                    while request.readline(_LINE_LIMIT).strip():
+                        pass  # headers: none matters
+                conn.sendall(self.response(line))
+            except OSError:
+                pass  # the scraper hung up or stalled
 
     async def serve(self) -> None:
         """Answer the :meth:`listen` socket from the running event loop
@@ -223,15 +235,10 @@ class MetricsHttpServer:
     async def _answer(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = (await reader.readline()).split()
+            line = await reader.readline()
             while (await reader.readline()).strip():
                 pass  # headers: none matters
-            path = request[1].decode("latin-1") if len(request) > 1 else ""
-            status, body = self.reply(path)
-            writer.write(b"HTTP/1.0 %d %s\r\nContent-Type: %s\r\n"
-                         b"Content-Length: %d\r\n\r\n"
-                         % (status, HTTPStatus(status).phrase.encode(),
-                            _CONTENT_TYPE.encode(), len(body)) + body)
+            writer.write(self.response(line))
             await writer.drain()
         except ConnectionError:
             pass  # the scraper hung up
@@ -243,13 +250,6 @@ class MetricsHttpServer:
         return f"http://{self.host}:{self.port}/metrics"
 
     def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
         if self._server is not None:
             self._server.close()  # closes the listening socket too
             self._server = None

@@ -14,10 +14,12 @@ Built-in rule kinds:
 
 ``stall``
     A server admitted work (or holds a queue) but completed nothing
-    for ``window`` consecutive intervals — or went *silent* (no sample
-    for ``window`` intervals of timeline time), which is how a
-    SIGKILLed mp worker first manifests before its replacement
-    resumes shipping.
+    for ``window`` consecutive intervals — or went *silent*: no sample
+    for ``window`` intervals of timeline time, or rows that move on to a
+    new worker generation.  The latter is how a SIGKILLed mp worker
+    shows when its replacement resumes shipping within the window (a
+    forked respawn takes milliseconds): the dead generation's partial
+    interval never ships, so the death is a gap, however short.
 ``queue_saturation``
     A server's admission queue depth sat at/above ``threshold`` for
     ``window`` consecutive samples: the open-loop saturation signature.
@@ -115,6 +117,8 @@ class HealthWatchdog:
         self._rows: dict[int, deque] = {}
         self._active: set[tuple] = set()
         self._finished: set[int] = set()
+        self._restarted: dict[int, tuple[int, int, float]] = {}
+        """server -> (dead gen, new gen, silence) not yet evaluated."""
 
     # -- ingestion ---------------------------------------------------------
 
@@ -129,16 +133,19 @@ class HealthWatchdog:
         omit it and the rows' own timestamps are used.
         """
         for row in rows:
+            seen_us = at_us if at_us is not None else row.t_us
+            seen = self.last_seen_us.get(row.server)
             book = self._rows.get(row.server)
             if book is None:
                 book = self._rows[row.server] = deque(maxlen=self._window)
+            elif row.gen > book[-1].gen:
+                self._restarted[row.server] = (book[-1].gen, row.gen,
+                                               seen_us - seen)
             book.append(row)
             if getattr(row, "final", False):
                 # clean end-of-run flush: this server is done, its
                 # silence from here on is retirement, not a stall
                 self._finished.add(row.server)
-            seen_us = at_us if at_us is not None else row.t_us
-            seen = self.last_seen_us.get(row.server)
             if seen is None or seen_us > seen:
                 self.last_seen_us[row.server] = seen_us
 
@@ -178,7 +185,21 @@ class HealthWatchdog:
                      now_us: float) -> list[HealthEvent]:
         fired = []
         horizon = rule.window * self.interval_us
+        restarted, self._restarted = self._restarted, {}
+        for server, (dead, new, silent_us) in restarted.items():
+            # a new generation: the old one died without its final
+            # interval, however soon the replacement shipped again
+            # (latched: a silence already reported is the same incident)
+            fired.extend(self._latch(
+                ("stall", server), True,
+                HealthEvent(
+                    "stall", now_us, server, silent_us, 0.0,
+                    f"server {server} silent for {silent_us:,.0f}us "
+                    f"across a restart (generation {dead} died, "
+                    f"{new} took over)")))
         for server, book in self._rows.items():
+            if server in restarted:
+                continue
             # silence: the server stopped shipping samples entirely
             # (on mp, the first visible symptom of a SIGKILLed worker)
             silent_us = now_us - self.last_seen_us[server]

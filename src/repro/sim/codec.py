@@ -288,8 +288,8 @@ class WireOneWay:
 # keeps decode total on a corrupt body: marshal sizes a tuple or list
 # by the count it reads before reading the items, so one flipped bit can
 # ask for gigabytes, and pickle's memo can be told to grow the same way.
-# Both formats belong to one interpreter build; every worker is spawned
-# from the parent's interpreter, and each trusts its peers' frames as it
+# Both formats belong to one interpreter build; every worker is forked
+# from the parent's process, and each trusts its peers' frames as it
 # trusted their pickles.
 
 WIRE_MARSHAL_VERSION = 4

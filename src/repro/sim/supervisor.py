@@ -9,13 +9,22 @@ process boundary as a codec frame — there is no escrow: a payload that
 cannot serialize raises a :class:`~repro.sim.codec.CodecError` naming
 the offending effect.
 
-**Topology.**  ``run_mp_workers(spec, config)`` (the parent) spawns one
+**Topology.**  ``run_mp_workers(spec, config)`` (the parent) forks one
 worker per server by default (``config.mp_workers`` caps the process
 count; servers are assigned round-robin).  Every worker deterministically
-rebuilds the database from the spec's *builder* — a picklable
-module-level factory — so all workers hold identical initial data; the
-copy of partition ``p`` on ``p``'s owning worker is the authoritative
-one, and every access to ``p`` routes there.
+rebuilds the database from the spec's *builder*, so all workers hold
+identical initial data and none serves the parent's template; the copy
+of partition ``p`` on ``p``'s owning worker is the authoritative one,
+and every access to ``p`` routes there.
+
+**Start method.**  ``fork``, and only ``fork``: a child starts from the
+parent's already-imported program instead of a fresh interpreter that
+imports it again (that start-up was the whole outage of a crash
+restart).  The parent therefore runs no thread of its own while it
+supervises — the chaos kill and the metrics endpoint are deadlines and
+readiness in its one wait loop — and :func:`_worker_entry` undoes what a
+forked child inherits and a spawned one never had (ARCHITECTURE.md,
+"What a forked worker inherits").
 
 **Lifecycle.**  Workers exchange listener ports through the parent, drive their share of the load, report
 ``done`` with their metrics payload at local quiescence, and keep
@@ -29,7 +38,8 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import threading
+import multiprocessing.connection
+import signal
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -50,6 +60,10 @@ shm"); pickle stays as the codec's debug escape hatch."""
 _STOP_GRACE_S = 5.0
 """How long a stopping worker keeps serving stragglers after ``stop``."""
 
+_FORK = multiprocessing.get_context("fork")
+"""The one start method (module docstring, "Start method")."""
+
+
 class MpRunError(RuntimeError):
     """A multiprocess run failed (worker error, death, or timeout)."""
 
@@ -58,16 +72,17 @@ class MpRunError(RuntimeError):
 class MpRunSpec:
     """How each worker process recreates its share of a run.
 
-    ``builder`` must be a *module-level* (picklable-by-reference)
-    factory: ``builder(*args, **kwargs)`` builds the cluster via the
-    harness's ``make_cluster`` (which, inside a worker, hands back that
-    worker's live cluster) and returns a run object exposing
-    ``workload`` / ``executor`` / ``config``.  ``driver(run_obj,
-    cluster, worker_id)`` spawns that worker's tasks and returns a
-    ``finalize() -> payload`` callable evaluated at local quiescence;
-    the picklable payloads are what ``run_mp_workers`` returns to the
-    parent.  Drivers are responsible for namespacing transaction ids
-    (``repro.txn.common.seed_txn_ids``) before driving load.
+    ``builder(*args, **kwargs)`` runs in every forked worker, which
+    inherits the spec rather than unpickling it (closures are fine): it
+    builds the cluster via the harness's ``make_cluster`` (which, inside
+    a worker, hands back that worker's live cluster) and returns a run
+    object exposing ``workload`` / ``executor`` / ``config``.
+    ``driver(run_obj, cluster, worker_id)`` spawns that worker's tasks
+    and returns a ``finalize() -> payload`` callable evaluated at local
+    quiescence; the payloads, pickled through the control pipe, are what
+    ``run_mp_workers`` returns to the parent.  Drivers are responsible
+    for namespacing transaction ids (``repro.txn.common.seed_txn_ids``)
+    before driving load.
     """
 
     builder: Callable[..., Any]
@@ -151,10 +166,26 @@ class MpTemplateCluster:
 
 
 def _worker_entry(conn, spec: MpRunSpec, config: Any, worker_id: int,
-                  n_workers: int, generation: int = 0,
-                  resume_at_us: float = 0.0) -> None:
-    """Spawned process main: build, serve, report, exit."""
+                  n_workers: int, generation: int, resume_at_us: float,
+                  inherited: tuple[Callable[[], None], ...]) -> None:
+    """Forked process main: shed what the parent left, build, serve,
+    report, exit.
+
+    ``inherited`` closes, through their owners, the parent's end of
+    every worker's control pipe (this one's too: held here, it would
+    keep this worker from ever reading EOF off a dead parent) and the
+    parent's metrics listener.  The parent's signal handlers go too, so
+    ``terminate`` stops a worker whatever the parent installed.
+    ``multiprocessing`` ends a forked child with ``os._exit``, which runs
+    no atexit hook and flushes no buffer: whatever must outlive the
+    worker is written through before it returns (the WAL flushes every
+    append; a profile is dumped explicitly).
+    """
     try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        for close in inherited:
+            close()
         _worker_body(conn, spec, config, worker_id, n_workers,
                      generation, resume_at_us)
     except BaseException:  # noqa: BLE001 - report, never hang the parent
@@ -282,14 +313,21 @@ async def _serve_worker(cluster: WorkerCluster, conn,
 # -- parent-side controller ---------------------------------------------------
 
 
-def _spawn_worker(ctx, spec: MpRunSpec, config: Any, worker_id: int,
-                  n_workers: int, generation: int,
-                  resume_at_us: float) -> tuple:
-    parent_conn, child_conn = ctx.Pipe()
-    proc = ctx.Process(
+def _start_worker(spec: MpRunSpec, config: Any, worker_id: int,
+                  n_workers: int, generation: int, resume_at_us: float,
+                  workers: dict[int, tuple],
+                  endpoint: Any = None) -> tuple:
+    """Fork one worker; returns its (proc, conn).  ``workers`` holds the
+    live fleet's pipes, which the child closes on entry."""
+    parent_conn, child_conn = _FORK.Pipe()
+    inherited = [conn.close for _proc, conn in workers.values()]
+    inherited.append(parent_conn.close)
+    if endpoint is not None:
+        inherited.append(endpoint.stop)
+    proc = _FORK.Process(
         target=_worker_entry,
         args=(child_conn, spec, config, worker_id, n_workers,
-              generation, resume_at_us),
+              generation, resume_at_us, tuple(inherited)),
         daemon=True, name=f"mp-worker-{worker_id}.g{generation}")
     proc.start()
     child_conn.close()
@@ -299,8 +337,9 @@ def _spawn_worker(ctx, spec: MpRunSpec, config: Any, worker_id: int,
 def run_mp_workers(spec: MpRunSpec, config: Any, *,
                    on_sample: Callable[[int, list], None] | None = None,
                    on_tick: Callable[[], None] | None = None,
-                   tick_s: float | None = None) -> list[Any]:
-    """Spawn the workers, run the spec, return per-worker payloads.
+                   tick_s: float | None = None,
+                   endpoint: Any = None) -> list[Any]:
+    """Fork the workers, run the spec, return per-worker payloads.
 
     ``config`` is the bench layer's ``RunConfig``: the controller reads
     its ``mp_*`` fields, ``n_partitions`` and ``horizon_us`` and
@@ -313,14 +352,17 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
     metrics timeline on); ``on_tick`` is invoked about every
     ``tick_s`` seconds of wall clock between waits (the health
     watchdog evaluates here).  An exception from either aborts the
-    run like a worker error would.
+    run like a worker error would.  ``endpoint`` (a listening
+    :class:`~repro.obs.MetricsHttpServer`) is answered from the same
+    wait: this loop is the parent's only thread.
 
     With ``mp_recovery`` on, a worker that dies mid-run (crash or
-    SIGKILL — ``mp_chaos_kill_worker`` injects one deliberately) is
-    restarted up to ``mp_max_restarts`` times: the controller joins the
-    corpse, announces ``peer_down`` to the survivors, respawns
-    generation+1 resuming at the fleet's elapsed time, and rewires
-    everyone once the replacement advertises its port.
+    SIGKILL — ``mp_chaos_kill_worker`` injects one deliberately,
+    ``mp_chaos_kill_after_s`` into the run) is restarted up to
+    ``mp_max_restarts`` times: the controller joins the corpse,
+    announces ``peer_down`` to the survivors, forks generation+1
+    resuming at the fleet's elapsed time, and rewires everyone once the
+    replacement advertises its port.
     """
     if spec.driver is None:
         raise ValueError("MpRunSpec.driver is required")
@@ -340,17 +382,16 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
     if timeout is None:
         timeout = config.horizon_us / 1e6 + 60.0
     restarts_left = config.mp_max_restarts if config.mp_recovery else 0
-    ctx = multiprocessing.get_context("spawn")
     workers: dict[int, tuple] = {}       # worker_id -> live (proc, conn)
     all_workers: list[tuple] = []        # every incarnation, for teardown
     ports: dict[int, int] = {}
     generations = {w: 0 for w in range(n_workers)}
-    chaos_timer = None
     try:
         for worker_id in range(n_workers):
-            workers[worker_id] = _spawn_worker(ctx, spec, config,
-                                               worker_id, n_workers, 0, 0.0)
-        all_workers.extend(workers.values())
+            workers[worker_id] = _start_worker(spec, config, worker_id,
+                                               n_workers, 0, 0.0, workers,
+                                               endpoint)
+            all_workers.append(workers[worker_id])
         deadline = time.monotonic() + timeout
         # handshake: a death here is fatal even with recovery on — no
         # run state exists yet worth saving
@@ -360,30 +401,34 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
         run_start = time.monotonic()
 
         victim = config.mp_chaos_kill_worker
-        if victim is not None:
-            chaos_timer = threading.Timer(config.mp_chaos_kill_after_s,
-                                          workers[victim][0].kill)
-            chaos_timer.daemon = True
-            chaos_timer.start()
-
+        chaos_at = (None if victim is None
+                    else run_start + config.mp_chaos_kill_after_s)
         results: dict[int, Any] = {}
         pending = set(workers)
         next_tick = (time.monotonic() + tick_s) if tick_s else None
         while pending:
-            remaining = deadline - time.monotonic()
+            now = time.monotonic()
+            if chaos_at is not None and now >= chaos_at:
+                workers[victim][0].kill()
+                chaos_at = None
+            remaining = deadline - now
             if remaining <= 0:
                 raise MpRunError(
                     f"timed out waiting for {len(pending)} worker(s) to "
                     f"report 'done' (raise RunConfig.run_timeout_s if "
                     f"the run is legitimately long)")
-            wait_s = remaining
-            if next_tick is not None:
-                wait_s = min(wait_s,
-                             max(0.0, next_tick - time.monotonic()))
+            wait_s = min(t - now for t in (deadline, next_tick, chaos_at)
+                         if t is not None)
             by_conn = {workers[w][1]: w for w in pending}
-            ready = multiprocessing.connection.wait(list(by_conn),
-                                                    timeout=wait_s)
+            waited = list(by_conn)
+            if endpoint is not None:
+                waited.append(endpoint)
+            ready = multiprocessing.connection.wait(waited,
+                                                    timeout=max(0.0, wait_s))
             for conn in ready:
+                if conn is endpoint:
+                    endpoint.answer()
+                    continue
                 w = by_conn[conn]
                 try:
                     msg = conn.recv()
@@ -395,8 +440,8 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
                             f"'done' (exit code {proc.exitcode})") from None
                     restarts_left -= 1
                     all_workers.append(_restart_worker(
-                        ctx, spec, config, w, n_workers, workers,
-                        ports, generations, run_start, deadline))
+                        spec, config, w, n_workers, workers, ports,
+                        generations, run_start, deadline, endpoint))
                     continue
                 if msg[0] == "error":
                     raise MpRunError(f"worker {msg[1]} failed:\n{msg[2]}")
@@ -428,19 +473,19 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
             proc.join(timeout=max(0.1, join_deadline - time.monotonic()))
         return [results[w] for w in range(n_workers)]
     finally:
-        if chaos_timer is not None:
-            chaos_timer.cancel()
-        _teardown(all_workers)
+        # a replacement whose handshake failed never reached all_workers
+        _teardown(all_workers + [w for w in workers.values()
+                                 if w not in all_workers])
 
 
-def _restart_worker(ctx, spec: MpRunSpec, config: Any, worker_id: int,
+def _restart_worker(spec: MpRunSpec, config: Any, worker_id: int,
                     n_workers: int, workers: dict[int, tuple],
                     ports: dict[int, int], generations: dict[int, int],
-                    run_start: float,
-                    deadline: float) -> tuple:
+                    run_start: float, deadline: float,
+                    endpoint: Any = None) -> tuple:
     """Replace a dead worker in a running fleet; returns the new
     (proc, conn) pair (also installed into ``workers``)."""
-    dead_proc, dead_conn = workers[worker_id]
+    dead_proc, dead_conn = workers.pop(worker_id)
     dead_gen = generations[worker_id]
     dead_proc.join(timeout=5.0)
     if dead_proc.is_alive():
@@ -452,16 +497,16 @@ def _restart_worker(ctx, spec: MpRunSpec, config: Any, worker_id: int,
         pass
     # survivors must stop waiting on the dead generation (and reap its
     # locks) before the replacement starts issuing new-generation txns
-    for sw, (_proc, sconn) in workers.items():
-        if sw != worker_id:
-            try:
-                sconn.send(("peer_down", worker_id, dead_gen))
-            except (BrokenPipeError, OSError):
-                pass
+    for _proc, sconn in workers.values():
+        try:
+            sconn.send(("peer_down", worker_id, dead_gen))
+        except (BrokenPipeError, OSError):
+            pass
     generations[worker_id] = dead_gen + 1
     resume_at_us = (time.monotonic() - run_start) * 1e6
-    replacement = _spawn_worker(ctx, spec, config, worker_id, n_workers,
-                                dead_gen + 1, resume_at_us)
+    replacement = _start_worker(spec, config, worker_id, n_workers,
+                                dead_gen + 1, resume_at_us, workers,
+                                endpoint)
     workers[worker_id] = replacement
     # private handshake: the newcomer rebuilds (workload population can
     # take a while), advertises, and gets the current fleet map

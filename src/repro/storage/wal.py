@@ -85,7 +85,7 @@ class WalSpec:
     mode: str = "off"
     dir: str | None = None
     """Directory holding ``server-<id>.wal`` files.  On the mp backend
-    the parent assigns one shared directory before spawning, so a
+    the parent assigns one shared directory before forking, so a
     respawned worker finds its predecessor's logs."""
 
     group_size: int = 8

@@ -9,10 +9,11 @@ list is :func:`consumers`: each example, ``experiments all --quick``,
 each step of CI's smoke job, the twelve paper cells, the conformance
 programs on every backend and the four ``benchmarks/e2e`` workloads at
 both trace levels) with a ``sitecustomize`` on ``PYTHONPATH``.  It
-installs ``sys.setprofile`` and ``threading.setprofile``, so spawned mp
-workers, the metrics HTTP thread and the chaos timer are traced as well,
-and at exit writes the ``(file, first line, name)`` of every code object
-it saw called.  Those are resolved through the AST to ``module:qualname``
+installs ``sys.setprofile`` and ``threading.setprofile``, so forked mp
+workers (which inherit the profiler) and threads are traced as well, and
+at exit writes the ``(file, first line, name)`` of every code object it
+saw called — at ``os._exit`` too in a forked child, since
+``multiprocessing`` ends one that way and it runs no ``atexit`` hook.  Those are resolved through the AST to ``module:qualname``
 keys (a decorated def's code starts at its first decorator) and written
 to ``executed_surface.json`` as ``entered``.  Its ``allow`` (key -> why
 it stays) and ``fault`` (key -> the crash-only path it is) maps are kept
@@ -62,7 +63,19 @@ def _dump():
         fh.write("".join(row + "\\n" for row in sorted(rows)))
 
 
+def _dump_at_os_exit():
+    # a forked multiprocessing child ends in os._exit: no atexit runs
+    real_exit = os._exit
+
+    def _exit(code):
+        _dump()
+        real_exit(code)
+
+    os._exit = _exit
+
+
 atexit.register(_dump)
+os.register_at_fork(after_in_child=_dump_at_os_exit)
 threading.setprofile(_profile)
 sys.setprofile(_profile)
 '''

@@ -123,7 +123,8 @@ NO_CONSUMER_YET = {
         "(tests/core/test_paper_examples.py)",
     "PlacementSpec.lease_ttl_us":
         "tests/obs/test_watchdog_chaos.py needs a 200 ms wall-clock lease "
-        "on mp, where a monkeypatch cannot reach the spawned workers",
+        "on mp; forked workers now see a monkeypatched constant, so it "
+        "can become one (ROADMAP B)",
 }
 """Config fields and CLI flags only tests set, each with why it stays.
 Fault-handling knobs are not here: CI's smoke job types them."""

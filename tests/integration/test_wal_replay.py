@@ -4,6 +4,9 @@ A shrunk run of each workload and executor with ``wal="group"`` must
 leave logs that :func:`replay_wal` reads back record for record: as many
 records as the run appended, none dropped as undecodable.  Chiller's
 logs hold all three roles (coordinator, participant, inner region).
+The mp case holds the same of logs written by forked workers, which
+``multiprocessing`` ends with ``os._exit``: nothing is flushed for them
+on the way out.
 """
 
 import os
@@ -40,18 +43,50 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_every_appended_record_replays(name, tmp_path):
-    config = RunConfig(n_partitions=3, concurrent_per_engine=4,
-                       horizon_us=2_000.0, warmup_us=200.0, seed=3,
-                       n_replicas=2, wal="group", wal_dir=str(tmp_path))
-    run = RUNS[name](config)
-    run.run()
-    appended = run.database.recovery.wal_appends
-    records = [record for file in sorted(os.listdir(tmp_path))
-               for record in replay_wal(os.path.join(tmp_path, file))]
+MP = dict(backend="mp", mp_workers=2, horizon_us=200_000.0,
+          run_timeout_s=120.0)
+"""Two worker processes for three servers, a wall-clock horizon."""
+
+
+def frames(path: str) -> int | None:
+    """How many length-prefixed frames (4-byte little-endian length,
+    then the record) tile the log to its last byte; None if the tail is
+    torn."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    offset = count = 0
+    while offset + 4 <= len(data):
+        offset += 4 + int.from_bytes(data[offset:offset + 4], "little")
+        count += 1
+    return count if offset == len(data) else None
+
+CASES = [pytest.param(name, {}, id=name) for name in sorted(RUNS)]
+CASES.append(pytest.param("ycsb", MP, id="ycsb-mp"))
+
+
+@pytest.mark.parametrize("name,backend", CASES)
+def test_every_appended_record_replays(name, backend, tmp_path):
+    config = RunConfig(**{**dict(
+        n_partitions=3, concurrent_per_engine=4, horizon_us=2_000.0,
+        warmup_us=200.0, seed=3, n_replicas=2, wal="group",
+        wal_dir=str(tmp_path)), **backend})
+    result = RUNS[name](config).run()
+    # on mp the workers' counts, merged; the parent appended nothing
+    appended = result.metrics.recovery_stats.wal_appends
+    records = []
+    for file in sorted(os.listdir(tmp_path)):
+        path = os.path.join(tmp_path, file)
+        replayed = replay_wal(path)
+        assert len(replayed) == frames(path), f"{file} does not replay whole"
+        records += replayed
     assert appended > 0
-    assert len(records) == appended
+    if config.backend == "mp":
+        # a worker's counts are shipped when it reports done, but it
+        # keeps appending for the other worker's coordinators until the
+        # stop: the logs hold at least the counted records, all whole
+        assert len(records) >= appended
+    else:
+        assert len(records) == appended
     roles = {record[2] for record in records if record[0] == R_PREPARE}
     if name == "tpcc-chiller":
         assert roles == {ROLE_COORDINATOR, ROLE_PARTICIPANT, ROLE_INNER}

@@ -1,6 +1,8 @@
 """Unit tests for exposition: Prometheus text, CSV, HTTP."""
 
 import asyncio
+import select
+import socket
 import urllib.error
 import urllib.request
 
@@ -91,31 +93,45 @@ def test_csv_is_wide_with_stable_sorted_columns():
 
 # -- HTTP endpoint ----------------------------------------------------------
 
+def answered_get(server, path: str) -> bytes:
+    """A ``GET`` of ``path`` answered by :meth:`answer` in this thread,
+    as the mp supervisor's wait loop answers one: the request queues in
+    the listen backlog and the socket buffer until ``answer`` runs."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=5) as client:
+        client.sendall(f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        readable, _, _ = select.select([server], [], [], 5)
+        assert readable == [server]  # fileno() is what the wait set polls
+        server.answer()
+        return client.makefile("rb").read()
+
+
 def test_http_server_scrapes_prometheus_text():
     tl = sample_timeline()
     server = MetricsHttpServer(0, lambda: to_prometheus(tl))
-    server.start()
+    server.listen()
     try:
         assert server.port != 0  # rebound to the ephemeral port
-        with urllib.request.urlopen(server.url, timeout=5) as response:
-            body = response.read().decode()
-            assert response.status == 200
-            assert "text/plain" in response.headers["Content-Type"]
-        assert 'repro_commits_total{server="0"} 7' in body
+        head, _, body = answered_get(server, "/metrics").partition(
+            b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 200 OK")
+        assert b"Content-Type: text/plain" in head
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert b'repro_commits_total{server="0"} 7' in body
     finally:
         server.stop()
 
 
 def test_http_server_404s_other_paths():
     server = MetricsHttpServer(0, lambda: "x 1\n")
-    server.start()
+    server.listen()
     try:
-        try:
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{server.port}/other", timeout=5)
-            raise AssertionError("expected HTTP 404")
-        except urllib.error.HTTPError as err:
-            assert err.code == 404
+        assert answered_get(server, "/other").startswith(
+            b"HTTP/1.0 404 Not Found")
+        # a scraper that hangs up before it asks costs one accept
+        socket.create_connection(("127.0.0.1", server.port)).close()
+        server.answer()
+        assert answered_get(server, "/metrics").endswith(b"\r\n\r\nx 1\n")
     finally:
         server.stop()
 

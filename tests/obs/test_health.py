@@ -10,8 +10,8 @@ INTERVAL = 100.0
 
 
 def row(t_us, server=0, counters=None, gauges=None, tenants=None,
-        final=False):
-    return TimelineSample(t_us=t_us, server=server,
+        final=False, gen=0):
+    return TimelineSample(t_us=t_us, server=server, gen=gen,
                           counters=counters or {}, gauges=gauges or {},
                           tenants=tenants or {}, final=final)
 
@@ -69,6 +69,35 @@ def test_silence_is_a_stall():
     events = dog.evaluate(INTERVAL * 4)
     assert [e.kind for e in events] == ["stall"]
     assert "silent" in events[0].message
+
+
+def test_a_new_generation_is_a_stall_however_short_the_gap():
+    """A forked respawn ships again within one interval, far inside the
+    silence window; the move to a new generation still reports the
+    death, once, naming the gap."""
+    dog = watchdog(HealthRule("stall", 0.0, window=3))
+    busy = {"admitted": 1.0, "completed": 1.0}
+    dog.ingest([row(INTERVAL, counters=busy)], at_us=INTERVAL)
+    assert dog.evaluate(INTERVAL) == []
+    dog.ingest([row(INTERVAL * 0.5, counters=busy, gen=1)],
+               at_us=INTERVAL * 2.5)
+    events = dog.evaluate(INTERVAL * 2.5)
+    assert [(e.kind, e.server, e.value) for e in events] == [
+        ("stall", 0, INTERVAL * 1.5)]
+    assert "silent for 150us across a restart" in events[0].message
+    dog.ingest([row(INTERVAL * 1.5, counters=busy, gen=1)],
+               at_us=INTERVAL * 3.5)
+    assert dog.evaluate(INTERVAL * 3.5) == []
+
+
+def test_a_restart_after_a_reported_silence_is_the_same_incident():
+    dog = watchdog(HealthRule("stall", 0.0, window=3))
+    busy = {"admitted": 1.0, "completed": 1.0}
+    dog.ingest([row(INTERVAL, counters=busy)])
+    events = dog.evaluate(INTERVAL * 4)
+    assert [e.kind for e in events] == ["stall"]
+    dog.ingest([row(INTERVAL * 5, counters=busy, gen=1)])
+    assert dog.evaluate(INTERVAL * 5) == []
 
 
 def test_a_finished_server_is_retired_from_silence_detection():

@@ -169,7 +169,7 @@ while True:
 """
 
 
-def test_prometheus_endpoint_is_live_during_an_aio_run():
+def scrape_during_a_run(backend: str, horizon_us: float) -> None:
     """The endpoint the harness opens for ``metrics_port``: scraped
     while the run is still going, closed when it returns.
 
@@ -186,8 +186,8 @@ def test_prometheus_endpoint_is_live_during_an_aio_run():
     try:
         assert scraper.stdout.readline() == "ready\n"
         config = RunConfig(n_partitions=2, concurrent_per_engine=2,
-                           horizon_us=400_000.0, warmup_us=0.0,
-                           n_replicas=0, backend="aio",
+                           horizon_us=horizon_us, warmup_us=0.0,
+                           n_replicas=0, backend=backend,
                            metrics_interval=20_000.0, metrics_port=port)
         result = make_ycsb_run("2pl", config,
                                workload=YcsbWorkload(n_keys=200)).run()
@@ -207,3 +207,13 @@ def test_prometheus_endpoint_is_live_during_an_aio_run():
     opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
     with pytest.raises(OSError):  # connection refused: the port is closed
         opener.open(url, timeout=1.0)
+
+
+def test_prometheus_endpoint_is_live_during_an_aio_run():
+    scrape_during_a_run("aio", 400_000.0)
+
+
+def test_prometheus_endpoint_is_live_during_an_mp_run():
+    """On mp the supervisor's wait loop answers the scrape, between two
+    waits on its workers' pipes: the parent runs no thread."""
+    scrape_during_a_run("mp", 600_000.0)

@@ -97,3 +97,17 @@ def test_the_merged_pieces_stay_single():
     for gone in ("asyncio.Queue", "StreamReader", "start_server",
                  "open_connection", "create_task"):
         assert gone not in transport, gone
+
+
+def test_one_start_method_and_no_thread_in_the_forking_parent():
+    """mp workers fork from a parent that runs no thread of its own
+    while it supervises: a lock another thread holds at the fork stays
+    held in the child for good."""
+    threads = {"threading", "_thread", "concurrent", "http.server",
+               "socketserver"}
+    for path in (SIM / "supervisor.py", SRC / "obs" / "expose.py"):
+        assert not reaches(path, threads), path.name
+    contexts = [context for path in sorted(SRC.rglob("*.py"))
+                for context in re.findall(r"get_context\(([^)]*)\)",
+                                          path.read_text())]
+    assert contexts == ['"fork"']

@@ -1,13 +1,16 @@
 """Multiprocess backend: conformance, benchmark path, and teardown.
 
-These tests spawn real worker processes (multiprocessing "spawn"), so
-the builders and drivers they hand the workers live at module level —
-the children re-import them by reference.
+These tests fork real worker processes.  The builders and drivers
+they hand the workers live at module level for legibility only: a
+forked child inherits them, nothing is pickled on the way in.
 """
 
 import asyncio
 import dataclasses
 import multiprocessing
+import os
+import signal
+import time
 from collections import Counter
 from functools import partial
 from types import SimpleNamespace
@@ -20,7 +23,9 @@ from repro.bench.conformance import (DRIVER_HOME, build_conformance_run,
                                      conformance_requests, decision_program,
                                      run_conformance)
 from repro.bench.setups import make_tpcc_run
+from repro.obs import MetricsHttpServer
 from repro.obs.export import critical_path, trace_tree
+from repro.sched import conflict
 from repro.sim import (All, Await, BatchedOneSided, MpRunError, MpRunSpec,
                        MpTemplateCluster, NetworkStats, OneSided, Rpc,
                        Signal, Sleep, TcpTransport, run_mp_workers)
@@ -344,6 +349,124 @@ def test_hung_worker_is_terminated_not_leaked():
     assert no_leaked_workers()
 
 
+def test_a_replacement_stuck_in_its_handshake_is_not_leaked(monkeypatch,
+                                                           tmp_path):
+    """A respawn that never advertises its port times the run out from
+    inside the restart; teardown must still reach that replacement.
+    (The patch reaches the workers because they fork.)"""
+    from repro.sim import supervisor
+    real_body = supervisor._worker_body
+
+    def stuck_respawn(conn, spec, config, worker_id, n_workers, generation,
+                      resume_at_us):
+        if generation > 0:
+            time.sleep(3600)
+        real_body(conn, spec, config, worker_id, n_workers, generation,
+                  resume_at_us)
+
+    monkeypatch.setattr(supervisor, "_worker_body", stuck_respawn)
+    config = mp_config(run_timeout_s=4.0, wal="group",
+                       wal_dir=str(tmp_path), mp_recovery=True,
+                       mp_max_restarts=1, mp_chaos_kill_worker=1,
+                       mp_chaos_kill_after_s=0.0)
+    spec = MpRunSpec(builder=build_conformance_run, args=(config,),
+                     driver=hanging_driver)
+    with pytest.raises(MpRunError, match="to report 'port'"):
+        run_mp_workers(spec, config)
+    assert no_leaked_workers()
+
+
+# -- fork hygiene ---------------------------------------------------------------
+#
+# A forked worker starts as a copy of the parent: every descriptor,
+# signal handler and module global.  It must shed the parent's
+# descriptors (holding a sibling's control pipe or the metrics
+# listener open would outlive the parent's close of it) and keep the
+# globals (a constant a test patches now reaches the workers).
+
+
+def socket_inodes() -> set[int]:
+    """The inode of every socket this process holds a descriptor of.
+
+    Sockets only: each end of a control pipe (a socketpair) has an inode
+    of its own, where both ends of an ``os.pipe`` — such as the sentinel
+    ``multiprocessing`` keeps per child — share one."""
+    inodes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # the listing's own descriptor, closed by now
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
+
+
+def inheritance_driver(run_obj, cluster, worker_id):
+    """Reports, from inside the worker, what it kept of the parent."""
+    kept = {"inodes": socket_inodes(),
+            "sigterm": signal.getsignal(signal.SIGTERM),
+            "sigint": signal.getsignal(signal.SIGINT),
+            "max_queue_per_class": conflict.MAX_QUEUE_PER_CLASS}
+    return lambda: kept
+
+
+def run_inheritance(config, **hooks) -> list[dict]:
+    return run_mp_workers(MpRunSpec(builder=build_conformance_run,
+                                    args=(config,),
+                                    driver=inheritance_driver),
+                          config, **hooks)
+
+
+def test_a_worker_holds_no_pipe_of_the_parent_nor_its_listener():
+    """Every socket the parent opens during the run is its end of a
+    worker's control pipe (the workers' own ends it closes at once);
+    the listener predates the run.  No worker may hold either."""
+    config = mp_config()
+    endpoint = MetricsHttpServer(0, str)
+    endpoint.listen()
+    listener = os.fstat(endpoint.fileno()).st_ino
+    before = socket_inodes()
+    during: list[set[int]] = []
+    try:
+        payloads = run_inheritance(
+            config, on_tick=lambda: during.append(socket_inodes()),
+            tick_s=0.001, endpoint=endpoint)
+    finally:
+        endpoint.stop()
+    parent_ends = set().union(*during) - before
+    assert len(parent_ends) >= 2, "no tick saw the fleet's pipes"
+    assert listener in before
+    for kept in payloads:
+        assert listener not in kept["inodes"]
+        assert not parent_ends & kept["inodes"]
+    assert no_leaked_workers()
+
+
+def test_a_worker_restores_the_default_signal_handlers():
+    """``terminate`` (SIGTERM) must stop a worker whatever handler the
+    parent runs under."""
+    def handler(signum, frame):
+        pass
+
+    old = {sig: signal.signal(sig, handler)
+           for sig in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        payloads = run_inheritance(mp_config())
+    finally:
+        for sig, previous in old.items():
+            signal.signal(sig, previous)
+    for kept in payloads:
+        assert kept["sigterm"] == signal.SIG_DFL
+        assert kept["sigint"] is signal.default_int_handler
+
+
+def test_a_constant_patched_in_the_parent_reaches_every_worker(monkeypatch):
+    monkeypatch.setattr(conflict, "MAX_QUEUE_PER_CLASS", 3)
+    payloads = run_inheritance(mp_config())
+    assert [kept["max_queue_per_class"] for kept in payloads] == [3, 3]
+
+
 # -- wire path: the pickle escape hatch ----------------------------------------
 #
 # Struct-packed hot-verb frames must be invisible to decision logic: the
@@ -374,7 +497,7 @@ def test_recovery_without_a_durable_wal_fails_before_any_spawn(monkeypatch):
     from repro.bench.setups import make_ycsb_run
     from repro.sim import supervisor
 
-    monkeypatch.setattr(supervisor, "_spawn_worker",
+    monkeypatch.setattr(supervisor, "_start_worker",
                         lambda *args: pytest.fail("spawned a worker"))
     run = make_ycsb_run("2pl", mp_config(mp_recovery=True, wal="off"))
     with pytest.raises(ValueError, match=r'wal="fsync"\|"group"'):
