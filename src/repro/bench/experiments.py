@@ -68,6 +68,13 @@ Overrides = Mapping[str, object]
 """``RunConfig`` field -> value, applied on top of a sweep's own cell
 configuration (what the CLI's flags become; see :func:`main`)."""
 
+WALLCLOCK_HORIZON_US = 1_000_000.0
+WALLCLOCK_QUICK_HORIZON_US = 200_000.0
+"""A figure cell's horizon (full, ``--quick``) on aio or mp, where it is
+real time; the warmup is a tenth of it.  The simulated cells' few ms
+end before a fleet of freshly forked workers commits much: at 5 ms,
+``fig9a --quick --backend mp`` printed 0.00 in most cells."""
+
 
 # -- Section 7.2: Instacart (Figs. 7 & 8, lookup size, partitioner cost) ----
 
@@ -75,9 +82,13 @@ def instacart_config(n_partitions: int, quick: bool = False,
                      seed: int = 2,
                      overrides: Overrides | None = None) -> RunConfig:
     overrides = overrides or {}
+    if overrides.get("backend", "sim") == "sim":
+        horizon, warmup = (4_000.0, 500.0) if quick else (12_000.0, 2_000.0)
+    else:
+        horizon = WALLCLOCK_QUICK_HORIZON_US if quick else WALLCLOCK_HORIZON_US
+        warmup = horizon / 10
     cell = dict(n_partitions=n_partitions, concurrent_per_engine=4,
-                horizon_us=4_000.0 if quick else 12_000.0,
-                warmup_us=500.0 if quick else 2_000.0,
+                horizon_us=horizon, warmup_us=warmup,
                 seed=seed, n_replicas=1,
                 # open-loop arrivals pin each request to its scheduled
                 # home; data-affinity routing is a closed-loop worker
@@ -168,11 +179,15 @@ def print_cost(rows: list[dict]) -> None:
 def tpcc_config(n_partitions: int, concurrent: int, quick: bool = False,
                 seed: int = 3,
                 overrides: Overrides | None = None) -> RunConfig:
+    overrides = overrides or {}
+    if overrides.get("backend", "sim") == "sim":
+        horizon, warmup = (5_000.0, 500.0) if quick else (15_000.0, 2_000.0)
+    else:
+        horizon = WALLCLOCK_QUICK_HORIZON_US if quick else WALLCLOCK_HORIZON_US
+        warmup = horizon / 10
     cell = dict(n_partitions=n_partitions, concurrent_per_engine=concurrent,
-                horizon_us=5_000.0 if quick else 15_000.0,
-                warmup_us=500.0 if quick else 2_000.0,
-                seed=seed, n_replicas=1)
-    return RunConfig(**{**cell, **(overrides or {})})
+                horizon_us=horizon, warmup_us=warmup, seed=seed, n_replicas=1)
+    return RunConfig(**{**cell, **overrides})
 
 
 def fig9_rows(concurrency: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),

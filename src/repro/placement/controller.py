@@ -106,14 +106,6 @@ class PlacementSpec:
     min_window_commits: int = 16
     """Don't re-plan on windows with fewer observed commits."""
 
-    lease_ttl_us: float = 5_000.0
-    """Controller-lease time-to-live on the mp backend.  Every worker
-    runs a candidate loop; whoever holds the lease (granted by the
-    ``lease_acquire`` verb against :data:`CONTROLLER_HOME`'s server) plans
-    and migrates that epoch.  A holder that stops renewing — its worker
-    process died — loses the lease once the TTL lapses and a surviving
-    candidate takes over (a *controller failover*)."""
-
     @property
     def adaptive(self) -> bool:
         return self.kind == "adaptive"

@@ -47,6 +47,16 @@ from .telemetry import AccessTelemetry, TelemetryWindow
 
 RPC_FLIP = "placement_flip"
 
+LEASE_TTL_US = 5_000.0
+"""Controller-lease time-to-live on the mp backend.  Every worker runs
+a candidate loop (:func:`lease_controller_loop`); whoever holds the
+lease (granted by the ``lease_acquire`` verb against
+``CONTROLLER_HOME``'s server) plans and migrates that epoch.  A holder
+that stops renewing — its worker process died — loses the lease once
+the TTL lapses and a surviving candidate takes over (a *controller
+failover*).  Read at each use, so a value patched in the parent reaches
+forked workers."""
+
 
 # -- server-side verbs --------------------------------------------------------
 
@@ -334,7 +344,7 @@ def lease_controller_loop(db, telemetry: dict[int, AccessTelemetry],
     me = cluster.worker_id
     last_known = None  # most recent holder any reply disclosed
     if cluster.generation or not cluster.owns(lease_server):
-        yield Sleep(spec.lease_ttl_us)
+        yield Sleep(LEASE_TTL_US)
     now_fn = lambda: db.cluster.sim.now  # noqa: E731 - tiny closure
     while now_fn() < horizon_us:
         yield Sleep(spec.epoch_us)
@@ -348,7 +358,7 @@ def lease_controller_loop(db, telemetry: dict[int, AccessTelemetry],
         reply = yield OneSided(
             lease_server,
             _lease_acquire_op(db, lease_server, me, now,
-                              spec.lease_ttl_us),
+                              LEASE_TTL_US),
             kind="placement_lease")
         if reply == PEER_DOWN or reply is None:
             continue  # lease server's worker is down: retry next epoch

@@ -176,20 +176,63 @@ def _walk(obj: Any, depth: int, seen: set[int]) -> int:
     return total
 
 
+_SCALAR_BYTES = {int: 8, float: 8, bool: 1, type(None): 1, str: 0}
+"""What the walk charges each value type the bulk sizing of
+:func:`write_set_bytes` knows (a str: its length, added apart)."""
+
+_BULK_ABOVE = 4
+"""Write sets of at most this many writes are walked: below it the
+per-write loop is faster than the bulk passes' fixed cost."""
+
+
 def write_set_bytes(writes: tuple, depth: int = 0) -> int:
     """:func:`approx_payload_bytes` of the write set ``writes``, a tuple
     of ``(kind, table, key, values)`` writes, as the walk sizes it at
     ``depth`` inside its message — to the byte.
 
-    The commit path ships one shape, so it is sized inline: a write, its
-    key tuple and its values dict are one loop each here instead of one
-    generic walk apiece.  Anything else (a deeper container, a
-    dataclass, an opaque object, a write set near the depth cap) goes to
-    the walk with the same ``seen`` set, so back-references and the cap
-    come out as the walk's.
+    The commit path ships one shape: ``(str, str, tuple of int, dict of
+    str -> int / float / bool / None / str)`` writes that share no
+    container.  A set of more than :data:`_BULK_ABOVE` such writes is
+    sized in bulk, by whole-set passes (``zip``, type sets, summed
+    lengths) that run in C; the byte count is the walk's.  Any other
+    set is walked inline: a write, its key tuple and its values dict
+    are one loop each here instead of one generic walk apiece.  Anything
+    else in them (a deeper container, a dataclass, an opaque object, a
+    write set near the depth cap) goes to the walk with the same
+    ``seen`` set, so back-references and the cap come out as the
+    walk's.
     """
     if depth + 2 >= PAYLOAD_WALK_MAX_DEPTH:
         return _walk(writes, depth, set())
+    n = len(writes)
+    if n > _BULK_ABOVE and writes.__class__ is tuple:
+        # the walk charges 8 per container, 8 per int or float, 1 per
+        # bool or None and its length per str; it charges a container it
+        # meets twice as a back-reference, so every one must be distinct
+        # (a repeated write repeats its key tuple, and nothing of these
+        # types can contain the write set or a write)
+        if (set(map(type, writes)) == {tuple}
+                and set(map(len, writes)) == {4}):
+            kinds, tables, keys, values = zip(*writes)
+            if ({*map(type, kinds), *map(type, tables)} == {str}
+                    and set(map(type, keys)) == {tuple}
+                    and set(map(type, values)) == {dict}
+                    and set(map(type, chain.from_iterable(keys))) <= {int}
+                    and len({*map(id, keys), *map(id, values)}) == 2 * n):
+                names = list(chain.from_iterable(values))
+                scalars = list(chain.from_iterable(map(dict.values, values)))
+                types = list(map(type, scalars))
+                known = set(types)
+                if (set(map(type, names)) <= {str}
+                        and known <= _SCALAR_BYTES.keys()):
+                    return (8 + 24 * n + sum(map(len, kinds))
+                            + sum(map(len, tables))
+                            + 8 * sum(map(len, keys))
+                            + sum(map(len, names))
+                            + sum(map(_SCALAR_BYTES.__getitem__, types))
+                            + (sum(map(len, filter(str.__instancecheck__,
+                                                   scalars)))
+                               if str in known else 0))
     shapes = _SHAPE_OF
     seen = {id(writes)}
     below = depth + 3           # the depth of a field's own children

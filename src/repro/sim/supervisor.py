@@ -29,7 +29,9 @@ forked child inherits and a spawned one never had (ARCHITECTURE.md,
 **Lifecycle.**  Workers exchange listener ports through the parent, drive their share of the load, report
 ``done`` with their metrics payload at local quiescence, and keep
 *serving* remote requests until the parent — having heard from every
-worker — broadcasts ``stop``.  Teardown is unconditional: on success,
+worker — broadcasts ``stop``.  Then each ships the payload once more
+(``late``): its stats went on counting that service, and the parent
+keeps the later copy.  Teardown is unconditional: on success,
 failure, or timeout the parent joins every worker, escalating to
 ``terminate``/``kill`` so an aborted run can never leak processes.
 """
@@ -298,7 +300,8 @@ async def _serve_worker(cluster: WorkerCluster, conn,
                 # the done payload so the parent's timeline is complete
                 # when the quiescence merge runs
                 ship_samples(sampler.flush(cluster.clock.now))
-            conn.send(("done", worker_id, finalize()))
+            payload = finalize()
+            conn.send(("done", worker_id, payload))
             # keep serving foreign requests until every worker reported
             # done and the parent broadcast the stop
             await stop.wait()
@@ -306,6 +309,12 @@ async def _serve_worker(cluster: WorkerCluster, conn,
             while (loop.time() < deadline
                    and not (cluster._active == 0 and transport.idle())):
                 await asyncio.sleep(0.01)
+            # the payload holds the live stats objects, which went on
+            # counting that service (WAL appends, traffic): ship them
+            # again, after the timeline's interval since the done flush
+            if sampler is not None:
+                ship_samples(sampler.flush(cluster.clock.now))
+            conn.send(("late", worker_id, payload))
     finally:
         loop.remove_reader(conn.fileno())
 
@@ -444,6 +453,15 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
                         generations, run_start, deadline, endpoint))
                     continue
                 if msg[0] == "error":
+                    # a peer's death reaches its survivors as connection
+                    # errors, sometimes before its own pipe reads EOF
+                    dead = [proc for proc, _conn in workers.values()
+                            if proc.exitcode not in (None, 0)]
+                    if dead and restarts_left <= 0:
+                        raise MpRunError(
+                            f"worker {dead[0].name} died before reporting "
+                            f"'done' (exit code {dead[0].exitcode}); "
+                            f"worker {msg[1]} failed:\n{msg[2]}")
                     raise MpRunError(f"worker {msg[1]} failed:\n{msg[2]}")
                 if msg[0] == "metrics_sample":
                     if on_sample is not None:
@@ -469,6 +487,28 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
             except (BrokenPipeError, OSError):
                 pass
         join_deadline = time.monotonic() + _STOP_GRACE_S + 5.0
+        # each worker's payload again, counted on until it stopped
+        # serving; one that dies (or errs) first keeps its done payload
+        late = {workers[w][1]: w for w in workers}
+        while late:
+            ready = multiprocessing.connection.wait(
+                list(late),
+                timeout=max(0.0, join_deadline - time.monotonic()))
+            if not ready:
+                break
+            for conn in ready:
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    del late[conn]
+                    continue
+                if msg[0] == "metrics_sample":
+                    if on_sample is not None:
+                        on_sample(msg[1], msg[2])
+                    continue
+                w = late.pop(conn)
+                if msg[0] == "late":
+                    results[w] = msg[2]
         for proc, _parent in workers.values():
             proc.join(timeout=max(0.1, join_deadline - time.monotonic()))
         return [results[w] for w in range(n_workers)]

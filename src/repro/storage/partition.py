@@ -6,8 +6,9 @@ embedded lock word, a lock check that takes nothing (Chiller's inner
 region), record read/write/insert/delete — and records
 *contention spans* (time from lock acquisition to release) so experiments
 can report how long hot records stay locked.  Only the lock operations
-hash a key (to find its bucket); record operations are one probe of the
-table's record dict.
+hash a key (to find its bucket), and a check in a table where nobody
+holds a lock does not; record operations are one probe of the table's
+record dict.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ class PartitionStore:
                  track_spans: bool = False):
         self.partition_id = partition_id
         self._tables: dict[str, BucketStore] = {}
+        # table -> how many of the ``_held`` entries below name it: while
+        # it is 0 no lock word of the table is held, so a check there
+        # needs no bucket
+        self._holds: dict[str, int] = {}
         for spec in tables:
             self.create_table(spec)
         self._now = now_fn or (lambda: 0.0)
@@ -95,6 +100,7 @@ class PartitionStore:
         if spec.name in self._tables:
             raise ValueError(f"table {spec.name!r} already exists")
         self._tables[spec.name] = BucketStore(spec.name, spec.n_buckets)
+        self._holds[spec.name] = 0
 
     def table(self, name: str) -> BucketStore:
         store = self._tables.get(name)
@@ -128,6 +134,7 @@ class PartitionStore:
             self._held.setdefault(owner, []).append(
                 (table, key, lock,
                  0.0 if self.spans is None else self._now()))
+            self._holds[table] += 1
         return True
 
     def check_lock(self, table: str, key: Key, mode: LockMode,
@@ -142,7 +149,11 @@ class PartitionStore:
         its section was granted so far: with a span tracker, every check
         counts as an attempt and the first grant of a bucket as a
         zero-length hold, as an acquire and release in one event would.
+        Without a tracker, a table where nobody holds a lock admits
+        every check, and the key is not hashed.
         """
+        if self.spans is None and not self._holds[table]:
+            return True
         buckets = self._tables[table]
         lock = buckets.lock_if_any(key)
         ok = lock is None or lock.admits(mode)
@@ -158,7 +169,9 @@ class PartitionStore:
         """Release every lock ``owner`` holds here; returns count released."""
         entries = self._held.pop(owner, [])
         released = set()
+        holds = self._holds
         for table, key, lock, acquired in entries:
+            holds[table] -= 1
             if id(lock) not in released:
                 lock.release(owner)
                 released.add(id(lock))

@@ -49,11 +49,13 @@ from repro.bench.setups import make_tpcc_run, make_ycsb_run
 from repro.core import RegionPlanner
 from repro.workloads.ycsb import YcsbWorkload
 
-HASHES_PER_COMMIT = 20
+HASHES_PER_COMMIT = 3
 """Storage hashes once per lock-word lookup and nowhere else: this run
 makes 18.2 ``try_lock`` and ``check_lock`` calls per commit (attempts
-that abort included; ``release_all`` needs no lookup).  The record
-operations (reads, version checks, writes, inserts, deletes on
+that abort included; ``release_all`` needs no lookup), and hashes 2.54
+keys per commit, since a check in a table where nobody holds a lock
+looks nothing up (18.2 per commit while every check hashed).  The
+record operations (reads, version checks, writes, inserts, deletes on
 primaries and replicas) must add none."""
 MIXER_ROUNDS_PER_COMMIT = 10
 """Rounds the memo misses (and so computes) per commit, starting from an

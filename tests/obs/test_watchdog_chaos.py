@@ -25,7 +25,7 @@ import pytest
 
 from repro.bench import RunConfig
 from repro.bench.setups import make_ycsb_run
-from repro.placement import PlacementSpec
+from repro.placement import PlacementSpec, migration
 from repro.workloads.ycsb import YcsbWorkload
 
 INTERVAL_US = 100_000.0  # 100ms wall per sample on the mp backend
@@ -45,7 +45,7 @@ def chaos_config(tmp_path) -> RunConfig:
         wal="group", wal_dir=str(tmp_path),
         mp_recovery=True, mp_max_restarts=1,
         mp_chaos_kill_worker=VICTIM, mp_chaos_kill_after_s=1.2,
-        placement=PlacementSpec(kind="adaptive", lease_ttl_us=200_000.0),
+        placement=PlacementSpec(kind="adaptive"),
         metrics_interval=INTERVAL_US)
 
 
@@ -58,7 +58,10 @@ def chaos_result(tmp_path_factory):
     config = chaos_config(tmp_path)
     run = make_ycsb_run("2pl", config,
                         workload=YcsbWorkload(n_keys=512))
-    result = run.run()
+    with pytest.MonkeyPatch.context() as patch:
+        # forked workers (the respawn too) see the parent's value
+        patch.setattr(migration, "LEASE_TTL_US", 200_000.0)
+        result = run.run()
     assert no_leaked_workers()
     return result
 

@@ -15,7 +15,7 @@ from repro.bench.conformance import (MIGRATION_HOT_KEY, build_conformance_run,
                                      conformance_config)
 from repro.bench.metrics import APP_ABORTS
 from repro.placement import (CONTROLLER_HOME, MigrationExecutor,
-                             PlacementSpec, PlacementStats)
+                             PlacementSpec, PlacementStats, migration)
 import pytest
 
 from repro.sim import All, OneSided, Sleep
@@ -226,7 +226,7 @@ def test_static_runs_never_classify_misses_as_migrated():
     assert not db.moved_since("accounts", 1, 0)
 
 
-def test_lease_failover_is_counted_when_holder_stops_renewing():
+def test_lease_failover_is_counted_when_holder_stops_renewing(monkeypatch):
     """Deterministic leader-election handover on the simulator.
 
     Candidate 0 hosts the lease cell, so it bids first (candidate 1
@@ -243,8 +243,8 @@ def test_lease_failover_is_counted_when_holder_stops_renewing():
 
     run = build_sim_run()
     db = run.database
+    monkeypatch.setattr(migration, "LEASE_TTL_US", 2_500.0)
     spec = PlacementSpec(kind="adaptive", epoch_us=1_000.0,
-                         lease_ttl_us=2_500.0,
                          min_window_commits=10 ** 9)  # bid, never plan
 
     def candidate(worker_id: int, horizon_us: float):

@@ -17,7 +17,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench import RunConfig, make_cluster, run_benchmark
+from repro.bench import RunConfig, experiments, make_cluster, run_benchmark
+from repro.bench.experiments import TPCC_EXECUTORS
 from repro.bench.conformance import (DRIVER_HOME, build_conformance_run,
                                      conformance_config,
                                      conformance_requests, decision_program,
@@ -261,6 +262,18 @@ def test_tpcc_cell_runs_on_mp_backend():
     assert no_leaked_workers()
 
 
+@pytest.mark.parametrize("executor", TPCC_EXECUTORS)
+def test_a_quick_two_worker_figure_cell_commits(executor, monkeypatch):
+    """``fig9a --quick --backend mp --workers 2``: each executor's cell
+    commits inside its measurement window (at the simulated cells'
+    5 ms horizon most of them printed 0.00)."""
+    monkeypatch.setattr(experiments, "TPCC_EXECUTORS", (executor,))
+    rows = experiments.fig9_rows(concurrency=(1,), quick=True,
+                                 overrides=dict(backend="mp", mp_workers=2))
+    assert rows[0][f"{executor}_throughput"] > 0
+    assert no_leaked_workers()
+
+
 def test_mp_timeline_counts_wire_bytes_as_they_leave():
     """Regression: the transport used to keep its own byte count and
     fold it into the stats at quiescence, so every live row read zero
@@ -465,6 +478,48 @@ def test_a_constant_patched_in_the_parent_reaches_every_worker(monkeypatch):
     monkeypatch.setattr(conflict, "MAX_QUEUE_PER_CLASS", 3)
     payloads = run_inheritance(mp_config())
     assert [kept["max_queue_per_class"] for kept in payloads] == [3, 3]
+
+
+class PickleCount:
+    """A worker payload that counts the times it is pickled (once per
+    message it rides) and ends its process instead of pickle ``die_at``."""
+
+    def __init__(self, die_at=None):
+        self.pickled = 0
+        self.die_at = die_at
+
+    def __getstate__(self):
+        self.pickled += 1
+        if self.pickled == self.die_at:
+            os._exit(0)
+        return self.__dict__
+
+
+def run_counted_payloads(die_at=None) -> list[int]:
+    def driver(run_obj, cluster, worker_id):
+        payload = PickleCount(die_at)
+        return lambda: payload
+
+    config = mp_config()
+    payloads = run_mp_workers(MpRunSpec(builder=build_conformance_run,
+                                        args=(config,), driver=driver),
+                              config)
+    return [payload.pickled for payload in payloads]
+
+
+def test_a_worker_ships_its_payload_again_once_it_stops_serving():
+    """What a worker counts after ``done`` (serving the other workers
+    until the stop) comes home in its second shipment, which the parent
+    keeps ..."""
+    assert run_counted_payloads() == [2, 2]
+    assert no_leaked_workers()
+
+
+def test_a_worker_that_dies_after_done_keeps_its_done_payload():
+    """... and a worker that dies before that shipment leaves the run
+    its ``done`` payload."""
+    assert run_counted_payloads(die_at=2) == [1, 1]
+    assert no_leaked_workers()
 
 
 # -- wire path: the pickle escape hatch ----------------------------------------

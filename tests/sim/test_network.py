@@ -762,3 +762,133 @@ def test_the_write_set_sizer_is_the_walk_at_every_depth():
                     == 8 * min(depth, PAYLOAD_WALK_MAX_DEPTH)
                     + write_set_bytes(writes, depth))
     check()
+
+
+class _Name(str):
+    """A str subclass: the walk sizes it as a str, the bulk pass refuses it."""
+
+
+class _Count(int):
+    """An int subclass: the walk sizes it as an int, the bulk pass refuses
+    it."""
+
+
+def _commit_shaped_write_sets():
+    """Write sets of 0-40 writes, about half of them the commit path's
+    one shape all through (``(str, str, tuple of int, dict of str ->
+    scalar)``, no container shared) and the rest with some writes bent
+    away from it: str and int subclasses, bools in keys, keys that are
+    not str, nested and cyclic values, a key tuple, a values dict or a
+    whole write repeated by reference, a write that is a list."""
+    from hypothesis import strategies as st
+
+    scalars = st.one_of(st.none(), st.booleans(),
+                        st.integers(-2 ** 40, 2 ** 40),
+                        st.floats(allow_nan=False), st.text(max_size=8))
+    names = st.text(max_size=8)
+
+    @st.composite
+    def write_set(draw):
+        bent = draw(st.booleans())
+        writes = []
+        for _ in range(draw(st.integers(0, 40))):
+            kind = draw(st.sampled_from(["update", "insert", "delete"]))
+            table = draw(st.sampled_from(["stock", "order_line", "t", ""]))
+            key = tuple(draw(st.lists(st.integers(0, 2 ** 31), min_size=1,
+                                      max_size=3)))
+            values = draw(st.dictionaries(names, scalars, max_size=6))
+            how = draw(st.integers(0, 15)) if bent else -1
+            other = writes[draw(st.integers(0, len(writes) - 1))] \
+                if writes else None
+            if how == 0:
+                kind = _Name(kind)
+            elif how == 1:
+                key += (draw(st.booleans()),)
+            elif how == 2:
+                key += (_Count(draw(st.integers())),)
+            elif how == 3:
+                values[_Name("n")] = draw(scalars)
+            elif how == 4:
+                values[draw(st.integers())] = draw(scalars)
+            elif how == 5:
+                values["c"] = _Count(draw(st.integers()))
+            elif how == 6:
+                values["s"] = _Name(draw(st.text(max_size=4)))
+            elif how == 7:
+                values["nested"] = draw(st.lists(
+                    st.dictionaries(names, scalars, max_size=2), max_size=2))
+            elif how == 8:
+                values["self"] = values
+            elif how == 9 and other is not None:
+                key = other[2]
+            elif how == 10 and other is not None:
+                values = other[3]
+            elif how == 11 and other is not None:
+                writes.append(other)
+                continue
+            elif how == 12:
+                writes.append([kind, table, key, values])
+                continue
+            elif how == 13:
+                key = draw(st.text(max_size=4))
+            elif how == 14:
+                writes.append((kind, table, key, values, None))
+                continue
+            elif how == 15:
+                key = ()            # one object, however often it is made
+            writes.append((kind, table, key, values))
+        return tuple(writes)
+    return write_set()
+
+
+def test_the_write_set_sizer_is_the_walk_for_any_write_set():
+    """Bulk or walked, the sizer charges every write set of up to 40
+    writes exactly what the walk does, at every depth up to past the
+    cap."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.sim import write_set_bytes
+    from repro.sim.network import PAYLOAD_WALK_MAX_DEPTH, _walk
+
+    depths = st.one_of(st.just(0), st.just(2), st.integers(
+        PAYLOAD_WALK_MAX_DEPTH - 4, PAYLOAD_WALK_MAX_DEPTH + 1))
+
+    @settings(max_examples=400, deadline=None)
+    @given(writes=_commit_shaped_write_sets(), depth=depths)
+    def check(writes, depth):
+        assert write_set_bytes(writes, depth) == _walk(writes, depth, set())
+    check()
+
+
+class _NoShapes(dict):
+    def get(self, cls, default=None):
+        raise AssertionError(f"walked a {cls.__name__}")
+
+
+def test_a_commit_shaped_set_of_five_writes_is_sized_in_bulk(monkeypatch):
+    """The bulk pass sizes the commit path's shape without the walk's
+    per-class table; four writes or a shared values dict still walk."""
+    from repro.sim import write_set_bytes
+
+    def writes(n, values=None):
+        return tuple(("update", "stock", (0, i),
+                      {"s_quantity": 42, "s_ytd": 8.5, "s_dist": "abc",
+                       "s_flag": True, "s_note": None}
+                      if values is None else values)
+                     for i in range(n))
+
+    expected = {n: write_set_bytes(writes(n)) for n in (4, 5, 33)}
+    shared = writes(5, {"s_quantity": 1})
+    expected_shared = write_set_bytes(shared)
+    monkeypatch.setattr(network, "_SHAPE_OF", _NoShapes())
+    assert write_set_bytes(writes(5)) == expected[5]
+    assert write_set_bytes(writes(33)) == expected[33]
+    assert expected[33] == 8 + 33 * (8 + 6 + 5 + 8 + 16 + 8 + 10 + 8
+                                      + 5 + 8 + 6 + 3 + 6 + 1 + 6 + 1)
+    with pytest.raises(AssertionError, match="walked"):
+        write_set_bytes(writes(4))
+    with pytest.raises(AssertionError, match="walked"):
+        write_set_bytes(shared)
+    assert expected_shared == 8 + 5 * (8 + 6 + 5 + 8 + 16) + 8 + 10 + 8 \
+        + 4 * 8

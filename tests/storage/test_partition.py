@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.storage import LockMode, PartitionStore, TableSpec
 
@@ -221,3 +222,61 @@ def test_redo_converges_whatever_the_store_already_saw():
     assert store.read("acct", 1) is None
     with pytest.raises(ValueError):
         store.redo("upsert", "acct", 1, {})
+
+
+def test_a_check_in_an_unknown_table_still_raises():
+    store, _ = make_store()
+    with pytest.raises(KeyError):
+        store.check_lock("nope", 1, LockMode.SHARED, set())
+
+
+_TABLES = ("a", "b", "c")
+_OWNERS = ("t1", "t2", "t3")
+
+
+class HoldCountMachine(RuleBasedStateMachine):
+    """Random lock takes, releases and reaps on a store with no span
+    tracker: each table's hold count is its ``_held`` entries, and a
+    check (which skips the bucket while the count is 0) answers what
+    the bucket's lock word says."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = PartitionStore(
+            0, [TableSpec(name, n_buckets=4) for name in _TABLES])
+
+    @rule(table=st.sampled_from(_TABLES), key=st.integers(0, 9),
+          mode=st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]),
+          owner=st.sampled_from(_OWNERS))
+    def take(self, table, key, mode, owner):
+        self.store.try_lock(table, key, mode, owner)
+
+    @rule(owner=st.sampled_from(_OWNERS))
+    def release(self, owner):
+        self.store.release_all(owner)
+
+    @rule(reaped=st.sets(st.sampled_from(_OWNERS)))
+    def reap(self, reaped):
+        self.store.release_where(reaped.__contains__)
+
+    @rule(table=st.sampled_from(_TABLES), key=st.integers(0, 9),
+          mode=st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]))
+    def check(self, table, key, mode):
+        lock = self.store.table(table).lock_if_any(key)
+        assert (self.store.check_lock(table, key, mode, set())
+                == (lock is None or lock.admits(mode)))
+
+    @invariant()
+    def counts_are_the_held_entries(self):
+        for table in _TABLES:
+            entries = sum(entry[0] == table
+                          for entries in self.store._held.values()
+                          for entry in entries)
+            assert self.store._holds[table] == entries, table
+            words = self.store.table(table)._locks.values()
+            assert (entries == 0) == all(w.is_free() for w in words), table
+
+
+TestHoldCounts = HoldCountMachine.TestCase
+TestHoldCounts.settings = settings(max_examples=150, stateful_step_count=40,
+                                   deadline=None)
