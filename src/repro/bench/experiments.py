@@ -68,12 +68,14 @@ Overrides = Mapping[str, object]
 """``RunConfig`` field -> value, applied on top of a sweep's own cell
 configuration (what the CLI's flags become; see :func:`main`)."""
 
-WALLCLOCK_HORIZON_US = 1_000_000.0
 WALLCLOCK_QUICK_HORIZON_US = 200_000.0
-"""A figure cell's horizon (full, ``--quick``) on aio or mp, where it is
-real time; the warmup is a tenth of it.  The simulated cells' few ms
-end before a fleet of freshly forked workers commits much: at 5 ms,
+"""A ``--quick`` figure cell's horizon on aio or mp, where it is real
+time; the warmup is a tenth of it.  The simulated cells' few ms end
+before a fleet of freshly forked workers commits much: at 5 ms,
 ``fig9a --quick --backend mp`` printed 0.00 in most cells."""
+
+WALLCLOCK_HORIZON_US = 1_000_000.0
+"""The same without ``--quick``."""
 
 
 # -- Section 7.2: Instacart (Figs. 7 & 8, lookup size, partitioner cost) ----

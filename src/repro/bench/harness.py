@@ -556,7 +556,11 @@ class Run:
         finally:
             if live is not None:
                 live.close()
-        parts = [payload["metrics"] for payload in payloads]
+        parts = []
+        for payload in payloads:
+            # an mp worker's recovery counts as of when it stopped serving
+            payload["metrics"].recovery_stats = payload["live"]["recovery"]
+            parts.append(payload["metrics"])
         metrics = parts[0] if len(parts) == 1 else Metrics.merged(parts)
         if live is not None:
             live.timeline.health = live.watchdog.events
@@ -565,8 +569,8 @@ class Run:
         for payload in payloads:
             # surface traffic measured in other processes where every
             # backend's consumers read it (an mp template counts nothing)
-            if payload["stats"] is not stats:
-                fold(stats, payload["stats"])
+            if payload["live"]["stats"] is not stats:
+                fold(stats, payload["live"]["stats"])
         return _finish_run(RunResult(
             metrics=metrics, database=self.database, config=config,
             # on mp the parent's recorder saw nothing
@@ -706,8 +710,11 @@ def drive(run: Run, cluster, worker_id: int | None = None):
             # mp: rings ride home inside the metrics payload and merge
             # in the parent exactly like every other per-worker counter
             metrics.trace = db.tracer.harvest()
+        # on mp the live part ships again once the worker stops serving
+        # the others, which goes on counting in it (run_mp_workers)
         return {"metrics": metrics, "end_time": cluster.sim.now,
-                "stats": cluster.network.stats}
+                "live": {"stats": cluster.network.stats,
+                         "recovery": db.recovery}}
 
     return collect
 

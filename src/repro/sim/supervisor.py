@@ -29,11 +29,11 @@ forked child inherits and a spawned one never had (ARCHITECTURE.md,
 **Lifecycle.**  Workers exchange listener ports through the parent, drive their share of the load, report
 ``done`` with their metrics payload at local quiescence, and keep
 *serving* remote requests until the parent — having heard from every
-worker — broadcasts ``stop``.  Then each ships the payload once more
-(``late``): its stats went on counting that service, and the parent
-keeps the later copy.  Teardown is unconditional: on success,
-failure, or timeout the parent joins every worker, escalating to
-``terminate``/``kill`` so an aborted run can never leak processes.
+worker — broadcasts ``stop``.  Then each ships its payload's ``live``
+part once more (``late``): those stats went on counting that service,
+and the parent keeps the later copy.  Teardown is unconditional: on
+success, failure, or timeout the parent joins every worker, escalating
+to ``terminate``/``kill`` so an aborted run can never leak processes.
 """
 
 from __future__ import annotations
@@ -82,9 +82,12 @@ class MpRunSpec:
     ``driver(run_obj, cluster, worker_id)`` spawns that worker's tasks
     and returns a ``finalize() -> payload`` callable evaluated at local
     quiescence; the payloads, pickled through the control pipe, are what
-    ``run_mp_workers`` returns to the parent.  Drivers are responsible
-    for namespacing transaction ids (``repro.txn.common.seed_txn_ids``)
-    before driving load.
+    ``run_mp_workers`` returns to the parent.  A dict payload's
+    ``"live"`` entry, what goes on counting while the worker serves the
+    others after ``done``, ships again once it stops serving and
+    replaces the ``done`` copy (unless the worker dies first).  Drivers
+    are responsible for namespacing transaction ids
+    (``repro.txn.common.seed_txn_ids``) before driving load.
     """
 
     builder: Callable[..., Any]
@@ -309,12 +312,12 @@ async def _serve_worker(cluster: WorkerCluster, conn,
             while (loop.time() < deadline
                    and not (cluster._active == 0 and transport.idle())):
                 await asyncio.sleep(0.01)
-            # the payload holds the live stats objects, which went on
-            # counting that service (WAL appends, traffic): ship them
-            # again, after the timeline's interval since the done flush
+            # what went on counting through that service (WAL appends,
+            # traffic) ships again, after the timeline's last interval
             if sampler is not None:
                 ship_samples(sampler.flush(cluster.clock.now))
-            conn.send(("late", worker_id, payload))
+            if isinstance(payload, dict) and "live" in payload:
+                conn.send(("late", worker_id, payload["live"]))
     finally:
         loop.remove_reader(conn.fileno())
 
@@ -487,9 +490,10 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
             except (BrokenPipeError, OSError):
                 pass
         join_deadline = time.monotonic() + _STOP_GRACE_S + 5.0
-        # each worker's payload again, counted on until it stopped
-        # serving; one that dies (or errs) first keeps its done payload
-        late = {workers[w][1]: w for w in workers}
+        # each payload's live part again, counted on until its worker
+        # stopped serving; one that dies (or errs) first keeps its own
+        late = {workers[w][1]: w for w in workers
+                if isinstance(results[w], dict) and "live" in results[w]}
         while late:
             ready = multiprocessing.connection.wait(
                 list(late),
@@ -508,7 +512,7 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
                     continue
                 w = late.pop(conn)
                 if msg[0] == "late":
-                    results[w] = msg[2]
+                    results[w]["live"] = msg[2]
         for proc, _parent in workers.values():
             proc.join(timeout=max(0.1, join_deadline - time.monotonic()))
         return [results[w] for w in range(n_workers)]

@@ -448,7 +448,8 @@ def counted_wire_run():
         patch.undo()
     payloads = [collect() for collect in collects]
     counts["commits"] = sum(p["metrics"].commits for p in payloads)
-    counts["verbs"] = sum(p["stats"].one_sided_remote for p in payloads)
+    counts["verbs"] = sum(p["live"]["stats"].one_sided_remote
+                          for p in payloads)
     return counts
 
 

@@ -495,30 +495,31 @@ class PickleCount:
         return self.__dict__
 
 
-def run_counted_payloads(die_at=None) -> list[int]:
+def run_counted_payloads(die_at=None) -> list[tuple[int, int]]:
     def driver(run_obj, cluster, worker_id):
-        payload = PickleCount(die_at)
+        payload = {"done": PickleCount(), "live": PickleCount(die_at)}
         return lambda: payload
 
     config = mp_config()
     payloads = run_mp_workers(MpRunSpec(builder=build_conformance_run,
                                         args=(config,), driver=driver),
                               config)
-    return [payload.pickled for payload in payloads]
+    return [(payload["done"].pickled, payload["live"].pickled)
+            for payload in payloads]
 
 
-def test_a_worker_ships_its_payload_again_once_it_stops_serving():
+def test_a_worker_ships_its_live_part_again_once_it_stops_serving():
     """What a worker counts after ``done`` (serving the other workers
-    until the stop) comes home in its second shipment, which the parent
-    keeps ..."""
-    assert run_counted_payloads() == [2, 2]
+    until the stop) comes home in a second shipment of its payload's
+    ``live`` part alone, which the parent keeps ..."""
+    assert run_counted_payloads() == [(1, 2), (1, 2)]
     assert no_leaked_workers()
 
 
 def test_a_worker_that_dies_after_done_keeps_its_done_payload():
     """... and a worker that dies before that shipment leaves the run
     its ``done`` payload."""
-    assert run_counted_payloads(die_at=2) == [1, 1]
+    assert run_counted_payloads(die_at=2) == [(1, 1), (1, 1)]
     assert no_leaked_workers()
 
 

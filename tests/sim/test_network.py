@@ -776,10 +776,12 @@ class _Count(int):
 def _commit_shaped_write_sets():
     """Write sets of 0-40 writes, about half of them the commit path's
     one shape all through (``(str, str, tuple of int, dict of str ->
-    scalar)``, no container shared) and the rest with some writes bent
-    away from it: str and int subclasses, bools in keys, keys that are
-    not str, nested and cyclic values, a key tuple, a values dict or a
-    whole write repeated by reference, a write that is a list."""
+    scalar)``, no container shared), the rest with about a quarter of
+    their writes bent away from it, all one way or each any way: a str
+    or int subclass, a bool or int subclass in a key, a dict key that is
+    no str, nested or cyclic values, a key tuple, a values dict or a
+    whole write repeated by reference, the empty key tuple, a write that
+    is a list or has five fields, a key that is no tuple."""
     from hypothesis import strategies as st
 
     scalars = st.one_of(st.none(), st.booleans(),
@@ -789,7 +791,9 @@ def _commit_shaped_write_sets():
 
     @st.composite
     def write_set(draw):
-        bent = draw(st.booleans())
+        # -1: the commit shape all through; 0-15: some writes bent that
+        # one way (so the bulk pass meets each bend alone); 16: any way
+        bend = draw(st.one_of(st.just(-1), st.integers(0, 16)))
         writes = []
         for _ in range(draw(st.integers(0, 40))):
             kind = draw(st.sampled_from(["update", "insert", "delete"]))
@@ -797,7 +801,8 @@ def _commit_shaped_write_sets():
             key = tuple(draw(st.lists(st.integers(0, 2 ** 31), min_size=1,
                                       max_size=3)))
             values = draw(st.dictionaries(names, scalars, max_size=6))
-            how = draw(st.integers(0, 15)) if bent else -1
+            how = -1 if bend < 0 or draw(st.integers(0, 3)) else (
+                bend if bend < 16 else draw(st.integers(0, 15)))
             other = writes[draw(st.integers(0, len(writes) - 1))] \
                 if writes else None
             if how == 0:
@@ -854,11 +859,40 @@ def test_the_write_set_sizer_is_the_walk_for_any_write_set():
     depths = st.one_of(st.just(0), st.just(2), st.integers(
         PAYLOAD_WALK_MAX_DEPTH - 4, PAYLOAD_WALK_MAX_DEPTH + 1))
 
+    def five(last):
+        """Four commit-shaped writes, then ``last``."""
+        return tuple(("update", "stock", (0, i), {"s_ytd": 1.5, "s": "ab"})
+                     for i in range(4)) + (last,)
+
+    shared = {"s_quantity": 3}
+    key = (1, 2)
+    # each bend alone in a set the bulk pass would otherwise take
+    bent = [five(("update", "t", (1, True), {})),
+            five(("update", "t", (1, _Count(2)), {})),
+            five((_Name("update"), "t", (1,), {})),
+            five(("update", "t", (1,), {7: 1})),
+            five(("update", "t", (1,), {_Name("n"): 1})),
+            five(("update", "t", (1,), {"c": _Count(5)})),
+            five(("update", "t", (1,), {"s": _Name("abc")})),
+            five(("update", "t", (1,), {"n": [1, {"x": None}]})),
+            five(("update", "t", (1,), {"n": (1, 2)})),
+            five(("update", "t", (1,), {"b": b"xyz"})),
+            five(("update", "t", "k", {})),
+            five(("update", "t", (1,), {}, None)),
+            five(["update", "t", (1,), {}]),
+            (("update", "t", key, {}),) * 5,
+            tuple(("update", "t", key, {"i": i}) for i in range(5)),
+            tuple(("update", "t", (i,), shared) for i in range(5))]
+
     @settings(max_examples=400, deadline=None)
-    @given(writes=_commit_shaped_write_sets(), depth=depths)
+    @given(writes=st.one_of(_commit_shaped_write_sets(),
+                            st.sampled_from(bent)),
+           depth=depths)
     def check(writes, depth):
         assert write_set_bytes(writes, depth) == _walk(writes, depth, set())
     check()
+    for writes in bent:
+        assert write_set_bytes(writes) == _walk(writes, 0, set())
 
 
 class _NoShapes(dict):
