@@ -31,7 +31,6 @@ the degraded static rate — is asserted on the ``--quick`` shape in
 from __future__ import annotations
 
 import argparse
-from functools import partial
 
 from repro.analysis import ProcedureRegistry
 from repro.bench import BACKENDS, Run, RunConfig
@@ -118,9 +117,8 @@ def trained_hot_table(workload: DriftingYcsbWorkload,
 
 
 def build_drift_run(config: RunConfig, quick: bool = False) -> Run:
-    """Module-level (mp-picklable) builder for one drift cell: mp
-    workers re-run it whole, because the workload's clock must be bound
-    to each process's own cluster.
+    """One drift cell.  The workload's clock reads the run's cluster,
+    which on mp is each forked worker's own bound copy.
 
     Both arms build the identical pre-shift-trained layout; only
     ``config.placement`` differs.
@@ -134,8 +132,7 @@ def build_drift_run(config: RunConfig, quick: bool = False) -> Run:
     hot_table = trained_hot_table(workload, config.n_partitions)
     catalog = Catalog(config.n_partitions,
                       hot_table.live_scheme(HashScheme(config.n_partitions)))
-    run = build_run(workload, catalog, config,
-                    rebuild=partial(build_drift_run, config, quick))
+    run = build_run(workload, catalog, config)
     cluster = run.database.cluster
     workload.bind_clock(lambda: cluster.sim.now)
     return run

@@ -16,8 +16,8 @@ exercises commits, logical aborts (insufficient funds), and read misses
 the OCC executor — covering the codec's lock/read, commit, release,
 validate, and replica_apply verbs plus RPC-free and replicated paths.
 
-The multiprocess backend's forked workers rebuild it from the same
-calls; the tier-1 suite
+The multiprocess backend's forked workers serve the parent's build of
+it; the tier-1 suite
 (`tests/sim/test_mp_runtime.py`) asserts sim == aio == mp at 1, 2 and N
 workers.
 """
@@ -247,15 +247,13 @@ def build_migration_conformance_run(config: RunConfig,
                                     executor: str = "2pl") -> Run:
     """Deterministic YCSB database over a *live* epoch-versioned
     catalog scheme, with the placement-flip RPC installed (in every mp
-    worker too: this function is the run's rebuild recipe)."""
+    worker too: each forks with it)."""
     workload = YcsbWorkload(n_keys=YCSB_N_KEYS, reads_per_txn=2,
                             writes_per_txn=2)
     catalog = Catalog(config.n_partitions,
                       HotRecordTable.empty().live_scheme(
                           HashScheme(config.n_partitions)))
-    run = build_run(workload, catalog, config, executor,
-                    rebuild=partial(build_migration_conformance_run,
-                                    config, executor))
+    run = build_run(workload, catalog, config, executor)
     install_flip_handler(run.database, PlacementSpec(kind="adaptive"),
                          PlacementStats(placement="adaptive"))
     return run

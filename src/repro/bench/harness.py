@@ -22,7 +22,7 @@ import sys
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
@@ -37,8 +37,7 @@ from ..placement import (CONTROLLER_HOME, AccessTelemetry, MigrationExecutor,
                          install_flip_handler, lease_controller_loop)
 from ..sched import SchedAction, Scheduler, as_spec
 from ..sim import Cluster, Sleep, WorkerCluster
-from ..sim.supervisor import (MpRunSpec, cluster_for_config,
-                              effective_mp_workers, run_mp_workers)
+from ..sim.supervisor import effective_mp_workers, run_mp_workers
 from ..storage import WalSpec, as_wal_spec
 from ..traffic import as_arrival_spec, spawn_open_loop
 from ..txn import (BaseExecutor, Database, HistoryRecorder, recover_database,
@@ -124,10 +123,11 @@ class RunConfig:
     benchmark adapter passes it."""
 
     mp_codec: str = "packed"
-    """Frame encoding for the mp backend: ``"packed"`` (fixed-format
-    struct frames for the hot verbs, pickle for everything else) or
-    ``"pickle"`` (every frame pickled — a debug escape hatch and the
-    byte-accounting baseline: 258 vs 103 bytes per four-verb chain).
+    """Frame encoding for the mp backend: ``"packed"`` (verb chains and
+    their replies as marshal payloads behind a checksummed header,
+    pickle for every other frame) or ``"pickle"`` (every frame pickled
+    — a debug escape hatch and the byte-accounting baseline: 205 vs 150
+    bytes for a four-verb chain as the executors ship it).
     Commit/abort decisions are codec-independent (asserted by the
     conformance suite)."""
 
@@ -327,6 +327,7 @@ class RunResult:
             "wall_seconds": self.metrics.wall_seconds,
             "events_processed": self.metrics.events_processed,
             "events_per_wall_second": self.metrics.events_per_wall_second(),
+            "throughput": self.throughput,
             "wall_clock_throughput": self.wall_clock_throughput,
             "end_time_us": self.end_time,
         }
@@ -509,10 +510,11 @@ def make_cluster(config: RunConfig):
         return WorkerCluster(config.n_partitions, config.doorbell_batching,
                              run_timeout_s=timeout)
     if config.backend == "mp":
-        # inside a worker process this is that worker's live cluster;
-        # in the parent it is an inert template for inspection
-        return cluster_for_config(config.n_partitions,
-                                  config.doorbell_batching)
+        # unbound: the parent builds the run once, and each forked
+        # worker binds its copy (repro.sim.supervisor)
+        return WorkerCluster(config.n_partitions, config.doorbell_batching,
+                             worker_id=None,
+                             n_workers=effective_mp_workers(config))
     raise ValueError(f"unknown backend {config.backend!r} "
                      f"(expected one of {BACKENDS})")
 
@@ -520,10 +522,9 @@ def make_cluster(config: RunConfig):
 def assign_wal_dir(config: RunConfig) -> None:
     """Give a durability-enabled run a WAL directory if it lacks one.
 
-    Recorded back into ``config.wal_dir`` on purpose: the same config
-    object rides inside the run's ``MpRunSpec``, so every worker process
-    — and every *restarted* worker — opens its logs in the directory the
-    first build chose.
+    Recorded back into ``config.wal_dir`` on purpose: every mp worker
+    process — and every *restarted* worker — forks with this config and
+    opens its logs in the directory the build chose.
     """
     if config.wal_dir is None and as_wal_spec(config.wal).enabled:
         config.wal_dir = tempfile.mkdtemp(prefix="repro-wal-")
@@ -533,22 +534,20 @@ def assign_wal_dir(config: RunConfig) -> None:
 class Run:
     """One built benchmark cell: what
     :func:`repro.bench.setups.build_run` returns and every driver
-    receives — here or, rebuilt from :attr:`mp_spec`, in an mp worker."""
+    receives — here or, as the copy a forked mp worker inherits, there."""
 
     workload: object
     database: Database
     executor: BaseExecutor
     config: RunConfig
-    mp_spec: MpRunSpec | None = None
-    """How mp-backend worker processes rebuild this run (attached by
-    the builder when ``config.backend == "mp"`` in the parent)."""
 
     def run(self) -> RunResult:
         """Drive the workload until the horizon and collect the result.
 
-        On mp the parent-side :attr:`database` supplies only the schema
-        and receives the merged traffic counters; its stores are *not*
-        the ones the run mutated — those lived in the workers."""
+        On mp the parent's :attr:`database` is the image every worker
+        forks from, and receives the merged traffic counters; its stores
+        are *not* the ones the run mutated — those lived in the
+        workers."""
         config = self.config
         live = _LiveTimeline(config) if config.metrics_interval else None
         try:
@@ -568,7 +567,7 @@ class Run:
         stats = self.database.cluster.network.stats
         for payload in payloads:
             # surface traffic measured in other processes where every
-            # backend's consumers read it (an mp template counts nothing)
+            # backend's consumers read it (an mp parent counts nothing)
             if payload["live"]["stats"] is not stats:
                 fold(stats, payload["live"]["stats"])
         return _finish_run(RunResult(
@@ -579,12 +578,10 @@ class Run:
 
 
 def run_benchmark(workload, executor: BaseExecutor,
-                  config: RunConfig,
-                  mp_spec: MpRunSpec | None = None) -> RunResult:
+                  config: RunConfig) -> RunResult:
     """Drive ``workload`` through ``executor`` until the horizon: the
     positional spelling of :meth:`Run.run` for hand-wired databases."""
-    return Run(workload, executor.db, executor, config,
-               mp_spec=mp_spec).run()
+    return Run(workload, executor.db, executor, config).run()
 
 
 def execute(run: Run, driver, live: "_LiveTimeline | None" = None) -> list:
@@ -592,19 +589,15 @@ def execute(run: Run, driver, live: "_LiveTimeline | None" = None) -> list:
 
     ``driver(run, cluster, worker_id)`` spawns its tasks and returns a
     ``collect() -> payload`` callable evaluated at quiescence: once per
-    mp worker process, against the run each rebuilt (payloads come home
-    in worker order), or once here with ``worker_id=None`` (one payload).
+    mp worker process, against the copy of ``run`` it forked with and its
+    bound cluster (payloads come home in worker order), or once here
+    with ``worker_id=None`` (one payload).
     """
     config = run.config
     cluster = run.database.cluster
     if config.backend == "mp":
-        if run.mp_spec is None:
-            raise ValueError(
-                "backend='mp' runs re-create their database inside each "
-                "forked worker process: build with setups.build_run, or "
-                "pass mp_spec=MpRunSpec(<builder>, ...)")
         hooks = live.mp_hooks() if live is not None else {}
-        return run_mp_workers(replace(run.mp_spec, driver=driver), config,
+        return run_mp_workers(cluster, partial(driver, run), config,
                               **hooks)
     collect = driver(run, cluster, None)
     if live is None:

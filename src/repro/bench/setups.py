@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Literal
+from typing import Literal
 
 from ..analysis import ProcedureRegistry
 from ..core import (ChillerExecutor, ChillerPartitionerConfig,
@@ -36,7 +35,6 @@ from ..workloads.instacart import InstacartWorkload
 from ..workloads.tpcc import (REPLICATED_TABLES, TpccScale, TpccWorkload,
                               tpcc_routing)
 from ..workloads.ycsb import YcsbWorkload
-from ..sim.supervisor import MpRunSpec, current_worker_cluster
 from .harness import Run, RunConfig, assign_wal_dir, make_cluster
 
 ExecutorName = Literal["2pl", "occ", "chiller"]
@@ -48,17 +46,14 @@ EXECUTORS = {"2pl": TwoPLExecutor, "occ": OccExecutor,
 
 def build_run(workload, catalog: Catalog, config: RunConfig,
               executor_name: ExecutorName = "2pl",
-              hot_table: HotRecordTable | None = None,
-              rebuild: Callable[[], Run] | None = None) -> Run:
+              hot_table: HotRecordTable | None = None) -> Run:
     """Build ``workload``'s database over ``catalog`` on ``config``'s
     backend, load it, and put the named executor in front of it.
 
-    On the mp backend the parent-side build records itself (same
-    arguments -> same deterministic database) as the recipe each forked
-    worker process re-runs.  A caller that wires more onto the run after
-    this returns (an RPC handler, a workload clock) passes its own
-    ``rebuild`` — a zero-argument callable the workers inherit — so
-    workers get that too.
+    On the mp backend this is the one build: the parent makes it over an
+    unbound cluster, and every forked worker serves its inherited copy —
+    with whatever a caller wired onto the run after this returned (an
+    RPC handler, a workload clock).
     """
     assign_wal_dir(config)
     cluster = make_cluster(config)
@@ -79,12 +74,7 @@ def build_run(workload, catalog: Catalog, config: RunConfig,
         if hot_table is None:
             raise ValueError("the chiller executor needs a hot_table")
         over = (db, hot_table)
-    run = Run(workload, db,
-              executor_class(*over, history), config)
-    if config.backend == "mp" and current_worker_cluster() is None:
-        run.mp_spec = MpRunSpec(rebuild or partial(
-            build_run, workload, catalog, config, executor_name, hot_table))
-    return run
+    return Run(workload, db, executor_class(*over, history), config)
 
 
 # -- TPC-C ------------------------------------------------------------------

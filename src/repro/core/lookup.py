@@ -149,15 +149,6 @@ class EpochLookupScheme:
         self.fallback = fallback
 
     @property
-    def entries(self) -> dict[RecordId, int]:
-        """Explicit per-record placements (the hot set + migrations).
-
-        Exposed so worker-build pruning can keep explicitly-placed
-        records everywhere, like :class:`LookupScheme` does.
-        """
-        return self.table._entries
-
-    @property
     def current_epoch(self) -> int:
         return self.table.current_epoch
 

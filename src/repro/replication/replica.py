@@ -50,16 +50,10 @@ class ReplicaManager:
         return self._stores[(server, partition)]
 
     def load(self, partition: int, table: str, key: Any,
-             fields: dict[str, Any], server_filter=None) -> None:
-        """Seed all replicas of a record (initial load path).
-
-        ``server_filter`` (an ``owns(server_id)`` predicate) restricts
-        loading to replica stores hosted on the caller's servers — how
-        multiprocess workers skip seeding replicas they never apply to.
-        """
+             fields: dict[str, Any]) -> None:
+        """Seed all replicas of a record (initial load path)."""
         for server in self.replica_servers(partition):
-            if server_filter is None or server_filter(server):
-                self._stores[(server, partition)].load(table, key, fields)
+            self._stores[(server, partition)].load(table, key, fields)
 
     def apply(self, server: int, partition: int,
               writes: Iterable[tuple]) -> None:

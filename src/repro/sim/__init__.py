@@ -23,9 +23,7 @@ from .events import Simulator
 from .network import (Network, NetworkStats,
                       approx_payload_bytes, phase_of_kind, write_set_bytes)
 from .runtime import EffectRuntime, EffectRuntimeBase
-from .supervisor import (MpRunError, MpRunSpec, MpTemplateCluster,
-                         current_worker_cluster, effective_mp_workers,
-                         run_mp_workers)
+from .supervisor import MpRunError, effective_mp_workers, run_mp_workers
 from .transport import MAX_FRAME_BYTES, TcpTransport
 from .wallclock import WallClockRuntime, WorkerCluster
 
@@ -45,8 +43,6 @@ __all__ = [
     "FrameCodec",
     "MAX_FRAME_BYTES",
     "MpRunError",
-    "MpRunSpec",
-    "MpTemplateCluster",
     "Network",
     "NetworkStats",
     "OneSided",
@@ -61,7 +57,6 @@ __all__ = [
     "WallClockRuntime",
     "WorkerCluster",
     "approx_payload_bytes",
-    "current_worker_cluster",
     "decode_op",
     "effective_mp_workers",
     "encode_op",

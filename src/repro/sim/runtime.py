@@ -4,7 +4,7 @@
 an :class:`~repro.sim.effects.Effect` and that coroutine being resumed
 with the result: task bookkeeping, effect dispatch, fan-out/fan-in for
 :class:`~repro.sim.effects.All`, RPC request/reply plumbing, and the
-doorbell-batching grouping.  Those are *semantics* shared by every
+doorbell-batching decision.  Those are *semantics* shared by every
 backend; only the primitive operations — run CPU work, move a verb or a
 message, defer a continuation — differ between a simulated cluster and
 a real transport.  Backends implement the small ``_do_*`` /
@@ -21,14 +21,13 @@ a real transport.  Backends implement the small ``_do_*`` /
 
 **Doorbell batching.**  Real RDMA NICs let a sender post a chain of work
 requests with a single doorbell; the NIC processes them back-to-back and
-raises one completion.  With
+raises one completion.  The transaction layers group a round's verbs
+by destination into :class:`~repro.sim.effects.BatchedOneSided`
+effects (``network_round``, the one place that fuses); with
 :attr:`~repro.sim.network.Network.doorbell_batching` enabled, the
-runtime groups the one-sided verbs inside an ``All`` by destination
-server and issues one fused round trip per destination; explicit
-:class:`~repro.sim.effects.BatchedOneSided` effects emitted by the
-transaction layers take the same path.  With the knob off (the default)
-every verb is issued individually, byte-for-byte reproducing the
-unbatched simulation.
+runtime issues each remote group of two or more verbs as one fused
+round trip.  With the knob off (the default) every verb is issued
+individually, byte-for-byte reproducing the unbatched simulation.
 """
 
 from __future__ import annotations
@@ -218,56 +217,18 @@ class EffectRuntimeBase:
             self._defer(lambda: cont([]))
             return
         results: list[Any] = [None] * n
-
-        # With doorbell batching on, remote one-sided verbs sharing a
-        # destination are fused into one round trip each; everything
-        # else (local verbs, RPCs, nested Alls, ...) runs individually.
-        fused: dict[int, list[int]] = {}
-        if self._batching_enabled():
-            by_target: dict[int, list[int]] = {}
-            for i, sub in enumerate(subs):
-                if (isinstance(sub, OneSided)
-                        and sub.target != self.server_id):
-                    by_target.setdefault(sub.target, []).append(i)
-            fused = {t: idxs for t, idxs in by_target.items()
-                     if len(idxs) >= 2}
-        in_batch = {i for idxs in fused.values() for i in idxs}
-
-        remaining = [n - len(in_batch) + len(fused)]
-
-        def finish_one() -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                cont(results)
+        remaining = [n]
 
         def collector(index: int) -> Callable[[Any], None]:
             def collect(value: Any) -> None:
                 results[index] = value
-                finish_one()
+                remaining[0] -= 1
+                if remaining[0] == 0:
+                    cont(results)
             return collect
 
-        def batch_collector(idxs: list[int]) -> Callable[[list], None]:
-            def collect(values: list) -> None:
-                for j, value in zip(idxs, values):
-                    results[j] = value
-                finish_one()
-            return collect
-
-        issued: set[int] = set()
         for i, sub in enumerate(subs):
-            if i not in in_batch:
-                self.perform(sub, collector(i))
-                continue
-            target = sub.target
-            if target in issued:
-                continue  # already went out with the group's first verb
-            issued.add(target)
-            idxs = fused[target]
-            self._one_sided_batch(
-                target,
-                tuple(subs[j].op for j in idxs),
-                batch_collector(idxs),
-                kinds=[(subs[j].kind, subs[j].nbytes) for j in idxs])
+            self.perform(sub, collector(i))
 
     # -- RPC plumbing ----------------------------------------------------
 

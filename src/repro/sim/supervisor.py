@@ -9,13 +9,17 @@ process boundary as a codec frame — there is no escrow: a payload that
 cannot serialize raises a :class:`~repro.sim.codec.CodecError` naming
 the offending effect.
 
-**Topology.**  ``run_mp_workers(spec, config)`` (the parent) forks one
-worker per server by default (``config.mp_workers`` caps the process
-count; servers are assigned round-robin).  Every worker deterministically
-rebuilds the database from the spec's *builder*, so all workers hold
-identical initial data and none serves the parent's template; the copy
-of partition ``p`` on ``p``'s owning worker is the authoritative one,
-and every access to ``p`` routes there.
+**Topology.**  ``run_mp_workers(cluster, driver, config)`` (the parent)
+forks one worker per server by default (``config.mp_workers`` caps the
+process count; servers are assigned round-robin).  The run is built
+once, in the parent, over an *unbound* cluster: it knows ``n_workers``
+but has no worker identity, so it drives nothing.  Each forked worker
+binds its inherited copy to its slot and generation
+(:meth:`~repro.sim.wallclock.WorkerCluster.bind`) and hands it to the
+driver, so every worker serves a copy-on-write image of the one build;
+the copy of partition ``p`` on ``p``'s owning worker is the
+authoritative one, and every access to ``p`` routes there.  A respawn
+forks from the same untouched parent and replays its logs.
 
 **Start method.**  ``fork``, and only ``fork``: a child starts from the
 parent's already-imported program instead of a fresh interpreter that
@@ -44,14 +48,11 @@ import multiprocessing.connection
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .cluster import Server
 from .codec import FrameCodec
-from .runtime import EffectRuntimeBase
 from .transport import TcpTransport, bind_listener
-from .wallclock import AioClock, AioNetwork, WorkerCluster
+from .wallclock import WorkerCluster
 
 MP_TRANSPORTS = ("tcp",)
 MP_CODECS = ("packed", "pickle")
@@ -70,30 +71,17 @@ class MpRunError(RuntimeError):
     """A multiprocess run failed (worker error, death, or timeout)."""
 
 
-@dataclass
-class MpRunSpec:
-    """How each worker process recreates its share of a run.
-
-    ``builder(*args, **kwargs)`` runs in every forked worker, which
-    inherits the spec rather than unpickling it (closures are fine): it
-    builds the cluster via the harness's ``make_cluster`` (which, inside
-    a worker, hands back that worker's live cluster) and returns a run
-    object exposing ``workload`` / ``executor`` / ``config``.
-    ``driver(run_obj, cluster, worker_id)`` spawns that worker's tasks
-    and returns a ``finalize() -> payload`` callable evaluated at local
-    quiescence; the payloads, pickled through the control pipe, are what
-    ``run_mp_workers`` returns to the parent.  A dict payload's
-    ``"live"`` entry, what goes on counting while the worker serves the
-    others after ``done``, ships again once it stops serving and
-    replaces the ``done`` copy (unless the worker dies first).  Drivers
-    are responsible for namespacing transaction ids
-    (``repro.txn.common.seed_txn_ids``) before driving load.
-    """
-
-    builder: Callable[..., Any]
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    driver: Callable[[Any, WorkerCluster, int], Callable[[], Any]] = None
+Driver = Callable[[WorkerCluster, int], Callable[[], Any]]
+"""``driver(cluster, worker_id)`` runs in every forked worker once its
+inherited cluster is bound: it spawns that worker's tasks and returns a
+``finalize() -> payload`` callable evaluated at local quiescence.  The
+payloads, pickled through the control pipe, are what
+:func:`run_mp_workers` returns to the parent.  A dict payload's
+``"live"`` entry, what goes on counting while the worker serves the
+others after ``done``, ships again once it stops serving and replaces
+the ``done`` copy (unless the worker dies first).  Drivers namespace
+transaction ids (``repro.txn.common.seed_txn_ids``) before driving
+load."""
 
 
 def effective_mp_workers(config: Any) -> int:
@@ -109,71 +97,12 @@ def effective_mp_workers(config: Any) -> int:
 
 # -- worker process entry -----------------------------------------------------
 
-_ACTIVE_CLUSTER: WorkerCluster | None = None
 
-
-def current_worker_cluster() -> WorkerCluster | None:
-    """The live cluster while a spec builder runs inside a worker."""
-    return _ACTIVE_CLUSTER
-
-
-def cluster_for_config(n_partitions: int, doorbell_batching: bool) -> Any:
-    """What ``make_cluster(backend="mp")`` returns.
-
-    Inside a worker: that worker's live cluster (exactly once per
-    build).  In the parent: an inert template so databases and
-    executors can be constructed for inspection — driving the run
-    happens through :func:`run_mp_workers`.
-    """
-    active = _ACTIVE_CLUSTER
-    if active is not None:
-        return active._claim(n_partitions)
-    return MpTemplateCluster(n_partitions, doorbell_batching)
-
-
-class _TemplateEngine(EffectRuntimeBase):
-    """Accepts wiring (RPC handlers) but refuses to execute."""
-
-    def spawn(self, gen, on_done=None, trace=0) -> None:
-        raise RuntimeError(
-            "this database was built against the parent-side template of "
-            "a multiprocess run; drive it through run_benchmark / "
-            "Run.run(), which re-creates it inside worker processes")
-
-    post = spawn
-
-
-class MpTemplateCluster:
-    """Parent-side stand-in: carries the shape, never runs."""
-
-    def __init__(self, n_servers: int, doorbell_batching: bool = False):
-        if n_servers <= 0:
-            raise ValueError("cluster needs at least one server")
-        self.clock = AioClock()
-        self.sim = self.clock
-        self.network = AioNetwork(doorbell_batching)
-        self.servers = [Server(i, _TemplateEngine(i))
-                        for i in range(n_servers)]
-
-    def __len__(self) -> int:
-        return len(self.servers)
-
-    def server(self, server_id: int) -> Server:
-        return self.servers[server_id]
-
-    def engine(self, server_id: int) -> _TemplateEngine:
-        return self.servers[server_id].engine
-
-    def run(self) -> None:
-        raise RuntimeError(
-            "an mp-backend cluster in the parent process is a template; "
-            "drive the run through run_benchmark / Run.run()")
-
-
-def _worker_entry(conn, spec: MpRunSpec, config: Any, worker_id: int,
-                  n_workers: int, generation: int, resume_at_us: float,
+def _worker_entry(conn, cluster: WorkerCluster, driver: Driver,
+                  config: Any, worker_id: int, generation: int,
+                  resume_at_us: float,
                   inherited: tuple[Callable[[], None], ...]) -> None:
-    """Forked process main: shed what the parent left, build, serve,
+    """Forked process main: shed what the parent left, bind, serve,
     report, exit.
 
     ``inherited`` closes, through their owners, the parent's end of
@@ -191,7 +120,7 @@ def _worker_entry(conn, spec: MpRunSpec, config: Any, worker_id: int,
         signal.signal(signal.SIGINT, signal.default_int_handler)
         for close in inherited:
             close()
-        _worker_body(conn, spec, config, worker_id, n_workers,
+        _worker_body(conn, cluster, driver, config, worker_id,
                      generation, resume_at_us)
     except BaseException:  # noqa: BLE001 - report, never hang the parent
         try:
@@ -205,10 +134,9 @@ def _worker_entry(conn, spec: MpRunSpec, config: Any, worker_id: int,
             pass
 
 
-def _worker_body(conn, spec: MpRunSpec, config: Any, worker_id: int,
-                 n_workers: int, generation: int = 0,
+def _worker_body(conn, cluster: WorkerCluster, driver: Driver,
+                 config: Any, worker_id: int, generation: int = 0,
                  resume_at_us: float = 0.0) -> None:
-    global _ACTIVE_CLUSTER
     listener = bind_listener()
     try:
         conn.send(("port", worker_id, listener.getsockname()[1]))
@@ -221,21 +149,9 @@ def _worker_body(conn, spec: MpRunSpec, config: Any, worker_id: int,
         raise
     ports: dict[int, int] = msg[1]
 
-    cluster = WorkerCluster(config.n_partitions, config.doorbell_batching,
-                            worker_id=worker_id, n_workers=n_workers,
-                            generation=generation)
+    cluster.bind(worker_id, generation, resume_at_us)
     cluster.recovery_enabled = config.mp_recovery
-    cluster.resume_at_us = resume_at_us
-    _ACTIVE_CLUSTER = cluster
-    try:
-        run_obj = spec.builder(*spec.args, **spec.kwargs)
-    finally:
-        _ACTIVE_CLUSTER = None
-    if not cluster._claimed:
-        raise RuntimeError(
-            f"spec builder {spec.builder!r} never built a cluster via "
-            f"make_cluster (is its config backend set to 'mp'?)")
-    finalize = spec.driver(run_obj, cluster, worker_id)
+    finalize = driver(cluster, worker_id)
 
     codec = FrameCodec(packed=config.mp_codec == "packed")
     transport = TcpTransport(cluster, listener, ports, codec)
@@ -325,12 +241,12 @@ async def _serve_worker(cluster: WorkerCluster, conn,
 # -- parent-side controller ---------------------------------------------------
 
 
-def _start_worker(spec: MpRunSpec, config: Any, worker_id: int,
-                  n_workers: int, generation: int, resume_at_us: float,
-                  workers: dict[int, tuple],
+def _start_worker(fleet: tuple, worker_id: int, generation: int,
+                  resume_at_us: float, workers: dict[int, tuple],
                   endpoint: Any = None) -> tuple:
-    """Fork one worker; returns its (proc, conn).  ``workers`` holds the
-    live fleet's pipes, which the child closes on entry."""
+    """Fork one worker of ``fleet`` (its cluster, driver and config);
+    returns its (proc, conn).  ``workers`` holds the live fleet's pipes,
+    which the child closes on entry."""
     parent_conn, child_conn = _FORK.Pipe()
     inherited = [conn.close for _proc, conn in workers.values()]
     inherited.append(parent_conn.close)
@@ -338,26 +254,29 @@ def _start_worker(spec: MpRunSpec, config: Any, worker_id: int,
         inherited.append(endpoint.stop)
     proc = _FORK.Process(
         target=_worker_entry,
-        args=(child_conn, spec, config, worker_id, n_workers,
-              generation, resume_at_us, tuple(inherited)),
+        args=(child_conn, *fleet, worker_id, generation, resume_at_us,
+              tuple(inherited)),
         daemon=True, name=f"mp-worker-{worker_id}.g{generation}")
     proc.start()
     child_conn.close()
     return proc, parent_conn
 
 
-def run_mp_workers(spec: MpRunSpec, config: Any, *,
+def run_mp_workers(cluster: WorkerCluster, driver: Driver, config: Any, *,
                    on_sample: Callable[[int, list], None] | None = None,
                    on_tick: Callable[[], None] | None = None,
                    tick_s: float | None = None,
                    endpoint: Any = None) -> list[Any]:
-    """Fork the workers, run the spec, return per-worker payloads.
+    """Fork the workers over ``cluster``, run ``driver`` in each, return
+    per-worker payloads.
 
-    ``config`` is the bench layer's ``RunConfig``: the controller reads
-    its ``mp_*`` fields, ``n_partitions`` and ``horizon_us`` and
-    forwards the whole object to every worker's builder.  Teardown is unconditional — whatever
-    happens, every worker process is joined (terminated, then killed if
-    necessary) before this returns or raises.
+    ``cluster`` is the unbound cluster the run was built over; every
+    worker (and every respawn) forks from this process and binds its
+    copy.  ``config`` is the bench layer's ``RunConfig``: the controller
+    reads its ``mp_*`` fields, ``n_partitions`` and ``horizon_us``.
+    Teardown is unconditional — whatever happens, every worker process
+    is joined (terminated, then killed if necessary) before this
+    returns or raises.
 
     ``on_sample(worker_id, rows)`` receives each ``metrics_sample``
     message a worker ships (timeline rows, when the run has the
@@ -376,8 +295,6 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
     resuming at the fleet's elapsed time, and rewires everyone once the
     replacement advertises its port.
     """
-    if spec.driver is None:
-        raise ValueError("MpRunSpec.driver is required")
     if config.mp_transport not in MP_TRANSPORTS:
         raise ValueError(f"unknown mp_transport {config.mp_transport!r} "
                          f"(expected one of {MP_TRANSPORTS})")
@@ -390,6 +307,12 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
             'durable WAL: wal="fsync"|"group" (with the log off a respawn '
             'would silently lose that worker\'s committed writes)')
     n_workers = effective_mp_workers(config)
+    if cluster.worker_id is not None or cluster.n_workers != n_workers:
+        raise ValueError(
+            f"an mp run forks its workers from an unbound cluster of "
+            f"{n_workers} workers (build it with make_cluster(config)), "
+            f"not from worker {cluster.worker_id} of {cluster.n_workers}")
+    fleet = (cluster, driver, config)
     timeout = config.run_timeout_s
     if timeout is None:
         timeout = config.horizon_us / 1e6 + 60.0
@@ -400,9 +323,8 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
     generations = {w: 0 for w in range(n_workers)}
     try:
         for worker_id in range(n_workers):
-            workers[worker_id] = _start_worker(spec, config, worker_id,
-                                               n_workers, 0, 0.0, workers,
-                                               endpoint)
+            workers[worker_id] = _start_worker(fleet, worker_id, 0, 0.0,
+                                               workers, endpoint)
             all_workers.append(workers[worker_id])
         deadline = time.monotonic() + timeout
         # handshake: a death here is fatal even with recovery on — no
@@ -452,7 +374,7 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
                             f"'done' (exit code {proc.exitcode})") from None
                     restarts_left -= 1
                     all_workers.append(_restart_worker(
-                        spec, config, w, n_workers, workers, ports,
+                        fleet, w, workers, ports,
                         generations, run_start, deadline, endpoint))
                     continue
                 if msg[0] == "error":
@@ -522,8 +444,8 @@ def run_mp_workers(spec: MpRunSpec, config: Any, *,
                                  if w not in all_workers])
 
 
-def _restart_worker(spec: MpRunSpec, config: Any, worker_id: int,
-                    n_workers: int, workers: dict[int, tuple],
+def _restart_worker(fleet: tuple, worker_id: int,
+                    workers: dict[int, tuple],
                     ports: dict[int, int], generations: dict[int, int],
                     run_start: float, deadline: float,
                     endpoint: Any = None) -> tuple:
@@ -548,12 +470,11 @@ def _restart_worker(spec: MpRunSpec, config: Any, worker_id: int,
             pass
     generations[worker_id] = dead_gen + 1
     resume_at_us = (time.monotonic() - run_start) * 1e6
-    replacement = _start_worker(spec, config, worker_id, n_workers,
-                                dead_gen + 1, resume_at_us, workers,
-                                endpoint)
+    replacement = _start_worker(fleet, worker_id, dead_gen + 1,
+                                resume_at_us, workers, endpoint)
     workers[worker_id] = replacement
-    # private handshake: the newcomer rebuilds (workload population can
-    # take a while), advertises, and gets the current fleet map
+    # private handshake: the newcomer advertises and gets the current
+    # fleet map
     port = _collect(workers, {worker_id}, "port", deadline)[worker_id]
     ports[worker_id] = port
     replacement[1].send(("ports", dict(ports)))

@@ -143,6 +143,11 @@ class WallClockRuntime(EffectRuntimeBase):
               trace: int = 0) -> None:
         cluster = self._cluster
         if not cluster.owns(self.server_id):
+            if cluster.worker_id is None:
+                raise RuntimeError(
+                    "an mp run's cluster drives nothing in the parent: "
+                    "run it through run_benchmark / Run.run(), which "
+                    "forks the workers that do")
             raise ValueError(
                 f"worker {cluster.worker_id} cannot drive tasks for "
                 f"foreign server {self.server_id}")
@@ -400,20 +405,25 @@ class WorkerCluster:
     Presents the full ``servers`` / ``engine()`` / ``network`` / ``sim``
     surface so the database layer wires storage and RPC dispatch for
     every server — but only the servers this worker *owns* execute
-    anything; its local copies of foreign partitions are never touched
-    after loading.  Spawns before the loop is up are buffered and
-    released by :meth:`serving`.
+    anything; its copies of foreign partitions are never touched.
+    Spawns before the loop is up are buffered and released by
+    :meth:`serving`.
+
+    ``worker_id=None`` builds an *unbound* cluster: the one an mp run is
+    built over in the parent.  It owns no server, so it drives nothing;
+    each forked worker binds its inherited copy (:meth:`bind`).
     """
 
     def __init__(self, n_servers: int, doorbell_batching: bool = False,
-                 *, worker_id: int = 0, n_workers: int = 1,
-                 generation: int = 0, run_timeout_s: float | None = 120.0):
-        if not 0 <= worker_id < n_workers <= n_servers:
+                 *, worker_id: int | None = 0, n_workers: int = 1,
+                 run_timeout_s: float | None = 120.0):
+        if not (n_workers <= n_servers and (
+                worker_id is None or 0 <= worker_id < n_workers)):
             raise ValueError(f"bad worker topology: worker {worker_id} of "
                              f"{n_workers} over {n_servers} servers")
         self.n_workers = n_workers
         self.worker_id = worker_id
-        self.generation = generation
+        self.generation = 0
         """Restart count of this worker slot: 0 for an original spawn,
         incremented each time the supervisor respawns it after a death."""
         self.clock = AioClock()
@@ -442,9 +452,11 @@ class WorkerCluster:
         self._idle: asyncio.Event | None = None
         self._error: BaseException | None = None
         self._tick_handle: asyncio.TimerHandle | None = None
-        self._claimed = False
         self.recovery_enabled = False
         self.resume_at_us = 0.0
+        self.bind_hooks: list[Callable[[], Any]] = []
+        """Called once :meth:`bind` gives the cluster its identity (the
+        database layer opens the logs of the servers it now owns)."""
         self.peer_down_hooks: list[Callable] = []
         """Called as ``hook(worker, dead_generation)`` when a peer dies
         (the database layer reaps the dead generation's locks here)."""
@@ -462,6 +474,27 @@ class WorkerCluster:
         return self.servers[server_id].engine
 
     # -- topology ----------------------------------------------------------
+
+    def bind(self, worker_id: int, generation: int = 0,
+             resume_at_us: float = 0.0) -> None:
+        """Give an unbound cluster its worker identity: what a forked mp
+        worker does first with the cluster it inherited from the
+        parent's build.  ``generation`` counts the slot's restarts and
+        ``resume_at_us`` starts a respawn's clock at the fleet's elapsed
+        time.  Traffic counts start from zero: the parent folds each
+        finished fleet's into its own stats, which the next fleet forks
+        from."""
+        if self.worker_id is not None:
+            raise RuntimeError(f"the cluster is already worker "
+                               f"{self.worker_id}'s")
+        if not 0 <= worker_id < self.n_workers:
+            raise ValueError(f"no worker {worker_id} of {self.n_workers}")
+        self.worker_id = worker_id
+        self.generation = generation
+        self.resume_at_us = resume_at_us
+        self.network.stats = NetworkStats()
+        for hook in self.bind_hooks:
+            hook()
 
     def owns(self, server_id: int) -> bool:
         return server_id % self.n_workers == self.worker_id
@@ -511,17 +544,6 @@ class WorkerCluster:
         self.transport.rewire(worker, advert)
         for hook in self.peer_down_hooks:
             hook(worker, dead_generation)
-
-    def _claim(self, n_partitions: int) -> "WorkerCluster":
-        if self._claimed:
-            raise RuntimeError("the spec builder must create exactly one "
-                               "cluster per worker (make_cluster called "
-                               "twice)")
-        if n_partitions != len(self.servers):
-            raise ValueError(f"builder asked for {n_partitions} partitions "
-                             f"but this worker serves {len(self.servers)}")
-        self._claimed = True
-        return self
 
     # -- task latch & spawning ---------------------------------------------
 
@@ -619,11 +641,11 @@ class WorkerCluster:
     def run(self) -> None:
         """Run the loop in the calling process until all spawned work
         (and everything it spawned, RPC handlers included) completes."""
-        if self.n_workers != 1:
-            raise RuntimeError("a worker with foreign servers is driven by "
-                               "the supervisor's serve loop, not run(); "
-                               "drive mp runs through run_benchmark / "
-                               "Run.run() in the parent")
+        if self.worker_id is None or self.n_workers != 1:
+            raise RuntimeError("an mp cluster is driven by the supervisor's "
+                               "worker processes, not run(); drive mp runs "
+                               "through run_benchmark / Run.run() in the "
+                               "parent")
         asyncio.run(self._main())
 
     async def _main(self) -> None:

@@ -50,9 +50,8 @@ class Database:
         self.registry = registry
         self.tables = list(tables)
         self._owns = getattr(cluster, "owns", None)
-        """Worker-ownership predicate (multiprocess workers only).
-        When set, the load path prunes foreign-partition records the
-        worker would never touch — see :meth:`load`."""
+        """Worker-ownership predicate (wall-clock clusters only): which
+        servers' logs this process keeps and whose locks it reaps."""
         now_fn = lambda: cluster.sim.now  # noqa: E731 - tiny closure
         for server in cluster.servers:
             server.storage = PartitionStore(server.id, self.tables,
@@ -71,11 +70,12 @@ class Database:
                 raise ValueError("a durability-enabled WalSpec needs a "
                                  "directory (the harness assigns one "
                                  "per run)")
-            for server in cluster.servers:
-                if self._owns is None or self._owns(server.id):
-                    self._wals[server.id] = WriteAheadLog(
-                        wal_path(self.wal_spec.dir, server.id),
-                        self.wal_spec, stats=self.recovery)
+            self._open_wals()
+            hooks = getattr(cluster, "bind_hooks", None)
+            if hooks is not None:
+                # an mp run is built over an unbound cluster, which owns
+                # nothing: each forked worker opens its own logs
+                hooks.append(self._open_wals)
         self.leases: dict[int, Any] = {}
         """Controller-election lease cells, keyed by server id; filled
         lazily by the ``lease_acquire`` verb handler."""
@@ -136,6 +136,14 @@ class Database:
         """Server ids this process keeps logs for."""
         return list(self._wals)
 
+    def _open_wals(self) -> None:
+        """Open the log of every server this process owns."""
+        for server in self.cluster.servers:
+            if self._owns is None or self._owns(server.id):
+                self._wals[server.id] = WriteAheadLog(
+                    wal_path(self.wal_spec.dir, server.id),
+                    self.wal_spec, stats=self.recovery)
+
     def close_wals(self) -> None:
         for wal in self._wals.values():
             wal.close()
@@ -187,34 +195,15 @@ class Database:
         """Load one record into its primary partition and all replicas.
 
         Records of replicated tables are copied to every partition.
-
-        Inside a multiprocess worker (the cluster exposes ``owns``),
-        the build is pruned to what this worker can ever serve: records
-        of its home partitions, replicated tables (for owned partitions
-        only), explicitly-placed hot records, and replica copies hosted
-        on owned servers.  Foreign-partition cold records — the bulk of
-        the database — are skipped entirely; every access to them
-        routes to the owning worker anyway, so the local copies were
-        pure memory waste.
         """
         if table in self.catalog.replicated_tables:
             for partition in range(self.n_partitions):
-                if self._owns is None or self._owns(partition):
-                    self.store(partition).load(table, key, fields)
+                self.store(partition).load(table, key, fields)
             return
         partition = self.partition_of(table, key)
-        if self._keep_local_copy(partition, table, key):
-            self.store(partition).load(table, key, fields)
+        self.store(partition).load(table, key, fields)
         if self.replicas is not None:
-            self.replicas.load(partition, table, key, fields,
-                               server_filter=self._owns)
-
-    def _keep_local_copy(self, partition: int, table: str, key: Any) -> bool:
-        """Should this process keep a primary-store copy of the record?"""
-        if self._owns is None or self._owns(partition):
-            return True
-        entries = getattr(self.catalog.scheme, "entries", None)
-        return entries is not None and (table, key) in entries
+            self.replicas.load(partition, table, key, fields)
 
     def loader(self) -> Callable[[str, Any, dict[str, Any]], None]:
         """A ``load(table, key, fields)`` callable for workload populate

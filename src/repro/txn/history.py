@@ -16,6 +16,7 @@ property tests.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from typing import Any
 
@@ -23,15 +24,13 @@ from .common import CommitLog
 
 
 class HistoryRecorder:
-    """Accumulates commit logs (cheap no-op when disabled)."""
+    """Accumulates commit logs."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.commits: list[CommitLog] = []
 
     def record(self, log: CommitLog) -> None:
-        if self.enabled:
-            self.commits.append(log)
+        self.commits.append(log)
 
     # -- checking -------------------------------------------------------
 
@@ -61,16 +60,17 @@ class HistoryRecorder:
                 if a != b:
                     edges.add((a, b))
             for read_version, reader in readers[rid]:
+                # versions ordered[:at] are at or before what the reader
+                # saw: one binary search, not a rescan per read
+                at = bisect_right(ordered, read_version)
                 # w->r: last writer at or before what the reader saw
-                before = [v for v in ordered if v <= read_version]
-                if before:
-                    writer = by_version[before[-1]]
+                if at:
+                    writer = by_version[ordered[at - 1]]
                     if writer != reader:
                         edges.add((writer, reader))
                 # r->w: first writer strictly after what the reader saw
-                after = [v for v in ordered if v > read_version]
-                if after:
-                    writer = by_version[after[0]]
+                if at < len(ordered):
+                    writer = by_version[ordered[at]]
                     if writer != reader:
                         edges.add((reader, writer))
         return edges

@@ -370,10 +370,9 @@ def test_procedure_shapes_are_compiled_not_rederived(counted_run):
 def counted_wire_run():
     import asyncio
 
-    import repro.sim.supervisor as supervisor
     from repro.bench.harness import drive
     from repro.bench.setups import make_ycsb_run
-    from repro.sim import TcpTransport, WorkerCluster
+    from repro.sim import TcpTransport
     from repro.sim.codec import (FRAME_PICKLE, FrameCodec, WireVerbReply,
                                  WireVerbs)
     from repro.sim.transport import bind_listener
@@ -399,12 +398,12 @@ def counted_wire_run():
     workers, collects = [], []
     try:
         for worker_id in range(2):
-            cluster = WorkerCluster(2, config.doorbell_batching,
-                                    worker_id=worker_id, n_workers=2)
-            patch.setattr(supervisor, "_ACTIVE_CLUSTER", cluster)
+            # one build per worker stands in for the copy a forked
+            # worker inherits; each binds it as a worker process would
             run = make_ycsb_run("2pl", config, workload=YcsbWorkload(
                 n_keys=400, reads_per_txn=8, writes_per_txn=2))
-            patch.setattr(supervisor, "_ACTIVE_CLUSTER", None)
+            cluster = run.database.cluster
+            cluster.bind(worker_id)
             workers.append(cluster)
             collects.append(drive(run, cluster, worker_id))
 

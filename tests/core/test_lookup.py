@@ -100,7 +100,7 @@ def test_live_scheme_reads_through_migrations():
     assert scheme.partition_of(*key) == dst
     assert scheme.current_epoch == 1
     assert scheme.moved_since("stock", 9, 0)
-    assert key in scheme.entries
+    assert key in table
     assert scheme.lookup_table_size() == 1
 
 

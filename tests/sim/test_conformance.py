@@ -135,7 +135,7 @@ def test_doorbell_batching_fuses_on_both_backends(make_cluster, run_program):
     cluster = make_cluster(doorbell_batching=True)
 
     def txn():
-        results = yield All([OneSided(1, lambda i=i: i) for i in range(4)])
+        results = yield BatchedOneSided(1, [lambda i=i: i for i in range(4)])
         return results
 
     assert run_program(cluster, txn()) == [0, 1, 2, 3]

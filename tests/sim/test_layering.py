@@ -3,8 +3,8 @@
 ``mp_runtime.py`` was cut along its three concerns; this keeps the cut
 clean.  The runtime + cluster module (``sim/wallclock.py``) knows no
 sockets and no processes, the transport knows no supervisor, and only
-the three bench modules that launch or describe mp runs reach for the
-supervisor or the transport.  The duplicated pieces the merge removed
+the bench harness, which launches mp runs, reaches for the supervisor
+or the transport.  The duplicated pieces the merge removed
 stay single, and the tasks and queues the wire path shed stay gone.
 """
 
@@ -18,8 +18,7 @@ import repro.sim
 SRC = Path(repro.__file__).parent
 SIM = SRC / "sim"
 PROCESS_SIDE = {"repro.sim.supervisor", "repro.sim.transport"}
-MAY_LAUNCH = {SRC / "bench" / name
-              for name in ("harness.py", "conformance.py", "setups.py")}
+MAY_LAUNCH = {SRC / "bench" / "harness.py"}
 
 
 def imports_of(path: Path, source: str | None = None) -> set[str]:
@@ -78,7 +77,7 @@ def test_the_lint_sees_every_spelling():
     for source in ("from ..sim.supervisor import run_mp_workers",
                    "from ..sim import supervisor",
                    "from ..sim import run_mp_workers",
-                   "from repro.sim import MpRunSpec, Cluster",
+                   "from repro.sim import MpRunError, Cluster",
                    "import repro.sim.transport",
                    "from ..sim import TcpTransport",
                    "def f():\n    from ..sim.transport import bind_listener"):

@@ -1,8 +1,9 @@
 """Multiprocess backend: conformance, benchmark path, and teardown.
 
-These tests fork real worker processes.  The builders and drivers
-they hand the workers live at module level for legibility only: a
-forked child inherits them, nothing is pickled on the way in.
+These tests fork real worker processes.  Each run is built once, here,
+and every worker serves its inherited copy; the drivers live at module
+level for legibility only: a forked child inherits them, nothing is
+pickled on the way in.
 """
 
 import asyncio
@@ -27,9 +28,9 @@ from repro.bench.setups import make_tpcc_run
 from repro.obs import MetricsHttpServer
 from repro.obs.export import critical_path, trace_tree
 from repro.sched import conflict
-from repro.sim import (All, Await, BatchedOneSided, MpRunError, MpRunSpec,
-                       MpTemplateCluster, NetworkStats, OneSided, Rpc,
-                       Signal, Sleep, TcpTransport, run_mp_workers)
+from repro.sim import (All, Await, BatchedOneSided, MpRunError, NetworkStats,
+                       OneSided, Rpc, Signal, Sleep, TcpTransport,
+                       WorkerCluster, run_mp_workers)
 from repro.sim.codec import OpDescriptor, WireOneWay, WireVerbs
 from repro.sim.transport import bind_listener
 from repro.txn.common import seed_txn_ids
@@ -52,18 +53,31 @@ def mp_config(**overrides) -> RunConfig:
 
 
 def test_make_cluster_mp_returns_inert_template():
+    """The parent's cluster is the image every worker forks from:
+    unbound, it owns no server and drives nothing itself."""
     cluster = make_cluster(mp_config())
-    assert isinstance(cluster, MpTemplateCluster)
-    with pytest.raises(RuntimeError, match="template"):
-        cluster.run()
+    assert isinstance(cluster, WorkerCluster)
+    assert (cluster.worker_id, cluster.n_workers) == (None, 2)
+    assert cluster.owned_servers() == []
     with pytest.raises(RuntimeError, match="worker processes"):
+        cluster.run()
+    with pytest.raises(RuntimeError, match="drives nothing"):
         cluster.engine(0).spawn(iter(()))
 
 
-def test_run_benchmark_requires_a_spec_for_mp():
-    run = build_conformance_run(conformance_config("mp"))
-    with pytest.raises(ValueError, match="mp_spec"):
-        run_benchmark(run.workload, run.executor, run.config)
+def test_an_mp_run_forks_from_an_unbound_cluster():
+    run = build_conformance_run(conformance_config("aio"))
+    with pytest.raises(ValueError, match="unbound cluster"):
+        run_benchmark(run.workload, run.executor,
+                      dataclasses.replace(run.config, backend="mp"))
+    assert no_leaked_workers()
+
+
+def run_fleet(driver, config, **hooks) -> list:
+    """Build the conformance run here and fork its fleet over it."""
+    run = build_conformance_run(config)
+    return run_mp_workers(run.database.cluster, partial(driver, run),
+                          config, **hooks)
 
 
 def test_mp_workers_knob_bounds():
@@ -184,14 +198,12 @@ def run_on_topology(topology, program, executor="2pl"):
     config = dataclasses.replace(conformance_config(backend,
                                                     mp_workers=workers),
                                  doorbell_batching=True)
+    run = build_topology_run(config, executor)
+    cluster = run.database.cluster
     if backend == "mp":
         payloads = run_mp_workers(
-            MpRunSpec(builder=build_topology_run, args=(config,),
-                      kwargs={"executor": executor},
-                      driver=partial(topology_driver, program)), config)
+            cluster, partial(topology_driver, program, run), config)
     else:
-        run = build_topology_run(config, executor)
-        cluster = run.database.cluster
         finalize = topology_driver(program, run, cluster, 0)
         cluster.run()
         payloads = [finalize()]
@@ -235,7 +247,7 @@ def test_tpcc_cell_runs_on_mp_backend():
     ``FRAME_VERBS_TRACED`` frames and ``metrics_sample`` rows."""
     run = make_tpcc_run("2pl", mp_config(horizon_us=20_000.0, trace=True,
                                          metrics_interval=50_000.0))
-    assert run.mp_spec is not None
+    assert run.database.cluster.worker_id is None
     result = run.run()
     assert result.metrics.commits > 0
     assert result.metrics.wall_seconds > 0.0
@@ -292,7 +304,7 @@ def test_mp_timeline_counts_wire_bytes_as_they_leave():
 def test_run_mp_benchmark_merges_worker_metrics():
     config = mp_config(horizon_us=20_000.0)
     run = make_tpcc_run("2pl", config)
-    result = run_benchmark(run.workload, run.executor, config, run.mp_spec)
+    result = run_benchmark(run.workload, run.executor, config)
     attempts_per_proc = Counter(o.proc for o in result.metrics.outcomes)
     assert sum(attempts_per_proc.values()) == result.metrics.attempts > 0
     # what is off stays off in every worker: no trace or timeline state
@@ -302,14 +314,86 @@ def test_run_mp_benchmark_merges_worker_metrics():
     assert no_leaked_workers()
 
 
+# -- one build, inherited -------------------------------------------------------
+#
+# An mp run is built once, in the parent; every worker, and every
+# respawn, forks from that untouched parent and serves its copy.
+
+
+def count_database_builds(monkeypatch, ledger) -> None:
+    """Every Database construction, in whichever process of the run,
+    appends that process's pid to ``ledger`` (the patch reaches the
+    forked workers)."""
+    from repro.txn import Database
+    real_init = Database.__init__
+
+    def counting_init(self, *args, **kwargs):
+        with open(ledger, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Database, "__init__", counting_init)
+
+
+@pytest.mark.parametrize("chaos", [False, True],
+                         ids=["two_workers", "chaos_restart"])
+def test_an_mp_run_builds_its_database_once_in_the_parent(chaos, monkeypatch,
+                                                          tmp_path):
+    from repro.bench.setups import make_ycsb_run
+    from repro.workloads.ycsb import YcsbWorkload
+
+    ledger = tmp_path / "builds.txt"
+    count_database_builds(monkeypatch, ledger)
+    fields = dict(mp_workers=2, horizon_us=200_000.0)
+    if chaos:
+        fields.update(horizon_us=800_000.0, wal="group",
+                      wal_dir=str(tmp_path), mp_recovery=True,
+                      mp_max_restarts=1, mp_chaos_kill_worker=1,
+                      mp_chaos_kill_after_s=0.3)
+    result = make_ycsb_run("2pl", mp_config(**fields),
+                           workload=YcsbWorkload(n_keys=256)).run()
+    assert result.metrics.commits > 0
+    if chaos:
+        # the respawn replayed its predecessor's log: it really ran
+        assert result.metrics.recovery_stats.recoveries >= 1
+    assert ledger.read_text().split() == [str(os.getpid())]
+    assert no_leaked_workers()
+
+
+def test_a_second_fleet_forks_from_the_parent_not_the_first_fleet():
+    """``Run.run()`` folds each fleet's traffic into the parent's stats,
+    and the next fleet forks from that parent: it must count from zero
+    and decide exactly as the first fleet did."""
+    from repro.bench.harness import execute
+
+    config = conformance_config("mp", doorbell_batching=True)
+    run = build_topology_run(config)
+    stats = run.database.cluster.network.stats
+
+    def program_fleet():
+        payloads = execute(run, partial(topology_driver, decision_program))
+        [out] = [p["out"] for p in payloads if p["out"]]
+        return out, [sum(column)
+                     for column in zip(*(p["split"] for p in payloads))]
+
+    first = program_fleet()
+    assert stats.total_remote_ops() == 0, "execute() folds nothing"
+    results = [run.run() for _ in range(2)]
+    assert all(result.metrics.commits > 0 for result in results)
+    assert stats.total_remote_ops() > 0
+    assert program_fleet() == first
+    assert first[0] == run_conformance("sim")
+    assert no_leaked_workers()
+
+
 # -- teardown regressions -----------------------------------------------------
 #
 # Workers must be *joined*, never leaked, when a run aborts mid-horizon
-# — whether the failure is a builder crash, an unshippable payload, or
+# — whether the failure is a driver crash, an unshippable payload, or
 # a hang caught by the timeout.
 
 
-def exploding_builder(config):
+def exploding_driver(run_obj, cluster, worker_id):
     raise RuntimeError("boom-at-build")
 
 
@@ -318,10 +402,9 @@ def null_driver(run_obj, cluster, worker_id):
 
 
 def test_worker_build_failure_aborts_run_and_joins_workers():
+    """A worker whose driver fails while setting up its share."""
     with pytest.raises(MpRunError, match="boom-at-build"):
-        run_mp_workers(MpRunSpec(builder=exploding_builder,
-                                 args=(mp_config(),), driver=null_driver),
-                       mp_config())
+        run_fleet(exploding_driver, mp_config())
     assert no_leaked_workers()
 
 
@@ -336,11 +419,8 @@ def closure_driver(run_obj, cluster, worker_id):
 
 
 def test_raw_closure_to_remote_server_raises_codec_error():
-    config = mp_config()
-    spec = MpRunSpec(builder=build_conformance_run, args=(config,),
-                     driver=closure_driver)
     with pytest.raises(MpRunError, match="process boundary"):
-        run_mp_workers(spec, config)
+        run_fleet(closure_driver, mp_config())
     assert no_leaked_workers()
 
 
@@ -354,11 +434,8 @@ def hanging_driver(run_obj, cluster, worker_id):
 
 
 def test_hung_worker_is_terminated_not_leaked():
-    config = mp_config(run_timeout_s=4.0)
-    spec = MpRunSpec(builder=build_conformance_run, args=(config,),
-                     driver=hanging_driver)
     with pytest.raises(MpRunError, match="timed out"):
-        run_mp_workers(spec, config)
+        run_fleet(hanging_driver, mp_config(run_timeout_s=4.0))
     assert no_leaked_workers()
 
 
@@ -370,11 +447,11 @@ def test_a_replacement_stuck_in_its_handshake_is_not_leaked(monkeypatch,
     from repro.sim import supervisor
     real_body = supervisor._worker_body
 
-    def stuck_respawn(conn, spec, config, worker_id, n_workers, generation,
+    def stuck_respawn(conn, cluster, driver, config, worker_id, generation,
                       resume_at_us):
         if generation > 0:
             time.sleep(3600)
-        real_body(conn, spec, config, worker_id, n_workers, generation,
+        real_body(conn, cluster, driver, config, worker_id, generation,
                   resume_at_us)
 
     monkeypatch.setattr(supervisor, "_worker_body", stuck_respawn)
@@ -382,10 +459,8 @@ def test_a_replacement_stuck_in_its_handshake_is_not_leaked(monkeypatch,
                        wal_dir=str(tmp_path), mp_recovery=True,
                        mp_max_restarts=1, mp_chaos_kill_worker=1,
                        mp_chaos_kill_after_s=0.0)
-    spec = MpRunSpec(builder=build_conformance_run, args=(config,),
-                     driver=hanging_driver)
     with pytest.raises(MpRunError, match="to report 'port'"):
-        run_mp_workers(spec, config)
+        run_fleet(hanging_driver, config)
     assert no_leaked_workers()
 
 
@@ -425,10 +500,7 @@ def inheritance_driver(run_obj, cluster, worker_id):
 
 
 def run_inheritance(config, **hooks) -> list[dict]:
-    return run_mp_workers(MpRunSpec(builder=build_conformance_run,
-                                    args=(config,),
-                                    driver=inheritance_driver),
-                          config, **hooks)
+    return run_fleet(inheritance_driver, config, **hooks)
 
 
 def test_a_worker_holds_no_pipe_of_the_parent_nor_its_listener():
@@ -500,10 +572,7 @@ def run_counted_payloads(die_at=None) -> list[tuple[int, int]]:
         payload = {"done": PickleCount(), "live": PickleCount(die_at)}
         return lambda: payload
 
-    config = mp_config()
-    payloads = run_mp_workers(MpRunSpec(builder=build_conformance_run,
-                                        args=(config,), driver=driver),
-                              config)
+    payloads = run_fleet(driver, mp_config())
     return [(payload["done"].pickled, payload["live"].pickled)
             for payload in payloads]
 
@@ -539,11 +608,8 @@ def test_pickle_codec_conformance(executor):
 
 @pytest.mark.parametrize("knob", ["mp_transport", "mp_codec"])
 def test_unknown_wire_knob_fails_before_any_spawn(knob):
-    config = mp_config(**{knob: "carrier-pigeon"})
-    spec = MpRunSpec(builder=build_conformance_run, args=(config,),
-                     driver=null_driver)
     with pytest.raises(ValueError, match="carrier-pigeon"):
-        run_mp_workers(spec, config)
+        run_fleet(null_driver, mp_config(**{knob: "carrier-pigeon"}))
     assert no_leaked_workers()
 
 
@@ -576,11 +642,8 @@ def stats_driver(run_obj, cluster, worker_id):
 
 
 def _conformance_wire_bytes(mp_codec: str) -> int:
-    config = dataclasses.replace(conformance_config("mp"),
-                                 mp_codec=mp_codec)
-    spec = MpRunSpec(builder=build_conformance_run, args=(config,),
-                     driver=stats_driver)
-    payloads = run_mp_workers(spec, config)
+    payloads = run_fleet(stats_driver,
+                         conformance_config("mp", mp_codec=mp_codec))
     total = sum(p["wire_bytes"] for p in payloads)
     assert total > 0, "the conformance program must cross the wire"
     return total

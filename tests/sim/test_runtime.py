@@ -51,15 +51,14 @@ def test_custom_runtime_can_be_injected():
 # -- doorbell batching: counters and completion times ------------------------
 
 def test_same_destination_round_costs_one_fused_round_trip():
-    """The acceptance property: an All of N verbs to one remote server
+    """The acceptance property: a group of N verbs to one remote server
     completes in one chained round trip and counts as ONE round trip."""
     cluster = Cluster(2, doorbell_batching=True)
     out = []
 
     def txn():
-        results = yield All([OneSided(1, lambda: "a"),
-                             OneSided(1, lambda: "b"),
-                             OneSided(1, lambda: "c")])
+        results = yield BatchedOneSided(1, [lambda: "a", lambda: "b",
+                                            lambda: "c"])
         out.append((results, cluster.sim.now))
 
     cluster.engine(0).spawn(txn())
@@ -170,8 +169,9 @@ def test_single_verb_group_is_not_fused():
 
 
 def test_mixed_all_batches_only_same_destination_remotes():
-    """Local verbs, lone remotes, and RPCs keep their own paths; only
-    the multi-verb remote groups fuse.  Result order is preserved."""
+    """Inside an All, local verbs, lone remotes, and RPCs keep their own
+    paths; only the multi-verb remote group fuses — and two verbs to one
+    server outside a group stay two verbs.  Result order is preserved."""
     cluster = Cluster(3, doorbell_batching=True)
     out = []
 
@@ -183,21 +183,22 @@ def test_mixed_all_batches_only_same_destination_remotes():
 
     def txn():
         results = yield All([
-            OneSided(1, lambda: "r1a"),    # fused pair -> server 1
-            OneSided(0, lambda: "local"),  # local, never batched
-            Rpc(2, 5),                     # messages are not verbs
-            OneSided(1, lambda: "r1b"),    # fused pair -> server 1
-            OneSided(2, lambda: "lone"),   # single verb -> no fuse
+            BatchedOneSided(1, [lambda: "r1a",   # fused pair -> server 1
+                                lambda: "r1b"]),
+            OneSided(0, lambda: "local"),        # local, never batched
+            Rpc(2, 5),                           # messages are not verbs
+            OneSided(2, lambda: "lone"),         # single verb -> no fuse
+            OneSided(2, lambda: "lone2"),        # no group -> no fuse
         ])
         out.append(results)
 
     cluster.engine(0).spawn(txn())
     cluster.run()
-    assert out == [["r1a", "local", 105, "r1b", "lone"]]
+    assert out == [[["r1a", "r1b"], "local", 105, "lone", "lone2"]]
     stats = cluster.network.stats
     assert stats.one_sided_batches == 1
     assert stats.one_sided_batched_verbs == 2
-    assert stats.one_sided_remote == 1  # the lone verb to server 2
+    assert stats.one_sided_remote == 2  # the two verbs to server 2
     assert stats.one_sided_local == 1
 
 

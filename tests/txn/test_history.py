@@ -1,6 +1,10 @@
 """Unit tests for the serializability checker."""
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.txn import CommitLog, HistoryRecorder
 
@@ -86,7 +90,60 @@ def test_three_txn_cycle():
     assert not history.is_serializable()
 
 
-def test_disabled_recorder_drops_logs():
-    history = HistoryRecorder(enabled=False)
-    history.record(log(1, writes=[(("t", "a"), 1)]))
-    assert len(history.commits) == 0
+
+# -- the bisect search against the rescanning oracle ---------------------------
+
+
+def oracle_edges(history: HistoryRecorder) -> set[tuple[int, int]]:
+    """The checker as it was before it searched sorted versions: every
+    read rescans its record's whole version list (quadratic on a hot
+    key, kept here as the reference the fast path must match)."""
+    writers = defaultdict(dict)
+    readers = defaultdict(list)
+    for entry in history.commits:
+        for rid, version in HistoryRecorder.writes_collapsed(entry):
+            writers[rid][version] = entry.txn_id
+        for rid, version in entry.reads:
+            readers[rid].append((version, entry.txn_id))
+    edges = set()
+    for rid, by_version in writers.items():
+        ordered = sorted(by_version)
+        for v1, v2 in zip(ordered, ordered[1:]):
+            if by_version[v1] != by_version[v2]:
+                edges.add((by_version[v1], by_version[v2]))
+        for read_version, reader in readers[rid]:
+            before = [v for v in ordered if v <= read_version]
+            if before and by_version[before[-1]] != reader:
+                edges.add((by_version[before[-1]], reader))
+            after = [v for v in ordered if v > read_version]
+            if after and by_version[after[0]] != reader:
+                edges.add((reader, by_version[after[0]]))
+    return edges
+
+
+@st.composite
+def histories(draw) -> HistoryRecorder:
+    """A few transactions over a few records: each record's versions
+    have distinct writers (no lost update), reads see any version,
+    including ones nobody wrote and ones past the last write."""
+    n_txns = draw(st.integers(1, 8))
+    reads = {txn: [] for txn in range(1, n_txns + 1)}
+    writes = {txn: [] for txn in range(1, n_txns + 1)}
+    for key in range(draw(st.integers(1, 3))):
+        rid = ("t", key)
+        for version in draw(st.lists(st.integers(1, 12), unique=True,
+                                     max_size=6)):
+            writes[draw(st.integers(1, n_txns))].append((rid, version))
+        for _ in range(draw(st.integers(0, 8))):
+            reads[draw(st.integers(1, n_txns))].append(
+                (rid, draw(st.integers(0, 13))))
+    history = HistoryRecorder()
+    for txn in range(1, n_txns + 1):
+        history.record(log(txn, reads[txn], writes[txn]))
+    return history
+
+
+@settings(max_examples=300, deadline=None)
+@given(histories())
+def test_edges_match_the_rescanning_oracle(history):
+    assert history.precedence_edges() == oracle_edges(history)
