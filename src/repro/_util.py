@@ -75,3 +75,22 @@ def stable_hash(obj: object) -> int:
 def make_rng(seed: int, *salt: object) -> random.Random:
     """Create an independent RNG stream derived from ``seed`` and ``salt``."""
     return random.Random(stable_hash((seed,) + salt))
+
+
+class SeededOnDraw:
+    """The :func:`make_rng` stream of ``seed`` and ``salt``, seeded on
+    its first draw: a holder that never draws never pays for seeding a
+    Mersenne Twister, and one that does draws exactly what
+    ``make_rng(seed, *salt)`` would have given it."""
+
+    __slots__ = ("_salt", "_rng")
+
+    def __init__(self, seed: int, *salt: object):
+        self._salt = (seed,) + salt
+        self._rng: random.Random | None = None
+
+    def __getattr__(self, name: str):
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = make_rng(*self._salt)
+        return getattr(rng, name)

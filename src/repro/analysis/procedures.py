@@ -210,6 +210,9 @@ class StoredProcedure:
         self._layouts: dict[tuple[int, ...], tuple[OpShape, ...]] = {}
         """Compiled shapes per tuple of foreach-parameter lengths; the
         templates never change after construction, so none goes stale."""
+        self._write_slots: dict[tuple[int, ...], tuple[tuple, ...]] = {}
+        """Per layout, ``(table, ParamKey, foreach, index)`` of every op
+        whose written record's key is exact (see :meth:`write_keys`)."""
 
     def op(self, name: str) -> OpSpec:
         return self._by_name[name]
@@ -225,6 +228,26 @@ class StoredProcedure:
         return [OpInstance(shape) if shape.index is None else
                 OpInstance(shape, params[shape.spec.foreach][shape.index])
                 for shape in self.layout(params)]
+
+    def write_keys(self, params: Params) -> set[tuple[str, Any]]:
+        """``(table, key)`` of every record this transaction will write,
+        as knowable *before* running: the conflict-class fingerprint
+        (:mod:`repro.sched.conflict`).
+
+        A write, or a read taken ``for_update`` (it takes the exclusive
+        lock up front, so it conflicts like one), is claimed only when
+        its record's key is a :class:`~repro.analysis.keys.ParamKey`: a
+        derived key's partition hint is placement-equivalent but is not
+        the record's identity, so claiming it would fuse unrelated
+        conflict classes.  The slots are compiled once per layout."""
+        sizes = tuple([len(params[name]) for name in self._foreach])
+        slots = self._write_slots.get(sizes)
+        if slots is None:
+            self.layout(params)
+            slots = self._write_slots[sizes]
+        return {(table, key.resolve(params, None if index is None
+                                     else params[foreach][index]))
+                for table, key, foreach, index in slots}
 
     def layout(self, params: Params) -> tuple[OpShape, ...]:
         """The procedure's static shape for these foreach lengths
@@ -245,7 +268,15 @@ class StoredProcedure:
                 shape.pk_children = tuple(children.get(shape.name, ()))
             if len(self._layouts) >= LAYOUT_CAP:
                 self._layouts.clear()
+                self._write_slots.clear()
             self._layouts[sizes] = shapes
+            self._write_slots[sizes] = tuple(
+                (record.table, record.key, shape.spec.foreach, shape.index)
+                for shape in shapes
+                if (record := shape.record_spec) is not None
+                and isinstance(record.key, ParamKey)
+                and (shape.spec.is_write()
+                     or shape.spec.lock is LockMode.EXCLUSIVE))
         return shapes
 
     def _alias_map(self, spec: OpSpec, index: int | None) -> dict[str, str]:

@@ -43,9 +43,7 @@ EXPERIMENTS.md).
 from __future__ import annotations
 
 import argparse
-import cProfile
 import dataclasses
-import os
 import textwrap
 from typing import Iterable, Mapping, Sequence
 
@@ -421,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cross-transaction scheduling policy")
     cfg.add_argument("--placement", choices=PLACEMENTS,
                      help="static layout or adaptive re-partitioning")
-    cfg.add_argument("--profile", dest="mp_profile_dir", metavar="DIR",
-                     help="cProfile dumps: parent.prof + worker-N.prof")
     cfg.add_argument("--wal", choices=WAL_MODES,
                      help="per-server write-ahead-log mode")
     cfg.add_argument("--mp-recovery", action="store_true",
@@ -510,15 +506,6 @@ def main(argv: Iterable[str] | None = None) -> None:
               f"real second on this machine, not simulated microseconds; "
               f"numbers are NOT comparable to sim-backend figures)")
     flush_summaries = collect_summaries(options["summary_json"])
-    # --profile DIR: cProfile the parent (the whole sweep; on the sim
-    # backend that IS the run) and have each mp worker dump its own
-    # worker-N.prof into the same directory (see RunConfig.mp_profile_dir)
-    profile_dir = overrides.get("mp_profile_dir")
-    profiler = None
-    if profile_dir is not None:
-        os.makedirs(profile_dir, exist_ok=True)
-        profiler = cProfile.Profile()
-        profiler.enable()
     try:
         if wanted & {"fig7", "fig8", "lookup", "cost"}:
             partitions = (2, 4, 8) if quick else (2, 3, 4, 5, 6, 7, 8)
@@ -553,12 +540,6 @@ def main(argv: Iterable[str] | None = None) -> None:
             print_min_weight(min_weight_ablation_rows(
                 quick=quick, overrides=overrides))
     finally:
-        if profiler is not None:
-            profiler.disable()
-            profiler.dump_stats(os.path.join(profile_dir, "parent.prof"))
-            print(f"(cProfile dumps in {profile_dir}: parent.prof"
-                  + (", worker-N.prof per mp worker" if backend == "mp"
-                     else "") + ")")
         flush_summaries()
 
 

@@ -28,9 +28,10 @@ from typing import Callable, Iterable
 
 from .._stats import fold, report
 from .._util import make_rng
-from ..obs import (HealthWatchdog, MetricsHttpServer, Timeline,
-                   TimelineSampler, Tracer, WatchdogAbort, exemplar_summary,
-                   to_prometheus, write_timeline_csv, write_trace_json)
+from ..obs import (HealthWatchdog, MetricsHttpServer, StackSampler,
+                   Timeline, TimelineSampler, Tracer, WatchdogAbort,
+                   exemplar_summary, sample_table, to_prometheus,
+                   write_timeline_csv, write_trace_json)
 from ..placement import (CONTROLLER_HOME, AccessTelemetry, MigrationExecutor,
                          PlacementController, PlacementSpec, PlacementStats,
                          as_placement_spec, controller_loop,
@@ -130,11 +131,6 @@ class RunConfig:
     bytes for a four-verb chain as the executors ship it).
     Commit/abort decisions are codec-independent (asserted by the
     conformance suite)."""
-
-    mp_profile_dir: str | None = None
-    """When set, every mp worker cProfiles its serve loop and dumps
-    ``worker-<id>.prof`` into this directory (the bench CLI's
-    ``--profile`` sets it, plus ``parent.prof`` for the parent)."""
 
     wal: WalSpec | str | None = "off"
     """Commit-path durability: ``"off"`` (bit-identical to the
@@ -351,6 +347,8 @@ class RunResult:
         traffic = self.traffic_summary()
         if traffic is not None:
             summary["traffic"] = traffic
+        if metrics.samples:
+            summary["samples"] = sample_table(metrics.samples)
         trace = self.metrics.trace
         if trace is not None:
             summary["trace"] = trace.summary()
@@ -550,9 +548,12 @@ class Run:
         workers."""
         config = self.config
         live = _LiveTimeline(config) if config.metrics_interval else None
+        sampler = StackSampler().start() if config.trace else None
         try:
             payloads = execute(self, drive, live)
         finally:
+            if sampler is not None:
+                sampler.stop()
             if live is not None:
                 live.close()
         parts = []
@@ -561,6 +562,9 @@ class Run:
             payload["metrics"].recovery_stats = payload["live"]["recovery"]
             parts.append(payload["metrics"])
         metrics = parts[0] if len(parts) == 1 else Metrics.merged(parts)
+        if sampler is not None:
+            metrics.samples["parent" if config.backend == "mp"
+                            else "main"] = sampler.counts
         if live is not None:
             live.timeline.health = live.watchdog.events
             metrics.timeline = live.timeline
@@ -570,10 +574,17 @@ class Run:
             # backend's consumers read it (an mp parent counts nothing)
             if payload["live"]["stats"] is not stats:
                 fold(stats, payload["live"]["stats"])
+        history = self.executor.history
+        if config.backend == "mp" and history is not None:
+            # the parent's recorder saw nothing: the union of the
+            # workers' logs is the history (disjoint txn ids, versions
+            # per record)
+            history = HistoryRecorder()
+            for payload in payloads:
+                history.commits.extend(payload.get("history", ()))
         return _finish_run(RunResult(
             metrics=metrics, database=self.database, config=config,
-            # on mp the parent's recorder saw nothing
-            history=None if config.backend == "mp" else self.executor.history,
+            history=history,
             end_time=max(payload["end_time"] for payload in payloads)))
 
 
@@ -631,14 +642,15 @@ def make_schedulers(executor: BaseExecutor, config: RunConfig,
                     homes: Iterable[int]) -> dict[int, Scheduler]:
     """One scheduler per engine, built from the run's picklable spec.
 
-    The conflict-class fingerprint comes from the executor's
-    pre-execution read/write-set estimate
-    (:meth:`~repro.txn.executor.BaseExecutor.estimate_rw_sets`).
+    The conflict-class fingerprint is the request's exact write set,
+    read from its procedure's compiled layout
+    (:meth:`~repro.analysis.StoredProcedure.write_keys`).
     """
     spec = as_spec(config.scheduler)
+    registry = executor.db.registry
 
     def fingerprint(request):
-        return tuple(executor.estimate_rw_sets(request)[1])
+        return registry.get(request.proc).write_keys(request.params)
 
     return {home: spec.build(fingerprint) for home in homes}
 
@@ -670,6 +682,10 @@ def drive(run: Run, cluster, worker_id: int | None = None):
                 cluster.engine(home).spawn(recovery_program(db, in_doubt))
         homes = [home for home in homes if cluster.owns(home)]
     metrics = Metrics()
+    # a worker samples itself while it drives its share (Run.run()
+    # samples the process that called it)
+    sampler = (StackSampler().start()
+               if config.trace and worker_id is not None else None)
     load = Load(executor, config, cluster, metrics,
                 make_schedulers(executor, config, homes))
     _spawn_load(run.workload, load, homes)
@@ -692,6 +708,8 @@ def drive(run: Run, cluster, worker_id: int | None = None):
     wall_start = time.perf_counter()
 
     def collect() -> dict:
+        if sampler is not None:
+            metrics.samples[f"worker-{worker_id}"] = sampler.stop()
         metrics.wall_seconds = time.perf_counter() - wall_start
         metrics.events_processed = cluster.sim.events_fired - events_before
         metrics.scheduler_stats = {
@@ -705,9 +723,14 @@ def drive(run: Run, cluster, worker_id: int | None = None):
             metrics.trace = db.tracer.harvest()
         # on mp the live part ships again once the worker stops serving
         # the others, which goes on counting in it (run_mp_workers)
-        return {"metrics": metrics, "end_time": cluster.sim.now,
-                "live": {"stats": cluster.network.stats,
-                         "recovery": db.recovery}}
+        payload = {"metrics": metrics, "end_time": cluster.sim.now,
+                   "live": {"stats": cluster.network.stats,
+                            "recovery": db.recovery}}
+        if worker_id is not None and executor.history is not None:
+            # the coordinator logs a commit as it decides it, so this
+            # worker's share of the history is whole at quiescence
+            payload["history"] = executor.history.commits
+        return payload
 
     return collect
 

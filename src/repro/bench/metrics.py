@@ -215,6 +215,12 @@ class Metrics:
     ``RunConfig.trace`` is on, None otherwise.  mp workers each ship
     theirs and the parent folds them, like every other stat."""
 
+    samples: dict[str, dict[str, int]] = stat(dict)
+    """Stack samples by process, then by ``repro`` module (or ``wait``)
+    (:class:`repro.obs.sampler.StackSampler`); filled when
+    ``RunConfig.trace`` is on — one book per mp worker, plus the process
+    that called ``Run.run()``."""
+
     timeline: "object | None" = None
     """Merged live metrics timeline (:class:`repro.obs.Timeline`, with
     the watchdog's events on ``timeline.health``); filled by the

@@ -4,8 +4,9 @@ See :mod:`repro.obs.tracer` for the ring-buffer span log,
 :mod:`repro.obs.export` for critical-path reduction and Perfetto
 export, :mod:`repro.obs.timeline` for the periodic delta sampler and
 merged per-server timeline, :mod:`repro.obs.health` for the declarative
-watchdog, and :mod:`repro.obs.expose` for Prometheus/CSV
-rendering.  The rest of the codebase imports :data:`NOOP_TRACER` (the
+watchdog, :mod:`repro.obs.expose` for Prometheus/CSV rendering, and
+:mod:`repro.obs.sampler` for the per-process stack sampler a traced run
+arms.  The rest of the codebase imports :data:`NOOP_TRACER` (the
 disabled fast path) and guards every emission site on
 ``tracer.enabled``; the timeline is equally opt-in via
 ``RunConfig(metrics_interval=...)``.
@@ -20,6 +21,7 @@ from .health import (HealthEvent, HealthRule, HealthWatchdog,
                      WatchdogAbort, default_rules)
 from .expose import (MetricsHttpServer, timeline_csv, to_prometheus,
                      write_timeline_csv)
+from .sampler import StackSampler, sample_table
 
 __all__ = [
     "NOOP_TRACER", "PHASES", "VERB_PHASES", "SpanRing", "TraceData",
@@ -30,4 +32,5 @@ __all__ = [
     "default_rules",
     "MetricsHttpServer", "timeline_csv",
     "to_prometheus", "write_timeline_csv",
+    "StackSampler", "sample_table",
 ]

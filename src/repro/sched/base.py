@@ -287,8 +287,8 @@ class SchedulerSpec:
             if fingerprint is None:
                 raise ValueError(
                     "conflict scheduling needs a fingerprint function "
-                    "(the harness derives one from the executor's "
-                    "estimate_rw_sets hook)")
+                    "(the harness reads one from each procedure's "
+                    "compiled write_keys)")
             return ConflictClassScheduler(fingerprint)
         raise ValueError(f"unknown scheduler kind {self.kind!r} "
                          f"(expected one of {SCHEDULERS})")

@@ -8,9 +8,10 @@ record means one of them burns a full round of lock acquisitions just
 to abort, so scheduling the loser behind the winner converts wasted
 work into queueing delay.
 
-Here a class key is one *estimated* record of the request's write set
-(from the executor's pre-execution ``estimate_rw_sets`` hook — the
-static-analysis placements of :mod:`repro.analysis.keys`); a request
+Here a class key is one record of the request's write set as known
+before it runs (its procedure's per-layout write slots with exact
+:class:`~repro.analysis.keys.ParamKey` keys,
+:meth:`~repro.analysis.StoredProcedure.write_keys`); a request
 belongs to every class its writes touch and is admitted only when none
 of them is held (all-or-nothing, so partial holds can never deadlock);
 a class admits one transaction at a time.  Unestimatable requests (derived keys without hints) simply

@@ -113,7 +113,7 @@ def _worker_entry(conn, cluster: WorkerCluster, driver: Driver,
     ``multiprocessing`` ends a forked child with ``os._exit``, which runs
     no atexit hook and flushes no buffer: whatever must outlive the
     worker is written through before it returns (the WAL flushes every
-    append; a profile is dumped explicitly).
+    append; the sampler's counts ride the payload).
     """
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -156,21 +156,8 @@ def _worker_body(conn, cluster: WorkerCluster, driver: Driver,
     codec = FrameCodec(packed=config.mp_codec == "packed")
     transport = TcpTransport(cluster, listener, ports, codec)
 
-    profile_dir = config.mp_profile_dir
-    profiler = None
-    if profile_dir:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        asyncio.run(_serve_worker(cluster, conn, transport, finalize,
-                                  worker_id))
-    finally:
-        if profiler is not None:
-            import os
-            profiler.disable()
-            profiler.dump_stats(os.path.join(profile_dir,
-                                             f"worker-{worker_id}.prof"))
+    asyncio.run(_serve_worker(cluster, conn, transport, finalize,
+                              worker_id))
 
 
 async def _serve_worker(cluster: WorkerCluster, conn,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .._util import make_rng
+from .._util import SeededOnDraw, make_rng
 from ..sched import DeadlineAdmission, Scheduler
 from ..sim import Sleep
 from .arrivals import Arrival, ArrivalSpec, schedule_for_home
@@ -93,9 +93,9 @@ def _dispatcher(workload, seed: int, cluster, stats,
                 continue
             admission.on_start()
         # not awaited: the next arrival enters on time whether or not
-        # this one has finished
+        # this one has finished; only a retry draws from its stream
         engine.spawn(lifecycle(
-            home, request, make_rng(seed, "open-loop-task", home, index),
+            home, request, SeededOnDraw(seed, "open-loop-task", home, index),
             trace, arrival.at, arrival.tenant,
             _settlement(tenant, arrival, admission)))
 

@@ -106,39 +106,6 @@ class BaseExecutor:
             self.db.cluster.engine(request.home).set_trace(trace)
         return state
 
-    # -- pre-execution read/write-set estimation -----------------------------
-
-    def estimate_rw_sets(self, request: TxnRequest,
-                         ) -> tuple[frozenset, frozenset]:
-        """Records this request will touch, as knowable *before* running.
-
-        Returns ``(reads, writes)`` of ``(table, key)`` pairs from the
-        static analysis's placements.  Only *exact* placements —
-        parameter-computable keys — are claimed: a derived key's
-        partition hint is placement-equivalent but is not the record's
-        identity, so claiming it would fuse unrelated conflict classes.
-        A read taken ``for_update`` counts as a write — it acquires the
-        exclusive lock up front, so it conflicts like one.  This is the
-        fingerprint source for conflict-class scheduling
-        (:mod:`repro.sched.conflict`).
-        """
-        proc = self.db.registry.get(request.proc)
-        reads: set[tuple[str, Any]] = set()
-        writes: set[tuple[str, Any]] = set()
-        for inst in proc.instantiate(request.params):
-            spec = inst.spec
-            if spec.kind is OpKind.CHECK:
-                continue
-            placement = inst.placement(request.params)
-            if placement is None or not placement.exact:
-                continue
-            record = (placement.table, placement.key)
-            if spec.is_write() or spec.lock is LockMode.EXCLUSIVE:
-                writes.add(record)
-            else:
-                reads.add(record)
-        return frozenset(reads - writes), frozenset(writes)
-
     # -- parallel network rounds -------------------------------------------
 
     @property

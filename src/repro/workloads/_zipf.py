@@ -12,6 +12,8 @@ mimicking the long flat tail of real purchase data.
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect
 
 
 def power_law_weights(n: int, top_shares: tuple[float, ...] = (),
@@ -57,3 +59,14 @@ def power_law_weights(n: int, top_shares: tuple[float, ...] = (),
     residual = 1.0 - math.fsum(weights)
     weights[n_head] += residual
     return weights
+
+
+def weighted_index(rng: random.Random, cum_weights: list[float]) -> int:
+    """An index drawn with the probabilities behind ``cum_weights``.
+
+    One ``random()`` and one bisect: exactly what
+    ``rng.choices(range(n), cum_weights=cum_weights, k=1)[0]`` returns
+    (CPython 3.10–3.12), leaving ``rng`` in the same state, without
+    building its population or result list."""
+    return bisect(cum_weights, rng.random() * cum_weights[-1], 0,
+                  len(cum_weights) - 1)

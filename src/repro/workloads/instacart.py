@@ -27,7 +27,7 @@ import random
 from ..analysis import StoredProcedure, insert, param_key, read, update
 from ..storage import TableSpec
 from ..txn.common import TxnRequest
-from ._zipf import power_law_weights
+from ._zipf import power_law_weights, weighted_index
 from .base import Workload
 
 
@@ -165,14 +165,13 @@ class InstacartWorkload(Workload):
     def _draw(self, rng: random.Random,
               categories: list[int]) -> int | None:
         if rng.random() < self._head_mass:
-            return rng.choices(range(self.n_head),
-                               cum_weights=self._head_cum, k=1)[0]
+            return weighted_index(rng, self._head_cum)
         category = categories[rng.randrange(len(categories))]
         products = self._products_by_category.get(category, ())
         if not products:
             return None
         cum = self._category_cum[category]
-        return rng.choices(products, cum_weights=cum, k=1)[0]
+        return products[weighted_index(rng, cum)]
 
     # -- data-affinity routing ------------------------------------------------
 

@@ -13,7 +13,7 @@ import random
 from ..analysis import StoredProcedure, param_key, read, update
 from ..storage import TableSpec
 from ..txn.common import TxnRequest
-from ._zipf import power_law_weights
+from ._zipf import power_law_weights, weighted_index
 from .base import Workload
 
 
@@ -80,8 +80,7 @@ class YcsbWorkload(Workload):
     def _pick(self, rng: random.Random) -> int:
         if self._cum_weights is None:
             return rng.randrange(self.n_keys)
-        return rng.choices(range(self.n_keys),
-                           cum_weights=self._cum_weights, k=1)[0]
+        return weighted_index(rng, self._cum_weights)
 
     # -- data-affinity routing (``RunConfig.route_by_data``) ----------------
 
@@ -161,8 +160,7 @@ class DriftingYcsbWorkload(YcsbWorkload):
 
     def _request(self, home: int, rng: random.Random,
                  shifted: bool) -> TxnRequest:
-        rank = rng.choices(range(self.n_groups),
-                           cum_weights=self._group_cum, k=1)[0]
+        rank = weighted_index(rng, self._group_cum)
         group = ((rank + self.shift_offset) % self.n_groups if shifted
                  else rank)
         base = group * self.group_size

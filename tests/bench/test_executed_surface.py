@@ -11,7 +11,8 @@ list).  ``python tests/bench/executed_surface.py`` prints the census.
 
 from pathlib import Path
 
-from executed_surface import def_table, lint, load
+import yaml
+from executed_surface import CI, _ci_smoke_steps, def_table, lint, load
 
 
 def test_every_def_is_on_one_list_and_every_entry_names_a_def():
@@ -55,3 +56,20 @@ def test_lint_fails_a_stale_entry_and_a_def_on_two_lists(tmp_path):
     assert lint(surface, table) == [
         "repro.mod:A.x is on entered and fault",
         "entered entry repro.mod:gone names no def (stale)"]
+
+
+def test_the_recorder_runs_every_ci_line_but_the_asserts(tmp_path):
+    """CI's ``python -c`` lines check a run's numbers and import no
+    ``repro``, so the census loses nothing by leaving them out, and a
+    cell its profiler slows cannot fail the record."""
+    steps = yaml.safe_load(CI.read_text())["jobs"]["smoke"]["steps"]
+    scripts = [step["run"] for step in steps if "run" in step]
+    asserts = [line for script in scripts for line in script.splitlines()
+               if line.lstrip().startswith("python -c ")]
+    assert asserts and not [line for line in asserts if "repro" in line]
+    recorded = [argv[-1] for _name, argv in _ci_smoke_steps(tmp_path)]
+    assert len(recorded) == len(scripts)
+    for script, ran in zip(scripts, recorded):
+        kept = [line for line in script.splitlines() if line not in asserts]
+        assert ran.splitlines() == [
+            line.replace("/tmp/", f"{tmp_path}/") for line in kept]

@@ -18,7 +18,7 @@ from repro.traffic import ArrivalSpec
 OVERRIDES = {"wal": "group", "trace": True, "trace_sample": 3,
              "placement": "adaptive", "scheduler": "conflict",
              "doorbell_batching": True, "backend": "aio", "mp_workers": 2,
-             "mp_profile_dir": "/tmp/prof", "mp_recovery": True,
+             "mp_recovery": True,
              "mp_chaos_kill_worker": 1, "metrics_interval": 500.0,
              "offered_load": 5e4, "deadline_us": 9e3,
              "arrivals": ArrivalSpec(process="poisson", admission="deadline")}
@@ -162,7 +162,6 @@ FLAGS = {  # flag -> (value or None for a switch, overrides it must set)
     "--workers": ("2", {"mp_workers": 2}),
     "--scheduler": ("conflict", {"scheduler": "conflict"}),
     "--placement": ("adaptive", {"placement": "adaptive"}),
-    "--profile": ("{tmp}/prof", {"mp_profile_dir": "{tmp}/prof"}),
     "--wal": ("group", {"wal": "group"}),
     "--chaos-kill": ("1", {"mp_chaos_kill_worker": 1, "mp_recovery": True}),
     "--chaos-after": ("0.25", {"mp_chaos_kill_after_s": 0.25}),
@@ -198,7 +197,7 @@ NEEDS = {"--offered-load": ["--arrivals", "poisson"],
 
 @pytest.mark.parametrize("flag", sorted(FLAGS))
 def test_all_25_flags_in_both_spellings(flag, swept, tmp_path, capsys):
-    assert len(FLAGS) == 24  # 25 until PR 24 deleted --watch
+    assert len(FLAGS) == 23  # 25 with --watch, 24 with --profile
     value, expected = FLAGS[flag]
     fill = lambda x: x.replace("{tmp}", str(tmp_path)) \
         if isinstance(x, str) else x

@@ -31,6 +31,7 @@ each freeing nothing).
 
 import dataclasses
 import gc
+import random
 import sys
 
 import pytest
@@ -43,10 +44,12 @@ import repro.sched.conflict as conflict
 import repro.sim.events as events
 import repro.sim.network as network
 import repro.storage.bucket as bucket
+import repro.traffic.openloop as openloop
 from repro.analysis import StoredProcedure
 from repro.bench import RunConfig
 from repro.bench.setups import make_tpcc_run, make_ycsb_run
 from repro.core import RegionPlanner
+from repro.txn import TwoPLExecutor
 from repro.workloads.ycsb import YcsbWorkload
 
 HASHES_PER_COMMIT = 3
@@ -356,6 +359,69 @@ def test_procedure_shapes_are_compiled_not_rederived(counted_run):
     assert compiled <= ALIAS_MAPS_PER_RUN
     # and not one per op instance per transaction
     assert compiled < 5 * result.metrics.commits
+
+
+# -- the hot open-loop path, as counts -----------------------------------------
+#
+# Each admitted arrival of the hot-key cell used to instantiate its
+# procedure a second time to fingerprint it (30.2 op instances per
+# commit for 18.2 executed), seed a Mersenne Twister that only a retry
+# draws from (1.00 seeded per commit), and draw every key through
+# ``Random.choices`` (8.26 calls per commit).
+
+
+@pytest.fixture(scope="module")
+def counted_hot_run():
+    counts = {"instantiations": 0, "task_rngs": 0, "retried": 0,
+              "choices": 0}
+    make_rng, instantiate = util.make_rng, StoredProcedure.instantiate
+    execute = TwoPLExecutor.execute
+    choices = random.Random.choices
+
+    def counting_make_rng(seed, *salt):
+        counts["task_rngs"] += salt[:1] == ("open-loop-task",)
+        return make_rng(seed, *salt)
+
+    def counting_instantiate(self, params):
+        counts["instantiations"] += 1
+        return instantiate(self, params)
+
+    def counting_execute(self, request, trace=0, attempt=0):
+        counts["retried"] += attempt == 1
+        return execute(self, request, trace=trace, attempt=attempt)
+
+    def counting_choices(self, *args, **kwargs):
+        counts["choices"] += 1
+        return choices(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(util, "make_rng", counting_make_rng)
+        patch.setattr(openloop, "make_rng", counting_make_rng)
+        patch.setattr(StoredProcedure, "instantiate", counting_instantiate)
+        patch.setattr(TwoPLExecutor, "execute", counting_execute)
+        patch.setattr(random.Random, "choices", counting_choices)
+        result = golden.tiny_hot_ycsb_run().run()
+    return result, counts
+
+
+def test_a_hot_request_is_instantiated_once_per_attempt(counted_hot_run):
+    result, counts = counted_hot_run
+    assert result.metrics.commits > 100
+    assert counts["instantiations"] <= result.metrics.attempts
+
+
+def test_only_a_retrying_arrival_seeds_its_stream(counted_hot_run):
+    result, counts = counted_hot_run
+    arrivals = sum(tenant.scheduled
+                   for tenant in result.metrics.open_loop.tenants.values())
+    # streams seeded per arrival <= the share of arrivals that retried
+    assert 0 < counts["retried"] < arrivals
+    assert counts["task_rngs"] <= counts["retried"]
+
+
+def test_keys_are_drawn_without_random_choices(counted_hot_run):
+    _result, counts = counted_hot_run
+    assert counts["choices"] == 0
 
 
 # -- the wire path, as counts ---------------------------------------------------

@@ -403,12 +403,12 @@ def test_a_namesake_keyword_sets_no_spec_field(tmp_path):
 
 
 def test_run_config_does_not_grow():
-    assert len(dataclasses.fields(RunConfig)) <= 36
+    assert len(dataclasses.fields(RunConfig)) <= 35
 
 
 def test_config_classes_flags_and_the_allow_list_do_not_grow():
-    assert sum(len(dataclasses.fields(cls)) for cls in CONFIG_CLASSES) <= 57
-    assert len(flag_dests()) <= 24
+    assert sum(len(dataclasses.fields(cls)) for cls in CONFIG_CLASSES) <= 56
+    assert len(flag_dests()) <= 23
     assert len(NO_CONSUMER_YET) <= 2
 
 

@@ -314,6 +314,38 @@ def test_run_mp_benchmark_merges_worker_metrics():
     assert no_leaked_workers()
 
 
+@pytest.mark.parametrize("executor", TPCC_EXECUTORS)
+def test_an_mp_history_comes_home_whole_and_serializable(executor):
+    """Each worker ships the commit logs its coordinators wrote; their
+    union is the run's history, checked like a sim run's."""
+    result = make_tpcc_run(executor, mp_config(
+        horizon_us=40_000.0, concurrent_per_engine=4,
+        record_history=True)).run()
+    history = result.history
+    assert result.metrics.commits > 0
+    assert len(history.commits) == result.metrics.commits
+    assert len({log.txn_id for log in history.commits}) \
+        == len(history.commits)
+    assert history.find_cycle() is None
+    assert no_leaked_workers()
+
+
+def test_an_mp_run_samples_every_process_when_traced():
+    """With ``trace`` on, the parent and each worker count where their
+    time went; each process's shares sum to 1."""
+    result = make_tpcc_run("2pl", mp_config(horizon_us=100_000.0,
+                                            trace=True)).run()
+    table = result.perf_summary()["samples"]
+    assert sorted(table) == ["parent", "worker-0", "worker-1"]
+    for row in table.values():
+        assert row["n"] > 0
+        assert sum(share for _, share in row["shares"]) \
+            == pytest.approx(1.0)
+    # the parent only supervises: it spends its time in the wait
+    assert dict(table["parent"]["shares"]).get("wait", 0.0) > 0.5
+    assert no_leaked_workers()
+
+
 # -- one build, inherited -------------------------------------------------------
 #
 # An mp run is built once, in the parent; every worker, and every

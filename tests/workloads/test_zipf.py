@@ -1,10 +1,15 @@
-"""Regression tests for power-law weight normalization and validation."""
+"""Regression tests for power-law weight normalization and validation,
+and for the one weighted-draw helper."""
 
+import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.workloads._zipf import power_law_weights
+from repro.workloads._zipf import power_law_weights, weighted_index
 
 HEAD_TAIL_CONFIGS = [
     # (n, top_shares, tail_exponent)
@@ -58,3 +63,19 @@ def test_existing_validation_still_applies():
         power_law_weights(10, (0.9, 0.2))     # head mass >= 1
     with pytest.raises(ValueError):
         power_law_weights(10, (0.1, 0.2))     # increasing shares
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), st.lists(
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=40).filter(lambda w: math.fsum(w) > 0.0),
+    st.integers(1, 5))
+def test_weighted_index_is_choices_k1(seed, weights, draws):
+    """Same index as ``Random.choices(k=1)`` and the same RNG state
+    after it, zero weights and ties included."""
+    cum = list(itertools.accumulate(weights))
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        assert weighted_index(ours, cum) == theirs.choices(
+            range(len(cum)), cum_weights=cum, k=1)[0]
+    assert ours.getstate() == theirs.getstate()
