@@ -105,7 +105,7 @@ def trained_hot_table(workload: DriftingYcsbWorkload,
         registry.register(proc)
     stats = StatsService(sample_rate=1.0, lock_window_us=10.0)
     for request in workload.trace(TRAIN_SAMPLES, n_partitions,
-                                  phase="pre", seed=TRAIN_SEED):
+                                  seed=TRAIN_SEED):
         stats.record(sample_from_request(registry, request))
     likelihoods = stats.likelihoods_from_txn_rate(
         100_000.0 * n_partitions)
@@ -126,7 +126,6 @@ def build_drift_run(config: RunConfig, quick: bool = False) -> Run:
     shape = drift_shape(quick)
     workload = DriftingYcsbWorkload(n_groups=N_GROUPS,
                                     group_size=GROUP_SIZE,
-                                    reads_per_txn=4, writes_per_txn=2,
                                     zipf_exponent=ZIPF_EXPONENT,
                                     shift_at_us=shape["shift_at_us"])
     hot_table = trained_hot_table(workload, config.n_partitions)

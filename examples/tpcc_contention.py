@@ -16,7 +16,7 @@ CONCURRENCY = (1, 2, 4, 8)
 
 
 def main():
-    rows = fig9_rows(concurrency=CONCURRENCY, n_partitions=4, quick=True)
+    rows = fig9_rows(concurrency=CONCURRENCY, quick=True)
 
     print(f"{'conc':>4} | {'throughput (K txns/s)':^28} | "
           f"{'abort rate':^22}")

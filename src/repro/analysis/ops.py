@@ -94,12 +94,11 @@ class OpSpec:
 
 def read(name: str, table: str, key: KeyExpr, *,
          for_update: bool = False,
-         value_deps: tuple[str, ...] = (),
          foreach: str | None = None) -> OpSpec:
     """A read; ``for_update=True`` takes the write lock up front."""
     return OpSpec(name, OpKind.READ, table=table, key=key,
                   lock=LockMode.EXCLUSIVE if for_update else LockMode.SHARED,
-                  value_deps=value_deps, foreach=foreach)
+                  foreach=foreach)
 
 
 def update(name: str, target: str, set_fn: SemanticFn, *,
@@ -124,13 +123,10 @@ def insert(name: str, table: str, key: KeyExpr, fields_fn: SemanticFn, *,
 
 
 def delete(name: str, target: str, *,
-           value_deps: tuple[str, ...] = (),
-           foreach: str | None = None,
-           conditional: bool = False) -> OpSpec:
+           foreach: str | None = None) -> OpSpec:
     """Delete the record read by ``target``."""
     return OpSpec(name, OpKind.DELETE, target=target,
-                  lock=LockMode.EXCLUSIVE, value_deps=value_deps,
-                  foreach=foreach, conditional=conditional)
+                  lock=LockMode.EXCLUSIVE, foreach=foreach)
 
 
 def check(name: str, deps: tuple[str, ...], predicate: SemanticFn, *,

@@ -56,7 +56,7 @@ def conformance_config(backend: str, **fields) -> RunConfig:
     topology — decisions must not depend on how frames are encoded or
     who owns which server."""
     shape = dict(n_partitions=2, backend=backend, n_replicas=1,
-                 horizon_us=30_000.0, run_timeout_s=120.0, seed=13)
+                 horizon_us=30_000.0, seed=13)
     return RunConfig(**{**shape, **fields})
 
 

@@ -75,11 +75,19 @@ before a fleet of freshly forked workers commits much: at 5 ms,
 WALLCLOCK_HORIZON_US = 1_000_000.0
 """The same without ``--quick``."""
 
+N_PARTITIONS = 4
+"""Partitions of the TPC-C sweeps (Figs. 9 and 10) and the ablations."""
+
+INSTACART_SEED = 2
+"""Seed of every Instacart cell: Figs. 7 and 8, and the ablations."""
+
+FIG9_SEED = 3
+FIG10_SEED = 5
+
 
 # -- Section 7.2: Instacart (Figs. 7 & 8, lookup size, partitioner cost) ----
 
 def instacart_config(n_partitions: int, quick: bool = False,
-                     seed: int = 2,
                      overrides: Overrides | None = None) -> RunConfig:
     overrides = overrides or {}
     if overrides.get("backend", "sim") == "sim":
@@ -89,7 +97,7 @@ def instacart_config(n_partitions: int, quick: bool = False,
         warmup = horizon / 10
     cell = dict(n_partitions=n_partitions, concurrent_per_engine=4,
                 horizon_us=horizon, warmup_us=warmup,
-                seed=seed, n_replicas=1,
+                seed=INSTACART_SEED, n_replicas=1,
                 # open-loop arrivals pin each request to its scheduled
                 # home; data-affinity routing is a closed-loop worker
                 # concern (see repro.traffic)
@@ -99,7 +107,6 @@ def instacart_config(n_partitions: int, quick: bool = False,
 
 def instacart_sweep(partitions: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
                     n_train: int = 3000, quick: bool = False,
-                    seed: int = 2,
                     layouts: Sequence[str] = INSTACART_LAYOUTS,
                     workload_factory=InstacartWorkload,
                     overrides: Overrides | None = None) -> list[dict]:
@@ -115,12 +122,14 @@ def instacart_sweep(partitions: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
     for k in partitions:
         workload = workload_factory()
         setup = build_instacart_setup(k, n_train=n_train,
-                                      workload=workload, seed=seed)
+                                      workload=workload,
+                                      seed=INSTACART_SEED)
         row: dict = {"partitions": k}
         for name in layouts:
-            layout = build_instacart_layout(setup, name, seed=seed)
+            layout = build_instacart_layout(setup, name,
+                                            seed=INSTACART_SEED)
             run = make_instacart_run(
-                setup, layout, instacart_config(k, quick, seed, overrides))
+                setup, layout, instacart_config(k, quick, overrides))
             result = run.run()
             metrics = result.metrics
             row[f"{name}_throughput"] = result.throughput
@@ -176,8 +185,8 @@ def print_cost(rows: list[dict]) -> None:
 
 # -- Section 7.3: TPC-C concurrency sweep (Figs. 9a, 9b, 9c) ---------------
 
-def tpcc_config(n_partitions: int, concurrent: int, quick: bool = False,
-                seed: int = 3,
+def tpcc_config(n_partitions: int, concurrent: int, seed: int,
+                quick: bool = False,
                 overrides: Overrides | None = None) -> RunConfig:
     overrides = overrides or {}
     if overrides.get("backend", "sim") == "sim":
@@ -191,8 +200,7 @@ def tpcc_config(n_partitions: int, concurrent: int, quick: bool = False,
 
 
 def fig9_rows(concurrency: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
-              n_partitions: int = 4, quick: bool = False,
-              seed: int = 3,
+              quick: bool = False,
               overrides: Overrides | None = None) -> list[dict]:
     """Throughput + abort rates per executor per concurrency level."""
     rows = []
@@ -200,8 +208,8 @@ def fig9_rows(concurrency: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
         row: dict = {"concurrent": concurrent}
         for name in TPCC_EXECUTORS:
             run = make_tpcc_run(
-                name, tpcc_config(n_partitions, concurrent, quick, seed,
-                                  overrides))
+                name, tpcc_config(N_PARTITIONS, concurrent, FIG9_SEED,
+                                  quick, overrides))
             result = run.run()
             metrics = result.metrics
             row[f"{name}_throughput"] = result.throughput
@@ -251,8 +259,7 @@ FIG10_SERIES = (("2pl", 1), ("occ", 1), ("2pl", 5), ("occ", 5),
 
 
 def fig10_rows(percents: Sequence[int] = (0, 20, 40, 60, 80, 100),
-               n_partitions: int = 4, quick: bool = False,
-               seed: int = 5,
+               quick: bool = False,
                overrides: Overrides | None = None) -> list[dict]:
     """Throughput vs fraction of distributed transactions."""
     rows = []
@@ -260,13 +267,13 @@ def fig10_rows(percents: Sequence[int] = (0, 20, 40, 60, 80, 100),
         row: dict = {"percent": percent}
         for name, concurrent in FIG10_SERIES:
             workload = TpccWorkload(
-                TpccScale(n_warehouses=n_partitions),
-                n_partitions=n_partitions, mix=FIG10_MIX,
+                TpccScale(n_warehouses=N_PARTITIONS),
+                n_partitions=N_PARTITIONS, mix=FIG10_MIX,
                 payment_remote_prob=percent / 100.0,
                 new_order_remote_prob=percent / 100.0)
             run = make_tpcc_run(
-                name, tpcc_config(n_partitions, concurrent, quick, seed,
-                                  overrides),
+                name, tpcc_config(N_PARTITIONS, concurrent, FIG10_SEED,
+                                  quick, overrides),
                 workload=workload)
             result = run.run()
             row[f"{name}_{concurrent}_throughput"] = result.throughput
@@ -290,8 +297,7 @@ def print_fig10(rows: list[dict]) -> None:
 
 # -- Ablations ---------------------------------------------------------------
 
-def reorder_ablation_rows(n_partitions: int = 4, n_train: int = 1200,
-                          quick: bool = False, seed: int = 2,
+def reorder_ablation_rows(n_train: int = 1200, quick: bool = False,
                           overrides: Overrides | None = None,
                           ) -> list[dict]:
     """Two-region execution without contention-aware partitioning.
@@ -302,18 +308,18 @@ def reorder_ablation_rows(n_partitions: int = 4, n_train: int = 1200,
     execution on the hashing layout; two-region on Schism's layout;
     full Chiller (two-region + contention-aware layout).
     """
-    setup = build_instacart_setup(n_partitions, n_train=n_train,
-                                  seed=seed)
+    setup = build_instacart_setup(N_PARTITIONS, n_train=n_train,
+                                  seed=INSTACART_SEED)
     rows = []
     combos = (("hashing", "2pl", "2PL on hashing"),
               ("hashing", "chiller", "two-region on hashing"),
               ("schism", "chiller", "two-region on Schism"),
               ("chiller", "chiller", "full Chiller"))
     for layout_name, executor_name, label in combos:
-        layout = build_instacart_layout(setup, layout_name, seed=seed)
+        layout = build_instacart_layout(setup, layout_name,
+                                        seed=INSTACART_SEED)
         run = make_instacart_run(
-            setup, layout,
-            instacart_config(n_partitions, quick, seed, overrides),
+            setup, layout, instacart_config(N_PARTITIONS, quick, overrides),
             executor_override=executor_name)
         result = run.run()
         rows.append({
@@ -339,22 +345,20 @@ def print_reorder(rows: list[dict]) -> None:
 
 def min_weight_ablation_rows(weights: Sequence[float] = (0.0, 0.05, 0.2,
                                                          0.5),
-                             n_partitions: int = 4, n_train: int = 1200,
-                             quick: bool = False,
-                             seed: int = 2,
+                             n_train: int = 1200, quick: bool = False,
                              overrides: Overrides | None = None,
                              ) -> list[dict]:
     """Section 4.4: a minimum edge weight co-optimizes contention and
     the number of distributed transactions."""
-    setup = build_instacart_setup(n_partitions, n_train=n_train,
-                                  seed=seed)
+    setup = build_instacart_setup(N_PARTITIONS, n_train=n_train,
+                                  seed=INSTACART_SEED)
     rows = []
     for weight in weights:
-        layout = build_instacart_layout(setup, "chiller", seed=seed,
+        layout = build_instacart_layout(setup, "chiller",
+                                        seed=INSTACART_SEED,
                                         min_weight=weight)
         run = make_instacart_run(
-            setup, layout,
-            instacart_config(n_partitions, quick, seed, overrides))
+            setup, layout, instacart_config(N_PARTITIONS, quick, overrides))
         result = run.run()
         rows.append({
             "min_weight": weight,
@@ -430,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     cfg.add_argument("--chaos-after", dest="mp_chaos_kill_after_s",
                      type=float, metavar="S",
                      help="seconds before the chaos kill fires")
-    cfg.add_argument("--max-restarts", dest="mp_max_restarts", type=int,
-                     metavar="N", help="worker respawns allowed per run")
     cfg.add_argument("--arrivals", choices=ARRIVAL_PROCESSES,
                      help="open-loop traffic on a seeded arrival schedule")
     cfg.add_argument("--offered-load", type=float, metavar="TPS",

@@ -60,6 +60,11 @@ attempt retries (what the scheduler's ``retry_backoff_us`` starts from)."""
 MAX_ATTEMPTS = 50
 """Attempts after which a request that keeps aborting is given up."""
 
+AIO_HEADROOM_S = 120.0
+"""Hang guard of an aio run: its run-to-quiescence loop may take the
+wall-clock horizon plus this much drain time (mp's parent waits the
+horizon plus :data:`repro.sim.supervisor.MP_HEADROOM_S`)."""
+
 
 @dataclass
 class RunConfig:
@@ -102,14 +107,6 @@ class RunConfig:
     or ``"mp"`` (the same runtime, one worker per OS process, codec
     frames between them); aio/mp throughput figures are wall-clock."""
 
-    run_timeout_s: float | None = None
-    """Hang guard for the wall-clock backends: how long the aio
-    run-to-quiescence loop may take, and how long the mp parent waits
-    for every worker to report before tearing the fleet down.  None
-    derives a bound from the wall-clock horizon (plus two minutes of
-    drain headroom on aio, one minute of build/drain headroom on mp),
-    so long runs are never killed by a fixed cap.  Ignored on sim."""
-
     mp_workers: int | None = None
     """Worker-process count for the mp backend.  None (default) runs
     one process per server — the paper-faithful topology; smaller
@@ -132,12 +129,11 @@ class RunConfig:
     Commit/abort decisions are codec-independent (asserted by the
     conformance suite)."""
 
-    wal: WalSpec | str | None = "off"
+    wal: str = "off"
     """Commit-path durability: ``"off"`` (bit-identical to the
     historical behavior — the FSM logs nothing), ``"fsync"`` (sync
-    every append), ``"group"`` (group commit: batched fsyncs, but the
-    coordinator's decision record always syncs), or a full
-    :class:`~repro.storage.WalSpec`."""
+    every append) or ``"group"`` (group commit: batched fsyncs, but the
+    coordinator's decision record always syncs)."""
 
     wal_dir: str | None = None
     """Directory for the per-server ``server-<id>.wal`` files.  None
@@ -152,10 +148,6 @@ class RunConfig:
     respawns the worker, which replays its servers' WALs, resolves
     in-doubt transactions by coordinator query / presumed abort, and
     rejoins the fleet.  Requires a durable ``wal`` mode."""
-
-    mp_max_restarts: int = 1
-    """Total worker restarts the parent will perform per run before
-    treating a death as fatal (``mp_recovery`` only)."""
 
     mp_chaos_kill_worker: int | None = None
     """Chaos knob: SIGKILL this worker id mid-run (recovery tests)."""
@@ -226,11 +218,6 @@ class RunConfig:
     watchdog, no per-event probe.  Each server keeps the last
     :data:`repro.obs.timeline.DEFAULT_RING` samples."""
 
-    health_rules: tuple | None = None
-    """Watchdog rules (:class:`repro.obs.HealthRule` tuple) evaluated
-    each interval; None uses :func:`repro.obs.default_rules`.  Only
-    consulted when :attr:`metrics_interval` is set."""
-
     watchdog_abort: bool = False
     """Let a *fatal* health rule abort a wedged run early by raising
     :class:`repro.obs.WatchdogAbort` out of the run loop."""
@@ -264,20 +251,11 @@ class RunConfig:
         return spec
 
     def wal_spec(self) -> WalSpec:
-        """The effective durability policy for this run.
-
-        A string/None :attr:`wal` picks up :attr:`wal_dir` and
-        :attr:`wal_group_size`; a full :class:`WalSpec` is respected
-        as-is except that a missing directory is filled from
-        :attr:`wal_dir`.
-        """
-        spec = as_wal_spec(self.wal)
-        if isinstance(self.wal, str) or self.wal is None:
-            spec = dataclasses.replace(spec, dir=self.wal_dir,
-                                       group_size=self.wal_group_size)
-        elif spec.dir is None and self.wal_dir is not None:
-            spec = dataclasses.replace(spec, dir=self.wal_dir)
-        return spec
+        """The effective durability policy for this run: the
+        :attr:`wal` mode in :attr:`wal_dir`, syncing every
+        :attr:`wal_group_size` appends under group commit."""
+        return dataclasses.replace(as_wal_spec(self.wal), dir=self.wal_dir,
+                                   group_size=self.wal_group_size)
 
 
 @dataclass
@@ -430,10 +408,10 @@ def _finish_run(result: RunResult) -> RunResult:
     config = result.config
     trace = result.metrics.trace
     if trace is not None and trace.dropped > 0:
-        print(f"warning: {trace.dropped} trace span(s) dropped (ring "
-              f"capacity exceeded) — the trace is truncated; raise the "
-              f"tracer ring capacity or sample with trace_sample",
-              file=sys.stderr)
+        print(f"warning: {trace.dropped} trace span(s) dropped (a "
+              f"server's span ring overflowed) — the trace is truncated; "
+              f"trace fewer transactions with --trace-sample N "
+              f"(RunConfig.trace_sample)", file=sys.stderr)
     if config.trace and config.trace_out and trace is not None:
         write_trace_json(trace, config.trace_out)
     timeline = result.metrics.timeline
@@ -453,8 +431,7 @@ class _LiveTimeline:
 
     def __init__(self, config: RunConfig):
         self.timeline = Timeline(config.metrics_interval)
-        self.watchdog = HealthWatchdog(rules=config.health_rules,
-                                       interval_us=config.metrics_interval,
+        self.watchdog = HealthWatchdog(interval_us=config.metrics_interval,
                                        abort=config.watchdog_abort)
         self.http = None
         if config.metrics_port is not None and config.backend != "sim":
@@ -502,11 +479,9 @@ def make_cluster(config: RunConfig):
     if config.backend == "sim":
         return Cluster(config.n_partitions, config.doorbell_batching)
     if config.backend == "aio":
-        timeout = config.run_timeout_s
-        if timeout is None:
-            timeout = config.horizon_us / 1e6 + 120.0
-        return WorkerCluster(config.n_partitions, config.doorbell_batching,
-                             run_timeout_s=timeout)
+        return WorkerCluster(
+            config.n_partitions, config.doorbell_batching,
+            run_timeout_s=config.horizon_us / 1e6 + AIO_HEADROOM_S)
     if config.backend == "mp":
         # unbound: the parent builds the run once, and each forked
         # worker binds its copy (repro.sim.supervisor)

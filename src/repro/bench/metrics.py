@@ -277,16 +277,13 @@ class Metrics:
 
     # -- rates ------------------------------------------------------------
 
-    def abort_rate(self, proc: str | None = None,
-                   include_app_aborts: bool = False) -> float:
+    def abort_rate(self, proc: str | None = None) -> float:
         """Aborts / attempts.  Application aborts (failed CHECKs and the
-        TPC-C 1% rollback read-misses) are excluded by default: they are
-        workload semantics, not contention."""
+        TPC-C 1% rollback read-misses) are excluded: they are workload
+        semantics, not contention."""
         outcomes = [o for o in self.outcomes
-                    if proc is None or o.proc == proc]
-        if not include_app_aborts:
-            outcomes = [o for o in outcomes
-                        if o.committed or o.reason not in APP_ABORTS]
+                    if (proc is None or o.proc == proc)
+                    and (o.committed or o.reason not in APP_ABORTS)]
         if not outcomes:
             return 0.0
         aborted = sum(1 for o in outcomes if not o.committed)
@@ -317,11 +314,10 @@ class Metrics:
 
     # -- latency ------------------------------------------------------------
 
-    def latencies(self, proc: str | None = None,
-                  committed_only: bool = True) -> list[float]:
+    def latencies(self, proc: str | None = None) -> list[float]:
+        """Latencies of the committed attempts."""
         return [o.latency for o in self.outcomes
-                if (proc is None or o.proc == proc)
-                and (o.committed or not committed_only)]
+                if o.committed and (proc is None or o.proc == proc)]
 
     def percentile_latency(self, q: float, proc: str | None = None) -> float:
         values = sorted(self.latencies(proc))

@@ -153,23 +153,29 @@ class InstacartSetup:
     likelihoods: dict = field(default_factory=dict)
 
 
+INSTACART_ASSUMED_TPS = 400_000.0
+"""Transaction rate the Instacart training trace's contention
+likelihoods are scaled to (``StatsService.likelihoods_from_txn_rate``)."""
+
+INSTACART_EPS = 0.15
+"""Balance slack of the Instacart Chiller layouts (the partitioner's
+own default is 0.10)."""
+
+
 def build_instacart_setup(n_partitions: int,
                           n_train: int = 1500,
                           workload: InstacartWorkload | None = None,
-                          seed: int = 7,
-                          lock_window_us: float = 10.0,
-                          assumed_tps: float = 400_000.0,
-                          ) -> InstacartSetup:
+                          seed: int = 7) -> InstacartSetup:
     """Generate the training trace and contention statistics."""
     workload = workload or InstacartWorkload()
     registry = ProcedureRegistry()
     for proc in workload.procedures():
         registry.register(proc)
     trace = workload.trace(n_train, n_partitions, seed=seed)
-    stats = StatsService(sample_rate=1.0, lock_window_us=lock_window_us)
+    stats = StatsService(sample_rate=1.0)
     for request in trace:
         stats.record(sample_from_request(registry, request))
-    likelihoods = stats.likelihoods_from_txn_rate(assumed_tps)
+    likelihoods = stats.likelihoods_from_txn_rate(INSTACART_ASSUMED_TPS)
     return InstacartSetup(workload, n_partitions,
                           samples=stats.samples,
                           likelihoods=likelihoods)
@@ -177,9 +183,7 @@ def build_instacart_setup(n_partitions: int,
 
 def build_instacart_layout(setup: InstacartSetup, name: LayoutName,
                            seed: int = 7,
-                           eps: float = 0.15,
-                           min_weight: float = 0.0,
-                           n_tries: int = 2) -> InstacartLayout:
+                           min_weight: float = 0.0) -> InstacartLayout:
     """Train one of the three layouts the Fig. 7/8 experiment compares."""
     k = setup.n_partitions
     fallback = ModuloScheme(k)  # stock by product id, orders by home
@@ -199,7 +203,7 @@ def build_instacart_layout(setup: InstacartSetup, name: LayoutName,
         start = time.perf_counter()
         result = partition_workload(
             setup.samples, setup.likelihoods, k,
-            ChillerPartitionerConfig(eps=eps, seed=seed,
+            ChillerPartitionerConfig(eps=INSTACART_EPS, seed=seed,
                                      min_weight=min_weight))
         elapsed = time.perf_counter() - start
         return InstacartLayout("chiller", result.scheme(fallback),

@@ -24,6 +24,12 @@ HOT_THRESHOLD = 0.02
 """Normalized likelihood above which a record enters the lookup table
 (everything below falls back to hash/range placement)."""
 
+LOAD_METRIC = "transactions"
+"""What a partition's load counts
+(:data:`~repro.core.stargraph.LOAD_METRICS`): transactions, as the
+paper's experiments do; ``"records"`` reproduces
+its Fig. 5 worked example (``tests/core/test_paper_examples.py``)."""
+
 
 @dataclass(frozen=True)
 class ChillerPartitionerConfig:
@@ -32,7 +38,6 @@ class ChillerPartitionerConfig:
     eps: float = 0.10
     """Balance slack: L(p) <= (1 + eps) * mu."""
 
-    load_metric: str = "transactions"
     min_weight: float = 0.0
     """Minimum edge weight; > 0 co-optimizes for fewer distributed
     transactions (Section 4.4)."""
@@ -74,7 +79,7 @@ def partition_workload(samples: Iterable[TxnSample],
     """Run the full Chiller partitioning pipeline."""
     config = config or ChillerPartitionerConfig()
     star = build_star_graph(samples, likelihoods,
-                            load_metric=config.load_metric,
+                            load_metric=LOAD_METRIC,
                             min_weight=config.min_weight)
     assignment = partition_star_graph(star, n_partitions,
                                       eps=config.eps, seed=config.seed)

@@ -55,8 +55,7 @@ class StarGraph:
 def build_star_graph(samples: Iterable[TxnSample],
                      likelihoods: Mapping[RecordId, float],
                      load_metric: str = "transactions",
-                     min_weight: float = 0.0,
-                     normalize_weights: bool = True) -> StarGraph:
+                     min_weight: float = 0.0) -> StarGraph:
     """Construct the star graph for a batch of sampled transactions."""
     if load_metric not in LOAD_METRICS:
         raise ValueError(f"unknown load metric {load_metric!r}; "
@@ -64,8 +63,7 @@ def build_star_graph(samples: Iterable[TxnSample],
     if min_weight < 0:
         raise ValueError("min_weight must be non-negative")
     sample_list = list(samples)
-    weights = (normalize(dict(likelihoods)) if normalize_weights
-               else dict(likelihoods))
+    weights = normalize(dict(likelihoods))
 
     graph = WeightedGraph()
     r_vertex_of: dict[RecordId, int] = {}

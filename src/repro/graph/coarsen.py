@@ -14,6 +14,10 @@ import random
 
 from .graph import WeightedGraph
 
+MIN_SHRINK = 0.95
+"""Coarsening stops once a level keeps this share of its vertices or
+more: the matching found almost nothing to merge."""
+
 
 class CoarseLevel:
     """One coarsening step: the coarse graph plus the fine->coarse map."""
@@ -78,8 +82,7 @@ def coarsen_once(graph: WeightedGraph,
 
 
 def coarsen(graph: WeightedGraph, target_vertices: int,
-            rng: random.Random,
-            min_shrink: float = 0.95) -> list[CoarseLevel]:
+            rng: random.Random) -> list[CoarseLevel]:
     """Coarsen repeatedly until small enough or progress stalls.
 
     Returns the levels finest-first; an empty list means the input was
@@ -89,8 +92,8 @@ def coarsen(graph: WeightedGraph, target_vertices: int,
     current = graph
     while current.n_vertices > target_vertices:
         level = coarsen_once(current, rng)
-        if level.graph.n_vertices >= current.n_vertices * min_shrink:
-            break  # matching found almost nothing to merge
+        if level.graph.n_vertices >= current.n_vertices * MIN_SHRINK:
+            break
         levels.append(level)
         current = level.graph
     return levels

@@ -4,7 +4,7 @@
 small edge cut: coarsen by heavy-edge matching, partition the coarsest
 graph by greedy growing, then project back level by level with FM-style
 boundary refinement at each step.  Multiple seeded tries keep the best
-cut, trading (configurable) time for quality exactly like METIS's
+cut (:data:`N_TRIES`), trading time for quality exactly like METIS's
 multiple initial partitions.
 """
 
@@ -19,10 +19,12 @@ from .refine import rebalance, refine, swap_refine
 _SWAP_LIMIT = 600
 """Pairwise-swap refinement is quadratic; only run it below this size."""
 
+N_TRIES = 4
+"""Seeded tries per partitioning; the best cut wins."""
+
 
 def part_graph(graph: WeightedGraph, k: int, eps: float = 0.10,
-               seed: int = 1, n_tries: int = 4,
-               coarsen_to: int | None = None) -> list[int]:
+               seed: int = 1, coarsen_to: int | None = None) -> list[int]:
     """Partition ``graph`` into ``k`` parts minimizing the edge cut.
 
     The balance constraint is the paper's: each part's vertex-weight sum
@@ -42,7 +44,7 @@ def part_graph(graph: WeightedGraph, k: int, eps: float = 0.10,
 
     best_assignment: list[int] | None = None
     best_cut = float("inf")
-    for attempt in range(max(1, n_tries)):
+    for attempt in range(N_TRIES):
         rng = make_rng(seed, "part", attempt)
         levels = coarsen(graph, target, rng)
         coarsest = levels[-1].graph if levels else graph

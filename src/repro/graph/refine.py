@@ -10,15 +10,21 @@ from __future__ import annotations
 
 from .graph import WeightedGraph
 
+REFINE_PASSES = 8
+"""Sweeps of single-vertex moves before :func:`refine` gives up."""
+
+SWAP_PASSES = 4
+"""Sweeps of pairwise swaps before :func:`swap_refine` gives up."""
+
 
 def refine(graph: WeightedGraph, assignment: list[int], k: int,
-           eps: float, max_passes: int = 8) -> list[int]:
+           eps: float) -> list[int]:
     """Improve ``assignment`` in place; returns it for convenience."""
     mu = graph.total_vertex_weight() / k
     capacity = (1.0 + eps) * mu
     loads = graph.part_loads(assignment, k)
 
-    for _ in range(max_passes):
+    for _ in range(REFINE_PASSES):
         improved = False
         for v in range(graph.n_vertices):
             current = assignment[v]
@@ -55,7 +61,7 @@ def refine(graph: WeightedGraph, assignment: list[int], k: int,
 
 
 def swap_refine(graph: WeightedGraph, assignment: list[int], k: int,
-                eps: float, max_passes: int = 4) -> list[int]:
+                eps: float) -> list[int]:
     """Kernighan–Lin style pairwise swaps.
 
     Single moves cannot escape configurations where the balance cap is
@@ -78,7 +84,7 @@ def swap_refine(graph: WeightedGraph, assignment: list[int], k: int,
         return gain
 
     n = graph.n_vertices
-    for _ in range(max_passes):
+    for _ in range(SWAP_PASSES):
         improved = False
         for u in range(n):
             for v in range(u + 1, n):

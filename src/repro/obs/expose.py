@@ -28,6 +28,8 @@ import socket
 from http import HTTPStatus
 from typing import Callable, Iterable
 
+PREFIX = "repro"
+"""Namespace of every exported metric name."""
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 _CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _ANSWER_TIMEOUT_S = 1.0
@@ -36,12 +38,11 @@ _LINE_LIMIT = 65536
 """Longest request or header line read (asyncio's stream default)."""
 
 
-def _metric_name(key: str, prefix: str) -> str:
-    return f"{prefix}_{_NAME_RE.sub('_', key)}"
+def _metric_name(key: str) -> str:
+    return f"{PREFIX}_{_NAME_RE.sub('_', key)}"
 
 
-def to_prometheus(timeline, health: Iterable = (),
-                  prefix: str = "repro") -> str:
+def to_prometheus(timeline, health: Iterable = ()) -> str:
     """Render the timeline in Prometheus text exposition format.
 
     Counter keys containing a ``.`` split into a labeled family:
@@ -66,13 +67,13 @@ def to_prometheus(timeline, health: Iterable = (),
                     book[server] = book.get(server, 0.0) + value
 
     for key in sorted(plain):
-        name = _metric_name(key, prefix) + "_total"
+        name = _metric_name(key) + "_total"
         out.write(f"# TYPE {name} counter\n")
         for server in sorted(plain[key]):
             out.write(f'{name}{{server="{server}"}} '
                       f'{plain[key][server]:g}\n')
     for family in sorted(labeled):
-        name = _metric_name(family, prefix) + "_by_reason_total"
+        name = _metric_name(family) + "_by_reason_total"
         out.write(f"# TYPE {name} counter\n")
         for server, label in sorted(labeled[family]):
             out.write(f'{name}{{server="{server}",'
@@ -83,7 +84,7 @@ def to_prometheus(timeline, health: Iterable = (),
     gauge_keys = sorted({key for row in timeline.rows()
                          for key in row.gauges})
     for key in gauge_keys:
-        name = _metric_name(key, prefix)
+        name = _metric_name(key)
         out.write(f"# TYPE {name} gauge\n")
         for server in timeline.servers():
             out.write(f'{name}{{server="{server}"}} '
@@ -95,7 +96,7 @@ def to_prometheus(timeline, health: Iterable = (),
         keys = sorted({key for book in tenants.values()
                        for key in book})
         for key in keys:
-            name = _metric_name(f"tenant_{key}", prefix) + "_total"
+            name = _metric_name(f"tenant_{key}") + "_total"
             out.write(f"# TYPE {name} counter\n")
             for tenant in sorted(tenants):
                 value = tenants[tenant].get(key, 0.0)
@@ -105,7 +106,7 @@ def to_prometheus(timeline, health: Iterable = (),
     kinds: dict[str, int] = {}
     for event in health:
         kinds[event.kind] = kinds.get(event.kind, 0) + 1
-    name = f"{prefix}_health_events_total"
+    name = f"{PREFIX}_health_events_total"
     out.write(f"# TYPE {name} counter\n")
     if kinds:
         for kind in sorted(kinds):
@@ -113,7 +114,7 @@ def to_prometheus(timeline, health: Iterable = (),
     else:
         out.write(f'{name}{{kind="none"}} 0\n')
 
-    name = f"{prefix}_timeline_dropped_samples_total"
+    name = f"{PREFIX}_timeline_dropped_samples_total"
     out.write(f"# TYPE {name} counter\n")
     out.write(f"{name} {timeline.dropped}\n")
     return out.getvalue()

@@ -58,6 +58,13 @@ VERB_PHASES = {
     "release": "release",
 }
 
+RING_CAPACITY = 65536
+"""Spans each server's ring holds; past it the oldest are overwritten
+and counted as dropped (sample with ``RunConfig.trace_sample``)."""
+
+EXEMPLAR_K = 5
+"""Slowest traced requests kept per tenant as tail exemplars."""
+
 
 class SpanRing:
     """Fixed-capacity overwrite-oldest span log for one server."""
@@ -124,14 +131,10 @@ class Tracer:
 
     enabled = True
 
-    __slots__ = ("sample_every", "ring_capacity", "exemplar_k",
-                 "rings", "exemplars", "_next_seq")
+    __slots__ = ("sample_every", "rings", "exemplars", "_next_seq")
 
-    def __init__(self, sample_every: int = 1, ring_capacity: int = 65536,
-                 exemplar_k: int = 5):
+    def __init__(self, sample_every: int = 1):
         self.sample_every = max(1, int(sample_every))
-        self.ring_capacity = ring_capacity
-        self.exemplar_k = exemplar_k
         self.rings: dict[int, SpanRing] = {}
         self.exemplars: dict[str, list] = {}
         self._next_seq: dict[int, int] = {}
@@ -155,7 +158,7 @@ class Tracer:
             return
         ring = self.rings.get(server)
         if ring is None:
-            ring = self.rings[server] = SpanRing(self.ring_capacity)
+            ring = self.rings[server] = SpanRing(RING_CAPACITY)
         ring.push((trace, txn_id, attempt, server, phase,
                    t_start_us, t_end_us, outcome))
 
@@ -170,7 +173,7 @@ class Tracer:
         entries = self.exemplars.setdefault(tenant, [])
         entries.append((latency_us, trace))
         entries.sort(key=lambda e: -e[0])
-        del entries[self.exemplar_k:]
+        del entries[EXEMPLAR_K:]
 
     def harvest(self) -> TraceData:
         """Drain every ring into a mergeable :class:`TraceData`.
@@ -185,7 +188,7 @@ class Tracer:
             spans.extend(ring.spans())
             dropped += ring.dropped
         data = TraceData(spans=spans, exemplars=self.exemplars,
-                         dropped=dropped, exemplar_k=self.exemplar_k)
+                         dropped=dropped, exemplar_k=EXEMPLAR_K)
         self.rings = {}
         self.exemplars = {}
         return data

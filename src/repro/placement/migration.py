@@ -9,8 +9,10 @@ value crosses a real serialization boundary through the wire codec):
    means a live transaction owns the record; the move is skipped this
    epoch (migration never blocks the workload).
 2. **Install at destination** — a ``migrate_install`` verb ships the
-   value; the destination's replicas receive the copy through the
-   ordinary ``replica_apply`` path in the same parallel round.
+   value and its version (an optimistic reader validates versions, so
+   the record keeps counting from where it stood); the destination's
+   replicas receive the copy through the ordinary ``replica_apply``
+   path in the same parallel round.
 3. **Flip routing** — the epoch-versioned catalog entry is updated
    locally and broadcast to every other server as a ``placement_flip``
    RPC (on the multiprocess backend each worker applies it to its own
@@ -62,12 +64,10 @@ forked workers."""
 
 @op_handler("migrate_install")
 def _do_migrate_install(ctx: DispatchContext, d: OpDescriptor) -> str:
-    """Install a shipped record value at its new home partition."""
-    store = ctx.store_of(d.partition)
-    (fields,) = d.args
-    if not store.insert(d.table, d.key, fields):
-        # re-migration of a key that bounced back: overwrite in place
-        store.write(d.table, d.key, fields)
+    """Install a shipped record at its new home partition, at the
+    version it had at the old one."""
+    fields, version = d.args
+    ctx.store_of(d.partition).install(d.table, d.key, fields, version)
     return "ok"
 
 
@@ -195,9 +195,9 @@ class MigrationExecutor:
             stats.moves_missing += 1
             yield from self._release(src, txn_id)
             return False
-        fields = result[1]
+        _, fields, version = result
         install = [OneSided(dst, self._op("migrate_install", dst, table,
-                                          key, (fields,)),
+                                          key, (fields, version)),
                             kind="migrate_install")]
         install += self._replica_ships(dst, ("insert", table, key, fields))
         installed = yield All(install)

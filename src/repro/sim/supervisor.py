@@ -60,6 +60,14 @@ MP_CODECS = ("packed", "pickle")
 the shared-memory ring lost its measurement (EXPERIMENTS.md, "tcp vs
 shm"); pickle stays as the codec's debug escape hatch."""
 
+MAX_RESTARTS = 1
+"""Worker respawns per run with ``mp_recovery`` on; one more death is
+fatal."""
+
+MP_HEADROOM_S = 60.0
+"""Hang guard of an mp run: the parent waits for its workers the
+wall-clock horizon plus this much build and drain time."""
+
 _STOP_GRACE_S = 5.0
 """How long a stopping worker keeps serving stragglers after ``stop``."""
 
@@ -277,7 +285,7 @@ def run_mp_workers(cluster: WorkerCluster, driver: Driver, config: Any, *,
     With ``mp_recovery`` on, a worker that dies mid-run (crash or
     SIGKILL — ``mp_chaos_kill_worker`` injects one deliberately,
     ``mp_chaos_kill_after_s`` into the run) is restarted up to
-    ``mp_max_restarts`` times: the controller joins the corpse,
+    :data:`MAX_RESTARTS` times: the controller joins the corpse,
     announces ``peer_down`` to the survivors, forks generation+1
     resuming at the fleet's elapsed time, and rewires everyone once the
     replacement advertises its port.
@@ -300,10 +308,8 @@ def run_mp_workers(cluster: WorkerCluster, driver: Driver, config: Any, *,
             f"{n_workers} workers (build it with make_cluster(config)), "
             f"not from worker {cluster.worker_id} of {cluster.n_workers}")
     fleet = (cluster, driver, config)
-    timeout = config.run_timeout_s
-    if timeout is None:
-        timeout = config.horizon_us / 1e6 + 60.0
-    restarts_left = config.mp_max_restarts if config.mp_recovery else 0
+    timeout = config.horizon_us / 1e6 + MP_HEADROOM_S
+    restarts_left = MAX_RESTARTS if config.mp_recovery else 0
     workers: dict[int, tuple] = {}       # worker_id -> live (proc, conn)
     all_workers: list[tuple] = []        # every incarnation, for teardown
     ports: dict[int, int] = {}
@@ -336,8 +342,8 @@ def run_mp_workers(cluster: WorkerCluster, driver: Driver, config: Any, *,
             if remaining <= 0:
                 raise MpRunError(
                     f"timed out waiting for {len(pending)} worker(s) to "
-                    f"report 'done' (raise RunConfig.run_timeout_s if "
-                    f"the run is legitimately long)")
+                    f"report 'done' within the horizon plus "
+                    f"{MP_HEADROOM_S:g} s")
             wait_s = min(t - now for t in (deadline, next_tick, chaos_at)
                          if t is not None)
             by_conn = {workers[w][1]: w for w in pending}
@@ -487,8 +493,8 @@ def _collect(workers: dict[int, tuple], worker_ids: set[int], tag: str,
         if remaining <= 0:
             raise MpRunError(
                 f"timed out waiting for {len(pending)} worker(s) to "
-                f"report {tag!r} (raise RunConfig.run_timeout_s if the "
-                f"run is legitimately long)")
+                f"report {tag!r} within the horizon plus "
+                f"{MP_HEADROOM_S:g} s")
         ready = multiprocessing.connection.wait(pending,
                                                 timeout=remaining)
         for conn in ready:

@@ -238,6 +238,14 @@ class PartitionStore:
     def delete(self, table: str, key: Key) -> bool:
         return self._tables[table].delete(key)
 
+    def install(self, table: str, key: Key, fields: dict[str, Any],
+                version: int) -> None:
+        """Place a migrated record at the version it had at its old
+        home, over any stale copy: a version that restarted at 0 (or
+        was bumped by an overwrite) could come back to a value an
+        optimistic reader saw before the move."""
+        self._tables[table].put(Record(key, dict(fields), version))
+
     def redo(self, kind: str, table: str, key: Key,
              values: dict[str, Any] | None) -> None:
         """Apply one committed write to a store that may already have

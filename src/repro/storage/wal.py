@@ -96,16 +96,12 @@ class WalSpec:
         return self.mode != "off"
 
 
-def as_wal_spec(wal: "WalSpec | str | None") -> WalSpec:
-    """Normalize ``RunConfig.wal`` (None, a mode name, or a full spec)."""
-    if wal is None:
-        return WalSpec(mode="off")
-    if isinstance(wal, str):
-        if wal not in WAL_MODES:
-            raise ValueError(f"unknown wal mode {wal!r} "
-                             f"(expected one of {WAL_MODES})")
-        return WalSpec(mode=wal)
-    return wal
+def as_wal_spec(mode: str) -> WalSpec:
+    """The spec of ``RunConfig.wal``'s mode name."""
+    if mode not in WAL_MODES:
+        raise ValueError(f"unknown wal mode {mode!r} "
+                         f"(expected one of {WAL_MODES})")
+    return WalSpec(mode=mode)
 
 
 @dataclass

@@ -10,13 +10,9 @@ seam where a log record or a recovery protocol could attach.  The
           +--> ABORTED <-+
 
 whose transitions are the *only* place durability hooks in (modeled on
-tippers-commit's coordinator/participant machines).  Executors drive it
-instead of calling ``commit_phase``/``abort_release`` directly.
-
-**With durability off** (``wal=None``) the FSM is a pure refactor:
-``prepare`` emits exactly the old ``replicate`` effects, ``commit``
-exactly ``commit_phase``, ``abort`` exactly ``abort_release`` — sim
-traces are bit-identical.
+tippers-commit's coordinator/participant machines).  Every executor
+finishes a transaction through it, in one round that applies and
+releases (or only releases) at each touched partition.
 
 **With durability on**, transitions persist to the per-server
 write-ahead log (:mod:`repro.storage.wal`) and the protocol becomes a
@@ -241,7 +237,7 @@ class CommitFsm:
         t0 = ex.span_start(state)
         if self.wal is None:
             self._transition(TxnPhase.COMMITTED)
-            yield from ex.commit_phase(state, self.writes)
+            yield from self._decision_round(True)
         else:
             crash_point("coord:before_decision")
             # the forced sync is the commit point: once this record is
@@ -266,10 +262,7 @@ class CommitFsm:
             self.wal.append((R_DECISION, state.txn_id, False))
             ex.db.commit_table.record_decision(state.txn_id, False)
         self._transition(TxnPhase.ABORTED)
-        if self._prepared:
-            yield from self._decision_round(False)
-        else:
-            yield from ex.abort_release(state)
+        yield from self._decision_round(False)
         if self.wal is not None and self._logged_prepare:
             self.wal.append((R_END, state.txn_id))
         if t0 is not None:
@@ -281,9 +274,10 @@ class CommitFsm:
         self._transition(TxnPhase.ABORTED)
 
     def _decision_round(self, committed: bool) -> Generator:
-        """Announce the decision: prepared participants get a
-        ``decision`` verb (they hold the writes); everyone else gets
-        the classic combined apply+release (or bare release)."""
+        """Announce the decision, the transaction's one finishing
+        round: prepared participants get a ``decision`` verb (they hold
+        the writes); every other touched partition a combined
+        apply+release (or a bare release)."""
         ex, state = self.ex, self.state
         writes = self.writes
         targets = set(state.touched) | set(writes)
@@ -298,10 +292,11 @@ class CommitFsm:
                 items.append((pid, _decision_op(ex.db, pid, state.txn_id,
                                                 committed)))
             elif committed:
-                items.append((pid, ex.commit_op(pid, writes.get(pid, []),
-                                                state.txn_id)))
+                items.append((pid, _commit_op(ex.db, pid,
+                                              writes.get(pid, []),
+                                              state.txn_id)))
             else:
-                items.append((pid, ex.release_op(pid, state.txn_id)))
+                items.append((pid, _release_op(ex.db, pid, state.txn_id)))
         results = yield from ex.network_round(
             items, kind="commit" if committed else "release")
         if committed:
@@ -314,6 +309,33 @@ class CommitFsm:
 
 
 # -- participant verbs ---------------------------------------------------------
+
+def _commit_op(db, pid: int, writes: list[tuple],
+               txn_id: int) -> OpDescriptor:
+    return OpDescriptor("commit", pid,
+                        args=(tuple(writes),
+                              txn_id)).bind(db.dispatch_context)
+
+
+@op_handler("commit")
+def _do_commit(ctx: DispatchContext, d: OpDescriptor) -> list:
+    store = ctx.store_of(d.partition)
+    writes, txn_id = d.args
+    versions = apply_wire_writes(store, writes)
+    store.release_all(txn_id)
+    return versions
+
+
+def _release_op(db, pid: int, txn_id: int) -> OpDescriptor:
+    return OpDescriptor("release", pid,
+                        args=(txn_id,)).bind(db.dispatch_context)
+
+
+@op_handler("release")
+def _do_release(ctx: DispatchContext, d: OpDescriptor) -> int:
+    (txn_id,) = d.args
+    return ctx.store_of(d.partition).release_all(txn_id)
+
 
 def _prepare_op(db, pid: int, writes: tuple, txn_id: int,
                 coordinator: int) -> OpDescriptor:
@@ -469,18 +491,23 @@ def resolve_in_doubt_local(db, entries: list[PreparedEntry]) -> None:
         _settle(db, entry, decision is True)
 
 
-def recovery_program(db, entries: list[PreparedEntry],
-                     retry_sleep_us: float = 500.0,
-                     max_attempts: int = 10) -> Generator:
+RECOVERY_RETRY_US = 500.0
+"""Backoff between ``recover_query`` tries at an unreachable coordinator."""
+
+RECOVERY_ATTEMPTS = 10
+"""``recover_query`` tries before an in-doubt txn is presumed aborted."""
+
+
+def recovery_program(db, entries: list[PreparedEntry]) -> Generator:
     """Engine program settling in-doubt txns via ``recover_query``
     verbs to each txn's coordinator server (the mp recovery path).
 
     An unreachable coordinator is retried with backoff; if it stays
-    down past ``max_attempts`` the txn falls back to presumed abort —
-    the availability tradeoff presumed-abort 2PC always makes."""
+    down past :data:`RECOVERY_ATTEMPTS` the txn falls back to presumed
+    abort — the availability tradeoff presumed-abort 2PC always makes."""
     for entry in entries:
         committed = False
-        for _attempt in range(max_attempts):
+        for _attempt in range(RECOVERY_ATTEMPTS):
             op = _recover_query_op(db, entry.coordinator, entry.txn_id)
             result = yield OneSided(entry.coordinator, op,
                                     kind="recover_query")
@@ -489,7 +516,7 @@ def recovery_program(db, entries: list[PreparedEntry],
                 break
             if result[0] in ("aborted", "unknown"):
                 break
-            yield Sleep(retry_sleep_us)
+            yield Sleep(RECOVERY_RETRY_US)
         _settle(db, entry, committed)
 
 

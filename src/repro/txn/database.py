@@ -17,7 +17,7 @@ from ..replication import ReplicaManager
 from ..sim import Cluster, Coroutine
 from ..sim.codec import DispatchContext
 from ..storage import (Catalog, PartitionStore, RecoveryStats, TableSpec,
-                       WalSpec, WriteAheadLog, as_wal_spec, wal_path)
+                       WalSpec, WriteAheadLog, wal_path)
 from .commit_fsm import CommitTable
 from .common import TXN_ID_NAMESPACE_SPAN
 
@@ -40,7 +40,7 @@ class Database:
                  registry: ProcedureRegistry,
                  n_replicas: int = 1,
                  track_spans: bool = False,
-                 wal: WalSpec | str | None = None):
+                 wal: WalSpec | None = None):
         if catalog.n_partitions != len(cluster):
             raise ValueError(
                 f"catalog has {catalog.n_partitions} partitions but the "
@@ -63,7 +63,7 @@ class Database:
                                            self.tables, now_fn=now_fn)
         self.recovery = RecoveryStats()
         self.commit_table = CommitTable()
-        self.wal_spec = as_wal_spec(wal)
+        self.wal_spec = wal if wal is not None else WalSpec()
         self._wals: dict[int, WriteAheadLog] = {}
         if self.wal_spec.enabled:
             if self.wal_spec.dir is None:

@@ -22,8 +22,7 @@ from ..analysis import OpInstance, OpKind
 from ..sim import All, BatchedOneSided, Compute, OneSided, write_set_bytes
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
-from .commit_fsm import apply_wire_writes
-from .common import (CPU_APPLY_US, CPU_BATCHED_OP_US, CPU_CHECK_US,
+from .common import (CPU_BATCHED_OP_US, CPU_CHECK_US,
                      CPU_DISPATCH_US, CPU_LOCAL_OP_US, CPU_OP_US, AbortReason,
                      CommitLog, Outcome, TxnRequest, next_txn_id)
 from .database import Database
@@ -392,44 +391,6 @@ class BaseExecutor:
             yield from self.network_round(items, kind="replicate",
                                           sizes=sizes)
 
-    def commit_phase(self, state: TxnState,
-                     writes: dict[int, list[tuple]],
-                     partitions: Iterable[int] | None = None) -> Generator:
-        """Apply buffered writes and release all locks, one round."""
-        targets = set(partitions if partitions is not None
-                      else state.touched)
-        targets |= set(writes)
-        if not targets:
-            return
-        total_writes = sum(len(ws) for ws in writes.values())
-        yield Compute(CPU_DISPATCH_US + CPU_APPLY_US * total_writes)
-        items = [(pid, _commit_op(self.db, pid,
-                                  writes.get(pid, []), state.txn_id))
-                 for pid in sorted(targets)]
-        results = yield from self.network_round(items, kind="commit")
-        for versions in results:
-            state.write_versions.extend(versions)
-
-    def commit_op(self, pid: int, writes: list[tuple],
-                  txn_id: int) -> OpDescriptor:
-        """One partition's combined apply+release verb (for the commit
-        FSM's decision round)."""
-        return _commit_op(self.db, pid, writes, txn_id)
-
-    def release_op(self, pid: int, txn_id: int) -> OpDescriptor:
-        """One partition's bare release verb."""
-        return _release_op(self.db, pid, txn_id)
-
-    def abort_release(self, state: TxnState) -> Generator:
-        """Release every lock the transaction holds (its full rollback)."""
-        if not state.touched:
-            return
-        yield Compute(CPU_DISPATCH_US)
-        yield from self.network_round(
-            [(pid, _release_op(self.db, pid, state.txn_id))
-             for pid in sorted(state.touched)],
-            kind="release")
-
     # -- outcome -----------------------------------------------------------
 
     def finish(self, state: TxnState) -> Outcome:
@@ -526,33 +487,6 @@ def _do_lock_insert(ctx: DispatchContext, d: OpDescriptor) -> tuple:
     if store.read(d.table, d.key) is not None:
         return ("duplicate",)
     return ("ok",)
-
-
-def _commit_op(db: Database, pid: int, writes: list[tuple],
-               txn_id: int) -> OpDescriptor:
-    return OpDescriptor("commit", pid,
-                        args=(tuple(writes),
-                              txn_id)).bind(db.dispatch_context)
-
-
-@op_handler("commit")
-def _do_commit(ctx: DispatchContext, d: OpDescriptor) -> list:
-    store = ctx.store_of(d.partition)
-    writes, txn_id = d.args
-    versions = apply_wire_writes(store, writes)
-    store.release_all(txn_id)
-    return versions
-
-
-def _release_op(db: Database, pid: int, txn_id: int) -> OpDescriptor:
-    return OpDescriptor("release", pid,
-                        args=(txn_id,)).bind(db.dispatch_context)
-
-
-@op_handler("release")
-def _do_release(ctx: DispatchContext, d: OpDescriptor) -> int:
-    (txn_id,) = d.args
-    return ctx.store_of(d.partition).release_all(txn_id)
 
 
 def _replica_apply_op(db: Database, rserver: int, pid: int,

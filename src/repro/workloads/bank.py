@@ -53,6 +53,10 @@ def audit_procedure() -> StoredProcedure:
         ])
 
 
+AUDIT_FRACTION = 0.0
+"""Share of requests that are read-only audits instead of transfers."""
+
+
 class BankWorkload(Workload):
     """Random transfers (optionally skewed to a hot set) plus audits."""
 
@@ -60,7 +64,6 @@ class BankWorkload(Workload):
                  initial_balance: float = 1000.0,
                  hot_accounts: int = 0,
                  hot_probability: float = 0.0,
-                 audit_fraction: float = 0.0,
                  amount: float = 10.0):
         if hot_accounts > n_accounts:
             raise ValueError("hot set larger than the account population")
@@ -68,7 +71,6 @@ class BankWorkload(Workload):
         self.initial_balance = initial_balance
         self.hot_accounts = hot_accounts
         self.hot_probability = hot_probability
-        self.audit_fraction = audit_fraction
         self.amount = amount
 
     def tables(self) -> list[TableSpec]:
@@ -85,7 +87,7 @@ class BankWorkload(Workload):
         return self.n_accounts * self.initial_balance
 
     def next_request(self, home: int, rng: random.Random) -> TxnRequest:
-        if self.audit_fraction and rng.random() < self.audit_fraction:
+        if AUDIT_FRACTION and rng.random() < AUDIT_FRACTION:
             accounts = rng.sample(range(self.n_accounts),
                                   min(5, self.n_accounts))
             return TxnRequest("audit", {"accounts": accounts}, home=home)

@@ -88,16 +88,23 @@ def flight_routing(table: str, key: Any) -> Any:
     return key
 
 
-def populate(load, n_flights: int = 100, n_customers: int = 1000,
-             n_states: int = 10, seats_per_flight: int = 200,
-             balance: float = 10_000.0) -> None:
+N_FLIGHTS = 100
+N_CUSTOMERS = 1000
+N_STATES = 10
+SEATS_PER_FLIGHT = 200
+BALANCE = 10_000.0
+"""What :func:`populate` loads: flights with their seats, customers
+with their opening balance, one tax rate per state."""
+
+
+def populate(load) -> None:
     """Load the three base tables through ``load(table, key, fields)``."""
-    for flight_id in range(n_flights):
+    for flight_id in range(N_FLIGHTS):
         load("flight", flight_id,
-             {"price": 100.0 + flight_id, "seats": seats_per_flight})
-    for cust_id in range(n_customers):
+             {"price": 100.0 + flight_id, "seats": SEATS_PER_FLIGHT})
+    for cust_id in range(N_CUSTOMERS):
         load("customer", cust_id,
-             {"balance": balance, "name": f"cust-{cust_id}",
-              "state": cust_id % n_states})
-    for state in range(n_states):
+             {"balance": BALANCE, "name": f"cust-{cust_id}",
+              "state": cust_id % N_STATES})
+    for state in range(N_STATES):
         load("tax", state, {"rate": 0.05 + 0.005 * state})

@@ -30,6 +30,22 @@ from ..txn.common import TxnRequest
 from ._zipf import power_law_weights, weighted_index
 from .base import Workload
 
+N_CUSTOMERS = 2000
+MEAN_BASKET_SIZE = 10
+"""Items per basket: a Gaussian around this mean (sd 2, at least 1)."""
+
+TOP_SHARES = (0.016, 0.0085)
+"""Order shares of the two most popular products (bananas, organic
+bananas in the real trace); the rest follow the power-law tail."""
+
+N_CATEGORIES = 40
+CATEGORIES_PER_BASKET = 2
+"""Tail products of a basket come from this many categories: the
+co-purchase structure Chiller's partitioner exploits."""
+
+CATEGORY_SEED = 42
+"""Seeds the product -> category assignment."""
+
 
 def grocery_order_procedure() -> StoredProcedure:
     """The NewOrder-like procedure: decrement stocks, insert an order."""
@@ -62,23 +78,17 @@ class InstacartWorkload(Workload):
     """Synthetic skewed-basket generator."""
 
     def __init__(self, n_products: int = 10_000,
-                 n_customers: int = 2000,
-                 mean_basket_size: int = 10,
-                 top_shares: tuple[float, ...] = (0.016, 0.0085),
-                 tail_exponent: float = 0.55,
-                 n_categories: int = 40,
-                 categories_per_basket: int = 2,
-                 seed: int = 42):
+                 tail_exponent: float = 0.55):
         if n_products < 10:
             raise ValueError("need at least 10 products")
         self.n_products = n_products
-        self.n_customers = n_customers
-        self.mean_basket_size = mean_basket_size
-        self.weights = power_law_weights(n_products, top_shares,
+        self.n_customers = N_CUSTOMERS
+        self.mean_basket_size = MEAN_BASKET_SIZE
+        self.weights = power_law_weights(n_products, TOP_SHARES,
                                          tail_exponent)
-        self.n_categories = n_categories
-        self.categories_per_basket = categories_per_basket
-        self._category_of = [self._assign_category(p, seed)
+        self.n_categories = N_CATEGORIES
+        self.categories_per_basket = CATEGORIES_PER_BASKET
+        self._category_of = [self._assign_category(p, CATEGORY_SEED)
                              for p in range(n_products)]
         self._products_by_category: dict[int, list[int]] = {}
         for product, category in enumerate(self._category_of):

@@ -34,6 +34,13 @@ STANDARD_MIX = (("new_order", 0.45), ("payment", 0.43),
 
 INVALID_ITEM_ID = -1
 
+ROLLBACK_PROB = 0.01
+"""Share of New-Orders that name an unused item and roll back (TPC-C
+2.4.1.4's 1 %)."""
+
+ITEMS_PER_ORDER = (5, 15)
+"""Order lines of a New-Order, drawn uniformly (TPC-C 2.4.1.3)."""
+
 
 class TpccWorkload(Workload):
     """Full TPC-C over warehouse partitioning."""
@@ -42,9 +49,7 @@ class TpccWorkload(Workload):
                  n_partitions: int = 4,
                  mix: tuple[tuple[str, float], ...] = STANDARD_MIX,
                  payment_remote_prob: float = 0.15,
-                 new_order_remote_prob: float = 0.10,
-                 rollback_prob: float = 0.01,
-                 items_per_order: tuple[int, int] = (5, 15)):
+                 new_order_remote_prob: float = 0.10):
         self.scale = scale or TpccScale(n_warehouses=n_partitions)
         if self.scale.n_warehouses < n_partitions:
             raise ValueError("need at least one warehouse per partition")
@@ -55,8 +60,6 @@ class TpccWorkload(Workload):
             raise ValueError(f"mix shares sum to {total}, expected 1.0")
         self.payment_remote_prob = payment_remote_prob
         self.new_order_remote_prob = new_order_remote_prob
-        self.rollback_prob = rollback_prob
-        self.items_per_order = items_per_order
         self._h_id = itertools.count(1)
 
     # -- Workload interface -------------------------------------------------
@@ -101,7 +104,7 @@ class TpccWorkload(Workload):
 
     def _gen_new_order(self, w_id: int, home: int,
                        rng: random.Random) -> TxnRequest:
-        n_items = rng.randint(*self.items_per_order)
+        n_items = rng.randint(*ITEMS_PER_ORDER)
         remote_txn = rng.random() < self.new_order_remote_prob
         items = []
         chosen: set[int] = set()
@@ -116,7 +119,7 @@ class TpccWorkload(Workload):
             items.append({"i_id": i_id, "supply_w_id": supply,
                           "qty": rng.randint(1, 10),
                           "ol_number": number})
-        if rng.random() < self.rollback_prob:
+        if rng.random() < ROLLBACK_PROB:
             items[-1] = dict(items[-1], i_id=INVALID_ITEM_ID)
         return TxnRequest("new_order", {
             "w_id": w_id,

@@ -39,8 +39,7 @@ class YcsbWorkload(Workload):
     def __init__(self, n_keys: int = 10_000,
                  reads_per_txn: int = 8,
                  writes_per_txn: int = 2,
-                 zipf_exponent: float = 0.0,
-                 seed: int = 1):
+                 zipf_exponent: float = 0.0):
         self.n_keys = n_keys
         self.reads_per_txn = reads_per_txn
         self.writes_per_txn = writes_per_txn
@@ -105,6 +104,12 @@ class YcsbWorkload(Workload):
         return TxnRequest(request.proc, request.params, home=home)
 
 
+DRIFT_READS_PER_TXN = 4
+DRIFT_WRITES_PER_TXN = 2
+"""A drifting transaction's reads and read-modify-writes, all in one
+key group."""
+
+
 class DriftingYcsbWorkload(YcsbWorkload):
     """YCSB with group-structured co-access and a mid-run hot-set shift.
 
@@ -124,15 +129,14 @@ class DriftingYcsbWorkload(YcsbWorkload):
     """
 
     def __init__(self, n_groups: int = 64, group_size: int = 8,
-                 reads_per_txn: int = 4, writes_per_txn: int = 2,
                  zipf_exponent: float = 1.05,
                  shift_at_us: float | None = None,
                  shift_offset: int | None = None):
-        if reads_per_txn + writes_per_txn > group_size:
+        if DRIFT_READS_PER_TXN + DRIFT_WRITES_PER_TXN > group_size:
             raise ValueError("a transaction's keys must fit in one group")
         super().__init__(n_keys=n_groups * group_size,
-                         reads_per_txn=reads_per_txn,
-                         writes_per_txn=writes_per_txn,
+                         reads_per_txn=DRIFT_READS_PER_TXN,
+                         writes_per_txn=DRIFT_WRITES_PER_TXN,
                          zipf_exponent=0.0)
         self.n_groups = n_groups
         self.group_size = group_size
@@ -171,15 +175,13 @@ class DriftingYcsbWorkload(YcsbWorkload):
             "write_keys": keys[self.reads_per_txn:],
         }, home=home)
 
-    def trace(self, n: int, n_partitions: int, phase: str = "pre",
+    def trace(self, n: int, n_partitions: int,
               seed: int = 1) -> list[TxnRequest]:
-        """An offline request trace from one phase's distribution —
+        """An offline request trace from the pre-shift distribution —
         what the drift benchmark trains its initial layout on."""
-        if phase not in ("pre", "post"):
-            raise ValueError(f"unknown phase {phase!r}")
         from .._util import make_rng
-        rng = make_rng(seed, "drift-trace", phase)
-        return [self._request(i % n_partitions, rng, phase == "post")
+        rng = make_rng(seed, "drift-trace", "pre")
+        return [self._request(i % n_partitions, rng, False)
                 for i in range(n)]
 
 

@@ -221,14 +221,17 @@ def _workloads():
     from repro.workloads.ycsb import YcsbWorkload
     return [TpccWorkload(TpccScale(n_warehouses=2), n_partitions=2),
             YcsbWorkload(n_keys=200, reads_per_txn=3, writes_per_txn=2),
-            BankWorkload(n_accounts=50, audit_fraction=0.3),
-            InstacartWorkload(n_products=200, n_customers=50)]
+            BankWorkload(n_accounts=50),
+            InstacartWorkload(n_products=200)]
 
 
 @pytest.mark.parametrize("workload", _workloads(),
                          ids=lambda w: type(w).__name__)
-def test_compiled_layouts_match_fresh_analysis(workload):
+def test_compiled_layouts_match_fresh_analysis(workload, monkeypatch):
     import random
+
+    from repro.workloads import bank
+    monkeypatch.setattr(bank, "AUDIT_FRACTION", 0.3)   # audits too
     procs = {proc.name: proc for proc in workload.procedures()}
     rng = random.Random(5)
     seen = set()

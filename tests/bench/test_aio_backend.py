@@ -7,7 +7,7 @@ harness/executor/database code path the simulator uses.
 
 import pytest
 
-from repro.bench import RunConfig, make_cluster
+from repro.bench import RunConfig, harness, make_cluster
 from repro.bench.setups import build_run, make_tpcc_run
 from repro.partitioning import HashScheme
 from repro.sim import Cluster
@@ -31,12 +31,13 @@ def test_make_cluster_selects_backend():
         make_cluster(RunConfig(backend="quantum"))
 
 
-def test_aio_run_timeout_scales_with_horizon():
+def test_aio_run_timeout_scales_with_horizon(monkeypatch):
     # a long wall-clock horizon must not be killed by a fixed cap
     long_run = make_cluster(aio_config(horizon_us=300_000_000.0))
     assert long_run.run_timeout_s > 300.0
-    pinned = make_cluster(aio_config(run_timeout_s=7.0))
-    assert pinned.run_timeout_s == 7.0
+    monkeypatch.setattr(harness, "AIO_HEADROOM_S", 7.0)
+    pinned = make_cluster(aio_config(horizon_us=1_000_000.0))
+    assert pinned.run_timeout_s == 8.0
 
 
 def test_ycsb_completes_on_aio_backend_with_wall_clock_metrics():

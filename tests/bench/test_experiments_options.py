@@ -165,7 +165,6 @@ FLAGS = {  # flag -> (value or None for a switch, overrides it must set)
     "--wal": ("group", {"wal": "group"}),
     "--chaos-kill": ("1", {"mp_chaos_kill_worker": 1, "mp_recovery": True}),
     "--chaos-after": ("0.25", {"mp_chaos_kill_after_s": 0.25}),
-    "--max-restarts": ("3", {"mp_max_restarts": 3}),
     "--arrivals": ("poisson", {"arrivals": "poisson"}),
     "--offered-load": ("5e4", {"offered_load": 5e4}),
     "--deadline-us": ("4000", {"deadline_us": 4000.0}),
@@ -197,7 +196,8 @@ NEEDS = {"--offered-load": ["--arrivals", "poisson"],
 
 @pytest.mark.parametrize("flag", sorted(FLAGS))
 def test_all_25_flags_in_both_spellings(flag, swept, tmp_path, capsys):
-    assert len(FLAGS) == 23  # 25 with --watch, 24 with --profile
+    assert len(FLAGS) == 22  # 25 with --watch, 24 with --profile, 23
+    # with --max-restarts
     value, expected = FLAGS[flag]
     fill = lambda x: x.replace("{tmp}", str(tmp_path)) \
         if isinstance(x, str) else x

@@ -23,6 +23,7 @@ from repro.bench.setups import (build_instacart_layout,
                                 make_tpcc_run, make_ycsb_run)
 from repro.sched import conflict
 from repro.traffic import ArrivalSpec
+from repro.workloads import instacart
 from repro.workloads.instacart import InstacartWorkload
 from repro.workloads.ycsb import YcsbWorkload
 
@@ -119,7 +120,9 @@ def test_tiny_closed_loop_conflict_run_is_unchanged(two_waiter_cap):
 
 def tiny_routed_instacart_run():
     """Closed-loop workers dispatching by data affinity."""
-    workload = InstacartWorkload(n_products=300, n_customers=200)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instacart, "N_CUSTOMERS", 200)
+        workload = InstacartWorkload(n_products=300)
     setup = build_instacart_setup(3, n_train=300, workload=workload, seed=11)
     layout = build_instacart_layout(setup, "chiller", seed=11)
     config = RunConfig(n_partitions=3, concurrent_per_engine=4,

@@ -10,6 +10,7 @@ from repro.bench.setups import build_run
 from repro.partitioning import HashScheme
 from repro.placement import PlacementSpec
 from repro.storage import Catalog
+from repro.workloads import ycsb
 from repro.workloads.ycsb import DriftingYcsbWorkload, YcsbWorkload
 
 import pytest
@@ -57,9 +58,10 @@ def test_adaptive_run_consolidates_drifting_hot_groups():
         placement=PlacementSpec(kind="adaptive", epoch_us=800.0,
                                 max_moves_per_epoch=16, min_gain=4.0,
                                 min_window_commits=8))
-    workload = DriftingYcsbWorkload(n_groups=24, group_size=6,
-                                    reads_per_txn=3, writes_per_txn=2,
-                                    zipf_exponent=1.3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ycsb, "DRIFT_READS_PER_TXN", 3)
+        workload = DriftingYcsbWorkload(n_groups=24, group_size=6,
+                                        zipf_exponent=1.3)
     run = build_run(workload,
                     Catalog(config.n_partitions,
                             HashScheme(config.n_partitions)), config)

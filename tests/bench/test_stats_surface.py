@@ -25,6 +25,7 @@ from repro.placement import PlacementSpec
 from repro.sched import conflict
 from repro.storage import Catalog
 from repro.traffic import ArrivalSpec
+from repro.workloads import ycsb
 from repro.workloads.ycsb import DriftingYcsbWorkload, YcsbWorkload
 
 GOLDEN = Path(__file__).with_name("stats_surface.json")
@@ -61,9 +62,10 @@ def adaptive_placement_run(tmp_path):
         placement=PlacementSpec(kind="adaptive", epoch_us=800.0,
                                 max_moves_per_epoch=16, min_gain=4.0,
                                 min_window_commits=8))
-    workload = DriftingYcsbWorkload(n_groups=24, group_size=6,
-                                    reads_per_txn=3, writes_per_txn=2,
-                                    zipf_exponent=1.3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ycsb, "DRIFT_READS_PER_TXN", 3)
+        workload = DriftingYcsbWorkload(n_groups=24, group_size=6,
+                                        zipf_exponent=1.3)
     run = build_run(workload, Catalog(2, HashScheme(2)), config)
     workload.bind_clock(lambda: run.database.cluster.sim.now)
     return run

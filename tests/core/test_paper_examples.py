@@ -35,16 +35,17 @@ def fig5_likelihoods():
 
 
 @pytest.fixture(autouse=True)
-def fig5_hot_threshold(monkeypatch):
-    """The example's lookup-table bar: likelihood above 0.1."""
+def fig5_partitioner(monkeypatch):
+    """The example's lookup-table bar (likelihood above 0.1), and its
+    balance notion: 'split the set of records in half' -> the
+    'records' load metric."""
     monkeypatch.setattr(partitioner, "HOT_THRESHOLD", 0.1)
+    monkeypatch.setattr(partitioner, "LOAD_METRIC", "records")
 
 
 def fig5_config(**overrides):
-    """The paper simplifies the example's balance notion to 'split the
-    set of records in half' -> the 'records' load metric, with enough
-    slack for a 4/3 split of the 7 records."""
-    defaults = dict(eps=0.15, seed=3, load_metric="records")
+    """Enough slack for a 4/3 split of the 7 records."""
+    defaults = dict(eps=0.15, seed=3)
     defaults.update(overrides)
     return ChillerPartitionerConfig(**defaults)
 

@@ -21,12 +21,15 @@ from repro.sim.codec import CodecError
 from repro.storage.wal import (R_PREPARE, ROLE_COORDINATOR, ROLE_INNER,
                                ROLE_PARTICIPANT, WalSpec, WriteAheadLog,
                                replay_wal, wal_path)
+from repro.workloads import instacart
 from repro.workloads.instacart import InstacartWorkload
 from repro.workloads.ycsb import YcsbWorkload
 
 
 def instacart_run(config):
-    workload = InstacartWorkload(n_products=300, n_customers=200)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instacart, "N_CUSTOMERS", 200)
+        workload = InstacartWorkload(n_products=300)
     setup = build_instacart_setup(config.n_partitions, n_train=300,
                                   workload=workload, seed=11)
     layout = build_instacart_layout(setup, "chiller", seed=11)
@@ -43,8 +46,7 @@ RUNS = {
 }
 
 
-MP = dict(backend="mp", mp_workers=2, horizon_us=200_000.0,
-          run_timeout_s=120.0)
+MP = dict(backend="mp", mp_workers=2, horizon_us=200_000.0)
 """Two worker processes for three servers, a wall-clock horizon."""
 
 

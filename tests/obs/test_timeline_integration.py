@@ -24,6 +24,7 @@ from repro.analysis import ProcedureRegistry
 from repro.bench import RunConfig, run_benchmark
 from repro.bench.setups import make_ycsb_run
 from repro.obs import HealthEvent, HealthRule, WatchdogAbort
+from repro.obs import health as obs_health
 from repro.partitioning import HashScheme
 from repro.sim import Cluster
 from repro.storage import Catalog
@@ -103,14 +104,14 @@ def test_timeline_csv_lands_on_disk(tmp_path):
     assert len(lines) == len(result.metrics.timeline.rows()) + 1
 
 
-def test_watchdog_abort_kills_a_wedged_run():
+def test_watchdog_abort_kills_a_wedged_run(monkeypatch):
     # a rule that fires on the first sample (any queue depth >= 0):
     # the run must stop at the first interval, not the horizon, and
     # still return its partial metrics with the event on record
     rules = (HealthRule("queue_saturation", threshold=0.0, window=1,
                         fatal=True),)
-    result = run_bank(metrics_interval=200.0, health_rules=rules,
-                      watchdog_abort=True)
+    monkeypatch.setattr(obs_health, "default_rules", lambda: rules)
+    result = run_bank(metrics_interval=200.0, watchdog_abort=True)
     assert result.end_time < 2_000.0
     health = result.perf_summary()["health"]
     assert health and health[0]["kind"] == "queue_saturation"
@@ -125,9 +126,10 @@ def test_watchdog_abort_exception_carries_the_event():
     assert "wedged" in str(err.value)
 
 
-def test_health_events_survive_into_perf_summary():
+def test_health_events_survive_into_perf_summary(monkeypatch):
     rules = (HealthRule("queue_saturation", threshold=0.0, window=1),)
-    result = run_bank(metrics_interval=200.0, health_rules=rules)
+    monkeypatch.setattr(obs_health, "default_rules", lambda: rules)
+    result = run_bank(metrics_interval=200.0)
     health = result.perf_summary()["health"]
     assert health and health[0]["kind"] == "queue_saturation"
     assert result.metrics.timeline.health

@@ -9,11 +9,13 @@ event.  The mp half (cross-process stitching on a traced fleet) is
 the cost of tracing is the yardstick's ``obs.trace_overhead_ratio``.
 """
 
+import dataclasses
 import json
+import re
 
 from repro.analysis import ProcedureRegistry
-from repro.bench import RunConfig, run_benchmark
-from repro.obs import NOOP_TRACER, PHASES
+from repro.bench import RunConfig, experiments, run_benchmark
+from repro.obs import NOOP_TRACER, PHASES, tracer
 from repro.partitioning import HashScheme
 from repro.sim import Cluster
 from repro.storage import Catalog
@@ -69,6 +71,24 @@ def test_tracing_collects_phase_spans_and_exemplars():
         latencies = [row["latency_us"] for row in tenant_rows]
         assert latencies == sorted(latencies, reverse=True)
         assert all(row["dominant_phase"] in PHASES for row in tenant_rows)
+
+
+def test_a_dropped_span_warning_names_only_what_a_user_can_set(
+        monkeypatch, capsys):
+    """The hint may name only flags and fields a user can set (it once
+    said "raise the tracer ring capacity", which nothing reaches)."""
+    monkeypatch.setattr(tracer, "RING_CAPACITY", 4)
+    result = run_bank(trace=True)
+    assert result.metrics.trace.dropped > 0
+    hint = capsys.readouterr().err
+    assert "span(s) dropped" in hint
+    flags = set(re.findall(r"--[a-z][a-z-]*", hint))
+    fields = set(re.findall(r"RunConfig\.(\w+)", hint))
+    assert flags == {"--trace-sample"} and fields == {"trace_sample"}
+    parser_flags = {option for action in experiments.build_parser()._actions
+                    for option in action.option_strings}
+    assert flags <= parser_flags
+    assert fields <= {spec.name for spec in dataclasses.fields(RunConfig)}
 
 
 def test_tracing_does_not_perturb_the_sim():

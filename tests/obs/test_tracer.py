@@ -6,6 +6,7 @@ from repro._stats import fold
 from repro.obs import (NOOP_TRACER, PHASES, VERB_PHASES, SpanRing,
                        TraceData, Tracer, critical_path, exemplar_summary,
                        to_trace_events, trace_tree, write_trace_json)
+from repro.obs import tracer as tracer_module
 from repro.obs.tracer import TRACE_HOME_SHIFT
 
 
@@ -77,8 +78,9 @@ def test_spans_route_to_per_server_rings():
     assert tracer.harvest().spans == []  # drained
 
 
-def test_exemplars_keep_slowest_k_per_tenant():
-    tracer = Tracer(exemplar_k=2)
+def test_exemplars_keep_slowest_k_per_tenant(monkeypatch):
+    monkeypatch.setattr(tracer_module, "EXEMPLAR_K", 2)
+    tracer = Tracer()
     for latency in (10.0, 50.0, 30.0, 40.0):
         tracer.exemplar("gold", tracer.new_trace(0), latency)
     data = tracer.harvest()

@@ -41,9 +41,7 @@ def chaos_config(tmp_path) -> RunConfig:
     return RunConfig(
         n_partitions=2, concurrent_per_engine=2,
         horizon_us=3_000_000.0, warmup_us=0.0, n_replicas=1,
-        backend="mp", run_timeout_s=180.0,
-        wal="group", wal_dir=str(tmp_path),
-        mp_recovery=True, mp_max_restarts=1,
+        backend="mp", wal="group", wal_dir=str(tmp_path), mp_recovery=True,
         mp_chaos_kill_worker=VICTIM, mp_chaos_kill_after_s=1.2,
         placement=PlacementSpec(kind="adaptive"),
         metrics_interval=INTERVAL_US)

@@ -263,3 +263,110 @@ def test_lease_failover_is_counted_when_holder_stops_renewing(monkeypatch):
     assert db.recovery.controller_failovers == 1
     holder, expires = db.leases[CONTROLLER_HOME]
     assert holder == 1 and expires > 5_000.0
+
+
+# -- a moved record keeps its version -----------------------------------------
+
+def write_hot(run, n: int) -> list:
+    """``n`` committed read-modify-writes of the hot key, one by one."""
+    executor = run.executor
+
+    def writes():
+        done = []
+        for _ in range(n):
+            done.append((yield from executor.execute(TxnRequest(
+                "ycsb", {"read_keys": [], "write_keys": [HOT]}, home=0))))
+        return done
+
+    (outcomes,) = drive(run, writes())
+    assert all(o.committed for o in outcomes)
+    return outcomes
+
+
+def hot_version(db) -> int:
+    return db.store(db.partition_of("usertable", HOT)).version_of(
+        "usertable", HOT)
+
+
+def test_a_moved_record_keeps_its_version_there_and_back():
+    run = build_sim_run()
+    db = run.database
+    migrator, stats = make_migrator(run)
+    write_hot(run, 3)
+    src = db.partition_of("usertable", HOT)
+    dst = (src + 1) % db.n_partitions
+    before = hot_version(db)
+    assert before == 3
+    (moved,) = drive(run, migrator.migrate("usertable", HOT, dst, epoch=1))
+    assert moved and db.partition_of("usertable", HOT) == dst
+    assert hot_version(db) == before
+    write_hot(run, 2)
+    (moved,) = drive(run, migrator.migrate("usertable", HOT, src, epoch=2))
+    assert moved and db.partition_of("usertable", HOT) == src
+    assert hot_version(db) == before + 2
+    assert stats.moves_applied == 2
+
+
+def test_occ_does_not_commit_a_read_the_move_made_stale():
+    """T reads the hot key at version v at its old home; the key moves
+    and takes v more writes.  Installed at version 0 (as it once was),
+    the record would be back at v, T's read would validate, and T would
+    commit on a stale value."""
+    from repro.txn.occ import OccExecutor
+
+    run = build_migration_conformance_run(conformance_config("sim"), "occ")
+    db = run.database
+    migrator, _stats = make_migrator(run)
+    write_hot(run, 3)
+    read_at = hot_version(db)
+
+    class MoveBeforeValidation(OccExecutor):
+        def _validate(self, state, writes):
+            assert ("usertable", HOT) in dict(state.reads)
+            current = db.partition_of("usertable", HOT)
+            moved = yield from migrator.migrate(
+                "usertable", HOT, (current + 1) % db.n_partitions, epoch=1)
+            assert moved
+            for _ in range(read_at):
+                outcome = yield from run.executor.execute(TxnRequest(
+                    "ycsb", {"read_keys": [], "write_keys": [HOT]},
+                    home=0))
+                assert outcome.committed
+            return (yield from super()._validate(state, writes))
+
+    stale_reader = MoveBeforeValidation(db)
+    (outcome,) = drive(run, stale_reader.execute(TxnRequest(
+        "ycsb", {"read_keys": [HOT], "write_keys": [HOT + 1]}, home=0)))
+    assert not outcome.committed
+    assert outcome.reason is AbortReason.VALIDATION
+
+
+@pytest.mark.parametrize("executor", ["2pl", "occ"])
+def test_adaptive_runs_keep_a_serializable_history(executor):
+    """A record written before and after its move once read as a lost
+    update to the history oracle; with the version carried across, an
+    adaptive run's history has no cycle."""
+    from repro.bench import RunConfig
+    from repro.bench.setups import build_run
+    from repro.partitioning import HashScheme
+    from repro.storage import Catalog
+    from repro.workloads import ycsb
+    from repro.workloads.ycsb import DriftingYcsbWorkload
+
+    config = RunConfig(
+        n_partitions=2, concurrent_per_engine=2, horizon_us=6_000.0,
+        warmup_us=250.0, seed=5, route_by_data=True, record_history=True,
+        placement=PlacementSpec(kind="adaptive", epoch_us=800.0,
+                                max_moves_per_epoch=16, min_gain=4.0,
+                                min_window_commits=8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ycsb, "DRIFT_READS_PER_TXN", 3)
+        workload = DriftingYcsbWorkload(n_groups=24, group_size=6,
+                                        zipf_exponent=1.3,
+                                        shift_at_us=2_000.0)
+    run = build_run(workload, Catalog(2, HashScheme(2)), config, executor)
+    workload.bind_clock(lambda: run.database.cluster.sim.now)
+    result = run.run()
+    assert result.metrics.placement_stats.moves_applied > 0
+    assert result.history.commits
+    assert result.history.find_cycle() is None

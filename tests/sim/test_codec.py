@@ -16,12 +16,11 @@ from repro.bench.conformance import build_conformance_run, conformance_config
 from repro.sim import CodecError, OpDescriptor, decode_op, encode_op
 from repro.sim.codec import OP_HANDLERS, dumps
 from repro.storage import LockMode
-from repro.txn.executor import (_commit_op, _lock_insert_op, _lock_read_op,
-                                _plain_read_op, _release_op,
-                                _replica_apply_op)
+from repro.txn.executor import (_lock_insert_op, _lock_read_op,
+                                _plain_read_op, _replica_apply_op)
 from repro.placement.migration import _lease_acquire_op
-from repro.txn.commit_fsm import (_decision_op, _prepare_op,
-                                  _recover_query_op)
+from repro.txn.commit_fsm import (_commit_op, _decision_op, _prepare_op,
+                                  _recover_query_op, _release_op)
 from repro.txn.occ import _validate_read_op, _validate_write_op
 
 
@@ -132,19 +131,18 @@ def test_migrate_ops_round_trip(twin_dbs):
     db_a, db_b = twin_dbs
     src = db_a.partition_of("accounts", KEY)
     dst = (src + 1) % db_a.n_partitions
-    fields, _version = db_a.store(src).read("accounts", KEY)
+    fields, version = db_a.store(src).read("accounts", KEY)
 
     install = OpDescriptor("migrate_install", dst, "accounts", KEY,
-                           (fields,)).bind(db_a.dispatch_context)
+                           (fields, version + 3)).bind(db_a.dispatch_context)
     assert run_twin(install, db_a, db_b) == "ok"
     for db in (db_a, db_b):
-        copied, _v = db.store(dst).read("accounts", KEY)
-        assert copied == fields
-    # idempotent re-install (a key migrating back) overwrites in place
+        assert db.store(dst).read("accounts", KEY) == (fields, version + 3)
+    # a re-install (a key migrating back) overwrites in place, version too
     assert run_twin(OpDescriptor(
         "migrate_install", dst, "accounts", KEY,
-        ({"balance": 5.0},)).bind(db_a.dispatch_context), db_a, db_b) == "ok"
-    assert db_b.store(dst).read("accounts", KEY)[0]["balance"] == 5.0
+        ({"balance": 5.0}, 9)).bind(db_a.dispatch_context), db_a, db_b) == "ok"
+    assert db_b.store(dst).read("accounts", KEY) == ({"balance": 5.0}, 9)
 
     remove = OpDescriptor("migrate_remove", src, "accounts", KEY,
                           (TXN,)).bind(db_a.dispatch_context)

@@ -15,7 +15,7 @@ import pytest
 from repro.bench import RunConfig
 from repro.bench.experiments import fig9_rows
 from repro.bench.setups import make_ycsb_run
-from repro.sim import MpRunError
+from repro.sim import MpRunError, supervisor
 from repro.workloads.ycsb import YcsbWorkload
 
 
@@ -35,9 +35,7 @@ def chaos_config(tmp_path, **overrides) -> RunConfig:
     defaults = dict(
         n_partitions=2, concurrent_per_engine=2,
         horizon_us=3_000_000.0, warmup_us=0.0, n_replicas=1,
-        backend="mp", run_timeout_s=180.0,
-        wal="group", wal_dir=str(tmp_path),
-        mp_recovery=True, mp_max_restarts=1,
+        backend="mp", wal="group", wal_dir=str(tmp_path), mp_recovery=True,
         mp_chaos_kill_worker=1, mp_chaos_kill_after_s=1.2)
     defaults.update(overrides)
     return RunConfig(**defaults)
@@ -46,12 +44,20 @@ def chaos_config(tmp_path, **overrides) -> RunConfig:
 def test_chaos_kill_mid_run_recovers_and_completes(tmp_path):
     """SIGKILL a worker mid-run: the run still completes, commits keep
     flowing, and the respawned generation replays its predecessor's
-    WAL (merged recovery counters prove it happened)."""
-    config = chaos_config(tmp_path)
+    WAL (merged recovery counters prove it happened).  The history
+    that comes home is whole and serializable: the killed generation's
+    commit logs die with its outcomes, so there is one log per
+    committed outcome, each txn once."""
+    config = chaos_config(tmp_path, record_history=True)
     run = make_ycsb_run("2pl", config, workload=small_workload())
     result = run.run()
 
     assert result.metrics.commits > 0
+    history = result.history
+    assert len(history.commits) == result.metrics.commits
+    assert len({log.txn_id for log in history.commits}) \
+        == len(history.commits)
+    assert history.find_cycle() is None
     recovery = result.metrics.recovery_stats
     assert recovery is not None
     # the replacement found and replayed its predecessor's log
@@ -62,16 +68,16 @@ def test_chaos_kill_mid_run_recovers_and_completes(tmp_path):
     assert no_leaked_workers()
 
 
-def test_chaos_kill_of_a_replica_host_does_not_wedge_chiller():
+def test_chaos_kill_of_a_replica_host_does_not_wedge_chiller(monkeypatch):
     """fig9a's quick mp cells, one worker SIGKILLed right after the
     handshake.  Chiller's coordinator waits for its inner host's replica
     acks; those from a dead worker never come, so it must stop waiting
     for them (it used to hang, and the run timed out with the survivor
     never reporting 'done')."""
+    monkeypatch.setattr(supervisor, "MP_HEADROOM_S", 15.0)
     rows = fig9_rows(concurrency=(1,), quick=True, overrides=dict(
         backend="mp", mp_workers=2, wal="group", mp_recovery=True,
-        mp_max_restarts=1, mp_chaos_kill_worker=1,
-        mp_chaos_kill_after_s=0.0, run_timeout_s=15))
+        mp_chaos_kill_worker=1, mp_chaos_kill_after_s=0.0))
     assert [row["concurrent"] for row in rows] == [1]
     assert "chiller_throughput" in rows[0]
     assert no_leaked_workers()
@@ -89,14 +95,11 @@ def test_chaos_kill_without_recovery_fails_the_run(tmp_path):
     assert no_leaked_workers()
 
 
-def test_restart_budget_exhaustion_is_fatal(tmp_path):
-    """A second death with mp_max_restarts=1 aborts the run: kill the
-    same worker slot again by aiming the chaos timer long enough to
-    outlive the first restart."""
-    # one allowed restart is consumed by the first kill; a zero budget
-    # makes even the first death fatal despite recovery being on
-    config = chaos_config(tmp_path, mp_max_restarts=0,
-                          horizon_us=30_000_000.0,
+def test_restart_budget_exhaustion_is_fatal(tmp_path, monkeypatch):
+    """A death past the restart budget aborts the run even with
+    recovery on: a zero budget makes the first death fatal."""
+    monkeypatch.setattr(supervisor, "MAX_RESTARTS", 0)
+    config = chaos_config(tmp_path, horizon_us=30_000_000.0,
                           mp_chaos_kill_after_s=0.3)
     run = make_ycsb_run("2pl", config, workload=small_workload())
     with pytest.raises(MpRunError, match="died before reporting"):

@@ -44,7 +44,7 @@ def no_leaked_workers() -> bool:
 def mp_config(**overrides) -> RunConfig:
     defaults = dict(n_partitions=2, concurrent_per_engine=2,
                     horizon_us=15_000.0, warmup_us=0.0, n_replicas=1,
-                    backend="mp", run_timeout_s=120.0)
+                    backend="mp")
     defaults.update(overrides)
     return RunConfig(**defaults)
 
@@ -380,8 +380,7 @@ def test_an_mp_run_builds_its_database_once_in_the_parent(chaos, monkeypatch,
     if chaos:
         fields.update(horizon_us=800_000.0, wal="group",
                       wal_dir=str(tmp_path), mp_recovery=True,
-                      mp_max_restarts=1, mp_chaos_kill_worker=1,
-                      mp_chaos_kill_after_s=0.3)
+                      mp_chaos_kill_worker=1, mp_chaos_kill_after_s=0.3)
     result = make_ycsb_run("2pl", mp_config(**fields),
                            workload=YcsbWorkload(n_keys=256)).run()
     assert result.metrics.commits > 0
@@ -465,9 +464,11 @@ def hanging_driver(run_obj, cluster, worker_id):
     return dict
 
 
-def test_hung_worker_is_terminated_not_leaked():
+def test_hung_worker_is_terminated_not_leaked(monkeypatch):
+    from repro.sim import supervisor
+    monkeypatch.setattr(supervisor, "MP_HEADROOM_S", 4.0)
     with pytest.raises(MpRunError, match="timed out"):
-        run_fleet(hanging_driver, mp_config(run_timeout_s=4.0))
+        run_fleet(hanging_driver, mp_config())
     assert no_leaked_workers()
 
 
@@ -487,9 +488,9 @@ def test_a_replacement_stuck_in_its_handshake_is_not_leaked(monkeypatch,
                   resume_at_us)
 
     monkeypatch.setattr(supervisor, "_worker_body", stuck_respawn)
-    config = mp_config(run_timeout_s=4.0, wal="group",
-                       wal_dir=str(tmp_path), mp_recovery=True,
-                       mp_max_restarts=1, mp_chaos_kill_worker=1,
+    monkeypatch.setattr(supervisor, "MP_HEADROOM_S", 4.0)
+    config = mp_config(wal="group", wal_dir=str(tmp_path),
+                       mp_recovery=True, mp_chaos_kill_worker=1,
                        mp_chaos_kill_after_s=0.0)
     with pytest.raises(MpRunError, match="to report 'port'"):
         run_fleet(hanging_driver, config)

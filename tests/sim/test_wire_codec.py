@@ -22,8 +22,9 @@ from repro.sim.codec import (FRAME_PICKLE, FRAME_VERB_REPLY, FRAME_VERBS,
                              FRAME_VERBS_TRACED, OP_HANDLERS, CodecError,
                              FrameCodec, WireRpc, WireVerbReply, WireVerbs)
 from repro.storage import LockMode
-from repro.txn.executor import (_commit_op, _lock_read_op, _plain_read_op,
-                                _release_op, _replica_apply_op)
+from repro.txn.commit_fsm import _commit_op, _release_op
+from repro.txn.executor import (_lock_read_op, _plain_read_op,
+                                _replica_apply_op)
 
 VERB_KINDS = sorted(OP_HANDLERS)
 """Every verb kind a handler is registered for (the layers above register

@@ -273,11 +273,8 @@ def test_append_cost_amortizes_group_fsync(tmp_path):
 
 
 def test_as_wal_spec_normalizes():
-    assert as_wal_spec(None).mode == "off"
-    assert not as_wal_spec(None).enabled
+    assert not as_wal_spec("off").enabled
     assert as_wal_spec("group").mode == "group"
-    spec = WalSpec(mode="fsync", dir="/x")
-    assert as_wal_spec(spec) is spec
     with pytest.raises(ValueError, match="unknown wal mode"):
         as_wal_spec("paranoid")
 

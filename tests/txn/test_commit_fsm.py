@@ -15,7 +15,8 @@ import pytest
 from repro.analysis import ProcedureRegistry
 from repro.partitioning import HashScheme
 from repro.sim import Cluster
-from repro.storage import Catalog, WalSpec
+from repro.bench import RunConfig
+from repro.storage import Catalog
 from repro.txn import (CommitFsm, Database, InvalidTransition, TwoPLExecutor,
                        TxnPhase, TxnRequest, recover_database,
                        recovery_program, resolve_in_doubt_local)
@@ -33,8 +34,9 @@ def make_db(tmp_path, n_partitions=2):
     for proc in workload.procedures():
         registry.register(proc)
     catalog = Catalog(n_partitions, HashScheme(n_partitions))
+    config = RunConfig(wal="fsync", wal_dir=str(tmp_path))
     db = Database(cluster, catalog, workload.tables(), registry,
-                  wal=WalSpec(mode="fsync", dir=str(tmp_path)))
+                  wal=config.wal_spec())
     workload.populate(db.loader())
     return db, cluster
 

@@ -9,6 +9,7 @@ from repro.partitioning import HashScheme
 from repro.sim import Cluster
 from repro.storage import Catalog
 from repro.txn import Database, TwoPLExecutor
+from repro.workloads import bank
 from repro.workloads.bank import BankWorkload
 from repro.workloads.ycsb import YcsbWorkload, expected_counter_total
 
@@ -41,8 +42,9 @@ def test_bank_invalid_hot_config():
         BankWorkload(n_accounts=5, hot_accounts=10)
 
 
-def test_bank_audit_fraction():
-    workload = BankWorkload(n_accounts=50, audit_fraction=0.5)
+def test_bank_audit_fraction(monkeypatch):
+    monkeypatch.setattr(bank, "AUDIT_FRACTION", 0.5)
+    workload = BankWorkload(n_accounts=50)
     rng = make_rng(3, "bank")
     procs = [workload.next_request(0, rng).proc for _ in range(300)]
     share = procs.count("audit") / len(procs)

@@ -6,12 +6,19 @@ from repro._util import make_rng
 from repro.core import sample_from_request
 from repro.analysis import ProcedureRegistry
 from repro.workloads._zipf import power_law_weights
+from repro.workloads import instacart
 from repro.workloads.instacart import InstacartWorkload
+
+
+def seeded_workload():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instacart, "CATEGORY_SEED", 3)
+        return InstacartWorkload(n_products=1000)
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return InstacartWorkload(n_products=1000, seed=3)
+    return seeded_workload()
 
 
 def test_power_law_weights_sum_to_one():
@@ -83,7 +90,7 @@ def test_sampling_extracts_stock_writes(workload):
 
 def test_trace_is_deterministic(workload):
     t1 = workload.trace(20, 4, seed=9)
-    w2 = InstacartWorkload(n_products=1000, seed=3)
+    w2 = seeded_workload()
     t2 = w2.trace(20, 4, seed=9)
     assert [r.params["items"] for r in t1] == [
         r.params["items"] for r in t2]
