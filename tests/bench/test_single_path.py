@@ -238,11 +238,11 @@ def signature(node: ast.FunctionDef) -> tuple[list[str], dict[str, ast.AST]]:
     return names, defaults
 
 
-def src_defs(paths: list[Path] = TREES["src"]):
+def src_defs():
     """Over ``src``: function name -> the spec class it returns, and
     function name -> ``(parameters, defaults)``."""
     returns, params = {}, {}
-    for path in paths:
+    for path in TREES["src"]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
                 made = spec_names(node.returns)
@@ -267,7 +267,7 @@ def passed_arguments(call: ast.Call, names: list[str]) -> dict[str, ast.AST]:
     return passed
 
 
-def target(call: ast.Call) -> str:
+def reached(call: ast.Call) -> str:
     """The function a call reaches: a ``partial``'s first argument."""
     if callee(call) == "partial" and call.args:
         first = call.args[0]
@@ -337,17 +337,17 @@ def scan(path: Path, returns: dict[str, str], params: dict):
         nodes = list(own_nodes(scope))
         for node in nodes:       # binding pass: spec-typed names, mappings
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target_ = node.targets[0]
-                if isinstance(target_, ast.Name):
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
                     if made(node.value):
-                        kinds[target_.id] = made(node.value)
+                        kinds[target.id] = made(node.value)
                     if entries(node.value):
-                        mappings[target_.id] = entries(node.value)
-                elif isinstance(target_, ast.Subscript) \
-                        and isinstance(target_.value, ast.Name) \
-                        and isinstance(target_.slice, ast.Constant):
-                    mappings.setdefault(target_.value.id, []).append(
-                        (target_.slice.value, node.value))
+                        mappings[target.id] = entries(node.value)
+                elif isinstance(target, ast.Subscript) \
+                        and isinstance(target.value, ast.Name) \
+                        and isinstance(target.slice, ast.Constant):
+                    mappings.setdefault(target.value.id, []).append(
+                        (target.slice.value, node.value))
             elif isinstance(node, ast.Call) and callee(node) == "update" \
                     and isinstance(node.func, ast.Attribute) \
                     and isinstance(node.func.value, ast.Name):
@@ -362,16 +362,16 @@ def scan(path: Path, returns: dict[str, str], params: dict):
                     for field, value in ([(kw.arg, kw.value)] if kw.arg
                                          else entries(kw.value)):
                         setters.append((cls, field, source(value), value))
-            name = target(node)
+            name = reached(node)
             names, _ = params.get(name, ([], {}))
             calls.append((name, passed_arguments(node, names)))
     return setters, calls
 
 
-def flag_actions(parser=None) -> dict[str, "object"]:
+def flag_actions() -> dict[str, argparse.Action]:
     """``--flag`` -> its argparse action, from the parser itself."""
-    parser = parser or experiments.build_parser()
-    return {option: action for action in parser._actions
+    return {option: action
+            for action in experiments.build_parser()._actions
             for option in action.option_strings
             if option not in ("-h", "--help")}
 
@@ -600,7 +600,7 @@ def parameter_census(trees: dict[str, list[Path]] = TREES,
         for path in paths:
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
-                    calls.setdefault(target(node), []).append((tree, node))
+                    calls.setdefault(reached(node), []).append((tree, node))
     rows = {}
     for row, name, parameter, position, default in literal_parameters(
             trees["src"]):
