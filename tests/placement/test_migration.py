@@ -10,6 +10,8 @@ committed writes, however the race interleaved.
 """
 
 from repro._util import make_rng
+from repro.bench import RunConfig
+from repro.bench.setups import build_run
 from repro.bench.conformance import (MIGRATION_HOT_KEY, build_conformance_run,
                                      build_migration_conformance_run,
                                      conformance_config)
@@ -18,9 +20,14 @@ from repro.placement import (CONTROLLER_HOME, MigrationExecutor,
                              PlacementSpec, PlacementStats, migration)
 import pytest
 
+from repro.partitioning import HashScheme
 from repro.sim import All, OneSided, Sleep
 from repro.sim.codec import PEER_DOWN
+from repro.storage import Catalog
 from repro.txn.common import AbortReason, TxnRequest
+from repro.txn.occ import OccExecutor
+from repro.workloads import ycsb
+from repro.workloads.ycsb import DriftingYcsbWorkload
 
 HOT = MIGRATION_HOT_KEY
 
@@ -312,8 +319,6 @@ def test_occ_does_not_commit_a_read_the_move_made_stale():
     and takes v more writes.  Installed at version 0 (as it once was),
     the record would be back at v, T's read would validate, and T would
     commit on a stale value."""
-    from repro.txn.occ import OccExecutor
-
     run = build_migration_conformance_run(conformance_config("sim"), "occ")
     db = run.database
     migrator, _stats = make_migrator(run)
@@ -346,13 +351,6 @@ def test_adaptive_runs_keep_a_serializable_history(executor):
     """A record written before and after its move once read as a lost
     update to the history oracle; with the version carried across, an
     adaptive run's history has no cycle."""
-    from repro.bench import RunConfig
-    from repro.bench.setups import build_run
-    from repro.partitioning import HashScheme
-    from repro.storage import Catalog
-    from repro.workloads import ycsb
-    from repro.workloads.ycsb import DriftingYcsbWorkload
-
     config = RunConfig(
         n_partitions=2, concurrent_per_engine=2, horizon_us=6_000.0,
         warmup_us=250.0, seed=5, route_by_data=True, record_history=True,
