@@ -17,8 +17,8 @@ from .cluster import Cluster, Server
 from .codec import (CodecError, DispatchContext, FrameCodec, OpDescriptor,
                     decode_op, encode_op, op_handler)
 from .cpu import Core
-from .effects import (All, Await, BatchedOneSided, Compute, Coroutine,
-                      Effect, OneSided, OneWay, Rpc, Signal, Sleep)
+from .effects import (All, Await, Compute, Coroutine, Effect, OneSided,
+                      OneWay, Round, Rpc, Signal, Sleep)
 from .events import Simulator
 from .network import (Network, NetworkStats,
                       approx_payload_bytes, phase_of_kind, write_set_bytes)
@@ -30,7 +30,6 @@ from .wallclock import WallClockRuntime, WorkerCluster
 __all__ = [
     "All",
     "Await",
-    "BatchedOneSided",
     "Cluster",
     "CodecError",
     "Compute",
@@ -48,6 +47,7 @@ __all__ = [
     "OneSided",
     "OneWay",
     "OpDescriptor",
+    "Round",
     "Rpc",
     "Server",
     "Signal",

@@ -180,18 +180,21 @@ class OpDescriptor:
                 f"{self.table!r}, {self.key!r})")
 
 
-def encode_op(op: Any, effect: str = "a one-sided effect") -> OpSpec:
-    """The wire form of one verb; raises :class:`CodecError` for closures.
+def encode_op(op: Any, target: int, kind: str) -> OpSpec:
+    """The wire form of one ``kind`` verb bound for server ``target``;
+    raises :class:`CodecError` for closures.
 
-    ``effect`` names the emitting effect in the error so the layer still
-    shipping a raw closure toward a remote process is easy to locate.
+    The error names the verb, so the layer still shipping a raw closure
+    toward a remote process is easy to locate; the name is built only
+    then, not for every verb that crosses.
     """
     if isinstance(op, OpDescriptor):
         return op.spec()
     raise CodecError(
-        f"{effect} carries a raw callable {op!r} which cannot cross a "
-        f"process boundary; emit a sim.codec.OpDescriptor instead "
-        f"(closures are only legal for local targets)")
+        f"1 one-sided verb(s) (kind={kind!r}) to server {target} carries "
+        f"a raw callable {op!r} which cannot cross a process boundary; "
+        f"emit a sim.codec.OpDescriptor instead (closures are only legal "
+        f"for local targets)")
 
 
 def decode_op(spec: OpSpec) -> OpDescriptor:

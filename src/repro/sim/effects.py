@@ -9,14 +9,18 @@ effects* and is resumed with their results:
 * :class:`Compute` — consume this engine's CPU for ``cost`` microseconds.
 * :class:`OneSided` — a one-sided verb against a (possibly remote)
   partition's storage; resumes with the verb's return value.
-* :class:`BatchedOneSided` — several one-sided verbs against the *same*
-  destination; resumes with the list of their return values.  With
-  doorbell batching enabled the runtime fuses them into one round trip.
+* :class:`Round` — one parallel round of one-sided verbs against any
+  mix of targets; resumes with the list of their return values.  How
+  the round crosses the network is the runtime's decision: with
+  doorbell batching it fuses the verbs that share a remote target into
+  one round trip, and the wall-clock backends ship the verbs bound for
+  one worker process as one frame.
 * :class:`Rpc` — send a payload to another engine's RPC handler (itself a
   coroutine, consuming the *remote* CPU); resumes with the reply.
 * :class:`All` — perform several effects concurrently; resumes with the
-  list of their results (used, e.g., to lock records on many servers in
-  one round trip).
+  list of their results (used where one fan-out mixes verbs of several
+  kinds or verbs and RPCs, e.g. a migration's install and its replica
+  ships).
 * :class:`Sleep` — pure delay.
 * :class:`Await` — suspend until a :class:`Signal` fires.
 
@@ -27,7 +31,7 @@ deliberately knows nothing about scheduling.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable, Sequence
 
 Coroutine = Generator["Effect", Any, Any]
 
@@ -73,38 +77,30 @@ class OneSided(Effect):
         self.nbytes = nbytes
 
 
-class BatchedOneSided(Effect):
-    """Several one-sided verbs against one destination, fused if possible.
+class Round(Effect):
+    """One parallel round of one-sided verbs: the transaction layers'
+    lock, validate, prepare, replicate and decision rounds.
 
-    Resumes with the list of the verbs' return values, in ``ops`` order.
-    With :attr:`~repro.sim.network.Network.doorbell_batching`
-    enabled the runtime issues remote groups as a single fused round trip
-    (``Network.one_sided_batch``); otherwise — and always for local
-    targets — each verb is issued individually, reproducing the
-    unbatched behaviour exactly.
-
-    ``nbytes`` may be ``None`` (nominal verb size), one int applied to
-    every verb, or a sequence of per-verb sizes matching ``ops``.
+    ``items`` are ``(target, op)`` pairs, ``op`` as in
+    :class:`OneSided`, every verb of traffic kind ``kind``; ``sizes`` is
+    ``None`` (each verb the nominal size) or one byte count per verb.
+    Resumes with the verbs' return values in ``items`` order.  A target
+    may repeat.  With :attr:`~repro.sim.network.Network.doorbell_batching`
+    on, the verbs that share a remote target travel as one fused round
+    trip; off (the default), each verb is its own.
     """
 
-    __slots__ = ("target", "ops", "kind", "nbytes")
+    __slots__ = ("items", "kind", "sizes")
 
-    def __init__(self, target: int, ops: Iterable[Callable[[], Any]],
+    def __init__(self, items: Sequence[tuple[int, Callable[[], Any]]],
                  kind: str = "one_sided",
-                 nbytes: int | Iterable[int] | None = None):
-        self.target = target
-        self.ops = tuple(ops)
-        self.kind = kind
-        self.nbytes = nbytes
-
-    def per_verb_nbytes(self) -> list[int | None]:
-        if self.nbytes is None or isinstance(self.nbytes, int):
-            return [self.nbytes] * len(self.ops)
-        sizes = list(self.nbytes)
-        if len(sizes) != len(self.ops):
+                 sizes: Sequence[int] | None = None):
+        if sizes is not None and len(sizes) != len(items):
             raise ValueError(
-                f"got {len(sizes)} sizes for {len(self.ops)} verbs")
-        return sizes
+                f"got {len(sizes)} sizes for {len(items)} verbs")
+        self.items = items
+        self.kind = kind
+        self.sizes = sizes
 
 
 class Rpc(Effect):

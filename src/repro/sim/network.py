@@ -17,8 +17,13 @@ A third primitive, :meth:`Network.one_sided_batch`, models **doorbell
 batching**: a sender posts a chain of one-sided verbs to the same
 destination with a single doorbell; the NIC processes them back-to-back
 and raises one completion, so N verbs cost one round trip plus a small
-per-verb NIC serialization term instead of N independent issues.  It is
-only used when the run turns ``doorbell_batching`` on.
+per-verb NIC serialization term instead of N independent issues.
+
+The transaction layers issue neither primitive verb by verb:
+:meth:`Network.round` takes a whole parallel round at once and
+schedules exactly the events the per-verb primitives would (fusing a
+remote target's verbs as :meth:`Network.one_sided_batch` does only
+when the run turns ``doorbell_batching`` on).
 
 The latencies are the module constants below: a network round trip
 costs ~27x a local storage access, consistent with the paper's "at
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
@@ -356,6 +362,23 @@ class NetworkStats:
                            else nbytes, server=server)
             self.one_sided_batched_verbs += 1
 
+    def record_round(self, kind: str, server: int, local: int,
+                     local_bytes: int, remote: int, batches: int,
+                     batched: int, remote_bytes: int) -> None:
+        """Account one round of ``kind`` verbs issued by ``server`` at
+        once: ``local`` same-server verbs, ``remote`` lone wire verbs and
+        ``batched`` verbs inside ``batches`` fused chains.  A book no
+        verb of the round reaches is left untouched, as the per-verb
+        helpers above leave it."""
+        if local:
+            self.one_sided_local += local
+            self.add_bytes(kind, local_bytes, remote=False)
+        if remote or batched:
+            self.one_sided_remote += remote
+            self.one_sided_batches += batches
+            self.one_sided_batched_verbs += batched
+            self.add_bytes(kind, remote_bytes, server=server)
+
     def total_remote_ops(self) -> int:
         """Round trips / deliveries that crossed the wire.  A fused
         batch counts once, however many verbs it carries; local
@@ -474,6 +497,134 @@ class Network:
                 lambda: on_complete(results))
 
         self._sim.schedule_at(arrive, _at_target)
+
+    def round(self, src: int, items: Sequence[tuple[int, Callable[[], Any]]],
+              kind: str, sizes: Sequence[int] | None,
+              cont: Callable[[list], None]) -> None:
+        """Issue one parallel round of ``(dst, op)`` verbs from ``src``;
+        ``cont`` gets their results in ``items`` order once the last
+        completes.
+
+        The events are those :meth:`one_sided` (each verb, in ``items``
+        order) or, with :attr:`doorbell_batching`, the per-target groups
+        in first-appearance order (:meth:`one_sided_batch` for a remote
+        group of two or more, :meth:`one_sided` for each other verb)
+        would schedule, at the same times and in the same order; each
+        :class:`NetworkStats` book is updated once for the whole round.
+        The channel arithmetic of :meth:`_fifo_time` is inlined on the
+        unbatched path, the one every executor round takes by default.
+        """
+        sim = self._sim
+        n = len(items)
+        if not n:
+            sim.schedule(0.0, lambda: cont([]))
+            return
+        last_delivery = self._last_delivery
+        schedule_at = sim.schedule_at
+        results: list[Any] = [None] * n
+        remaining = n
+
+        def finish(i: int, value: Any) -> None:
+            nonlocal remaining
+            results[i] = value
+            remaining -= 1
+            if not remaining:
+                cont(results)
+
+        def finish_chain(idxs: list[int], values: list) -> None:
+            nonlocal remaining
+            for i, value in zip(idxs, values):
+                results[i] = value
+            remaining -= len(idxs)
+            if not remaining:
+                cont(results)
+
+        def at_local(i: int, op: Callable[[], Any]) -> None:
+            nonlocal remaining
+            results[i] = op()
+            remaining -= 1
+            if not remaining:
+                cont(results)
+
+        def at_target(i: int, op: Callable[[], Any], dst: int) -> None:
+            value = op()
+            key = (dst, src)
+            when = sim.now + ONE_WAY_US
+            last = last_delivery.get(key, 0.0)
+            if when <= last:
+                when = last + 1e-9
+            last_delivery[key] = when
+            schedule_at(when, partial(finish, i, value))
+
+        if self.doorbell_batching:
+            self._doorbell_round(src, items, kind, sizes, at_local,
+                                 at_target, finish_chain)
+            return
+        nominal = VERB_NOMINAL_BYTES
+        local = local_bytes = remote_bytes = 0
+        now = sim.now
+        outbound = ONE_WAY_US + VERB_OVERHEAD_US
+        for i, (dst, op) in enumerate(items):
+            if dst == src:
+                local += 1
+                local_bytes += sizes[i] if sizes else nominal
+                schedule_at(now + LOCAL_ACCESS_US, partial(at_local, i, op))
+                continue
+            remote_bytes += sizes[i] if sizes else nominal
+            key = (src, dst)
+            when = now + outbound
+            last = last_delivery.get(key, 0.0)
+            if when <= last:
+                when = last + 1e-9
+            last_delivery[key] = when
+            schedule_at(when, partial(at_target, i, op, dst))
+        self.stats.record_round(kind, src, local, local_bytes, n - local, 0,
+                                0, remote_bytes)
+
+    def _doorbell_round(self, src: int, items, kind: str, sizes,
+                        at_local: Callable, at_target: Callable,
+                        finish_chain: Callable) -> None:
+        """:meth:`round` with doorbell batching: per target, in
+        first-appearance order, a remote group of two or more verbs is
+        one fused chain and every other verb goes on its own."""
+        sim = self._sim
+
+        def at_chain(idxs: list[int], dst: int) -> None:
+            values = [items[i][1]() for i in idxs]
+            sim.schedule_at(self._fifo_time(dst, src, ONE_WAY_US,
+                                            base=sim.now),
+                            partial(finish_chain, idxs, values))
+
+        groups: dict[int, list[int]] = {}
+        for i, (dst, _op) in enumerate(items):
+            groups.setdefault(dst, []).append(i)
+        local = local_bytes = remote_bytes = batches = batched = 0
+        for dst, idxs in groups.items():
+            size = (sum(sizes[i] for i in idxs) if sizes
+                    else VERB_NOMINAL_BYTES * len(idxs))
+            if dst == src:
+                local += len(idxs)
+                local_bytes += size
+                for i in idxs:
+                    sim.schedule(LOCAL_ACCESS_US,
+                                 partial(at_local, i, items[i][1]))
+                continue
+            remote_bytes += size
+            if len(idxs) == 1:
+                [i] = idxs
+                sim.schedule_at(self._fifo_time(
+                    src, dst, ONE_WAY_US + VERB_OVERHEAD_US),
+                    partial(at_target, i, items[i][1], dst))
+                continue
+            batches += 1
+            batched += len(idxs)
+            sim.schedule_at(self._fifo_time(
+                src, dst, ONE_WAY_US + VERB_OVERHEAD_US
+                + (len(idxs) - 1) * BATCHED_VERB_US),
+                partial(at_chain, idxs, dst))
+        self.stats.record_round(kind, src, local, local_bytes,
+                                len(items) - local - batched, batches,
+                                batched, remote_bytes)
 
     def send(self, src: int, dst: int, payload: Any,
              kind: str = "message", nbytes: int | None = None,

@@ -3,12 +3,11 @@
 :class:`EffectRuntimeBase` owns everything between a coroutine yielding
 an :class:`~repro.sim.effects.Effect` and that coroutine being resumed
 with the result: task bookkeeping, effect dispatch, fan-out/fan-in for
-:class:`~repro.sim.effects.All`, RPC request/reply plumbing, and the
-doorbell-batching decision.  Those are *semantics* shared by every
-backend; only the primitive operations — run CPU work, move a verb or a
-message, defer a continuation — differ between a simulated cluster and
-a real transport.  Backends implement the small ``_do_*`` /
-``_send_payload`` surface:
+:class:`~repro.sim.effects.All`, and RPC request/reply plumbing.  Those
+are *semantics* shared by every backend; only the primitive operations
+— run CPU work, move a verb, a round of verbs or a message, defer a
+continuation — differ between a simulated cluster and a real transport.
+Backends implement the small ``_do_*`` / ``_send_payload`` surface:
 
 * :class:`EffectRuntime` (this module) interprets effects over the
   discrete-event :class:`~repro.sim.events.Simulator`, a
@@ -19,25 +18,28 @@ a real transport.  Backends implement the small ``_do_*`` /
   simulated microseconds, in-process (aio) or one worker per OS process
   (mp).
 
-**Doorbell batching.**  Real RDMA NICs let a sender post a chain of work
-requests with a single doorbell; the NIC processes them back-to-back and
-raises one completion.  The transaction layers group a round's verbs
-by destination into :class:`~repro.sim.effects.BatchedOneSided`
-effects (``network_round``, the one place that fuses); with
-:attr:`~repro.sim.network.Network.doorbell_batching` enabled, the
-runtime issues each remote group of two or more verbs as one fused
+**Rounds.**  The transaction layers yield each parallel round of verbs
+as one :class:`~repro.sim.effects.Round`, and the backend turns it into
+traffic in one call (``_do_round``): :class:`EffectRuntime` hands it to
+:meth:`~repro.sim.network.Network.round`, the wall-clock runtime builds
+one wire chain per destination worker.  **Doorbell batching** is that
+call's decision too.  Real RDMA NICs let a sender post a chain of work
+requests with a single doorbell; the NIC processes them back-to-back
+and raises one completion.  With
+:attr:`~repro.sim.network.Network.doorbell_batching` enabled, the verbs
+of a round that share a remote target (two or more) cost one fused
 round trip.  With the knob off (the default) every verb is issued
 individually, byte-for-byte reproducing the unbatched simulation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..obs.tracer import NOOP_TRACER
 from .cpu import Core
-from .effects import (All, Await, BatchedOneSided, Compute, Coroutine,
-                      Effect, OneSided, OneWay, Rpc, Sleep)
+from .effects import (All, Await, Compute, Coroutine, Effect, OneSided,
+                      OneWay, Round, Rpc, Sleep)
 from .events import Simulator
 from .network import Network
 
@@ -69,7 +71,7 @@ class EffectRuntimeBase:
 
     Subclasses provide the primitives (CPU, sleep, verbs, messages,
     deferral); everything above those — task driving, ``All`` fan-in,
-    batching grouping, RPC plumbing — is shared, so the simulated and
+    RPC plumbing — is shared, so the simulated and
     asyncio runtimes cannot drift apart in *meaning*, only in *cost*.
     """
 
@@ -185,27 +187,9 @@ class EffectRuntimeBase:
         else:
             effect.signal._waiters.append(cont)
 
-    def _perform_batch(self, effect: BatchedOneSided,
+    def _perform_round(self, effect: Round,
                        cont: Callable[[Any], None]) -> None:
-        """A per-destination verb group: fuse it if the model allows.
-
-        Local groups and single verbs gain nothing from a doorbell, and
-        with batching disabled the group must behave exactly like the
-        flat ``All`` it replaced — all three cases fall back to
-        individual verbs gathered in issue order.
-        """
-        ops = effect.ops
-        sizes = effect.per_verb_nbytes()
-        if (len(ops) >= 2 and effect.target != self.server_id
-                and self._batching_enabled()):
-            kinds = [(effect.kind, nbytes) for nbytes in sizes]
-            self._one_sided_batch(effect.target, ops, cont, kinds=kinds)
-            return
-        self._perform_all(
-            All([OneSided(effect.target, op, kind=effect.kind,
-                          nbytes=nbytes)
-                 for op, nbytes in zip(ops, sizes)]),
-            cont)
+        self._do_round(effect, cont)
 
     def _perform_all(self, effect: All,
                      cont: Callable[[Any], None]) -> None:
@@ -276,9 +260,6 @@ class EffectRuntimeBase:
 
     # -- backend primitives ----------------------------------------------
 
-    def _batching_enabled(self) -> bool:
-        raise NotImplementedError
-
     def _defer(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` soon, never reentrantly within the caller's frame."""
         raise NotImplementedError
@@ -294,10 +275,9 @@ class EffectRuntimeBase:
                    kind: str, nbytes: int | None) -> None:
         raise NotImplementedError
 
-    def _one_sided_batch(self, target: int,
-                         ops: Sequence[Callable[[], Any]],
-                         cont: Callable[[list], None],
-                         kinds: list[tuple[str, int | None]]) -> None:
+    def _do_round(self, effect: Round, cont: Callable[[list], None]) -> None:
+        """Issue every verb of ``effect`` at once; ``cont`` gets their
+        results in ``effect.items`` order."""
         raise NotImplementedError
 
     def send_payload(self, target: int, payload: Any, kind: str,
@@ -312,7 +292,7 @@ class EffectRuntimeBase:
 _EFFECT_DISPATCH: dict[type, Callable] = {
     Compute: EffectRuntimeBase._perform_compute,
     OneSided: EffectRuntimeBase._perform_one_sided,
-    BatchedOneSided: EffectRuntimeBase._perform_batch,
+    Round: EffectRuntimeBase._perform_round,
     Rpc: EffectRuntimeBase._perform_rpc,
     Sleep: EffectRuntimeBase._perform_sleep,
     Await: EffectRuntimeBase._perform_await,
@@ -354,9 +334,6 @@ class EffectRuntime(EffectRuntimeBase):
         self.core = core or Core(sim)
         network.register_handler(server_id, self.on_message)
 
-    def _batching_enabled(self) -> bool:
-        return self.network.doorbell_batching
-
     def _defer(self, fn: Callable[[], None]) -> None:
         self.sim.schedule(0.0, fn)
 
@@ -372,12 +349,9 @@ class EffectRuntime(EffectRuntimeBase):
         self.network.one_sided(self.server_id, target, op, cont,
                                kind=kind, nbytes=nbytes)
 
-    def _one_sided_batch(self, target: int,
-                         ops: Sequence[Callable[[], Any]],
-                         cont: Callable[[list], None],
-                         kinds: list[tuple[str, int | None]]) -> None:
-        self.network.one_sided_batch(self.server_id, target, ops, cont,
-                                     kinds=kinds)
+    def _do_round(self, effect: Round, cont: Callable[[list], None]) -> None:
+        self.network.round(self.server_id, effect.items, effect.kind,
+                           effect.sizes, cont)
 
     def send_payload(self, target: int, payload: Any, kind: str,
                      size_of: Any, nbytes: int | None = None) -> None:

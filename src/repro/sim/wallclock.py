@@ -2,8 +2,8 @@
 
 Where :class:`~repro.sim.runtime.EffectRuntime` interprets effects
 against a discrete-event clock, :class:`WallClockRuntime` interprets
-the identical vocabulary (``Compute``, ``OneSided``,
-``BatchedOneSided``, ``Rpc``, ``All``, ``Await``, ``Sleep``) on an
+the identical vocabulary (``Compute``, ``OneSided``, ``Round``,
+``Rpc``, ``All``, ``Await``, ``Sleep``) on an
 asyncio event loop in wall-clock time.  A :class:`WorkerCluster` quacks
 like :class:`~repro.sim.cluster.Cluster` — same ``servers`` /
 ``engine()`` / ``network.stats`` / ``sim.now`` surface — so
@@ -52,14 +52,15 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
+from functools import partial
 from typing import Any, Callable
 
 from ..obs.tracer import VERB_PHASES
 from .cluster import Server
 from .codec import (PEER_DOWN, CodecError, WireOneWay, WireRpc, WireRpcReply,
                     WireVerbReply, WireVerbs, decode_op, encode_op)
-from .effects import All, Coroutine, OneWay
-from .network import NetworkStats, approx_payload_bytes
+from .effects import Coroutine, OneWay
+from .network import VERB_NOMINAL_BYTES, NetworkStats, approx_payload_bytes
 from .runtime import EffectRuntimeBase, _payload_kind
 
 
@@ -108,19 +109,21 @@ class WallClockRuntime(EffectRuntimeBase):
     modelling it); ``Sleep`` maps to ``call_later``; verbs and messages
     to owned servers run in a later loop turn, everything else is
     encoded through the wire codec and crosses the transport to the
-    owning worker.  Effect *semantics* — fan-in, batching grouping, RPC
-    plumbing — come from :class:`~repro.sim.runtime.EffectRuntimeBase`.
+    owning worker.  Effect *semantics* — fan-in, RPC plumbing — come
+    from :class:`~repro.sim.runtime.EffectRuntimeBase`.
 
-    The foreign verbs of one ``All`` that share a destination worker
-    travel as a single ``WireVerbs`` chain, sent once the whole ``All``
-    is issued, and each verb's collector resumes from the one reply; a
-    verb outside any ``All`` is a chain of one.  A carrier detail: each
-    verb is still accounted on its own, so ``NetworkStats`` reads the
-    same on every topology.
+    The foreign verbs of one ``Round`` that share a destination worker
+    travel as a single ``WireVerbs`` chain, and the round resumes once
+    every chain has replied and every owned verb has run; a lone
+    ``OneSided`` is a chain of one.  A carrier detail: the round's verbs
+    are accounted as the simulated network accounts them (lone or fused
+    per target, with doorbell batching), so ``NetworkStats`` reads the
+    same on every topology; only the bytes of a foreign chain are its
+    frame's real size.
     """
 
     __slots__ = ("_cluster", "network", "cpu_us", "_pending",
-                 "_next_token", "_round")
+                 "_next_token")
 
     def __init__(self, cluster: "WorkerCluster", server_id: int):
         super().__init__(server_id)
@@ -132,9 +135,6 @@ class WallClockRuntime(EffectRuntimeBase):
         """token -> (resume, dst_worker, what to resume with if that
         worker dies), for every verb chain and RPC awaiting its reply"""
         self._next_token = 0
-        self._round: dict[int, tuple[int, list]] | None = None
-        """While an ``All`` is issued: dst_worker -> (first target, parts)
-        of its chain; a part is one effect's (cont, batched, kinds, specs)"""
 
     # -- base-class hooks --------------------------------------------------
 
@@ -164,19 +164,7 @@ class WallClockRuntime(EffectRuntimeBase):
 
     def perform(self, effect, cont) -> None:
         self._cluster.clock.events_fired += 1
-        if effect.__class__ is not All or self._round is not None:
-            super().perform(effect, cont)  # a nested All joins the outer's
-            return
-        chains = self._round = {}
-        try:
-            super().perform(effect, cont)
-        finally:
-            self._round = None
-        for target, parts in chains.values():
-            self._send_verbs(target, parts)
-
-    def _batching_enabled(self) -> bool:
-        return self.network.doorbell_batching
+        super().perform(effect, cont)
 
     def _defer(self, fn: Callable[[], None]) -> None:
         self._cluster.loop.call_soon(fn)
@@ -207,58 +195,93 @@ class WallClockRuntime(EffectRuntimeBase):
                 server=self.server_id)
             self._cluster.loop.call_soon(lambda: cont(op()))
             return
-        self._chain_verbs(target, (op,), cont, False, (kind,))
+        spec = encode_op(op, target, kind)
+        sent = self._send_chain(target, (spec,),
+                                lambda values: cont(values[0]))
+        self.network.stats.record_one_sided(kind, sent, remote=True,
+                                            server=self.server_id)
 
-    def _one_sided_batch(self, target, ops, cont, kinds) -> None:
-        if self._cluster.owns(target):
-            self.network.stats.record_batch(kinds, server=self.server_id)
-            self._cluster.loop.call_soon(lambda: cont([op() for op in ops]))
+    def _do_round(self, effect, cont: Callable[[list], None]) -> None:
+        """Owned verbs run in later loop turns; the foreign verbs bound
+        for one worker leave as one chain, sent once the round is
+        issued."""
+        items, kind, sizes = effect.items, effect.kind, effect.sizes
+        n = len(items)
+        cluster = self._cluster
+        loop = cluster.loop
+        # one event per verb, as when each verb was its own effect
+        cluster.clock.events_fired += n
+        if not n:
+            loop.call_soon(cont, [])
             return
-        self._chain_verbs(target, ops, cont, True, [k for k, _nb in kinds])
+        results: list[Any] = [None] * n
+        remaining = n
 
-    def _chain_verbs(self, target: int, ops, cont: Callable, batched: bool,
-                     kinds) -> None:
-        """Add one effect's foreign verbs to the chain its ``All`` is
-        building for their worker, or send them as a chain of their own."""
-        effect = (f"{len(ops)} one-sided verb(s) (kind={kinds[0]!r}) "
-                  f"to server {target}")
-        part = (cont, batched, kinds,
-                [encode_op(op, effect) for op in ops])
-        if self._round is None:
-            self._send_verbs(target, [part])
-        else:
-            self._round.setdefault(self._cluster.owner_of(target),
-                                   (target, []))[1].append(part)
+        def run_owned(i: int, op: Callable[[], Any]) -> None:
+            nonlocal remaining
+            results[i] = op()
+            remaining -= 1
+            if not remaining:
+                cont(results)
 
-    def _send_verbs(self, target: int, parts: list) -> None:
-        specs = tuple(spec for part in parts for spec in part[3])
+        def resume_chain(idxs: list[int], values) -> None:
+            nonlocal remaining
+            for i, value in zip(idxs, values):
+                results[i] = value
+            remaining -= len(idxs)
+            if not remaining:
+                cont(results)
 
-        def resume(values) -> None:  # to each effect, in issue order
-            at = 0
-            for cont, batched, _kinds, part_specs in parts:
-                end = at + len(part_specs)
-                cont(list(values[at:end]) if batched else values[at])
-                at = end
+        home = self.server_id
+        # owns() / owner_of() inline: one modulo per verb
+        workers, me = cluster.n_workers, cluster.worker_id
+        per_target: dict[int, int] = {}
+        if self.network.doorbell_batching:
+            for target, _op in items:
+                per_target[target] = per_target.get(target, 0) + 1
+        local = local_bytes = remote_bytes = batched = 0
+        fused: set[int] = set()
+        chains: dict[int, tuple[int, list[int], list]] = {}
+        for i, (target, op) in enumerate(items):
+            if per_target and target != home and per_target[target] > 1:
+                batched += 1
+                fused.add(target)
+            worker = target % workers
+            if worker == me:
+                nbytes = sizes[i] if sizes else VERB_NOMINAL_BYTES
+                if target == home:
+                    local += 1
+                    local_bytes += nbytes
+                else:
+                    remote_bytes += nbytes
+                loop.call_soon(run_owned, i, op)
+                continue
+            chain = chains.get(worker)
+            if chain is None:
+                chain = chains[worker] = (target, [], [])
+            chain[1].append(i)
+            chain[2].append(encode_op(op, target, kind))
+        for target, idxs, specs in chains.values():
+            remote_bytes += self._send_chain(
+                target, tuple(specs), partial(resume_chain, idxs))
+        self.network.stats.record_round(
+            kind, home, local, local_bytes, n - local - batched,
+            len(fused), batched, remote_bytes)
 
+    def _send_chain(self, target: int, specs: tuple,
+                    resume: Callable[[Any], None]) -> int:
+        """Send ``specs`` as one ``WireVerbs`` frame to ``target``'s
+        worker; ``resume`` gets the reply's values (``PEER_DOWN`` for
+        each if that worker is dead).  Returns the frame's size, 0 when
+        nothing was sent."""
         token = self._expect_reply(self._cluster.owner_of(target), resume,
-                                   [PEER_DOWN] * len(specs))
-        sent = 0 if token is None else self._cluster.transport.send(
+                                   (PEER_DOWN,) * len(specs))
+        if token is None:
+            return 0
+        return self._cluster.transport.send(
             self.server_id, target,
             WireVerbs(token, specs, len(specs) > 1, self.current_trace),
             what=f"a chain of {len(specs)} verb(s) to server {target}")
-        # one frame carried the whole chain: split its real size across
-        # the verbs so per-kind byte books still sum to wire bytes
-        per = sent // len(specs)
-        sizes = iter([sent - per * (len(specs) - 1)]
-                     + [per] * (len(specs) - 1))
-        stats = self.network.stats
-        for _cont, batched, kinds, _specs in parts:
-            if batched:
-                stats.record_batch([(k, next(sizes)) for k in kinds],
-                                   server=self.server_id)
-            else:
-                stats.record_one_sided(kinds[0], next(sizes), remote=True,
-                                       server=self.server_id)
 
     def _expect_reply(self, dst_worker: int, resume: Callable[[Any], None],
                       if_down: Any) -> int | None:

@@ -34,7 +34,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-from ..sim import Compute, OneSided, Sleep
+from ..sim import Compute, OneSided, Round, Sleep
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage.wal import (R_DECISION, R_END, R_PREPARE, ROLE_COORDINATOR,
                            ROLE_INNER, ROLE_PARTICIPANT, replay_wal)
@@ -221,7 +221,7 @@ class CommitFsm:
         self._prepared = set(remote)
         yield Compute(CPU_DISPATCH_US
                       + ex.round_cpu((pid for pid, _ in items), home))
-        results = yield from ex.network_round(items, kind="prepare")
+        results = yield Round(items, "prepare")
         for result in results:
             if result[0] != "ok":
                 state.abort_reason = AbortReason.PEER_DOWN
@@ -297,8 +297,7 @@ class CommitFsm:
                                               state.txn_id)))
             else:
                 items.append((pid, _release_op(ex.db, pid, state.txn_id)))
-        results = yield from ex.network_round(
-            items, kind="commit" if committed else "release")
+        results = yield Round(items, "commit" if committed else "release")
         if committed:
             for versions in results:
                 # a participant lost mid-round replies PEER_DOWN; the

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable
 
 from ..analysis import OpInstance, OpKind
-from ..sim import All, BatchedOneSided, Compute, OneSided, write_set_bytes
+from ..sim import Compute, Round, write_set_bytes
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from .common import (CPU_BATCHED_OP_US, CPU_CHECK_US,
@@ -110,38 +110,6 @@ class BaseExecutor:
     @property
     def doorbell_batching(self) -> bool:
         return self.db.cluster.network.doorbell_batching
-
-    def network_round(self, items: list[tuple[int, Callable[[], Any]]],
-                      kind: str = "one_sided",
-                      sizes: list[int] | None = None) -> Generator:
-        """Issue ``(partition, op)`` pairs as one parallel network round.
-
-        With doorbell batching enabled, verbs sharing a destination are
-        emitted as one :class:`~repro.sim.BatchedOneSided` group each
-        (one fused round trip on the wire); otherwise the round is the
-        historical flat ``All`` of individual verbs.  Returns the ops'
-        results in ``items`` order either way.
-        """
-        if not self.doorbell_batching:
-            results = yield All([
-                OneSided(pid, op, kind=kind,
-                         nbytes=sizes[i] if sizes else None)
-                for i, (pid, op) in enumerate(items)])
-            return results
-        groups: dict[int, list[int]] = {}
-        for i, (pid, _) in enumerate(items):
-            groups.setdefault(pid, []).append(i)
-        nested = yield All([
-            BatchedOneSided(pid, tuple(items[i][1] for i in idxs),
-                            kind=kind,
-                            nbytes=([sizes[i] for i in idxs]
-                                    if sizes else None))
-            for pid, idxs in groups.items()])
-        results: list[Any] = [None] * len(items)
-        for idxs, values in zip(groups.values(), nested):
-            for i, value in zip(idxs, values):
-                results[i] = value
-        return results
 
     def round_cpu(self, partitions: Iterable[int], home: int,
                   local_cost: float | None = None) -> float:
@@ -267,7 +235,7 @@ class BaseExecutor:
             return True
         yield Compute(CPU_DISPATCH_US
                       + self.round_cpu((pid for pid, _ in items), home))
-        results = yield from self.network_round(items, kind="lock_read")
+        results = yield Round(items, "lock_read")
         for (inst, action, key, pid), result in zip(metas, results):
             status = result[0]
             if status == "conflict":
@@ -388,8 +356,7 @@ class BaseExecutor:
                 sizes.append(nbytes)
         if items:
             yield Compute(CPU_DISPATCH_US)
-            yield from self.network_round(items, kind="replicate",
-                                          sizes=sizes)
+            yield Round(items, "replicate", sizes)
 
     # -- outcome -----------------------------------------------------------
 

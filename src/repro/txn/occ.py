@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
-from ..sim import Compute
+from ..sim import Compute, Round
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from .commit_fsm import CommitFsm
@@ -92,8 +92,7 @@ class OccExecutor(BaseExecutor):
         if lock_items:
             yield Compute(CPU_DISPATCH_US
                           + self._validation_cpu(state, writes.keys()))
-            results = yield from self.network_round(lock_items,
-                                                    kind="validate_write")
+            results = yield Round(lock_items, "validate_write")
             for result in results:
                 if result != "ok":
                     state.abort_reason = AbortReason.VALIDATION
@@ -113,8 +112,7 @@ class OccExecutor(BaseExecutor):
                           + self.round_cpu((pid for pid, _ in check_items),
                                            home=state.request.home,
                                            local_cost=CPU_OP_US))
-            results = yield from self.network_round(check_items,
-                                                    kind="validate_read")
+            results = yield Round(check_items, "validate_read")
             for result in results:
                 if result != "ok":
                     state.abort_reason = AbortReason.VALIDATION

@@ -17,8 +17,11 @@ saw called — at ``os._exit`` too in a forked child, since
 keys (a decorated def's code starts at its first decorator) and written
 to ``executed_surface.json`` as ``entered``.  Its ``allow`` (key -> why
 it stays) and ``fault`` (key -> the crash-only path it is) maps are kept
-by hand; a re-record drops their entries that became entered or name no
-def any more.  ``test_executed_surface.py`` is the lint: every def is on
+by hand; a re-record drops their entries that name no def any more, and
+the ``allow`` entries that became entered.  A ``fault`` entry stays on
+``fault`` even when a record's runs happen to reach it: whether a crash
+path runs depends on where a chaos kill lands, so the record would
+otherwise differ from run to run.  ``test_executed_surface.py`` is the lint: every def is on
 exactly one list, and every entry names a def.
 """
 
@@ -230,6 +233,7 @@ def record(jobs: int) -> int:
         return 1
     entered = entered_keys(outdir, table)
     old = load()
+    entered -= old["fault"].keys()
     surface = {"consumers": [name for name, _argv in runs],
                "entered": sorted(entered)}
     for group in ("allow", "fault"):

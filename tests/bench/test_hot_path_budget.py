@@ -438,7 +438,7 @@ def counted_wire_run():
 
     from repro.bench.harness import drive
     from repro.bench.setups import make_ycsb_run
-    from repro.sim import TcpTransport
+    from repro.sim import TcpTransport, WallClockRuntime
     from repro.sim.codec import (FRAME_PICKLE, FrameCodec, WireVerbReply,
                                  WireVerbs)
     from repro.sim.transport import bind_listener
@@ -473,18 +473,18 @@ def counted_wire_run():
             workers.append(cluster)
             collects.append(drive(run, cluster, worker_id))
 
-            def counting_round(items, kind="one_sided", sizes=None, *,
-                               cluster=cluster,
-                               network_round=run.executor.network_round):
-                # what the budget is stated in: one (round, foreign
-                # worker) pair per distinct foreign owner in a round
-                counts["foreign_rounds"] += len(
-                    {cluster.owner_of(pid) for pid, _op in items
-                     if not cluster.owns(pid)})
-                return network_round(items, kind, sizes)
+        do_round = WallClockRuntime._do_round
 
-            patch.setattr(run.executor, "network_round", counting_round)
+        def counting_round(self, effect, cont):
+            # what the budget is stated in: one (round, foreign worker)
+            # pair per distinct foreign owner in a round
+            cluster = self._cluster
+            counts["foreign_rounds"] += len(
+                {cluster.owner_of(pid) for pid, _op in effect.items
+                 if not cluster.owns(pid)})
+            return do_round(self, effect, cont)
 
+        patch.setattr(WallClockRuntime, "_do_round", counting_round)
         send = TcpTransport.send
 
         def counting_send(self, src, dst, wire, what):

@@ -34,7 +34,7 @@ def twin_dbs():
 
 def roundtrip(desc: OpDescriptor) -> OpDescriptor:
     """encode -> pickle -> decode, as a real transport would."""
-    spec = encode_op(desc, "test effect")
+    spec = encode_op(desc, desc.partition, desc.kind)
     decoded = decode_op(pickle.loads(pickle.dumps(spec)))
     assert decoded == desc, "wire round trip must preserve the spec"
     return decoded
@@ -215,8 +215,9 @@ def test_every_registered_kind_is_exercised():
 
 def test_encoding_a_raw_closure_names_the_effect():
     with pytest.raises(CodecError) as err:
-        encode_op(lambda: 1, effect="OneSided(kind='lock_read') to server 3")
-    assert "OneSided(kind='lock_read') to server 3" in str(err.value)
+        encode_op(lambda: 1, 3, "lock_read")
+    assert "1 one-sided verb(s) (kind='lock_read') to server 3" in str(
+        err.value)
     assert "process boundary" in str(err.value)
 
 

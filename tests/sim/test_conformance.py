@@ -11,8 +11,8 @@ time); what they must never differ on is what an effect returns, the order of an
 
 import pytest
 
-from repro.sim import (All, Await, BatchedOneSided, Cluster, Compute,
-                       OneSided, Rpc, Signal, Sleep)
+from repro.sim import (All, Await, Cluster, Compute, OneSided, Round, Rpc,
+                       Signal, Sleep)
 from repro.sim import WorkerCluster as AioCluster
 
 
@@ -121,10 +121,10 @@ def test_batched_one_sided_returns_values_in_op_order(make_cluster,
     cluster = make_cluster(doorbell_batching=doorbell_batching)
 
     def txn():
-        remote = yield BatchedOneSided(1, [lambda: "x", lambda: "y",
-                                           lambda: "z"])
-        local = yield BatchedOneSided(0, [lambda: 1, lambda: 2])
-        single = yield BatchedOneSided(2, [lambda: "only"])
+        remote = yield Round([(1, lambda: "x"), (1, lambda: "y"),
+                              (1, lambda: "z")])
+        local = yield Round([(0, lambda: 1), (0, lambda: 2)])
+        single = yield Round([(2, lambda: "only")])
         return (remote, local, single)
 
     assert run_program(cluster, txn()) == (["x", "y", "z"], [1, 2],
@@ -135,7 +135,7 @@ def test_doorbell_batching_fuses_on_both_backends(make_cluster, run_program):
     cluster = make_cluster(doorbell_batching=True)
 
     def txn():
-        results = yield BatchedOneSided(1, [lambda i=i: i for i in range(4)])
+        results = yield Round([(1, lambda i=i: i) for i in range(4)])
         return results
 
     assert run_program(cluster, txn()) == [0, 1, 2, 3]
@@ -314,7 +314,7 @@ def test_composite_program_gives_identical_results_on_both_backends():
             yield Compute(1.0)
             reads = yield All([OneSided(1, lambda: "r1"),
                                OneSided(0, lambda: "l1"),
-                               BatchedOneSided(2, [lambda: 1, lambda: 2])])
+                               Round([(2, lambda: 1), (2, lambda: 2)])])
             reply = yield Rpc(1, 10)
             fired = yield Await(signal)
             empty = yield All([])

@@ -28,9 +28,9 @@ from repro.bench.setups import make_tpcc_run
 from repro.obs import MetricsHttpServer
 from repro.obs.export import critical_path, trace_tree
 from repro.sched import conflict
-from repro.sim import (All, Await, BatchedOneSided, MpRunError, NetworkStats,
-                       OneSided, Rpc, Signal, Sleep, TcpTransport,
-                       WorkerCluster, run_mp_workers)
+from repro.sim import (All, Await, MpRunError, NetworkStats, OneSided, Round,
+                       Rpc, Signal, Sleep, TcpTransport, WorkerCluster,
+                       run_mp_workers)
 from repro.sim.codec import OpDescriptor, WireOneWay, WireVerbs
 from repro.sim.transport import bind_listener
 from repro.txn.common import seed_txn_ids
@@ -155,8 +155,8 @@ def effect_program(run, out):
                            for k in range(2, 7)])))
     for server in (0, 1):
         keys = [k for k in homes if homes[k] == server]
-        out.append((yield BatchedOneSided(
-            server, [read(server, k) for k in keys], kind="lock_read")))
+        out.append((yield Round([(server, read(server, k)) for k in keys],
+                                "lock_read")))
         out.append((yield Rpc(server, ("echo", keys))))
 
 
@@ -234,6 +234,69 @@ def test_conformance_program_is_identical_on_every_topology(executor):
     for decisions, split in results:
         assert decisions == sim
         assert split == results[0][1]
+    assert no_leaked_workers()
+
+
+WIRE_CHAINS: list = []
+"""``(destination worker, verbs)`` of each ``WireVerbs`` frame a worker
+sends, appended in the worker by the counting send (the parent's copy
+stays empty)."""
+
+
+def round_program(run, out):
+    """Rounds of reads from server 0 over four servers on two workers:
+    a verb on every server, all keys, a repeated foreign target, and
+    nothing foreign; each round reports its values and the frames it
+    sent."""
+    db = run.database
+
+    def read(server, key):
+        return OpDescriptor("plain_read", server, "accounts",
+                            key).bind(db.dispatch_context)
+
+    homes = {key: db.partition_of("accounts", key) for key in range(1, 13)}
+    first = {}
+    for key, server in homes.items():
+        first.setdefault(server, key)
+    assert sorted(first) == [0, 1, 2, 3]
+    rounds = [[first[s] for s in (0, 1, 2, 3)],
+              list(homes),
+              [first[1], first[3], first[1], first[0]],
+              [first[0], first[2], first[2]]]
+    for keys in rounds:
+        items = [(homes[k], read(homes[k], k)) for k in keys]
+        sent = len(WIRE_CHAINS)
+        values = yield Round(items, "lock_read")
+        foreign = sum(server % 2 == 1 for server, _op in items)
+        out.append((len(values), foreign, WIRE_CHAINS[sent:]))
+
+
+@pytest.mark.parametrize("doorbell", [False, True],
+                         ids=["plain", "doorbell"])
+def test_a_round_leaves_in_one_frame_per_destination_worker(monkeypatch,
+                                                            doorbell):
+    send = TcpTransport.send
+
+    def counting_send(self, src, dst, wire, what):
+        if type(wire) is WireVerbs:
+            WIRE_CHAINS.append((dst % 2, len(wire.specs)))
+        return send(self, src, dst, wire, what)
+
+    monkeypatch.setattr(TcpTransport, "send", counting_send)
+    config = dataclasses.replace(
+        conformance_config("mp", mp_workers=2, n_partitions=4),
+        doorbell_batching=doorbell)
+    run = build_topology_run(config)
+    payloads = run_mp_workers(run.database.cluster,
+                              partial(topology_driver, round_program, run),
+                              config)
+    [out] = [p["out"] for p in payloads if p["out"]]
+    assert [foreign for _n, foreign, _frames in out] == [2, 5, 3, 0]
+    for n, foreign, frames in out:
+        # server 0's worker owns servers 0 and 2: every foreign verb of
+        # the round rides the one frame to worker 1
+        assert frames == ([(1, foreign)] if foreign else [])
+    assert [n for n, _foreign, _frames in out] == [4, 12, 4, 3]
     assert no_leaked_workers()
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import (All, BatchedOneSided, Cluster, Compute,
-                       EffectRuntime, OneSided, Rpc, Sleep, network)
+from repro.sim import (All, Cluster, Compute, EffectRuntime, OneSided,
+                       Round, Rpc, Sleep, network)
 
 
 @pytest.fixture(autouse=True)
@@ -57,8 +57,8 @@ def test_same_destination_round_costs_one_fused_round_trip():
     out = []
 
     def txn():
-        results = yield BatchedOneSided(1, [lambda: "a", lambda: "b",
-                                            lambda: "c"])
+        results = yield Round([(1, lambda: "a"), (1, lambda: "b"),
+                               (1, lambda: "c")])
         out.append((results, cluster.sim.now))
 
     cluster.engine(0).spawn(txn())
@@ -100,7 +100,7 @@ def test_explicit_batched_effect_fuses_when_enabled():
     out = []
 
     def txn():
-        results = yield BatchedOneSided(1, [lambda: 1, lambda: 2])
+        results = yield Round([(1, lambda: 1), (1, lambda: 2)])
         out.append((results, cluster.sim.now))
 
     cluster.engine(0).spawn(txn())
@@ -112,13 +112,13 @@ def test_explicit_batched_effect_fuses_when_enabled():
 
 
 def test_explicit_batched_effect_falls_back_when_disabled():
-    """With the knob off a BatchedOneSided behaves exactly like the flat
-    All it replaced — per-verb round trips, same results."""
+    """With the knob off a Round behaves exactly like a flat All of its
+    verbs — per-verb round trips, same results."""
     cluster = Cluster(2)
     out = []
 
     def txn():
-        results = yield BatchedOneSided(1, [lambda: 1, lambda: 2])
+        results = yield Round([(1, lambda: 1), (1, lambda: 2)])
         out.append((results, cluster.sim.now))
 
     cluster.engine(0).spawn(txn())
@@ -139,7 +139,7 @@ def test_local_verbs_never_batch():
     out = []
 
     def txn():
-        results = yield BatchedOneSided(0, [lambda: "x", lambda: "y"])
+        results = yield Round([(0, lambda: "x"), (0, lambda: "y")])
         out.append((results, cluster.sim.now))
 
     cluster.engine(0).spawn(txn())
@@ -157,7 +157,7 @@ def test_single_verb_group_is_not_fused():
     out = []
 
     def txn():
-        results = yield BatchedOneSided(1, [lambda: 9])
+        results = yield Round([(1, lambda: 9)])
         out.append(results)
 
     cluster.engine(0).spawn(txn())
@@ -183,8 +183,8 @@ def test_mixed_all_batches_only_same_destination_remotes():
 
     def txn():
         results = yield All([
-            BatchedOneSided(1, [lambda: "r1a",   # fused pair -> server 1
-                                lambda: "r1b"]),
+            Round([(1, lambda: "r1a"),          # fused pair -> server 1
+                   (1, lambda: "r1b")]),
             OneSided(0, lambda: "local"),        # local, never batched
             Rpc(2, 5),                           # messages are not verbs
             OneSided(2, lambda: "lone"),         # single verb -> no fuse
@@ -207,10 +207,8 @@ def test_batch_ops_execute_at_target_arrival_in_chain_order():
     executed = []
 
     def txn():
-        yield BatchedOneSided(1, [lambda: executed.append(("a",
-                                                           cluster.sim.now)),
-                                  lambda: executed.append(("b",
-                                                           cluster.sim.now))])
+        yield Round([(1, lambda: executed.append(("a", cluster.sim.now))),
+                     (1, lambda: executed.append(("b", cluster.sim.now)))])
 
     cluster.engine(0).spawn(txn())
     cluster.run()

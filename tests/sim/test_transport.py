@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (MAX_FRAME_BYTES, All, CodecError, OneSided, Sleep,
+from repro.sim import (MAX_FRAME_BYTES, CodecError, OneSided, Round, Sleep,
                        TcpTransport, WorkerCluster)
 from repro.sim.codec import (OP_HANDLERS, DispatchContext, FrameCodec,
                              OpDescriptor, WireOneWay)
@@ -293,8 +293,8 @@ def test_frames_really_cross_a_socket_and_are_counted():
     assert stats.total_bytes() == stats.wire_bytes_sent
 
 
-def test_one_all_is_one_frame_per_destination_worker():
-    """k foreign verbs of one ``All`` ride one chain: k results in
+def test_one_round_is_one_frame_per_destination_worker():
+    """k foreign verbs of one ``Round`` ride one chain: k results in
     issue order, a conflict in the middle stopping nothing, and exactly
     one request frame and one reply frame on the wire — while every
     verb is still accounted on its own."""
@@ -303,7 +303,8 @@ def test_one_all_is_one_frame_per_destination_worker():
     out = []
 
     def program():
-        out.append((yield All([log_verb(1, key) for key in keys])))
+        verbs = [log_verb(1, key) for key in keys]
+        out.append((yield Round([(verb.target, verb.op) for verb in verbs])))
 
     pair.run(program())
     assert out == [["a", "b", ("conflict",), "c", "d"]]

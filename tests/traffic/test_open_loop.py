@@ -143,5 +143,11 @@ def test_open_loop_dispatches_on_wall_clock_aio():
     assert stats is not None and stats.scheduled > 0
     tenant = stats.tenants["all"]
     assert tenant.committed > 0
-    # wall-clock run: the horizon really elapsed
-    assert result.end_time >= 25_000.0
+    # wall-clock run: the dispatcher slept until each arrival, so the
+    # wall time that passed covers the last one (the run ends when the
+    # last request completes, which may be before the horizon)
+    last_arrival = max(
+        arrival.at for home in range(2)
+        for arrival in schedule_for_home(result.config.arrival_spec(), home,
+                                         2, 7, 25_000.0))
+    assert result.end_time >= last_arrival

@@ -2,7 +2,7 @@
 
 from repro.analysis import ProcedureRegistry
 from repro.partitioning import HashScheme
-from repro.sim import All, Cluster, Compute, OneSided, Sleep
+from repro.sim import Cluster, Compute, OneSided, Round, Sleep
 from repro.storage import Catalog, LockMode
 from repro.txn import AbortReason, Database, OccExecutor, TxnRequest
 from repro.workloads.bank import BankWorkload
@@ -24,8 +24,8 @@ def sync_run(gen, after_round=None):
             value = None
         elif isinstance(effect, OneSided):
             value = effect.op()
-        elif isinstance(effect, All):
-            value = [sub.op() for sub in effect.effects]
+        elif isinstance(effect, Round):
+            value = [op() for _target, op in effect.items]
             rounds += 1
             hook = after_round.get(rounds)
             if hook is not None:
