@@ -21,9 +21,10 @@ per-verb NIC serialization term instead of N independent issues.
 
 The transaction layers issue neither primitive verb by verb:
 :meth:`Network.round` takes a whole parallel round at once and
-schedules exactly the events the per-verb primitives would (fusing a
-remote target's verbs as :meth:`Network.one_sided_batch` does only
-when the run turns ``doorbell_batching`` on).
+schedules exactly the events the per-verb primitives would.  With
+``doorbell_batching`` on it calls them, fusing the verbs that
+:func:`doorbell_groups` (the rule every runtime shares) puts in one
+chain.
 
 The latencies are the module constants below: a network round trip
 costs ~27x a local storage access, consistent with the paper's "at
@@ -363,8 +364,8 @@ class NetworkStats:
             self.one_sided_batched_verbs += 1
 
     def record_round(self, kind: str, server: int, local: int,
-                     local_bytes: int, remote: int, batches: int,
-                     batched: int, remote_bytes: int) -> None:
+                     local_bytes: int, remote: int, remote_bytes: int,
+                     batches: int = 0, batched: int = 0) -> None:
         """Account one round of ``kind`` verbs issued by ``server`` at
         once: ``local`` same-server verbs, ``remote`` lone wire verbs and
         ``batched`` verbs inside ``batches`` fused chains.  A book no
@@ -410,6 +411,20 @@ class NetworkStats:
                 phases[phase] = phases.get(phase, 0) + nbytes
             out[server] = phases
         return out
+
+
+def doorbell_groups(src: int, items: Sequence[tuple[int, Any]],
+                    ) -> list[tuple[int, list[int], bool]]:
+    """How doorbell batching issues one round of ``(dst, op)`` verbs
+    from ``src``: per target, in first-appearance order, the indices of
+    its verbs and whether they ride as one fused chain — a remote target
+    with two or more verbs; every other verb goes on its own.  The one
+    copy of the rule every runtime applies."""
+    groups: dict[int, list[int]] = {}
+    for i, (dst, _op) in enumerate(items):
+        groups.setdefault(dst, []).append(i)
+    return [(dst, idxs, dst != src and len(idxs) > 1)
+            for dst, idxs in groups.items()]
 
 
 class Network:
@@ -505,22 +520,18 @@ class Network:
         ``cont`` gets their results in ``items`` order once the last
         completes.
 
-        The events are those :meth:`one_sided` (each verb, in ``items``
-        order) or, with :attr:`doorbell_batching`, the per-target groups
-        in first-appearance order (:meth:`one_sided_batch` for a remote
-        group of two or more, :meth:`one_sided` for each other verb)
-        would schedule, at the same times and in the same order; each
+        The events are those :meth:`one_sided` would schedule for each
+        verb, in ``items`` order and at the same times, and each
         :class:`NetworkStats` book is updated once for the whole round.
-        The channel arithmetic of :meth:`_fifo_time` is inlined on the
-        unbatched path, the one every executor round takes by default.
+        With :attr:`doorbell_batching` the round is issued as the
+        :func:`doorbell_groups` say: :meth:`one_sided_batch` for each
+        fused group, :meth:`one_sided` for every other verb.
         """
         sim = self._sim
         n = len(items)
         if not n:
             sim.schedule(0.0, lambda: cont([]))
             return
-        last_delivery = self._last_delivery
-        schedule_at = sim.schedule_at
         results: list[Any] = [None] * n
         remaining = n
 
@@ -531,13 +542,29 @@ class Network:
             if not remaining:
                 cont(results)
 
-        def finish_chain(idxs: list[int], values: list) -> None:
-            nonlocal remaining
-            for i, value in zip(idxs, values):
-                results[i] = value
-            remaining -= len(idxs)
-            if not remaining:
-                cont(results)
+        if self.doorbell_batching:
+            def finish_chain(idxs: list[int], values: list) -> None:
+                nonlocal remaining
+                for i, value in zip(idxs, values):
+                    results[i] = value
+                remaining -= len(idxs)
+                if not remaining:
+                    cont(results)
+
+            for dst, idxs, fused in doorbell_groups(src, items):
+                if fused:
+                    self.one_sided_batch(
+                        src, dst, [items[i][1] for i in idxs],
+                        partial(finish_chain, idxs),
+                        kinds=[(kind, sizes[i] if sizes else None)
+                               for i in idxs])
+                    continue
+                for i in idxs:
+                    self.one_sided(src, dst, items[i][1], partial(finish, i),
+                                   kind, sizes[i] if sizes else None)
+            return
+        fifo_time = self._fifo_time
+        schedule_at = sim.schedule_at
 
         def at_local(i: int, op: Callable[[], Any]) -> None:
             nonlocal remaining
@@ -548,18 +575,9 @@ class Network:
 
         def at_target(i: int, op: Callable[[], Any], dst: int) -> None:
             value = op()
-            key = (dst, src)
-            when = sim.now + ONE_WAY_US
-            last = last_delivery.get(key, 0.0)
-            if when <= last:
-                when = last + 1e-9
-            last_delivery[key] = when
-            schedule_at(when, partial(finish, i, value))
+            schedule_at(fifo_time(dst, src, ONE_WAY_US, base=sim.now),
+                        partial(finish, i, value))
 
-        if self.doorbell_batching:
-            self._doorbell_round(src, items, kind, sizes, at_local,
-                                 at_target, finish_chain)
-            return
         nominal = VERB_NOMINAL_BYTES
         local = local_bytes = remote_bytes = 0
         now = sim.now
@@ -571,60 +589,10 @@ class Network:
                 schedule_at(now + LOCAL_ACCESS_US, partial(at_local, i, op))
                 continue
             remote_bytes += sizes[i] if sizes else nominal
-            key = (src, dst)
-            when = now + outbound
-            last = last_delivery.get(key, 0.0)
-            if when <= last:
-                when = last + 1e-9
-            last_delivery[key] = when
-            schedule_at(when, partial(at_target, i, op, dst))
-        self.stats.record_round(kind, src, local, local_bytes, n - local, 0,
-                                0, remote_bytes)
-
-    def _doorbell_round(self, src: int, items, kind: str, sizes,
-                        at_local: Callable, at_target: Callable,
-                        finish_chain: Callable) -> None:
-        """:meth:`round` with doorbell batching: per target, in
-        first-appearance order, a remote group of two or more verbs is
-        one fused chain and every other verb goes on its own."""
-        sim = self._sim
-
-        def at_chain(idxs: list[int], dst: int) -> None:
-            values = [items[i][1]() for i in idxs]
-            sim.schedule_at(self._fifo_time(dst, src, ONE_WAY_US,
-                                            base=sim.now),
-                            partial(finish_chain, idxs, values))
-
-        groups: dict[int, list[int]] = {}
-        for i, (dst, _op) in enumerate(items):
-            groups.setdefault(dst, []).append(i)
-        local = local_bytes = remote_bytes = batches = batched = 0
-        for dst, idxs in groups.items():
-            size = (sum(sizes[i] for i in idxs) if sizes
-                    else VERB_NOMINAL_BYTES * len(idxs))
-            if dst == src:
-                local += len(idxs)
-                local_bytes += size
-                for i in idxs:
-                    sim.schedule(LOCAL_ACCESS_US,
-                                 partial(at_local, i, items[i][1]))
-                continue
-            remote_bytes += size
-            if len(idxs) == 1:
-                [i] = idxs
-                sim.schedule_at(self._fifo_time(
-                    src, dst, ONE_WAY_US + VERB_OVERHEAD_US),
-                    partial(at_target, i, items[i][1], dst))
-                continue
-            batches += 1
-            batched += len(idxs)
-            sim.schedule_at(self._fifo_time(
-                src, dst, ONE_WAY_US + VERB_OVERHEAD_US
-                + (len(idxs) - 1) * BATCHED_VERB_US),
-                partial(at_chain, idxs, dst))
-        self.stats.record_round(kind, src, local, local_bytes,
-                                len(items) - local - batched, batches,
-                                batched, remote_bytes)
+            schedule_at(fifo_time(src, dst, outbound),
+                        partial(at_target, i, op, dst))
+        self.stats.record_round(kind, src, local, local_bytes, n - local,
+                                remote_bytes)
 
     def send(self, src: int, dst: int, payload: Any,
              kind: str = "message", nbytes: int | None = None,

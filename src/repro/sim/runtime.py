@@ -28,8 +28,10 @@ requests with a single doorbell; the NIC processes them back-to-back
 and raises one completion.  With
 :attr:`~repro.sim.network.Network.doorbell_batching` enabled, the verbs
 of a round that share a remote target (two or more) cost one fused
-round trip.  With the knob off (the default) every verb is issued
-individually, byte-for-byte reproducing the unbatched simulation.
+round trip; :func:`~repro.sim.network.doorbell_groups` is that rule,
+and both runtimes apply it.  With the knob off (the default) every verb
+is issued individually, byte-for-byte reproducing the unbatched
+simulation.
 """
 
 from __future__ import annotations

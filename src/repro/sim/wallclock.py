@@ -60,7 +60,8 @@ from .cluster import Server
 from .codec import (PEER_DOWN, CodecError, WireOneWay, WireRpc, WireRpcReply,
                     WireVerbReply, WireVerbs, decode_op, encode_op)
 from .effects import Coroutine, OneWay
-from .network import VERB_NOMINAL_BYTES, NetworkStats, approx_payload_bytes
+from .network import (VERB_NOMINAL_BYTES, NetworkStats, approx_payload_bytes,
+                      doorbell_groups)
 from .runtime import EffectRuntimeBase, _payload_kind
 
 
@@ -233,21 +234,16 @@ class WallClockRuntime(EffectRuntimeBase):
                 cont(results)
 
         home = self.server_id
-        # owns() / owner_of() inline: one modulo per verb
-        workers, me = cluster.n_workers, cluster.worker_id
-        per_target: dict[int, int] = {}
+        batches = batched = 0
         if self.network.doorbell_batching:
-            for target, _op in items:
-                per_target[target] = per_target.get(target, 0) + 1
-        local = local_bytes = remote_bytes = batched = 0
-        fused: set[int] = set()
+            for _target, idxs, fused in doorbell_groups(home, items):
+                if fused:
+                    batches += 1
+                    batched += len(idxs)
+        local = local_bytes = remote_bytes = 0
         chains: dict[int, tuple[int, list[int], list]] = {}
         for i, (target, op) in enumerate(items):
-            if per_target and target != home and per_target[target] > 1:
-                batched += 1
-                fused.add(target)
-            worker = target % workers
-            if worker == me:
+            if cluster.owns(target):
                 nbytes = sizes[i] if sizes else VERB_NOMINAL_BYTES
                 if target == home:
                     local += 1
@@ -256,6 +252,7 @@ class WallClockRuntime(EffectRuntimeBase):
                     remote_bytes += nbytes
                 loop.call_soon(run_owned, i, op)
                 continue
+            worker = cluster.owner_of(target)
             chain = chains.get(worker)
             if chain is None:
                 chain = chains[worker] = (target, [], [])
@@ -266,7 +263,7 @@ class WallClockRuntime(EffectRuntimeBase):
                 target, tuple(specs), partial(resume_chain, idxs))
         self.network.stats.record_round(
             kind, home, local, local_bytes, n - local - batched,
-            len(fused), batched, remote_bytes)
+            remote_bytes, batches, batched)
 
     def _send_chain(self, target: int, specs: tuple,
                     resume: Callable[[Any], None]) -> int:
