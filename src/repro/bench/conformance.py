@@ -31,7 +31,7 @@ from ..core import HotRecordTable
 from ..partitioning import HashScheme
 from ..placement import (MigrationExecutor, PlacementSpec, PlacementStats,
                          install_flip_handler)
-from ..sim import OneSided
+from ..sim import Round
 from ..sim.codec import OpDescriptor
 from ..storage import Catalog
 from ..txn.common import TxnRequest, seed_txn_ids
@@ -303,9 +303,9 @@ def migration_decision_program(run: Run, decisions: list):
     yield from txn([17], [18, 19])            # the table still works
 
     pid = db.partition_of("usertable", hot)
-    value = yield OneSided(pid, OpDescriptor(
-        "plain_read", pid, "usertable", hot).bind(db.dispatch_context),
-        kind="lock_read")
+    [value] = yield Round(((pid, OpDescriptor(
+        "plain_read", pid, "usertable", hot).bind(db.dispatch_context)),),
+        "lock_read")
     decisions.append(("counter", value[1]["counter"],
                       stats.moves_applied))
     return decisions

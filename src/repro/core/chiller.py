@@ -27,8 +27,8 @@ from typing import Any, Generator, Mapping, NamedTuple
 
 from ..analysis import OpInstance, OpKind
 from ..replication import InnerReplicaAck, InnerReplicate
-from ..sim import (Await, Compute, OneSided, Rpc, Signal,
-                   approx_payload_bytes, write_set_bytes)
+from ..sim import (Await, Compute, Round, Rpc, Signal, approx_payload_bytes,
+                   write_set_bytes)
 from ..storage import LockMode
 from ..storage.wal import R_DECISION, R_END, R_PREPARE, ROLE_INNER
 from ..txn import Database, HistoryRecorder
@@ -262,10 +262,10 @@ class ChillerExecutor(BaseExecutor):
         store = self.db.store(server_id)
         # every inner operation is local to this host by construction
         yield Compute(cpu_us)
-        result = yield OneSided(
-            server_id,
-            lambda: self._inner_critical_section(store, instances, req),
-            kind="inner_commit")
+        [result] = yield Round(
+            ((server_id,
+              lambda: self._inner_critical_section(store, instances, req)),),
+            "inner_commit")
         status, ctx_delta, reads, versions, writes = result
         if trace:
             tr.span(trace, req.txn_id, 0, server_id, "commit", t0,

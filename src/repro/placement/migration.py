@@ -12,7 +12,7 @@ value crosses a real serialization boundary through the wire codec):
    value and its version (an optimistic reader validates versions, so
    the record keeps counting from where it stood); the destination's
    replicas receive the copy through the ordinary ``replica_apply``
-   path in the same parallel round.
+   path, one ``replicate`` round issued beside the install.
 3. **Flip routing** — the epoch-versioned catalog entry is updated
    locally and broadcast to every other server as a ``placement_flip``
    RPC (on the multiprocess backend each worker applies it to its own
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..sim import All, Compute, OneSided, Rpc, Sleep
+from ..sim import All, Compute, Round, Rpc, Sleep
 from ..sim.codec import PEER_DOWN, DispatchContext, OpDescriptor, op_handler
 from ..storage import LockMode
 from ..txn.common import next_txn_id
@@ -143,15 +143,22 @@ class MigrationExecutor:
         return OpDescriptor(kind, pid, table, key,
                             args).bind(self.db.dispatch_context)
 
-    def _replica_ships(self, pid: int, write: tuple) -> list:
-        if self.db.replicas is None:
-            return []
-        return [OneSided(rserver,
-                         OpDescriptor("replica_apply", rserver,
-                                      args=(pid, (write,))).bind(
-                                          self.db.dispatch_context),
-                         kind="replicate")
-                for rserver in self.db.replicas.replica_servers(pid)]
+    def _with_ships(self, verb: Round, pid: int, write: tuple,
+                    ) -> Generator:
+        """``verb`` and, in the same instant, one ``replicate`` round
+        shipping ``write`` to ``pid``'s replicas (if it has any);
+        returns every verb's result, flattened."""
+        rounds = [verb]
+        if self.db.replicas is not None:
+            ships = [(rserver,
+                      OpDescriptor("replica_apply", rserver,
+                                   args=(pid, (write,))).bind(
+                                       self.db.dispatch_context))
+                     for rserver in self.db.replicas.replica_servers(pid)]
+            if ships:
+                rounds.append(Round(ships, "replicate"))
+        results = yield All(rounds)
+        return [value for values in results for value in values]
 
     def migrate(self, table: str, key, dst: int,
                 epoch: int) -> Generator:
@@ -180,10 +187,10 @@ class MigrationExecutor:
         if src == dst:
             return False
         txn_id = next_txn_id()
-        result = yield OneSided(
-            src, _lock_read_op(db, src, table, key, LockMode.EXCLUSIVE,
-                               txn_id),
-            kind="migrate_lock")
+        [result] = yield Round(
+            ((src, _lock_read_op(db, src, table, key, LockMode.EXCLUSIVE,
+                                 txn_id)),),
+            "migrate_lock")
         if result == PEER_DOWN:
             return False    # the source's worker is dead: nothing held
         if result[0] == "conflict":
@@ -196,28 +203,26 @@ class MigrationExecutor:
             yield from self._release(src, txn_id)
             return False
         _, fields, version = result
-        install = [OneSided(dst, self._op("migrate_install", dst, table,
-                                          key, (fields, version)),
-                            kind="migrate_install")]
-        install += self._replica_ships(dst, ("insert", table, key, fields))
-        installed = yield All(install)
+        installed = yield from self._with_ships(
+            Round(((dst, self._op("migrate_install", dst, table, key,
+                                  (fields, version))),), "migrate_install"),
+            dst, ("insert", table, key, fields))
         if PEER_DOWN in installed:
             # a copy that did not land everywhere must not become the
             # record's home: keep the source authoritative
             yield from self._release(src, txn_id)
             return False
         yield from self._flip_everywhere(table, key, dst, epoch)
-        remove = [OneSided(src, self._op("migrate_remove", src, table,
-                                         key, (txn_id,)),
-                           kind="migrate_remove")]
-        remove += self._replica_ships(src, ("delete", table, key, None))
-        yield All(remove)
+        yield from self._with_ships(
+            Round(((src, self._op("migrate_remove", src, table, key,
+                                  (txn_id,))),), "migrate_remove"),
+            src, ("delete", table, key, None))
         stats.moves_applied += 1
         return True
 
     def _release(self, src: int, txn_id: int) -> Generator:
-        yield OneSided(src, self._op("release", src, None, None, (txn_id,)),
-                       kind="migrate_remove")
+        yield Round(((src, self._op("release", src, None, None,
+                                    (txn_id,))),), "migrate_remove")
 
     def _flip_everywhere(self, table: str, key, dst: int,
                          epoch: int) -> Generator:
@@ -355,11 +360,10 @@ def lease_controller_loop(db, telemetry: dict[int, AccessTelemetry],
         stats.commits_observed += window.commits_observed
         if now >= horizon_us:
             return
-        reply = yield OneSided(
-            lease_server,
-            _lease_acquire_op(db, lease_server, me, now,
-                              LEASE_TTL_US),
-            kind="placement_lease")
+        [reply] = yield Round(
+            ((lease_server,
+              _lease_acquire_op(db, lease_server, me, now, LEASE_TTL_US)),),
+            "placement_lease")
         if reply == PEER_DOWN or reply is None:
             continue  # lease server's worker is down: retry next epoch
         status, previous = reply

@@ -17,8 +17,8 @@ from .cluster import Cluster, Server
 from .codec import (CodecError, DispatchContext, FrameCodec, OpDescriptor,
                     decode_op, encode_op, op_handler)
 from .cpu import Core
-from .effects import (All, Await, Compute, Coroutine, Effect, OneSided,
-                      OneWay, Round, Rpc, Signal, Sleep)
+from .effects import (All, Await, Compute, Coroutine, Effect, OneWay, Round,
+                      Rpc, Signal, Sleep)
 from .events import Simulator
 from .network import (Network, NetworkStats,
                       approx_payload_bytes, phase_of_kind, write_set_bytes)
@@ -44,7 +44,6 @@ __all__ = [
     "MpRunError",
     "Network",
     "NetworkStats",
-    "OneSided",
     "OneWay",
     "OpDescriptor",
     "Round",

@@ -203,12 +203,16 @@ def decode_op(spec: OpSpec) -> OpDescriptor:
     return OpDescriptor(kind, partition, table, key, args)
 
 
-def dumps(obj: Any, what: str) -> bytes:
+def dumps(obj: Any, what: str | None = None) -> bytes:
     """Pickle ``obj`` (at :data:`WIRE_PICKLE_PROTOCOL`) or raise a
-    :class:`CodecError` naming ``what``."""
+    :class:`CodecError` naming ``what`` — by default ``obj`` is a
+    frame's ``(src, dst, wire)`` triple, named by :func:`describe_wire`
+    only then."""
     try:
         return pickle.dumps(obj, protocol=WIRE_PICKLE_PROTOCOL)
     except Exception as exc:  # pickle raises a zoo of types
+        if what is None:
+            what = describe_wire(obj[2], obj[1])
         raise CodecError(f"{what} is not picklable and cannot cross a "
                          f"process boundary: {exc}") from exc
 
@@ -264,6 +268,21 @@ class WireOneWay:
     """A fire-and-forget message (no reply is routed back)."""
 
     payload: Any
+
+
+def describe_wire(wire: Any, dst: int) -> str:
+    """How a codec error names envelope ``wire`` bound for server
+    ``dst``: its kind and target.  Built only when encoding fails, never
+    for a frame that crosses."""
+    if isinstance(wire, WireVerbs):
+        return f"a chain of {len(wire.specs)} verb(s) to server {dst}"
+    if isinstance(wire, (WireRpc, WireOneWay)):
+        payload = wire.payload
+        kind = (f"kind={payload[0]!r}, " if isinstance(payload, tuple)
+                and payload and isinstance(payload[0], str) else "")
+        label = "Rpc" if isinstance(wire, WireRpc) else "one-way message"
+        return f"{label}({kind}...) to server {dst}"
+    return f"{type(wire).__name__} to server {dst}"  # a reply
 
 
 # -- packed frames and WAL records --------------------------------------------
@@ -330,12 +349,14 @@ class FrameCodec:
     def __init__(self, _tables: Sequence[str] = (), /, packed: bool = True):
         self.packed = packed
 
-    def encode(self, src: int, dst: int, wire: Any, what: str) -> bytes:
+    def encode(self, src: int, dst: int, wire: Any,
+               what: str | None = None) -> bytes:
         """The frame body for ``wire`` travelling ``src -> dst``.
 
         Falls back to the pickle frame for anything marshal cannot
-        write; raises :class:`CodecError` (naming ``what``) only if the
-        pickle fallback fails too — identical failure semantics to the
+        write; raises :class:`CodecError` (naming ``what``, by default
+        :func:`describe_wire` of the envelope) only if the pickle
+        fallback fails too — identical failure semantics to the
         pure-pickle path.
         """
         if self.packed:

@@ -7,19 +7,18 @@ plain Python generators as coroutines.  A transaction coroutine *yields
 effects* and is resumed with their results:
 
 * :class:`Compute` — consume this engine's CPU for ``cost`` microseconds.
-* :class:`OneSided` — a one-sided verb against a (possibly remote)
-  partition's storage; resumes with the verb's return value.
 * :class:`Round` — one parallel round of one-sided verbs against any
-  mix of targets; resumes with the list of their return values.  How
-  the round crosses the network is the runtime's decision: with
-  doorbell batching it fuses the verbs that share a remote target into
-  one round trip, and the wall-clock backends ship the verbs bound for
-  one worker process as one frame.
+  mix of (possibly remote) partitions' storage; resumes with the list
+  of their return values.  It is the only verb effect: a lone verb is
+  a round of one.  How the round crosses the network is the runtime's
+  decision: with doorbell batching it fuses the verbs that share a
+  remote target into one round trip, and the wall-clock backends ship
+  the verbs bound for one worker process as one frame.
 * :class:`Rpc` — send a payload to another engine's RPC handler (itself a
   coroutine, consuming the *remote* CPU); resumes with the reply.
 * :class:`All` — perform several effects concurrently; resumes with the
-  list of their results (used where one fan-out mixes verbs of several
-  kinds or verbs and RPCs, e.g. a migration's install and its replica
+  list of their results (used where one fan-out mixes rounds of several
+  kinds or rounds and RPCs, e.g. a migration's install and its replica
   ships).
 * :class:`Sleep` — pure delay.
 * :class:`Await` — suspend until a :class:`Signal` fires.
@@ -51,43 +50,29 @@ class Compute(Effect):
         self.cost = cost
 
 
-class OneSided(Effect):
-    """Execute ``op`` against server ``target``'s storage via the NIC.
+class Round(Effect):
+    """One parallel round of one-sided verbs: the transaction layers'
+    lock, validate, prepare, replicate and decision rounds.
 
-    ``op`` is either a zero-argument callable (legal only while the
-    target lives in the issuing process — the in-process backends and
-    genuinely local verbs) or, in its **descriptor form**, a
+    ``items`` are ``(target, op)`` pairs, every verb of traffic kind
+    ``kind``; ``sizes`` is ``None`` (each verb the nominal size) or one
+    byte count per verb, the network's per-kind traffic accounting.
+    Resumes with the verbs' return values in ``items`` order.  A target
+    may repeat, and a lone verb is a round of one
+    (``[x] = yield Round(((target, op),), kind)``).  With
+    :attr:`~repro.sim.network.Network.doorbell_batching` on, the verbs
+    that share a remote target travel as one fused round trip; off (the
+    default), each verb is its own.
+
+    ``op`` runs against ``target``'s storage via the NIC.  It is either
+    a zero-argument callable (legal only while the target lives in the
+    issuing process — the in-process backends and genuinely local
+    verbs) or, in its **descriptor form**, a
     :class:`~repro.sim.codec.OpDescriptor`: the same operation as
     picklable data, which any backend can ship across a real process
     boundary and dispatch server-side.  The transaction layers emit
     descriptors for every record verb; raw closures remain a documented
     fallback for local-only payloads.
-
-    ``kind`` and ``nbytes`` feed the network's per-kind traffic
-    accounting; ``nbytes=None`` uses a nominal verb size.
-    """
-
-    __slots__ = ("target", "op", "kind", "nbytes")
-
-    def __init__(self, target: int, op: Callable[[], Any],
-                 kind: str = "one_sided", nbytes: int | None = None):
-        self.target = target
-        self.op = op
-        self.kind = kind
-        self.nbytes = nbytes
-
-
-class Round(Effect):
-    """One parallel round of one-sided verbs: the transaction layers'
-    lock, validate, prepare, replicate and decision rounds.
-
-    ``items`` are ``(target, op)`` pairs, ``op`` as in
-    :class:`OneSided`, every verb of traffic kind ``kind``; ``sizes`` is
-    ``None`` (each verb the nominal size) or one byte count per verb.
-    Resumes with the verbs' return values in ``items`` order.  A target
-    may repeat.  With :attr:`~repro.sim.network.Network.doorbell_batching`
-    on, the verbs that share a remote target travel as one fused round
-    trip; off (the default), each verb is its own.
     """
 
     __slots__ = ("items", "kind", "sizes")
@@ -111,14 +96,6 @@ class Rpc(Effect):
     def __init__(self, target: int, payload: Any):
         self.target = target
         self.payload = payload
-
-    def describe(self) -> str:
-        """Human label used by codec errors to name the effect."""
-        kind = ""
-        if (isinstance(self.payload, tuple) and self.payload
-                and isinstance(self.payload[0], str)):
-            kind = f"kind={self.payload[0]!r}, "
-        return f"Rpc({kind}...) to server {self.target}"
 
 
 class All(Effect):

@@ -20,11 +20,12 @@ and raises one completion, so N verbs cost one round trip plus a small
 per-verb NIC serialization term instead of N independent issues.
 
 The transaction layers issue neither primitive verb by verb:
-:meth:`Network.round` takes a whole parallel round at once and
-schedules exactly the events the per-verb primitives would.  With
-``doorbell_batching`` on it calls them, fusing the verbs that
-:func:`doorbell_groups` (the rule every runtime shares) puts in one
-chain.
+:meth:`Network.round` takes a whole parallel round at once (a lone verb
+is a round of one) and schedules exactly the events the per-verb
+primitives would.  With ``doorbell_batching`` on it calls them, fusing
+the verbs that :func:`doorbell_groups` (the rule every runtime shares)
+puts in one chain.  Every verb, whichever path issues it, is booked by
+:meth:`NetworkStats.record_round`.
 
 The latencies are the module constants below: a network round trip
 costs ~27x a local storage access, consistent with the paper's "at
@@ -37,7 +38,7 @@ import dataclasses
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .._stats import stat
 from .events import Simulator
@@ -333,18 +334,9 @@ class NetworkStats:
             per[kind] = per.get(kind, 0) + nbytes
 
     # Recording helpers: the one bookkeeping implementation every
-    # backend shares (the simulated Network and the asyncio runtime
-    # both call these), so the wire/local split and nominal-size
-    # fallbacks cannot drift between backends.
-
-    def record_one_sided(self, kind: str, nbytes: int | None,
-                         remote: bool, server: int | None = None) -> None:
-        if remote:
-            self.one_sided_remote += 1
-        else:
-            self.one_sided_local += 1
-        self.add_bytes(kind, VERB_NOMINAL_BYTES if nbytes is None
-                       else nbytes, remote=remote, server=server)
+    # backend shares (the simulated Network and the wall-clock runtime
+    # both call these), so the wire/local split cannot drift between
+    # backends.
 
     def record_message(self, kind: str, nbytes: int, remote: bool,
                        server: int | None = None) -> None:
@@ -354,23 +346,15 @@ class NetworkStats:
             self.messages_local += 1
         self.add_bytes(kind, nbytes, remote=remote, server=server)
 
-    def record_batch(self, kinds: Iterable[tuple[str, int | None]],
-                     server: int | None = None) -> None:
-        """Account one fused doorbell chain."""
-        self.one_sided_batches += 1
-        for kind, nbytes in kinds:
-            self.add_bytes(kind, VERB_NOMINAL_BYTES if nbytes is None
-                           else nbytes, server=server)
-            self.one_sided_batched_verbs += 1
-
     def record_round(self, kind: str, server: int, local: int,
                      local_bytes: int, remote: int, remote_bytes: int,
                      batches: int = 0, batched: int = 0) -> None:
         """Account one round of ``kind`` verbs issued by ``server`` at
         once: ``local`` same-server verbs, ``remote`` lone wire verbs and
-        ``batched`` verbs inside ``batches`` fused chains.  A book no
-        verb of the round reaches is left untouched, as the per-verb
-        helpers above leave it."""
+        ``batched`` verbs inside ``batches`` fused chains.  The only
+        verb book: a lone verb is a round of one, a fused chain a round
+        of one batch.  A book no verb of the round reaches is left
+        untouched."""
         if local:
             self.one_sided_local += local
             self.add_bytes(kind, local_bytes, remote=False)
@@ -458,13 +442,14 @@ class Network:
         return value is delivered back to ``on_complete`` at ``src`` after
         the return trip.  Local operations (``src == dst``) only pay the
         local access latency.  ``kind``/``nbytes`` feed the per-kind
-        traffic accounting.
+        traffic accounting (``None``: the nominal verb size).
         """
-        self.stats.record_one_sided(kind, nbytes, remote=src != dst,
-                                    server=src)
+        size = VERB_NOMINAL_BYTES if nbytes is None else nbytes
         if src == dst:
+            self.stats.record_round(kind, src, 1, size, 0, 0)
             self._sim.schedule(LOCAL_ACCESS_US, lambda: on_complete(op()))
             return
+        self.stats.record_round(kind, src, 0, 0, 1, size)
         arrive = self._fifo_time(src, dst, ONE_WAY_US + VERB_OVERHEAD_US)
 
         def _at_target() -> None:
@@ -479,15 +464,16 @@ class Network:
     def one_sided_batch(self, src: int, dst: int,
                         ops: Sequence[Callable[[], Any]],
                         on_complete: Callable[[list], None],
-                        kinds: Iterable[tuple[str, int | None]] | None = None,
-                        ) -> None:
+                        kind: str = "one_sided",
+                        sizes: Sequence[int] | None = None) -> None:
         """Issue a doorbell-batched chain of verbs in one round trip.
 
         All ``ops`` execute back-to-back at ``dst``'s arrival time; one
         completion delivers the list of their results (in ``ops`` order)
-        back to ``src``.  ``kinds`` optionally carries per-verb
-        ``(kind, nbytes)`` pairs for traffic accounting — the payloads
-        still cross the wire even though the round trips are fused.
+        back to ``src``.  ``kind`` and ``sizes`` (one byte count per
+        verb, or ``None`` for nominal sizes) feed the traffic
+        accounting as in :meth:`round` — the payloads still cross the
+        wire even though the round trips are fused.
         Degenerate chains (one verb, or a local target) fall back to
         :meth:`one_sided` semantics via the caller; this primitive
         insists on a genuinely remote multi-verb chain.
@@ -497,9 +483,9 @@ class Network:
                              "local verbs do not ring a doorbell")
         if len(ops) < 2:
             raise ValueError("a doorbell batch needs at least two verbs")
-        self.stats.record_batch(
-            kinds if kinds is not None
-            else (("one_sided", None),) * len(ops), server=src)
+        self.stats.record_round(
+            kind, src, 0, 0, 0, VERB_NOMINAL_BYTES * len(ops)
+            if sizes is None else sum(sizes), 1, len(ops))
         arrive = self._fifo_time(
             src, dst, ONE_WAY_US + VERB_OVERHEAD_US
             + (len(ops) - 1) * BATCHED_VERB_US)
@@ -555,9 +541,8 @@ class Network:
                 if fused:
                     self.one_sided_batch(
                         src, dst, [items[i][1] for i in idxs],
-                        partial(finish_chain, idxs),
-                        kinds=[(kind, sizes[i] if sizes else None)
-                               for i in idxs])
+                        partial(finish_chain, idxs), kind,
+                        [sizes[i] for i in idxs] if sizes else None)
                     continue
                 for i in idxs:
                     self.one_sided(src, dst, items[i][1], partial(finish, i),

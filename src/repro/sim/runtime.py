@@ -5,7 +5,7 @@ an :class:`~repro.sim.effects.Effect` and that coroutine being resumed
 with the result: task bookkeeping, effect dispatch, fan-out/fan-in for
 :class:`~repro.sim.effects.All`, and RPC request/reply plumbing.  Those
 are *semantics* shared by every backend; only the primitive operations
-— run CPU work, move a verb, a round of verbs or a message, defer a
+— run CPU work, move a round of verbs or a message, defer a
 continuation — differ between a simulated cluster and a real transport.
 Backends implement the small ``_do_*`` / ``_send_payload`` surface:
 
@@ -18,9 +18,11 @@ Backends implement the small ``_do_*`` / ``_send_payload`` surface:
   simulated microseconds, in-process (aio) or one worker per OS process
   (mp).
 
-**Rounds.**  The transaction layers yield each parallel round of verbs
-as one :class:`~repro.sim.effects.Round`, and the backend turns it into
-traffic in one call (``_do_round``): :class:`EffectRuntime` hands it to
+**Rounds.**  Every one-sided verb travels in a
+:class:`~repro.sim.effects.Round`: the transaction layers yield each
+parallel round of verbs as one, and a lone verb as a round of one.  The
+backend turns it into traffic in one call (``_do_round``, its only verb
+primitive): :class:`EffectRuntime` hands it to
 :meth:`~repro.sim.network.Network.round`, the wall-clock runtime builds
 one wire chain per destination worker.  **Doorbell batching** is that
 call's decision too.  Real RDMA NICs let a sender post a chain of work
@@ -40,8 +42,8 @@ from typing import Any, Callable
 
 from ..obs.tracer import NOOP_TRACER
 from .cpu import Core
-from .effects import (All, Await, Compute, Coroutine, Effect, OneSided,
-                      OneWay, Round, Rpc, Sleep)
+from .effects import (All, Await, Compute, Coroutine, Effect, OneWay, Round,
+                      Rpc, Sleep)
 from .events import Simulator
 from .network import Network
 
@@ -167,11 +169,6 @@ class EffectRuntimeBase:
                          cont: Callable[[Any], None]) -> None:
         self._do_compute(effect.cost, cont)
 
-    def _perform_one_sided(self, effect: OneSided,
-                           cont: Callable[[Any], None]) -> None:
-        self._one_sided(effect.target, effect.op, cont,
-                        kind=effect.kind, nbytes=effect.nbytes)
-
     def _perform_rpc(self, effect: Rpc,
                      cont: Callable[[Any], None]) -> None:
         # via self so subclass send_rpc overrides keep working
@@ -272,11 +269,6 @@ class EffectRuntimeBase:
     def _do_sleep(self, delay: float, cont: Callable[[Any], None]) -> None:
         raise NotImplementedError
 
-    def _one_sided(self, target: int, op: Callable[[], Any],
-                   cont: Callable[[Any], None],
-                   kind: str, nbytes: int | None) -> None:
-        raise NotImplementedError
-
     def _do_round(self, effect: Round, cont: Callable[[list], None]) -> None:
         """Issue every verb of ``effect`` at once; ``cont`` gets their
         results in ``effect.items`` order."""
@@ -293,7 +285,6 @@ class EffectRuntimeBase:
 
 _EFFECT_DISPATCH: dict[type, Callable] = {
     Compute: EffectRuntimeBase._perform_compute,
-    OneSided: EffectRuntimeBase._perform_one_sided,
     Round: EffectRuntimeBase._perform_round,
     Rpc: EffectRuntimeBase._perform_rpc,
     Sleep: EffectRuntimeBase._perform_sleep,
@@ -344,12 +335,6 @@ class EffectRuntime(EffectRuntimeBase):
 
     def _do_sleep(self, delay: float, cont: Callable[[Any], None]) -> None:
         self.sim.schedule(delay, lambda: cont(None))
-
-    def _one_sided(self, target: int, op: Callable[[], Any],
-                   cont: Callable[[Any], None],
-                   kind: str, nbytes: int | None) -> None:
-        self.network.one_sided(self.server_id, target, op, cont,
-                               kind=kind, nbytes=nbytes)
 
     def _do_round(self, effect: Round, cont: Callable[[list], None]) -> None:
         self.network.round(self.server_id, effect.items, effect.kind,

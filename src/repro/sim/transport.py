@@ -17,8 +17,8 @@ peer — a prompt failure of the run, never a buffer growing toward a
 multi-GiB frame that cannot complete.
 
 What the cluster asks of its transport — the seam a second carrier
-would have to fit: ``start(loop)`` / ``stop()``, ``send(src, dst, wire,
-what) -> frame bytes``, ``idle()``, ``fail_peer(worker)`` /
+would have to fit: ``start(loop)`` / ``stop()``, ``send(src, dst, wire)
+-> frame bytes``, ``idle()``, ``fail_peer(worker)`` /
 ``rewire(worker, advert)``; every frame written is counted into the
 cluster's ``network.stats.wire_bytes_sent`` as it leaves.
 """
@@ -29,7 +29,7 @@ import asyncio
 import socket
 from typing import Any
 
-from .codec import CodecError, FrameCodec
+from .codec import CodecError, FrameCodec, describe_wire
 
 _LENGTH_BYTES = 4
 _HOST = "127.0.0.1"
@@ -188,13 +188,14 @@ class TcpTransport:
         sender.dial.add_done_callback(sender.dialled)
         return sender
 
-    def send(self, src: int, dst: int, wire: Any, what: str) -> int:
+    def send(self, src: int, dst: int, wire: Any) -> int:
         if self._loop is None:
             raise RuntimeError("transport not started")
-        body = self._codec.encode(src, dst, wire, what)
+        body = self._codec.encode(src, dst, wire)
         if len(body) > MAX_FRAME_BYTES:
-            raise CodecError(f"{what} encodes to {len(body)} bytes, over "
-                             f"the {MAX_FRAME_BYTES}-byte frame limit")
+            raise CodecError(f"{describe_wire(wire, dst)} encodes to "
+                             f"{len(body)} bytes, over the "
+                             f"{MAX_FRAME_BYTES}-byte frame limit")
         dst_worker = self._cluster.owner_of(dst)
         if dst_worker == self._cluster.worker_id:
             raise RuntimeError(f"frame for owned server {dst} reached the "

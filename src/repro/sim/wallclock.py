@@ -2,8 +2,8 @@
 
 Where :class:`~repro.sim.runtime.EffectRuntime` interprets effects
 against a discrete-event clock, :class:`WallClockRuntime` interprets
-the identical vocabulary (``Compute``, ``OneSided``, ``Round``,
-``Rpc``, ``All``, ``Await``, ``Sleep``) on an
+the identical vocabulary (``Compute``, ``Round``, ``Rpc``, ``All``,
+``Await``, ``Sleep``) on an
 asyncio event loop in wall-clock time.  A :class:`WorkerCluster` quacks
 like :class:`~repro.sim.cluster.Cluster` — same ``servers`` /
 ``engine()`` / ``network.stats`` / ``sim.now`` surface — so
@@ -113,14 +113,14 @@ class WallClockRuntime(EffectRuntimeBase):
     owning worker.  Effect *semantics* — fan-in, RPC plumbing — come
     from :class:`~repro.sim.runtime.EffectRuntimeBase`.
 
-    The foreign verbs of one ``Round`` that share a destination worker
+    Every verb travels in a ``Round`` (a lone verb is a round of one).
+    The foreign verbs of one round that share a destination worker
     travel as a single ``WireVerbs`` chain, and the round resumes once
-    every chain has replied and every owned verb has run; a lone
-    ``OneSided`` is a chain of one.  A carrier detail: the round's verbs
-    are accounted as the simulated network accounts them (lone or fused
-    per target, with doorbell batching), so ``NetworkStats`` reads the
-    same on every topology; only the bytes of a foreign chain are its
-    frame's real size.
+    every chain has replied and every owned verb has run.  A carrier
+    detail: the round's verbs are accounted as the simulated network
+    accounts them (lone or fused per target, with doorbell batching),
+    so ``NetworkStats`` reads the same on every topology; only the
+    bytes of a foreign chain are its frame's real size.
     """
 
     __slots__ = ("_cluster", "network", "cpu_us", "_pending",
@@ -184,28 +184,12 @@ class WallClockRuntime(EffectRuntimeBase):
 
     # -- verbs -------------------------------------------------------------
 
-    def _one_sided(self, target: int, op: Callable[[], Any],
-                   cont: Callable[[Any], None],
-                   kind: str, nbytes: int | None) -> None:
-        # Cross-worker verbs are accounted at their *actual* share of
-        # the encoded frame; verbs staying inside this worker keep the
-        # model's nominal sizes, as no frame ever exists for them.
-        if self._cluster.owns(target):
-            self.network.stats.record_one_sided(
-                kind, nbytes, remote=target != self.server_id,
-                server=self.server_id)
-            self._cluster.loop.call_soon(lambda: cont(op()))
-            return
-        spec = encode_op(op, target, kind)
-        sent = self._send_chain(target, (spec,),
-                                lambda values: cont(values[0]))
-        self.network.stats.record_one_sided(kind, sent, remote=True,
-                                            server=self.server_id)
-
     def _do_round(self, effect, cont: Callable[[list], None]) -> None:
         """Owned verbs run in later loop turns; the foreign verbs bound
         for one worker leave as one chain, sent once the round is
-        issued."""
+        issued.  A foreign chain is accounted at its frame's actual
+        size; owned verbs keep the model's nominal sizes, as no frame
+        ever exists for them."""
         items, kind, sizes = effect.items, effect.kind, effect.sizes
         n = len(items)
         cluster = self._cluster
@@ -277,8 +261,7 @@ class WallClockRuntime(EffectRuntimeBase):
             return 0
         return self._cluster.transport.send(
             self.server_id, target,
-            WireVerbs(token, specs, len(specs) > 1, self.current_trace),
-            what=f"a chain of {len(specs)} verb(s) to server {target}")
+            WireVerbs(token, specs, len(specs) > 1, self.current_trace))
 
     def _expect_reply(self, dst_worker: int, resume: Callable[[Any], None],
                       if_down: Any) -> int | None:
@@ -305,8 +288,7 @@ class WallClockRuntime(EffectRuntimeBase):
         if token is not None:
             sent = self._cluster.transport.send(
                 self.server_id, target,
-                WireRpc(token, effect.payload, self.current_trace),
-                what=effect.describe())
+                WireRpc(token, effect.payload, self.current_trace))
             self.network.stats.record_message(
                 _payload_kind(effect.payload, "rpc"), sent, remote=True,
                 server=self.server_id)
@@ -318,11 +300,10 @@ class WallClockRuntime(EffectRuntimeBase):
             return
         if self._cluster.peer_is_down(self._cluster.owner_of(target)):
             return  # one-way to a dead worker: dropped, like the wire would
-        kind = _payload_kind(payload, "one_way")
-        sent = self._cluster.transport.send(
-            self.server_id, target, WireOneWay(payload),
-            what=f"one-way message (kind={kind!r}) to server {target}")
-        self.network.stats.record_message(kind, sent, remote=True,
+        sent = self._cluster.transport.send(self.server_id, target,
+                                            WireOneWay(payload))
+        self.network.stats.record_message(_payload_kind(payload, "one_way"),
+                                          sent, remote=True,
                                           server=self.server_id)
 
     def send_payload(self, target: int, payload: Any, kind: str,
@@ -362,8 +343,7 @@ class WallClockRuntime(EffectRuntimeBase):
                 return  # the requester died since asking
             self._cluster.transport.send(
                 self.server_id, src,
-                WireVerbReply(wire.token, tuple(values), wire.batched),
-                what="a verb reply")
+                WireVerbReply(wire.token, tuple(values), wire.batched))
         elif isinstance(wire, (WireVerbReply, WireRpcReply)):
             # no entry: a reply meant for this worker's dead predecessor
             entry = self._pending.pop(wire.token, None)
@@ -382,8 +362,7 @@ class WallClockRuntime(EffectRuntimeBase):
                         self._cluster.owner_of(requester)):
                     return
                 sent = self._cluster.transport.send(
-                    self.server_id, requester, WireRpcReply(token, value),
-                    what="an RPC reply")
+                    self.server_id, requester, WireRpcReply(token, value))
                 self.network.stats.record_message(
                     "rpc_reply", sent, remote=True, server=self.server_id)
 

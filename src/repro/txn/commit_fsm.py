@@ -34,7 +34,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-from ..sim import Compute, OneSided, Round, Sleep
+from ..sim import Compute, Round, Sleep
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
 from ..storage.wal import (R_DECISION, R_END, R_PREPARE, ROLE_COORDINATOR,
                            ROLE_INNER, ROLE_PARTICIPANT, replay_wal)
@@ -508,8 +508,8 @@ def recovery_program(db, entries: list[PreparedEntry]) -> Generator:
         committed = False
         for _attempt in range(RECOVERY_ATTEMPTS):
             op = _recover_query_op(db, entry.coordinator, entry.txn_id)
-            result = yield OneSided(entry.coordinator, op,
-                                    kind="recover_query")
+            [result] = yield Round(((entry.coordinator, op),),
+                                   "recover_query")
             if result[0] == "committed":
                 committed = True
                 break

@@ -451,7 +451,7 @@ def counted_wire_run():
               "verb_frames_pickled": 0, "replica_apply_verbs": 0}
 
     class CountingCodec(FrameCodec):
-        def encode(self, src, dst, wire, what):
+        def encode(self, src, dst, wire, what=None):
             body = super().encode(src, dst, wire, what)
             if type(wire) in (WireVerbs, WireVerbReply):
                 counts["verb_frames"] += 1
@@ -487,9 +487,9 @@ def counted_wire_run():
         patch.setattr(WallClockRuntime, "_do_round", counting_round)
         send = TcpTransport.send
 
-        def counting_send(self, src, dst, wire, what):
+        def counting_send(self, src, dst, wire):
             counts["request_frames"] += type(wire) is WireVerbs
-            return send(self, src, dst, wire, what)
+            return send(self, src, dst, wire)
 
         patch.setattr(TcpTransport, "send", counting_send)
 

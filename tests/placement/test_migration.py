@@ -21,7 +21,7 @@ from repro.placement import (CONTROLLER_HOME, MigrationExecutor,
 import pytest
 
 from repro.partitioning import HashScheme
-from repro.sim import All, OneSided, Sleep
+from repro.sim import All, Round, Sleep
 from repro.sim.codec import PEER_DOWN
 from repro.storage import Catalog
 from repro.txn.common import AbortReason, TxnRequest
@@ -119,10 +119,10 @@ def drive_by_hand(gen, replies):
     def perform(effect):
         if isinstance(effect, All):
             return [perform(each) for each in effect.effects]
-        if isinstance(effect, OneSided):
+        if isinstance(effect, Round):
             if effect.kind in replies:
-                return replies[effect.kind]
-            return effect.op()
+                return [replies[effect.kind]] * len(effect.items)
+            return [op() for _target, op in effect.items]
         return None
     reply = None
     while True:

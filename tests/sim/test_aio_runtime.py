@@ -9,7 +9,7 @@ clock, run-to-quiescence, and the wire/local traffic split.
 
 import pytest
 
-from repro.sim import Compute, OneSided, Rpc, Sleep
+from repro.sim import Compute, Round, Rpc, Sleep
 from repro.sim import WorkerCluster as AioCluster
 
 
@@ -86,14 +86,14 @@ def test_cluster_is_reusable_after_an_aborted_run(run_program):
     cluster = AioCluster(2, run_timeout_s=10.0)
 
     def bad():
-        yield OneSided(1, lambda: 1 / 0)
+        yield Round([(1, lambda: 1 / 0)])
 
     cluster.engine(0).spawn(bad())
     with pytest.raises(ZeroDivisionError):
         cluster.run()
 
     def good():
-        value = yield OneSided(1, lambda: "recovered")
+        [value] = yield Round([(1, lambda: "recovered")])
         return value
 
     assert run_program(cluster, good()) == "recovered"
@@ -127,8 +127,8 @@ def test_aio_stats_split_local_and_wire(run_program):
         cluster.engine(sid).set_rpc_handler(handler)
 
     def txn():
-        yield OneSided(0, lambda: None)   # local verb
-        yield OneSided(1, lambda: None)   # wire verb
+        yield Round([(0, lambda: None)])  # local verb
+        yield Round([(1, lambda: None)])  # wire verb
         yield Rpc(0, "self")              # local message
         yield Rpc(1, "peer")              # wire message
 

@@ -11,8 +11,8 @@ time); what they must never differ on is what an effect returns, the order of an
 
 import pytest
 
-from repro.sim import (All, Await, Cluster, Compute, OneSided, Round, Rpc,
-                       Signal, Sleep)
+from repro.sim import (All, Await, Cluster, Compute, Round, Rpc, Signal,
+                       Sleep)
 from repro.sim import WorkerCluster as AioCluster
 
 
@@ -43,8 +43,8 @@ def test_one_sided_returns_op_value_local_and_remote(make_cluster,
     cluster = make_cluster()
 
     def txn():
-        local = yield OneSided(0, lambda: "local-value")
-        remote = yield OneSided(2, lambda: {"k": 41})
+        [local] = yield Round([(0, lambda: "local-value")])
+        [remote] = yield Round([(2, lambda: {"k": 41})])
         return (local, remote)
 
     assert run_program(cluster, txn()) == ("local-value", {"k": 41})
@@ -79,15 +79,16 @@ def test_all_preserves_result_order(make_cluster, run_program):
 
     def txn():
         results = yield All([
-            OneSided(1, lambda: "a"),
+            Round([(1, lambda: "a")]),
             Compute(0.5),
             Rpc(2, 7),
-            OneSided(0, lambda: "local"),
-            OneSided(1, lambda: "b"),
+            Round([(0, lambda: "local")]),
+            Round([(1, lambda: "b")]),
         ])
         return results
 
-    assert run_program(cluster, txn()) == ["a", None, 70, "local", "b"]
+    assert run_program(cluster, txn()) == [["a"], None, 70, ["local"],
+                                           ["b"]]
 
 
 def test_empty_all_resumes_with_empty_list(make_cluster, run_program):
@@ -105,12 +106,12 @@ def test_nested_all(make_cluster, run_program):
 
     def txn():
         results = yield All([
-            All([OneSided(1, lambda: 1), OneSided(2, lambda: 2)]),
-            OneSided(1, lambda: 3),
+            All([Round([(1, lambda: 1)]), Round([(2, lambda: 2)])]),
+            Round([(1, lambda: 3)]),
         ])
         return results
 
-    assert run_program(cluster, txn()) == [[1, 2], 3]
+    assert run_program(cluster, txn()) == [[[1], [2]], [3]]
 
 
 @pytest.mark.parametrize("doorbell_batching", [False, True],
@@ -152,7 +153,7 @@ def test_rpc_round_trip_with_effectful_handler(make_cluster, run_program):
     cluster = make_cluster()
 
     def handler(src, request):
-        value = yield OneSided(1, lambda: request + 1)
+        [value] = yield Round([(1, lambda: request + 1)])
         yield Compute(0.2)
         return (src, value)
 
@@ -270,7 +271,7 @@ def test_exception_in_remote_verb_op_propagates_out_of_run(make_cluster):
         cluster.run_timeout_s = 10.0  # fail fast if propagation breaks
 
     def txn():
-        yield OneSided(1, lambda: 1 / 0)
+        yield Round([(1, lambda: 1 / 0)])
 
     cluster.engine(0).spawn(txn())
     with pytest.raises(ZeroDivisionError):
@@ -300,7 +301,7 @@ def test_composite_program_gives_identical_results_on_both_backends():
 
     def build_and_run(cluster):
         def handler(src, request):
-            inner = yield OneSided(0, lambda: request + 1)
+            [inner] = yield Round([(0, lambda: request + 1)])
             return inner
 
         cluster.engine(1).set_rpc_handler(handler)
@@ -312,8 +313,8 @@ def test_composite_program_gives_identical_results_on_both_backends():
 
         def txn():
             yield Compute(1.0)
-            reads = yield All([OneSided(1, lambda: "r1"),
-                               OneSided(0, lambda: "l1"),
+            reads = yield All([Round([(1, lambda: "r1")]),
+                               Round([(0, lambda: "l1")]),
                                Round([(2, lambda: 1), (2, lambda: 2)])])
             reply = yield Rpc(1, 10)
             fired = yield Await(signal)
@@ -329,4 +330,4 @@ def test_composite_program_gives_identical_results_on_both_backends():
     sim_result = build_and_run(Cluster(3, doorbell_batching=True))
     aio_result = build_and_run(AioCluster(3, doorbell_batching=True))
     assert sim_result == aio_result
-    assert sim_result == ((["r1", "l1", [1, 2]]), 11, "sig", [])
+    assert sim_result == (([["r1"], ["l1"], [1, 2]]), 11, "sig", [])

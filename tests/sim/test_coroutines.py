@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import (All, Cluster, Compute, OneSided, Rpc, Sleep,
+from repro.sim import (All, Cluster, Compute, Round, Rpc, Sleep,
                        network)
 
 
@@ -50,7 +50,7 @@ def test_network_wait_does_not_hold_cpu():
     done_at = {}
 
     def remote_reader():
-        yield OneSided(1, lambda: 7)
+        yield Round([(1, lambda: 7)])
         done_at["reader"] = cluster.sim.now
 
     def local_cruncher():
@@ -69,7 +69,7 @@ def test_one_sided_resumes_with_result():
     out = []
 
     def txn():
-        value = yield OneSided(1, lambda: 41)
+        [value] = yield Round([(1, lambda: 41)])
         return value + 1
 
     cluster.engine(0).spawn(txn(), out.append)
@@ -82,14 +82,14 @@ def test_all_runs_effects_concurrently():
     out = []
 
     def txn():
-        results = yield All([OneSided(1, lambda: "a"),
-                             OneSided(2, lambda: "b")])
+        results = yield All([Round([(1, lambda: "a")]),
+                             Round([(2, lambda: "b")])])
         out.append((results, cluster.sim.now))
 
     cluster.engine(0).spawn(txn())
     cluster.run()
     results, when = out[0]
-    assert results == ["a", "b"]
+    assert results == [["a"], ["b"]]
     assert when == pytest.approx(2.0)  # one round trip, not two
 
 
@@ -160,7 +160,7 @@ def test_yield_from_composes_subprocedures():
     out = []
 
     def fetch(target):
-        value = yield OneSided(target, lambda: 10)
+        [value] = yield Round([(target, lambda: 10)])
         return value
 
     def txn():
@@ -195,8 +195,8 @@ def test_nested_all_effects():
 
     def txn():
         results = yield All([
-            All([OneSided(1, lambda: "aa"), OneSided(2, lambda: "ab")]),
-            OneSided(1, lambda: "b"),
+            All([Round([(1, lambda: "aa")]), Round([(2, lambda: "ab")])]),
+            Round([(1, lambda: "b")]),
             All([]),
         ])
         out.append((results, cluster.sim.now))
@@ -204,7 +204,7 @@ def test_nested_all_effects():
     cluster.engine(0).spawn(txn())
     cluster.run()
     results, when = out[0]
-    assert results == [["aa", "ab"], "b", []]
+    assert results == [[["aa"], ["ab"]], ["b"], []]
     assert when == pytest.approx(2.0, abs=1e-6)  # still one round trip
 
 
@@ -213,12 +213,12 @@ def test_deeply_nested_all_preserves_structure():
     out = []
 
     def txn():
-        results = yield All([All([All([OneSided(1, lambda: 1)])])])
+        results = yield All([All([All([Round([(1, lambda: 1)])])])])
         out.append(results)
 
     cluster.engine(0).spawn(txn())
     cluster.run()
-    assert out == [[[[1]]]]
+    assert out == [[[[[1]]]]]
 
 
 def test_signal_double_fire_raises():

@@ -20,16 +20,20 @@ import pytest
 
 from repro.bench import RunConfig, experiments, make_cluster, run_benchmark
 from repro.bench.experiments import TPCC_EXECUTORS
-from repro.bench.conformance import (DRIVER_HOME, build_conformance_run,
+from repro.bench.conformance import (DRIVER_HOME, MIGRATION_HOT_KEY,
+                                     build_conformance_run,
+                                     build_migration_conformance_run,
                                      conformance_config,
                                      conformance_requests, decision_program,
-                                     run_conformance)
+                                     program_driver, run_conformance)
+from repro.bench.harness import execute
 from repro.bench.setups import make_tpcc_run
 from repro.obs import MetricsHttpServer
 from repro.obs.export import critical_path, trace_tree
+from repro.placement import MigrationExecutor, PlacementSpec, PlacementStats
 from repro.sched import conflict
-from repro.sim import (All, Await, MpRunError, NetworkStats, OneSided, Round,
-                       Rpc, Signal, Sleep, TcpTransport, WorkerCluster,
+from repro.sim import (All, Await, MpRunError, NetworkStats, Round, Rpc,
+                       Signal, Sleep, TcpTransport, WorkerCluster,
                        run_mp_workers)
 from repro.sim.codec import OpDescriptor, WireOneWay, WireVerbs
 from repro.sim.transport import bind_listener
@@ -148,10 +152,9 @@ def effect_program(run, out):
                             key).bind(db.dispatch_context)
 
     homes = {key: db.partition_of("accounts", key) for key in range(1, 9)}
-    out.append((yield OneSided(homes[1], read(homes[1], 1),
-                               kind="lock_read")))
-    out.append((yield All([OneSided(homes[k], read(homes[k], k),
-                                    kind="lock_read")
+    out.append((yield Round([(homes[1], read(homes[1], 1))], "lock_read")))
+    out.append((yield All([Round([(homes[k], read(homes[k], k))],
+                                 "lock_read")
                            for k in range(2, 7)])))
     for server in (0, 1):
         keys = [k for k in homes if homes[k] == server]
@@ -277,10 +280,10 @@ def test_a_round_leaves_in_one_frame_per_destination_worker(monkeypatch,
                                                             doorbell):
     send = TcpTransport.send
 
-    def counting_send(self, src, dst, wire, what):
+    def counting_send(self, src, dst, wire):
         if type(wire) is WireVerbs:
             WIRE_CHAINS.append((dst % 2, len(wire.specs)))
-        return send(self, src, dst, wire, what)
+        return send(self, src, dst, wire)
 
     monkeypatch.setattr(TcpTransport, "send", counting_send)
     config = dataclasses.replace(
@@ -297,6 +300,53 @@ def test_a_round_leaves_in_one_frame_per_destination_worker(monkeypatch,
         # the round rides the one frame to worker 1
         assert frames == ([(1, foreign)] if foreign else [])
     assert [n for n, _foreign, _frames in out] == [4, 12, 4, 3]
+    assert no_leaked_workers()
+
+
+def move_there_and_back(run, decisions):
+    """The migration conformance key moved one server on and back, each
+    move reporting whether it applied and the kinds of every verb frame
+    it sent."""
+    db = run.database
+    migrator = MigrationExecutor(db, DRIVER_HOME,
+                                 PlacementSpec(kind="adaptive"),
+                                 PlacementStats(placement="adaptive"))
+    src = db.partition_of("usertable", MIGRATION_HOT_KEY)
+    for epoch, dst in enumerate(((src + 1) % db.n_partitions, src), 1):
+        sent = len(WIRE_CHAINS)
+        moved = yield from migrator.migrate("usertable", MIGRATION_HOT_KEY,
+                                            dst, epoch)
+        decisions.append((moved, WIRE_CHAINS[sent:]))
+
+
+def test_a_migrations_replica_ships_leave_in_one_frame_per_worker(
+        monkeypatch):
+    """A move ships its replica copies as one ``replicate`` round, so the
+    ships bound for one worker share a frame.  Four servers on two
+    workers, three replicas each: of the install's and the remove's
+    ships, one round has one foreign replica and the other two on the
+    same foreign worker, which now leave as one frame of two verbs."""
+    send = TcpTransport.send
+
+    def counting_send(self, src, dst, wire):
+        if type(wire) is WireVerbs:
+            WIRE_CHAINS.append(tuple(spec[0] for spec in wire.specs))
+        return send(self, src, dst, wire)
+
+    monkeypatch.setattr(TcpTransport, "send", counting_send)
+    moves = {}
+    for backend, workers in (("sim", None), ("mp", 2)):
+        run = build_migration_conformance_run(conformance_config(
+            backend, n_partitions=4, n_replicas=3, mp_workers=workers))
+        payloads = execute(run, partial(program_driver, move_there_and_back))
+        [moves[backend]] = [p["decisions"] for p in payloads
+                            if p["decisions"]]
+    assert [moved for moved, _frames in moves["mp"]] \
+        == [moved for moved, _frames in moves["sim"]] == [True, True]
+    for _moved, frames in moves["mp"]:
+        ships = [kinds for kinds in frames if "replica_apply" in kinds]
+        assert all(set(kinds) == {"replica_apply"} for kinds in ships)
+        assert sorted(map(len, ships)) == [1, 2]
     assert no_leaked_workers()
 
 
@@ -505,7 +555,7 @@ def test_worker_build_failure_aborts_run_and_joins_workers():
 def closure_driver(run_obj, cluster, worker_id):
     """Ships a raw closure at a remote server: must fail loudly."""
     def program():
-        yield OneSided(1, lambda: 1)
+        yield Round([(1, lambda: 1)])
 
     if cluster.owns(0):
         cluster.engine(0).spawn(program())
@@ -783,14 +833,14 @@ def test_idle_counts_popped_but_unwritten_frames():
         assert transport.idle()
 
         wire = WireVerbs(1, (("release", 1, None, None, (7001,)),), False)
-        assert transport.send(0, 1, wire, "a test verb") > 0
+        assert transport.send(0, 1, wire) > 0
         assert not transport.idle(), "the frame waits for its dial"
         while transport._senders[1].transport is None:
             await asyncio.sleep(0.001)
         assert transport.idle()         # a small frame fits the socket buffer
 
         big = WireOneWay(b"x" * (8 << 20))   # far more than a socket buffers
-        transport.send(0, 1, big, "a big message")
+        transport.send(0, 1, big)
         await asyncio.sleep(0.01)
         assert not transport.idle(), \
             "bytes the kernel has not taken: the transport must stay busy"

@@ -337,9 +337,9 @@ def test_merge_from_folds_per_server_books():
     from repro.sim import NetworkStats
     a = NetworkStats()
     b = NetworkStats()
-    a.record_one_sided("lock_read", 32, remote=True, server=1)
-    b.record_one_sided("lock_read", 10, remote=True, server=1)
-    b.record_one_sided("commit", 7, remote=True, server=2)
+    a.record_round("lock_read", 1, 0, 0, 1, 32)
+    b.record_round("lock_read", 1, 0, 0, 1, 10)
+    b.record_round("commit", 2, 0, 0, 1, 7)
     fold(a, b)
     assert a.bytes_by_server_kind == {1: {"lock_read": 42},
                                       2: {"commit": 7}}

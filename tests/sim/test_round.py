@@ -1,13 +1,13 @@
-"""A ``Round`` is the per-verb effects it replaced, event for event.
+"""A ``Round`` is its verbs issued one by one, event for event.
 
 On the sim backend a round of verbs is handed to ``Network.round`` in
 one call.  Whatever rounds are drawn, it must give the same results, the
 same event stream (every event's time, in firing order, and when each op
-ran) and equal ``NetworkStats`` as the per-verb oracle: an ``All`` of
-``OneSided`` with doorbell batching off, and with it on the grouped
-``one_sided_batch`` / ``one_sided`` sequence the executors used to
-build (per target in first-appearance order; a remote group of two or
-more verbs fused, every other verb on its own).
+ran) and equal ``NetworkStats`` as the per-verb oracle, which calls the
+network's verb primitives directly: ``one_sided`` per verb with
+doorbell batching off, and with it on the grouped ``one_sided_batch`` /
+``one_sided`` sequence (per target in first-appearance order; a remote
+group of two or more verbs fused, every other verb on its own).
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import All, Cluster, OneSided, Round
+from repro.sim import Cluster, Round
 
 SERVERS = 4
 SRC = 1
@@ -40,18 +40,8 @@ def rounds(draw):
 
 
 def _oracle(cluster, targets, ops, sizes, done):
-    """What the executors issued before ``Round``, per verb."""
-    engine = cluster.engine(SRC)
-    if not cluster.network.doorbell_batching:
-        engine.perform(All([OneSided(t, op, kind=KIND,
-                                     nbytes=sizes[i] if sizes else None)
-                            for i, (t, op) in enumerate(zip(targets, ops))]),
-                       done)
-        return
+    """The round's verbs issued one primitive call at a time."""
     net = cluster.network
-    groups: dict[int, list[int]] = {}
-    for i, target in enumerate(targets):
-        groups.setdefault(target, []).append(i)
     results = [None] * len(targets)
     left = [len(targets)]
 
@@ -62,12 +52,21 @@ def _oracle(cluster, targets, ops, sizes, done):
         if not left[0]:
             done(results)
 
+    if not net.doorbell_batching:
+        for i, target in enumerate(targets):
+            net.one_sided(SRC, target, ops[i],
+                          lambda value, i=i: fill([i], [value]),
+                          kind=KIND, nbytes=sizes[i] if sizes else None)
+        return
+    groups: dict[int, list[int]] = {}
+    for i, target in enumerate(targets):
+        groups.setdefault(target, []).append(i)
     for target, idxs in groups.items():
         if len(idxs) >= 2 and target != SRC:
             net.one_sided_batch(
                 SRC, target, [ops[i] for i in idxs],
-                lambda values, idxs=idxs: fill(idxs, values),
-                kinds=[(KIND, sizes[i] if sizes else None) for i in idxs])
+                lambda values, idxs=idxs: fill(idxs, values), KIND,
+                [sizes[i] for i in idxs] if sizes else None)
             continue
         for i in idxs:
             net.one_sided(SRC, target, ops[i],

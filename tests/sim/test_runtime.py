@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import (All, Cluster, Compute, EffectRuntime, OneSided,
-                       Round, Rpc, Sleep, network)
+from repro.sim import (All, Cluster, Compute, EffectRuntime, Round, Rpc,
+                       Sleep, network)
 
 
 @pytest.fixture(autouse=True)
@@ -41,11 +41,11 @@ def test_custom_runtime_can_be_injected():
 
     def txn():
         yield Compute(1.0)
-        yield OneSided(0, lambda: None)
+        yield Round([(0, lambda: None)])
 
     engine.spawn(txn())
     sim.run()
-    assert performed == ["Compute", "OneSided"]
+    assert performed == ["Compute", "Round"]
 
 
 # -- doorbell batching: counters and completion times ------------------------
@@ -79,15 +79,15 @@ def test_batching_off_keeps_per_verb_round_trips():
     out = []
 
     def txn():
-        results = yield All([OneSided(1, lambda: "a"),
-                             OneSided(1, lambda: "b"),
-                             OneSided(1, lambda: "c")])
+        results = yield All([Round([(1, lambda: "a")]),
+                             Round([(1, lambda: "b")]),
+                             Round([(1, lambda: "c")])])
         out.append((results, cluster.sim.now))
 
     cluster.engine(0).spawn(txn())
     cluster.run()
     results, when = out[0]
-    assert results == ["a", "b", "c"]
+    assert results == [["a"], ["b"], ["c"]]
     # the verbs overlap: one plain round trip, 2*one_way + verb_overhead
     assert when == pytest.approx(2 * 1.0 + 0.3, abs=1e-6)
     stats = cluster.network.stats
@@ -112,8 +112,8 @@ def test_explicit_batched_effect_fuses_when_enabled():
 
 
 def test_explicit_batched_effect_falls_back_when_disabled():
-    """With the knob off a Round behaves exactly like a flat All of its
-    verbs — per-verb round trips, same results."""
+    """With the knob off a Round behaves exactly like its verbs issued
+    one by one — per-verb round trips, same results."""
     cluster = Cluster(2)
     out = []
 
@@ -185,16 +185,16 @@ def test_mixed_all_batches_only_same_destination_remotes():
         results = yield All([
             Round([(1, lambda: "r1a"),          # fused pair -> server 1
                    (1, lambda: "r1b")]),
-            OneSided(0, lambda: "local"),        # local, never batched
+            Round([(0, lambda: "local")]),      # local, never batched
             Rpc(2, 5),                           # messages are not verbs
-            OneSided(2, lambda: "lone"),         # single verb -> no fuse
-            OneSided(2, lambda: "lone2"),        # no group -> no fuse
+            Round([(2, lambda: "lone")]),       # single verb -> no fuse
+            Round([(2, lambda: "lone2")]),      # another round -> no fuse
         ])
         out.append(results)
 
     cluster.engine(0).spawn(txn())
     cluster.run()
-    assert out == [[["r1a", "r1b"], "local", 105, "lone", "lone2"]]
+    assert out == [[["r1a", "r1b"], ["local"], 105, ["lone"], ["lone2"]]]
     stats = cluster.network.stats
     assert stats.one_sided_batches == 1
     assert stats.one_sided_batched_verbs == 2

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (MAX_FRAME_BYTES, CodecError, OneSided, Round, Sleep,
+from repro.sim import (MAX_FRAME_BYTES, CodecError, Round, Sleep,
                        TcpTransport, WorkerCluster)
-from repro.sim.codec import (OP_HANDLERS, DispatchContext, FrameCodec,
-                             OpDescriptor, WireOneWay)
+from repro.sim.codec import (OP_HANDLERS, PEER_DOWN, DispatchContext,
+                             FrameCodec, OpDescriptor, WireOneWay, WireVerbs)
 from repro.sim.transport import _Receiver, bind_listener
 
 PROMPT_S = 5.0
@@ -196,8 +196,7 @@ def test_oversized_frame_is_refused_at_the_sender():
     transport = TcpTransport(Owner(), listener=None, ports={})
     transport._loop = object()  # "started"; nothing is ever written
     with pytest.raises(CodecError, match="frame limit"):
-        transport.send(0, 1, WireOneWay(b"x" * (MAX_FRAME_BYTES + 1)),
-                       "a huge message")
+        transport.send(0, 1, WireOneWay(b"x" * (MAX_FRAME_BYTES + 1)))
     assert transport.idle()
 
 
@@ -218,8 +217,12 @@ def test_log_verb(monkeypatch):
     monkeypatch.setitem(OP_HANDLERS, "test_log", _log_verb)
 
 
-def log_verb(target: int, key) -> OneSided:
-    return OneSided(target, OpDescriptor("test_log", target, None, key))
+def log_op(target: int, key) -> tuple:
+    return (target, OpDescriptor("test_log", target, None, key))
+
+
+def log_verb(target: int, key) -> Round:
+    return Round([log_op(target, key)])
 
 
 class Pair:
@@ -276,7 +279,8 @@ def test_frames_really_cross_a_socket_and_are_counted():
     out = []
 
     def program():
-        out.append((yield log_verb(1, "k")))
+        [value] = yield log_verb(1, "k")
+        out.append(value)
 
     pair.run(program())
     assert out == ["k"] and pair.log == [("verb", "k")]
@@ -293,6 +297,42 @@ def test_frames_really_cross_a_socket_and_are_counted():
     assert stats.total_bytes() == stats.wire_bytes_sent
 
 
+def test_a_round_of_one_resumes_with_its_value_on_every_path(monkeypatch):
+    """A lone verb is a round of one, and resumes with ``[value]``: to
+    an owned server (no frame), to a foreign one (exactly one
+    ``WireVerbs`` frame of one spec, not batched) and to a dead worker
+    (``[PEER_DOWN]``, nothing sent: the reply the migration, lease and
+    recovery callers branch on)."""
+    chains = []
+    send = TcpTransport.send
+
+    def recording_send(self, src, dst, wire):
+        if type(wire) is WireVerbs:
+            chains.append((len(wire.specs), wire.batched))
+        return send(self, src, dst, wire)
+
+    monkeypatch.setattr(TcpTransport, "send", recording_send)
+    pair = Pair()
+    out = []
+
+    ctx = pair.workers[0].engine(0).dispatch_context
+
+    def program():
+        # an owned verb runs in this process: its descriptor is bound
+        owned = OpDescriptor("test_log", 0, None, "owned").bind(ctx)
+        out.append((yield Round([(0, owned)])))
+        out.append((yield log_verb(1, "foreign")))
+        pair.workers[0].fail_peer(1)
+        out.append((yield log_verb(1, "dead")))
+
+    pair.run(program())
+    assert out == [["owned"], ["foreign"], [PEER_DOWN]]
+    assert pair.log == [("verb", "owned"), ("verb", "foreign")]
+    assert chains == [(1, False)]
+    stats = pair.workers[0].network.stats
+    assert (stats.one_sided_local, stats.one_sided_remote) == (1, 2)
+
+
 def test_one_round_is_one_frame_per_destination_worker():
     """k foreign verbs of one ``Round`` ride one chain: k results in
     issue order, a conflict in the middle stopping nothing, and exactly
@@ -303,8 +343,7 @@ def test_one_round_is_one_frame_per_destination_worker():
     out = []
 
     def program():
-        verbs = [log_verb(1, key) for key in keys]
-        out.append((yield Round([(verb.target, verb.op) for verb in verbs])))
+        out.append((yield Round([log_op(1, key) for key in keys])))
 
     pair.run(program())
     assert out == [["a", "b", ("conflict",), "c", "d"]]

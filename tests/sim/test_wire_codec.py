@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.bench.conformance import build_conformance_run, conformance_config
 from repro.sim.codec import (FRAME_PICKLE, FRAME_VERB_REPLY, FRAME_VERBS,
                              FRAME_VERBS_TRACED, OP_HANDLERS, CodecError,
-                             FrameCodec, WireRpc, WireVerbReply, WireVerbs)
+                             FrameCodec, WireOneWay, WireRpc, WireVerbReply,
+                             WireVerbs)
 from repro.storage import LockMode
 from repro.txn.commit_fsm import _commit_op, _release_op
 from repro.txn.executor import (_lock_read_op, _plain_read_op,
@@ -236,6 +237,21 @@ def test_unpicklable_payload_still_raises_codec_error():
     codec = make_codec()
     with pytest.raises(CodecError, match="RPC to server 2"):
         codec.encode(0, 2, WireRpc(1, lambda: 1), "RPC to server 2")
+
+
+def test_an_unnamed_frame_is_named_by_its_envelope_only_on_failure():
+    """The transport passes no name: a frame that fails to encode is
+    named from its envelope's kind and target when it fails."""
+    codec = make_codec()
+    with pytest.raises(CodecError, match=r"Rpc\(kind='chiller_inner', "
+                                         r"\.\.\.\) to server 2"):
+        codec.encode(0, 2, WireRpc(1, ("chiller_inner", lambda: 1)))
+    with pytest.raises(CodecError, match="one-way message"):
+        codec.encode(0, 3, WireOneWay(lambda: 1))
+    wire = WireVerbs(1, (("commit", 0, None, None, (lambda: 1,)),), False)
+    with pytest.raises(CodecError,
+                       match=r"a chain of 1 verb\(s\) to server 1"):
+        codec.encode(0, 1, wire)
 
 
 def test_unpicklable_arg_inside_hot_verb_raises_codec_error():

@@ -2,7 +2,7 @@
 
 from repro.analysis import ProcedureRegistry
 from repro.partitioning import HashScheme
-from repro.sim import Cluster, Compute, OneSided, Round, Sleep
+from repro.sim import Cluster, Compute, Round, Sleep
 from repro.storage import Catalog, LockMode
 from repro.txn import AbortReason, Database, OccExecutor, TxnRequest
 from repro.workloads.bank import BankWorkload
@@ -22,8 +22,6 @@ def sync_run(gen, after_round=None):
             return stop.value
         if isinstance(effect, (Compute, Sleep)):
             value = None
-        elif isinstance(effect, OneSided):
-            value = effect.op()
         elif isinstance(effect, Round):
             value = [op() for _target, op in effect.items]
             rounds += 1
