@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from ..storage.record import RecordId
+from ..storage import RecordId
 
 
 def contention_likelihood(lambda_w: float, lambda_r: float) -> float:

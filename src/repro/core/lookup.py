@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..partitioning.base import LookupScheme
-from ..storage.record import RecordId
+from ..storage import RecordId
 
 
 class HotRecordTable:

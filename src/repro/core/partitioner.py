@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..storage.record import RecordId
+from ..storage import RecordId
 from .contention import normalize
 from .lookup import HotRecordTable
 from .stargraph import StarGraph, build_star_graph, partition_star_graph

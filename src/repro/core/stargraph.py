@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..graph import WeightedGraph, part_graph
-from ..storage.record import RecordId
+from ..storage import RecordId
 from .contention import normalize
 from .stats import TxnSample
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..analysis import ProcedureRegistry
-from ..storage.record import RecordId
+from ..storage import RecordId
 from ..txn.common import TxnRequest
 from .contention import contention_likelihood
 

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from ..core.stats import TxnSample
 from ..graph import WeightedGraph, part_graph
-from ..storage.record import RecordId
+from ..storage import RecordId
 from .base import LookupScheme
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .._stats import stat
 from ..core.contention import normalize
 from ..core.partitioner import ChillerPartitionerConfig, partition_workload
-from ..storage.record import RecordId
+from ..storage import RecordId
 from .telemetry import TelemetryWindow
 
 PLACEMENTS = ("static", "adaptive")

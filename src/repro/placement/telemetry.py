@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..core.contention import contention_likelihood
 from ..core.stats import TxnSample
-from ..storage.record import RecordId
+from ..storage import RecordId
 
 MAX_SAMPLES = 512
 """Co-access samples one engine keeps per window (the most recent)."""

@@ -68,6 +68,11 @@ MP_HEADROOM_S = 60.0
 """Hang guard of an mp run: the parent waits for its workers the
 wall-clock horizon plus this much build and drain time."""
 
+_DEATH_GRACE_S = 1.0
+"""How long a worker's error waits for a sibling's death to show: a
+SIGKILLed worker's sockets close (and its peers fail) before it can be
+reaped, so its ``exitcode`` may still read None when the error lands."""
+
 _STOP_GRACE_S = 5.0
 """How long a stopping worker keeps serving stragglers after ``stop``."""
 
@@ -257,6 +262,18 @@ def _start_worker(fleet: tuple, worker_id: int, generation: int,
     return proc, parent_conn
 
 
+def _dead_siblings(workers: dict[int, tuple], reporter: int) -> list:
+    """The workers other than ``reporter`` that died, waiting up to
+    :data:`_DEATH_GRACE_S` for one to exit."""
+    others = [proc for w, (proc, _conn) in workers.items() if w != reporter]
+    exited = multiprocessing.connection.wait(
+        [proc.sentinel for proc in others], timeout=_DEATH_GRACE_S)
+    for proc in others:
+        if proc.sentinel in exited:
+            proc.join()         # closed its end; reapable a moment later
+    return [proc for proc in others if proc.exitcode not in (None, 0)]
+
+
 def run_mp_workers(cluster: WorkerCluster, driver: Driver, config: Any, *,
                    on_sample: Callable[[int, list], None] | None = None,
                    on_tick: Callable[[], None] | None = None,
@@ -373,8 +390,7 @@ def run_mp_workers(cluster: WorkerCluster, driver: Driver, config: Any, *,
                 if msg[0] == "error":
                     # a peer's death reaches its survivors as connection
                     # errors, sometimes before its own pipe reads EOF
-                    dead = [proc for proc, _conn in workers.values()
-                            if proc.exitcode not in (None, 0)]
+                    dead = _dead_siblings(workers, w)
                     if dead and restarts_left <= 0:
                         raise MpRunError(
                             f"worker {dead[0].name} died before reporting "

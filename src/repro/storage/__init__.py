@@ -1,10 +1,9 @@
 """NAM-DB-style storage: records, per-bucket lock words, partitions."""
 
-from .bucket import BucketStore
+from .bucket import BucketStore, Key, RecordId
 from .catalog import Catalog, PlacementScheme
 from .locks import LockMode, LockWord
 from .partition import ContentionSpanTracker, PartitionStore, TableSpec
-from .record import Key, Record, RecordId
 from .wal import (RecoveryStats, WalSpec, WriteAheadLog, as_wal_spec,
                   replay_wal, wal_path)
 
@@ -17,7 +16,6 @@ __all__ = [
     "LockWord",
     "PartitionStore",
     "PlacementScheme",
-    "Record",
     "RecordId",
     "RecoveryStats",
     "TableSpec",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from .record import Key
+from .bucket import Key
 
 
 class PlacementScheme(Protocol):

@@ -8,16 +8,15 @@ region), record read/write/insert/delete — and records
 can report how long hot records stay locked.  Only the lock operations
 hash a key (to find its bucket), and a check in a table where nobody
 holds a lock does not; record operations are one probe of the table's
-record dict.
+record dict, whose fields dicts are never mutated (``storage/bucket.py``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
-from .bucket import BucketStore
+from .bucket import BucketStore, Fields, Key
 from .locks import LockMode, LockWord
-from .record import Key, Record
 
 
 class TableSpec:
@@ -114,9 +113,9 @@ class PartitionStore:
 
     # -- loading ----------------------------------------------------------
 
-    def load(self, table: str, key: Key, fields: dict[str, Any]) -> None:
+    def load(self, table: str, key: Key, fields: Fields) -> None:
         """Bulk-load one record (no locking; used before the run starts)."""
-        self._tables[table].put(Record(key, dict(fields)))
+        self._tables[table].put(key, fields)
 
     # -- lock operations (shipped as one-sided verbs) ---------------------
 
@@ -212,42 +211,51 @@ class PartitionStore:
 
     # -- record operations (shipped as one-sided verbs) --------------------
 
-    def read(self, table: str, key: Key) -> tuple[dict[str, Any], int] | None:
-        """Return (fields copy, version), or None if the key is absent."""
-        record = self._tables[table].records.get(key)
-        if record is None:
+    def read(self, table: str, key: Key) -> tuple[Fields, int] | None:
+        """Return (fields, version), or None if the key is absent.  The
+        fields are the stored dict, which no write changes."""
+        store = self._tables[table]
+        fields = store.records.get(key)
+        if fields is None:
             return None
-        return record.snapshot(), record.version
+        return fields, store.versions.get(key, 0)
 
     def version_of(self, table: str, key: Key) -> int | None:
-        record = self._tables[table].records.get(key)
-        return None if record is None else record.version
+        store = self._tables[table]
+        if key not in store.records:
+            return None
+        return store.versions.get(key, 0)
 
-    def write(self, table: str, key: Key, updates: dict[str, Any]) -> bool:
-        """Apply ``updates`` in place; returns False if key is absent."""
-        record = self._tables[table].records.get(key)
-        if record is None:
+    def write(self, table: str, key: Key, updates: Fields) -> bool:
+        """Store the record merged with ``updates`` and bump its version;
+        returns False if key is absent."""
+        store = self._tables[table]
+        records = store.records
+        old = records.get(key)
+        if old is None:
             return False
-        record.apply(updates)
+        records[key] = {**old, **updates}
+        versions = store.versions
+        versions[key] = versions.get(key, 0) + 1
         return True
 
-    def insert(self, table: str, key: Key, fields: dict[str, Any]) -> bool:
+    def insert(self, table: str, key: Key, fields: Fields) -> bool:
         """Insert a new record; False if it already exists."""
-        return self._tables[table].insert(Record(key, dict(fields)))
+        return self._tables[table].insert(key, fields)
 
     def delete(self, table: str, key: Key) -> bool:
         return self._tables[table].delete(key)
 
-    def install(self, table: str, key: Key, fields: dict[str, Any],
+    def install(self, table: str, key: Key, fields: Fields,
                 version: int) -> None:
         """Place a migrated record at the version it had at its old
         home, over any stale copy: a version that restarted at 0 (or
         was bumped by an overwrite) could come back to a value an
         optimistic reader saw before the move."""
-        self._tables[table].put(Record(key, dict(fields), version))
+        self._tables[table].put(key, fields, version)
 
     def redo(self, kind: str, table: str, key: Key,
-             values: dict[str, Any] | None) -> None:
+             values: Fields | None) -> None:
         """Apply one committed write to a store that may already have
         seen it, or missed the write before it (replicas, WAL replay):
         an update of an absent record inserts it, an insert of a present

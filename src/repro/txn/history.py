@@ -83,6 +83,36 @@ class HistoryRecorder:
             final[rid] = max(version, final.get(rid, -1))
         return list(final.items())
 
+    def store_mismatches(self, db) -> list[tuple]:
+        """``(copy, rid, committed, stored)`` for each copy of a record
+        the history wrote (``"primary"`` or a replica's server) that,
+        once the run has quiesced, does not hold the last version it
+        committed (``stored`` None: absent).  An insert commits 0, an
+        update or delete the next version, so a record may be absent
+        only past 0.  The log does not tell a delete from an update: a
+        record an update left absent passes, one a delete left present
+        is one version short."""
+        last: dict[Any, int] = {}
+        for log in self.commits:
+            for rid, version in log.writes:
+                if version > last.get(rid, -1):
+                    last[rid] = version
+        replicas = db.replicas
+        mismatches = []
+        for (table, key), committed in last.items():
+            pid = db.partition_of(table, key)
+            copies = [("primary", db.store(pid))]
+            if replicas is not None:
+                copies += [(server, replicas.store_on(server, pid))
+                           for server in replicas.replica_servers(pid)]
+            for copy, store in copies:
+                stored = store.version_of(table, key)
+                if stored != committed and (stored is not None
+                                            or not committed):
+                    mismatches.append((copy, (table, key), committed,
+                                       stored))
+        return mismatches
+
     def is_serializable(self) -> bool:
         return self.find_cycle() is None
 

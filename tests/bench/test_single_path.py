@@ -252,24 +252,47 @@ def src_defs():
     return returns, params
 
 
+def literal_entries(expr: ast.AST | None) -> list[tuple[str, ast.AST]]:
+    """The ``(key, value)`` pairs of a dict display or ``dict(k=v)``."""
+    if isinstance(expr, ast.Dict):
+        return [(key.value, value)
+                for key, value in zip(expr.keys, expr.values)
+                if isinstance(key, ast.Constant)]
+    if isinstance(expr, ast.Call) and callee(expr) == "dict":
+        return [(kw.arg, kw.value) for kw in expr.keywords if kw.arg]
+    return []
+
+
+HIGHER_ORDER = ("partial", "pedantic")
+"""Calls that pass on their first argument's arguments:
+``functools.partial(f, *args, **kwargs)`` and pytest-benchmark's
+``benchmark.pedantic(f, args=(...), kwargs={...})``."""
+
+
 def passed_arguments(call: ast.Call, names: list[str]) -> dict[str, ast.AST]:
     """``{parameter: argument}`` of ``call`` against ``names``; a
-    ``functools.partial`` binds its target's parameters the same way."""
+    higher-order call binds its target's parameters the same way."""
     args = call.args
+    keywords = [(kw.arg, kw.value) for kw in call.keywords if kw.arg]
     if callee(call) == "partial" and args:
         args = args[1:]
+    elif callee(call) == "pedantic" and args:
+        given = dict(keywords)
+        args = getattr(given.get("args"), "elts", [])
+        keywords = literal_entries(given.get("kwargs"))
     passed = {}
     for name, arg in zip(names, args):
         if isinstance(arg, ast.Starred):
             break
         passed[name] = arg
-    passed.update((kw.arg, kw.value) for kw in call.keywords if kw.arg)
+    passed.update(keywords)
     return passed
 
 
 def reached(call: ast.Call) -> str:
-    """The function a call reaches: a ``partial``'s first argument."""
-    if callee(call) == "partial" and call.args:
+    """The function a call reaches: a higher-order call's first
+    argument."""
+    if callee(call) in HIGHER_ORDER and call.args:
         first = call.args[0]
         return getattr(first, "id", None) or getattr(first, "attr", "")
     return callee(call)
@@ -325,14 +348,8 @@ def scan(path: Path, returns: dict[str, str], params: dict):
             return None
 
         def entries(expr: ast.AST) -> list[tuple[str, ast.AST]]:
-            if isinstance(expr, ast.Dict):
-                return [(key.value, value)
-                        for key, value in zip(expr.keys, expr.values)
-                        if isinstance(key, ast.Constant)]
-            if isinstance(expr, ast.Call) and callee(expr) == "dict":
-                return [(kw.arg, kw.value) for kw in expr.keywords
-                        if kw.arg]
-            return mappings.get(getattr(expr, "id", None), [])
+            return literal_entries(expr) or mappings.get(
+                getattr(expr, "id", None), [])
 
         nodes = list(own_nodes(scope))
         for node in nodes:       # binding pass: spec-typed names, mappings
@@ -646,6 +663,29 @@ def test_an_unpassed_parameter_fails_the_census(tmp_path):
     caller.write_text("part_graph(g, 2, 8)\n")
     assert "part_graph.n_tries" not in idle_parameters(
         parameter_census(trees))
+
+
+@pytest.mark.parametrize("passing, default_only", [
+    ("functools.partial(part_graph, g, 2, n_tries=8)()",
+     "functools.partial(part_graph, g, 2, n_tries=4)()"),
+    ("partial(part_graph, g, 2, 8)()", "partial(part_graph, g, 2)()"),
+    ("benchmark.pedantic(part_graph, kwargs={'n_tries': 8})",
+     "benchmark.pedantic(part_graph, kwargs={'n_tries': 4})"),
+    ("benchmark.pedantic(part_graph, args=(g, 2, 8), rounds=1)",
+     "benchmark.pedantic(part_graph, args=(g, 2), kwargs=dict(k=2))"),
+])
+def test_a_value_passed_through_a_higher_order_call_counts(
+        tmp_path, passing, default_only):
+    """``partial`` and ``pedantic`` pass their target's arguments on: a
+    value given through them keeps the parameter, a default does not."""
+    module, caller = tmp_path / "graph.py", tmp_path / "caller.py"
+    module.write_text("def part_graph(graph, k, n_tries=4):\n    pass\n")
+    trees = {**TREES, "src": [module], "benchmarks": [caller]}
+    caller.write_text(passing + "\n")
+    assert "part_graph.n_tries" not in idle_parameters(
+        parameter_census(trees))
+    caller.write_text(default_only + "\n")
+    assert "part_graph.n_tries" in idle_parameters(parameter_census(trees))
 
 
 # -- the docs name only real knobs --------------------------------------------

@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro._util import stable_hash
-from repro.storage import BucketStore, LockMode, LockWord, Record
+from repro.storage import BucketStore, LockMode, LockWord
 
 
 def test_put_and_get():
     store = BucketStore("items", n_buckets=4)
-    store.put(Record(1, {"name": "banana"}))
-    record = store.get(1)
-    assert record is not None
-    assert record.fields["name"] == "banana"
+    store.put(1, {"name": "banana"})
+    fields = store.get(1)
+    assert fields is not None
+    assert fields["name"] == "banana"
 
 
 def test_get_missing_returns_none():
@@ -28,22 +28,22 @@ def test_get_missing_returns_none():
 
 def test_insert_rejects_duplicate():
     store = BucketStore("items", n_buckets=4)
-    assert store.insert(Record(1, {"v": 1}))
-    assert not store.insert(Record(1, {"v": 2}))
-    assert store.get(1).fields["v"] == 1
+    assert store.insert(1, {"v": 1})
+    assert not store.insert(1, {"v": 2})
+    assert store.get(1)["v"] == 1
 
 
 def test_put_overwrites():
     store = BucketStore("items", n_buckets=4)
-    store.put(Record(1, {"v": 1}))
-    store.put(Record(1, {"v": 2}))
-    assert store.get(1).fields["v"] == 2
+    store.put(1, {"v": 1})
+    store.put(1, {"v": 2})
+    assert store.get(1)["v"] == 2
     assert len(store) == 1
 
 
 def test_delete():
     store = BucketStore("items", n_buckets=4)
-    store.put(Record(1, {"v": 1}))
+    store.put(1, {"v": 1})
     assert store.delete(1)
     assert store.get(1) is None
     assert not store.delete(1)
@@ -51,8 +51,8 @@ def test_delete():
 
 def test_same_bucket_shares_lock_word():
     store = BucketStore("items", n_buckets=1)
-    store.put(Record(1, {}))
-    store.put(Record(2, {}))
+    store.put(1, {})
+    store.put(2, {})
     assert store.lock_for(1) is store.lock_for(2)
 
 
@@ -70,7 +70,7 @@ def test_invalid_configs_rejected():
 def test_keys_and_scan():
     store = BucketStore("items", n_buckets=8)
     for key in range(5):
-        store.put(Record(key, {"v": key}))
+        store.put(key, {"v": key})
     assert sorted(store.keys()) == [0, 1, 2, 3, 4]
 
 
@@ -80,17 +80,17 @@ def test_store_behaves_like_dict(mapping, n_buckets):
     """A BucketStore is observationally a dict, whatever its geometry."""
     store = BucketStore("t", n_buckets=n_buckets)
     for key, value in mapping.items():
-        store.put(Record(key, {"v": value}))
+        store.put(key, {"v": value})
     assert len(store) == len(mapping)
     assert sorted(store.keys()) == sorted(mapping)
     for key, value in mapping.items():
-        assert store.get(key).fields["v"] == value
+        assert store.get(key)["v"] == value
 
 
 def test_lock_words_are_made_on_first_lock_and_kept():
     store = BucketStore("items", n_buckets=64)
     for key in range(200):
-        store.put(Record(key, {}))
+        store.put(key, {})
     assert store.lock_words() == 0      # loading makes none
     assert store.lock_if_any(7) is None
     assert store.lock_words() == 0      # nor does asking
@@ -109,9 +109,9 @@ def test_equal_dict_keys_are_one_record_but_lock_their_own_buckets():
     ones stable_hash assigns, which tells them apart; a key it cannot
     hash (``1.0``) reads the record of ``1`` and cannot be locked."""
     store = BucketStore("t", n_buckets=64)
-    store.put(Record(1, {"v": "int"}))
-    store.put(Record((1,), {"v": "tuple"}))
-    assert not store.insert(Record(True, {"v": "bool"}))
+    store.put(1, {"v": "int"})
+    store.put((1,), {"v": "tuple"})
+    assert not store.insert(True, {"v": "bool"})
     assert store.get(True) is store.get(1) is store.get(1.0)
     assert store.get((True,)) is store.get((1,))
     assert len(store) == 2
@@ -162,25 +162,25 @@ class _ReferenceBucketStore:
 
     def get(self, key):
         for bucket in self.head_bucket(key).chain():
-            record = bucket.records.get(key)
-            if record is not None:
-                return record
+            fields = bucket.records.get(key)
+            if fields is not None:
+                return fields
         return None
 
-    def put(self, record):
-        head = self.head_bucket(record.key)
+    def put(self, key, fields):
+        head = self.head_bucket(key)
         for bucket in head.chain():
-            if record.key in bucket.records:
-                bucket.records[record.key] = record
+            if key in bucket.records:
+                bucket.records[key] = fields
                 return
-        self._insert_new(head, record)
+        self._insert_new(head, key, fields)
 
-    def insert(self, record):
-        head = self.head_bucket(record.key)
+    def insert(self, key, fields):
+        head = self.head_bucket(key)
         for bucket in head.chain():
-            if record.key in bucket.records:
+            if key in bucket.records:
                 return False
-        self._insert_new(head, record)
+        self._insert_new(head, key, fields)
         return True
 
     def delete(self, key):
@@ -195,13 +195,13 @@ class _ReferenceBucketStore:
             for bucket in head.chain():
                 yield from bucket.records
 
-    def _insert_new(self, head, record):
+    def _insert_new(self, head, key, fields):
         bucket = head
         while len(bucket.records) >= self.bucket_capacity:
             if bucket.overflow is None:
                 bucket.overflow = _ReferenceBucket()
             bucket = bucket.overflow
-        bucket.records[record.key] = record
+        bucket.records[key] = fields
 
 
 _atoms = st.one_of(st.integers(-3, 40), st.text("abc", max_size=2))
@@ -221,10 +221,9 @@ def _apply(store, op):
     (iteration order is the layout's own business)."""
     name, args = op[0], op[1:]
     if name in ("put", "insert"):
-        return getattr(store, name)(Record(args[0], {"v": args[1]}))
+        return getattr(store, name)(args[0], {"v": args[1]})
     if name == "get":
-        record = store.get(args[0])
-        return None if record is None else (record.key, record.fields)
+        return store.get(args[0])
     if name == "delete":
         return store.delete(args[0])
     if name == "keys":

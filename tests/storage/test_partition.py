@@ -31,14 +31,6 @@ def test_read_missing_returns_none():
     assert store.read("acct", 42) is None
 
 
-def test_read_returns_copy():
-    store, _ = make_store()
-    store.load("acct", 1, {"balance": 100})
-    fields, _ = store.read("acct", 1)
-    fields["balance"] = -1
-    assert store.read("acct", 1)[0] == {"balance": 100}
-
-
 def test_write_bumps_version():
     store, _ = make_store()
     store.load("acct", 1, {"balance": 100})
@@ -222,6 +214,23 @@ def test_redo_converges_whatever_the_store_already_saw():
     assert store.read("acct", 1) is None
     with pytest.raises(ValueError):
         store.redo("upsert", "acct", 1, {})
+
+
+def test_install_sets_the_version_and_delete_drops_it():
+    """An insert is version 0 and stores no version; ``install`` sets
+    one (0 drops it) and ``delete`` drops it, so a re-insert is 0."""
+    store, _ = make_store()
+    fields = {"balance": 5}
+    store.install("acct", 1, fields, 4)
+    assert store.read("acct", 1) == (fields, 4)
+    assert store.read("acct", 1)[0] is fields
+    store.install("acct", 1, fields, 0)
+    assert store.version_of("acct", 1) == 0
+    assert store.table("acct").versions == {}
+    store.write("acct", 1, {"balance": 6})
+    assert store.delete("acct", 1) and store.table("acct").versions == {}
+    assert store.insert("acct", 1, fields)
+    assert store.read("acct", 1) == (fields, 0)
 
 
 def test_a_check_in_an_unknown_table_still_raises():
