@@ -42,6 +42,11 @@ class ParamKey(KeyExpr):
     def resolve(self, params: Params, item: Any = None) -> Any:
         return self._fn(params, item)
 
+    @property
+    def fn(self) -> Callable[[Params, Any], Any]:
+        """The ``fn(params, item)`` behind :meth:`resolve`."""
+        return self._fn
+
 
 class DerivedKey(KeyExpr):
     """A key known only after earlier reads produced their values.
@@ -72,6 +77,11 @@ class DerivedKey(KeyExpr):
     @property
     def has_partition_hint(self) -> bool:
         return self._hint is not None
+
+    @property
+    def hint_fn(self) -> Callable[[Params, Any], Any] | None:
+        """The ``partition_hint(params, item)`` behind :meth:`hint`."""
+        return self._hint
 
     def resolve(self, params: Params, ctx: Ctx, item: Any = None) -> Any:
         """Compute the concrete key; requires all sources bound in ctx."""

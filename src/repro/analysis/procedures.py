@@ -82,7 +82,7 @@ class OpShape:
     transaction's :class:`OpInstance` of that slot."""
 
     __slots__ = ("spec", "index", "name", "alias", "deps", "pk_sources",
-                 "target", "record_spec", "pk_children")
+                 "target", "record_spec", "place", "pk_children")
 
     def __init__(self, spec: OpSpec, proc: "StoredProcedure",
                  index: int | None):
@@ -101,6 +101,16 @@ class OpShape:
             self.record_spec = proc.op(spec.target)
         else:
             self.record_spec = spec
+        # :meth:`OpInstance.placement` compiled: ``(table, fn, exact)``,
+        # where ``fn(params, item)`` gives the key (``exact``) or its
+        # partition hint; None when the location is unknowable before
+        # execution (a CHECK, an unhinted derived key)
+        record, self.place = self.record_spec, None
+        if record is not None:
+            if isinstance(record.key, ParamKey):
+                self.place = (record.table, record.key.fn, True)
+            elif record.key.has_partition_hint:
+                self.place = (record.table, record.key.hint_fn, False)
         self.pk_children: tuple[str, ...] = ()  # set once the layout is whole
 
 
@@ -171,25 +181,26 @@ class OpInstance:
         if isinstance(spec.key, ParamKey):
             return spec.key.resolve(params, self.item)
         assert isinstance(spec.key, DerivedKey)
-        return spec.key.resolve(params, _CtxView(ctx, self._alias),
-                                self.item)
+        return spec.key.resolve(params, self._view(ctx), self.item)
 
     def run_update(self, params: Params, ctx: Mapping[str, Any]
                    ) -> dict[str, Any]:
         assert self.spec.update_fn is not None
-        return self.spec.update_fn(params, _CtxView(ctx, self._alias),
-                                   self.item)
+        return self.spec.update_fn(params, self._view(ctx), self.item)
 
     def run_insert_fields(self, params: Params, ctx: Mapping[str, Any]
                           ) -> dict[str, Any]:
         assert self.spec.insert_fn is not None
-        return self.spec.insert_fn(params, _CtxView(ctx, self._alias),
-                                   self.item)
+        return self.spec.insert_fn(params, self._view(ctx), self.item)
 
     def run_check(self, params: Params, ctx: Mapping[str, Any]) -> bool:
         assert self.spec.predicate is not None
-        return bool(self.spec.predicate(params, _CtxView(ctx, self._alias),
-                                        self.item))
+        return bool(self.spec.predicate(params, self._view(ctx), self.item))
+
+    def _view(self, ctx: Mapping[str, Any]) -> Mapping[str, Any]:
+        """``ctx`` as this instance's templates name it: ``ctx`` itself
+        for an op that aliases no foreach sibling."""
+        return _CtxView(ctx, self._alias) if self._alias else ctx
 
     def __repr__(self) -> str:
         return f"OpInstance({self.name}:{self.spec.kind.value})"

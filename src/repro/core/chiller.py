@@ -23,7 +23,7 @@ Protocol per transaction (Fig. 3b):
 
 from __future__ import annotations
 
-from typing import Any, Generator, Mapping, NamedTuple
+from typing import Any, Generator, Iterable, Mapping, NamedTuple
 
 from ..analysis import OpInstance, OpKind
 from ..replication import InnerReplicaAck, InnerReplicate
@@ -32,7 +32,7 @@ from ..sim import (Await, Compute, Round, Rpc, Signal, approx_payload_bytes,
 from ..storage import LockMode
 from ..storage.wal import R_DECISION, R_END, R_PREPARE, ROLE_INNER
 from ..txn import Database, HistoryRecorder
-from ..txn.commit_fsm import CommitFsm, apply_wire_writes, crash_point
+from ..txn.commit_fsm import CommitFsm, crash_point
 from ..txn.common import CPU_REPLICA_APPLY_US, AbortReason, TxnRequest
 from ..txn.executor import BaseExecutor, TxnState
 from .lookup import HotRecordTable
@@ -75,7 +75,7 @@ class _AckState:
 
     __slots__ = ("signal", "waiting")
 
-    def __init__(self, waiting: list[int]):
+    def __init__(self, waiting: Iterable[int]):
         self.signal = Signal()
         self.waiting = set(waiting)
 
@@ -113,9 +113,7 @@ class ChillerExecutor(BaseExecutor):
         planner = self._planners.get(home)
         if planner is None:
             planner = self._planners[home] = RegionPlanner(
-                self.hot_table,
-                lambda table, key: self.db.partition_of(table, key,
-                                                        reader=home),
+                self.hot_table, self.db.catalog, home,
                 cache=self._plan_cache)
         return planner
 
@@ -162,16 +160,18 @@ class ChillerExecutor(BaseExecutor):
         awaited = self._replicas_to_await(plan.inner_host)
         if awaited:
             self._pending_acks[state.txn_id] = _AckState(awaited)
+        # the inner host copies ctx before it binds anything, and this
+        # coordinator binds nothing until the reply
         inner_request = InnerRequest(
             state.txn_id, state.request.proc, state.request.params,
-            plan.inner_names(), dict(state.ctx), state.request.home)
+            plan.inner_names(), state.ctx, state.request.home)
         if plan.inner_host == state.request.home:
             # the coordinator is the inner host: run it inline on this
             # engine (still consuming this core's CPU) over the
-            # instances it already has
+            # instances, and the keys, its plan already has
             reply = yield from self._inner_body(
                 plan.inner_host, inner_request, plan.inner,
-                plan.inner_cpu_us)
+                plan.inner_keys, plan.inner_cpu_us)
         else:
             reply = yield Rpc(plan.inner_host, (RPC_INNER, inner_request))
 
@@ -203,7 +203,7 @@ class ChillerExecutor(BaseExecutor):
         state.touched.add(plan.inner_host)
         return self.finish(state)
 
-    def _replicas_to_await(self, inner_host: int) -> list[int]:
+    def _replicas_to_await(self, inner_host: int) -> Iterable[int]:
         """The inner host's replicas whose acks the coordinator waits
         for: all of them, bar those on a worker known to be dead (its
         ``post`` is dropped, so no ack would ever come)."""
@@ -235,13 +235,16 @@ class ChillerExecutor(BaseExecutor):
                    for inst in proc.instantiate(body.params)}
         instances = [by_name[name] for name in body.inner_names]
         return (yield from self._inner_body(server_id, body, instances,
+                                            [None] * len(instances),
                                             inner_cpu_us(instances)))
 
     def _inner_body(self, server_id: int, req: InnerRequest,
-                    instances: list[OpInstance],
+                    instances: list[OpInstance], keys: list,
                     cpu_us: float) -> Generator:
         """Execute the inner region (``instances``, the ops named by
-        ``req.inner_names``) locally; commit unilaterally.
+        ``req.inner_names``) locally; commit unilaterally.  ``keys``
+        holds each instance's key where the planner already resolved
+        it, None where the region resolves it.
 
         The inner region runs "from beginning to end with no stall"
         (Section 3.3): one contiguous CPU block for its logic
@@ -263,8 +266,8 @@ class ChillerExecutor(BaseExecutor):
         # every inner operation is local to this host by construction
         yield Compute(cpu_us)
         [result] = yield Round(
-            ((server_id,
-              lambda: self._inner_critical_section(store, instances, req)),),
+            ((server_id, lambda: self._inner_critical_section(
+                store, instances, keys, req)),),
             "inner_commit")
         status, ctx_delta, reads, versions, writes = result
         if trace:
@@ -276,7 +279,7 @@ class ChillerExecutor(BaseExecutor):
         return (status, ctx_delta, reads, versions)
 
     def _inner_critical_section(self, store, instances: list[OpInstance],
-                                req: InnerRequest) -> tuple:
+                                keys: list, req: InnerRequest) -> tuple:
         """Check locks, read, check, and apply — one atomic event.
 
         A lock the section took would be released before any other
@@ -286,40 +289,41 @@ class ChillerExecutor(BaseExecutor):
         past one an outer region holds, leaving nothing to release.
         """
         ctx: dict[str, Any] = dict(req.ctx)
+        params = req.params
         reads: list[tuple[tuple[str, Any], int]] = []
         locations: dict[str, tuple[str, Any]] = {}
         granted: set = set()
+        read, insert, check = OpKind.READ, OpKind.INSERT, OpKind.CHECK
 
-        def fail(status: str) -> tuple:
-            return (status, {}, [], [], [])
-
-        for inst in instances:
+        for inst, key in zip(instances, keys):
             kind = inst.spec.kind
-            if kind is OpKind.READ:
+            if kind is read:
                 table = inst.spec.table
-                key = inst.concrete_key(req.params, ctx)
+                if key is None:
+                    key = inst.concrete_key(params, ctx)
                 if not store.check_lock(table, key, inst.lock_mode(),
                                         granted):
-                    return fail("conflict")
+                    return ("conflict", {}, [], [], [])
                 result = store.read(table, key)
                 if result is None:
-                    return fail("missing")
+                    return ("missing", {}, [], [], [])
                 fields, version = result
                 ctx[inst.name] = fields
                 locations[inst.name] = (table, key)
                 reads.append(((table, key), version))
-            elif kind is OpKind.INSERT:
+            elif kind is insert:
                 table = inst.spec.table
-                key = inst.concrete_key(req.params, ctx)
+                if key is None:
+                    key = inst.concrete_key(params, ctx)
                 locations[inst.name] = (table, key)
                 if not store.check_lock(table, key, LockMode.EXCLUSIVE,
                                         granted):
-                    return fail("conflict")
+                    return ("conflict", {}, [], [], [])
                 if store.read(table, key) is not None:
-                    return fail("duplicate")
-            elif kind is OpKind.CHECK:
-                if not inst.run_check(req.params, ctx):
-                    return fail("logical")
+                    return ("duplicate", {}, [], [], [])
+            elif kind is check:
+                if not inst.run_check(params, ctx):
+                    return ("logical", {}, [], [], [])
             # UPDATE/DELETE: applied below at the commit point
 
         writes = []
@@ -333,11 +337,11 @@ class ChillerExecutor(BaseExecutor):
                         f"read {target!r}; region planner bug")
                 table, key = locations[target]
                 writes.append(("update", table, key,
-                               inst.run_update(req.params, ctx)))
-            elif kind is OpKind.INSERT:
+                               inst.run_update(params, ctx)))
+            elif kind is insert:
                 table, key = locations[inst.name]
                 writes.append(("insert", table, key,
-                               inst.run_insert_fields(req.params, ctx)))
+                               inst.run_insert_fields(params, ctx)))
             elif kind is OpKind.DELETE:
                 table, key = locations[inst.target_instance()]
                 writes.append(("delete", table, key, None))
@@ -350,7 +354,7 @@ class ChillerExecutor(BaseExecutor):
             wal.append((R_PREPARE, req.txn_id, ROLE_INNER,
                         req.coordinator, tuple(writes)))
             wal.append((R_DECISION, req.txn_id, True), sync=True)
-        versions = apply_wire_writes(store, writes)
+        versions = store.apply(writes, redo=False)
         if wal is not None:
             wal.append((R_END, req.txn_id))
         ctx_delta = {name: ctx[name] for name in req.inner_names

@@ -22,7 +22,11 @@ The split reads nothing of a transaction but its compiled layout, each
 op's partition (or that it is unknown) and which exact READs are hot,
 so :meth:`RegionPlanner.plan` memoises it under exactly that signature,
 together with the two constants of a split that the inner host needs:
-the inner op names and the inner region's CPU charge.
+the inner op names and the inner region's CPU charge.  The signature
+itself is read through per-layout slots compiled once (table, key or
+hint function, whether an exact READ can be hot, whether the table is
+replicated), and the exact keys it resolves ride with the plan to the
+inline inner region, so no op's key is computed twice.
 """
 
 from __future__ import annotations
@@ -32,11 +36,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..analysis import OpInstance, OpKind
+from ..analysis.procedures import OpShape
+from ..storage import Catalog
 from ..txn.common import CPU_APPLY_US, CPU_CHECK_US, CPU_LOCAL_OP_US
 from .lookup import HotRecordTable
-
-PlacementFn = Callable[[str, Any], int]
-"""(table, key) -> partition id, with replicated tables pre-bound."""
 
 PLAN_CACHE_CAP = 4096
 """Splits a plan cache keeps before it starts over (the TPC-C cell meets
@@ -46,6 +49,16 @@ _Split = tuple[bool, "int | None", tuple[int, ...], tuple[int, ...], int, int,
                tuple[str, ...], float]
 """A cached :class:`RegionPlan`: ops as positions in the instantiation,
 then the inner names and CPU charge."""
+
+_Slot = tuple[str, Callable[[Mapping[str, Any], Any], Any], bool, bool,
+              bool] | None
+"""One op of a compiled layout, as :meth:`RegionPlanner._signature`
+reads it: ``(table, fn, exact, hot_read, replicated)``, where
+``fn(params, item)`` gives the key (``exact``) or its partition hint,
+``hot_read`` says the op is an exact READ (the only kind that can be
+hot) and ``replicated`` that the record is the reader's own copy, found
+with no catalog call; None when the location is unknowable before
+execution."""
 
 
 def inner_cpu_us(instances: list[OpInstance]) -> float:
@@ -74,13 +87,17 @@ class RegionPlan:
     """``inner``'s op names, in order (what the inner request ships)."""
     inner_cpu_us: float = 0.0
     """:func:`inner_cpu_us` of ``inner`` (0 for a one-region plan)."""
+    inner_keys: list = field(default_factory=list)
+    """``inner``'s exact keys, in order, as the signature resolved them;
+    None where a key is derived and resolved inside the region."""
 
     def inner_names(self) -> tuple[str, ...]:
         return self.names
 
 
 class RegionPlanner:
-    """Plans two-region execution for instantiated transactions.
+    """Plans two-region execution for the transactions ``home``
+    coordinates (replicated tables resolve to ``home``).
 
     ``cache`` maps a signature (:meth:`_signature`) to its split; pass
     one dict to several planners to share what they learn.  It holds
@@ -88,12 +105,14 @@ class RegionPlanner:
     needs no invalidation: a placement flip changes the signature.
     """
 
-    def __init__(self, hot_table: HotRecordTable,
-                 placement: PlacementFn,
-                 cache: dict[tuple, _Split] | None = None):
+    def __init__(self, hot_table: HotRecordTable, catalog: Catalog,
+                 home: int, cache: dict[tuple, _Split] | None = None):
         self.hot_table = hot_table
-        self.placement = placement
+        self.catalog = catalog
+        self.home = home
         self.cache: dict[tuple, _Split] = {} if cache is None else cache
+        self._slots: dict[OpShape, tuple[_Slot, ...]] = {}
+        """Compiled slots per layout, keyed by its first shape."""
 
     def plan(self, instances: list[OpInstance],
              params: Mapping[str, Any]) -> RegionPlan:
@@ -102,14 +121,16 @@ class RegionPlanner:
         tuples and pk-children come compiled with the instances; only
         placements and hotness are evaluated here, and the split itself
         only on the first sight of a signature."""
-        signature = self._signature(instances, params)
+        signature, keys = self._signature(instances, params)
         split = self.cache.get(signature)
         if split is None:
             plan = self._split(instances, params)
+            position = {inst.name: i for i, inst in enumerate(instances)}
             if plan.two_region:
                 plan.names = tuple(inst.name for inst in plan.inner)
                 plan.inner_cpu_us = inner_cpu_us(plan.inner)
-            position = {inst.name: i for i, inst in enumerate(instances)}
+                plan.inner_keys = [keys[position[inst.name]]
+                                   for inst in plan.inner]
             if len(self.cache) >= PLAN_CACHE_CAP:
                 self.cache.clear()
             self.cache[signature] = (
@@ -124,29 +145,54 @@ class RegionPlanner:
         return RegionPlan(two_region, inner_host,
                           [instances[i] for i in inner],
                           [instances[i] for i in outer],
-                          hot_inner, blocked, names, cpu_us)
+                          hot_inner, blocked, names, cpu_us,
+                          [keys[i] for i in inner])
 
     def _signature(self, instances: list[OpInstance],
-                   params: Mapping[str, Any]) -> tuple:
-        """Everything :meth:`_split` reads: the layout (named by its
-        first compiled shape, which belongs to that layout alone), then
-        per op ``None`` when its placement is unknown before execution,
-        else ``2 * partition + hot`` — hot only for an exact READ."""
+                   params: Mapping[str, Any]) -> tuple[tuple, list]:
+        """Everything :meth:`_split` reads, and the keys it resolved on
+        the way (None where not exact).  The signature is the layout
+        (named by its first compiled shape, which belongs to that layout
+        alone), then per op ``None`` when its placement is unknown
+        before execution, else ``2 * partition + hot`` — hot only for an
+        exact READ."""
         if not instances:
-            return ()
-        is_hot, partition_of = self.hot_table.is_hot, self.placement
-        read = OpKind.READ
-        signature = [instances[0].shape]
-        for inst in instances:
-            placement = inst.placement(params)
-            if placement is None or placement.key is None:
+            return (), []
+        first = instances[0].shape
+        slots = self._slots.get(first)
+        if slots is None:
+            slots = self._compile(instances)
+        is_hot, partition_of = self.hot_table.is_hot, self.catalog.partition_of
+        home = self.home
+        signature: list = [first]
+        keys: list = []
+        for slot, inst in zip(slots, instances):
+            key = None if slot is None else slot[1](params, inst.item)
+            if key is None:
                 signature.append(None)
+                keys.append(None)
                 continue
-            table, key = placement.table, placement.key
-            signature.append(2 * partition_of(table, key) + (
-                placement.exact and inst.spec.kind is read
-                and is_hot(table, key)))
-        return tuple(signature)
+            table, _fn, exact, hot_read, replicated = slot
+            pid = home if replicated else partition_of(table, key)
+            signature.append(2 * pid + is_hot(table, key) if hot_read
+                             else 2 * pid)
+            keys.append(key if exact else None)
+        return tuple(signature), keys
+
+    def _compile(self, instances: list[OpInstance]) -> tuple[_Slot, ...]:
+        """The slots of ``instances``' layout, kept until the cache is
+        emptied."""
+        replicated = self.catalog.replicated_tables
+        slots = tuple(
+            None if (place := inst.shape.place) is None else
+            (place[0], place[1], place[2],
+             place[2] and inst.spec.kind is OpKind.READ,
+             place[0] in replicated)
+            for inst in instances)
+        if len(self._slots) >= PLAN_CACHE_CAP:
+            self._slots.clear()
+        self._slots[instances[0].shape] = slots
+        return slots
 
     def _split(self, instances: list[OpInstance],
                params: Mapping[str, Any]) -> RegionPlan:
@@ -265,7 +311,8 @@ class RegionPlanner:
             placement = inst.placement(params)
             if placement is None or not placement.known():
                 continue
-            pid = self.placement(placement.table, placement.key)
+            pid = self.catalog.partition_of(placement.table, placement.key,
+                                            self.home)
             out[inst.name] = (placement.table, placement.key,
                               placement.exact, pid)
         return out

@@ -30,6 +30,9 @@ class ReplicaManager:
                 f"{n_servers} servers without self-replication")
         self.n_servers = n_servers
         self.n_replicas = n_replicas
+        self._servers = tuple(
+            tuple((partition + 1 + j) % n_servers for j in range(n_replicas))
+            for partition in range(n_servers))
         table_list = list(tables)
         # (hosting server, partition id) -> replica store
         self._stores: dict[tuple[int, int], PartitionStore] = {}
@@ -40,10 +43,10 @@ class ReplicaManager:
         self.applied_counts: dict[tuple[int, int], int] = {
             key: 0 for key in self._stores}
 
-    def replica_servers(self, partition: int) -> list[int]:
-        """Servers hosting replicas of ``partition`` (primary excluded)."""
-        return [(partition + 1 + j) % self.n_servers
-                for j in range(self.n_replicas)]
+    def replica_servers(self, partition: int) -> tuple[int, ...]:
+        """Servers hosting replicas of ``partition`` (primary excluded),
+        computed once at construction."""
+        return self._servers[partition]
 
     def store_on(self, server: int, partition: int) -> PartitionStore:
         """The replica store of ``partition`` hosted on ``server``."""
@@ -58,9 +61,8 @@ class ReplicaManager:
     def apply(self, server: int, partition: int,
               writes: Iterable[tuple]) -> None:
         """Apply a committed write-set of ``(kind, table, key, values)``
-        tuples to one replica, in order."""
-        store = self._stores[(server, partition)]
-        for kind, table, key, values in writes:
-            # upsert-tolerant, so a replica that missed an insert converges
-            store.redo(kind, table, key, values)
+        tuples to one replica, in order: as a redo, so a replica that
+        missed an insert converges.  In the primary's process the
+        replica shares the primary's merges (``partition.merge``)."""
+        self._stores[(server, partition)].apply(writes, redo=True)
         self.applied_counts[(server, partition)] += 1

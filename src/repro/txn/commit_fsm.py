@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Callable, Generator
 
 from ..sim import Compute, Round, Sleep
 from ..sim.codec import DispatchContext, OpDescriptor, op_handler
@@ -127,27 +127,6 @@ class CommitTable:
 
     def decision_of(self, txn_id: int) -> bool | None:
         return self._decisions.get(txn_id)
-
-
-# -- write application ---------------------------------------------------------
-
-def apply_wire_writes(store, writes) -> list:
-    """Apply ``(kind, table, key, values)`` writes to a store; returns
-    the committed ``((table, key), version)`` pairs."""
-    versions: list[tuple[tuple[str, Any], int]] = []
-    for kind, table, key, values in writes:
-        rid = (table, key)
-        if kind == "update":
-            store.write(table, key, values)
-            versions.append((rid, store.version_of(table, key)))
-        elif kind == "insert":
-            store.insert(table, key, values)
-            versions.append((rid, 0))
-        else:
-            old = store.version_of(table, key)
-            store.delete(table, key)
-            versions.append((rid, (old or 0) + 1))
-    return versions
 
 
 # -- the coordinator FSM -------------------------------------------------------
@@ -320,7 +299,7 @@ def _commit_op(db, pid: int, writes: list[tuple],
 def _do_commit(ctx: DispatchContext, d: OpDescriptor) -> list:
     store = ctx.store_of(d.partition)
     writes, txn_id = d.args
-    versions = apply_wire_writes(store, writes)
+    versions = store.apply(writes, redo=False)
     store.release_all(txn_id)
     return versions
 
@@ -374,7 +353,7 @@ def _do_decision(ctx: DispatchContext, d: OpDescriptor) -> list:
         d.partition, txn_id)
     versions: list = []
     if committed and entry is not None:
-        versions = apply_wire_writes(store, entry.writes)
+        versions = store.apply(entry.writes, redo=False)
     store.release_all(txn_id)
     if wal is not None:
         wal.append((R_END, txn_id))
@@ -442,9 +421,8 @@ def _replay_server(db, sid: int, records: list[tuple],
             entry = prepared.get(txn_id)
             if committed and entry is not None:
                 role, _peer, payload = entry
-                # redo, not apply: the store may have seen any prefix
-                for write in _server_writes(sid, role, payload):
-                    store.redo(*write)
+                # redo: the store may have seen any prefix
+                store.apply(_server_writes(sid, role, payload), redo=True)
                 stats.txns_redone += 1
     in_doubt: list[PreparedEntry] = []
     for txn_id, (role, peer, payload) in prepared.items():
@@ -523,7 +501,7 @@ def _settle(db, entry: PreparedEntry, committed: bool) -> None:
     store = db.store(entry.partition)
     db.commit_table.pop_stash(entry.partition, entry.txn_id)
     if committed:
-        apply_wire_writes(store, entry.writes)
+        store.apply(entry.writes, redo=False)
     wal = db.wal_of(entry.partition)
     if wal is not None:
         wal.append((R_DECISION, entry.txn_id, committed))

@@ -144,7 +144,8 @@ _outcome_fields = operator.attrgetter(*Outcome.__slots__)
 @dataclass
 class CommitLog:
     """Read/write versions of one committed transaction (for the
-    serializability checker)."""
+    serializability checker).  A delete's write version is negated, as
+    ``PartitionStore.apply`` reports it."""
 
     txn_id: int
     reads: list[tuple[tuple[str, Any], int]] = field(default_factory=list)

@@ -77,25 +77,25 @@ class HistoryRecorder:
 
     @staticmethod
     def writes_collapsed(log: CommitLog) -> list[tuple[Any, int]]:
-        """A txn updating a record twice keeps only its final version."""
+        """A txn updating a record twice keeps only its final version;
+        a delete's version counts without its sign."""
         final: dict[Any, int] = {}
         for rid, version in log.writes:
-            final[rid] = max(version, final.get(rid, -1))
+            final[rid] = max(abs(version), final.get(rid, -1))
         return list(final.items())
 
     def store_mismatches(self, db) -> list[tuple]:
         """``(copy, rid, committed, stored)`` for each copy of a record
         the history wrote (``"primary"`` or a replica's server) that,
-        once the run has quiesced, does not hold the last version it
-        committed (``stored`` None: absent).  An insert commits 0, an
-        update or delete the next version, so a record may be absent
-        only past 0.  The log does not tell a delete from an update: a
-        record an update left absent passes, one a delete left present
-        is one version short."""
+        once the run has quiesced, does not hold what its last committed
+        write left (``stored`` None: absent).  An insert commits 0 and
+        an update the next version, which the copy must hold; a delete
+        commits its version negated (``PartitionStore.apply``), and the
+        copy must then be absent."""
         last: dict[Any, int] = {}
         for log in self.commits:
             for rid, version in log.writes:
-                if version > last.get(rid, -1):
+                if rid not in last or abs(version) > abs(last[rid]):
                     last[rid] = version
         replicas = db.replicas
         mismatches = []
@@ -107,8 +107,8 @@ class HistoryRecorder:
                            for server in replicas.replica_servers(pid)]
             for copy, store in copies:
                 stored = store.version_of(table, key)
-                if stored != committed and (stored is not None
-                                            or not committed):
+                if (stored is not None if committed < 0
+                        else stored != committed):
                     mismatches.append((copy, (table, key), committed,
                                        stored))
         return mismatches

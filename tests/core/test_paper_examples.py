@@ -5,6 +5,7 @@ import pytest
 from repro.core import (ChillerPartitionerConfig, HotRecordTable,
                         RegionPlanner, TxnSample, partition_workload)
 from repro.core import partitioner
+from repro.storage import Catalog
 from repro.workloads.flightbooking import flight_booking_procedure
 
 ACCT = "accounts"
@@ -117,6 +118,8 @@ class _StaticPlacement:
     def __call__(self, table, key):
         return self.mapping[(table, key)]
 
+    partition_of = __call__     # as a catalog's scheme
+
 
 def fig2_transaction_t3():
     """t3 of Fig. 1a: update r5, r4, r1 (r1 and r4 are hot)."""
@@ -145,7 +148,7 @@ def test_fig2_two_region_plan_for_t3():
         ("recs", "r5"): 0, ("recs", "r2"): 0, ("recs", "r3"): 1,
     })
     hot = HotRecordTable({("recs", "r1"): 2, ("recs", "r4"): 2})
-    planner = RegionPlanner(hot, placement)
+    planner = RegionPlanner(hot, Catalog(3, placement), 0)
     proc = fig2_transaction_t3()
     params = {"k5": "r5", "k4": "r4", "k1": "r1"}
     plan = planner.plan(proc.instantiate(params), params)
@@ -168,7 +171,7 @@ def test_fig4_flight_example_region_split():
         ("customer", 3): 0,
     })
     hot = HotRecordTable({("flight", 7): 1})
-    planner = RegionPlanner(hot, placement)
+    planner = RegionPlanner(hot, Catalog(3, placement), 0)
     plan = planner.plan(proc.instantiate(params), params)
     assert plan.two_region
     assert plan.inner_host == 1
@@ -188,7 +191,7 @@ def test_fig4_insert_on_other_partition_blocks_inner_region():
         ("customer", 3): 0,
     })
     hot = HotRecordTable({("flight", 7): 1})
-    planner = RegionPlanner(hot, placement)
+    planner = RegionPlanner(hot, Catalog(3, placement), 0)
     plan = planner.plan(proc.instantiate(params), params)
     assert not plan.two_region
     assert plan.blocked_hot_records == 1

@@ -5,11 +5,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (ProcedureRegistry, StoredProcedure, check,
-                            derived_key, insert, param_key, read, update)
+from repro.analysis import (OpKind, ProcedureRegistry, StoredProcedure,
+                            check, derived_key, insert, param_key, read,
+                            update)
 from repro.core import HotRecordTable, RegionPlanner
-from repro.partitioning import ModuloScheme
+from repro.partitioning import HashScheme, ModuloScheme
 from repro.storage import Catalog
+from repro.workloads.flightbooking import (flight_booking_procedure,
+                                           flight_routing)
+from repro.workloads.instacart import InstacartWorkload
 from repro.workloads.tpcc import (REPLICATED_TABLES, TpccWorkload,
                                   tpcc_routing)
 
@@ -38,8 +42,14 @@ def simple_proc():
         ])
 
 
+def planner_over(hot, placement):
+    """The planner of home 0 over a catalog whose scheme is
+    ``placement`` (no table replicated)."""
+    return RegionPlanner(hot, Catalog(4, placement), 0)
+
+
 def plan_for(proc, params, hot, placement):
-    planner = RegionPlanner(HotRecordTable(hot), placement)
+    planner = planner_over(HotRecordTable(hot), placement)
     return planner.plan(proc.instantiate(params), params)
 
 
@@ -231,18 +241,14 @@ def test_cached_plans_equal_plans_from_an_empty_cache():
             ModuloScheme(N_PARTITIONS, routing=tpcc_routing)),
             replicated_tables=REPLICATED_TABLES)
 
-        def placement(home):
-            return lambda table, key: catalog.partition_of(table, key,
-                                                           home)
-
         shared: dict = {}
-        cached = [RegionPlanner(hot, placement(home), cache=shared)
+        cached = [RegionPlanner(hot, catalog, home, cache=shared)
                   for home in range(N_PARTITIONS)]
         for at, (request, instances) in enumerate(staged * 2):
             if at in flips:
                 (table, key), pid = flips[at]
                 hot.apply_move(table, key, pid, epoch=at + 1)
-            fresh = RegionPlanner(hot, placement(request.home))
+            fresh = RegionPlanner(hot, catalog, request.home)
             want = fresh.plan(instances, request.params)
             got = cached[request.home].plan(instances, request.params)
             assert as_tuple(got) == as_tuple(want), (at, request)
@@ -253,8 +259,8 @@ def test_cached_plans_equal_plans_from_an_empty_cache():
 
 def test_a_cache_hit_rebinds_the_split_to_the_new_instances():
     proc, params = simple_proc(), {"a": 1, "b": 2}
-    planner = RegionPlanner(HotRecordTable({("t", 1): 0}),
-                            Placement({("t", 1): 0, ("t", 2): 1}))
+    planner = planner_over(HotRecordTable({("t", 1): 0}),
+                           Placement({("t", 1): 0, ("t", 2): 1}))
     first = planner.plan(proc.instantiate(params), params)
     again = proc.instantiate(params)
     second = planner.plan(again, params)
@@ -278,7 +284,7 @@ def test_layouts_with_as_many_ops_do_not_share_a_split():
     ])
     hot = HotRecordTable({("t", 1): 0})
     placement = Placement({("t", 2): 1, ("t", 6): 1})
-    planner = RegionPlanner(hot, placement)
+    planner = planner_over(hot, placement)
     wide_a, wide_b = {"a": [1, 5], "b": [2]}, {"a": [1], "b": [5, 6, 7]}
     first = planner.plan(proc.instantiate(wide_a), wide_a)
     second = planner.plan(proc.instantiate(wide_b), wide_b)
@@ -291,10 +297,105 @@ def test_a_placement_flip_changes_the_signature():
     proc, params = simple_proc(), {"a": 1, "b": 2}
     hot = HotRecordTable({("t", 1): 0})
     table = hot.live_scheme(Placement({("t", 2): 1}))
-    planner = RegionPlanner(hot, table.partition_of)
+    planner = planner_over(hot, table)
     assert planner.plan(proc.instantiate(params), params).inner_host == 0
     hot.apply_move("t", 1, 1, epoch=1)     # the hot record moves home
     plan = planner.plan(proc.instantiate(params), params)
     assert plan.inner_host == 1
     assert set(plan.inner_names()) == {"ra", "rb", "ua", "ub"}
     assert len(planner.cache) == 2
+
+
+# -- the compiled signature against the Placement oracle -----------------------
+
+def oracle_signature(planner, instances, params):
+    """The signature as planned before its slots were compiled: one
+    ``Placement`` per op, the catalog asked for every op, replicated
+    tables included; and the exact keys those placements name."""
+    if not instances:
+        return (), []
+    signature, keys = [instances[0].shape], []
+    for inst in instances:
+        placement = inst.placement(params)
+        if placement is None or placement.key is None:
+            signature.append(None)
+            keys.append(None)
+            continue
+        table, key = placement.table, placement.key
+        signature.append(
+            2 * planner.catalog.partition_of(table, key, planner.home)
+            + (placement.exact and inst.spec.kind is OpKind.READ
+               and planner.hot_table.is_hot(table, key)))
+        keys.append(key if placement.exact else None)
+    return tuple(signature), keys
+
+
+INSTACART = InstacartWorkload(n_products=300)
+FLIGHT = flight_booking_procedure()
+
+
+def staged_requests(rng, count):
+    """``(group, proc, params, home)`` for TPC-C, Instacart and the
+    paper's flight booking (Fig. 4), each group over its own catalog."""
+    staged = []
+    for i in range(count):
+        home = i % N_PARTITIONS
+        request = TPCC.next_request(home, rng)
+        staged.append(("tpcc", TPCC_PROCS.get(request.proc),
+                       request.params, home))
+        request = INSTACART.next_request(home, rng)
+        staged.append(("instacart", INSTACART.procedures()[0],
+                       request.params, home))
+        staged.append(("flight", FLIGHT, {
+            "flight_id": rng.randrange(100),
+            "cust_id": rng.randrange(1000)}, home))
+    return staged
+
+
+FALLBACKS = {
+    "tpcc": (lambda: ModuloScheme(N_PARTITIONS, routing=tpcc_routing),
+             REPLICATED_TABLES),
+    "instacart": (lambda: HashScheme(N_PARTITIONS), frozenset()),
+    "flight": (lambda: HashScheme(N_PARTITIONS, routing=flight_routing),
+               frozenset()),
+}
+
+
+def test_the_compiled_signature_equals_the_placement_oracle():
+    """Random requests of three workloads (TPC-C with its replicated
+    ``item`` table), a random hot set, and one live placement flip
+    (``EpochLookupScheme``) part way; each request is signed twice, so
+    the second round reads slots compiled in the first."""
+    compared = []
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), data=st.data())
+    def check(seed, data):
+        staged = staged_requests(random.Random(seed), 20)
+        exact = sorted({(group, record)
+                        for group, proc, params, _home in staged
+                        for record in exact_records(
+                            proc.instantiate(params), params)
+                        if record[0] not in REPLICATED_TABLES}, key=repr)
+        where = st.integers(0, N_PARTITIONS - 1)
+        hot_of, planners = {}, {}
+        for group, (fallback, replicated) in FALLBACKS.items():
+            mine = [record for g, record in exact if g == group]
+            hot = hot_of[group] = HotRecordTable(data.draw(st.dictionaries(
+                st.sampled_from(mine), where, max_size=10)))
+            catalog = Catalog(N_PARTITIONS, hot.live_scheme(fallback()),
+                              replicated_tables=replicated)
+            planners[group] = [RegionPlanner(hot, catalog, home)
+                               for home in range(N_PARTITIONS)]
+        flip_at = data.draw(st.integers(0, 2 * len(staged) - 1))
+        group, record = data.draw(st.sampled_from(exact))
+        for at, (g, proc, params, home) in enumerate(staged * 2):
+            if at == flip_at:
+                hot_of[group].apply_move(*record, data.draw(where), 1)
+            instances = proc.instantiate(params)
+            planner = planners[g][home]
+            assert planner._signature(instances, params) == \
+                oracle_signature(planner, instances, params), (at, g)
+            compared.append(g)
+    check()
+    assert {"tpcc", "instacart", "flight"} <= set(compared)

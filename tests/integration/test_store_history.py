@@ -1,7 +1,8 @@
 """Stores against the history: after a quiesced sim run with
 ``record_history``, every copy of every record the history wrote holds
-the last version it committed (``HistoryRecorder.store_mismatches``),
-on the primary and on each replica."""
+the last version it committed, or is absent if that write was a delete
+(``HistoryRecorder.store_mismatches``), on the primary and on each
+replica."""
 
 import pytest
 
@@ -50,16 +51,24 @@ def test_every_copy_holds_the_last_committed_version(finished):
     assert history.store_mismatches(db) == []
 
 
+def last_writes(history):
+    """rid -> the version its last committed write produced (negated
+    for a delete)."""
+    last = {}
+    for log in history.commits:
+        for rid, version in log.writes:
+            if rid not in last or abs(version) > abs(last[rid]):
+                last[rid] = version
+    return last
+
+
 def test_a_lost_or_extra_write_is_named():
     """Three plants on a TPC-C run (the one with inserts), each named
     with its copy: a replica one write ahead, then a primary and a
     replica that lost an inserted record."""
     finished = tpcc_chiller_run().run()
     history, db = finished.history, finished.database
-    versions = {}
-    for log in history.commits:
-        for rid, version in log.writes:
-            versions[rid] = max(version, versions.get(rid, -1))
+    versions = last_writes(history)
     (table, key), committed = next(
         (rid, v) for rid, v in versions.items()
         if db.store(db.partition_of(*rid)).version_of(*rid) is not None)
@@ -79,3 +88,29 @@ def test_a_lost_or_extra_write_is_named():
     db.replicas.store_on(iserver, ipid).delete(*inserted)
     assert history.store_mismatches(db) == [
         ("primary", inserted, 0, None), (iserver, inserted, 0, None)]
+
+
+def test_a_delete_is_told_from_an_update():
+    """The log carries deletes (a negated version), so the check wants
+    a deleted record absent and an updated one present: a primary that
+    lost an updated record, and one that kept a deleted record, are
+    each named."""
+    finished = tpcc_chiller_run().run()
+    history, db = finished.history, finished.database
+    last = last_writes(history)
+    assert history.store_mismatches(db) == []
+    updated = next(rid for rid, v in sorted(last.items(), key=repr)
+                   if v > 0)
+    deleted, version = next((rid, v) for rid, v in sorted(last.items(),
+                                                          key=repr)
+                            if v < 0)
+    store = db.store(db.partition_of(*updated))
+    fields, at = store.read(*updated)
+    assert at == last[updated]
+    store.delete(*updated)
+    assert history.store_mismatches(db) == [
+        ("primary", updated, last[updated], None)]
+    store.install(*updated, fields, at)
+    db.store(db.partition_of(*deleted)).load(*deleted, {})
+    assert history.store_mismatches(db) == [
+        ("primary", deleted, version, 0)]

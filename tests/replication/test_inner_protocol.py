@@ -62,13 +62,13 @@ def test_acks_gate_the_outer_commit():
     outer_commit_times = []
     dst_pid = db.partition_of("accounts", dst)
     dst_store = db.store(dst_pid)
-    original_write = dst_store.write
+    original_apply_writes = dst_store.apply
 
-    def tracking_write(table, key, updates):
+    def tracking_apply_writes(writes, redo):
         outer_commit_times.append(cluster.sim.now)
-        return original_write(table, key, updates)
+        return original_apply_writes(writes, redo)
 
-    dst_store.write = tracking_write
+    dst_store.apply = tracking_apply_writes
 
     outcomes = []
     request = TxnRequest("transfer",
@@ -96,13 +96,13 @@ def test_inner_host_commits_before_replicas_apply():
 
     primary_commit_times = []
     src_store = db.store(src_pid)
-    original_write = src_store.write
+    original_apply_writes = src_store.apply
 
-    def tracking_write(table, key, updates):
+    def tracking_apply_writes(writes, redo):
         primary_commit_times.append(cluster.sim.now)
-        return original_write(table, key, updates)
+        return original_apply_writes(writes, redo)
 
-    src_store.write = tracking_write
+    src_store.apply = tracking_apply_writes
 
     replica_apply_times = []
     original_apply = db.replicas.apply

@@ -10,15 +10,17 @@ TABLES = [TableSpec("t", n_buckets=64)]
 
 def test_chained_placement_avoids_self():
     manager = ReplicaManager(4, 2, TABLES)
-    assert manager.replica_servers(0) == [1, 2]
-    assert manager.replica_servers(3) == [0, 1]
+    assert manager.replica_servers(0) == (1, 2)
+    assert manager.replica_servers(3) == (0, 1)
+    # computed once: every call hands out the same tuple
+    assert manager.replica_servers(0) is manager.replica_servers(0)
     for partition in range(4):
         assert partition not in manager.replica_servers(partition)
 
 
 def test_replication_degree_zero():
     manager = ReplicaManager(3, 0, TABLES)
-    assert manager.replica_servers(1) == []
+    assert manager.replica_servers(1) == ()
 
 
 def test_too_many_replicas_rejected():

@@ -203,17 +203,45 @@ def test_redo_converges_whatever_the_store_already_saw():
     seen any prefix of them: update falls back to insert, insert to
     write, delete of a missing record is a no-op."""
     store, _ = make_store()
-    store.redo("update", "acct", 1, {"balance": 5})     # missed the insert
+
+    def redo(kind, values):
+        return store.apply([(kind, "acct", 1, values)], redo=True)
+
+    redo("update", {"balance": 5})                      # missed the insert
     assert store.read("acct", 1) == ({"balance": 5}, 0)
-    store.redo("insert", "acct", 1, {"balance": 7})     # already landed
+    redo("insert", {"balance": 7})                      # already landed
     assert store.read("acct", 1) == ({"balance": 7}, 1)
-    store.redo("update", "acct", 1, {"balance": 8})
+    redo("update", {"balance": 8})
     assert store.read("acct", 1) == ({"balance": 8}, 2)
-    store.redo("delete", "acct", 1, None)
-    store.redo("delete", "acct", 1, None)
+    redo("delete", None)
+    redo("delete", None)
     assert store.read("acct", 1) is None
     with pytest.raises(ValueError):
-        store.redo("upsert", "acct", 1, {})
+        redo("upsert", {})
+
+
+def test_apply_reports_each_write_version_and_a_delete_negated():
+    """A commit's write set in one call: an update bumps, an insert is
+    0 and leaves a present record alone, a delete reports the version
+    it ends negated; an update of a record gone under its lock changes
+    nothing and reports no version."""
+    store, _ = make_store()
+    store.load("acct", 1, {"balance": 100})
+    assert store.apply([("update", "acct", 1, {"balance": 90}),
+                        ("insert", "acct", 5, {"balance": 0}),
+                        ("insert", "acct", 5, {"balance": 1}),
+                        ("update", "acct", 5, {"balance": 2}),
+                        ("update", "acct", 5, {"balance": 3}),
+                        ("delete", "acct", 5, None),
+                        ("delete", "acct", 1, None),
+                        ("update", "acct", 9, {"x": 1})], redo=False) == [
+        (("acct", 1), 1), (("acct", 5), 0), (("acct", 5), 0),
+        (("acct", 5), 1), (("acct", 5), 2), (("acct", 5), -3),
+        (("acct", 1), -2), (("acct", 9), None)]
+    assert [store.read("acct", key) for key in (1, 5, 9)] == [None] * 3
+    store.load("acct", 1, {"balance": 7})
+    with pytest.raises(ValueError):
+        store.apply([("upsert", "acct", 1, {})], redo=False)
 
 
 def test_install_sets_the_version_and_delete_drops_it():

@@ -1,7 +1,8 @@
 """No code mutates a stored fields dict.
 
 A store keeps the dict it is handed, shares it between copies of a
-record and hands it to readers as is; only ``write`` makes a new one.
+record and hands it to readers as is; only an update's merge
+(``partition.merge``) makes a new one.
 That is sound only if nothing mutates a dict once stored: not a reader
 (procedure bodies, inner regions, migration), and not the caller that
 handed it over.  The oracle here swaps a read-only dict in at the store
@@ -22,7 +23,7 @@ from repro.bench.setups import (build_instacart_layout,
                                 make_ycsb_run)
 from repro.partitioning import HashScheme
 from repro.storage import Catalog, PartitionStore, TableSpec
-from repro.storage import bucket
+from repro.storage import bucket, partition
 from repro.workloads import instacart
 from repro.workloads.bank import BankWorkload
 from repro.workloads.instacart import InstacartWorkload
@@ -42,11 +43,11 @@ class ReadOnlyFields(dict):
 @contextlib.contextmanager
 def read_only_stores():
     """Store a read-only copy of every dict handed to a store, and of
-    every record ``write`` merges.  Yields the ``(handed, snapshot)``
+    every record an update merges.  Yields the ``(handed, snapshot)``
     pairs, to check the handed dicts were left alone."""
     handed = []
     put, insert = bucket.BucketStore.put, bucket.BucketStore.insert
-    write = PartitionStore.write
+    merge = partition.merge
 
     def frozen(fields):
         handed.append((fields, dict(fields)))
@@ -58,17 +59,13 @@ def read_only_stores():
     def read_only_insert(self, key, fields):
         return insert(self, key, frozen(fields))
 
-    def read_only_write(self, table, key, updates):
-        done = write(self, table, key, updates)
-        if done:
-            records = self.table(table).records
-            records[key] = ReadOnlyFields(records[key])
-        return done
+    def read_only_merge(old, updates):
+        return ReadOnlyFields(merge(old, updates))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bucket.BucketStore, "put", read_only_put)
         patch.setattr(bucket.BucketStore, "insert", read_only_insert)
-        patch.setattr(PartitionStore, "write", read_only_write)
+        patch.setattr(partition, "merge", read_only_merge)
         yield handed
 
 
@@ -78,7 +75,7 @@ def test_a_write_leaves_a_dict_a_reader_holds_unchanged():
     store.load("acct", 1, loaded)
     held, version = store.read("acct", 1)
     assert held is loaded and version == 0
-    assert store.write("acct", 1, {"balance": 90})
+    store.apply([("update", "acct", 1, {"balance": 90})], redo=False)
     assert held == {"balance": 100, "name": "a"}
     fields, version = store.read("acct", 1)
     assert fields == {"balance": 90, "name": "a"} and version == 1
@@ -90,7 +87,7 @@ def test_the_oracle_refuses_a_mutation_and_sees_a_handed_dict_change():
         store = PartitionStore(0, [TableSpec("acct")])
         loaded = {"balance": 100}
         store.load("acct", 1, loaded)
-        store.write("acct", 1, {"balance": 90})
+        store.apply([("update", "acct", 1, {"balance": 90})], redo=False)
         for probe in (lambda f: f.update(balance=0),
                       lambda f: f.__setitem__("balance", 0),
                       lambda f: f.pop("balance")):
